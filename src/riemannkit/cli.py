@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import __version__, comparison, manifold, surfrev, tensor, transport, variation
-from .errors import RiemannKitError
+from .errors import BadDimension, RiemannKitError
 
 SCHEMA = "riemann-kit/1"
 
@@ -64,11 +64,22 @@ def _jsonable(obj):
     return obj
 
 
+# vector options that hold a point or tangent vector of the chart
+_CHART_VECTORS = ("point", "velocity", "target", "w0", "j0", "j0p")
+
+
 def _resolve_chart(args) -> manifold.MetricChart:
     if getattr(args, "manifold", None):
-        return manifold.load_manifold(args.manifold)
-    name = getattr(args, "builtin", None) or "euclidean"
-    return manifold.builtin(name, getattr(args, "param", None) or {})
+        chart = manifold.load_manifold(args.manifold)
+    else:
+        name = getattr(args, "builtin", None) or "euclidean"
+        chart = manifold.builtin(name, getattr(args, "param", None) or {})
+    for option in _CHART_VECTORS:
+        vec = getattr(args, option, None)
+        if vec is not None and len(vec) != chart.dim:
+            raise BadDimension(f"--{option} has {len(vec)} components but chart "
+                               f"'{chart.label}' has dimension {chart.dim}")
+    return chart
 
 
 def _settings(args) -> transport.OdeSettings:

@@ -1,14 +1,14 @@
 """Closed-form expression language for metric coefficients.
 
 Infix grammar with the usual precedence (``^`` > unary ``-`` > ``*`` ``/`` >
-``+`` ``-``), ``^`` right-associative.  Evaluation runs either on plain
-floats or on second-order forward-mode dual numbers, which yield the exact
-value, gradient and Hessian in one pass.
+``+`` ``-``), ``^`` right-associative.  ``evaluate`` interprets a tree on
+plain floats; ``compile_tensor`` differentiates trees symbolically and compiles
+the value and its first and second partials to straight-line Python.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,16 +59,6 @@ class Call:
 
 
 Node = Num | Const | Var | Neg | Bin | Call
-
-
-def depth(node: Node) -> int:
-    if isinstance(node, (Num, Const, Var)):
-        return 1
-    if isinstance(node, Neg):
-        return 1 + depth(node.child)
-    if isinstance(node, Call):
-        return 1 + depth(node.arg)
-    return 1 + max(depth(node.left), depth(node.right))
 
 
 # ---------------------------------------------------------------------------
@@ -252,106 +242,6 @@ def to_source(node: Node) -> str:
     return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
 
 
-# ---------------------------------------------------------------------------
-# Second-order dual numbers
-# ---------------------------------------------------------------------------
-
-class Dual2:
-    """Value + gradient + Hessian, propagated by second-order chain rule."""
-
-    __slots__ = ("v", "g", "h")
-
-    def __init__(self, v, g, h):
-        self.v = v
-        self.g = g
-        self.h = h
-
-    @staticmethod
-    def seed(value: float, index: int, n: int) -> "Dual2":
-        g = np.zeros(n)
-        g[index] = 1.0
-        return Dual2(float(value), g, np.zeros((n, n)))
-
-    @staticmethod
-    def const(value: float, n: int) -> "Dual2":
-        return Dual2(float(value), np.zeros(n), np.zeros((n, n)))
-
-    def __add__(self, o):
-        return Dual2(self.v + o.v, self.g + o.g, self.h + o.h)
-
-    def __sub__(self, o):
-        return Dual2(self.v - o.v, self.g - o.g, self.h - o.h)
-
-    def __neg__(self):
-        return Dual2(-self.v, -self.g, -self.h)
-
-    def __mul__(self, o):
-        cross = np.outer(self.g, o.g)
-        return Dual2(
-            self.v * o.v,
-            self.v * o.g + o.v * self.g,
-            self.v * o.h + o.v * self.h + cross + cross.T,
-        )
-
-    def __truediv__(self, o):
-        if o.v == 0.0:
-            raise DomainFault("division by zero")
-        inv = _apply(o, lambda x: 1.0 / x, lambda x: -1.0 / x**2, lambda x: 2.0 / x**3)
-        return self * inv
-
-    def ipow(self, k: int) -> "Dual2":
-        if k == 0:
-            return Dual2.const(1.0, len(self.g))
-        if k < 0:
-            one = Dual2.const(1.0, len(self.g))
-            return one / self.ipow(-k)
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
-
-
-def _apply(d: Dual2, f, df, d2f) -> Dual2:
-    fv, dv, d2v = f(d.v), df(d.v), d2f(d.v)
-    outer = np.outer(d.g, d.g)
-    return Dual2(fv, dv * d.g, dv * d.h + d2v * outer)
-
-
-def _fn_dual(name: str, d: Dual2) -> Dual2:
-    x = d.v
-    if name == "sin":
-        return _apply(d, math.sin, math.cos, lambda t: -math.sin(t))
-    if name == "cos":
-        return _apply(d, math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t))
-    if name == "tan":
-        return _apply(d, math.tan, lambda t: 1.0 / math.cos(t) ** 2,
-                      lambda t: 2.0 * math.tan(t) / math.cos(t) ** 2)
-    if name == "sinh":
-        return _apply(d, math.sinh, math.cosh, math.sinh)
-    if name == "cosh":
-        return _apply(d, math.cosh, math.sinh, math.cosh)
-    if name == "tanh":
-        return _apply(d, math.tanh, lambda t: 1.0 / math.cosh(t) ** 2,
-                      lambda t: -2.0 * math.tanh(t) / math.cosh(t) ** 2)
-    if name == "exp":
-        return _apply(d, math.exp, math.exp, math.exp)
-    if name == "log":
-        if x <= 0.0:
-            raise DomainFault(f"log of nonpositive argument {x}")
-        return _apply(d, math.log, lambda t: 1.0 / t, lambda t: -1.0 / t**2)
-    if name == "sqrt":
-        if x < 0.0:
-            raise DomainFault(f"sqrt of negative argument {x}")
-        if x == 0.0:
-            raise DomainFault("sqrt not differentiable at 0")
-        return _apply(d, math.sqrt, lambda t: 0.5 / math.sqrt(t),
-                      lambda t: -0.25 / t**1.5)
-    if name == "abs":
-        s = 1.0 if x >= 0.0 else -1.0
-        return Dual2(abs(x), s * d.g, s * d.h)
-    raise DomainFault(f"unknown function {name}")
-
-
 _FN_FLOAT = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
@@ -371,7 +261,7 @@ def _integer_exponent(node: Node):
 
 
 def evaluate(node: Node, point) -> float:
-    """Plain float evaluation (hot path for ODE right-hand sides)."""
+    """Plain float evaluation by walking the tree."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Const):
@@ -399,6 +289,8 @@ def evaluate(node: Node, point) -> float:
     if node.op == "^":
         k = _integer_exponent(node.right)
         if k is not None:
+            if k < 0 and a == 0.0:
+                raise DomainFault("division by zero")
             return a**k
         b = evaluate(node.right, point)
         if a <= 0.0:
@@ -416,34 +308,330 @@ def evaluate(node: Node, point) -> float:
     return a / b
 
 
-def _eval_dual(node: Node, duals: list[Dual2], n: int) -> Dual2:
-    if isinstance(node, Num):
-        return Dual2.const(node.value, n)
-    if isinstance(node, Const):
-        return Dual2.const(CONSTANTS[node.name], n)
-    if isinstance(node, Var):
-        return duals[node.index]
-    if isinstance(node, Neg):
-        return -_eval_dual(node.child, duals, n)
-    if isinstance(node, Call):
-        return _fn_dual(node.fn, _eval_dual(node.arg, duals, n))
-    a = _eval_dual(node.left, duals, n)
-    if node.op == "^":
-        k = _integer_exponent(node.right)
+# ---------------------------------------------------------------------------
+# Symbolic derivatives compiled to straight-line Python
+# ---------------------------------------------------------------------------
+#
+# A parsed tree is first interned into a hash-consed graph: structurally equal
+# subtrees become one node object, so a node's id keys every memo below.  The
+# graph is differentiated symbolically with constant folding and emitted once
+# per derivative order as a Python function in which every shared
+# subexpression is one local variable.  The generated code runs on Python
+# floats, so an overflowing ``**`` or ``exp`` raises OverflowError instead of
+# carrying inf/NaN into the caller.
+
+
+def _is_num(node, value) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+class _Graph:
+    """Hash-consed nodes, folding constructors and memoized partials."""
+
+    def __init__(self):
+        self._nodes = {}
+        self._partials = {}
+        self.zero = self.num(0.0)
+        self.one = self.num(1.0)
+
+    def _intern(self, node):
+        if isinstance(node, Num):
+            key = (Num, repr(node.value))
+        elif isinstance(node, Var):
+            key = (Var, node.index)
+        elif isinstance(node, Neg):
+            key = (Neg, id(node.child))
+        elif isinstance(node, Call):
+            key = (Call, node.fn, id(node.arg))
+        else:
+            key = (Bin, node.op, id(node.left), id(node.right))
+        return self._nodes.setdefault(key, node)
+
+    # -- the parsed tree, as written ------------------------------------------
+
+    def lower(self, node):
+        """Intern a parsed tree without folding, so that every domain check stays.
+
+        Constants become numbers, and a literal negative integer power becomes
+        a division, whose zero-denominator check is the one of ``/``.
+        """
+        if isinstance(node, Num):
+            return self.num(node.value)
+        if isinstance(node, Const):
+            return self.num(CONSTANTS[node.name])
+        if isinstance(node, Var):
+            return self._intern(node)
+        if isinstance(node, Neg):
+            return self._intern(Neg(self.lower(node.child)))
+        if isinstance(node, Call):
+            return self._intern(Call(node.fn, self.lower(node.arg)))
+        left = self.lower(node.left)
+        if node.op == "^":
+            k = _integer_exponent(node.right)
+            if k is not None:
+                power = self._intern(Bin("^", left, self.num(abs(k))))
+                return self._intern(Bin("/", self.one, power)) if k < 0 else power
+        return self._intern(Bin(node.op, left, self.lower(node.right)))
+
+    # -- folding constructors -------------------------------------------------
+
+    def num(self, value):
+        return self._intern(Num(float(value)))
+
+    def neg(self, a):
+        if isinstance(a, Num):
+            return self.num(-a.value)
+        if isinstance(a, Neg):
+            return a.child
+        return self._intern(Neg(a))
+
+    def add(self, a, b):
+        if _is_num(a, 0.0):
+            return b
+        if _is_num(b, 0.0):
+            return a
+        if isinstance(a, Num) and isinstance(b, Num):
+            return self.num(a.value + b.value)
+        return self._intern(Bin("+", a, b))
+
+    def sub(self, a, b):
+        if _is_num(b, 0.0):
+            return a
+        if _is_num(a, 0.0):
+            return self.neg(b)
+        if isinstance(a, Num) and isinstance(b, Num):
+            return self.num(a.value - b.value)
+        return self._intern(Bin("-", a, b))
+
+    def mul(self, a, b):
+        if _is_num(a, 0.0) or _is_num(b, 0.0):
+            return self.zero
+        if _is_num(a, 1.0):
+            return b
+        if _is_num(b, 1.0):
+            return a
+        if isinstance(a, Num) and isinstance(b, Num):
+            return self.num(a.value * b.value)
+        return self._intern(Bin("*", a, b))
+
+    def div(self, a, b):
+        # a zero numerator drops the division: every denominator built here
+        # is a node of the parsed tree whose check already ran
+        if _is_num(a, 0.0):
+            return self.zero
+        if _is_num(b, 1.0):
+            return a
+        return self._intern(Bin("/", a, b))
+
+    def ipow(self, a, k: int):
+        if k == 0:
+            return self.one
+        if k == 1:
+            return a
+        return self._intern(Bin("^", a, self.num(k)))
+
+    def call(self, fn, a):
+        return self._intern(Call(fn, a))
+
+    # -- differentiation ------------------------------------------------------
+
+    def partial(self, node, i: int):
+        """d node / d x_i as a node of this graph."""
+        key = (id(node), i)
+        got = self._partials.get(key)
+        if got is None:
+            got = self._partials[key] = self._differentiate(node, i)
+        return got
+
+    def _differentiate(self, node, i):
+        if isinstance(node, Num):
+            return self.zero
+        if isinstance(node, Var):
+            return self.one if node.index == i else self.zero
+        if isinstance(node, Neg):
+            return self.neg(self.partial(node.child, i))
+        if isinstance(node, Call):
+            u = node.arg
+            du = self.partial(u, i)
+            if _is_num(du, 0.0):
+                return self.zero
+            fn = node.fn
+            if fn == "log":
+                return self.div(du, u)
+            if fn == "sqrt":
+                return self.div(self.mul(self.num(0.5), du), node)
+            return self.mul(_SLOPES[fn](self, node, u), du)
+        a, b = node.left, node.right
+        da, db = self.partial(a, i), self.partial(b, i)
+        if node.op == "+":
+            return self.add(da, db)
+        if node.op == "-":
+            return self.sub(da, db)
+        if node.op == "*":
+            return self.add(self.mul(da, b), self.mul(a, db))
+        if node.op == "/":
+            # (a/b)' = (a' - (a/b) b') / b keeps b as the only denominator
+            return self.div(self.sub(da, self.mul(node, db)), b)
+        k = _lowered_integer_exponent(node)
         if k is not None:
-            return a.ipow(k)
-        b = _eval_dual(node.right, duals, n)
-        if a.v <= 0.0:
-            raise DomainFault(f"nonpositive base {a.v} for non-integer exponent")
-        return _fn_dual("exp", b * _fn_dual("log", a))
-    b = _eval_dual(node.right, duals, n)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    return a / b
+            return self.mul(self.mul(self.num(k), self.ipow(a, k - 1)), da)
+        # a^b = exp(b log a) with a > 0
+        return self.mul(node, self.add(self.mul(db, self.call("log", a)),
+                                       self.div(self.mul(b, da), a)))
+
+
+# f'(u) for the remaining functions, given the call node f(u) and u; ``sign``
+# appears only as the derivative of ``abs``
+_SLOPES = {
+    "sin": lambda graph, f, u: graph.call("cos", u),
+    "cos": lambda graph, f, u: graph.neg(graph.call("sin", u)),
+    "tan": lambda graph, f, u: graph.add(graph.one, graph.ipow(f, 2)),
+    "sinh": lambda graph, f, u: graph.call("cosh", u),
+    "cosh": lambda graph, f, u: graph.call("sinh", u),
+    "tanh": lambda graph, f, u: graph.sub(graph.one, graph.ipow(f, 2)),
+    "exp": lambda graph, f, u: f,
+    "abs": lambda graph, f, u: graph.call("sign", u),
+    "sign": lambda graph, f, u: graph.zero,
+}
+
+
+def _lowered_integer_exponent(node):
+    """k for an interned ``a ^ k`` whose exponent is a literal integer k >= 0."""
+    e = node.right
+    if isinstance(e, Num) and e.value >= 0.0 and e.value.is_integer():
+        return int(e.value)
+    return None
+
+
+class _Emitter:
+    """Writes the statements of one compiled function, one per graph node."""
+
+    def __init__(self, order: int):
+        self.strict = order >= 1  # sqrt at 0 faults only when differentiating
+        self.lines = []
+        self.names = {}
+        self.positive = set()  # ids of nodes a log, sqrt or power check proved > 0
+        self.nonzero = set()   # ids of denominators a division check proved != 0
+
+    def ref(self, node) -> str:
+        name = self.names.get(id(node))
+        if name is None:
+            if isinstance(node, Num):
+                v = node.value
+                name = repr(v) if math.isfinite(v) else f"float('{v!r}')"
+                if math.copysign(1.0, v) < 0.0:
+                    name = f"({name})"
+            elif isinstance(node, Var):
+                name = f"x{node.index}"
+            else:
+                rhs = self._expression(node)
+                name = f"t{len(self.names)}"
+                self.lines.append(f"{name} = {rhs}")
+            self.names[id(node)] = name
+        return name
+
+    def _check(self, condition: str, message: str):
+        self.lines.append(f"if {condition}: raise DomainFault(f{message!r})")
+
+    def _expression(self, node) -> str:
+        if isinstance(node, Neg):
+            return f"-{self.ref(node.child)}"
+        if isinstance(node, Call):
+            u = self.ref(node.arg)
+            key = id(node.arg)
+            if node.fn == "log":
+                if key not in self.positive:
+                    self._check(f"{u} <= 0.0", f"log of nonpositive argument {{{u}}}")
+                    self.positive.add(key)
+            elif node.fn == "sqrt":
+                if key not in self.positive:
+                    self._check(f"{u} < 0.0", f"sqrt of negative argument {{{u}}}")
+                    if self.strict:
+                        self._check(f"{u} == 0.0", "sqrt not differentiable at 0")
+                        self.positive.add(key)
+                if key in self.positive:
+                    self.positive.add(id(node))
+            if node.fn == "sign":
+                return f"(1.0 if {u} >= 0.0 else -1.0)"
+            if node.fn == "abs":
+                return f"abs({u})"
+            return f"_{node.fn}({u})"
+        a, b = self.ref(node.left), self.ref(node.right)
+        if node.op == "/":
+            key = id(node.right)
+            proven = (key in self.nonzero or key in self.positive
+                      or (isinstance(node.right, Num) and node.right.value != 0.0))
+            if not proven:
+                self._check(f"{b} == 0.0", "division by zero")
+                self.nonzero.add(key)
+        elif node.op == "^":
+            k = _lowered_integer_exponent(node)
+            if k is not None:
+                return f"{a} ** {k}"
+            key = id(node.left)
+            if key not in self.positive:
+                self._check(f"{a} <= 0.0", f"nonpositive base {{{a}}} for non-integer exponent")
+                self.positive.add(key)
+            return f"_exp({b} * _log({a}))"
+        return f"{a} {node.op} {b}"
+
+
+_COMPILED_GLOBALS = {
+    "_array": np.array, "DomainFault": DomainFault,
+    **{f"_{fn}": getattr(math, fn) for fn in
+       ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")},
+}
+
+
+def _shape_and_leaves(nodes):
+    if isinstance(nodes, (list, tuple)):
+        parts = [_shape_and_leaves(item) for item in nodes]
+        inner = parts[0][0] if parts else ()
+        return (len(nodes),) + inner, [leaf for _, leaves in parts for leaf in leaves]
+    return (), [nodes]
+
+
+def compile_tensor(nodes, n: int, order: int):
+    """Compile expressions in ``n`` coordinates to one straight-line function.
+
+    ``nodes`` is one AST or nested lists of ASTs of shape S.  The result maps a
+    float array x of length n to T (order 0), (T, dT) (order 1) or
+    (T, dT, d2T) (order 2), where dT[k, ...] = d_k T and d2T[k, l, ...] =
+    d_k d_l T, exactly symmetric in (k, l).  T is a Python float when S is (),
+    and the derivatives are arrays of shape (n,) * order + S.  Evaluation
+    raises DomainFault where the interpreter ``evaluate`` does, and also for
+    sqrt at 0 when order >= 1.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"derivative order must be 0, 1 or 2, not {order}")
+    shape, leaves = _shape_and_leaves(nodes)
+    graph = _Graph()
+    values = [graph.lower(node) for node in leaves]
+    blocks = [((), shape, values)]
+    if order >= 1:
+        first = [[graph.partial(v, k) for v in values] for k in range(n)]
+        blocks.append(((n,), shape, [d for row in first for d in row]))
+    if order >= 2:
+        second = [graph.partial(first[min(k, l)][j], max(k, l))
+                  for k in range(n) for l in range(n) for j in range(len(values))]
+        blocks.append(((n, n), shape, second))
+
+    emit = _Emitter(order)
+    results = []
+    for lead, tail, flat in blocks:
+        refs = [emit.ref(node) for node in flat]
+        full = lead + tail
+        if not full:
+            results.append(refs[0])
+        else:
+            text = f"_array([{', '.join(refs)}])"
+            results.append(text if len(full) == 1 else f"{text}.reshape({full})")
+    unpack = "".join(f"x{i}, " for i in range(n))
+    body = [f"{unpack}= x.tolist()", *emit.lines, f"return {', '.join(results)}"]
+    source = f"def order{order}(x):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = dict(_COMPILED_GLOBALS)
+    exec(compile(source, "<riemannkit.expr compiled>", "exec"), namespace)
+    return namespace[f"order{order}"]
 
 
 @dataclass(frozen=True)
@@ -459,17 +647,19 @@ class DualValue2:
         object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))
 
 
-def eval2(node: Node, point) -> DualValue2:
-    """Value, gradient and Hessian at ``point`` via forward-mode duals."""
-    point = np.asarray(point, dtype=float)
-    n = len(point)
-    duals = [Dual2.seed(point[i], i, n) for i in range(n)]
-    d = _eval_dual(node, duals, n)
-    return DualValue2(d.v, d.g, d.h)
+@functools.lru_cache(maxsize=256)
+def _second_order(node: Node, n: int):
+    return compile_tensor(node, n, 2)
 
+
+def eval2(node: Node, point) -> DualValue2:
+    """Value, gradient and Hessian at ``point`` from compiled symbolic derivatives."""
+    point = np.asarray(point, dtype=float)
+    value, grad, hess = _second_order(node, len(point))(point)
+    return DualValue2(value, grad, hess)
 
 def eval_third_fd(node: Node, point, direction: int) -> np.ndarray:
-    """Central FD of the AD Hessian along coordinate ``direction``.
+    """Central FD of the compiled Hessian along coordinate ``direction``.
 
     Returns the symmetric matrix of third partials d3/dx_dir dx_i dx_j.
     """

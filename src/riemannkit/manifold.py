@@ -131,24 +131,18 @@ class ConformalEvaluator(MetricEvaluator):
 
 
 class ExpressionEvaluator(MetricEvaluator):
-    """Free-form metric whose coefficients are expression ASTs."""
+    """Free-form metric whose coefficients are expression ASTs.
+
+    ``metric``, ``first_order`` and ``stack`` are straight-line functions
+    compiled from the upper triangle of ``asts`` by ``expr.compile_tensor``.
+    """
 
     def __init__(self, asts, n: int):
         self.dim = n
         self.asts = asts  # n x n nested list of AST nodes
-
-    def stack(self, x):
-        n = self.dim
-        g = np.zeros((n, n))
-        dg = np.zeros((n, n, n))
-        d2g = np.zeros((n, n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                d = expr.eval2(self.asts[i][j], x)
-                g[i, j] = g[j, i] = d.value
-                dg[:, i, j] = dg[:, j, i] = d.grad
-                d2g[:, :, i, j] = d2g[:, :, j, i] = d.hess
-        return g, dg, d2g
+        upper = [[asts[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        self.metric, self.first_order, self.stack = (
+            expr.compile_tensor(upper, n, order) for order in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +311,8 @@ def chart_from_definition(doc: dict) -> MetricChart:
     asts = [[expr.parse(rows[i][j], coords) for j in range(dim)] for i in range(dim)]
     domain = None
     if doc.get("domain"):
-        dom_ast = expr.parse(doc["domain"], coords)
-        domain = lambda p: expr.evaluate(dom_ast, p) > 0.0
+        inside = expr.compile_tensor(expr.parse(doc["domain"], coords), dim, 0)
+        domain = lambda p: inside(p) > 0.0
     chart = MetricChart(
         dim=dim, coords=coords,
         evaluator=ExpressionEvaluator(asts, dim),

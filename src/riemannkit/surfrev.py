@@ -32,24 +32,27 @@ class SmoothFunc:
 
     def __init__(self, source, label=""):
         self.label = label
-        if isinstance(source, str):
-            self.ast = expr.parse(source, ["u"])
-            self.source = source
-            self._call = None
-        elif callable(source):
+        if callable(source):
             self.ast = None
             self.source = None
             self._call = source
+            return
+        if isinstance(source, str):
+            self.ast = expr.parse(source, ["u"])
+            self.source = source
         else:  # assume a parsed AST node
             self.ast = source
             self.source = expr.to_source(source)
-            self._call = None
+        compiled = expr.compile_tensor(self.ast, 1, 2)
+
+        def call(u):
+            value, d1, d2 = compiled(np.array([u]))
+            return value, float(d1[0]), float(d2[0, 0])
+
+        self._call = call
 
     def __call__(self, u: float):
-        if self._call is not None:
-            return self._call(float(u))
-        d = expr.eval2(self.ast, np.array([float(u)]))
-        return d.value, float(d.grad[0]), float(d.hess[0, 0])
+        return self._call(float(u))
 
     def value(self, u: float) -> float:
         return self(u)[0]

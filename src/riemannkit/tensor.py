@@ -47,15 +47,6 @@ def _dgamma(md: MetricData) -> np.ndarray:
                   + np.einsum("im,lmjk->lijk", g_inv, dkoszul))
 
 
-def gamma_batch(chart: MetricChart, X: np.ndarray) -> np.ndarray:
-    """Christoffel symbols at a batch of points, shape (N, n, n, n)."""
-    g, dg, _ = chart.evaluator.stack_batch(np.asarray(X, dtype=float))
-    g_inv = np.linalg.inv(g)
-    term = (np.einsum("bjmk->bmjk", dg, optimize=True) + np.einsum("bkmj->bmjk", dg, optimize=True)
-            - np.einsum("bmjk->bmjk", dg, optimize=True))
-    return 0.5 * np.einsum("bim,bmjk->bijk", g_inv, term, optimize=True)
-
-
 def curvature_low_batch(chart: MetricChart, X: np.ndarray):
     """(gamma, low) at a batch of points; low has shape (N, n, n, n, n)."""
     g, dg, d2g = chart.evaluator.stack_batch(np.asarray(X, dtype=float))
@@ -421,13 +412,13 @@ def killing_residual(chart: MetricChart, J_components, points) -> float:
             asts.append(comp)
     if len(asts) != chart.dim:
         raise BadParam("J must have one component per coordinate")
+    field = _expr.compile_tensor(asts, chart.dim, 1)
     worst = 0.0
     for p in np.atleast_2d(np.asarray(points, dtype=float)):
         md = metric_at(chart, p)
         G = gamma_from_stack(md.g_inv, md.dg)
-        vals = np.array([_expr.eval2(a, p).value for a in asts])
-        grads = np.array([_expr.eval2(a, p).grad for a in asts])  # grads[i,a] = d_a J^i
-        DJ = grads.T + np.einsum("iak,k->ai", G, vals)  # DJ[a,i] = (D_a J)^i
+        vals, grads = field(p)  # grads[a,i] = d_a J^i
+        DJ = grads + np.einsum("iak,k->ai", G, vals)  # DJ[a,i] = (D_a J)^i
         M = DJ @ md.g  # M[a,b] = g(D_a J, e_b)
         worst = max(worst, float(np.max(np.abs(M + M.T))))
     return worst

@@ -69,11 +69,6 @@ class Trajectory:
     def state_at(self, s: float):
         return self.position(s), self.velocity(s)
 
-    def frame_at_sample(self, i: int) -> np.ndarray:
-        if self.frame is None:
-            raise BadParam("trajectory carries no frame")
-        return self.frame[i]
-
     def as_curve(self) -> SampledCurve:
         return SampledCurve(self.t.copy(), self.x.copy(), self.v.copy())
 
@@ -163,7 +158,7 @@ def _rkf45(rhs, y0, t0, t1, settings: OdeSettings, guard=None):
             t += h
             y = y5
             if guard is not None:
-                guard(t, y, np.array(ys), np.array(ts))
+                guard(t, y, ys, ts)
             ts.append(t)
             ys.append(y.copy())
             steps += 1
@@ -220,14 +215,16 @@ def _geodesic_rhs(chart: MetricChart, n: int, with_frame: bool):
 
 
 def _domain_guard(chart: MetricChart, n: int):
+    # the samples so far come as arrays (RK4) or lists (RKF45); they are
+    # copied into the partial trajectory only when the guard raises
     def guard(t, y, ys_so_far, ts_so_far):
         x = y[:n]
         if not chart.contains(x):
-            m = len(ts_so_far)
+            ys_so_far = np.asarray(ys_so_far)
             traj = Trajectory(chart=chart,
-                              t=np.asarray(ts_so_far),
-                              x=ys_so_far[:m, :n].copy(),
-                              v=ys_so_far[:m, n:2 * n].copy())
+                              t=np.array(ts_so_far, dtype=float),
+                              x=ys_so_far[:, :n].copy(),
+                              v=ys_so_far[:, n:2 * n].copy())
             raise DomainExit(f"left chart domain near t={t:.6g}", t_exit=float(t),
                              trajectory=traj, point=x.copy())
     return guard

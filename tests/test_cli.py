@@ -167,6 +167,19 @@ def test_domain_exit_reported(capsys):
     assert rep["error"]["t_exit"] > 3.0
 
 
+def test_dimension_mismatch_reported(capsys):
+    code, rep = run_json(capsys, "curvature", "--builtin", "sphere_stereo",
+                         "--point", "0,0,0")
+    assert code == 1
+    assert rep["error"]["type"] == "BadDimension"
+    code, rep = run_json(capsys, "geodesic", "--builtin", "sphere_stereo",
+                         "--point", "0.1,0.2", "--velocity", "0.5",
+                         "--tmax", "1.0")
+    assert code == 1
+    assert rep["error"]["type"] == "BadDimension"
+    assert "--velocity" in rep["error"]["message"]
+
+
 def test_usage_error_exit_2(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()

@@ -199,3 +199,6 @@ def test_domain_faults():
         expr.evaluate(expr.parse("x ^ 0.5", COORDS), [-1.0, 0.0])
     with pytest.raises(DomainFault):
         expr.eval2(expr.parse("sqrt(x)", COORDS), [0.0, 0.0])
+    for path in (expr.evaluate, expr.eval2):
+        with pytest.raises(DomainFault, match="division by zero"):
+            path(expr.parse("x^-2", COORDS), [0.0, 1.0])

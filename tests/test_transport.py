@@ -99,6 +99,28 @@ def test_domain_exit_carries_partial_trajectory(sphere2):
     assert np.all(np.isfinite(exc.trajectory.x))
 
 
+def test_rkf45_domain_exit_carries_partial_trajectory():
+    # straight lines in the open unit disk; the ray from the centre leaves at t = 1
+    disk = manifold.chart_from_definition({
+        "dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "1"]],
+        "domain": "1 - x^2 - y^2"})
+    with pytest.raises(DomainExit) as ei:
+        transport.integrate_geodesic(disk, [0.0, 0.0], [1.0, 0.0], 2.0,
+                                     settings=OdeSettings(method="rkf45_adaptive"),
+                                     with_frame=False)
+    exc = ei.value
+    traj = exc.trajectory
+    assert exc.t_exit >= 1.0
+    assert np.linalg.norm(exc.point) >= 1.0
+    assert len(traj.t) >= 3 and traj.t[0] == 0.0
+    assert np.all(np.diff(traj.t) > 0) and traj.t[-1] < exc.t_exit
+    assert traj.x.shape == traj.v.shape == (len(traj.t), 2)
+    assert all(disk.contains(x) for x in traj.x)
+    np.testing.assert_allclose(traj.x[:, 0], traj.t, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.v, np.tile([1.0, 0.0], (len(traj.t), 1)),
+                               rtol=0, atol=1e-12)
+
+
 def test_trajectory_dense_output(sphere2):
     p = np.array([0.3, 0.1])
     v = np.array([0.4, -0.1])
