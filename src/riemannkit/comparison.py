@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import (BadParam, ConjugateNotFound, DomainExit,
                      InputOrderViolated, StepFault)
-from .manifold import MetricChart, metric_at
+from .manifold import MetricChart, _hermite, metric_at
 from .tensor import (curvature, jacobi_driving_batch, orthonormal_frame,
                      ricci, sectional)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
-                        initial_frame, integrate_geodesic)
+                        _rk4_step, initial_frame, integrate_geodesic)
 from .variation import (conjugate_points_from, jacobi_system,
                         orthogonal_fundamental)
 
@@ -137,30 +137,21 @@ def riccati_solve(H, f0: float, tmax: float, step: float = 1e-3) -> RiccatiTrace
     if mode == "f" and abs(y) > _F_SWITCH:
         y, mode = 1.0 / y, "w"
 
-    def rhs(mode, t, y):
-        if mode == "f":
-            return -y * y - prof(t)
-        return 1.0 + prof(t) * y * y
-
-    def rk4(mode, t, y, h):
-        k1 = rhs(mode, t, y)
-        k2 = rhs(mode, t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(mode, t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(mode, t + h, y + h * k3)
-        return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    rhs = {"f": lambda t, y: -y * y - prof(t),
+           "w": lambda t, y: 1.0 + prof(t) * y * y}
 
     for i in range(1, m):
         target = ts[i]
         # integrate from current (t, y) to target, possibly in sub-pieces
         while t < target - 1e-15:
             h = target - t
-            y_new = rk4(mode, t, y, h)
+            y_new = _rk4_step(rhs[mode], t, y, h)
             if mode == "w" and y * y_new < 0.0:
                 # pole inside the step: locate the zero of w by bisection
                 a, b, ya = t, t + h, y
                 for _ in range(60):
                     mid = 0.5 * (a + b)
-                    ym = rk4(mode, a, ya, mid - a)
+                    ym = _rk4_step(rhs[mode], a, ya, mid - a)
                     if ya * ym <= 0.0:
                         b = mid
                     else:
@@ -253,11 +244,7 @@ def _first_zero(prof: CurvatureProfile, tmax: float, step: float) -> Optional[fl
     prev_t, prev_y = t, y.copy()
     while t < tmax - 1e-15:
         h = min(step, tmax - t)
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + h / 2 * k1)
-        k3 = rhs(t + h / 2, y + h / 2 * k2)
-        k4 = rhs(t + h, y + h * k3)
-        ynew = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ynew = _rk4_step(rhs, t, y, h)
         if t > 0 and y[0] * ynew[0] < 0.0:
             # cubic Hermite root inside the step
             a, b = t, t + h
@@ -267,7 +254,7 @@ def _first_zero(prof: CurvatureProfile, tmax: float, step: float) -> Optional[fl
             flo = fa
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                fm = _hermite_scalar(a, b, fa, fb, da, db, mid)
+                fm = _hermite(a, b, fa, fb, da, db, mid)
                 if flo * fm <= 0.0:
                     hi = mid
                 else:
@@ -275,16 +262,6 @@ def _first_zero(prof: CurvatureProfile, tmax: float, step: float) -> Optional[fl
             return 0.5 * (lo + hi)
         t, y = t + h, ynew
     return None
-
-
-def _hermite_scalar(t0, t1, p0, p1, v0, v1, s):
-    h = t1 - t0
-    u = (s - t0) / h
-    h00 = (1 + 2 * u) * (1 - u) ** 2
-    h10 = u * (1 - u) ** 2
-    h01 = u * u * (3 - 2 * u)
-    h11 = u * u * (u - 1)
-    return h00 * p0 + h10 * h * v0 + h01 * p1 + h11 * h * v1
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +283,8 @@ def rauch_ratio(chart_lo: MetricChart, p_lo, v_lo,
     sys_lo = jacobi_system(chart_lo, geo_lo)
     sys_hi = jacobi_system(chart_hi, geo_hi)
     # sample the driving curvatures in the chosen direction
-    k_lo = np.array([sys_lo.M[i][direction, direction] for i in range(len(sys_lo.t))])
-    k_hi = np.array([sys_hi.M[i][direction, direction] for i in range(len(sys_hi.t))])
+    k_lo = sys_lo.M[:, direction, direction]
+    k_hi = sys_hi.M[:, direction, direction]
     if np.min(k_hi - k_lo) < -1e-9:
         raise InputOrderViolated("curvature order violated along the geodesics")
     F_lo, _ = orthogonal_fundamental(sys_lo)

@@ -56,10 +56,20 @@ class MetricEvaluator:
         return g, dg, d2g
 
 
+def koszul(dg: np.ndarray) -> np.ndarray:
+    """K[..., m, j, k] = d_j g_mk - d_m g_jk + d_k g_mj over the last three axes.
+
+    ``dg[..., a, i, j] = d_a g_ij`` is symmetric in (i, j). Applied to d2g,
+    whose extra derivative axis comes first, it gives the derivative of K.
+    """
+    return dg.swapaxes(-3, -2) - dg + dg.swapaxes(-3, -1)
+
+
 def gamma_from_stack(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    # Koszul formula for coordinate fields
-    term = np.einsum("jmk->mjk", dg) + np.einsum("kmj->mjk", dg) - np.einsum("mjk->mjk", dg)
-    return 0.5 * np.einsum("im,mjk->ijk", g_inv, term)
+    """Gamma^i_jk = (1/2) g^im K_mjk; any leading axes are batch axes."""
+    n = dg.shape[-1]
+    K = koszul(dg).reshape(dg.shape[:-3] + (n, n * n))
+    return 0.5 * (g_inv @ K).reshape(dg.shape)
 
 
 class EuclideanEvaluator(MetricEvaluator):
@@ -158,6 +168,7 @@ class MetricChart:
     domain: Optional[Callable] = None  # point -> bool
     sample_box: Optional[tuple] = None  # (low, high) arrays for seeded sampling
     source: Optional[dict] = None  # JSON definition for --print-manifold echo
+    profile: Optional[object] = None  # surfrev.Profile of a surface of revolution
 
     def contains(self, p) -> bool:
         p = np.asarray(p, dtype=float)

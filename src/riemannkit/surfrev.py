@@ -214,16 +214,15 @@ def surface_of_revolution(profile: Profile) -> MetricChart:
         domain = lambda p: (a + pad) < p[0] < (b - pad)
         low = np.array([a + 0.05 * (b - a), -math.pi])
         high = np.array([b - 0.05 * (b - a), math.pi])
-    chart = MetricChart(
+    return MetricChart(
         dim=2, coords=["u", "theta"],
         evaluator=SurfRevEvaluator(profile.f),
         label=f"surfrev({profile.label or 'profile'})",
         domain=domain, sample_box=(low, high),
         source={"surfrev": {"f": profile.f.source, "h": profile.h.source,
                             "u_range": list(profile.u_range),
-                            "arclength": profile.arclength}})
-    chart.profile = profile
-    return chart
+                            "arclength": profile.arclength}},
+        profile=profile)
 
 
 def torus_chart(R: float, r: float) -> MetricChart:
@@ -260,10 +259,9 @@ def torus_chart(R: float, r: float) -> MetricChart:
 # ---------------------------------------------------------------------------
 
 def _profile_of(chart: MetricChart) -> Profile:
-    prof = getattr(chart, "profile", None)
-    if prof is None:
+    if chart.profile is None:
         raise BadParam("chart was not built by surface_of_revolution")
-    return prof
+    return chart.profile
 
 
 def clairaut_constant(chart: MetricChart, traj) -> dict:
@@ -359,11 +357,7 @@ def classify_geodesic(profile: Profile, init, confirm: bool = True,
     upper = above[0] if above else None
 
     if lower is None or upper is None:
-        if profile.periodic is not None and not bars:
-            report["class"] = "unbounded"
-        else:
-            report["class"] = "unbounded"
-        verdict = report["class"]
+        report["class"] = "unbounded"
     elif (lower["tag"] == "parallel_geodesic"
           or upper["tag"] == "parallel_geodesic"):
         report["class"] = "asymptotic_to_parallel"

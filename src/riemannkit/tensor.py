@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadDimension, BadParam, DegeneratePlane, DomainExit)
-from .manifold import MetricChart, MetricData, gamma_from_stack, metric_at
+from .errors import BadDimension, BadParam, DegeneratePlane, SingularMetric
+from .manifold import MetricChart, gamma_from_stack, koszul, metric_at
 from . import expr as _expr
 
 
@@ -35,71 +35,65 @@ def christoffel(chart: MetricChart, p) -> ChristoffelField:
     return ChristoffelField(point=p, gamma=gamma_from_stack(md.g_inv, md.dg))
 
 
-def _dgamma(md: MetricData) -> np.ndarray:
-    """dG[l,i,j,k] = d_l Gamma^i_jk from the metric derivative stack."""
-    dg, d2g, g_inv = md.dg, md.d2g, md.g_inv
-    dginv = -np.einsum("ia,lab,bm->lim", g_inv, dg, g_inv)
-    koszul = (np.einsum("jmk->mjk", dg) + np.einsum("kmj->mjk", dg)
-              - np.einsum("mjk->mjk", dg))
-    dkoszul = (np.einsum("ljmk->lmjk", d2g) + np.einsum("lkmj->lmjk", d2g)
-               - np.einsum("lmjk->lmjk", d2g))
-    return 0.5 * (np.einsum("lim,mjk->lijk", dginv, koszul)
-                  + np.einsum("im,lmjk->lijk", g_inv, dkoszul))
+_BLOCK = 512  # points per kernel pass; bounds the rank-5 temporaries
+
+
+def curvature_kernel(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
+    """(Gamma, up, low), as defined above, from a metric stack whose first axis is the batch."""
+    N, n = g.shape[:2]
+    g_inv = np.linalg.inv(g)
+    G = gamma_from_stack(g_inv, dg)
+    Gf = G.reshape(N, n, n * n)
+    # dG[l,i,j,k] = d_l Gamma^i_jk = g^-1 (d_l K / 2 - d_l g Gamma)
+    dG = g_inv[:, None] @ (0.5 * koszul(d2g).reshape(N, n, n, n * n) - dg @ Gf[:, None])
+    # up = S - S.swapaxes(h, k) with S[i,j,h,k] = d_k Gamma^i_hj + Gamma^i_km Gamma^m_hj,
+    # built in dG's buffer
+    up = dG.reshape(N, n, n, n, n).transpose(0, 2, 4, 3, 1)
+    up += (G.reshape(N, n * n, n) @ Gf).reshape(N, n, n, n, n).transpose(0, 1, 4, 3, 2)
+    up -= up.swapaxes(-1, -2)
+    low = up.transpose(0, 3, 4, 2, 1) @ g[:, None, None]  # low[a,b,c,d] = g_dm up[m,c,a,b]
+    return G, up, low
+
+
+def _positive_stack(chart: MetricChart, X: np.ndarray):
+    """stack_batch at X; SingularMetric where g is not positive definite."""
+    stack = chart.evaluator.stack_batch(X)
+    try:
+        np.linalg.cholesky(stack[0])
+    except np.linalg.LinAlgError:
+        bad = X[np.argmin(np.linalg.eigvalsh(stack[0])[:, 0])]
+        raise SingularMetric(f"metric not positive definite at {bad}")
+    return stack
+
+
+def _over_blocks(chart: MetricChart, X, reduce):
+    """reduce(slice, Gamma, up, low) over X, _BLOCK points at a time, concatenated."""
+    X = np.asarray(X, dtype=float)
+    parts = []
+    for s in range(0, len(X), _BLOCK):
+        sl = slice(s, s + _BLOCK)
+        parts.append(reduce(sl, *curvature_kernel(*_positive_stack(chart, X[sl]))))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def curvature_low_batch(chart: MetricChart, X: np.ndarray):
     """(gamma, low) at a batch of points; low has shape (N, n, n, n, n)."""
-    g, dg, d2g = chart.evaluator.stack_batch(np.asarray(X, dtype=float))
-    g_inv = np.linalg.inv(g)
-    koszul = (np.einsum("bjmk->bmjk", dg, optimize=True) + np.einsum("bkmj->bmjk", dg, optimize=True)
-              - np.einsum("bmjk->bmjk", dg, optimize=True))
-    G = 0.5 * np.einsum("bim,bmjk->bijk", g_inv, koszul, optimize=True)
-    dginv = -np.einsum("bia,blac,bcm->blim", g_inv, dg, g_inv, optimize=True)
-    dkoszul = (np.einsum("bljmk->blmjk", d2g, optimize=True) + np.einsum("blkmj->blmjk", d2g, optimize=True)
-               - np.einsum("blmjk->blmjk", d2g, optimize=True))
-    dG = 0.5 * (np.einsum("blim,bmjk->blijk", dginv, koszul, optimize=True)
-                + np.einsum("bim,blmjk->blijk", g_inv, dkoszul, optimize=True))
-    up = (np.einsum("bkihj->bijhk", dG, optimize=True) - np.einsum("bhikj->bijhk", dG, optimize=True)
-          + np.einsum("bmhj,bikm->bijhk", G, G, optimize=True) - np.einsum("bmkj,bihm->bijhk", G, G, optimize=True))
-    low = np.einsum("xdm,xmcab->xabcd", g, up, optimize=True)
-    return G, low
+    return _over_blocks(chart, X, lambda sl, G, up, low: (G, low))
 
 
 def jacobi_driving_batch(chart: MetricChart, X: np.ndarray, V: np.ndarray,
                          Eo: np.ndarray):
-    """(Gamma, M) for a batch of rays: M[p,q] = low(v, E_q, v, E_p).
+    """(Gamma, M) for a batch of rays: M[p,q] = low(v, E_q, v, E_p), symmetrised."""
+    n = np.shape(X)[1]
 
-    Contracts the velocity into the curvature formula before any rank-5
-    tensor is materialized, which keeps direction sweeps memory-bound only
-    on the metric derivative stack.
-    """
-    X = np.asarray(X, dtype=float)
-    g, dg, d2g = chart.evaluator.stack_batch(X)
-    g_inv = np.linalg.inv(g)
-    koszul = (np.einsum("bjmk->bmjk", dg) + np.einsum("bkmj->bmjk", dg)
-              - np.einsum("bmjk->bmjk", dg))
-    G = 0.5 * np.einsum("bim,bmjk->bijk", g_inv, koszul)
-    dginv = -np.einsum("bia,blac,bcm->blim", g_inv, dg, g_inv, optimize=True)
+    def drive(sl, G, up, low):
+        v, E = V[sl], Eo[sl]
+        T = (v[:, None, :] @ low.reshape(-1, n, n ** 3)).reshape(-1, n, n, n)
+        T = (v[:, None, None, :] @ T).reshape(-1, n, n)  # T[b,d] = low(v, e_b, v, e_d)
+        return G, E.swapaxes(1, 2) @ T.swapaxes(1, 2) @ E
 
-    # S[i,k] = up[i,j,h,k] v_j v_h assembled from contracted pieces
-    kv = np.einsum("bmjk,bj,bk->bm", koszul, V, V, optimize=True)
-    dkvv = (2.0 * np.einsum("bljmk,bj,bk->blm", d2g, V, V, optimize=True)
-            - np.einsum("blmjk,bj,bk->blm", d2g, V, V, optimize=True))
-    A = 0.5 * (np.einsum("bkim,bm->bik", dginv, kv)
-               + np.einsum("bim,bkm->bik", g_inv, dkvv))
-    dgv = np.einsum("bhim,bh->bim", dginv, V)
-    kvj = np.einsum("bmkj,bj->bmk", koszul, V)
-    sumB2 = (np.einsum("bhkmj,bh,bj->bmk", d2g, V, V, optimize=True)
-             + np.einsum("bhjmk,bh,bj->bmk", d2g, V, V, optimize=True)
-             - np.einsum("bhmkj,bh,bj->bmk", d2g, V, V, optimize=True))
-    B = 0.5 * (np.einsum("bim,bmk->bik", dgv, kvj)
-               + np.einsum("bim,bmk->bik", g_inv, sumB2))
-    w = np.einsum("bmhj,bh,bj->bm", G, V, V, optimize=True)
-    P = np.einsum("bikj,bj->bik", G, V)
-    S = A - B + np.einsum("bm,bikm->bik", w, G) - np.einsum("bim,bmk->bik", P, P)
-    gEo = np.einsum("bim,bmp->bip", g, Eo)
-    M = np.einsum("bmp,bmk,bkq->bpq", gEo, S, Eo, optimize=True)
-    return G, 0.5 * (M + np.transpose(M, (0, 2, 1)))
+    G, M = _over_blocks(chart, X, drive)
+    return G, 0.5 * (M + M.swapaxes(1, 2))
 
 
 @dataclass(frozen=True)
@@ -112,12 +106,8 @@ class CurvatureTensor:
 def curvature(chart: MetricChart, p) -> CurvatureTensor:
     p = np.asarray(p, dtype=float)
     md = metric_at(chart, p)
-    G = gamma_from_stack(md.g_inv, md.dg)
-    dG = _dgamma(md)
-    up = (np.einsum("kihj->ijhk", dG) - np.einsum("hikj->ijhk", dG)
-          + np.einsum("mhj,ikm->ijhk", G, G) - np.einsum("mkj,ihm->ijhk", G, G))
-    low = np.einsum("dm,mcab->abcd", md.g, up)
-    return CurvatureTensor(point=p, up=up, low=low)
+    _, up, low = curvature_kernel(md.g[None], md.dg[None], md.d2g[None])
+    return CurvatureTensor(point=p, up=up[0], low=low[0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +194,10 @@ def ricci(R: CurvatureTensor, g: np.ndarray) -> RicciData:
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     """Columns form a g-orthonormal basis: B^T g B = I."""
-    L = np.linalg.cholesky(g)
+    try:
+        L = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise SingularMetric(f"metric not positive definite: {np.asarray(g).tolist()}")
     return np.linalg.inv(L).T
 
 
@@ -379,8 +372,7 @@ def normal_taylor_check(chart: MetricChart, p, frame=None, eps: float = 0.2,
         return D
 
     D = (4.0 * dg_normal(eps / 4) - dg_normal(eps / 2)) / 3.0
-    gamma0 = 0.5 * (np.einsum("jik->ijk", D) + np.einsum("kij->ijk", D)
-                    - np.einsum("ijk->ijk", D))
+    gamma0 = 0.5 * koszul(D)
     report = {
         "quadratic": C,
         "predicted": predicted,

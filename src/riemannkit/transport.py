@@ -317,9 +317,8 @@ def exp_map(chart: MetricChart, p, v, settings: OdeSettings = DEFAULT_SETTINGS) 
 LOG_SETTINGS = OdeSettings(step=2e-3)
 
 
-def log_map(chart: MetricChart, p, q, frame=None,
-            settings: OdeSettings = LOG_SETTINGS, max_iter: int = 50,
-            tol: float = 1e-10) -> np.ndarray:
+def log_map(chart: MetricChart, p, q, settings: OdeSettings = LOG_SETTINGS,
+            max_iter: int = 50, tol: float = 1e-10) -> np.ndarray:
     """Initial velocity v with exp_p(v) = q, by Newton shooting with FD Jacobian."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import (BadParam, ConjugateNotFound, ConjugatePresent,
                      NoConvergence)
-from .manifold import MetricChart, SampledCurve
+from .manifold import MetricChart, SampledCurve, _hermite
 from .manifold import energy as curve_energy
-from .tensor import curvature
+from .tensor import curvature, jacobi_driving_batch
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, exp_map,
                         integrate_geodesic, rk4_path)
 
@@ -60,12 +60,9 @@ def jacobi_system(chart: MetricChart, geo: Trajectory) -> JacobiSystem:
     """Evaluate the driving matrix at every sample of a framed geodesic."""
     if geo.frame is None:
         raise BadParam("geodesic must carry a parallel frame")
-    m = len(geo.t)
-    n = chart.dim
-    M = np.empty((m, n, n))
-    for i in range(m):
-        M[i] = jacobi_matrix_at(chart, geo.x[i], geo.v[i], geo.frame[i])
-        M[i] = 0.5 * (M[i] + M[i].T)
+    for x in geo.x:
+        chart.require_inside(x)
+    _, M = jacobi_driving_batch(chart, geo.x, geo.v, geo.frame)
     return JacobiSystem(chart=chart, t=geo.t.copy(), x=geo.x, v=geo.v,
                         frame=geo.frame, M=M)
 
@@ -172,16 +169,6 @@ class ConjugateReport:
     sigma_min: np.ndarray
 
 
-def _hermite_mat(t0, t1, F0, F1, Fp0, Fp1, s):
-    h = t1 - t0
-    u = (s - t0) / h
-    h00 = (1 + 2 * u) * (1 - u) ** 2
-    h10 = u * (1 - u) ** 2
-    h01 = u * u * (3 - 2 * u)
-    h11 = u * u * (u - 1)
-    return h00 * F0 + h10 * h * Fp0 + h01 * F1 + h11 * h * Fp1
-
-
 def conjugate_points(chart: MetricChart, p, v, tmax: float,
                      settings: OdeSettings = DEFAULT_SETTINGS,
                      mult_tol: float = 1e-7) -> ConjugateReport:
@@ -195,21 +182,16 @@ def conjugate_points_from(chart: MetricChart, geo: Trajectory,
     sys = jacobi_system(chart, geo)
     F, Fp = orthogonal_fundamental(sys)
     m = len(sys.t)
-    det = np.array([np.linalg.det(F[i]) for i in range(m)])
-    sig = np.empty(m)
-    sigma_scale = 0.0
-    for i in range(m):
-        s = np.linalg.svd(F[i], compute_uv=False)
-        sig[i] = s[-1]
-        sigma_scale = max(sigma_scale, float(s[0]))
-    if sigma_scale == 0.0:
-        sigma_scale = 1.0
+    det = np.linalg.det(F)
+    svals = np.linalg.svd(F, compute_uv=False)
+    sig = svals[:, -1]
+    sigma_scale = float(np.max(svals[:, 0])) or 1.0
 
     def F_at(s):
         k = int(np.searchsorted(sys.t, s, side="right")) - 1
         k = min(max(k, 0), m - 2)
-        return _hermite_mat(sys.t[k], sys.t[k + 1], F[k], F[k + 1],
-                            Fp[k], Fp[k + 1], s)
+        return _hermite(sys.t[k], sys.t[k + 1], F[k], F[k + 1],
+                        Fp[k], Fp[k + 1], s)
 
     found = []
     # skip the trivial zero at t = 0: start past the first few samples
@@ -430,8 +412,6 @@ class WitnessReport:
     index_value: float
     field: FieldAlongGeodesic
     I_Y: float
-    I_cross: float
-    I_W: float
 
 
 def nonminimality_witness(chart: MetricChart, geo: Trajectory,
@@ -463,8 +443,8 @@ def nonminimality_witness(chart: MetricChart, geo: Trajectory,
     def mat_at(arr_F, arr_Fp, s):
         k = int(np.searchsorted(sys.t, s, side="right")) - 1
         k = min(max(k, 0), len(sys.t) - 2)
-        return _hermite_mat(sys.t[k], sys.t[k + 1], arr_F[k], arr_F[k + 1],
-                            arr_Fp[k], arr_Fp[k + 1], s)
+        return _hermite(sys.t[k], sys.t[k + 1], arr_F[k], arr_F[k + 1],
+                        arr_Fp[k], arr_Fp[k + 1], s)
 
     # Y = F alpha with F(s2) alpha = 0, alpha from the smallest singular vector
     U, svals, Vt = np.linalg.svd(mat_at(F, Fp, s2))
@@ -520,8 +500,7 @@ def nonminimality_witness(chart: MetricChart, geo: Trajectory,
         breakpoints=[s2])
     I_Y = index_form(sys, Yfield)
     return WitnessReport(s1=float(s1), s2=float(s2), index_value=I_total,
-                         field=witness, I_Y=I_Y, I_cross=float("nan"),
-                         I_W=float("nan"))
+                         field=witness, I_Y=I_Y)
 
 
 def _field_value(t, comps, s):

@@ -194,3 +194,14 @@ def test_seed_echoed(capsys):
                          "--point", "0,0", "--seed", "42")
     assert code == 0
     assert rep["seed"] == 42
+
+
+def test_degenerate_start_reported(tmp_path, capsys):
+    # g is indefinite at the start point: a JSON error report, not a traceback
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "coords": ["x", "y"],
+                                "metric": [["x", "0"], ["0", "1"]]}))
+    code, rep = run_json(capsys, "geodesic", "--manifold", str(path),
+                         "--point=-1,0", "--velocity=1,0", "--tmax", "1")
+    assert code == 1
+    assert rep["error"]["type"] == "SingularMetric"
