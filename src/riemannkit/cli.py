@@ -171,11 +171,8 @@ def cmd_transport(args):
     n0 = math.sqrt(max(float(args.w0 @ g0 @ args.w0), 0.0))
     nT = math.sqrt(max(float(w[-1] @ gT @ w[-1]), 0.0))
     if args.csv:
-        with open(args.csv, "w") as fh:
-            cols = ["t"] + [f"w{i+1}" for i in range(chart.dim)]
-            fh.write(",".join(cols) + "\n")
-            for ti, wi in zip(traj.t, w):
-                fh.write(",".join(f"{val:.17g}" for val in [ti, *wi]) + "\n")
+        manifold._write_csv(args.csv, ["t"] + [f"w{i+1}" for i in range(chart.dim)],
+                            np.column_stack([traj.t, w]))
     _emit(args, {"w_end": w[-1], "norm_start": n0, "norm_end": nT,
                  "norm_drift": abs(nT - n0), "csv": args.csv}, "transport")
     return 0
@@ -214,11 +211,8 @@ def cmd_develop(args):
     dev = transport.develop(chart, curve)
     P = dev.points
     if args.csv:
-        with open(args.csv, "w") as fh:
-            cols = ["t"] + [f"s{i+1}" for i in range(chart.dim)]
-            fh.write(",".join(cols) + "\n")
-            for ti, pi in zip(dev.t, P):
-                fh.write(",".join(f"{val:.17g}" for val in [ti, *pi]) + "\n")
+        manifold._write_csv(args.csv, ["t"] + [f"s{i+1}" for i in range(chart.dim)],
+                            np.column_stack([dev.t, P]))
     end = P[-1]
     d = end / np.linalg.norm(end) if np.linalg.norm(end) > 0 else end
     straight = float(np.max(np.abs(P - np.outer(P @ d, d)))) if np.linalg.norm(end) > 0 else 0.0
@@ -235,11 +229,8 @@ def cmd_jacobi(args):
     sol = variation.jacobi_solve(chart, geo, args.j0, args.j0p)
     norms = np.linalg.norm(sol.f, axis=1)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            cols = ["t"] + [f"f{i+1}" for i in range(chart.dim)] + ["norm"]
-            fh.write(",".join(cols) + "\n")
-            for ti, fi, ni in zip(sol.t, sol.f, norms):
-                fh.write(",".join(f"{val:.17g}" for val in [ti, *fi, ni]) + "\n")
+        manifold._write_csv(args.csv, ["t"] + [f"f{i+1}" for i in range(chart.dim)] + ["norm"],
+                            np.column_stack([sol.t, sol.f, norms]))
     _emit(args, {"end_components": sol.f[-1], "end_norm": float(norms[-1]),
                  "max_norm": float(np.max(norms)), "csv": args.csv}, "jacobi")
     return 0

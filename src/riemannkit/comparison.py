@@ -13,11 +13,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BadParam, ConjugateNotFound, DomainExit,
+from .errors import (BadParam, ConjugateNotFound, DegeneratePlane, DomainExit,
                      InputOrderViolated, StepFault)
-from .manifold import MetricChart, _hermite, metric_at
-from .tensor import (curvature, jacobi_driving_batch, orthonormal_frame,
-                     ricci, sectional)
+from .manifold import MetricChart, _hermite, _write_csv, metric_at
+from .tensor import (curvature, curvature_low_batch, jacobi_driving_batch,
+                     orthonormal_frame, ricci)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
                         _rk4_step, initial_frame, integrate_geodesic)
 from .variation import (conjugate_points_from, jacobi_system,
@@ -45,12 +45,22 @@ class CurvatureProfile:
         """Sectional curvature of span(gamma', E_direction) along a geodesic."""
         if geo.frame is None:
             raise BadParam("geodesic must carry a parallel frame")
+        for x in geo.x:
+            chart.require_inside(x)
         ts = geo.t
-        vals = np.empty(len(ts))
-        for i in range(len(ts)):
-            R = curvature(chart, geo.x[i])
-            g = chart.evaluator.metric(geo.x[i])
-            vals[i] = sectional(R, g, geo.v[i], geo.frame[i][:, direction])
+        y = geo.frame[:, :, direction]
+        # numerator low(v, y, v, y) is the driving matrix of the one-column frame y;
+        # denominator and degeneracy test as in tensor.sectional
+        _, M = jacobi_driving_batch(chart, geo.x, geo.v, y[:, :, None])
+        g = chart.evaluator.stack_batch(geo.x)[0]
+        gxx = np.einsum("bi,bij,bj->b", geo.v, g, geo.v)
+        gyy = np.einsum("bi,bij,bj->b", y, g, y)
+        gxy = np.einsum("bi,bij,bj->b", geo.v, g, y)
+        den = gxx * gyy - gxy * gxy
+        if np.any(den <= 1e-12 * np.maximum(gxx * gyy, 1e-300)):
+            raise DegeneratePlane("plane spanned by x, y is (nearly) degenerate")
+        vals = M[:, 0, 0] / den
+
         def H(t):
             return float(np.interp(t, ts, vals))
         return CurvatureProfile(H=H, label=f"sectional@{chart.label}")
@@ -95,11 +105,7 @@ class RiccatiTrace:
         return self.poles[0] if self.poles else None
 
     def to_csv(self, path: str):
-        with open(path, "w") as fh:
-            fh.write("t,f\n")
-            for ti, fi, ok in zip(self.t, self.f, self.valid):
-                if ok:
-                    fh.write(f"{ti:.17g},{fi:.17g}\n")
+        _write_csv(path, ["t", "f"], zip(self.t[self.valid], self.f[self.valid]))
 
 
 _F_SWITCH = 2.0   # switch to w = 1/f when |f| exceeds this
@@ -310,6 +316,23 @@ def rauch_ratio(chart_lo: MetricChart, p_lo, v_lo,
 # Myers diameter check
 # ---------------------------------------------------------------------------
 
+def _ricci_floor(chart: MetricChart, X) -> float:
+    """Least eigenvalue of Ric relative to g over the points X; inf for none.
+
+    These are the eigenvalues of the symmetric L^-1 Ric L^-T with g = L L^T
+    (g^-1 Ric has the same ones but is not symmetric, so eigvalsh cannot
+    take it).
+    """
+    X = np.asarray(X, dtype=float).reshape(-1, chart.dim)
+    if len(X) == 0:
+        return math.inf
+    _, low = curvature_low_batch(chart, X)
+    g = chart.evaluator.stack_batch(X)[0]
+    ric = np.einsum("bjm,bajcm->bac", np.linalg.inv(g), low)
+    L_inv = np.linalg.inv(np.linalg.cholesky(g))
+    return float(np.min(np.linalg.eigvalsh(L_inv @ ric @ L_inv.swapaxes(1, 2))))
+
+
 def myers_check(chart: MetricChart, p, v, c: float, margin: float = 0.1,
                 settings: OdeSettings = DEFAULT_SETTINGS) -> dict:
     """Under Ric >= (n-1) c g (sampled), find a conjugate point by pi/sqrt(c).
@@ -323,12 +346,7 @@ def myers_check(chart: MetricChart, p, v, c: float, margin: float = 0.1,
     bound = math.pi / math.sqrt(c)
     geo = integrate_geodesic(chart, p, v, bound + margin, settings=settings)
     # Ricci hypothesis, sampled along the geodesic
-    worst = math.inf
-    for i in range(0, len(geo.t), max(1, len(geo.t) // 64)):
-        md = metric_at(chart, geo.x[i])
-        ric = ricci(curvature(chart, geo.x[i]), md.g).ric
-        evals = np.linalg.eigvalsh(np.linalg.solve(md.g, ric))
-        worst = min(worst, float(np.min(evals)))
+    worst = _ricci_floor(chart, geo.x[::max(1, len(geo.t) // 64)])
     if worst < (n - 1) * c - 1e-9:
         raise InputOrderViolated(
             f"Ric lower bound violated: min eigenvalue {worst:.6g} < (n-1)c")
@@ -419,57 +437,41 @@ def _batched_sphere_sweep_single(chart, p, r, n_dirs, step, radii, dir_slice):
         E0[b] = initial_frame(chart, p, V0[b])
 
     radii = sorted(radii or [r])
-    X = np.tile(p, (N, 1))
-    V = V0.copy()
-    E = E0.copy()
-    F = np.zeros((N, d, d))
-    Fp = np.broadcast_to(np.eye(d), (N, d, d)).copy()
+    # one row per ray: x, v, the frame E, then F and F' of the orthogonal
+    # Jacobi fields, which start at F = 0, F' = I
+    cuts = np.cumsum([n, n, n * n, d * d])
 
-    ev = chart.evaluator
+    def unpack(Y):
+        X, V, E, F, Fp = np.split(Y, cuts, axis=1)
+        return X, V, E.reshape(N, n, n), F.reshape(N, d, d), Fp.reshape(N, d, d)
 
-    def rhs(state):
-        X, V, E, F, Fp = state
-        Eo = E[:, :, :d]
-        G, M = jacobi_driving_batch(chart, X, V, Eo)
+    def rhs(t, Y):
+        X, V, E, F, Fp = unpack(Y)
+        G, M = jacobi_driving_batch(chart, X, V, E[:, :, :d])
         A = -np.einsum("bijk,bj,bk->bi", G, V, V)
         dE = -np.einsum("bijk,bj,bka->bia", G, V, E)
-        dF = Fp
         dFp = -np.einsum("bpq,bqs->bps", M, F)
-        return A, dE, dF, dFp
+        return np.hstack([V, A, dE.reshape(N, -1), Fp.reshape(N, -1),
+                          dFp.reshape(N, -1)])
 
-    def step_state(state, h):
-        X, V, E, F, Fp = state
-
-        def deriv(s):
-            A, dE, dF, dFp = rhs(s)
-            return (s[1], A, dE, dF, dFp)
-
-        k1 = deriv(state)
-        s2 = tuple(a + 0.5 * h * b for a, b in zip(state, k1))
-        k2 = deriv(s2)
-        s3 = tuple(a + 0.5 * h * b for a, b in zip(state, k2))
-        k3 = deriv(s3)
-        s4 = tuple(a + h * b for a, b in zip(state, k3))
-        k4 = deriv(s4)
-        return tuple(a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4))
-
-    state = (X, V, E, F, Fp)
+    Y = np.hstack([np.tile(p, (N, 1)), V0, E0.reshape(N, -1), np.zeros((N, d * d)),
+                   np.tile(np.eye(d).ravel(), (N, 1))])
     t = 0.0
     out = {}
     for target in radii:
         n_steps = max(1, int(math.ceil((target - t) / step - 1e-12)))
         h = (target - t) / n_steps
         for _ in range(n_steps):
-            state = step_state(state, h)
+            Y = _rk4_step(rhs, t, Y, h)
             t += h
-            if not np.all(np.isfinite(state[0])):
+            X = Y[:, :n]
+            if not np.all(np.isfinite(X)):
                 raise DomainExit("direction sweep left the chart", t_exit=t)
             for b in range(0, N, max(1, N // 8)):
-                if not chart.contains(state[0][b]):
+                if not chart.contains(X[b]):
                     raise DomainExit("direction sweep left the chart",
-                                     t_exit=t, point=state[0][b])
-        out[target] = np.linalg.det(state[3])
+                                     t_exit=t, point=X[b])
+        out[target] = np.linalg.det(unpack(Y)[3])
     return out
 
 
@@ -490,15 +492,8 @@ def volume_compare(chart: MetricChart, p, r: float, Kref: float,
         raise BadParam("radius must be positive")
     # sampled Ricci hypothesis near p
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    for k in range(ric_samples):
-        q = p if k == 0 else p + rng.uniform(-r, r, n)
-        if not chart.contains(q):
-            continue
-        md = metric_at(chart, q)
-        ric = ricci(curvature(chart, q), md.g).ric
-        evals = np.linalg.eigvalsh(np.linalg.solve(md.g, ric))
-        worst = min(worst, float(np.min(evals)))
+    samples = [p + rng.uniform(-r, r, n) if k else p for k in range(ric_samples)]
+    worst = _ricci_floor(chart, [q for q in samples if chart.contains(q)])
     if worst < (n - 1) * Kref - 1e-9:
         raise InputOrderViolated(
             f"Ric >= (n-1) Kref fails near p: min eigenvalue {worst:.6g}")

@@ -41,7 +41,10 @@ class MetricEvaluator:
     def gamma(self, x: np.ndarray) -> np.ndarray:
         """Levi-Civita Christoffel symbols Gamma[i,j,k] = Gamma^i_jk."""
         g, dg = self.first_order(x)
-        g_inv = np.linalg.inv(g)
+        try:
+            g_inv = np.linalg.inv(g)
+        except np.linalg.LinAlgError:
+            raise SingularMetric(f"metric singular at {x}")
         return gamma_from_stack(g_inv, dg)
 
     def stack_batch(self, X: np.ndarray):
@@ -96,7 +99,11 @@ class EuclideanEvaluator(MetricEvaluator):
 
 
 class ConformalEvaluator(MetricEvaluator):
-    """g_ij = mu(|x|^2) * delta_ij for a smooth positive profile mu."""
+    """g_ij = mu(|x|^2) * delta_ij for a smooth positive profile mu.
+
+    mu and its derivatives must also act elementwise on arrays, since
+    ``stack_batch`` evaluates them on every |x|^2 of a batch at once.
+    """
 
     def __init__(self, n: int, mu: Callable, dmu: Callable, d2mu: Callable):
         self.dim = n
@@ -128,9 +135,7 @@ class ConformalEvaluator(MetricEvaluator):
         X = np.asarray(X, dtype=float)
         N, n = X.shape
         q = np.einsum("bi,bi->b", X, X)
-        m = np.array([self.mu(t) for t in q])
-        m1 = np.array([self.dmu(t) for t in q])
-        m2 = np.array([self.d2mu(t) for t in q])
+        m, m1, m2 = self.mu(q), self.dmu(q), self.d2mu(q)
         eye = np.eye(n)
         g = m[:, None, None] * eye
         dg = 2.0 * np.einsum("b,bk,ij->bkij", m1, X, eye)
@@ -381,21 +386,26 @@ class SampledCurve:
             self.velocities = np.gradient(self.points, self.t, axis=0, edge_order=2)
         return self.velocities
 
-    def _segment(self, s: float) -> int:
-        k = int(np.searchsorted(self.t, s, side="right")) - 1
-        return min(max(k, 0), len(self.t) - 2)
-
     def position(self, s: float) -> np.ndarray:
-        v = self.ensure_velocities()
-        k = self._segment(s)
-        return _hermite(self.t[k], self.t[k + 1], self.points[k], self.points[k + 1],
-                        v[k], v[k + 1], s)
+        return _dense(self.t, self.points, s, self.ensure_velocities())
 
     def velocity(self, s: float) -> np.ndarray:
-        v = self.ensure_velocities()
-        k = self._segment(s)
-        return _hermite_deriv(self.t[k], self.t[k + 1], self.points[k],
-                              self.points[k + 1], v[k], v[k + 1], s)
+        return _dense(self.t, self.points, s, self.ensure_velocities(), deriv=True)
+
+
+def _dense(t, y, s, dy=None, deriv: bool = False):
+    """Dense output at s of samples y on the increasing grid t.
+
+    Cubic Hermite with slopes dy (its s-derivative when ``deriv``), linear
+    when no slopes are given; s outside the grid uses the end interval.
+    """
+    k = int(np.searchsorted(t, s, side="right")) - 1
+    k = min(max(k, 0), len(t) - 2)
+    if dy is None:
+        w = (s - t[k]) / (t[k + 1] - t[k])
+        return (1.0 - w) * y[k] + w * y[k + 1]
+    basis = _hermite_deriv if deriv else _hermite
+    return basis(t[k], t[k + 1], y[k], y[k + 1], dy[k], dy[k + 1], s)
 
 
 def _hermite(t0, t1, p0, p1, v0, v1, s):
@@ -416,6 +426,14 @@ def _hermite_deriv(t0, t1, p0, p1, v0, v1, s):
     d01 = -6 * u * (u - 1) / h
     d11 = u * (3 * u - 2)
     return d00 * p0 + d10 * v0 + d01 * p1 + d11 * v1
+
+
+def _write_csv(path: str, cols, rows):
+    """A header line, then one line per row with every value at 17 digits."""
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (BadParam, DomainExit, NoConvergence, StepFault)
-from .manifold import (MetricChart, SampledCurve, _hermite, _hermite_deriv,
-                       metric_at)
+from .manifold import MetricChart, SampledCurve, _dense, _write_csv, metric_at
 from .tensor import orthonormal_frame
 
 
@@ -52,19 +51,11 @@ class Trajectory:
     def tmax(self) -> float:
         return float(self.t[-1])
 
-    def _segment(self, s: float) -> int:
-        k = int(np.searchsorted(self.t, s, side="right")) - 1
-        return min(max(k, 0), len(self.t) - 2)
-
     def position(self, s: float) -> np.ndarray:
-        k = self._segment(s)
-        return _hermite(self.t[k], self.t[k + 1], self.x[k], self.x[k + 1],
-                        self.v[k], self.v[k + 1], s)
+        return _dense(self.t, self.x, s, self.v)
 
     def velocity(self, s: float) -> np.ndarray:
-        k = self._segment(s)
-        return _hermite_deriv(self.t[k], self.t[k + 1], self.x[k], self.x[k + 1],
-                              self.v[k], self.v[k + 1], s)
+        return _dense(self.t, self.x, s, self.v, deriv=True)
 
     def state_at(self, s: float):
         return self.position(s), self.velocity(s)
@@ -80,11 +71,7 @@ class Trajectory:
             for a in range(n):
                 cols += [f"e{a+1}_{i+1}" for i in range(n)]
             rows.append(self.frame.transpose(0, 2, 1).reshape(len(self.t), n * n))
-        data = np.hstack(rows)
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in data:
-                fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+        _write_csv(path, cols, np.hstack(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +309,21 @@ def log_map(chart: MetricChart, p, q, settings: OdeSettings = LOG_SETTINGS,
     """Initial velocity v with exp_p(v) = q, by Newton shooting with FD Jacobian."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    n = chart.dim
     if np.allclose(p, q):
-        return np.zeros(n)
-    v = q - p
-    scale = max(1.0, float(np.linalg.norm(v)))
+        return np.zeros(chart.dim)
+    return _shoot(chart, p, q, q - p, settings, max_iter, tol)
+
+
+def _shoot(chart: MetricChart, p, q, v, settings: OdeSettings,
+           max_iter: int = 50, tol: float = 1e-10) -> np.ndarray:
+    """Damped Newton iteration on exp_p(v) = q started from v.
+
+    A start whose geodesic leaves the chart is halved toward the best
+    velocity so far; the central-difference Jacobian is refreshed every
+    other iteration.
+    """
+    n = chart.dim
+    scale = max(1.0, float(np.linalg.norm(q - p)))
     best_v, best_res = v.copy(), math.inf
     J = None
     for it in range(max_iter):
@@ -476,8 +473,7 @@ def shortest_geodesic(chart: MetricChart, p, q, tries: int = 8, seed: int = 0,
         else:
             guess = base * rng.uniform(0.3, 1.5) + rng.normal(0.0, 0.2 * np.linalg.norm(base), chart.dim)
         try:
-            r0 = exp_map(chart, p, guess, settings=settings) - q
-            v = log_map(chart, p, q, settings=settings) if k == 0 else _polish(chart, p, q, guess, settings)
+            v = _shoot(chart, p, q, guess, settings)
         except (NoConvergence, DomainExit):
             continue
         length = math.sqrt(max(float(v @ md.g @ v), 0.0))
@@ -489,22 +485,3 @@ def shortest_geodesic(chart: MetricChart, p, q, tries: int = 8, seed: int = 0,
     traj = integrate_geodesic(chart, p, v, 1.0, settings=settings)
     return traj, length
 
-
-def _polish(chart, p, q, guess, settings):
-    # rerun the Newton solve from a specific starting velocity
-    n = chart.dim
-    v = np.asarray(guess, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(q - p)))
-    for it in range(50):
-        r = exp_map(chart, p, v, settings=settings) - q
-        if float(np.linalg.norm(r)) <= 1e-10 * scale:
-            return v
-        h = 1e-6 * max(1.0, float(np.linalg.norm(v)))
-        J = np.empty((n, n))
-        for k in range(n):
-            dv = np.zeros(n)
-            dv[k] = h
-            J[:, k] = (exp_map(chart, p, v + dv, settings=settings)
-                       - exp_map(chart, p, v - dv, settings=settings)) / (2.0 * h)
-        v = v - np.linalg.solve(J, r)
-    raise NoConvergence("polish: no convergence")

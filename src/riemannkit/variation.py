@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (BadParam, ConjugateNotFound, ConjugatePresent,
                      NoConvergence)
-from .manifold import MetricChart, SampledCurve, _hermite
+from .manifold import MetricChart, SampledCurve, _dense
 from .manifold import energy as curve_energy
 from .tensor import curvature, jacobi_driving_batch
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, exp_map,
@@ -67,16 +67,6 @@ def jacobi_system(chart: MetricChart, geo: Trajectory) -> JacobiSystem:
                         frame=geo.frame, M=M)
 
 
-def _interp_M(sys: JacobiSystem):
-    """Piecewise-linear interpolant of M(t); adequate inside one RK substep."""
-    def M_at(t):
-        k = int(np.searchsorted(sys.t, t, side="right")) - 1
-        k = min(max(k, 0), len(sys.t) - 2)
-        w = (t - sys.t[k]) / (sys.t[k + 1] - sys.t[k])
-        return (1.0 - w) * sys.M[k] + w * sys.M[k + 1]
-    return M_at
-
-
 # ---------------------------------------------------------------------------
 # Jacobi field integration
 # ---------------------------------------------------------------------------
@@ -109,15 +99,18 @@ def jacobi_solve(chart: MetricChart, geo: Trajectory, J0, J0p,
 
 def _integrate_linear(sys: JacobiSystem, F0: np.ndarray, Fp0: np.ndarray,
                       substeps: int = 1, t_grid=None):
-    """Integrate F'' = -M(t) F for a matrix of columns; returns (F, Fp) samples."""
-    n = sys.dim
-    m_cols = F0.shape[1]
-    M_at = _interp_M(sys)
+    """Integrate F'' = -M(t) F for a matrix of columns; returns (F, Fp) samples.
+
+    F has as many rows as F0 and is driven by that leading block of M, so
+    orthogonal fields (n-1 rows) leave out the tangent direction. M(t) is
+    interpolated linearly between the geodesic samples.
+    """
+    n, m_cols = F0.shape
 
     def rhs(t, y):
         F = y[: n * m_cols].reshape(n, m_cols)
         Fp = y[n * m_cols:].reshape(n, m_cols)
-        return np.concatenate([Fp.ravel(), (-M_at(t) @ F).ravel()])
+        return np.concatenate([Fp.ravel(), (-_dense(sys.t, sys.M, t)[:n, :n] @ F).ravel()])
 
     ts = sys.t if t_grid is None else np.asarray(t_grid, dtype=float)
     y0 = np.concatenate([F0.ravel(), Fp0.ravel()])
@@ -133,21 +126,8 @@ def orthogonal_fundamental(sys: JacobiSystem, substeps: int = 1):
     Components are taken in the first n-1 frame directions (the tangent is
     the last frame vector); returns (F, Fp) with shape (m+1, n-1, n-1).
     """
-    n = sys.dim
-    d = n - 1
-    M_at = _interp_M(sys)
-
-    def rhs(t, y):
-        F = y[: d * d].reshape(d, d)
-        Fp = y[d * d:].reshape(d, d)
-        Mo = M_at(t)[:d, :d]
-        return np.concatenate([Fp.ravel(), (-Mo @ F).ravel()])
-
-    y0 = np.concatenate([np.zeros(d * d), np.eye(d).ravel()])
-    ys = rk4_path(rhs, y0, sys.t, substeps=substeps)
-    F = ys[:, : d * d].reshape(-1, d, d)
-    Fp = ys[:, d * d:].reshape(-1, d, d)
-    return F, Fp
+    d = sys.dim - 1
+    return _integrate_linear(sys, np.zeros((d, d)), np.eye(d), substeps=substeps)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +160,12 @@ def conjugate_points(chart: MetricChart, p, v, tmax: float,
 def conjugate_points_from(chart: MetricChart, geo: Trajectory,
                           mult_tol: float = 1e-7) -> ConjugateReport:
     sys = jacobi_system(chart, geo)
-    F, Fp = orthogonal_fundamental(sys)
+    return _conjugate_search(sys, *orthogonal_fundamental(sys), mult_tol)
+
+
+def _conjugate_search(sys: JacobiSystem, F: np.ndarray, Fp: np.ndarray,
+                      mult_tol: float = 1e-7) -> ConjugateReport:
+    """Zeros of det F and dips of its least singular value, refined on the dense F."""
     m = len(sys.t)
     det = np.linalg.det(F)
     svals = np.linalg.svd(F, compute_uv=False)
@@ -188,10 +173,7 @@ def conjugate_points_from(chart: MetricChart, geo: Trajectory,
     sigma_scale = float(np.max(svals[:, 0])) or 1.0
 
     def F_at(s):
-        k = int(np.searchsorted(sys.t, s, side="right")) - 1
-        k = min(max(k, 0), m - 2)
-        return _hermite(sys.t[k], sys.t[k + 1], F[k], F[k + 1],
-                        Fp[k], Fp[k + 1], s)
+        return _dense(sys.t, F, s, Fp)
 
     found = []
     # skip the trivial zero at t = 0: start past the first few samples
@@ -376,14 +358,14 @@ def basic_inequality_check(chart: MetricChart, geo: Trajectory,
         raise BadParam("V must vanish at the start of the geodesic")
     tangential_max = float(np.max(np.abs(V.comps[:, d])))
 
+    F, Fp = orthogonal_fundamental(sys)
     if conjugate_guard:
-        rep = conjugate_points_from(chart, geo)
+        rep = _conjugate_search(sys, F, Fp)
         interior = [c for c in rep.points if c.t < sys.t[-1] * (1.0 - 1e-9)]
         if interior:
             raise ConjugatePresent(
                 f"conjugate parameter at t={interior[0].t:.6g} inside the interval")
 
-    F, Fp = orthogonal_fundamental(sys)
     end_val = V.comps[-1, :d]
     alpha = np.linalg.solve(F[-1], end_val)
     Y = FieldAlongGeodesic(t=sys.t.copy(),
@@ -428,7 +410,8 @@ def nonminimality_witness(chart: MetricChart, geo: Trajectory,
     n = sys.dim
     d = n - 1
     L = float(sys.t[-1])
-    rep = conjugate_points_from(chart, geo)
+    F, Fp = orthogonal_fundamental(sys)
+    rep = _conjugate_search(sys, F, Fp)
     interior = [c for c in rep.points if c.t < L * (1.0 - 1e-9)]
     if not interior:
         raise ConjugateNotFound("no conjugate parameter inside (0, L)")
@@ -438,16 +421,8 @@ def nonminimality_witness(chart: MetricChart, geo: Trajectory,
     if s1 <= 0.0:
         raise BadParam("first conjugate point too close to the start")
 
-    F, Fp = orthogonal_fundamental(sys)
-
-    def mat_at(arr_F, arr_Fp, s):
-        k = int(np.searchsorted(sys.t, s, side="right")) - 1
-        k = min(max(k, 0), len(sys.t) - 2)
-        return _hermite(sys.t[k], sys.t[k + 1], arr_F[k], arr_F[k + 1],
-                        arr_Fp[k], arr_Fp[k + 1], s)
-
     # Y = F alpha with F(s2) alpha = 0, alpha from the smallest singular vector
-    U, svals, Vt = np.linalg.svd(mat_at(F, Fp, s2))
+    U, svals, Vt = np.linalg.svd(_dense(sys.t, F, s2, Fp))
     alpha = Vt[-1]
     # normalize so that |Y| peaks near 1
     Ycomps = np.einsum("tab,b->ta", F, alpha)
@@ -459,24 +434,12 @@ def nonminimality_witness(chart: MetricChart, geo: Trajectory,
     # W on [s1, L]: basis A (A(s1)=I, A'(s1)=0) and Bm (Bm(s1)=0, Bm'(s1)=I)
     tail = sys.t[sys.t >= s1 - 1e-12]
     tail_grid = np.concatenate([[s1], tail[tail > s1 + 1e-12]])
-    sub = JacobiSystem(chart=chart, t=sys.t, x=sys.x, v=sys.v,
-                       frame=sys.frame, M=sys.M)
     AB0 = np.hstack([np.eye(d), np.zeros((d, d))])
     ABp0 = np.hstack([np.zeros((d, d)), np.eye(d)])
-    M_at = _interp_M(sub)
-
-    def rhs(t, y):
-        Fm = y[: d * 2 * d].reshape(d, 2 * d)
-        Fpm = y[d * 2 * d:].reshape(d, 2 * d)
-        Mo = M_at(t)[:d, :d]
-        return np.concatenate([Fpm.ravel(), (-Mo @ Fm).ravel()])
-
-    y0 = np.concatenate([AB0.ravel(), ABp0.ravel()])
-    ys = rk4_path(rhs, y0, tail_grid, substeps=1)
-    Fm = ys[:, : d * 2 * d].reshape(-1, d, 2 * d)
+    Fm, _ = _integrate_linear(sys, AB0, ABp0, t_grid=tail_grid)
     A_end = Fm[-1][:, :d]
     B_end = Fm[-1][:, d:]
-    w0 = _field_value(sys.t, Ycomps, s1)
+    w0 = _dense(sys.t, Ycomps, s1)
     w1 = -np.linalg.solve(B_end, A_end @ w0)
 
     # assemble the witness: Y before the corner at s1, the connector W after
@@ -501,13 +464,6 @@ def nonminimality_witness(chart: MetricChart, geo: Trajectory,
     I_Y = index_form(sys, Yfield)
     return WitnessReport(s1=float(s1), s2=float(s2), index_value=I_total,
                          field=witness, I_Y=I_Y)
-
-
-def _field_value(t, comps, s):
-    k = int(np.searchsorted(t, s, side="right")) - 1
-    k = min(max(k, 0), len(t) - 2)
-    w = (s - t[k]) / (t[k + 1] - t[k])
-    return (1.0 - w) * comps[k] + w * comps[k + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -205,3 +205,15 @@ def test_degenerate_start_reported(tmp_path, capsys):
                          "--point=-1,0", "--velocity=1,0", "--tmax", "1")
     assert code == 1
     assert rep["error"]["type"] == "SingularMetric"
+
+
+def test_overflowed_metric_reported(tmp_path, capsys):
+    # g underflows to 0 at the start point: a JSON error report, not a traceback
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "coords": ["x", "y"],
+                                "metric": [["4/(1+x^2+y^2)^2", "0"],
+                                           ["0", "4/(1+x^2+y^2)^2"]]}))
+    code, rep = run_json(capsys, "exp", "--manifold", str(path),
+                         "--point", "1e154,1e154", "--velocity", "1,0")
+    assert code == 1
+    assert rep["error"]["type"] == "SingularMetric"

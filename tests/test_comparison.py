@@ -118,6 +118,28 @@ def test_profile_from_sectional(sphere2):
         assert prof(t) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_profile_from_sectional_matches_pointwise_torus(torus21):
+    from riemannkit import tensor
+    from riemannkit.transport import integrate_geodesic
+    geo = integrate_geodesic(torus21, [0.3, 0.2], [0.2, 0.5], 3.0,
+                             settings=OdeSettings(step=1e-2))
+    prof = comparison.CurvatureProfile.from_sectional(torus21, geo, direction=0)
+    for i in range(0, len(geo.t), 7):
+        want = tensor.sectional(tensor.curvature(torus21, geo.x[i]),
+                                torus21.evaluator.metric(geo.x[i]),
+                                geo.v[i], geo.frame[i][:, 0])
+        assert prof(geo.t[i]) == pytest.approx(want, abs=1e-12)
+
+
+def test_profile_from_sectional_rejects_tangent_direction(sphere2):
+    from riemannkit.errors import DegeneratePlane
+    from riemannkit.transport import integrate_geodesic
+    geo = integrate_geodesic(sphere2, [0.3, 0.1], [0.5, 0.2], 1.0,
+                             settings=OdeSettings(step=1e-2))
+    with pytest.raises(DegeneratePlane):
+        comparison.CurvatureProfile.from_sectional(sphere2, geo, direction=1)
+
+
 # -- Rauch -------------------------------------------------------------------
 
 def test_rauch_sphere_vs_euclidean():

@@ -9,9 +9,10 @@ and up = -R (the operator R_XY = D_[X,Y] - D_X D_Y + D_Y D_X).
 
 import numpy as np
 import pytest
+import scipy.linalg
 import sympy as sp
 
-from riemannkit import manifold, tensor, transport, variation
+from riemannkit import comparison, manifold, tensor, transport, variation
 from riemannkit.errors import DomainExit, SingularMetric
 from riemannkit.transport import Trajectory
 
@@ -105,3 +106,15 @@ def test_jacobi_system_errors_match_metric_at(hyper2):
         {"dim": 2, "coords": ["x", "y"], "metric": [["x", "0"], ["0", "1"]]})
     with pytest.raises(SingularMetric):
         variation.jacobi_system(degenerate, _trajectory(degenerate, [[1.0, 0.0], [-1.0, 0.0]]))
+
+
+def test_ricci_lower_bound_is_generalized_eigenvalue(chart):
+    # the least lambda with Ric - lambda g singular; on this chart g^-1 Ric is
+    # far from symmetric, and eigvalsh of it read -0.06461 here
+    p = np.array([0.3, 0.2, 0.5])
+    md = manifold.metric_at(chart, p)
+    ric = tensor.ricci(tensor.curvature(chart, p), md.g).ric
+    want = scipy.linalg.eigh(ric, md.g, eigvals_only=True)[0]
+    rep = comparison.volume_compare(chart, p, r=0.05, Kref=-1.0, directions=16,
+                                    ric_samples=1)
+    assert rep["ric_min_eigenvalue"] == pytest.approx(want, abs=TOL)

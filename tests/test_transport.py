@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riemannkit import manifold, transport
-from riemannkit.errors import BadParam, DomainExit, NoConvergence
+from riemannkit.errors import BadParam, DomainExit, NoConvergence, SingularMetric
 from riemannkit.manifold import SampledCurve
 from riemannkit.transport import OdeSettings
 
@@ -83,6 +83,15 @@ def test_unit_speed_preserved(hyper2):
     v = v / math.sqrt(float(v @ g @ v))
     traj = transport.integrate_geodesic(hyper2, p, v, 2.0, settings=FAST)
     assert traj.speed_drift <= 1e-10
+
+
+def test_overflowed_metric_raises_singular_metric():
+    # x^2 + y^2 overflows to inf, so g = 0 and Gamma cannot be formed
+    chart = manifold.chart_from_definition(
+        {"dim": 2, "coords": ["x", "y"],
+         "metric": [["4/(1+x^2+y^2)^2", "0"], ["0", "4/(1+x^2+y^2)^2"]]})
+    with pytest.raises(SingularMetric):
+        transport.exp_map(chart, [1e154, 1e154], [1.0, 0.0])
 
 
 def test_domain_exit_carries_partial_trajectory(sphere2):

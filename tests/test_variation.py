@@ -67,6 +67,23 @@ def test_euclidean_jacobi_is_linear(eucl2):
     assert np.max(np.abs(sol.f[:, 0] - sol.t)) <= 1e-10
 
 
+def test_jacobi_fields_converge_on_torus(torus21):
+    # variable curvature, so the dense M(t) between samples matters; the
+    # linear interpolant of M bounds the order at 2
+    p, v = np.array([0.3, 0.2]), np.array([0.3, 0.4])
+
+    def end_values(h):
+        geo = integrate_geodesic(torus21, p, v, 4.0, settings=OdeSettings(step=h))
+        sol = variation.jacobi_solve(torus21, geo, [0.0, 0.0], [0.2, 0.5])
+        F, _ = variation.orthogonal_fundamental(variation.jacobi_system(torus21, geo))
+        return np.append(sol.f[-1, 0], F[-1].ravel())  # the tangent part is exact
+
+    ref = end_values(0.00125)
+    errs = [np.abs(end_values(h) - ref) for h in (0.02, 0.01, 0.005)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert np.all(np.log2(coarse / fine) >= 1.8)
+
+
 def test_coordinate_field_matches_variation_of_geodesics(sphere2):
     # J(t) = d/ds exp_p(t (v + s w)) at s = 0, by central differences
     p = np.array([0.3, 0.1])
