@@ -19,7 +19,7 @@ from .manifold import MetricChart, _hermite, _write_csv, metric_at
 from .tensor import (curvature, curvature_low_batch, jacobi_driving_batch,
                      orthonormal_frame, ricci)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
-                        _rk4_step, initial_frame, integrate_geodesic)
+                        _adapted_frames, _rk4_step, integrate_geodesic)
 from .variation import (conjugate_points_from, jacobi_system,
                         orthogonal_fundamental)
 
@@ -432,9 +432,7 @@ def _batched_sphere_sweep_single(chart, p, r, n_dirs, step, radii, dir_slice):
     V0 = dirs @ B.T  # rows: coordinate components of unit-speed starts
 
     # frames adapted per direction: columns = B rotated so last is the ray
-    E0 = np.empty((N, n, n))
-    for b in range(N):
-        E0[b] = initial_frame(chart, p, V0[b])
+    E0 = _adapted_frames(md.g, B, V0)
 
     radii = sorted(radii or [r])
     # one row per ray: x, v, the frame E, then F and F' of the orthogonal

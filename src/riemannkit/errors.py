@@ -21,8 +21,22 @@ class UnknownIdentifier(ParseError):
         self.name = name
 
 
-class DomainFault(RiemannKitError):
-    """log/sqrt of a nonpositive argument, division by zero, bad power base."""
+class _AlongCurve(RiemannKitError):
+    """An error that the integrator can locate on the curve it was following."""
+
+    def __init__(self, message, t_exit=None, trajectory=None, point=None):
+        super().__init__(message)
+        self.t_exit = t_exit
+        self.trajectory = trajectory
+        self.point = point
+
+
+class DomainFault(_AlongCurve):
+    """log/sqrt of a nonpositive argument, division by zero, bad power base.
+
+    Raised inside the geodesic integrator, it carries the parameter and the
+    point of the failing evaluation and the partial trajectory before it.
+    """
 
 
 class UnknownBuiltin(RiemannKitError):
@@ -33,18 +47,12 @@ class BadParam(RiemannKitError):
     pass
 
 
-class DomainExit(RiemannKitError):
+class DomainExit(_AlongCurve):
     """A computation left the chart domain.
 
     Carries the exit parameter and, when raised by the integrator, the
     partial trajectory up to the last interior sample.
     """
-
-    def __init__(self, message, t_exit=None, trajectory=None, point=None):
-        super().__init__(message)
-        self.t_exit = t_exit
-        self.trajectory = trajectory
-        self.point = point
 
 
 class SingularMetric(RiemannKitError):

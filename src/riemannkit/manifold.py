@@ -47,6 +47,15 @@ class MetricEvaluator:
             raise SingularMetric(f"metric singular at {x}")
         return gamma_from_stack(g_inv, dg)
 
+    def gamma_batch(self, X: np.ndarray) -> np.ndarray:
+        """Christoffel symbols at every row of X; generic fallback loops."""
+        X = np.asarray(X, dtype=float)
+        N, n = X.shape
+        G = np.empty((N, n, n, n))
+        for b in range(N):
+            G[b] = self.gamma(X[b])
+        return G
+
     def stack_batch(self, X: np.ndarray):
         """Vectorized stack over a batch of points; generic fallback loops."""
         X = np.asarray(X, dtype=float)
@@ -92,6 +101,10 @@ class EuclideanEvaluator(MetricEvaluator):
         n = self.dim
         return np.zeros((n, n, n))
 
+    def gamma_batch(self, X):
+        N, n = np.asarray(X).shape
+        return np.zeros((N, n, n, n))
+
     def stack_batch(self, X):
         N, n = np.asarray(X).shape
         return (np.broadcast_to(self._eye, (N, n, n)).copy(),
@@ -110,6 +123,10 @@ class ConformalEvaluator(MetricEvaluator):
         self.mu = mu
         self.dmu = dmu
         self.d2mu = d2mu
+        self._eye = np.eye(n)
+
+    def metric(self, x):
+        return self.mu(float(x @ x)) * self._eye
 
     def stack(self, x):
         n = self.dim
@@ -121,15 +138,21 @@ class ConformalEvaluator(MetricEvaluator):
         return m * eye, dg, d2g
 
     def gamma(self, x):
-        n = self.dim
         q = float(x @ x)
+        return self._gamma(self.dmu(q) / self.mu(q) * np.asarray(x, dtype=float))
+
+    def gamma_batch(self, X):
+        X = np.asarray(X, dtype=float)
+        q = (X[:, None, :] @ X[:, :, None])[:, 0, 0]  # rounds like x @ x
+        return self._gamma((self.dmu(q) / self.mu(q))[:, None] * X)
+
+    def _gamma(self, dphi):
         # Gamma^i_jk = d_k phi delta_ij + d_j phi delta_ik - d_i phi delta_jk
-        # with phi = (1/2) log mu
-        dphi = (self.dmu(q) / self.mu(q)) * np.asarray(x, dtype=float)
-        eye = np.eye(n)
-        return (np.einsum("k,ij->ijk", dphi, eye)
-                + np.einsum("j,ik->ijk", dphi, eye)
-                - np.einsum("i,jk->ijk", dphi, eye))
+        # with phi = (1/2) log mu; dphi may carry leading batch axes
+        eye = self._eye
+        return (dphi[..., None, None, :] * eye[:, :, None]
+                + dphi[..., None, :, None] * eye[:, None, :]
+                - dphi[..., :, None, None] * eye)
 
     def stack_batch(self, X):
         X = np.asarray(X, dtype=float)
@@ -177,7 +200,7 @@ class MetricChart:
 
     def contains(self, p) -> bool:
         p = np.asarray(p, dtype=float)
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             return False
         if self.domain is None:
             return True

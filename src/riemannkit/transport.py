@@ -12,7 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BadParam, DomainExit, NoConvergence, StepFault)
+from .errors import (BadParam, DomainExit, DomainFault, NoConvergence,
+                     StepFault)
 from .manifold import MetricChart, SampledCurve, _dense, _write_csv, metric_at
 from .tensor import orthonormal_frame
 
@@ -90,20 +91,27 @@ def rk4_path(rhs, y0: np.ndarray, ts: np.ndarray, substeps: int = 1,
              guard: Optional[Callable] = None):
     """Integrate across the sample grid ``ts``; returns y at every grid time.
 
-    ``guard(t, y)`` may raise to stop integration (domain checks).
+    ``guard(t, y, ys, ts)`` may raise to stop integration (domain checks).
+    A ``DomainFault`` from ``rhs`` is handed to it as ``fault=`` with the
+    samples before the failing step, for context, and then raised again.
     """
     ys = np.empty((len(ts), len(y0)))
     ys[0] = y0
     y = np.asarray(y0, dtype=float)
-    for i in range(len(ts) - 1):
-        h = (ts[i + 1] - ts[i]) / substeps
-        t = ts[i]
-        for _ in range(substeps):
-            y = _rk4_step(rhs, t, y, h)
-            t += h
+    try:
+        for i in range(len(ts) - 1):
+            h = (ts[i + 1] - ts[i]) / substeps
+            t = ts[i]
+            for _ in range(substeps):
+                y = _rk4_step(rhs, t, y, h)
+                t += h
+            if guard is not None:
+                guard(ts[i + 1], y, ys[: i + 1], ts[: i + 1])
+            ys[i + 1] = y
+    except DomainFault as exc:
         if guard is not None:
-            guard(ts[i + 1], y, ys[: i + 1], ts[: i + 1])
-        ys[i + 1] = y
+            guard(t, y, ys[: i + 1], ts[: i + 1], fault=exc)
+        raise
     return ys
 
 
@@ -128,29 +136,47 @@ def _rkf45(rhs, y0, t0, t1, settings: OdeSettings, guard=None):
     ts = [t0]
     ys = [y.copy()]
     steps = 0
-    while t < t1 - 1e-15:
-        if steps > settings.max_steps:
-            raise StepFault("rkf45: max_steps exceeded")
-        h = min(h, t1 - t)
-        if h < 1e-14 * max(1.0, abs(t1)):
-            raise StepFault("rkf45: step size underflow")
-        ks = []
-        for row, c in zip(_RKF_A, _RKF_C):
-            yi = y + h * sum(a * k for a, k in zip(row, ks)) if row else y
-            ks.append(rhs(t + c * h, yi))
-        y5 = y + h * sum(b * k for b, k in zip(_RKF_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_RKF_B4, ks))
-        err = float(np.max(np.abs(y5 - y4) / (settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y5)))))
-        if err <= 1.0:
-            t += h
-            y = y5
-            if guard is not None:
-                guard(t, y, ys, ts)
-            ts.append(t)
-            ys.append(y.copy())
-            steps += 1
-        h *= min(4.0, max(0.1, 0.9 * (max(err, 1e-16)) ** -0.2))
+    try:
+        while t < t1 - 1e-15:
+            if steps > settings.max_steps:
+                raise StepFault("rkf45: max_steps exceeded")
+            h = min(h, t1 - t)
+            if h < 1e-14 * max(1.0, abs(t1)):
+                raise StepFault("rkf45: step size underflow")
+            ks = []
+            for row, c in zip(_RKF_A, _RKF_C):
+                yi = y + h * sum(a * k for a, k in zip(row, ks)) if row else y
+                ks.append(rhs(t + c * h, yi))
+            y5 = y + h * sum(b * k for b, k in zip(_RKF_B5, ks))
+            y4 = y + h * sum(b * k for b, k in zip(_RKF_B4, ks))
+            err = float(np.max(np.abs(y5 - y4) / (settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y5)))))
+            if err <= 1.0:
+                t += h
+                y = y5
+                if guard is not None:
+                    guard(t, y, ys, ts)
+                ts.append(t)
+                ys.append(y.copy())
+                steps += 1
+            h *= min(4.0, max(0.1, 0.9 * (max(err, 1e-16)) ** -0.2))
+    except DomainFault as exc:
+        if guard is not None:
+            guard(t, y, ys, ts, fault=exc)
+        raise
     return np.array(ts), np.array(ys)
+
+
+def _integrate(rhs, y0, tmax: float, settings: OdeSettings, guard):
+    """Sample times and states of y' = rhs(t, y) on [0, tmax] under ``settings``."""
+    if tmax == 0.0:
+        return np.array([0.0]), y0[None, :]
+    if settings.method == "rk4_fixed":
+        n_steps = max(1, int(math.ceil(tmax / settings.step - 1e-12)))
+        if n_steps > settings.max_steps:
+            raise StepFault("rk4_fixed: max_steps exceeded")
+        ts = np.linspace(0.0, tmax, n_steps + 1)
+        return ts, rk4_path(rhs, y0, ts, guard=guard)
+    return _rkf45(rhs, y0, 0.0, tmax, settings, guard=guard)
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +190,35 @@ def initial_frame(chart: MetricChart, p, v=None) -> np.ndarray:
     if v is None:
         return B
     v = np.asarray(v, dtype=float)
-    speed2 = float(v @ g @ v)
-    if speed2 <= 0.0:
+    if float(v @ g @ v) <= 0.0:
         return B
-    u = v / math.sqrt(speed2)
-    cols = [u]
-    for k in range(chart.dim):
-        cand = B[:, k]
-        for c in cols:
-            cand = cand - float(c @ g @ cand) * c
-        nrm2 = float(cand @ g @ cand)
-        if nrm2 > 1e-20:
-            cols.append(cand / math.sqrt(nrm2))
-        if len(cols) == chart.dim:
-            break
+    return _adapted_frames(g, B, v[None])[0]
+
+
+def _adapted_frames(g: np.ndarray, B: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """One g-orthonormal frame per nonzero row of V, its last column along it.
+
+    Gram-Schmidt of (V[b], B[:, 0], B[:, 1], ...) against the shared g, run
+    on all rows at once; a candidate within 1e-20 (squared g-norm) of the
+    span so far is skipped.
+    """
+    N, n = V.shape
+    U = V / np.sqrt(np.einsum("bi,ij,bj->b", V, g, V))[:, None]
+    cols = np.zeros((N, n, n))  # accepted columns in order; unfilled ones are 0
+    cols[:, :, 0] = U
+    count = np.ones(N, dtype=int)
+    rows = np.arange(N)
+    for k in range(n):
+        cand = np.tile(B[:, k], (N, 1))
+        for c in range(n):
+            C = cols[:, :, c]
+            cand = cand - np.einsum("bi,ij,bj->b", C, g, cand)[:, None] * C
+        nrm2 = np.einsum("bi,ij,bj->b", cand, g, cand)
+        take = (nrm2 > 1e-20) & (count < n)
+        cols[rows[take], :, count[take]] = cand[take] / np.sqrt(nrm2[take])[:, None]
+        count += take
     # tangent direction last
-    return np.column_stack(cols[1:] + [u])
+    return np.concatenate([cols[:, :, 1:], cols[:, :, :1]], axis=2)
 
 
 def _geodesic_rhs(chart: MetricChart, n: int, with_frame: bool):
@@ -188,7 +227,11 @@ def _geodesic_rhs(chart: MetricChart, n: int, with_frame: bool):
     def rhs(t, y):
         x = y[:n]
         v = y[n:2 * n]
-        G = ev.gamma(x)
+        try:
+            G = ev.gamma(x)
+        except DomainFault as exc:
+            exc.t_exit, exc.point = float(t), x.copy()
+            raise
         a = -np.einsum("ijk,j,k->i", G, v, v)
         out = np.empty_like(y)
         out[:n] = v
@@ -203,17 +246,23 @@ def _geodesic_rhs(chart: MetricChart, n: int, with_frame: bool):
 
 def _domain_guard(chart: MetricChart, n: int):
     # the samples so far come as arrays (RK4) or lists (RKF45); they are
-    # copied into the partial trajectory only when the guard raises
-    def guard(t, y, ys_so_far, ts_so_far):
+    # copied into the partial trajectory only when the guard raises, or
+    # when a fault of the right-hand side (which set its t_exit and point)
+    # is handed in
+    def guard(t, y, ys_so_far, ts_so_far, fault=None):
         x = y[:n]
-        if not chart.contains(x):
-            ys_so_far = np.asarray(ys_so_far)
-            traj = Trajectory(chart=chart,
-                              t=np.array(ts_so_far, dtype=float),
-                              x=ys_so_far[:, :n].copy(),
-                              v=ys_so_far[:, n:2 * n].copy())
-            raise DomainExit(f"left chart domain near t={t:.6g}", t_exit=float(t),
-                             trajectory=traj, point=x.copy())
+        if fault is None and chart.contains(x):
+            return
+        ys_so_far = np.asarray(ys_so_far)
+        traj = Trajectory(chart=chart,
+                          t=np.array(ts_so_far, dtype=float),
+                          x=ys_so_far[:, :n].copy(),
+                          v=ys_so_far[:, n:2 * n].copy())
+        if fault is not None:
+            fault.trajectory = traj
+            return
+        raise DomainExit(f"left chart domain near t={t:.6g}", t_exit=float(t),
+                         trajectory=traj, point=x.copy())
     return guard
 
 
@@ -233,20 +282,8 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
     if with_frame:
         E0 = initial_frame(chart, p, v if np.any(v) else None)
         y0 = np.concatenate([y0, E0.ravel()])
-    rhs = _geodesic_rhs(chart, n, with_frame)
-    guard = _domain_guard(chart, n)
-
-    if tmax == 0.0:
-        ts = np.array([0.0])
-        ys = y0[None, :]
-    elif settings.method == "rk4_fixed":
-        n_steps = max(1, int(math.ceil(tmax / settings.step - 1e-12)))
-        if n_steps > settings.max_steps:
-            raise StepFault("rk4_fixed: max_steps exceeded")
-        ts = np.linspace(0.0, tmax, n_steps + 1)
-        ys = rk4_path(rhs, y0, ts, guard=guard)
-    else:
-        ts, ys = _rkf45(rhs, y0, 0.0, tmax, settings, guard=guard)
+    ts, ys = _integrate(_geodesic_rhs(chart, n, with_frame), y0, tmax, settings,
+                        _domain_guard(chart, n))
 
     x = ys[:, :n]
     vel = ys[:, n:2 * n]
@@ -297,8 +334,36 @@ def exp_map(chart: MetricChart, p, v, settings: OdeSettings = DEFAULT_SETTINGS) 
     if not np.any(v):
         chart.require_inside(p)
         return p.copy()
-    traj = integrate_geodesic(chart, p, v, 1.0, settings=settings, with_frame=False)
-    return traj.x[-1].copy()
+    return _exp_rays(chart, p[None], v[None], settings)[0]
+
+
+def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings = DEFAULT_SETTINGS) -> np.ndarray:
+    """Endpoints exp_{P[b]}(V[b]) of N geodesics integrated as one system.
+
+    The flat state holds x and v of every ray. RKF45's error norm is a max
+    over the whole state, so every ray meets the tolerance; the guard checks
+    every ray after every step.
+    """
+    P = np.asarray(P, dtype=float)
+    V = np.asarray(V, dtype=float)
+    N, n = P.shape
+    for p in P:
+        chart.require_inside(p)
+    gamma_batch = chart.evaluator.gamma_batch
+
+    def rhs(t, y):
+        Y = y.reshape(N, 2 * n)
+        X, W = Y[:, :n], Y[:, n:]
+        return np.hstack([W, -np.einsum("bijk,bj,bk->bi", gamma_batch(X), W, W)]).ravel()
+
+    def guard(t, y, ys_so_far, ts_so_far, fault=None):
+        for x in y.reshape(N, 2 * n)[:, :n]:
+            if fault is None and not chart.contains(x):
+                raise DomainExit(f"left chart domain near t={t:.6g}",
+                                 t_exit=float(t), point=x.copy())
+
+    _, ys = _integrate(rhs, np.hstack([P, V]).ravel(), 1.0, settings, guard)
+    return ys[-1].reshape(N, 2 * n)[:, :n].copy()
 
 
 LOG_SETTINGS = OdeSettings(step=2e-3)
@@ -306,7 +371,12 @@ LOG_SETTINGS = OdeSettings(step=2e-3)
 
 def log_map(chart: MetricChart, p, q, settings: OdeSettings = LOG_SETTINGS,
             max_iter: int = 50, tol: float = 1e-10) -> np.ndarray:
-    """Initial velocity v with exp_p(v) = q, by Newton shooting with FD Jacobian."""
+    """Initial velocity v with exp_p(v) = q, by Newton shooting with FD Jacobian.
+
+    Every exponential comes from one batched integration: a Newton iteration
+    that refreshes the central-difference Jacobian integrates the current
+    ray and its 2n stencil rays v +- h e_k as one batch of 2n + 1 rays.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if np.allclose(p, q):
@@ -325,31 +395,36 @@ def _shoot(chart: MetricChart, p, q, v, settings: OdeSettings,
     n = chart.dim
     scale = max(1.0, float(np.linalg.norm(q - p)))
     best_v, best_res = v.copy(), math.inf
+    stencil = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)])
     J = None
     for it in range(max_iter):
+        refresh = J is None or it % 2 == 0
+        h = 1e-6 * max(1.0, float(np.linalg.norm(v)))
+        # the centre ray, then v + h e_k and v - h e_k, as one batch
+        rays = v + h * stencil if refresh else v[None]
         try:
-            r = exp_map(chart, p, v, settings=settings) - q
+            R = _exp_rays(chart, np.tile(p, (len(rays), 1)), rays, settings) - q
         except DomainExit:
+            R = None
+        if R is None and refresh:  # did the centre ray leave, or only the stencil?
+            try:
+                R = _exp_rays(chart, p[None], v[None], settings) - q
+            except DomainExit:
+                pass
+        if R is None:
             v = 0.5 * (v + best_v) if best_res < math.inf else 0.5 * v
             continue
+        r = R[0]
         res = float(np.linalg.norm(r))
         if res < best_res:
             best_res, best_v = res, v.copy()
         if res <= tol * scale:
             return v
-        if J is None or it % 2 == 0:
-            h = 1e-6 * max(1.0, float(np.linalg.norm(v)))
-            J = np.empty((n, n))
-            for k in range(n):
-                dv = np.zeros(n)
-                dv[k] = h
-                try:
-                    rp = exp_map(chart, p, v + dv, settings=settings) - q
-                    rm = exp_map(chart, p, v - dv, settings=settings) - q
-                except DomainExit:
-                    raise NoConvergence("log_map: FD stencil left domain",
-                                        best_residual=best_res, best_value=best_v)
-                J[:, k] = (rp - rm) / (2.0 * h)
+        if refresh:
+            if len(R) == 1:
+                raise NoConvergence("log_map: FD stencil left domain",
+                                    best_residual=best_res, best_value=best_v)
+            J = (R[1:n + 1] - R[n + 1:]).T / (2.0 * h)
         try:
             delta = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
@@ -432,8 +507,8 @@ def reverse_develop(chart: MetricChart, sigma: SampledCurve, p, frame=None,
         dE = -np.einsum("ijk,j,ka->ia", G, v, E)
         return np.concatenate([v, dE.ravel()])
 
-    def guard(t, y, ys_so_far, ts_so_far):
-        if not chart.contains(y[:n]):
+    def guard(t, y, ys_so_far, ts_so_far, fault=None):
+        if fault is None and not chart.contains(y[:n]):
             raise DomainExit(f"reverse development left chart near t={t:.6g}",
                              t_exit=float(t), point=y[:n].copy())
 

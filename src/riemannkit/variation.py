@@ -18,7 +18,7 @@ from .errors import (BadParam, ConjugateNotFound, ConjugatePresent,
 from .manifold import MetricChart, SampledCurve, _dense
 from .manifold import energy as curve_energy
 from .tensor import curvature, jacobi_driving_batch
-from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, exp_map,
+from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _exp_rays,
                         integrate_geodesic, rk4_path)
 
 
@@ -510,21 +510,16 @@ def first_variation(chart: MetricChart, rect: RectangleSpec,
     base.ensure_velocities()
     ts = base.t
     m = len(ts)
-    n = chart.dim
     if exp_settings is None:
         exp_settings = OdeSettings(step=0.02)
 
     # analytic side
-    accel = np.empty((m, n))
-    dv = np.gradient(base.velocities, ts, axis=0, edge_order=2)
+    X, W = base.points, base.velocities
+    dv = np.gradient(W, ts, axis=0, edge_order=2)
+    accel = dv + np.einsum("bijk,bj,bk->bi", chart.evaluator.gamma_batch(X), W, W)
     integrand = np.empty(m)
-    boundary = np.empty(2)
     for i in range(m):
-        x = base.points[i]
-        v = base.velocities[i]
-        G = chart.evaluator.gamma(x)
-        accel[i] = dv[i] + np.einsum("ijk,j,k->i", G, v, v)
-        g = chart.evaluator.metric(x)
+        g = chart.evaluator.metric(X[i])
         integrand[i] = float(rect.V[i] @ g @ accel[i])
     g_a = chart.evaluator.metric(base.points[0])
     g_b = chart.evaluator.metric(base.points[-1])
@@ -533,15 +528,13 @@ def first_variation(chart: MetricChart, rect: RectangleSpec,
     accel_term = -2.0 * _simpson_nonuniform(ts, integrand)
     analytic = boundary_term + accel_term
 
-    # finite-difference side
+    # finite-difference side: the samples that move integrate as one batch
     def energy_at(tau):
-        pts = np.empty((m, n))
-        for i in range(m):
-            vi = tau * rect.V[i]
-            if np.any(vi):
-                pts[i] = exp_map(chart, base.points[i], vi, settings=exp_settings)
-            else:
-                pts[i] = base.points[i]
+        V = tau * rect.V
+        moving = np.any(V, axis=1)
+        pts = base.points.copy()
+        if moving.any():
+            pts[moving] = _exp_rays(chart, pts[moving], V[moving], exp_settings)
         curve = SampledCurve(ts.copy(), pts)
         return curve_energy(chart, curve, rel_tol=1e-10)
 
