@@ -203,17 +203,19 @@ def _adapted_frames(g: np.ndarray, B: np.ndarray, V: np.ndarray) -> np.ndarray:
     span so far is skipped.
     """
     N, n = V.shape
-    U = V / np.sqrt(np.einsum("bi,ij,bj->b", V, g, V))[:, None]
+    U = V / np.sqrt(((V @ g) * V).sum(axis=1))[:, None]
     cols = np.zeros((N, n, n))  # accepted columns in order; unfilled ones are 0
     cols[:, :, 0] = U
     count = np.ones(N, dtype=int)
     rows = np.arange(N)
     for k in range(n):
-        cand = np.tile(B[:, k], (N, 1))
-        for c in range(n):
+        if (count == n).all():
+            break
+        cand = B[:, k]  # broadcast to (N, n) by the first projection
+        for c in range(k + 1):  # before candidate k at most k + 1 columns are filled
             C = cols[:, :, c]
-            cand = cand - np.einsum("bi,ij,bj->b", C, g, cand)[:, None] * C
-        nrm2 = np.einsum("bi,ij,bj->b", cand, g, cand)
+            cand = cand - ((C @ g) * cand).sum(axis=1)[:, None] * C
+        nrm2 = ((cand @ g) * cand).sum(axis=1)
         take = (nrm2 > 1e-20) & (count < n)
         cols[rows[take], :, count[take]] = cand[take] / np.sqrt(nrm2[take])[:, None]
         count += take

@@ -4,7 +4,7 @@ exp/log, the direction sweep's start frames, and faults inside the integrator.""
 import numpy as np
 import pytest
 
-from riemannkit import comparison, manifold, transport
+from riemannkit import comparison, manifold, tensor, transport
 from riemannkit.errors import DomainExit, DomainFault, NoConvergence
 from riemannkit.transport import OdeSettings
 
@@ -132,6 +132,15 @@ def test_shoot_stencil_leaving_is_no_convergence():
     # a centre ray that already hits the target needs no stencil
     v = transport._shoot(disk, p, edge, edge.copy(), OdeSettings(step=1e-2))
     assert np.array_equal(v, edge)
+
+
+# -- normal-coordinate Taylor check on batched stencils ----------------------
+
+def test_normal_taylor_on_non_conformal_chart():
+    # off-diagonal g: a transposed stencil Jacobian shows here (about 5e-3)
+    rep = tensor.normal_taylor_check(manifold.chart_from_definition(EXPR), [0.2, 0.1])
+    assert rep["max_deviation"] <= 1e-4
+    assert rep["gamma_origin_max"] <= 1e-5
 
 
 # -- start frames of the direction sweep -------------------------------------
