@@ -339,7 +339,7 @@ def exp_map(chart: MetricChart, p, v, settings: OdeSettings = DEFAULT_SETTINGS) 
     return _exp_rays(chart, p[None], v[None], settings)[0]
 
 
-def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
     """Endpoints exp_{P[b]}(V[b]) of N geodesics integrated as one system.
 
     The flat state holds x and v of every ray. RKF45's error norm is a max

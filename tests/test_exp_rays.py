@@ -110,7 +110,8 @@ def test_exp_rays_domain_exit_names_the_ray():
 def test_exp_rays_start_outside():
     disk = manifold.chart_from_definition(DISK)
     with pytest.raises(DomainExit):
-        transport._exp_rays(disk, [[0.0, 0.0], [1.5, 0.0]], [[0.1, 0.0], [0.1, 0.0]])
+        transport._exp_rays(disk, [[0.0, 0.0], [1.5, 0.0]], [[0.1, 0.0], [0.1, 0.0]],
+                            OdeSettings())
 
 
 # -- Newton shooting on batches ----------------------------------------------
