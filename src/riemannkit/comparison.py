@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (BadParam, ConjugateNotFound, DegeneratePlane, DomainExit,
                      InputOrderViolated, StepFault)
-from .manifold import MetricChart, _hermite, _write_csv, metric_at
+from .manifold import MetricChart, _bisect, _hermite, _write_csv, metric_at
 from .tensor import (curvature, curvature_low_batch, jacobi_driving_batch,
                      orthonormal_frame, ricci)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
@@ -252,20 +252,9 @@ def _first_zero(prof: CurvatureProfile, tmax: float, step: float) -> Optional[fl
         h = min(step, tmax - t)
         ynew = _rk4_step(rhs, t, y, h)
         if t > 0 and y[0] * ynew[0] < 0.0:
-            # cubic Hermite root inside the step
+            # root of the cubic Hermite interpolant inside the step
             a, b = t, t + h
-            fa, fb = y[0], ynew[0]
-            da, db = y[1], ynew[1]
-            lo, hi = a, b
-            flo = fa
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = _hermite(a, b, fa, fb, da, db, mid)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            return 0.5 * (lo + hi)
+            return _bisect(lambda s: _hermite(a, b, y[0], ynew[0], y[1], ynew[1], s), a, b)
         t, y = t + h, ynew
     return None
 
@@ -462,13 +451,10 @@ def _batched_sphere_sweep_single(chart, p, r, n_dirs, step, radii, dir_slice):
         for _ in range(n_steps):
             Y = _rk4_step(rhs, t, Y, h)
             t += h
-            X = Y[:, :n]
-            if not np.all(np.isfinite(X)):
-                raise DomainExit("direction sweep left the chart", t_exit=t)
-            for b in range(0, N, max(1, N // 8)):
-                if not chart.contains(X[b]):
-                    raise DomainExit("direction sweep left the chart",
-                                     t_exit=t, point=X[b])
+            outside = ~chart.inside(Y[:, :n])
+            if outside.any():
+                raise DomainExit("direction sweep left the chart", t_exit=t,
+                                 point=Y[np.argmax(outside), :n].copy())
         out[target] = np.linalg.det(unpack(Y)[3])
     return out
 

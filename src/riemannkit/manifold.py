@@ -68,6 +68,11 @@ class MetricEvaluator:
         return g, dg, d2g
 
 
+def _squares(X: np.ndarray) -> np.ndarray:
+    """x @ x for every row x of X, rounded exactly as the 1-D product."""
+    return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+
+
 def koszul(dg: np.ndarray) -> np.ndarray:
     """K[..., m, j, k] = d_j g_mk - d_m g_jk + d_k g_mj over the last three axes.
 
@@ -143,7 +148,7 @@ class ConformalEvaluator(MetricEvaluator):
 
     def gamma_batch(self, X):
         X = np.asarray(X, dtype=float)
-        q = (X[:, None, :] @ X[:, :, None])[:, 0, 0]  # rounds like x @ x
+        q = _squares(X)
         return self._gamma((self.dmu(q) / self.mu(q))[:, None] * X)
 
     def _gamma(self, dphi):
@@ -193,18 +198,21 @@ class MetricChart:
     coords: list
     evaluator: MetricEvaluator
     label: str = ""
-    domain: Optional[Callable] = None  # point -> bool
+    domain: Optional[Callable] = None  # (N, n) finite points -> (N,) bool mask
     sample_box: Optional[tuple] = None  # (low, high) arrays for seeded sampling
     source: Optional[dict] = None  # JSON definition for --print-manifold echo
     profile: Optional[object] = None  # surfrev.Profile of a surface of revolution
 
+    def inside(self, X) -> np.ndarray:
+        """(N,) mask of the rows of X that are finite and in the domain."""
+        X = np.asarray(X, dtype=float)
+        ok = np.isfinite(X).all(axis=1)
+        if self.domain is not None:
+            ok[ok] = self.domain(X[ok])
+        return ok
+
     def contains(self, p) -> bool:
-        p = np.asarray(p, dtype=float)
-        if not np.isfinite(p).all():
-            return False
-        if self.domain is None:
-            return True
-        return bool(self.domain(p))
+        return bool(self.inside(np.asarray(p, dtype=float)[None])[0])
 
     def require_inside(self, p):
         if not self.contains(p):
@@ -298,7 +306,7 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
         return MetricChart(
             dim=n, coords=[f"x{i+1}" for i in range(n)], evaluator=ev,
             label=f"sphere_stereo({n},R={R})",
-            domain=lambda p: float(p @ p) < cap2,
+            domain=lambda X: _squares(X) < cap2,
             sample_box=(-2.0 * R * np.ones(n), 2.0 * R * np.ones(n)),
             source={"builtin": "sphere_stereo", "params": {"n": n, "R": R}})
     if name == "hyperbolic_ball":
@@ -313,7 +321,7 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
         return MetricChart(
             dim=n, coords=[f"x{i+1}" for i in range(n)], evaluator=ev,
             label=f"hyperbolic_ball({n})",
-            domain=lambda p: float(p @ p) < 1.0,
+            domain=lambda X: _squares(X) < 1.0,
             sample_box=(-0.65 * np.ones(n), 0.65 * np.ones(n)),
             source={"builtin": "hyperbolic_ball", "params": {"n": n}})
     if name == "torus":
@@ -351,7 +359,7 @@ def chart_from_definition(doc: dict) -> MetricChart:
     domain = None
     if doc.get("domain"):
         inside = expr.compile_tensor(expr.parse(doc["domain"], coords), dim, 0)
-        domain = lambda p: inside(p) > 0.0
+        domain = lambda X: np.array([inside(x) > 0.0 for x in X], dtype=bool)
     chart = MetricChart(
         dim=dim, coords=coords,
         evaluator=ExpressionEvaluator(asts, dim),
@@ -460,8 +468,26 @@ def _write_csv(path: str, cols, rows):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature
+# Quadrature and root finding
 # ---------------------------------------------------------------------------
+
+def _bisect(fn: Callable, lo: float, hi: float, tol: float = 0.0) -> float:
+    """A root of fn between lo and hi, where fn changes sign.
+
+    Halves the bracket until it is at most tol wide or its midpoint rounds
+    to one of its ends; returns that last midpoint.
+    """
+    f_lo = fn(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid == lo or mid == hi:
+            return mid
+        f_mid = fn(mid)
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+
 
 def refine_simpson(f: Callable, a: float, b: float, rel_tol: float = 1e-8,
                    abs_floor: float = 1e-14, max_level: int = 16,

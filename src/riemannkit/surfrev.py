@@ -2,25 +2,24 @@
 
 An arclength profile (f, h) of the axis distance and height yields the chart
 (u, theta) with ds^2 = du^2 + f(u)^2 dtheta^2; non-arclength profiles are
-re-parametrized numerically before chart construction.
+re-parametrized numerically (trapezoid arclength and its piecewise-linear
+inverse) before chart construction. Barriers are found by bisection. The
+module needs numpy only.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from . import expr
 from .errors import (BadParam, BadProfile, BarrierNotTransversal, DomainExit)
-from .manifold import MetricChart, MetricEvaluator
+from .manifold import MetricChart, MetricEvaluator, _bisect
 
 
 # ---------------------------------------------------------------------------
@@ -118,40 +117,28 @@ def load_profile(path: str) -> Profile:
 def reparametrize_arclength(profile: Profile, grid: int = 8193) -> Profile:
     """Numerically re-parametrize a profile by arclength.
 
-    Uses cumulative quadrature of the speed and a monotone inverse refined by
-    Newton at evaluation time, so f and its derivatives keep AST accuracy.
+    The arclength s(u) is the cumulative trapezoid rule of the speed on a
+    uniform grid of u; u(s) inverts that piecewise-linear s(u) exactly by
+    linear interpolation (clamped to the range). f, h and their derivatives
+    are then the profile's own, evaluated at u(s) by the chain rule.
     """
     a, b = profile.u_range
     us = np.linspace(a, b, grid)
-
-    def speed(u):
-        _, f1, _ = profile.f(u)
-        _, h1, _ = profile.h(u)
-        return math.hypot(f1, h1)
-
-    sp = np.array([speed(u) for u in us])
+    sp = np.array([math.hypot(profile.f(u)[1], profile.h(u)[1]) for u in us])
     if np.min(sp) <= 1e-12:
         raise BadProfile("profile speed vanishes; cannot re-parametrize")
-    s = np.concatenate([[0.0], cumulative_trapezoid(sp, us)])
-    inv = CubicSpline(s, us)
+    s = np.concatenate([[0.0], np.cumsum(np.diff(us) * (sp[1:] + sp[:-1]) / 2.0)])
     total = float(s[-1])
 
     def u_of_s(sv: float) -> float:
-        u = float(inv(min(max(sv, 0.0), total)))
-        for _ in range(3):  # Newton polish on s(u) - sv
-            si = float(np.interp(u, us, s))
-            u = u - (si - sv) / speed(u)
-            u = min(max(u, a), b)
-        return u
+        return float(np.interp(min(max(sv, 0.0), total), s, us))
 
     def chain(base: SmoothFunc):
         def call(sv):
             u = u_of_s(sv)
             v, d1, d2 = base(u)
-            _, f1, _ = profile.f(u)
-            _, h1, _ = profile.h(u)
-            _, _, f2 = profile.f(u)
-            _, _, h2 = profile.h(u)
+            _, f1, f2 = profile.f(u)
+            _, h1, h2 = profile.h(u)
             sig = math.hypot(f1, h1)
             up = 1.0 / sig
             sig1 = (f1 * f2 + h1 * h2) / sig
@@ -185,13 +172,6 @@ class SurfRevEvaluator(MetricEvaluator):
         d2g[0, 0, 1, 1] = 2.0 * (f1 * f1 + fv * f2)
         return g, dg, d2g
 
-    def first_order(self, x):
-        fv, f1, _ = self.ffun(x[0])
-        g = np.array([[1.0, 0.0], [0.0, fv * fv]])
-        dg = np.zeros((2, 2, 2))
-        dg[0, 1, 1] = 2.0 * fv * f1
-        return g, dg
-
     def gamma(self, x):
         fv, f1, _ = self.ffun(x[0])
         G = np.zeros((2, 2, 2))
@@ -211,7 +191,7 @@ def surface_of_revolution(profile: Profile) -> MetricChart:
         high = np.array([b, math.pi])
     else:
         pad = 1e-12 * (b - a)
-        domain = lambda p: (a + pad) < p[0] < (b - pad)
+        domain = lambda X: ((a + pad) < X[:, 0]) & (X[:, 0] < (b - pad))
         low = np.array([a + 0.05 * (b - a), -math.pi])
         high = np.array([b - 0.05 * (b - a), math.pi])
     return MetricChart(
@@ -291,15 +271,15 @@ def barriers(profile: Profile, c: float, grid: int = 2048,
         if phi[i] == 0.0:
             roots.append(us[i])
         elif phi[i] * phi[i + 1] < 0.0:
-            roots.append(brentq(lambda u: profile.f.value(u) - target,
-                                us[i], us[i + 1], xtol=tol))
+            roots.append(_bisect(lambda u: profile.f.value(u) - target,
+                                 us[i], us[i + 1], tol))
     if phi[-1] == 0.0:
         roots.append(us[-1])
     # tangential touches at critical parallels produce no sign change
     d1 = np.array([profile.f(u)[1] for u in us])
     for i in range(len(us) - 1):
         if d1[i] * d1[i + 1] < 0.0:
-            crit = brentq(lambda u: profile.f(u)[1], us[i], us[i + 1], xtol=tol)
+            crit = _bisect(lambda u: profile.f(u)[1], us[i], us[i + 1], tol)
             if abs(profile.f.value(crit) - target) < 1e-9:
                 roots.append(crit)
     out = []
@@ -416,6 +396,15 @@ def _gauss_legendre(fn, a, b, nodes=96):
     return half * float(sum(wi * fn(mid + half * xi) for xi, wi in zip(x, w)))
 
 
+def _barrier_gap(profile: Profile, c: float):
+    """The first two consecutive barriers with f > |c| between them."""
+    bars = barriers(profile, c)
+    for bl, bu in zip(bars[:-1], bars[1:]):
+        if profile.f.value(0.5 * (bl["u"] + bu["u"])) > abs(c):
+            return bl, bu
+    raise BadParam("no barrier gap with f > |c| found")
+
+
 def delta_theta(profile: Profile, c: float, nodes: int = 96) -> float:
     """Angular advance between successive barrier collisions.
 
@@ -425,17 +414,8 @@ def delta_theta(profile: Profile, c: float, nodes: int = 96) -> float:
     """
     if c == 0.0:
         raise BadParam("delta_theta undefined for meridians (c = 0)")
-    bars = barriers(profile, c)
     target = abs(c)
-    pair = None
-    for bl, bu in zip(bars[:-1], bars[1:]):
-        mid = 0.5 * (bl["u"] + bu["u"])
-        if profile.f.value(mid) > target:
-            pair = (bl, bu)
-            break
-    if pair is None:
-        raise BadParam("no barrier gap with f > |c| found")
-    bl, bu = pair
+    bl, bu = _barrier_gap(profile, c)
     if bl["tag"] != "transversal" or bu["tag"] != "transversal":
         raise BarrierNotTransversal(
             "Delta-theta diverges at a critical (geodesic) parallel")
@@ -464,17 +444,8 @@ def delta_theta_measured(profile: Profile, c: float, step: float = 1e-3,
     """Delta-theta from an actual geodesic between consecutive u-turning points."""
     chart = surface_of_revolution(profile)
     # start at a point with f > |c|, moving with the prescribed Clairaut constant
-    bars = barriers(profile, c)
-    target = abs(c)
-    pair = None
-    for bl, bu in zip(bars[:-1], bars[1:]):
-        mid = 0.5 * (bl["u"] + bu["u"])
-        if profile.f.value(mid) > target:
-            pair = (bl, bu)
-            break
-    if pair is None:
-        raise BadParam("no barrier gap with f > |c| found")
-    u0 = 0.5 * (pair[0]["u"] + pair[1]["u"])
+    bl, bu = _barrier_gap(profile, c)
+    u0 = 0.5 * (bl["u"] + bu["u"])
     fv = profile.f.value(u0)
     sphi = c / fv
     phi0 = math.asin(min(max(sphi, -1.0), 1.0))

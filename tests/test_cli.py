@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import riemannkit
 from riemannkit.cli import main
 
 
@@ -187,6 +191,33 @@ def test_usage_error_exit_2(capsys):
     code = main(["geodesic", "--builtin", "euclidean"])  # missing required args
     capsys.readouterr()
     assert code == 2
+
+
+def test_vector_with_leading_minus(capsys):
+    # a vector whose first component is negative, given as its own token
+    code, rep = run_json(capsys, "exp", "--builtin", "sphere_stereo",
+                         "--point", "-0.3,0.1", "--velocity", "-1,0")
+    assert code == 0
+    assert rep["settings"]["point"] == [-0.3, 0.1]
+    assert rep["settings"]["velocity"] == [-1.0, 0.0]
+    code, joined = run_json(capsys, "exp", "--builtin", "sphere_stereo",
+                            "--point=-0.3,0.1", "--velocity=-1,0")
+    assert code == 0
+    assert joined["endpoint"] == rep["endpoint"]
+
+
+def test_import_and_version_load_no_scipy():
+    script = ("import sys, riemannkit, riemannkit.cli\n"
+              "try:\n"
+              "    riemannkit.cli.main(['--version'])\n"
+              "except SystemExit:\n"
+              "    pass\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riemannkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_seed_echoed(capsys):

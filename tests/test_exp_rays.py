@@ -4,7 +4,7 @@ exp/log, the direction sweep's start frames, and faults inside the integrator.""
 import numpy as np
 import pytest
 
-from riemannkit import comparison, manifold, tensor, transport
+from riemannkit import comparison, manifold, surfrev, tensor, transport
 from riemannkit.errors import DomainExit, DomainFault, NoConvergence
 from riemannkit.transport import OdeSettings
 
@@ -142,6 +142,45 @@ def test_normal_taylor_on_non_conformal_chart():
     rep = tensor.normal_taylor_check(manifold.chart_from_definition(EXPR), [0.2, 0.1])
     assert rep["max_deviation"] <= 1e-4
     assert rep["gamma_origin_max"] <= 1e-5
+
+
+# -- batched domain masks ----------------------------------------------------
+
+def _domain_cases():
+    ball = manifold.builtin("hyperbolic_ball", {"n": 2})
+    sphere = manifold.builtin("sphere_stereo", {"n": 2, "R": 1e-6})
+    cone = surfrev.surface_of_revolution(surfrev.Profile(f="u", h="u", u_range=(1.0, 2.0),
+                                                         arclength=False))
+    a, b = cone.profile.u_range
+    pad = 1e-12 * (b - a)
+    return [(ball, lambda p: float(p @ p) < 1.0),
+            (sphere, lambda p: float(p @ p) < 1.0),  # the cap is (1e6 R)^2 = 1
+            (cone, lambda p: a + pad < p[0] < b - pad),
+            (manifold.chart_from_definition(DISK), lambda p: 1 - p[0]**2 - p[1]**2 > 0)]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_inside_matches_pointwise_predicate(case):
+    chart, pointwise = _domain_cases()[case]
+    X = np.random.default_rng(case).uniform(-2.5, 2.5, (400, 2))
+    X[::37, 0] = np.nan
+    X[5::41, 1] = -np.inf
+    want = [bool(np.isfinite(x).all() and pointwise(x)) for x in X]
+    assert chart.inside(X).tolist() == want
+    assert [chart.contains(x) for x in X] == want
+    assert 0 < sum(want) < len(X)
+
+
+def test_sweep_checks_every_ray():
+    # a flat chart with a small hole that only rays 2 to 4 of 64 run into
+    th = 2.0 * np.pi * 3 / 64
+    hole = {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "1"]],
+            "domain": f"(x - {0.5 * np.cos(th)})^2 + (y - {0.5 * np.sin(th)})^2 - 0.07^2"}
+    chart = manifold.chart_from_definition(hole)
+    with pytest.raises(DomainExit) as ei:
+        comparison._batched_sphere_sweep(chart, [0.0, 0.0], 1.0, 64, 1e-2)
+    angle = np.arctan2(ei.value.point[1], ei.value.point[0])
+    assert 2 <= angle / (2.0 * np.pi / 64) <= 4
 
 
 # -- start frames of the direction sweep -------------------------------------

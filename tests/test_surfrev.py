@@ -63,6 +63,20 @@ def test_reparametrize_arclength_paraboloid():
     assert prof.u_range[1] == pytest.approx(F(2.0) - F(0.5), abs=1e-8)
 
 
+def test_reparametrize_arclength_inverse_paraboloid():
+    # f(u) = u, so f(s) is u(s); s(u) = F(u) - F(0.5) inverts in closed form
+    raw = surfrev.Profile(f="u", h="u^2 / 2", u_range=(0.5, 2.0),
+                          arclength=False)
+    prof = surfrev.reparametrize_arclength(raw)
+    F = lambda u: 0.5 * (u * math.hypot(1.0, u) + math.asinh(u))
+    for u in np.linspace(0.5, 2.0, 301):
+        s = F(u) - F(0.5)
+        assert prof.f.value(s) == pytest.approx(u, abs=1e-8)
+    # s beyond the range clamps to its ends
+    assert prof.f.value(-1.0) == 0.5
+    assert prof.f.value(prof.u_range[1] + 1.0) == 2.0
+
+
 def test_gauss_curvature_matches_tensor(torus21, torus_profile):
     for u in (0.0, 0.9, 2.2):
         p = np.array([u, 0.4])
