@@ -485,8 +485,7 @@ def _attach_negative_values(argv) -> list:
     """Attach a value such as -1,0 to its option, which argparse reads as a flag."""
     out = []
     for tok in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and re.match(r"-\.?\d", tok)):
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)

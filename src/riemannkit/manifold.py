@@ -69,7 +69,8 @@ class MetricEvaluator:
 
 
 def _squares(X: np.ndarray) -> np.ndarray:
-    """x @ x for every row x of X, rounded exactly as the 1-D product."""
+    """x @ x for every row x of X, rounded as the 1-D product; inf or nan
+    where x is not finite, so ``_squares(X) < c`` is a whole domain mask."""
     return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
 
 
@@ -198,7 +199,7 @@ class MetricChart:
     coords: list
     evaluator: MetricEvaluator
     label: str = ""
-    domain: Optional[Callable] = None  # (N, n) finite points -> (N,) bool mask
+    domain: Optional[Callable] = None  # (N, n) points -> (N,) mask, False where not finite
     sample_box: Optional[tuple] = None  # (low, high) arrays for seeded sampling
     source: Optional[dict] = None  # JSON definition for --print-manifold echo
     profile: Optional[object] = None  # surfrev.Profile of a surface of revolution
@@ -206,10 +207,7 @@ class MetricChart:
     def inside(self, X) -> np.ndarray:
         """(N,) mask of the rows of X that are finite and in the domain."""
         X = np.asarray(X, dtype=float)
-        ok = np.isfinite(X).all(axis=1)
-        if self.domain is not None:
-            ok[ok] = self.domain(X[ok])
-        return ok
+        return np.isfinite(X).all(axis=1) if self.domain is None else self.domain(X)
 
     def contains(self, p) -> bool:
         return bool(self.inside(np.asarray(p, dtype=float)[None])[0])
@@ -226,16 +224,13 @@ class MetricChart:
             -np.ones(self.dim), np.ones(self.dim))
         low = np.asarray(low, dtype=float)
         high = np.asarray(high, dtype=float)
-        points = []
-        guard = 0
-        while len(points) < count:
-            p = rng.uniform(low, high)
-            guard += 1
-            if self.contains(p):
-                points.append(p)
-            if guard > 1000 * count:
-                raise BadParam("sample_box rejection rate too high")
-        return np.array(points)
+        points = np.empty((0, self.dim))
+        for _ in range(1000):  # the draws are those of one point at a time
+            P = rng.uniform(low, high, (count, self.dim))
+            points = np.vstack([points, P[self.inside(P)]])
+            if len(points) >= count:
+                return points[:count]
+        raise BadParam("sample_box rejection rate too high")
 
 
 @dataclass(frozen=True)
@@ -358,8 +353,12 @@ def chart_from_definition(doc: dict) -> MetricChart:
     asts = [[expr.parse(rows[i][j], coords) for j in range(dim)] for i in range(dim)]
     domain = None
     if doc.get("domain"):
-        inside = expr.compile_tensor(expr.parse(doc["domain"], coords), dim, 0)
-        domain = lambda X: np.array([inside(x) > 0.0 for x in X], dtype=bool)
+        positive = expr.compile_tensor(expr.parse(doc["domain"], coords), dim, 0)
+
+        def domain(X):
+            ok = np.isfinite(X).all(axis=1)
+            ok[ok] = [positive(x) > 0.0 for x in X[ok]]
+            return ok
     chart = MetricChart(
         dim=dim, coords=coords,
         evaluator=ExpressionEvaluator(asts, dim),
@@ -472,11 +471,8 @@ def _write_csv(path: str, cols, rows):
 # ---------------------------------------------------------------------------
 
 def _bisect(fn: Callable, lo: float, hi: float, tol: float = 0.0) -> float:
-    """A root of fn between lo and hi, where fn changes sign.
-
-    Halves the bracket until it is at most tol wide or its midpoint rounds
-    to one of its ends; returns that last midpoint.
-    """
+    """A root of fn in [lo, hi], where fn changes sign: the midpoint of a
+    bracket halved until it is at most tol wide or cannot shrink further."""
     f_lo = fn(lo)
     while True:
         mid = 0.5 * (lo + hi)

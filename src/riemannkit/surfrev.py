@@ -191,7 +191,8 @@ def surface_of_revolution(profile: Profile) -> MetricChart:
         high = np.array([b, math.pi])
     else:
         pad = 1e-12 * (b - a)
-        domain = lambda X: ((a + pad) < X[:, 0]) & (X[:, 0] < (b - pad))
+        domain = lambda X: (((a + pad) < X[:, 0]) & (X[:, 0] < (b - pad))
+                            & np.isfinite(X[:, 1]))
         low = np.array([a + 0.05 * (b - a), -math.pi])
         high = np.array([b - 0.05 * (b - a), math.pi])
     return MetricChart(
