@@ -225,7 +225,7 @@ class MetricChart:
         low = np.asarray(low, dtype=float)
         high = np.asarray(high, dtype=float)
         points = np.empty((0, self.dim))
-        for _ in range(1000):  # the draws are those of one point at a time
+        for _ in range(1000):  # the same draws, in order, as one point per call
             P = rng.uniform(low, high, (count, self.dim))
             points = np.vstack([points, P[self.inside(P)]])
             if len(points) >= count:

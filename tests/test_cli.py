@@ -208,10 +208,7 @@ def test_vector_with_leading_minus(capsys):
 
 def test_import_and_version_load_no_scipy():
     script = ("import sys, riemannkit, riemannkit.cli\n"
-              "try:\n"
-              "    riemannkit.cli.main(['--version'])\n"
-              "except SystemExit:\n"
-              "    pass\n"
+              "riemannkit.cli.main(['--version'])\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(riemannkit.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
