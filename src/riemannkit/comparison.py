@@ -20,7 +20,8 @@ from .tensor import (curvature, curvature_low_batch, jacobi_driving_batch,
                      orthonormal_frame, ricci)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
                         _adapted_frames, _rk4_step, integrate_geodesic)
-from .variation import (conjugate_points_from, jacobi_system,
+from .variation import (_driving, _ray_slopes, _transition,
+                        conjugate_points_from, jacobi_system,
                         orthogonal_fundamental)
 
 
@@ -45,8 +46,7 @@ class CurvatureProfile:
         """Sectional curvature of span(gamma', E_direction) along a geodesic."""
         if geo.frame is None:
             raise BadParam("geodesic must carry a parallel frame")
-        for x in geo.x:
-            chart.require_inside(x)
+        chart.require_inside(geo.x)
         ts = geo.t
         y = geo.frame[:, :, direction]
         # numerator low(v, y, v, y) is the driving matrix of the one-column frame y;
@@ -424,38 +424,32 @@ def _batched_sphere_sweep_single(chart, p, r, n_dirs, step, radii, dir_slice):
     E0 = _adapted_frames(md.g, B, V0)
 
     radii = sorted(radii or [r])
-    # one row per ray: x, v, the frame E, then F and F' of the orthogonal
-    # Jacobi fields, which start at F = 0, F' = I
-    cuts = np.cumsum([n, n, n * n, d * d])
-
-    def unpack(Y):
-        X, V, E, F, Fp = np.split(Y, cuts, axis=1)
-        return X, V, E.reshape(N, n, n), F.reshape(N, d, d), Fp.reshape(N, d, d)
-
+    # one row per ray: x, v and the frame E. The orthogonal Jacobi fields
+    # (F, F'), which start at (0, I), advance by the RK4 transition of each
+    # step, with M at both ends and at the Hermite midpoint of the step.
     def rhs(t, Y):
-        X, V, E, F, Fp = unpack(Y)
-        G, M = jacobi_driving_batch(chart, X, V, E[:, :, :d])
-        A = -np.einsum("bijk,bj,bk->bi", G, V, V)
-        dE = -np.einsum("bijk,bj,bka->bia", G, V, E)
-        dFp = -np.einsum("bpq,bqs->bps", M, F)
-        return np.hstack([V, A, dE.reshape(N, -1), Fp.reshape(N, -1),
-                          dFp.reshape(N, -1)])
+        return _ray_slopes(chart.evaluator.gamma_batch(Y[:, :n]), Y, n)
 
-    Y = np.hstack([np.tile(p, (N, 1)), V0, E0.reshape(N, -1), np.zeros((N, d * d)),
-                   np.tile(np.eye(d).ravel(), (N, 1))])
+    Y = np.hstack([np.tile(p, (N, 1)), V0, E0.reshape(N, -1)])
+    M, dY = _driving(chart, Y, d)
+    FF = np.tile(np.vstack([np.zeros((d, d)), np.eye(d)]), (N, 1, 1))
     t = 0.0
     out = {}
     for target in radii:
         n_steps = max(1, int(math.ceil((target - t) / step - 1e-12)))
         h = (target - t) / n_steps
         for _ in range(n_steps):
-            Y = _rk4_step(rhs, t, Y, h)
+            Y1 = _rk4_step(rhs, t, Y, h)
             t += h
-            outside = ~chart.inside(Y[:, :n])
+            outside = ~chart.inside(Y1[:, :n])
             if outside.any():
                 raise DomainExit("direction sweep left the chart", t_exit=t,
-                                 point=Y[np.argmax(outside), :n].copy())
-        out[target] = np.linalg.det(unpack(Y)[3])
+                                 point=Y1[np.argmax(outside), :n].copy())
+            M1, dY1 = _driving(chart, Y1, d)
+            Mh, _ = _driving(chart, _hermite(0.0, h, Y, Y1, dY, dY1, 0.5 * h), d)
+            FF = _transition(M, Mh, M1, h) @ FF
+            Y, M, dY = Y1, M1, dY1
+        out[target] = np.linalg.det(FF[:, :d])
     return out
 
 

@@ -213,9 +213,13 @@ class MetricChart:
         return bool(self.inside(np.asarray(p, dtype=float)[None])[0])
 
     def require_inside(self, p):
-        if not self.contains(p):
-            raise DomainExit(f"point {np.asarray(p)} outside domain of chart '{self.label}'",
-                             point=np.asarray(p, dtype=float))
+        """DomainExit naming p, or the first row of a batch p, outside the domain."""
+        P = np.asarray(p).reshape(-1, self.dim)
+        inside = self.inside(P)
+        if not inside.all():
+            bad = P[np.argmin(inside)]
+            raise DomainExit(f"point {bad} outside domain of chart '{self.label}'",
+                             point=np.asarray(bad, dtype=float))
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         """Seeded random interior points, reproducible across runs."""
@@ -423,19 +427,15 @@ class SampledCurve:
         return _dense(self.t, self.points, s, self.ensure_velocities(), deriv=True)
 
 
-def _dense(t, y, s, dy=None, deriv: bool = False):
-    """Dense output at s of samples y on the increasing grid t.
-
-    Cubic Hermite with slopes dy (its s-derivative when ``deriv``), linear
-    when no slopes are given; s outside the grid uses the end interval.
+def _dense(t, y, s, dy, deriv: bool = False):
+    """Cubic Hermite dense output of samples y with slopes dy on the increasing
+    grid t, at a parameter s or an array of them (its s-derivative when
+    ``deriv``); parameters outside the grid use the end interval.
     """
-    k = int(np.searchsorted(t, s, side="right")) - 1
-    k = min(max(k, 0), len(t) - 2)
-    if dy is None:
-        w = (s - t[k]) / (t[k + 1] - t[k])
-        return (1.0 - w) * y[k] + w * y[k + 1]
+    k = np.minimum(np.maximum(np.searchsorted(t, s, side="right") - 1, 0), len(t) - 2)
+    w = (...,) + (None,) * (np.ndim(y) - 1)  # weights broadcast over y's value axes
     basis = _hermite_deriv if deriv else _hermite
-    return basis(t[k], t[k + 1], y[k], y[k + 1], dy[k], dy[k + 1], s)
+    return basis(t[k][w], t[k + 1][w], y[k], y[k + 1], dy[k], dy[k + 1], np.asarray(s)[w])
 
 
 def _hermite(t0, t1, p0, p1, v0, v1, s):
@@ -488,12 +488,14 @@ def _bisect(fn: Callable, lo: float, hi: float, tol: float = 0.0) -> float:
 def refine_simpson(f: Callable, a: float, b: float, rel_tol: float = 1e-8,
                    abs_floor: float = 1e-14, max_level: int = 16,
                    start_segments: int = 8) -> float:
-    """Composite Simpson with dyadic refinement to a relative tolerance."""
+    """Composite Simpson with dyadic refinement to a relative tolerance.
+
+    f takes the whole grid of a level, an array of parameters, at once.
+    """
     prev = None
     segments = start_segments
     for _ in range(max_level):
-        ts = np.linspace(a, b, 2 * segments + 1)
-        ys = np.array([f(t) for t in ts])
+        ys = f(np.linspace(a, b, 2 * segments + 1))
         h = (b - a) / (2 * segments)
         val = h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
         if prev is not None:
@@ -504,36 +506,30 @@ def refine_simpson(f: Callable, a: float, b: float, rel_tol: float = 1e-8,
     return prev
 
 
+def _sq_speed(chart: MetricChart, curve: SampledCurve) -> Callable:
+    """g(c', c') of a sampled curve on a grid, from one domain check and one metric batch."""
+    t, x, v = curve.t, curve.points, curve.ensure_velocities()
+
+    def sq_speed(s):
+        X = _dense(t, x, s, v)
+        chart.require_inside(X)
+        V = _dense(t, x, s, v, deriv=True)
+        return np.einsum("bi,bij,bj->b", V, chart.evaluator.stack_batch(X)[0], V)
+    return sq_speed
+
+
 def curve_length(chart: MetricChart, curve: SampledCurve, rel_tol: float = 1e-8) -> float:
     """Length of a sampled curve by refined Simpson quadrature of the speed."""
-    curve.ensure_velocities()
-
-    def speed(s):
-        x = curve.position(s)
-        chart.require_inside(x)
-        v = curve.velocity(s)
-        g = chart.evaluator.metric(x)
-        return math.sqrt(max(float(v @ g @ v), 0.0))
-
-    n_seg = max(8, len(curve.t) - 1)
-    return refine_simpson(speed, curve.t[0], curve.t[-1], rel_tol=rel_tol,
-                          start_segments=n_seg)
+    sq_speed = _sq_speed(chart, curve)
+    return refine_simpson(lambda s: np.sqrt(np.maximum(sq_speed(s), 0.0)),
+                          curve.t[0], curve.t[-1], rel_tol,
+                          start_segments=max(8, len(curve.t) - 1))
 
 
 def energy(chart: MetricChart, curve: SampledCurve, rel_tol: float = 1e-8) -> float:
     """Integral of g(velocity, velocity) over the parameter interval."""
-    curve.ensure_velocities()
-
-    def sq_speed(s):
-        x = curve.position(s)
-        chart.require_inside(x)
-        v = curve.velocity(s)
-        g = chart.evaluator.metric(x)
-        return float(v @ g @ v)
-
-    n_seg = max(8, len(curve.t) - 1)
-    return refine_simpson(sq_speed, curve.t[0], curve.t[-1], rel_tol=rel_tol,
-                          start_segments=n_seg)
+    return refine_simpson(_sq_speed(chart, curve), curve.t[0], curve.t[-1],
+                          rel_tol, start_segments=max(8, len(curve.t) - 1))
 
 
 def rectifiable_length(distance: Callable, curve: SampledCurve, depth: int) -> list:
@@ -544,12 +540,8 @@ def rectifiable_length(distance: Callable, curve: SampledCurve, depth: int) -> l
     """
     sums = []
     for k in range(depth + 1):
-        params = np.linspace(curve.t[0], curve.t[-1], 2**k + 1)
-        pts = [curve.position(s) for s in params]
-        total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            total += float(distance(a, b))
-        sums.append(total)
+        pts = curve.position(np.linspace(curve.t[0], curve.t[-1], 2**k + 1))
+        sums.append(sum(float(distance(a, b)) for a, b in zip(pts[:-1], pts[1:])))
     return sums
 
 

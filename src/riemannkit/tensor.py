@@ -70,7 +70,7 @@ def _over_blocks(chart: MetricChart, X, reduce):
     """reduce(slice, Gamma, up, low) over X, _BLOCK points at a time, concatenated."""
     X = np.asarray(X, dtype=float)
     parts = []
-    for s in range(0, len(X), _BLOCK):
+    for s in range(0, max(len(X), 1), _BLOCK):  # an empty X makes one empty pass
         sl = slice(s, s + _BLOCK)
         parts.append(reduce(sl, *curvature_kernel(*_positive_stack(chart, X[sl]))))
     return tuple(np.concatenate(a) for a in zip(*parts))

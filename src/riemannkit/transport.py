@@ -350,9 +350,7 @@ def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     V = np.asarray(V, dtype=float)
     N, n = P.shape
-    outside = ~chart.inside(P)
-    if outside.any():
-        chart.require_inside(P[np.argmax(outside)])
+    chart.require_inside(P)
     gamma_batch = chart.evaluator.gamma_batch
 
     def rhs(t, y):

@@ -2,7 +2,9 @@
 
 All second-order machinery works in a parallel g-orthonormal frame along a
 geodesic, with the (normalized) tangent as the last frame vector, so the
-Jacobi equation reads f'' = -M(t) f with M symmetric.
+Jacobi equation reads f'' = -M(t) f with M symmetric. Every Jacobi field
+advances by one RK4 transition matrix per geodesic step, built from M at
+the step's ends and at its cubic Hermite midpoint, so it keeps RK4's order.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BadParam, ConjugateNotFound, ConjugatePresent,
-                     NoConvergence)
-from .manifold import MetricChart, SampledCurve, _dense
+from .errors import BadParam, ConjugateNotFound, ConjugatePresent
+from .manifold import MetricChart, SampledCurve, _bisect, _dense, _hermite
 from .manifold import energy as curve_energy
 from .tensor import curvature, jacobi_driving_batch
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _exp_rays,
-                        integrate_geodesic, rk4_path)
+                        _rk4_step, integrate_geodesic)
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +36,21 @@ def jacobi_matrix_at(chart: MetricChart, x, v, E) -> np.ndarray:
     return np.einsum("ijhk,i,jb,h,ka->ab", low, v, E, v, E)
 
 
+def _ray_slopes(G: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
+    """Y' = (v, -Gamma(v, v), -Gamma(v, E)) for rows Y = (x, v, E flattened)."""
+    V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(len(Y), n, n)
+    GV = np.einsum("bijk,bj->bik", G, V)
+    return np.hstack([V, -(GV @ V[:, :, None])[:, :, 0], -(GV @ E).reshape(len(Y), n * n)])
+
+
+def _driving(chart: MetricChart, Y: np.ndarray, cols: int):
+    """M in the first cols frame columns of the rays Y, and Y' from the same Gamma."""
+    n = chart.dim
+    E = Y[:, 2 * n:].reshape(len(Y), n, n)[:, :, :cols]
+    G, M = jacobi_driving_batch(chart, Y[:, :n], Y[:, n:2 * n], E)
+    return M, _ray_slopes(G, Y, n)
+
+
 @dataclass
 class JacobiSystem:
     """Samples of position, velocity, parallel frame and M along a geodesic."""
@@ -44,7 +60,8 @@ class JacobiSystem:
     x: np.ndarray
     v: np.ndarray
     frame: np.ndarray
-    M: np.ndarray  # (m+1, n, n), symmetric
+    M: np.ndarray      # (m+1, n, n), symmetric
+    M_mid: np.ndarray  # (m, n, n), M at the Hermite midpoint of each step
 
     @property
     def dim(self) -> int:
@@ -57,19 +74,63 @@ class JacobiSystem:
 
 
 def jacobi_system(chart: MetricChart, geo: Trajectory) -> JacobiSystem:
-    """Evaluate the driving matrix at every sample of a framed geodesic."""
+    """M at every sample of a framed geodesic and at the cubic Hermite midpoint
+    of (x, v, E) in every step, with slopes from the Gamma of the samples."""
     if geo.frame is None:
         raise BadParam("geodesic must carry a parallel frame")
-    for x in geo.x:
-        chart.require_inside(x)
-    _, M = jacobi_driving_batch(chart, geo.x, geo.v, geo.frame)
-    return JacobiSystem(chart=chart, t=geo.t.copy(), x=geo.x, v=geo.v,
-                        frame=geo.frame, M=M)
+    chart.require_inside(geo.x)
+    n, t = chart.dim, geo.t
+    Y = np.hstack([geo.x, geo.v, geo.frame.reshape(len(t), -1)])
+    M, dY = _driving(chart, Y, n)
+    t0, t1 = t[:-1, None], t[1:, None]
+    Y_mid = _hermite(t0, t1, Y[:-1], Y[1:], dY[:-1], dY[1:], 0.5 * (t0 + t1))
+    M_mid, _ = _driving(chart, Y_mid, n)
+    return JacobiSystem(chart=chart, t=t.copy(), x=geo.x, v=geo.v,
+                        frame=geo.frame, M=M, M_mid=M_mid)
 
 
 # ---------------------------------------------------------------------------
 # Jacobi field integration
 # ---------------------------------------------------------------------------
+
+def _transition(M0: np.ndarray, Mh: np.ndarray, M1: np.ndarray, h) -> np.ndarray:
+    """RK4 transition matrices (B, 2k, 2k) of y' = [[0, I], [-M(t), 0]] y.
+
+    Row b of M0, Mh and M1 (B, k, k) is M at the start, middle and end of step
+    b, of width h[b] (< 0 steps backward), run in unit time u = (t - t_b) / h[b].
+    """
+    k = M0.shape[-1]
+    hb = np.reshape(h, (-1, 1, 1))
+    M = {0.0: M0, 0.5: Mh, 1.0: M1}
+
+    def rhs(u, P):  # h A(u) P, where A (P', P'') = (P'', -M P')
+        return hb * np.concatenate([P[:, k:], -M[u] @ P[:, :k]], axis=1)
+
+    eye = np.broadcast_to(np.eye(2 * k), (len(M0), 2 * k, 2 * k))
+    return _rk4_step(rhs, 0.0, eye, 1.0)
+
+
+def _fields(sys: JacobiSystem, F0: np.ndarray, Fp0: np.ndarray, backward: bool = False):
+    """(F, F') at every sample for F'' = -M(t) F, a matrix of columns.
+
+    F0 and Fp0 give the start values (the end values when ``backward``).
+    F has as many rows as F0 and is driven by that leading block of M, so
+    orthogonal fields (n-1 rows) leave out the tangent direction.
+    """
+    k = len(F0)
+    M0, Mh, M1 = sys.M[:-1, :k, :k], sys.M_mid[:, :k, :k], sys.M[1:, :k, :k]
+    h = np.diff(sys.t)
+    if backward:
+        M0, Mh, M1, h = M1[::-1], Mh[::-1], M0[::-1], -h[::-1]
+    Y = np.empty((len(sys.t), 2 * k) + np.shape(F0)[1:])
+    Y[0] = np.concatenate([F0, Fp0])
+    for s in range(0, len(h), 512):  # Phi in blocks of 512 steps bounds the temporaries
+        b = slice(s, s + 512)
+        for i, P in enumerate(_transition(M0[b], Mh[b], M1[b], h[b]), s):
+            Y[i + 1] = P @ Y[i]
+    Y = Y[::-1] if backward else Y
+    return Y[:, :k], Y[:, k:]
+
 
 @dataclass
 class JacobiSolution:
@@ -83,51 +144,25 @@ class JacobiSolution:
         return np.einsum("tia,ta->ti", self.system.frame, self.f)
 
 
-def jacobi_solve(chart: MetricChart, geo: Trajectory, J0, J0p,
-                 substeps: int = 1) -> JacobiSolution:
+def jacobi_solve(chart: MetricChart, geo: Trajectory, J0, J0p) -> JacobiSolution:
     """Solve J'' = -M J along geo from coordinate initial data (J0, D_t J at 0)."""
     sys = jacobi_system(chart, geo)
-    n = sys.dim
     g0 = chart.evaluator.metric(geo.x[0])
     E0 = geo.frame[0]
     f0 = E0.T @ g0 @ np.asarray(J0, dtype=float)
     fp0 = E0.T @ g0 @ np.asarray(J0p, dtype=float)
-    F = _integrate_linear(sys, np.column_stack([f0]), np.column_stack([fp0]),
-                          substeps=substeps)
-    return JacobiSolution(t=sys.t, f=F[0][:, :, 0], fp=F[1][:, :, 0], system=sys)
+    f, fp = _fields(sys, f0, fp0)
+    return JacobiSolution(t=sys.t, f=f, fp=fp, system=sys)
 
 
-def _integrate_linear(sys: JacobiSystem, F0: np.ndarray, Fp0: np.ndarray,
-                      substeps: int = 1, t_grid=None):
-    """Integrate F'' = -M(t) F for a matrix of columns; returns (F, Fp) samples.
-
-    F has as many rows as F0 and is driven by that leading block of M, so
-    orthogonal fields (n-1 rows) leave out the tangent direction. M(t) is
-    interpolated linearly between the geodesic samples.
-    """
-    n, m_cols = F0.shape
-
-    def rhs(t, y):
-        F = y[: n * m_cols].reshape(n, m_cols)
-        Fp = y[n * m_cols:].reshape(n, m_cols)
-        return np.concatenate([Fp.ravel(), (-_dense(sys.t, sys.M, t)[:n, :n] @ F).ravel()])
-
-    ts = sys.t if t_grid is None else np.asarray(t_grid, dtype=float)
-    y0 = np.concatenate([F0.ravel(), Fp0.ravel()])
-    ys = rk4_path(rhs, y0, ts, substeps=substeps)
-    F = ys[:, : n * m_cols].reshape(-1, n, m_cols)
-    Fp = ys[:, n * m_cols:].reshape(-1, n, m_cols)
-    return F, Fp
-
-
-def orthogonal_fundamental(sys: JacobiSystem, substeps: int = 1):
+def orthogonal_fundamental(sys: JacobiSystem):
     """Fundamental matrix of orthogonal Jacobi fields with F(0)=0, F'(0)=I.
 
     Components are taken in the first n-1 frame directions (the tangent is
     the last frame vector); returns (F, Fp) with shape (m+1, n-1, n-1).
     """
     d = sys.dim - 1
-    return _integrate_linear(sys, np.zeros((d, d)), np.eye(d), substeps=substeps)
+    return _fields(sys, np.zeros((d, d)), np.eye(d))
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +222,7 @@ def _conjugate_search(sys: JacobiSystem, F: np.ndarray, Fp: np.ndarray,
         local_min = (sig[i] < dip_thr and sig[i] <= sig[i - 1]
                      and sig[i] <= sig[i + 1])
         if crossing:
-            a, b = sys.t[i], sys.t[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                if np.linalg.det(F_at(a)) * np.linalg.det(F_at(mid)) <= 0.0:
-                    b = mid
-                else:
-                    a = mid
-            t_star = 0.5 * (a + b)
+            t_star = _bisect(lambda s: np.linalg.det(F_at(s)), sys.t[i], sys.t[i + 1])
             _record(found, F_at, t_star, sigma_scale, mult_tol)
             i += 2
             continue
@@ -431,27 +459,15 @@ def nonminimality_witness(chart: MetricChart, geo: Trajectory,
         alpha = alpha / peak
         Ycomps = Ycomps / peak
 
-    # W on [s1, L]: basis A (A(s1)=I, A'(s1)=0) and Bm (Bm(s1)=0, Bm'(s1)=I)
-    tail = sys.t[sys.t >= s1 - 1e-12]
-    tail_grid = np.concatenate([[s1], tail[tail > s1 + 1e-12]])
-    AB0 = np.hstack([np.eye(d), np.zeros((d, d))])
-    ABp0 = np.hstack([np.zeros((d, d)), np.eye(d)])
-    Fm, _ = _integrate_linear(sys, AB0, ABp0, t_grid=tail_grid)
-    A_end = Fm[-1][:, :d]
-    B_end = Fm[-1][:, d:]
-    w0 = _dense(sys.t, Ycomps, s1)
-    w1 = -np.linalg.solve(B_end, A_end @ w0)
+    # the connector W = B c on [s1, L]: the basis B (B(L) = 0, B'(L) = I) is
+    # carried backward over the samples, and W(s1) = Y(s1) by Hermite
+    Bm, Bmp = _fields(sys, np.zeros((d, d)), np.eye(d), backward=True)
+    w0 = _dense(sys.t, Ycomps, s1, np.einsum("tab,b->ta", Fp, alpha))
+    c = np.linalg.solve(_dense(sys.t, Bm, s1, Bmp), w0)
 
     # assemble the witness: Y before the corner at s1, the connector W after
     comps = np.zeros((len(sys.t), n))
-    Wvals = Fm[:, :, :d] @ w0 + Fm[:, :, d:] @ w1
-    for i in range(len(sys.t)):
-        ti = sys.t[i]
-        if ti < s1 - 1e-12:
-            comps[i, :d] = Ycomps[i]
-        else:
-            j = min(int(np.searchsorted(tail_grid, ti + 1e-12)) , len(tail_grid)) - 1
-            comps[i, :d] = Wvals[max(j, 0)]
+    comps[:, :d] = np.where((sys.t < s1 - 1e-12)[:, None], Ycomps, Bm @ c)
     witness = FieldAlongGeodesic(t=sys.t.copy(), comps=comps,
                                  breakpoints=[s1])
     I_total = index_form(sys, witness)
@@ -509,7 +525,6 @@ def first_variation(chart: MetricChart, rect: RectangleSpec,
     base = rect.base
     base.ensure_velocities()
     ts = base.t
-    m = len(ts)
     if exp_settings is None:
         exp_settings = OdeSettings(step=0.02)
 
@@ -517,14 +532,10 @@ def first_variation(chart: MetricChart, rect: RectangleSpec,
     X, W = base.points, base.velocities
     dv = np.gradient(W, ts, axis=0, edge_order=2)
     accel = dv + np.einsum("bijk,bj,bk->bi", chart.evaluator.gamma_batch(X), W, W)
-    integrand = np.empty(m)
-    for i in range(m):
-        g = chart.evaluator.metric(X[i])
-        integrand[i] = float(rect.V[i] @ g @ accel[i])
-    g_a = chart.evaluator.metric(base.points[0])
-    g_b = chart.evaluator.metric(base.points[-1])
-    boundary_term = 2.0 * (float(rect.V[-1] @ g_b @ base.velocities[-1])
-                           - float(rect.V[0] @ g_a @ base.velocities[0]))
+    g = chart.evaluator.stack_batch(X)[0]
+    integrand = np.einsum("bi,bij,bj->b", rect.V, g, accel)
+    boundary_term = 2.0 * (float(rect.V[-1] @ g[-1] @ W[-1])
+                           - float(rect.V[0] @ g[0] @ W[0]))
     accel_term = -2.0 * _simpson_nonuniform(ts, integrand)
     analytic = boundary_term + accel_term
 

@@ -239,6 +239,20 @@ def test_volume_compare_jobs_deterministic():
     assert np.array_equal(a["dets"], b["dets"])
 
 
+def test_sweep_matches_single_ray_jacobi_on_torus(torus21):
+    # the sweep and a single framed geodesic advance the orthogonal Jacobi
+    # fields by the same RK4 transition on the same step grid
+    from riemannkit import tensor, variation
+    from riemannkit.transport import integrate_geodesic
+    p, r, step, count = np.array([0.3, 0.2]), 0.5, 1e-2, 8
+    dets = comparison._batched_sphere_sweep(torus21, p, r, count, step)[r]
+    B = tensor.orthonormal_frame(manifold.metric_at(torus21, p).g)
+    for k, v in enumerate(comparison._sphere_directions(2, count) @ B.T):
+        geo = integrate_geodesic(torus21, p, v, r, settings=OdeSettings(step=step))
+        F, _ = variation.orthogonal_fundamental(variation.jacobi_system(torus21, geo))
+        assert dets[k] == pytest.approx(np.linalg.det(F[-1]), abs=1e-10)
+
+
 def test_scalar_expansion_fit_flat():
     eucl = manifold.builtin("euclidean", {"n": 2})
     rep = comparison.scalar_expansion_fit(eucl, [0.0, 0.0], directions=64)

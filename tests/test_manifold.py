@@ -191,6 +191,21 @@ def test_energy_cauchy_schwarz(eucl2):
     assert E == pytest.approx(L**2 / (2 * np.pi), rel=1e-6)
 
 
+def test_energy_and_length_match_pointwise_integrand(sphere2):
+    # the batched integrand against one position, velocity and metric call per node
+    t = np.linspace(0.0, 1.0, 41)
+    c = manifold.SampledCurve(t, np.column_stack([0.3 + 0.5 * t, 0.1 + 0.3 * np.sin(np.pi * t)]))
+
+    def sq_speed(grid):
+        return np.array([c.velocity(s) @ sphere2.evaluator.metric(c.position(s)) @ c.velocity(s)
+                         for s in grid])
+
+    want_E = manifold.refine_simpson(sq_speed, 0.0, 1.0, start_segments=40)
+    want_L = manifold.refine_simpson(lambda g: np.sqrt(sq_speed(g)), 0.0, 1.0, start_segments=40)
+    assert manifold.energy(sphere2, c) == pytest.approx(want_E, rel=1e-13)
+    assert manifold.curve_length(sphere2, c) == pytest.approx(want_L, rel=1e-13)
+
+
 def test_rectifiable_length_monotone(eucl2):
     c = _circle_curve(64)
     dist = lambda a, b: float(np.linalg.norm(a - b))

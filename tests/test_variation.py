@@ -84,6 +84,23 @@ def test_jacobi_fields_converge_on_torus(torus21):
         assert np.all(np.log2(coarse / fine) >= 1.8)
 
 
+def test_jacobi_fields_converge_on_torus_full_order(torus21):
+    # M at the Hermite midpoint of each step keeps the Jacobi fields at RK4's
+    # order on a variable-curvature surface
+    p, v = np.array([0.3, 0.2]), np.array([0.3, 0.4])
+
+    def end_values(h):
+        geo = integrate_geodesic(torus21, p, v, 4.0, settings=OdeSettings(step=h))
+        sol = variation.jacobi_solve(torus21, geo, [0.0, 0.0], [0.2, 0.5])
+        F, _ = variation.orthogonal_fundamental(variation.jacobi_system(torus21, geo))
+        return np.append(sol.f[-1, 0], F[-1].ravel())
+
+    ref = end_values(0.00125)
+    errs = [np.abs(end_values(h) - ref) for h in (0.02, 0.01, 0.005)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert np.all(np.log2(coarse / fine) >= 3.8)
+
+
 def test_coordinate_field_matches_variation_of_geodesics(sphere2):
     # J(t) = d/ds exp_p(t (v + s w)) at s = 0, by central differences
     p = np.array([0.3, 0.1])
@@ -129,6 +146,14 @@ def test_no_conjugate_points_nonpositive_curvature(eucl2, hyper2):
         v = _unit(chart, p, np.array([1.0, -0.2]))
         rep = variation.conjugate_points(chart, p, v, 10.0, settings=FAST)
         assert rep.points == []
+
+
+def test_one_sample_geodesic(sphere2):
+    # tmax = 0 leaves one sample and no step, so no midpoint
+    rep = variation.conjugate_points(sphere2, [0.3, 0.1], [1.0, 0.0], 0.0)
+    assert rep.points == [] and len(rep.t) == 1
+    geo = integrate_geodesic(sphere2, [0.3, 0.1], [1.0, 0.0], 0.0)
+    assert np.array_equal(variation.jacobi_solve(sphere2, geo, [0.0, 0.0], [0.0, 1.0]).f, [[0.0, 0.0]])
 
 
 def test_first_conjugate_raises_when_absent(eucl2):
@@ -262,6 +287,25 @@ def test_witness_negative_past_conjugate(sphere2):
     # the witness field vanishes at both ends
     assert np.linalg.norm(rep.field.comps[0]) <= 1e-10
     assert np.linalg.norm(rep.field.comps[-1]) <= 1e-8
+
+
+def test_witness_and_basic_inequality_signs(sphere2, torus21):
+    # gate 14's sphere inputs, and a geodesic across the torus's outer band,
+    # whose first conjugate parameter is near 5.46
+    def unit_geo(chart, p, v, L):
+        return integrate_geodesic(chart, p, _unit(chart, p, np.array(v)), L,
+                                  settings=OdeSettings(step=2e-3))
+
+    for chart, p, v, L_short, L_long in (
+            (sphere2, np.array([0.3, 0.1]), [1.0, 0.4], 2.5, math.pi + 0.3),
+            (torus21, np.array([0.1, 0.0]), [0.3, 1.0], 4.0, 5.96)):
+        short = unit_geo(chart, p, v, L_short)
+        V = variation.field_from_function(
+            variation.jacobi_system(chart, short),
+            lambda t: np.array([math.sin(math.pi * t / L_short) + 0.2 * t, 0.0]))
+        assert variation.basic_inequality_check(chart, short, V).gap > 1e-3
+        rep = variation.nonminimality_witness(chart, unit_geo(chart, p, v, L_long))
+        assert rep.index_value < -1e-3
 
 
 def test_witness_requires_conjugate_point(hyper2):
