@@ -428,7 +428,7 @@ def _batched_sphere_sweep_single(chart, p, r, n_dirs, step, radii, dir_slice):
     # (F, F'), which start at (0, I), advance by the RK4 transition of each
     # step, with M at both ends and at the Hermite midpoint of the step.
     def rhs(t, Y):
-        return _ray_slopes(chart.evaluator.gamma_batch(Y[:, :n]), Y, n)
+        return _ray_slopes(chart.evaluator.connection_batch(Y[:, :n], Y[:, n:2 * n]), Y, n)
 
     Y = np.hstack([np.tile(p, (N, 1)), V0, E0.reshape(N, -1)])
     M, dY = _driving(chart, Y, d)
@@ -439,7 +439,7 @@ def _batched_sphere_sweep_single(chart, p, r, n_dirs, step, radii, dir_slice):
         n_steps = max(1, int(math.ceil((target - t) / step - 1e-12)))
         h = (target - t) / n_steps
         for _ in range(n_steps):
-            Y1 = _rk4_step(rhs, t, Y, h)
+            Y1 = _rk4_step(rhs, t, Y, h, dY)  # dY, from the last kernel pass, is k1
             t += h
             outside = ~chart.inside(Y1[:, :n])
             if outside.any():

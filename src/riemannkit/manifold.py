@@ -14,7 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr
-from .errors import BadParam, DomainExit, SingularMetric, UnknownBuiltin
+from .errors import (BadParam, DomainExit, DomainFault, SingularMetric,
+                     UnknownBuiltin)
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +23,14 @@ from .errors import BadParam, DomainExit, SingularMetric, UnknownBuiltin
 # ---------------------------------------------------------------------------
 
 class MetricEvaluator:
-    """Supplies g, its coordinate derivatives, and Christoffel symbols."""
+    """Supplies g, its coordinate derivatives, and Christoffel symbols.
+
+    ``connection(x, v)`` is the matrix C = Gamma(v, .), C[i, k] = Gamma^i_jk v^j,
+    so C @ w = Gamma(v, w); every geodesic, frame and transport right-hand side
+    uses it. The defaults contract ``gamma``; an evaluator with a cheaper
+    closed form for C (as ``ConformalEvaluator``) overrides ``connection``
+    and ``connection_batch``.
+    """
 
     dim: int
 
@@ -48,13 +56,28 @@ class MetricEvaluator:
         return gamma_from_stack(g_inv, dg)
 
     def gamma_batch(self, X: np.ndarray) -> np.ndarray:
-        """Christoffel symbols at every row of X; generic fallback loops."""
+        """Christoffel symbols at every row of X; generic fallback loops.
+
+        A DomainFault raised at a row carries that row as its ``point``.
+        """
         X = np.asarray(X, dtype=float)
         N, n = X.shape
         G = np.empty((N, n, n, n))
         for b in range(N):
-            G[b] = self.gamma(X[b])
+            try:
+                G[b] = self.gamma(X[b])
+            except DomainFault as exc:
+                exc.point = X[b].copy()
+                raise
         return G
+
+    def connection(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """C = Gamma(v, .) at x, an (n, n) matrix with C @ w = Gamma(v, w)."""
+        return v @ self.gamma(x)
+
+    def connection_batch(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Gamma(V[b], .) at every row X[b], shape (N, n, n)."""
+        return (V[:, None, None, :] @ self.gamma_batch(X))[:, :, 0]
 
     def stack_batch(self, X: np.ndarray):
         """Vectorized stack over a batch of points; generic fallback loops."""
@@ -151,6 +174,21 @@ class ConformalEvaluator(MetricEvaluator):
         X = np.asarray(X, dtype=float)
         q = _squares(X)
         return self._gamma((self.dmu(q) / self.mu(q))[:, None] * X)
+
+    # Gamma(v, .)^i_k = v^i d_k phi - d_i phi v^k + (d phi . v) delta_ik with
+    # d phi = (mu' / mu) x: O(n^2), where contracting gamma is O(n^3)
+    def connection(self, x, v):
+        q = float(x.dot(x))  # at n <= 3, ndarray.dot costs about half of what @ does
+        dphi = (self.dmu(q) / self.mu(q)) * x
+        o = v[:, None] * dphi
+        return o - o.T + float(v.dot(dphi)) * self._eye
+
+    def connection_batch(self, X, V):
+        X = np.asarray(X, dtype=float)
+        q = _squares(X)
+        dphi = (self.dmu(q) / self.mu(q))[:, None] * X
+        o = V[:, :, None] * dphi[:, None, :]
+        return o - o.swapaxes(1, 2) + (V[:, None, :] @ dphi[:, :, None]) * self._eye
 
     def _gamma(self, dphi):
         # Gamma^i_jk = d_k phi delta_ij + d_j phi delta_ik - d_i phi delta_jk

@@ -147,11 +147,10 @@ def bianchi_residual(chart: MetricChart, p) -> float:
         plus = p.copy(); plus[l] += h
         minus = p.copy(); minus[l] -= h
         dR[l] = (curvature(chart, plus).up - curvature(chart, minus).up) / (2.0 * h)
-    cov = (dR
-           + np.einsum("ilm,mjhk->lijhk", G, base.up)
-           - np.einsum("mlj,imhk->lijhk", G, base.up)
-           - np.einsum("mlh,ijmk->lijhk", G, base.up)
-           - np.einsum("mlk,ijhm->lijhk", G, base.up))
+    # cov[l] = D_l up: + Gamma^i_lm on the upper slot, - Gamma^m_l. on each lower slot
+    cov = dR + np.tensordot(G, base.up, (2, 0)).swapaxes(0, 1)
+    for s in (1, 2, 3):
+        cov -= np.moveaxis(np.tensordot(base.up, G, (s, 0)), (3, 4), (0, s + 1))
     cyc = (cov + np.einsum("hijkl->lijhk", cov) + np.einsum("kijlh->lijhk", cov))
     scale = float(np.max(np.abs(base.up)))
     res = float(np.max(np.abs(cyc)))
@@ -405,7 +404,7 @@ def killing_residual(chart: MetricChart, J_components, points) -> float:
         md = metric_at(chart, p)
         G = gamma_from_stack(md.g_inv, md.dg)
         vals, grads = field(p)  # grads[a,i] = d_a J^i
-        DJ = grads + np.einsum("iak,k->ai", G, vals)  # DJ[a,i] = (D_a J)^i
+        DJ = grads + (G @ vals).T  # DJ[a,i] = (D_a J)^i
         M = DJ @ md.g  # M[a,b] = g(D_a J, e_b)
         worst = max(worst, float(np.max(np.abs(M + M.T))))
     return worst

@@ -79,8 +79,10 @@ class Trajectory:
 # Core steppers
 # ---------------------------------------------------------------------------
 
-def _rk4_step(rhs, t, y, h):
-    k1 = rhs(t, y)
+def _rk4_step(rhs, t, y, h, k1=None):
+    """One RK4 step; ``k1``, when given, is rhs(t, y) already evaluated."""
+    if k1 is None:
+        k1 = rhs(t, y)
     k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = rhs(t + h, y + h * k3)
@@ -115,18 +117,18 @@ def rk4_path(rhs, y0: np.ndarray, ts: np.ndarray, substeps: int = 1,
     return ys
 
 
-# Fehlberg 4(5) coefficients
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
+# Fehlberg 4(5) coefficients; row s of _RKF_A weighs the stages before s
+_RKF_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 4, 0, 0, 0, 0],
+    [3 / 32, 9 / 32, 0, 0, 0],
+    [1932 / 2197, -7200 / 2197, 7296 / 2197, 0, 0],
+    [439 / 216, -8, 3680 / 513, -845 / 4104, 0],
+    [-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40],
+])
 _RKF_C = (0, 1 / 4, 3 / 8, 12 / 13, 1, 1 / 2)
-_RKF_B5 = (16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_B4 = (25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0)
+_RKF_B5 = np.array([16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
+_RKF_ERR = _RKF_B5 - np.array([25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0])  # minus B4
 
 
 def _rkf45(rhs, y0, t0, t1, settings: OdeSettings, guard=None):
@@ -143,13 +145,13 @@ def _rkf45(rhs, y0, t0, t1, settings: OdeSettings, guard=None):
             h = min(h, t1 - t)
             if h < 1e-14 * max(1.0, abs(t1)):
                 raise StepFault("rkf45: step size underflow")
-            ks = []
-            for row, c in zip(_RKF_A, _RKF_C):
-                yi = y + h * sum(a * k for a, k in zip(row, ks)) if row else y
-                ks.append(rhs(t + c * h, yi))
-            y5 = y + h * sum(b * k for b, k in zip(_RKF_B5, ks))
-            y4 = y + h * sum(b * k for b, k in zip(_RKF_B4, ks))
-            err = float(np.max(np.abs(y5 - y4) / (settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y5)))))
+            K = np.empty((6, len(y)))  # the stages' slopes
+            K[0] = rhs(t, y)
+            for s in range(1, 6):
+                K[s] = rhs(t + _RKF_C[s] * h, y + h * (_RKF_A[s, :s] @ K[:s]))
+            y5 = y + h * (_RKF_B5 @ K)
+            scale = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y5))
+            err = float(np.max(np.abs(h * (_RKF_ERR @ K)) / scale))
             if err <= 1.0:
                 t += h
                 y = y5
@@ -223,24 +225,21 @@ def _adapted_frames(g: np.ndarray, B: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.concatenate([cols[:, :, 1:], cols[:, :, :1]], axis=2)
 
 
-def _geodesic_rhs(chart: MetricChart, n: int, with_frame: bool):
-    ev = chart.evaluator
+def _geodesic_rhs(chart: MetricChart, n: int):
+    """y' = (v, -C v, -C e_1, ..., -C e_n) with C = Gamma(v, .), for the state
+    y = (x, v, e_1, ..., e_n) that holds the frame vectors one after another."""
+    connection = chart.evaluator.connection
 
     def rhs(t, y):
         x = y[:n]
-        v = y[n:2 * n]
         try:
-            G = ev.gamma(x)
+            C = connection(x, y[n:2 * n])
         except DomainFault as exc:
             exc.t_exit, exc.point = float(t), x.copy()
             raise
-        a = -np.einsum("ijk,j,k->i", G, v, v)
         out = np.empty_like(y)
-        out[:n] = v
-        out[n:2 * n] = a
-        if with_frame:
-            E = y[2 * n:].reshape(n, n)
-            out[2 * n:] = (-np.einsum("ijk,j,ka->ia", G, v, E)).ravel()
+        out[:n] = y[n:2 * n]
+        out[n:] = y[n:].reshape(-1, n).dot(-C.T).ravel()  # rows v, e_a -> -C v, -C e_a
         return out
 
     return rhs
@@ -283,13 +282,13 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
     E0 = None
     if with_frame:
         E0 = initial_frame(chart, p, v if np.any(v) else None)
-        y0 = np.concatenate([y0, E0.ravel()])
-    ts, ys = _integrate(_geodesic_rhs(chart, n, with_frame), y0, tmax, settings,
+        y0 = np.concatenate([y0, E0.T.ravel()])
+    ts, ys = _integrate(_geodesic_rhs(chart, n), y0, tmax, settings,
                         _domain_guard(chart, n))
 
     x = ys[:, :n]
     vel = ys[:, n:2 * n]
-    frame = ys[:, 2 * n:].reshape(-1, n, n) if with_frame else None
+    frame = ys[:, 2 * n:].reshape(-1, n, n).swapaxes(1, 2) if with_frame else None
     speeds = np.array([math.sqrt(max(float(vel[i] @ chart.evaluator.metric(x[i]) @ vel[i]), 0.0))
                        for i in range(0, len(ts), max(1, len(ts) // 200))])
     drift = float(np.max(np.abs(speeds - speeds[0]))) if len(speeds) else 0.0
@@ -305,14 +304,11 @@ def _transport_matrix_along(chart: MetricChart, curve, W0: np.ndarray,
                             substeps: int = 4) -> np.ndarray:
     """Transport the columns of W0 along a curve with position/velocity."""
     n = chart.dim
-    ev = chart.evaluator
+    connection = chart.evaluator.connection
 
     def rhs(t, y):
-        x = curve.position(t)
-        v = curve.velocity(t)
-        G = ev.gamma(x)
-        W = y.reshape(n, -1)
-        return (-np.einsum("ijk,j,ka->ia", G, v, W)).ravel()
+        C = connection(curve.position(t), curve.velocity(t))
+        return -(C @ y.reshape(n, -1)).ravel()
 
     ts = np.asarray(curve.t, dtype=float)
     ys = rk4_path(rhs, np.asarray(W0, dtype=float).ravel(), ts, substeps=substeps)
@@ -351,12 +347,20 @@ def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     N, n = P.shape
     chart.require_inside(P)
-    gamma_batch = chart.evaluator.gamma_batch
+    connection_batch = chart.evaluator.connection_batch
 
     def rhs(t, y):
         Y = y.reshape(N, 2 * n)
         X, W = Y[:, :n], Y[:, n:]
-        return np.hstack([W, -np.einsum("bijk,bj,bk->bi", gamma_batch(X), W, W)]).ravel()
+        try:
+            C = connection_batch(X, W)
+        except DomainFault as exc:
+            exc.t_exit = float(t)
+            raise
+        out = np.empty((N, 2 * n))
+        out[:, :n] = W
+        out[:, n:] = -(C @ W[:, :, None])[:, :, 0]
+        return out.ravel()
 
     def guard(t, y, ys_so_far, ts_so_far, fault=None):
         X = y.reshape(N, 2 * n)[:, :n]
@@ -468,14 +472,12 @@ def develop(chart: MetricChart, curve: SampledCurve, frame=None,
     n = chart.dim
     p0 = curve.points[0]
     B0 = initial_frame(chart, p0) if frame is None else np.asarray(frame, dtype=float)
-    ev = chart.evaluator
+    connection = chart.evaluator.connection
 
     def rhs(t, y):
         E = y[:n * n].reshape(n, n)
-        x = curve.position(t)
         v = curve.velocity(t)
-        G = ev.gamma(x)
-        dE = -np.einsum("ijk,j,ka->ia", G, v, E)
+        dE = -(connection(curve.position(t), v) @ E)
         dsig = np.linalg.solve(E, v)
         return np.concatenate([dE.ravel(), dsig])
 
@@ -500,14 +502,13 @@ def reverse_develop(chart: MetricChart, sigma: SampledCurve, p, frame=None,
     n = chart.dim
     chart.require_inside(p)
     B0 = initial_frame(chart, p) if frame is None else np.asarray(frame, dtype=float)
-    ev = chart.evaluator
+    connection = chart.evaluator.connection
 
     def rhs(t, y):
         x = y[:n]
         E = y[n:].reshape(n, n)
         v = E @ sigma.velocity(t)
-        G = ev.gamma(x)
-        dE = -np.einsum("ijk,j,ka->ia", G, v, E)
+        dE = -(connection(x, v) @ E)
         return np.concatenate([v, dE.ravel()])
 
     def guard(t, y, ys_so_far, ts_so_far, fault=None):

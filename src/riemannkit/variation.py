@@ -36,19 +36,18 @@ def jacobi_matrix_at(chart: MetricChart, x, v, E) -> np.ndarray:
     return np.einsum("ijhk,i,jb,h,ka->ab", low, v, E, v, E)
 
 
-def _ray_slopes(G: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
-    """Y' = (v, -Gamma(v, v), -Gamma(v, E)) for rows Y = (x, v, E flattened)."""
+def _ray_slopes(C: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
+    """Y' = (v, -C v, -C E) for rows Y = (x, v, E flattened), C = Gamma(v, .) per row."""
     V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(len(Y), n, n)
-    GV = np.einsum("bijk,bj->bik", G, V)
-    return np.hstack([V, -(GV @ V[:, :, None])[:, :, 0], -(GV @ E).reshape(len(Y), n * n)])
+    return np.hstack([V, -(C @ V[:, :, None])[:, :, 0], -(C @ E).reshape(len(Y), n * n)])
 
 
 def _driving(chart: MetricChart, Y: np.ndarray, cols: int):
     """M in the first cols frame columns of the rays Y, and Y' from the same Gamma."""
     n = chart.dim
-    E = Y[:, 2 * n:].reshape(len(Y), n, n)[:, :, :cols]
-    G, M = jacobi_driving_batch(chart, Y[:, :n], Y[:, n:2 * n], E)
-    return M, _ray_slopes(G, Y, n)
+    V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(len(Y), n, n)[:, :, :cols]
+    G, M = jacobi_driving_batch(chart, Y[:, :n], V, E)
+    return M, _ray_slopes((V[:, None, None, :] @ G)[:, :, 0], Y, n)
 
 
 @dataclass
@@ -531,7 +530,7 @@ def first_variation(chart: MetricChart, rect: RectangleSpec,
     # analytic side
     X, W = base.points, base.velocities
     dv = np.gradient(W, ts, axis=0, edge_order=2)
-    accel = dv + np.einsum("bijk,bj,bk->bi", chart.evaluator.gamma_batch(X), W, W)
+    accel = dv + (chart.evaluator.connection_batch(X, W) @ W[:, :, None])[:, :, 0]
     g = chart.evaluator.stack_batch(X)[0]
     integrand = np.einsum("bi,bij,bj->b", rect.V, g, accel)
     boundary_term = 2.0 * (float(rect.V[-1] @ g[-1] @ W[-1])
