@@ -55,8 +55,8 @@ class DomainExit(_AlongCurve):
     """
 
 
-class SingularMetric(RiemannKitError):
-    pass
+class SingularMetric(_AlongCurve):
+    """g is singular or not positive definite; located when found along a geodesic."""
 
 
 class DegeneratePlane(RiemannKitError):

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (BadParam, DomainExit, DomainFault, NoConvergence,
-                     StepFault)
+                     SingularMetric, StepFault)
 from .manifold import MetricChart, SampledCurve, _dense, _write_csv, metric_at
 from .tensor import orthonormal_frame
 
@@ -289,11 +289,21 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
     x = ys[:, :n]
     vel = ys[:, n:2 * n]
     frame = ys[:, 2 * n:].reshape(-1, n, n).swapaxes(1, 2) if with_frame else None
-    speeds = np.array([math.sqrt(max(float(vel[i] @ chart.evaluator.metric(x[i]) @ vel[i]), 0.0))
-                       for i in range(0, len(ts), max(1, len(ts) // 200))])
-    drift = float(np.max(np.abs(speeds - speeds[0]))) if len(speeds) else 0.0
-    return Trajectory(chart=chart, t=ts, x=x, v=vel, frame=frame,
-                      speed_drift=drift, settings=settings)
+    # g at up to 200 samples gives the speed drift; at the first of them where
+    # g is not positive definite (to working precision), the geodesic stops
+    idx = np.arange(0, len(ts), max(1, len(ts) // 200))
+    G = np.array([chart.evaluator.metric(x[i]) for i in idx])
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        lam = np.linalg.eigvalsh(G)
+        i = idx[np.argmin(lam[:, 0] > 1e-14 * lam[:, -1])]
+        raise SingularMetric(f"metric not positive definite near t={ts[i]:.6g}",
+                             t_exit=float(ts[i]), point=x[i].copy(),
+                             trajectory=Trajectory(chart, ts[:i], x[:i], vel[:i])) from None
+    speeds = np.sqrt(np.maximum(np.einsum("bi,bij,bj->b", vel[idx], G, vel[idx]), 0.0))
+    return Trajectory(chart=chart, t=ts, x=x, v=vel, frame=frame, settings=settings,
+                      speed_drift=float(np.max(np.abs(speeds - speeds[0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +388,8 @@ LOG_SETTINGS = OdeSettings(step=2e-3)
 
 def log_map(chart: MetricChart, p, q, settings: OdeSettings = LOG_SETTINGS,
             max_iter: int = 50, tol: float = 1e-10) -> np.ndarray:
-    """Initial velocity v with exp_p(v) = q, by Newton shooting with FD Jacobian.
-
-    Every exponential comes from one batched integration: a Newton iteration
-    that refreshes the central-difference Jacobian integrates the current
-    ray and its 2n stencil rays v +- h e_k as one batch of 2n + 1 rays.
-    """
+    """Initial velocity v with exp_p(v) = q, by Newton shooting on the exact
+    differential of exp, from the Jacobi fields along the current ray."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if np.allclose(p, q):
@@ -395,45 +401,29 @@ def _shoot(chart: MetricChart, p, q, v, settings: OdeSettings,
            max_iter: int = 50, tol: float = 1e-10) -> np.ndarray:
     """Damped Newton iteration on exp_p(v) = q started from v.
 
-    A start whose geodesic leaves the chart is halved toward the best
-    velocity so far; the central-difference Jacobian is refreshed every
-    other iteration.
+    Each iteration integrates the current ray once, with its parallel frame;
+    unless it has converged, the Newton Jacobian is d(exp_p)_v from the
+    Jacobi fields along that ray. A ray that leaves the chart is halved
+    toward the best velocity so far.
     """
-    n = chart.dim
+    from .variation import _exp_differential  # variation imports this module
+
     scale = max(1.0, float(np.linalg.norm(q - p)))
     best_v, best_res = v.copy(), math.inf
-    stencil = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)])
-    J = None
-    for it in range(max_iter):
-        refresh = J is None or it % 2 == 0
-        h = 1e-6 * max(1.0, float(np.linalg.norm(v)))
-        # the centre ray, then v + h e_k and v - h e_k, as one batch
-        rays = v + h * stencil if refresh else v[None]
+    for _ in range(max_iter):
         try:
-            R = _exp_rays(chart, np.tile(p, (len(rays), 1)), rays, settings) - q
+            geo = integrate_geodesic(chart, p, v, 1.0, settings=settings)
         except DomainExit:
-            R = None
-        if R is None and refresh:  # did the centre ray leave, or only the stencil?
-            try:
-                R = _exp_rays(chart, p[None], v[None], settings) - q
-            except DomainExit:
-                pass
-        if R is None:
             v = 0.5 * (v + best_v) if best_res < math.inf else 0.5 * v
             continue
-        r = R[0]
+        r = geo.x[-1] - q
         res = float(np.linalg.norm(r))
         if res < best_res:
             best_res, best_v = res, v.copy()
         if res <= tol * scale:
             return v
-        if refresh:
-            if len(R) == 1:
-                raise NoConvergence("log_map: FD stencil left domain",
-                                    best_residual=best_res, best_value=best_v)
-            J = (R[1:n + 1] - R[n + 1:]).T / (2.0 * h)
         try:
-            delta = np.linalg.solve(J, r)
+            delta = np.linalg.solve(_exp_differential(chart, geo), r)
         except np.linalg.LinAlgError:
             raise NoConvergence("log_map: singular shooting Jacobian",
                                 best_residual=best_res, best_value=best_v)

@@ -154,6 +154,13 @@ def jacobi_solve(chart: MetricChart, geo: Trajectory, J0, J0p) -> JacobiSolution
     return JacobiSolution(t=sys.t, f=f, fp=fp, system=sys)
 
 
+def _exp_differential(chart: MetricChart, geo: Trajectory) -> np.ndarray:
+    """d(exp_p) at the initial velocity of geo on [0, 1], in coordinates: column k
+    is J(1) for the Jacobi field with J(0) = 0 and J'(0) = e_k (do Carmo, ch. 5)."""
+    n = chart.dim
+    return geo.frame[-1] @ jacobi_solve(chart, geo, np.zeros((n, n)), np.eye(n)).f[-1]
+
+
 def orthogonal_fundamental(sys: JacobiSystem):
     """Fundamental matrix of orthogonal Jacobi fields with F(0)=0, F'(0)=I.
 

@@ -235,6 +235,18 @@ def test_degenerate_start_reported(tmp_path, capsys):
     assert rep["error"]["type"] == "SingularMetric"
 
 
+def test_degenerate_metric_along_log_reported(tmp_path, capsys):
+    # g = diag(1, x) turns singular halfway along the first Newton ray
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "coords": ["x", "y"],
+                                "metric": [["1", "0"], ["0", "x"]]}))
+    code, rep = run_json(capsys, "log", "--manifold", str(path),
+                         "--point", "0.5,0", "--target=-0.5,0")
+    assert code == 1
+    assert rep["error"]["type"] == "SingularMetric"
+    assert rep["error"]["t_exit"] == pytest.approx(0.5, abs=1e-2)
+
+
 def test_overflowed_metric_reported(tmp_path, capsys):
     # g underflows to 0 at the start point: a JSON error report, not a traceback
     path = tmp_path / "m.json"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from riemannkit import manifold, transport
+from riemannkit import manifold, transport, variation
 from riemannkit.errors import BadParam, DomainExit, NoConvergence, SingularMetric
 from riemannkit.manifold import SampledCurve
 from riemannkit.transport import OdeSettings
@@ -233,6 +233,64 @@ def test_log_map_no_convergence_reports_best(hyper2):
                           max_iter=2)
     assert ei.value.best_value is not None
     assert ei.value.best_residual > 0.0
+
+
+HOROSPHERICAL = {"dim": 3, "coords": ["x", "y", "z"],
+                 "metric": [["exp(2*z)", "0", "0"], ["0", "exp(2*z)", "0"], ["0", "0", "1"]]}
+PARABOLOID = {"dim": 2, "coords": ["x", "y"],
+              "metric": [["1+4*x^2", "4*x*y"], ["4*x*y", "1+4*y^2"]]}
+SHOOT_CHARTS = {
+    "sphere2": lambda: manifold.builtin("sphere_stereo", {"n": 2, "R": 1.0}),
+    "sphere3": lambda: manifold.builtin("sphere_stereo", {"n": 3, "R": 1.5}),
+    "ball3": lambda: manifold.builtin("hyperbolic_ball", {"n": 3}),
+    "torus": lambda: manifold.builtin("torus", {"R": 2.0, "r": 1.0}),
+    "paraboloid": lambda: manifold.chart_from_definition(PARABOLOID),
+    "horospherical": lambda: manifold.chart_from_definition(HOROSPHERICAL),
+}
+
+
+def _shooting_ray(chart):
+    n = chart.dim
+    return np.linspace(0.25, -0.15, n), np.linspace(0.6, -0.4, n)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "sphere3", "ball3", "torus", "horospherical"])
+def test_exp_differential_matches_central_differences(name):
+    chart = SHOOT_CHARTS[name]()
+    p, v = _shooting_ray(chart)
+    settings = transport.LOG_SETTINGS
+    geo = transport.integrate_geodesic(chart, p, v, 1.0, settings=settings)
+    D = variation._exp_differential(chart, geo)
+    h = 1e-6
+    fd = np.column_stack([(transport.exp_map(chart, p, v + h * e, settings)
+                           - transport.exp_map(chart, p, v - h * e, settings)) / (2.0 * h)
+                          for e in np.eye(chart.dim)])
+    assert np.linalg.norm(D - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("name", ["torus", "paraboloid", "horospherical"])
+def test_exp_log_round_trip_off_the_model_charts(name):
+    chart = SHOOT_CHARTS[name]()
+    p, v = _shooting_ray(chart)
+    q = transport.exp_map(chart, p, v, transport.LOG_SETTINGS)
+    np.testing.assert_allclose(transport.log_map(chart, p, q), v, rtol=0, atol=1e-9)
+
+
+def test_degenerate_metric_stops_the_geodesic():
+    # g = diag(1, x) is singular at x = 0, which the ray reaches at t = 0.5
+    chart = manifold.chart_from_definition(
+        {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "x"]]})
+    with pytest.raises(SingularMetric) as ei:
+        transport.integrate_geodesic(chart, [0.5, 0.0], [-1.0, 0.0], 1.0)
+    exc = ei.value
+    assert 0.5 - 1e-12 <= exc.t_exit <= 0.505 + 1e-12  # g is checked every 5 steps
+    np.testing.assert_allclose(exc.point, [0.5 - exc.t_exit, 0.0], rtol=0, atol=1e-12)
+    part = exc.trajectory
+    assert part.t[-1] < exc.t_exit and len(part.t) == len(part.x) == len(part.v)
+    assert np.all(part.x[:, 0] > 0.0)
+    # the shooter integrates the same ray first, so log_map stops too
+    with pytest.raises(SingularMetric):
+        transport.log_map(chart, np.array([0.5, 0.0]), np.array([-0.5, 0.0]))
 
 
 def test_normal_coordinates(sphere2):
