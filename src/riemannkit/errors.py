@@ -59,6 +59,11 @@ class SingularMetric(_AlongCurve):
     """g is singular or not positive definite; located when found along a geodesic."""
 
 
+# what an evaluation of g or Gamma at one point can raise inside a right-hand
+# side; the integrators locate both on the curve they follow
+_POINT_FAULTS = (DomainFault, SingularMetric)
+
+
 class DegeneratePlane(RiemannKitError):
     pass
 

@@ -3,7 +3,8 @@
 Infix grammar with the usual precedence (``^`` > unary ``-`` > ``*`` ``/`` >
 ``+`` ``-``), ``^`` right-associative.  ``evaluate`` interprets a tree on
 plain floats; ``compile_tensor`` differentiates trees symbolically and compiles
-the value and its first and second partials to straight-line Python.
+the value and its first and second partials to straight-line Python, and
+``compile_gamma`` compiles the Christoffel symbols of a metric the same way.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainFault, ParseError, UnknownIdentifier
+from .errors import DomainFault, ParseError, SingularMetric, UnknownIdentifier
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -315,10 +316,10 @@ def evaluate(node: Node, point) -> float:
 # A parsed tree is first interned into a hash-consed graph: structurally equal
 # subtrees become one node object, so a node's id keys every memo below.  The
 # graph is differentiated symbolically with constant folding and emitted once
-# per derivative order as a Python function in which every shared
-# subexpression is one local variable.  The generated code runs on Python
-# floats, so an overflowing ``**`` or ``exp`` raises OverflowError instead of
-# carrying inf/NaN into the caller.
+# per derivative order (or once for the Christoffel symbols) as a Python
+# function in which every shared subexpression is one local variable.  The
+# generated code runs on Python floats, so an overflowing ``**`` or ``exp``
+# raises OverflowError instead of carrying inf/NaN into the caller.
 
 
 def _is_num(node, value) -> bool:
@@ -416,7 +417,8 @@ class _Graph:
 
     def div(self, a, b):
         # a zero numerator drops the division: every denominator built here
-        # is a node of the parsed tree whose check already ran
+        # is a node of the parsed tree whose check already ran, or a pivot of
+        # g, which is checked on its own
         if _is_num(a, 0.0):
             return self.zero
         if _is_num(b, 1.0):
@@ -530,8 +532,22 @@ class _Emitter:
             self.names[id(node)] = name
         return name
 
-    def _check(self, condition: str, message: str):
-        self.lines.append(f"if {condition}: raise DomainFault(f{message!r})")
+    def _check(self, condition: str, message: str, error: str = "DomainFault"):
+        self.lines.append(f"if {condition}: raise {error}(f{message!r})")
+
+    def _nonzero(self, node, name: str, message: str, error: str = "DomainFault"):
+        """Check that ``node``, emitted as ``name``, is not 0, unless proven."""
+        key = id(node)
+        if (key in self.nonzero or key in self.positive
+                or (isinstance(node, Num) and node.value != 0.0)):
+            return
+        self._check(f"{name} == 0.0", message, error)
+        self.nonzero.add(key)
+
+    def pivot(self, node):
+        """Emit a pivot of g, which raises SingularMetric where it is 0; later
+        divisions by it need no check."""
+        self._nonzero(node, self.ref(node), "metric singular at {x}", "SingularMetric")
 
     def _expression(self, node) -> str:
         if isinstance(node, Neg):
@@ -558,12 +574,7 @@ class _Emitter:
             return f"_{node.fn}({u})"
         a, b = self.ref(node.left), self.ref(node.right)
         if node.op == "/":
-            key = id(node.right)
-            proven = (key in self.nonzero or key in self.positive
-                      or (isinstance(node.right, Num) and node.right.value != 0.0))
-            if not proven:
-                self._check(f"{b} == 0.0", "division by zero")
-                self.nonzero.add(key)
+            self._nonzero(node.right, b, "division by zero")
         elif node.op == "^":
             k = _lowered_integer_exponent(node)
             if k is not None:
@@ -577,7 +588,7 @@ class _Emitter:
 
 
 _COMPILED_GLOBALS = {
-    "_array": np.array, "DomainFault": DomainFault,
+    "_array": np.array, "DomainFault": DomainFault, "SingularMetric": SingularMetric,
     **{f"_{fn}": getattr(math, fn) for fn in
        ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")},
 }
@@ -604,34 +615,110 @@ def compile_tensor(nodes, n: int, order: int):
     """
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, not {order}")
-    shape, leaves = _shape_and_leaves(nodes)
+    blocks = _derivative_blocks(_Graph(), nodes, n, order)
+    return _compile(f"order{order}", n, _Emitter(order), blocks)
+
+
+def compile_gamma(rows, n: int):
+    """Compile the Christoffel symbols of an expression metric to one function.
+
+    ``rows`` is the n x n nested list of coefficient ASTs, with rows[i][j] and
+    rows[j][i] equal.  The result maps a float array x of length n to the
+    array Gamma[i, j, k] = Gamma^i_jk = (1/2) g^im K_mjk, with
+    K_mjk = d_j g_mk - d_m g_jk + d_k g_mj, by an unrolled LDL^T solve of
+    g Gamma = K / 2 on the graph of the partials, so that literal zeros of g
+    fold away.  LDL^T takes no square root, so an indefinite g is solved as
+    by an inverse.  Every check of ``compile_tensor(rows, n, 1)`` runs first
+    and in its order, so the function raises DomainFault and OverflowError
+    where that one does; after them a zero pivot of g raises SingularMetric.
+    """
     graph = _Graph()
+    blocks = _derivative_blocks(graph, rows, n, 1)
+    emit = _Emitter(1)
+    for _, flat in blocks:  # every check of g and dg, before any pivot
+        for node in flat:
+            emit.ref(node)
+    (_, g_flat), (_, dg_flat) = blocks
+    g = [g_flat[i * n:(i + 1) * n] for i in range(n)]
+    dg = [[dg_flat[(k * n + i) * n:(k * n + i + 1) * n] for i in range(n)]
+          for k in range(n)]
+
+    # g = L D L^T with L unit lower triangular: A[i][j] = L_ij D_j for i >= j
+    # and D_j = A[j][j]; L[i][j] = A[i][j] / D_j
+    A = [[None] * n for _ in range(n)]
+    L = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j, n):
+            a = g[i][j]
+            for k in range(j):
+                a = graph.sub(a, graph.mul(L[i][k], A[j][k]))
+            A[i][j] = a
+        emit.pivot(A[j][j])
+        for i in range(j + 1, n):
+            L[i][j] = graph.div(A[i][j], A[j][j])
+
+    def koszul(m, j, k):
+        # d_m g_mk - d_m g_mk cancels exactly where m = j, and likewise m = k
+        if m == j:
+            return dg[k][m][m]
+        if m == k:
+            return dg[j][m][m]
+        return graph.add(graph.sub(dg[j][m][k], dg[m][j][k]), dg[k][m][j])
+
+    half = graph.num(0.5)
+    columns = {}
+    for j in range(n):
+        for k in range(j, n):
+            y = []
+            for i in range(n):
+                yi = koszul(i, j, k)
+                for l in range(i):
+                    yi = graph.sub(yi, graph.mul(L[i][l], y[l]))
+                y.append(yi)
+            z = [None] * n
+            for i in reversed(range(n)):
+                zi = graph.div(y[i], A[i][i])
+                for l in range(i + 1, n):
+                    zi = graph.sub(zi, graph.mul(L[l][i], z[l]))
+                z[i] = zi
+            columns[j, k] = columns[k, j] = [graph.mul(half, zi) for zi in z]
+    flat = [columns[j, k][i] for i in range(n) for j in range(n) for k in range(n)]
+    return _compile("gamma", n, emit, [((n, n, n), flat)])
+
+
+def _derivative_blocks(graph, nodes, n: int, order: int):
+    """(shape, flat nodes) for the lowered ASTs ``nodes`` of shape S and
+    their partials up to ``order``, of shapes S, (n,) + S and (n, n) + S."""
+    shape, leaves = _shape_and_leaves(nodes)
     values = [graph.lower(node) for node in leaves]
-    blocks = [((), shape, values)]
+    blocks = [(shape, values)]
     if order >= 1:
         first = [[graph.partial(v, k) for v in values] for k in range(n)]
-        blocks.append(((n,), shape, [d for row in first for d in row]))
+        blocks.append(((n,) + shape, [d for row in first for d in row]))
     if order >= 2:
         second = [graph.partial(first[min(k, l)][j], max(k, l))
                   for k in range(n) for l in range(n) for j in range(len(values))]
-        blocks.append(((n, n), shape, second))
+        blocks.append(((n, n) + shape, second))
+    return blocks
 
-    emit = _Emitter(order)
+
+def _compile(name: str, n: int, emit: _Emitter, blocks):
+    """The function ``name(x)`` of a float array x of length n returning
+    every (shape, flat nodes) block, a block of shape () as a float."""
     results = []
-    for lead, tail, flat in blocks:
+    for shape, flat in blocks:
         refs = [emit.ref(node) for node in flat]
-        full = lead + tail
-        if not full:
+        if not shape:
             results.append(refs[0])
         else:
             text = f"_array([{', '.join(refs)}])"
-            results.append(text if len(full) == 1 else f"{text}.reshape({full})")
+            results.append(text if len(shape) == 1 else f"{text}.reshape({shape})")
     unpack = "".join(f"x{i}, " for i in range(n))
     body = [f"{unpack}= x.tolist()", *emit.lines, f"return {', '.join(results)}"]
-    source = f"def order{order}(x):\n" + "".join(f"    {line}\n" for line in body)
+    source = f"def {name}(x):\n" + "".join(f"    {line}\n" for line in body)
     namespace = dict(_COMPILED_GLOBALS)
     exec(compile(source, "<riemannkit.expr compiled>", "exec"), namespace)
-    return namespace[f"order{order}"]
+    return namespace[name]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr
-from .errors import (BadParam, DomainExit, DomainFault, SingularMetric,
+from .errors import (_POINT_FAULTS, BadParam, DomainExit, SingularMetric,
                      UnknownBuiltin)
 
 
@@ -29,7 +29,9 @@ class MetricEvaluator:
     so C @ w = Gamma(v, w); every geodesic, frame and transport right-hand side
     uses it. The defaults contract ``gamma``; an evaluator with a cheaper
     closed form for C (as ``ConformalEvaluator``) overrides ``connection``
-    and ``connection_batch``.
+    and ``connection_batch``. The default ``gamma`` inverts g from
+    ``first_order``, so an evaluator that supplies only ``stack`` is complete;
+    one with a cheaper Gamma (as ``ExpressionEvaluator``) overrides it.
     """
 
     dim: int
@@ -58,7 +60,8 @@ class MetricEvaluator:
     def gamma_batch(self, X: np.ndarray) -> np.ndarray:
         """Christoffel symbols at every row of X; generic fallback loops.
 
-        A DomainFault raised at a row carries that row as its ``point``.
+        A DomainFault or SingularMetric raised at a row carries that row as
+        its ``point``.
         """
         X = np.asarray(X, dtype=float)
         N, n = X.shape
@@ -66,7 +69,7 @@ class MetricEvaluator:
         for b in range(N):
             try:
                 G[b] = self.gamma(X[b])
-            except DomainFault as exc:
+            except _POINT_FAULTS as exc:
                 exc.point = X[b].copy()
                 raise
         return G
@@ -216,7 +219,9 @@ class ExpressionEvaluator(MetricEvaluator):
     """Free-form metric whose coefficients are expression ASTs.
 
     ``metric``, ``first_order`` and ``stack`` are straight-line functions
-    compiled from the upper triangle of ``asts`` by ``expr.compile_tensor``.
+    compiled from the upper triangle of ``asts`` by ``expr.compile_tensor``,
+    and ``gamma`` is one compiled by ``expr.compile_gamma``, with no matrix
+    inverse; ``connection`` and the batches keep the default contractions.
     """
 
     def __init__(self, asts, n: int):
@@ -225,6 +230,7 @@ class ExpressionEvaluator(MetricEvaluator):
         upper = [[asts[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         self.metric, self.first_order, self.stack = (
             expr.compile_tensor(upper, n, order) for order in range(3))
+        self.gamma = expr.compile_gamma(upper, n)
 
 
 # ---------------------------------------------------------------------------

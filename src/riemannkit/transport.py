@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BadParam, DomainExit, DomainFault, NoConvergence,
+from .errors import (_POINT_FAULTS, BadParam, DomainExit, NoConvergence,
                      SingularMetric, StepFault)
 from .manifold import MetricChart, SampledCurve, _dense, _write_csv, metric_at
 from .tensor import orthonormal_frame
@@ -94,8 +94,9 @@ def rk4_path(rhs, y0: np.ndarray, ts: np.ndarray, substeps: int = 1,
     """Integrate across the sample grid ``ts``; returns y at every grid time.
 
     ``guard(t, y, ys, ts)`` may raise to stop integration (domain checks).
-    A ``DomainFault`` from ``rhs`` is handed to it as ``fault=`` with the
-    samples before the failing step, for context, and then raised again.
+    A ``DomainFault`` or ``SingularMetric`` from ``rhs`` is handed to it as
+    ``fault=`` with the samples before the failing step, for context, and
+    then raised again.
     """
     ys = np.empty((len(ts), len(y0)))
     ys[0] = y0
@@ -110,7 +111,7 @@ def rk4_path(rhs, y0: np.ndarray, ts: np.ndarray, substeps: int = 1,
             if guard is not None:
                 guard(ts[i + 1], y, ys[: i + 1], ts[: i + 1])
             ys[i + 1] = y
-    except DomainFault as exc:
+    except _POINT_FAULTS as exc:
         if guard is not None:
             guard(t, y, ys[: i + 1], ts[: i + 1], fault=exc)
         raise
@@ -161,7 +162,7 @@ def _rkf45(rhs, y0, t0, t1, settings: OdeSettings, guard=None):
                 ys.append(y.copy())
                 steps += 1
             h *= min(4.0, max(0.1, 0.9 * (max(err, 1e-16)) ** -0.2))
-    except DomainFault as exc:
+    except _POINT_FAULTS as exc:
         if guard is not None:
             guard(t, y, ys, ts, fault=exc)
         raise
@@ -234,7 +235,7 @@ def _geodesic_rhs(chart: MetricChart, n: int):
         x = y[:n]
         try:
             C = connection(x, y[n:2 * n])
-        except DomainFault as exc:
+        except _POINT_FAULTS as exc:
             exc.t_exit, exc.point = float(t), x.copy()
             raise
         out = np.empty_like(y)
@@ -267,6 +268,17 @@ def _domain_guard(chart: MetricChart, n: int):
     return guard
 
 
+def _first_indefinite(G: np.ndarray):
+    """Index of the first matrix of the stack G that is not positive definite
+    (to working precision), or None when one Cholesky of the stack passes."""
+    try:
+        np.linalg.cholesky(G)
+        return None
+    except np.linalg.LinAlgError:
+        lam = np.linalg.eigvalsh(G)
+        return int(np.argmin(lam[:, 0] > 1e-14 * lam[:, -1]))
+
+
 def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
                        settings: OdeSettings = DEFAULT_SETTINGS,
                        with_frame: bool = True) -> Trajectory:
@@ -293,14 +305,12 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
     # g is not positive definite (to working precision), the geodesic stops
     idx = np.arange(0, len(ts), max(1, len(ts) // 200))
     G = np.array([chart.evaluator.metric(x[i]) for i in idx])
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        lam = np.linalg.eigvalsh(G)
-        i = idx[np.argmin(lam[:, 0] > 1e-14 * lam[:, -1])]
+    bad = _first_indefinite(G)
+    if bad is not None:
+        i = idx[bad]
         raise SingularMetric(f"metric not positive definite near t={ts[i]:.6g}",
                              t_exit=float(ts[i]), point=x[i].copy(),
-                             trajectory=Trajectory(chart, ts[:i], x[:i], vel[:i])) from None
+                             trajectory=Trajectory(chart, ts[:i], x[:i], vel[:i]))
     speeds = np.sqrt(np.maximum(np.einsum("bi,bij,bj->b", vel[idx], G, vel[idx]), 0.0))
     return Trajectory(chart=chart, t=ts, x=x, v=vel, frame=frame, settings=settings,
                       speed_drift=float(np.max(np.abs(speeds - speeds[0]))))
@@ -351,7 +361,8 @@ def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
     The flat state holds x and v of every ray. RKF45's error norm is a max
     over the whole state, so every ray meets the tolerance; after every step
     the guard checks all rays with one domain call and names the first ray
-    outside.
+    outside. Where g is not positive definite at an endpoint, SingularMetric
+    names the first such ray's endpoint, at t = 1.
     """
     P = np.asarray(P, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -364,7 +375,7 @@ def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
         X, W = Y[:, :n], Y[:, n:]
         try:
             C = connection_batch(X, W)
-        except DomainFault as exc:
+        except _POINT_FAULTS as exc:
             exc.t_exit = float(t)
             raise
         out = np.empty((N, 2 * n))
@@ -380,7 +391,12 @@ def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
                              t_exit=float(t), point=X[np.argmax(outside)].copy())
 
     _, ys = _integrate(rhs, np.hstack([P, V]).ravel(), 1.0, settings, guard)
-    return ys[-1].reshape(N, 2 * n)[:, :n].copy()
+    ends = ys[-1].reshape(N, 2 * n)[:, :n].copy()
+    bad = _first_indefinite(chart.evaluator.stack_batch(ends)[0])
+    if bad is not None:
+        raise SingularMetric(f"metric not positive definite at the end of ray {bad}",
+                             t_exit=1.0, point=ends[bad].copy())
+    return ends
 
 
 LOG_SETTINGS = OdeSettings(step=2e-3)

@@ -257,3 +257,15 @@ def test_overflowed_metric_reported(tmp_path, capsys):
                          "--point", "1e154,1e154", "--velocity", "1,0")
     assert code == 1
     assert rep["error"]["type"] == "SingularMetric"
+
+
+def test_degenerate_endpoint_of_exp_reported(tmp_path, capsys):
+    # the ray runs from x = 0.5 to x = -0.5, where g = diag(1, x) is indefinite
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 2, "coords": ["x", "y"],
+                                "metric": [["1", "0"], ["0", "x"]]}))
+    code, rep = run_json(capsys, "exp", "--manifold", str(path),
+                         "--point", "0.5,0", "--velocity=-1,0")
+    assert code == 1
+    assert rep["error"]["type"] == "SingularMetric"
+    assert rep["error"]["t_exit"] == 1.0

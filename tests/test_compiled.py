@@ -1,11 +1,14 @@
-"""Compiled expression charts: the three derivative orders against sympy."""
+"""Compiled expression charts: the three derivative orders and the
+Christoffel symbols against sympy and the inverse-metric formula."""
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from riemannkit import expr, manifold
-from riemannkit.errors import DomainFault
+from riemannkit.errors import DomainFault, SingularMetric
+from test_connection import EXPR2, EXPR3
 
 
 def _sphere(R):
@@ -113,3 +116,109 @@ def test_overflow_near_the_pole_raises():
         with pytest.raises(OverflowError):
             fn(p)
 
+
+
+# ---------------------------------------------------------------------------
+# The compiled Christoffel symbols
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+BENCHMARK_METRICS = ("sphere", "paraboloid", "horospherical")
+
+
+def _inverse_gamma(ev, p):
+    g, dg = ev.first_order(p)
+    return manifold.gamma_from_stack(np.linalg.inv(g), dg)
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_gamma_agrees_with_sympy(name, rng):
+    coords, rows = METRICS[name]
+    ev = _evaluator(coords, rows)
+    for _ in range(3):
+        p = rng.uniform(0.2, 0.9, len(coords))
+        g, dg, _ = _sympy_stack(coords, rows, p)
+        want = 0.5 * np.einsum("im,mjk->ijk", np.linalg.inv(g), manifold.koszul(dg))
+        got = ev.gamma(p)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["expr2", "expr3", *BENCHMARK_METRICS])
+def test_gamma_agrees_with_the_inverse_formula(name):
+    # both solves amplify rounding by up to the condition number of g
+    if name in BENCHMARK_METRICS:
+        coords, rows = METRICS[name]
+        doc = {"dim": len(coords), "coords": coords, "metric": rows}
+    else:
+        doc = {"expr2": EXPR2, "expr3": EXPR3}[name]
+    chart = manifold.chart_from_definition(doc)
+    ev = chart.evaluator
+    for p in chart.sample_points(64, 5):
+        want = _inverse_gamma(ev, p)
+        got = ev.gamma(p)
+        bound = 4 * EPS * np.linalg.cond(ev.metric(p)) * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= bound
+        assert np.array_equal(got, np.swapaxes(got, 1, 2))
+
+
+@pytest.mark.parametrize("source, point, lowest", FAULTS)
+def test_gamma_faults_where_first_order_does(source, point, lowest):
+    ev = _evaluator(["x", "y"], [[source, "0"], ["0", "1"]])
+    p = np.array(point)
+    with pytest.raises(DomainFault) as want:
+        ev.first_order(p)
+    with pytest.raises(DomainFault) as got:
+        ev.gamma(p)
+    assert str(got.value) == str(want.value)
+
+
+def test_gamma_overflow_near_the_pole_raises():
+    ev = _evaluator(["x", "y"], _sphere(1.2))
+    with pytest.raises(OverflowError):
+        ev.gamma(np.array([1e160, 0.0]))
+
+
+def test_gamma_zero_pivot_raises_singular_metric():
+    ev = _evaluator(["x", "y"], [["1", "0"], ["0", "x"]])
+    p = np.array([0.0, 0.3])
+    with pytest.raises(SingularMetric):
+        manifold.MetricEvaluator.gamma(ev, p)
+    with pytest.raises(SingularMetric, match="metric singular"):
+        ev.gamma(p)
+    G = ev.gamma(np.array([0.25, 0.3]))
+    assert G[1, 0, 1] == G[1, 1, 0] == 2.0 and G[0, 1, 1] == -0.5
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except (DomainFault, SingularMetric) as exc:
+        return type(exc)
+
+
+_COORD = st.one_of(st.just(0.0), st.floats(0.5, 1.0), st.floats(-1.0, -0.5))
+_TERMS = st.lists(st.tuples(st.floats(-0.05, 0.05), st.integers(-1, 2),
+                            st.integers(-1, 2)), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(2.0, 4.0), entries=st.lists(_TERMS, min_size=3, max_size=3),
+       x=_COORD, y=_COORD)
+def test_gamma_of_perturbed_identity_matches_the_inverse_formula(c, entries, x, y):
+    # c I plus Laurent monomials: g stays positive definite where every term
+    # is defined, and x^-1 or y^-1 at 0 is a DomainFault either way
+    def poly(terms, diagonal):
+        parts = [f"{coef!r}*x^{a}*y^{b}" for coef, a, b in terms]
+        return " + ".join([repr(c)] * diagonal + parts) or "0"
+
+    g00, g01, g11 = (poly(terms, diag) for terms, diag in zip(entries, (1, 0, 1)))
+    ev = _evaluator(["x", "y"], [[g00, g01], [g01, g11]])
+    p = np.array([x, y])
+    want = _outcome(lambda q: _inverse_gamma(ev, q), p)
+    got = _outcome(ev.gamma, p)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        bound = 4 * EPS * np.linalg.cond(ev.metric(p)) * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= bound

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riemannkit import comparison, manifold, surfrev, tensor, transport
-from riemannkit.errors import DomainExit, DomainFault
+from riemannkit.errors import DomainExit, DomainFault, SingularMetric
 from riemannkit.transport import OdeSettings
 
 
@@ -251,3 +251,32 @@ def test_domain_fault_carries_partial_trajectory(method):
     assert traj.x.shape == traj.v.shape == (len(traj.t), 2)
     assert np.all(traj.x[:, 0] >= 0.0)
     np.testing.assert_allclose(traj.x[0], [0.3, 0.0])
+
+
+DEGENERATE = {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "x"]]}
+OVERFLOWING = {"dim": 2, "coords": ["x", "y"],
+               "metric": [["4/(1+x^2+y^2)^2", "0"], ["0", "4/(1+x^2+y^2)^2"]]}
+
+
+def test_singular_metric_inside_the_rhs_is_located():
+    # x^2 + y^2 overflows to inf at the start, so g = 0 there
+    chart = manifold.chart_from_definition(OVERFLOWING)
+    with pytest.raises(SingularMetric) as ei:
+        transport.exp_map(chart, [1e154, 1e154], [1.0, 0.0])
+    assert ei.value.t_exit == 0.0
+    np.testing.assert_array_equal(ei.value.point, [1e154, 1e154])
+    # from x = 0.5 along -e_1 with h = 0.25, the last stage of the second
+    # step evaluates g = diag(1, x) at exactly x = 0, t = 0.5
+    chart = manifold.chart_from_definition(DEGENERATE)
+    settings = OdeSettings(step=0.25)
+    with pytest.raises(SingularMetric) as single:
+        transport.integrate_geodesic(chart, [0.5, 0.0], [-1.0, 0.0], 1.0, settings=settings)
+    with pytest.raises(SingularMetric) as batch:
+        transport._exp_rays(chart, np.array([[0.9, 0.0], [0.5, 0.0]]),
+                            np.array([[0.1, 0.0], [-1.0, 0.0]]), settings)
+    for exc in (single.value, batch.value):
+        assert exc.t_exit == 0.5
+        np.testing.assert_array_equal(exc.point, [0.0, 0.0])
+    traj = single.value.trajectory
+    np.testing.assert_array_equal(traj.t, [0.0, 0.25])
+    np.testing.assert_array_equal(traj.x, [[0.5, 0.0], [0.25, 0.0]])

@@ -293,6 +293,23 @@ def test_degenerate_metric_stops_the_geodesic():
         transport.log_map(chart, np.array([0.5, 0.0]), np.array([-0.5, 0.0]))
 
 
+def test_exp_map_stops_at_a_degenerate_endpoint():
+    # the batched exponential of the same ray ends at x = -0.5, where
+    # g = diag(1, -0.5); it is named at t = 1, not returned
+    chart = manifold.chart_from_definition(
+        {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "x"]]})
+    with pytest.raises(SingularMetric) as ei:
+        transport.exp_map(chart, [0.5, 0.0], [-1.0, 0.0])
+    exc = ei.value
+    assert exc.t_exit == 1.0
+    np.testing.assert_allclose(exc.point, [-0.5, 0.0], rtol=0, atol=1e-12)
+    P = np.array([[0.5, 0.0], [0.6, 0.0], [0.7, 0.0]])
+    V = np.array([[0.1, 0.0], [-1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(SingularMetric) as ei:
+        transport._exp_rays(chart, P, V, OdeSettings())
+    np.testing.assert_allclose(ei.value.point, [-0.4, 0.0], rtol=0, atol=1e-12)
+
+
 def test_normal_coordinates(sphere2):
     p = np.array([0.3, 0.1])
     q = transport.exp_map(sphere2, p, np.array([0.2, 0.3]))
