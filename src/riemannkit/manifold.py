@@ -32,9 +32,14 @@ class MetricEvaluator:
     and ``connection_batch``. The default ``gamma`` inverts g from
     ``first_order``, so an evaluator that supplies only ``stack`` is complete;
     one with a cheaper Gamma (as ``ExpressionEvaluator``) overrides it.
+
+    ``jacobi_batch(X, V)``, where an evaluator has one, returns the closed-form
+    Jacobi operator of the rays (X, V) (see ``ConformalEvaluator``);
+    ``tensor.jacobi_driving_batch`` uses it in place of the curvature kernel.
     """
 
     dim: int
+    jacobi_batch: Optional[Callable] = None
 
     def stack(self, x: np.ndarray):
         """Return (g, dg, d2g); dg[k,i,j] = d_k g_ij, d2g[k,l,i,j] = d_k d_l g_ij."""
@@ -148,6 +153,9 @@ class ConformalEvaluator(MetricEvaluator):
 
     mu and its derivatives must also act elementwise on arrays, since
     ``stack_batch`` evaluates them on every |x|^2 of a batch at once.
+    Gamma(v, .) and the Jacobi operator have O(n^2) closed forms in mu
+    (``connection`` and ``jacobi_batch``, after Besse, Einstein Manifolds,
+    1987, Thm 1.159).
     """
 
     def __init__(self, n: int, mu: Callable, dmu: Callable, d2mu: Callable):
@@ -189,9 +197,42 @@ class ConformalEvaluator(MetricEvaluator):
     def connection_batch(self, X, V):
         X = np.asarray(X, dtype=float)
         q = _squares(X)
-        dphi = (self.dmu(q) / self.mu(q))[:, None] * X
+        return self._connection_batch(V, (self.dmu(q) / self.mu(q))[:, None] * X)
+
+    def _connection_batch(self, V, dphi):
         o = V[:, :, None] * dphi[:, None, :]
         return o - o.swapaxes(1, 2) + (V[:, None, :] @ dphi[:, :, None]) * self._eye
+
+    def jacobi_batch(self, X, V):
+        """(C, B) for the rays (X[b], V[b]): C = Gamma(v, .), as from
+        ``connection_batch``, and the symmetric (N, n, n) B with
+        B(w, u) = low(v, w, v, u), in O(n^2) per ray.
+
+        With phi = (1/2) log mu, q = |x|^2, s = mu'/mu and s' = ds/dq,
+        g = e^(2 phi) delta has low = -mu (T owedge delta), the Kulkarni-Nomizu
+        product of delta with T = Hess phi - dphi dphi^T + (1/2)|dphi|^2 I
+        = alpha I + beta x x^T, alpha = s + s^2 q / 2, beta = 2 s' - s^2
+        (Besse, Einstein Manifolds, 1987, Thm 1.159). In Euclidean dot products,
+        B = -mu [(v.Tv) I + |v|^2 T - (Tv) v^T - v (Tv)^T].
+        SingularMetric names the first point where mu is not positive and finite.
+        """
+        X = np.asarray(X, dtype=float)
+        q = _squares(X)
+        m, m1, m2 = self.mu(q), self.dmu(q), self.d2mu(q)
+        bad = ~(np.isfinite(m) & (m > 0.0))
+        if bad.any():
+            point = X[np.argmax(bad)]
+            raise SingularMetric(f"metric not positive definite at {point}", point=point)
+        s = m1 / m
+        alpha = (s + 0.5 * s * s * q)[:, None, None]
+        beta = (2.0 * (m2 / m - s * s) - s * s)[:, None, None]
+        x, v = X[:, :, None], V[:, :, None]  # columns
+        vT = v.swapaxes(1, 2)
+        T = alpha * self._eye + beta * x * x.swapaxes(1, 2)
+        Tv = T @ v
+        o = Tv * vT
+        B = (vT @ Tv) * self._eye + (vT @ v) * T - (o + o.swapaxes(1, 2))
+        return self._connection_batch(V, s[:, None] * X), -m[:, None, None] * B
 
     def _gamma(self, dphi):
         # Gamma^i_jk = d_k phi delta_ij + d_j phi delta_ik - d_i phi delta_jk
@@ -320,9 +361,7 @@ def norm(chart: MetricChart, p, v) -> float:
 def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
     params = dict(params or {})
     if name == "euclidean":
-        n = int(params.pop("n", 2))
-        if n < 1:
-            raise BadParam("euclidean: n must be >= 1")
+        n = _count(f"{name}: n", params.pop("n", 2))
         _reject_extra(name, params)
         return MetricChart(
             dim=n, coords=[f"x{i+1}" for i in range(n)],
@@ -330,9 +369,9 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
             sample_box=(-2.0 * np.ones(n), 2.0 * np.ones(n)),
             source={"builtin": "euclidean", "params": {"n": n}})
     if name == "sphere_stereo":
-        n = int(params.pop("n", 2))
-        R = float(params.pop("R", 1.0))
-        if R <= 0:
+        n = _count(f"{name}: n", params.pop("n", 2))
+        R = _number(name, params, "R", 1.0)
+        if not R > 0:
             raise BadParam("sphere_stereo: R must be positive")
         _reject_extra(name, params)
         R2 = R * R
@@ -353,7 +392,7 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
             sample_box=(-2.0 * R * np.ones(n), 2.0 * R * np.ones(n)),
             source={"builtin": "sphere_stereo", "params": {"n": n, "R": R}})
     if name == "hyperbolic_ball":
-        n = int(params.pop("n", 2))
+        n = _count(f"{name}: n", params.pop("n", 2))
         _reject_extra(name, params)
         ev = ConformalEvaluator(
             n,
@@ -368,14 +407,34 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
             sample_box=(-0.65 * np.ones(n), 0.65 * np.ones(n)),
             source={"builtin": "hyperbolic_ball", "params": {"n": n}})
     if name == "torus":
-        R = float(params.pop("R", 2.0))
-        r = float(params.pop("r", 1.0))
+        R = _number(name, params, "R", 2.0)
+        r = _number(name, params, "r", 1.0)
         _reject_extra(name, params)
         if not (R > r > 0):
             raise BadParam("torus: need R > r > 0")
         from . import surfrev
         return surfrev.torus_chart(R, r)
     raise UnknownBuiltin(f"no builtin chart named '{name}'")
+
+
+def _number(name, params, key, default) -> float:
+    """params[key], or default where it is absent, as a float; BadParam if it is no number."""
+    raw = params.pop(key, default)
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise BadParam(f"{name}: parameter {key} must be a number, got {raw!r}") from None
+
+
+def _count(label: str, raw) -> int:
+    """raw as an integer >= 1 (2, 2.0 or "2"); BadParam naming label otherwise."""
+    try:
+        n = float(raw)
+    except (TypeError, ValueError):
+        n = math.nan
+    if isinstance(raw, bool) or not (n >= 1 and n.is_integer()):
+        raise BadParam(f"{label} must be an integer >= 1, got {raw!r}")
+    return int(n)
 
 
 def _reject_extra(name, params):
@@ -389,18 +448,33 @@ def _reject_extra(name, params):
 
 def chart_from_definition(doc: dict) -> MetricChart:
     """Build a chart from a manifold JSON document (builtin or free-form)."""
+    if not isinstance(doc, dict):
+        raise BadParam("a manifold definition must be a JSON object")
     if "builtin" in doc:
-        return builtin(doc["builtin"], doc.get("params", {}))
-    dim = int(doc["dim"])
-    coords = list(doc["coords"])
+        params = doc.get("params") or {}
+        if not isinstance(params, dict):
+            raise BadParam("builtin params must be a JSON object")
+        return builtin(doc["builtin"], params)
+    missing = [key for key in ("dim", "coords", "metric") if key not in doc]
+    if missing:
+        raise BadParam(f"manifold definition lacks {missing}")
+    dim = _count("dim", doc["dim"])
+    coords, rows = doc["coords"], doc["metric"]
+    if not isinstance(coords, (list, tuple)) or not all(isinstance(c, str) for c in coords):
+        raise BadParam("coords must be a list of names")
+    coords = list(coords)
     if len(coords) != dim:
         raise BadParam("coords length must equal dim")
-    rows = doc["metric"]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
+    if (not isinstance(rows, (list, tuple)) or len(rows) != dim
+            or any(not isinstance(r, (list, tuple)) or len(r) != dim for r in rows)):
         raise BadParam("metric must be a dim x dim array of expressions")
+    if not all(isinstance(entry, str) for r in rows for entry in r):
+        raise BadParam("metric entries must be expression strings")
     asts = [[expr.parse(rows[i][j], coords) for j in range(dim)] for i in range(dim)]
     domain = None
     if doc.get("domain"):
+        if not isinstance(doc["domain"], str):
+            raise BadParam("domain must be an expression string")
         positive = expr.compile_tensor(expr.parse(doc["domain"], coords), dim, 0)
 
         def domain(X):
@@ -419,8 +493,12 @@ def chart_from_definition(doc: dict) -> MetricChart:
 
 
 def load_manifold(path: str) -> MetricChart:
-    with open(path) as fh:
-        return chart_from_definition(json.load(fh))
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise BadParam(f"cannot read manifold definition {path}: {exc}") from None
+    return chart_from_definition(doc)
 
 
 def _check_supplied_symmetry(chart: MetricChart, asts, seed: int = 20260823,

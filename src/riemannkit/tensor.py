@@ -83,17 +83,30 @@ def curvature_low_batch(chart: MetricChart, X: np.ndarray):
 
 def jacobi_driving_batch(chart: MetricChart, X: np.ndarray, V: np.ndarray,
                          Eo: np.ndarray):
-    """(Gamma, M) for a batch of rays: M[p,q] = low(v, E_q, v, E_p), symmetrised."""
-    n = np.shape(X)[1]
+    """(C, M) for a batch of rays: C = Gamma(v, .), so C @ w = Gamma(v, w), and
+    M[p,q] = low(v, E_q, v, E_p), symmetrised.
 
-    def drive(sl, G, up, low):
-        v, E = V[sl], Eo[sl]
-        T = (v[:, None, :] @ low.reshape(-1, n, n ** 3)).reshape(-1, n, n, n)
-        T = (v[:, None, None, :] @ T).reshape(-1, n, n)  # T[b,d] = low(v, e_b, v, e_d)
-        return G, E.swapaxes(1, 2) @ T.swapaxes(1, 2) @ E
+    On an evaluator with a closed-form ``jacobi_batch`` (the conformal charts,
+    g = mu(|x|^2) delta: low = -mu (T owedge delta) with T = alpha I + beta x x^T,
+    after Besse, Einstein Manifolds, 1987, Thm 1.159) M = E^T B E from its
+    B(w, u) = low(v, w, v, u), in O(n^2) per ray. Every other evaluator
+    contracts the rank-4 R of ``curvature_kernel``, which stays the reference.
+    """
+    closed = chart.evaluator.jacobi_batch
+    if closed is not None:
+        C, B = closed(X, V)
+        M = Eo.swapaxes(1, 2) @ B @ Eo
+    else:
+        n = np.shape(X)[1]
 
-    G, M = _over_blocks(chart, X, drive)
-    return G, 0.5 * (M + M.swapaxes(1, 2))
+        def drive(sl, G, up, low):
+            v, E = V[sl], Eo[sl]
+            T = (v[:, None, :] @ low.reshape(-1, n, n ** 3)).reshape(-1, n, n, n)
+            T = (v[:, None, None, :] @ T).reshape(-1, n, n)  # T[b,d] = low(v, e_b, v, e_d)
+            return (v[:, None, None, :] @ G)[:, :, 0], E.swapaxes(1, 2) @ T.swapaxes(1, 2) @ E
+
+        C, M = _over_blocks(chart, X, drive)
+    return C, 0.5 * (M + M.swapaxes(1, 2))
 
 
 @dataclass(frozen=True)

@@ -406,11 +406,19 @@ def log_map(chart: MetricChart, p, q, settings: OdeSettings = LOG_SETTINGS,
             max_iter: int = 50, tol: float = 1e-10) -> np.ndarray:
     """Initial velocity v with exp_p(v) = q, by Newton shooting on the exact
     differential of exp, from the Jacobi fields along the current ray."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.allclose(p, q):
+    p, q = _endpoints(chart, p, q)
+    if np.array_equal(p, q):
         return np.zeros(chart.dim)
     return _shoot(chart, p, q, q - p, settings, max_iter, tol)
+
+
+def _endpoints(chart: MetricChart, p, q):
+    """p and q as arrays; DomainExit naming the first of them outside the chart."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    chart.require_inside(p)
+    chart.require_inside(q)
+    return p, q
 
 
 def _shoot(chart: MetricChart, p, q, v, settings: OdeSettings,
@@ -542,9 +550,8 @@ def shortest_geodesic(chart: MetricChart, p, q, tries: int = 8, seed: int = 0,
 
     The result is a candidate minimizer only; no global claim is made.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.allclose(p, q):
+    p, q = _endpoints(chart, p, q)
+    if np.array_equal(p, q):
         traj = integrate_geodesic(chart, p, np.zeros(chart.dim), 0.0,
                                   settings=settings)
         return traj, 0.0

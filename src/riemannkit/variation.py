@@ -43,11 +43,11 @@ def _ray_slopes(C: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
 
 
 def _driving(chart: MetricChart, Y: np.ndarray, cols: int):
-    """M in the first cols frame columns of the rays Y, and Y' from the same Gamma."""
+    """M in the first cols frame columns of the rays Y, and Y' from the same Gamma(v, .)."""
     n = chart.dim
     V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(len(Y), n, n)[:, :, :cols]
-    G, M = jacobi_driving_batch(chart, Y[:, :n], V, E)
-    return M, _ray_slopes((V[:, None, None, :] @ G)[:, :, 0], Y, n)
+    C, M = jacobi_driving_batch(chart, Y[:, :n], V, E)
+    return M, _ray_slopes(C, Y, n)
 
 
 @dataclass

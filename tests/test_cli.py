@@ -224,6 +224,35 @@ def test_seed_echoed(capsys):
     assert rep["seed"] == 42
 
 
+def test_log_of_a_nearby_target(capsys):
+    # the target is 2.1e-6 from the point, inside np.allclose's tolerances
+    code, rep = run_json(capsys, "log", "--builtin", "hyperbolic_ball", "--param", "n=2",
+                         "--point", "0.3,0.1", "--target", "0.3000021,0.1")
+    assert code == 0
+    assert rep["velocity"][0] == pytest.approx(2.1e-6, rel=1e-3)
+    assert rep["residual"] <= 1e-10
+
+
+def test_log_target_outside_the_chart_reported(capsys):
+    code, rep = run_json(capsys, "log", "--builtin", "hyperbolic_ball", "--param", "n=2",
+                         "--point", "0.3,0.1", "--target", "1.2,0")
+    assert code == 1
+    assert rep["error"]["type"] == "DomainExit"
+    assert "1.2" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 2, "coords": ["x", "y"]},
+    {"builtin": "hyperbolic_ball", "params": {"n": -1}},
+])
+def test_malformed_manifold_reported(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "curvature", "--manifold", str(path), "--point", "0,0")
+    assert code == 1
+    assert rep["error"]["type"] == "BadParam"
+
+
 def test_degenerate_start_reported(tmp_path, capsys):
     # g is indefinite at the start point: a JSON error report, not a traceback
     path = tmp_path / "m.json"

@@ -239,6 +239,24 @@ def test_volume_compare_jobs_deterministic():
     assert np.array_equal(a["dets"], b["dets"])
 
 
+@pytest.mark.parametrize("name, mu, Kref", [
+    ("sphere_stereo", "4/(1+x^2+y^2+z^2)^2", 0.9),
+    ("hyperbolic_ball", "4/(1-x^2-y^2-z^2)^2", -1.1),
+])
+def test_volume_compare_closed_form_matches_kernel(name, mu, Kref):
+    # the builtin runs the closed-form driving matrix, the expression chart of
+    # the same metric the curvature kernel
+    conformal = manifold.builtin(name, {"n": 3})
+    expression = manifold.chart_from_definition(
+        {"dim": 3, "coords": ["x", "y", "z"],
+         "metric": [[mu if i == j else "0" for j in range(3)] for i in range(3)]})
+    p = np.array([0.1, -0.05, 0.15])
+    a = comparison.volume_compare(conformal, p, r=0.3, Kref=Kref, directions=128)
+    b = comparison.volume_compare(expression, p, r=0.3, Kref=Kref, directions=128)
+    assert np.max(np.abs(a["dets"] - b["dets"])) <= 1e-12
+    assert a["ratio"] == pytest.approx(b["ratio"], abs=1e-12)
+
+
 def test_sweep_matches_single_ray_jacobi_on_torus(torus21):
     # the sweep and a single framed geodesic advance the orthogonal Jacobi
     # fields by the same RK4 transition on the same step grid

@@ -142,6 +142,43 @@ def test_chart_definition_shape_checks():
             {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"]]})
 
 
+PLANE = [["1", "0"], ["0", "1"]]
+MALFORMED = {
+    "missing metric": {"dim": 2, "coords": ["x", "y"]},
+    "dim not a number": {"dim": "two", "coords": ["x", "y"], "metric": PLANE},
+    "numeric entries": {"dim": 2, "coords": ["x", "y"], "metric": [[1, 0], [0, 1]]},
+    "dim 0": {"dim": 0, "coords": [], "metric": []},
+    "n not a number": {"builtin": "sphere_stereo", "params": {"n": "a"}},
+    "negative n": {"builtin": "hyperbolic_ball", "params": {"n": -1}},
+    "R not a number": {"builtin": "torus", "params": {"R": "x"}},
+    "sphere n 0": {"builtin": "sphere_stereo", "params": {"n": 0}},
+    "fractional n": {"builtin": "euclidean", "params": {"n": 2.5}},
+    "R nan": {"builtin": "sphere_stereo", "params": {"R": math.nan}},
+    "not an object": [2, ["x", "y"]],
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_definitions_are_bad_params(doc):
+    with pytest.raises(BadParam):
+        manifold.chart_from_definition(doc)
+
+
+def test_definition_accepts_integral_numbers():
+    assert manifold.chart_from_definition(
+        {"dim": 2.0, "coords": ["x", "y"], "metric": PLANE}).dim == 2
+    assert manifold.builtin("sphere_stereo", {"n": 3.0}).dim == 3
+
+
+def test_unreadable_manifold_file_is_bad_param(tmp_path):
+    with pytest.raises(BadParam):
+        manifold.load_manifold(str(tmp_path / "absent.json"))
+    path = tmp_path / "broken.json"
+    path.write_text("{\"dim\": 2,")
+    with pytest.raises(BadParam):
+        manifold.load_manifold(str(path))
+
+
 def test_load_manifold_roundtrip(tmp_path, eucl2):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"builtin": "sphere_stereo",

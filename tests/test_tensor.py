@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riemannkit import manifold, tensor
-from riemannkit.errors import BadParam, DegeneratePlane
+from riemannkit.errors import BadParam, DegeneratePlane, SingularMetric
 
 
 def _rand_point(chart, rng):
@@ -273,3 +273,55 @@ def test_jacobi_driving_batch_matches_pointwise(torus21, sphere3, rng):
         for i in range(5):
             want = jacobi_matrix_at(chart, X[i], V[i], Eo[i])
             assert np.max(np.abs(M[i] - want)) <= 1e-10
+
+
+# -- the closed-form driving matrix of conformal charts ----------------------
+
+def _conformal(n, mu, dmu, d2mu):
+    return manifold.MetricChart(dim=n, coords=[f"x{i+1}" for i in range(n)],
+                                evaluator=manifold.ConformalEvaluator(n, mu, dmu, d2mu))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_form_driving_on_a_variable_profile(n, rng):
+    # mu = e^q has beta = 2 s' - s^2 = -1, so the x x^T term of T is exercised
+    # (beta is 0 on the sphere and the ball); jacobi_matrix_at goes through
+    # tensor.curvature and the expression chart of the same metric through
+    # the kernel path of jacobi_driving_batch
+    from riemannkit.variation import jacobi_matrix_at
+    chart = _conformal(n, np.exp, np.exp, np.exp)
+    coords = [f"x{i+1}" for i in range(n)]
+    mu = "exp(" + "+".join(f"{c}^2" for c in coords) + ")"
+    expression = manifold.chart_from_definition(
+        {"dim": n, "coords": coords,
+         "metric": [[mu if i == j else "0" for j in range(n)] for i in range(n)]})
+    assert chart.evaluator.jacobi_batch is not None
+    assert expression.evaluator.jacobi_batch is None
+    X = rng.uniform(-0.7, 0.7, (6, n))
+    V = rng.standard_normal((6, n))
+    E = np.stack([tensor.orthonormal_frame(chart.evaluator.metric(x)) for x in X])
+    C, M = tensor.jacobi_driving_batch(chart, X, V, E)
+    C_expr, M_expr = tensor.jacobi_driving_batch(expression, X, V, E)
+    assert np.array_equal(C, chart.evaluator.connection_batch(X, V))
+    assert np.max(np.abs(C_expr - C)) <= 1e-13 * np.max(np.abs(C))
+    assert np.array_equal(M, M.swapaxes(1, 2))
+    for i in range(len(X)):
+        want = jacobi_matrix_at(chart, X[i], V[i], E[i])
+        want = 0.5 * (want + want.T)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(M[i] - want)) <= 1e-13 * scale
+        assert np.max(np.abs(M_expr[i] - want)) <= 1e-13 * scale
+
+
+def test_closed_form_driving_rejects_a_nonpositive_profile():
+    # mu = 1 - q vanishes on the unit circle and is negative outside it
+    chart = _conformal(2, lambda q: 1.0 - q, lambda q: -np.ones_like(q),
+                       lambda q: np.zeros_like(q))
+    X = np.array([[0.1, 0.2], [1.5, 0.0], [np.nan, 0.0]])
+    V, E = np.ones((3, 2)), np.tile(np.eye(2), (3, 1, 1))
+    with pytest.raises(SingularMetric, match="metric not positive definite at") as ei:
+        tensor.jacobi_driving_batch(chart, X, V, E)
+    assert np.array_equal(ei.value.point, X[1])
+    with pytest.raises(SingularMetric) as ei:
+        tensor.jacobi_driving_batch(chart, X[[0, 2]], V[:2], E[:2])
+    assert np.isnan(ei.value.point[0])

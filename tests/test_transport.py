@@ -235,6 +235,41 @@ def test_log_map_no_convergence_reports_best(hyper2):
     assert ei.value.best_residual > 0.0
 
 
+@pytest.mark.parametrize("name, params, p, dq", [
+    ("hyperbolic_ball", {"n": 2}, [0.3, 0.1], [2e-6, 0.0]),
+    ("sphere_stereo", {"n": 2}, [50.0, 0.0], [4e-4, 0.0]),
+])
+def test_log_map_tells_nearby_points_apart(name, params, p, dq):
+    # q - p is inside np.allclose's tolerances, but p and q are distinct points
+    chart = manifold.builtin(name, params)
+    p = np.array(p)
+    q = p + dq
+    v = transport.log_map(chart, p, q)
+    assert np.linalg.norm(transport.exp_map(chart, p, v) - q) <= 1e-10
+    assert np.linalg.norm(v - dq) <= 1e-3 * np.linalg.norm(dq)
+    assert np.array_equal(transport.log_map(chart, p, p.copy()), np.zeros(2))
+
+
+def test_shortest_geodesic_tells_nearby_points_apart(hyper2):
+    p = np.array([0.3, 0.1])
+    q = p + [2e-6, 0.0]
+    traj, length = transport.shortest_geodesic(hyper2, p, q, tries=1)
+    # g = (2 / (1 - |x|^2))^2 delta is nearly constant over the step
+    assert length == pytest.approx(2e-6 * 2.0 / (1.0 - 0.1), rel=1e-5)
+    assert np.linalg.norm(traj.x[-1] - q) <= 1e-10
+
+
+@pytest.mark.parametrize("fn", [transport.log_map, transport.shortest_geodesic])
+@pytest.mark.parametrize("q", [[1.2, 0.0], [np.nan, 0.0]])
+def test_two_point_problems_reject_endpoints_outside_the_chart(hyper2, fn, q):
+    with pytest.raises(DomainExit) as ei:
+        fn(hyper2, [0.3, 0.1], q)
+    assert np.array_equal(ei.value.point, q, equal_nan=True)
+    with pytest.raises(DomainExit) as ei:
+        fn(hyper2, q, [0.3, 0.1])
+    assert np.array_equal(ei.value.point, q, equal_nan=True)
+
+
 HOROSPHERICAL = {"dim": 3, "coords": ["x", "y", "z"],
                  "metric": [["exp(2*z)", "0", "0"], ["0", "exp(2*z)", "0"], ["0", "0", "1"]]}
 PARABOLOID = {"dim": 2, "coords": ["x", "y"],
