@@ -20,7 +20,7 @@ from .tensor import (curvature, curvature_low_batch, jacobi_driving_batch,
                      orthonormal_frame, ricci)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
                         _adapted_frames, _rk4_step, integrate_geodesic)
-from .variation import (_driving, _ray_slopes, _transition,
+from .variation import (_driving, _jacobi_transition, _ray_slopes,
                         conjugate_points_from, jacobi_system,
                         orthogonal_fundamental)
 
@@ -447,7 +447,7 @@ def _batched_sphere_sweep_single(chart, p, r, n_dirs, step, radii, dir_slice):
                                  point=Y1[np.argmax(outside), :n].copy())
             M1, dY1 = _driving(chart, Y1, d)
             Mh, _ = _driving(chart, _hermite(0.0, h, Y, Y1, dY, dY1, 0.5 * h), d)
-            FF = _transition(M, Mh, M1, h) @ FF
+            FF = _jacobi_transition(M, Mh, M1, h) @ FF
             Y, M, dY = Y1, M1, dY1
         out[target] = np.linalg.det(FF[:, :d])
     return out

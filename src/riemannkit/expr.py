@@ -515,6 +515,15 @@ class _Emitter:
         self.positive = set()  # ids of nodes a log, sqrt or power check proved > 0
         self.nonzero = set()   # ids of denominators a division check proved != 0
 
+    def fork(self) -> "_Emitter":
+        """An emitter that continues from the statements written so far."""
+        other = _Emitter(1 if self.strict else 0)
+        other.lines = list(self.lines)
+        other.names = dict(self.names)
+        other.positive = set(self.positive)
+        other.nonzero = set(self.nonzero)
+        return other
+
     def ref(self, node) -> str:
         name = self.names.get(id(node))
         if name is None:
@@ -620,17 +629,21 @@ def compile_tensor(nodes, n: int, order: int):
 
 
 def compile_gamma(rows, n: int):
-    """Compile the Christoffel symbols of an expression metric to one function.
+    """Compile the Christoffel symbols and the geodesic spray of an expression
+    metric to two functions.
 
     ``rows`` is the n x n nested list of coefficient ASTs, with rows[i][j] and
-    rows[j][i] equal.  The result maps a float array x of length n to the
-    array Gamma[i, j, k] = Gamma^i_jk = (1/2) g^im K_mjk, with
+    rows[j][i] equal.  The first function maps a float array x of length n to
+    the array Gamma[i, j, k] = Gamma^i_jk = (1/2) g^im K_mjk, with
     K_mjk = d_j g_mk - d_m g_jk + d_k g_mj, by an unrolled LDL^T solve of
     g Gamma = K / 2 on the graph of the partials, so that literal zeros of g
     fold away.  LDL^T takes no square root, so an indefinite g is solved as
-    by an inverse.  Every check of ``compile_tensor(rows, n, 1)`` runs first
-    and in its order, so the function raises DomainFault and OverflowError
-    where that one does; after them a zero pivot of g raises SingularMetric.
+    by an inverse.  The second maps sequences x and v of n Python floats to
+    the list Gamma(v, v), from one solve of g z = (1/2) K_m(v, v).  Both
+    share one graph and one emitted preamble: every check of
+    ``compile_tensor(rows, n, 1)`` runs first and in its order, so they raise
+    DomainFault and OverflowError where that one does; after them a zero
+    pivot of g raises SingularMetric.
     """
     graph = _Graph()
     blocks = _derivative_blocks(graph, rows, n, 1)
@@ -657,6 +670,20 @@ def compile_gamma(rows, n: int):
         for i in range(j + 1, n):
             L[i][j] = graph.div(A[i][j], A[j][j])
 
+    def solve(y):
+        """z with g z = y, by the forward and back substitutions of L D L^T."""
+        y = list(y)
+        for i in range(n):
+            for l in range(i):
+                y[i] = graph.sub(y[i], graph.mul(L[i][l], y[l]))
+        z = [None] * n
+        for i in reversed(range(n)):
+            zi = graph.div(y[i], A[i][i])
+            for l in range(i + 1, n):
+                zi = graph.sub(zi, graph.mul(L[l][i], z[l]))
+            z[i] = zi
+        return z
+
     def koszul(m, j, k):
         # d_m g_mk - d_m g_mk cancels exactly where m = j, and likewise m = k
         if m == j:
@@ -669,21 +696,27 @@ def compile_gamma(rows, n: int):
     columns = {}
     for j in range(n):
         for k in range(j, n):
-            y = []
-            for i in range(n):
-                yi = koszul(i, j, k)
-                for l in range(i):
-                    yi = graph.sub(yi, graph.mul(L[i][l], y[l]))
-                y.append(yi)
-            z = [None] * n
-            for i in reversed(range(n)):
-                zi = graph.div(y[i], A[i][i])
-                for l in range(i + 1, n):
-                    zi = graph.sub(zi, graph.mul(L[l][i], z[l]))
-                z[i] = zi
+            z = solve(koszul(i, j, k) for i in range(n))
             columns[j, k] = columns[k, j] = [graph.mul(half, zi) for zi in z]
     flat = [columns[j, k][i] for i in range(n) for j in range(n) for k in range(n)]
-    return _compile("gamma", n, emit, [((n, n, n), flat)])
+
+    # (1/2) K_m(v, v) = sum_{j<k} K_mjk v_j v_k + (1/2) sum_j K_mjj v_j^2, with
+    # v_j the variables x{n + j} of the spray function
+    v = [graph.lower(Var(n + j, f"v{j}")) for j in range(n)]
+    y = []
+    for m in range(n):
+        ym = graph.zero
+        for j in range(n):
+            ym = graph.add(ym, graph.mul(graph.mul(half, koszul(m, j, j)),
+                                         graph.mul(v[j], v[j])))
+            for k in range(j + 1, n):
+                ym = graph.add(ym, graph.mul(koszul(m, j, k), graph.mul(v[j], v[k])))
+        y.append(ym)
+    spray = emit.fork()
+    refs = [spray.ref(node) for node in solve(y)]
+    body = [f"{_unpack(range(n))}= x", f"{_unpack(range(n, 2 * n))}= v",
+            *spray.lines, f"return [{', '.join(refs)}]"]
+    return _compile("gamma", n, emit, [((n, n, n), flat)]), _define("spray", "x, v", body)
 
 
 def _derivative_blocks(graph, nodes, n: int, order: int):
@@ -713,9 +746,17 @@ def _compile(name: str, n: int, emit: _Emitter, blocks):
         else:
             text = f"_array([{', '.join(refs)}])"
             results.append(text if len(shape) == 1 else f"{text}.reshape({shape})")
-    unpack = "".join(f"x{i}, " for i in range(n))
-    body = [f"{unpack}= x.tolist()", *emit.lines, f"return {', '.join(results)}"]
-    source = f"def {name}(x):\n" + "".join(f"    {line}\n" for line in body)
+    body = [f"{_unpack(range(n))}= x.tolist()", *emit.lines, f"return {', '.join(results)}"]
+    return _define(name, "x", body)
+
+
+def _unpack(indices) -> str:
+    return "".join(f"x{i}, " for i in indices)
+
+
+def _define(name: str, params: str, body) -> object:
+    """The function ``name(params)`` whose statements are the lines of ``body``."""
+    source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
     namespace = dict(_COMPILED_GLOBALS)
     exec(compile(source, "<riemannkit.expr compiled>", "exec"), namespace)
     return namespace[name]

@@ -14,8 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr
-from .errors import (_POINT_FAULTS, BadParam, DomainExit, SingularMetric,
-                     UnknownBuiltin)
+from .errors import (_POINT_FAULTS, BadDimension, BadParam, DomainExit,
+                     SingularMetric, UnknownBuiltin)
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +33,12 @@ class MetricEvaluator:
     ``first_order``, so an evaluator that supplies only ``stack`` is complete;
     one with a cheaper Gamma (as ``ExpressionEvaluator``) overrides it.
 
+    ``spray(x, v)`` is the geodesic spray Gamma(v, v) on sequences of Python
+    floats, returned as a list of n floats; the fixed-step geodesic
+    integrator steps (x, v) with it alone. The default takes it from
+    ``connection``; the builtin evaluators and ``ExpressionEvaluator`` have
+    float closed forms, with no array in them.
+
     ``jacobi_batch(X, V)``, where an evaluator has one, returns the closed-form
     Jacobi operator of the rays (X, V) (see ``ConformalEvaluator``);
     ``tensor.jacobi_driving_batch`` uses it in place of the curvature kernel.
@@ -47,6 +53,15 @@ class MetricEvaluator:
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         return self.stack(x)[0]
+
+    def metric_batch(self, X: np.ndarray) -> np.ndarray:
+        """g at every row of X, shape (N, n, n); generic fallback loops ``metric``."""
+        X = np.asarray(X, dtype=float)
+        N, n = X.shape
+        G = np.empty((N, n, n))
+        for b in range(N):
+            G[b] = self.metric(X[b])
+        return G
 
     def first_order(self, x: np.ndarray):
         """(g, dg) only; override where a cheaper path exists."""
@@ -86,6 +101,11 @@ class MetricEvaluator:
     def connection_batch(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Gamma(V[b], .) at every row X[b], shape (N, n, n)."""
         return (V[:, None, None, :] @ self.gamma_batch(X))[:, :, 0]
+
+    def spray(self, x, v) -> list:
+        """Gamma(v, v) at x, a list of n floats."""
+        v = np.asarray(v, dtype=float)
+        return (self.connection(np.asarray(x, dtype=float), v) @ v).tolist()
 
     def stack_batch(self, X: np.ndarray):
         """Vectorized stack over a batch of points; generic fallback loops."""
@@ -142,6 +162,9 @@ class EuclideanEvaluator(MetricEvaluator):
         N, n = np.asarray(X).shape
         return np.zeros((N, n, n, n))
 
+    def spray(self, x, v):
+        return [0.0] * self.dim
+
     def stack_batch(self, X):
         N, n = np.asarray(X).shape
         return (np.broadcast_to(self._eye, (N, n, n)).copy(),
@@ -167,6 +190,9 @@ class ConformalEvaluator(MetricEvaluator):
 
     def metric(self, x):
         return self.mu(float(x @ x)) * self._eye
+
+    def metric_batch(self, X):
+        return self.mu(_squares(np.asarray(X, dtype=float)))[:, None, None] * self._eye
 
     def stack(self, x):
         n = self.dim
@@ -198,6 +224,18 @@ class ConformalEvaluator(MetricEvaluator):
         X = np.asarray(X, dtype=float)
         q = _squares(X)
         return self._connection_batch(V, (self.dmu(q) / self.mu(q))[:, None] * X)
+
+    # Gamma(v, v) = 2 (d phi . v) v - |v|^2 d phi, in floats
+    def spray(self, x, v):
+        q = xv = vv = 0.0
+        for a, b in zip(x, v):
+            q += a * a
+            xv += a * b
+            vv += b * b
+        s = self.dmu(q) / self.mu(q)  # d phi = s x
+        xv *= 2.0 * s
+        vv *= s
+        return [xv * b - vv * a for a, b in zip(x, v)]
 
     def _connection_batch(self, V, dphi):
         o = V[:, :, None] * dphi[:, None, :]
@@ -261,8 +299,9 @@ class ExpressionEvaluator(MetricEvaluator):
 
     ``metric``, ``first_order`` and ``stack`` are straight-line functions
     compiled from the upper triangle of ``asts`` by ``expr.compile_tensor``,
-    and ``gamma`` is one compiled by ``expr.compile_gamma``, with no matrix
-    inverse; ``connection`` and the batches keep the default contractions.
+    and ``gamma`` and ``spray`` are two compiled by ``expr.compile_gamma``,
+    with no matrix inverse; ``connection`` and the batches keep the default
+    contractions.
     """
 
     def __init__(self, asts, n: int):
@@ -271,7 +310,7 @@ class ExpressionEvaluator(MetricEvaluator):
         upper = [[asts[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         self.metric, self.first_order, self.stack = (
             expr.compile_tensor(upper, n, order) for order in range(3))
-        self.gamma = expr.compile_gamma(upper, n)
+        self.gamma, self.spray = expr.compile_gamma(upper, n)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +337,13 @@ class MetricChart:
         return bool(self.inside(np.asarray(p, dtype=float)[None])[0])
 
     def require_inside(self, p):
-        """DomainExit naming p, or the first row of a batch p, outside the domain."""
-        P = np.asarray(p).reshape(-1, self.dim)
+        """DomainExit naming p, or the first row of a batch p, outside the domain;
+        BadDimension when p is not one point or a batch of points of the chart."""
+        P = np.asarray(p)
+        if P.ndim not in (1, 2) or P.shape[-1] != self.dim:
+            raise BadDimension(f"chart '{self.label}' has {self.dim} coordinates; "
+                               f"got an array of shape {P.shape}")
+        P = P.reshape(-1, self.dim)
         inside = self.inside(P)
         if not inside.all():
             bad = P[np.argmin(inside)]

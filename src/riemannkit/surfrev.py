@@ -179,6 +179,11 @@ class SurfRevEvaluator(MetricEvaluator):
         G[1, 0, 1] = G[1, 1, 0] = f1 / fv
         return G
 
+    def spray(self, x, v):
+        fv, f1, _ = self.ffun(x[0])
+        vu, vt = v
+        return [-fv * f1 * vt * vt, 2.0 * (f1 / fv) * vu * vt]
+
 
 def surface_of_revolution(profile: Profile) -> MetricChart:
     if not profile.arclength:

@@ -2,6 +2,16 @@
 
 Default integrator is fixed-step RK4 with cubic-Hermite dense output;
 an adaptive RKF45 is available through OdeSettings.method.
+
+A fixed-step framed geodesic runs in two passes.  The nonlinear one steps
+(x, v) alone on Python floats with the evaluator's geodesic spray
+Gamma(v, v), records every RK4 stage and checks the chart domain once per
+block of steps.  The linear one then carries the parallel frame, whose
+equation E' = -Gamma(v, .) E is linear along the known curve: one batched
+``connection_batch`` at all stage points gives one RK4 transition matrix
+per step (``_transition``, which also advances the Jacobi fields of
+``variation``), and E_{i+1} = Phi_i E_i.  RKF45, whose error norm covers
+the frame, integrates the coupled state of ``_geodesic_rhs``.
 """
 
 from __future__ import annotations
@@ -12,8 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (_POINT_FAULTS, BadParam, DomainExit, NoConvergence,
-                     SingularMetric, StepFault)
+from .errors import (_POINT_FAULTS, BadDimension, BadParam, DomainExit,
+                     NoConvergence, SingularMetric, StepFault)
 from .manifold import MetricChart, SampledCurve, _dense, _write_csv, metric_at
 from .tensor import orthonormal_frame
 
@@ -169,17 +179,39 @@ def _rkf45(rhs, y0, t0, t1, settings: OdeSettings, guard=None):
     return np.array(ts), np.array(ys)
 
 
+def _fixed_grid(tmax: float, settings: OdeSettings) -> np.ndarray:
+    """The sample times of fixed-step RK4 on [0, tmax]."""
+    if tmax == 0.0:
+        return np.array([0.0])
+    n_steps = max(1, int(math.ceil(tmax / settings.step - 1e-12)))
+    if n_steps > settings.max_steps:
+        raise StepFault("rk4_fixed: max_steps exceeded")
+    return np.linspace(0.0, tmax, n_steps + 1)
+
+
 def _integrate(rhs, y0, tmax: float, settings: OdeSettings, guard):
     """Sample times and states of y' = rhs(t, y) on [0, tmax] under ``settings``."""
-    if tmax == 0.0:
-        return np.array([0.0]), y0[None, :]
     if settings.method == "rk4_fixed":
-        n_steps = max(1, int(math.ceil(tmax / settings.step - 1e-12)))
-        if n_steps > settings.max_steps:
-            raise StepFault("rk4_fixed: max_steps exceeded")
-        ts = np.linspace(0.0, tmax, n_steps + 1)
+        ts = _fixed_grid(tmax, settings)
         return ts, rk4_path(rhs, y0, ts, guard=guard)
     return _rkf45(rhs, y0, 0.0, tmax, settings, guard=guard)
+
+
+def _transition(A, h) -> np.ndarray:
+    """RK4 transition matrices (B, k, k) of the linear equation y' = A(t) y.
+
+    A[s] (B, k, k) is A at stage s = 0..3 of step b, of width h[b] (< 0
+    steps backward): at the start of the step, twice at RK4's two middle
+    stage points, and at its end.  Row b maps y at the start of step b to
+    one RK4 step of y' = A y from there.
+    """
+    hb = np.reshape(h, (-1, 1, 1))
+    eye = np.eye(A[0].shape[-1])
+    K1 = A[0]
+    K2 = A[1] @ (eye + (0.5 * hb) * K1)
+    K3 = A[2] @ (eye + (0.5 * hb) * K2)
+    K4 = A[3] @ (eye + hb * K3)
+    return eye + (hb / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +300,122 @@ def _domain_guard(chart: MetricChart, n: int):
     return guard
 
 
+CHECK_EVERY = 64  # float RK4 steps between two domain checks of a geodesic
+TRANSITION_BLOCK = 512  # steps per batch of transition matrices; bounds the temporaries
+# what a spray can raise, also at the points past the chart's edge that the
+# float loop reaches before its next domain check
+_STEP_FAULTS = (*_POINT_FAULTS, ArithmeticError, ValueError)
+
+
+def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
+    """Fixed-step RK4 of x' = v, v' = -Gamma(v, v) on the grid ts, in floats.
+
+    Returns S of shape (m + 1, 4, 2n) for the m steps: S[i, 0] is (x, v) at
+    ts[i], and S[i, 1:] (i < m) are the other three stage points of step i.
+    The domain is checked once per ``CHECK_EVERY`` steps, and the first
+    sample outside raises DomainExit as the per-sample guard of
+    ``_domain_guard`` would: at that sample's time and point, with the
+    samples before it.  An exception raised in a block whose path has
+    already left the domain becomes that DomainExit; a DomainFault or
+    SingularMetric of the spray carries the stage time and point, as from
+    ``_geodesic_rhs``, and the samples up to its step.
+    """
+    n = chart.dim
+    spray = chart.evaluator.spray
+    hs = np.diff(ts).tolist()
+    m = len(hs)
+    S = np.empty((m + 1, 4, 2 * n))
+    x, v = p.tolist(), v.tolist()
+    S[0, 0] = x + v
+    x2 = x3 = x4 = None  # the stage points of the current step
+    for start in range(0, m, CHECK_EVERY):
+        rows = []  # S[start:done], flat
+        done = stage = start
+        fault = None
+        try:
+            for i in range(start, min(start + CHECK_EVERY, m)):
+                h = hs[i]
+                a = 0.5 * h
+                stage = 0
+                k1 = spray(x, v)
+                x2 = [xj + a * vj for xj, vj in zip(x, v)]
+                v2 = [vj - a * kj for vj, kj in zip(v, k1)]
+                stage = 1
+                k2 = spray(x2, v2)
+                x3 = [xj + a * vj for xj, vj in zip(x, v2)]
+                v3 = [vj - a * kj for vj, kj in zip(v, k2)]
+                stage = 2
+                k3 = spray(x3, v3)
+                x4 = [xj + h * vj for xj, vj in zip(x, v3)]
+                v4 = [vj - h * kj for vj, kj in zip(v, k3)]
+                stage = 3
+                k4 = spray(x4, v4)
+                rows += x
+                rows += v
+                rows += x2
+                rows += v2
+                rows += x3
+                rows += v3
+                rows += x4
+                rows += v4
+                b = h / 6.0
+                x = [xj + b * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+                     for xj, p1, p2, p3, p4 in zip(x, v, v2, v3, v4)]
+                v = [vj - b * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+                     for vj, q1, q2, q3, q4 in zip(v, k1, k2, k3, k4)]
+                done = i + 1
+        except _STEP_FAULTS as exc:
+            fault = exc
+        S[start:done].reshape(-1)[:] = rows
+        S[done, 0] = x + v
+        inside = chart.inside(S[start + 1:done + 1, 0, :n])
+        if not inside.all():
+            j = start + 1 + int(np.argmin(inside))
+            raise DomainExit(f"left chart domain near t={ts[j]:.6g}", t_exit=float(ts[j]),
+                             point=S[j, 0, :n].copy(),
+                             trajectory=_samples(chart, ts, S, j)) from None
+        if fault is not None:
+            if isinstance(fault, _POINT_FAULTS):
+                t, h = ts[done], hs[done]
+                fault.t_exit = float((t, t + 0.5 * h, t + 0.5 * h, t + h)[stage])
+                fault.point = np.array((x, x2, x3, x4)[stage])
+                fault.trajectory = _samples(chart, ts, S, done + 1)
+            raise fault
+    return S
+
+
+def _samples(chart: MetricChart, ts: np.ndarray, S: np.ndarray, j: int) -> Trajectory:
+    """The first j samples of the stages S of ``_spray_stages``, as a trajectory."""
+    n = chart.dim
+    return Trajectory(chart, ts[:j].copy(), S[:j, 0, :n].copy(), S[:j, 0, n:].copy())
+
+
+def _advance(Y0: np.ndarray, m: int, transitions: Callable) -> np.ndarray:
+    """Y[0] = Y0 and Y[i + 1] = Phi_i Y[i] over m steps, where
+    ``transitions(s, e)`` builds Phi_s..Phi_{e-1}, ``TRANSITION_BLOCK`` at a time."""
+    Y = np.empty((m + 1,) + np.shape(Y0))
+    Y[0] = Y0
+    for s in range(0, m, TRANSITION_BLOCK):
+        for i, P in enumerate(transitions(s, min(s + TRANSITION_BLOCK, m)), s):
+            Y[i + 1] = P @ Y[i]
+    return Y
+
+
+def _parallel_frames(chart: MetricChart, S: np.ndarray, h: np.ndarray,
+                     E0: np.ndarray) -> np.ndarray:
+    """The frame E0 carried along the stage points S of ``_spray_stages``:
+    E_{i+1} = Phi_i E_i with Phi_i the RK4 transition of E' = -Gamma(v, .) E
+    over step i, of width h[i]."""
+    n = chart.dim
+
+    def transitions(s, e):
+        Y = S[s:e].reshape(-1, 2 * n)  # the stage points of steps s..e-1, in order
+        C = chart.evaluator.connection_batch(Y[:, :n], Y[:, n:])
+        return _transition(-C.reshape(e - s, 4, n, n).swapaxes(0, 1), h[s:e])
+
+    return _advance(E0, len(h), transitions)
+
+
 def _first_indefinite(G: np.ndarray):
     """Index of the first matrix of the stack G that is not positive definite
     (to working precision), or None when one Cholesky of the stack passes."""
@@ -287,24 +435,29 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
     v = np.asarray(v, dtype=float)
     n = chart.dim
     chart.require_inside(p)
+    if v.shape != p.shape:
+        raise BadDimension(f"velocity of shape {v.shape} at a point of shape {p.shape}")
     if tmax < 0:
         raise BadParam("tmax must be nonnegative")
 
-    y0 = np.concatenate([p, v])
-    E0 = None
-    if with_frame:
-        E0 = initial_frame(chart, p, v if np.any(v) else None)
-        y0 = np.concatenate([y0, E0.T.ravel()])
-    ts, ys = _integrate(_geodesic_rhs(chart, n), y0, tmax, settings,
-                        _domain_guard(chart, n))
+    E0 = initial_frame(chart, p, v if np.any(v) else None) if with_frame else None
+    if settings.method == "rk4_fixed":
+        ts = _fixed_grid(tmax, settings)
+        S = _spray_stages(chart, p, v, ts)
+        frame = _parallel_frames(chart, S, np.diff(ts), E0) if with_frame else None
+        ys = S[:, 0]
+    else:
+        y0 = np.concatenate([p, v] + ([E0.T.ravel()] if with_frame else []))
+        ts, ys = _rkf45(_geodesic_rhs(chart, n), y0, 0.0, tmax, settings,
+                        guard=_domain_guard(chart, n))
+        frame = ys[:, 2 * n:].reshape(-1, n, n).swapaxes(1, 2) if with_frame else None
 
-    x = ys[:, :n]
-    vel = ys[:, n:2 * n]
-    frame = ys[:, 2 * n:].reshape(-1, n, n).swapaxes(1, 2) if with_frame else None
+    x = ys[:, :n].copy()
+    vel = ys[:, n:2 * n].copy()
     # g at up to 200 samples gives the speed drift; at the first of them where
     # g is not positive definite (to working precision), the geodesic stops
     idx = np.arange(0, len(ts), max(1, len(ts) // 200))
-    G = np.array([chart.evaluator.metric(x[i]) for i in idx])
+    G = chart.evaluator.metric_batch(x[idx])
     bad = _first_indefinite(G)
     if bad is not None:
         i = idx[bad]
@@ -366,8 +519,10 @@ def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
     """
     P = np.asarray(P, dtype=float)
     V = np.asarray(V, dtype=float)
-    N, n = P.shape
     chart.require_inside(P)
+    if V.shape != P.shape:
+        raise BadDimension(f"velocities of shape {V.shape} at points of shape {P.shape}")
+    N, n = P.shape
     connection_batch = chart.evaluator.connection_batch
 
     def rhs(t, y):
@@ -392,7 +547,7 @@ def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
 
     _, ys = _integrate(rhs, np.hstack([P, V]).ravel(), 1.0, settings, guard)
     ends = ys[-1].reshape(N, 2 * n)[:, :n].copy()
-    bad = _first_indefinite(chart.evaluator.stack_batch(ends)[0])
+    bad = _first_indefinite(chart.evaluator.metric_batch(ends))
     if bad is not None:
         raise SingularMetric(f"metric not positive definite at the end of ray {bad}",
                              t_exit=1.0, point=ends[bad].copy())

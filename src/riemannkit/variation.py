@@ -4,7 +4,8 @@ All second-order machinery works in a parallel g-orthonormal frame along a
 geodesic, with the (normalized) tangent as the last frame vector, so the
 Jacobi equation reads f'' = -M(t) f with M symmetric. Every Jacobi field
 advances by one RK4 transition matrix per geodesic step, built from M at
-the step's ends and at its cubic Hermite midpoint, so it keeps RK4's order.
+the step's ends and at its cubic Hermite midpoint, so it keeps RK4's order;
+the builder, ``transport._transition``, also carries the parallel frame.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .errors import BadParam, ConjugateNotFound, ConjugatePresent
 from .manifold import MetricChart, SampledCurve, _bisect, _dense, _hermite
 from .manifold import energy as curve_energy
 from .tensor import curvature, jacobi_driving_batch
-from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _exp_rays,
-                        _rk4_step, integrate_geodesic)
+from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _advance,
+                        _exp_rays, _transition, integrate_geodesic)
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +93,17 @@ def jacobi_system(chart: MetricChart, geo: Trajectory) -> JacobiSystem:
 # Jacobi field integration
 # ---------------------------------------------------------------------------
 
-def _transition(M0: np.ndarray, Mh: np.ndarray, M1: np.ndarray, h) -> np.ndarray:
+def _jacobi_transition(M0: np.ndarray, Mh: np.ndarray, M1: np.ndarray, h) -> np.ndarray:
     """RK4 transition matrices (B, 2k, 2k) of y' = [[0, I], [-M(t), 0]] y.
 
     Row b of M0, Mh and M1 (B, k, k) is M at the start, middle and end of step
-    b, of width h[b] (< 0 steps backward), run in unit time u = (t - t_b) / h[b].
+    b, of width h[b] (< 0 steps backward); both middle stages take Mh.
     """
-    k = M0.shape[-1]
-    hb = np.reshape(h, (-1, 1, 1))
-    M = {0.0: M0, 0.5: Mh, 1.0: M1}
-
-    def rhs(u, P):  # h A(u) P, where A (P', P'') = (P'', -M P')
-        return hb * np.concatenate([P[:, k:], -M[u] @ P[:, :k]], axis=1)
-
-    eye = np.broadcast_to(np.eye(2 * k), (len(M0), 2 * k, 2 * k))
-    return _rk4_step(rhs, 0.0, eye, 1.0)
+    B, k, _ = M0.shape
+    A = np.zeros((3, B, 2 * k, 2 * k))
+    A[:, :, :k, k:] = np.eye(k)
+    A[:, :, k:, :k] = -np.stack([M0, Mh, M1])
+    return _transition((A[0], A[1], A[1], A[2]), h)
 
 
 def _fields(sys: JacobiSystem, F0: np.ndarray, Fp0: np.ndarray, backward: bool = False):
@@ -121,12 +118,8 @@ def _fields(sys: JacobiSystem, F0: np.ndarray, Fp0: np.ndarray, backward: bool =
     h = np.diff(sys.t)
     if backward:
         M0, Mh, M1, h = M1[::-1], Mh[::-1], M0[::-1], -h[::-1]
-    Y = np.empty((len(sys.t), 2 * k) + np.shape(F0)[1:])
-    Y[0] = np.concatenate([F0, Fp0])
-    for s in range(0, len(h), 512):  # Phi in blocks of 512 steps bounds the temporaries
-        b = slice(s, s + 512)
-        for i, P in enumerate(_transition(M0[b], Mh[b], M1[b], h[b]), s):
-            Y[i + 1] = P @ Y[i]
+    Y = _advance(np.concatenate([F0, Fp0]), len(h), lambda s, e: _jacobi_transition(
+        M0[s:e], Mh[s:e], M1[s:e], h[s:e]))
     Y = Y[::-1] if backward else Y
     return Y[:, :k], Y[:, k:]
 
