@@ -5,6 +5,8 @@ Infix grammar with the usual precedence (``^`` > unary ``-`` > ``*`` ``/`` >
 plain floats; ``compile_tensor`` differentiates trees symbolically and compiles
 the value and its first and second partials to straight-line Python, and
 ``compile_gamma`` compiles the Christoffel symbols of a metric the same way.
+Each compiled function also has an array form over a batch of points, written
+from the same statements, whose rows are bitwise the per-point values.
 """
 
 from __future__ import annotations
@@ -319,7 +321,8 @@ def evaluate(node: Node, point) -> float:
 # per derivative order (or once for the Christoffel symbols) as a Python
 # function in which every shared subexpression is one local variable.  The
 # generated code runs on Python floats, so an overflowing ``**`` or ``exp``
-# raises OverflowError instead of carrying inf/NaN into the caller.
+# raises OverflowError instead of carrying inf/NaN into the caller.  The same
+# emitter in batch mode writes each function's array form (see ``_Emitter``).
 
 
 def _is_num(node, value) -> bool:
@@ -506,22 +509,34 @@ def _lowered_integer_exponent(node):
 
 
 class _Emitter:
-    """Writes the statements of one compiled function, one per graph node."""
+    """Writes the statements of one compiled function, one per graph node.
 
-    def __init__(self, order: int):
+    With ``batch`` the same statements make the array form of the function,
+    on an (N, n) array of points: every node that depends on the point is an
+    (N,) array, on which + - * / and the comparisons run as numpy ufuncs and
+    every ``math`` function and every ``**`` is applied element by element
+    (``_each``), so each row is bitwise the value at that point. A check
+    becomes one ``any`` over the batch and makes the function return None,
+    so that the caller can run the per-point function, which raises.
+    """
+
+    def __init__(self, order: int, batch: bool = False):
         self.strict = order >= 1  # sqrt at 0 faults only when differentiating
+        self.batch = batch
         self.lines = []
         self.names = {}
         self.positive = set()  # ids of nodes a log, sqrt or power check proved > 0
         self.nonzero = set()   # ids of denominators a division check proved != 0
+        self.arrays = set()    # ids of the nodes that are (N,) arrays in batch mode
 
     def fork(self) -> "_Emitter":
         """An emitter that continues from the statements written so far."""
-        other = _Emitter(1 if self.strict else 0)
+        other = _Emitter(1 if self.strict else 0, self.batch)
         other.lines = list(self.lines)
         other.names = dict(self.names)
         other.positive = set(self.positive)
         other.nonzero = set(self.nonzero)
+        other.arrays = set(self.arrays)
         return other
 
     def ref(self, node) -> str:
@@ -534,6 +549,8 @@ class _Emitter:
                     name = f"({name})"
             elif isinstance(node, Var):
                 name = f"x{node.index}"
+                if self.batch:
+                    self.arrays.add(id(node))
             else:
                 rhs = self._expression(node)
                 name = f"t{len(self.names)}"
@@ -541,8 +558,14 @@ class _Emitter:
             self.names[id(node)] = name
         return name
 
-    def _check(self, condition: str, message: str, error: str = "DomainFault"):
-        self.lines.append(f"if {condition}: raise {error}(f{message!r})")
+    def _check(self, node, condition: str, message: str, error: str = "DomainFault"):
+        """Fail where ``condition`` on the emitted ``node`` holds."""
+        if not self.batch:
+            self.lines.append(f"if {condition}: raise {error}(f{message!r})")
+        elif id(node) in self.arrays:
+            self.lines.append(f"if ({condition}).any(): return None")
+        else:
+            self.lines.append(f"if {condition}: return None")
 
     def _nonzero(self, node, name: str, message: str, error: str = "DomainFault"):
         """Check that ``node``, emitted as ``name``, is not 0, unless proven."""
@@ -550,7 +573,7 @@ class _Emitter:
         if (key in self.nonzero or key in self.positive
                 or (isinstance(node, Num) and node.value != 0.0)):
             return
-        self._check(f"{name} == 0.0", message, error)
+        self._check(node, f"{name} == 0.0", message, error)
         self.nonzero.add(key)
 
     def pivot(self, node):
@@ -558,46 +581,74 @@ class _Emitter:
         divisions by it need no check."""
         self._nonzero(node, self.ref(node), "metric singular at {x}", "SingularMetric")
 
+    def _call(self, fn: str, arg: str, each: bool) -> str:
+        return f"_each({fn}, {arg})" if each else f"{fn}({arg})"
+
+    def _array(self, node, *operands) -> bool:
+        """Whether ``node`` is an array in the batch: where an operand is."""
+        each = any(id(operand) in self.arrays for operand in operands)
+        if each:
+            self.arrays.add(id(node))
+        return each
+
     def _expression(self, node) -> str:
         if isinstance(node, Neg):
-            return f"-{self.ref(node.child)}"
+            u = self.ref(node.child)
+            if self.batch:
+                self._array(node, node.child)
+            return f"-{u}"
         if isinstance(node, Call):
-            u = self.ref(node.arg)
-            key = id(node.arg)
+            u, key = self.ref(node.arg), id(node.arg)
+            each = self.batch and self._array(node, node.arg)
             if node.fn == "log":
                 if key not in self.positive:
-                    self._check(f"{u} <= 0.0", f"log of nonpositive argument {{{u}}}")
+                    self._check(node.arg, f"{u} <= 0.0", f"log of nonpositive argument {{{u}}}")
                     self.positive.add(key)
             elif node.fn == "sqrt":
                 if key not in self.positive:
-                    self._check(f"{u} < 0.0", f"sqrt of negative argument {{{u}}}")
+                    self._check(node.arg, f"{u} < 0.0", f"sqrt of negative argument {{{u}}}")
                     if self.strict:
-                        self._check(f"{u} == 0.0", "sqrt not differentiable at 0")
+                        self._check(node.arg, f"{u} == 0.0", "sqrt not differentiable at 0")
                         self.positive.add(key)
                 if key in self.positive:
                     self.positive.add(id(node))
             if node.fn == "sign":
-                return f"(1.0 if {u} >= 0.0 else -1.0)"
+                return f"_where({u} >= 0.0, 1.0, -1.0)" if each else f"(1.0 if {u} >= 0.0 else -1.0)"
             if node.fn == "abs":
                 return f"abs({u})"
-            return f"_{node.fn}({u})"
+            return self._call(f"_{node.fn}", u, each)
         a, b = self.ref(node.left), self.ref(node.right)
+        each = self.batch and self._array(node, node.left, node.right)
         if node.op == "/":
             self._nonzero(node.right, b, "division by zero")
         elif node.op == "^":
             k = _lowered_integer_exponent(node)
             if k is not None:
-                return f"{a} ** {k}"
+                return f"_each_power({a}, {k})" if each else f"{a} ** {k}"
             key = id(node.left)
             if key not in self.positive:
-                self._check(f"{a} <= 0.0", f"nonpositive base {{{a}}} for non-integer exponent")
+                self._check(node.left, f"{a} <= 0.0",
+                            f"nonpositive base {{{a}}} for non-integer exponent")
                 self.positive.add(key)
-            return f"_exp({b} * _log({a}))"
+            log_a = self._call("_log", a, id(node.left) in self.arrays)
+            return self._call("_exp", f"{b} * {log_a}", each)
         return f"{a} {node.op} {b}"
 
 
+def _each(fn, a: np.ndarray) -> np.ndarray:
+    """fn applied to every element of the 1-D array a, as Python floats."""
+    return np.fromiter(map(fn, a.tolist()), float, len(a))
+
+
+def _each_power(a: np.ndarray, k: int) -> np.ndarray:
+    """u ** k for every element u of the 1-D array a, as Python floats."""
+    return np.array([u ** k for u in a.tolist()], dtype=float)
+
+
 _COMPILED_GLOBALS = {
-    "_array": np.array, "DomainFault": DomainFault, "SingularMetric": SingularMetric,
+    "_array": np.array, "_empty": np.empty, "_where": np.where, "_each": _each,
+    "_each_power": _each_power, "_contiguous": np.ascontiguousarray,
+    "DomainFault": DomainFault, "SingularMetric": SingularMetric,
     **{f"_{fn}": getattr(math, fn) for fn in
        ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")},
 }
@@ -621,11 +672,19 @@ def compile_tensor(nodes, n: int, order: int):
     and the derivatives are arrays of shape (n,) * order + S.  Evaluation
     raises DomainFault where the interpreter ``evaluate`` does, and also for
     sqrt at 0 when order >= 1.
+
+    The function's ``batch`` attribute is its array form: on an (N, n) array
+    X it returns the same outputs with a leading batch axis, each row bitwise
+    the value at that row, or None where a check fails at some row (the
+    per-point function then says which and why). It is compiled on its
+    first call.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, not {order}")
     blocks = _derivative_blocks(_Graph(), nodes, n, order)
-    return _compile(f"order{order}", n, _Emitter(order), blocks)
+    name = f"order{order}"
+    return _with_batch(_compile(name, n, _Emitter(order), blocks),
+                       lambda: _compile(name, n, _Emitter(order, batch=True), blocks))
 
 
 def compile_gamma(rows, n: int):
@@ -647,10 +706,6 @@ def compile_gamma(rows, n: int):
     """
     graph = _Graph()
     blocks = _derivative_blocks(graph, rows, n, 1)
-    emit = _Emitter(1)
-    for _, flat in blocks:  # every check of g and dg, before any pivot
-        for node in flat:
-            emit.ref(node)
     (_, g_flat), (_, dg_flat) = blocks
     g = [g_flat[i * n:(i + 1) * n] for i in range(n)]
     dg = [[dg_flat[(k * n + i) * n:(k * n + i + 1) * n] for i in range(n)]
@@ -666,7 +721,6 @@ def compile_gamma(rows, n: int):
             for k in range(j):
                 a = graph.sub(a, graph.mul(L[i][k], A[j][k]))
             A[i][j] = a
-        emit.pivot(A[j][j])
         for i in range(j + 1, n):
             L[i][j] = graph.div(A[i][j], A[j][j])
 
@@ -712,11 +766,24 @@ def compile_gamma(rows, n: int):
             for k in range(j + 1, n):
                 ym = graph.add(ym, graph.mul(koszul(m, j, k), graph.mul(v[j], v[k])))
         y.append(ym)
+
+    def preamble(emit):
+        for _, block in blocks:  # every check of g and dg, before any pivot
+            for node in block:
+                emit.ref(node)
+        for j in range(n):
+            emit.pivot(A[j][j])
+        return emit
+
+    emit = preamble(_Emitter(1))
     spray = emit.fork()
     refs = [spray.ref(node) for node in solve(y)]
     body = [f"{_unpack(range(n))}= x", f"{_unpack(range(n, 2 * n))}= v",
             *spray.lines, f"return [{', '.join(refs)}]"]
-    return _compile("gamma", n, emit, [((n, n, n), flat)]), _define("spray", "x, v", body)
+    gamma = [((n, n, n), flat)]
+    return (_with_batch(_compile("gamma", n, emit, gamma),
+                        lambda: _compile("gamma", n, preamble(_Emitter(1, batch=True)), gamma)),
+            _define("spray", "x, v", body))
 
 
 def _derivative_blocks(graph, nodes, n: int, order: int):
@@ -737,17 +804,48 @@ def _derivative_blocks(graph, nodes, n: int, order: int):
 
 def _compile(name: str, n: int, emit: _Emitter, blocks):
     """The function ``name(x)`` of a float array x of length n returning
-    every (shape, flat nodes) block, a block of shape () as a float."""
+    every (shape, flat nodes) block, a block of shape () as a float; in
+    batch mode, of an (N, n) array x returning every block with a leading
+    axis of length N."""
     results = []
-    for shape, flat in blocks:
+    for b, (shape, flat) in enumerate(blocks):
         refs = [emit.ref(node) for node in flat]
-        if not shape:
+        if emit.batch:
+            results.append(_gather(emit, f"_b{b}", shape, flat, refs))
+        elif not shape:
             results.append(refs[0])
         else:
             text = f"_array([{', '.join(refs)}])"
             results.append(text if len(shape) == 1 else f"{text}.reshape({shape})")
-    body = [f"{_unpack(range(n))}= x.tolist()", *emit.lines, f"return {', '.join(results)}"]
+    head = f"_N = len(x); {_unpack(range(n))}= _contiguous(x.T)" if emit.batch else \
+        f"{_unpack(range(n))}= x.tolist()"
+    body = [head, *emit.lines, f"return {', '.join(results)}"]
     return _define(name, "x", body)
+
+
+def _gather(emit: _Emitter, out: str, shape, flat, refs) -> str:
+    """Emit the statements that gather the emitted nodes ``flat`` of a block
+    of shape S into one (M, N) array ``out``; the expression for it as a
+    C-contiguous (N,) + S array, laid out as the per-point arrays are, so
+    that a matmul over it takes their summation order."""
+    arrays = [k for k, node in enumerate(flat) if id(node) in emit.arrays]
+    floats = [k for k, node in enumerate(flat) if id(node) not in emit.arrays]
+    emit.lines.append(f"{out} = _empty(({len(flat)}, _N))")
+    if arrays:
+        emit.lines.append(f"{out}[{arrays!r}] = ({''.join(refs[k] + ', ' for k in arrays)})")
+    if floats:
+        emit.lines.append(f"{out}[{floats!r}] = ({''.join(f'({refs[k]},), ' for k in floats)})")
+    return f"_contiguous({out}.T).reshape((_N,) + {shape!r})"
+
+
+def _with_batch(fn, compile_batch):
+    """fn, whose ``batch`` attribute calls ``compile_batch()`` on its first
+    call and is then the function that returned."""
+    def first(x):
+        fn.batch = compile_batch()
+        return fn.batch(x)
+    fn.batch = first
+    return fn
 
 
 def _unpack(indices) -> str:

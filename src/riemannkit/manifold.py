@@ -42,10 +42,24 @@ class MetricEvaluator:
     ``jacobi_batch(X, V)``, where an evaluator has one, returns the closed-form
     Jacobi operator of the rays (X, V) (see ``ConformalEvaluator``);
     ``tensor.jacobi_driving_batch`` uses it in place of the curvature kernel.
+
+    The batches ``metric_batch``, ``stack_batch``, ``gamma_batch`` and
+    ``connection_batch`` take an (N, n) array of points and return the
+    per-point values with a leading batch axis. The builtin evaluators
+    override them with closed forms on arrays. The defaults take an
+    evaluator's array forms ``_metric_rows``, ``_stack_rows``,
+    ``_gamma_rows`` and ``_connection_rows`` (expression charts and surfaces
+    of revolution have them), whose rows equal the per-point values bitwise,
+    for a batch of ``BATCH_ROWS`` rows or more (see ``_array_form``).
+    Otherwise, and where a check of the array form fails at some row or a
+    value is not finite, they loop the per-point functions, so a fault has
+    the loop's class, message and ``point``.
     """
 
     dim: int
     jacobi_batch: Optional[Callable] = None
+    # array forms X -> batch, or None where a check fails at some row
+    _metric_rows = _stack_rows = _gamma_rows = _connection_rows = None
 
     def stack(self, x: np.ndarray):
         """Return (g, dg, d2g); dg[k,i,j] = d_k g_ij, d2g[k,l,i,j] = d_k d_l g_ij."""
@@ -55,8 +69,12 @@ class MetricEvaluator:
         return self.stack(x)[0]
 
     def metric_batch(self, X: np.ndarray) -> np.ndarray:
-        """g at every row of X, shape (N, n, n); generic fallback loops ``metric``."""
+        """g at every row of X, shape (N, n, n)."""
         X = np.asarray(X, dtype=float)
+        if len(X) >= BATCH_ROWS and self._metric_rows is not None:
+            G = _array_form(self._metric_rows, X)
+            if G is not None:
+                return G
         N, n = X.shape
         G = np.empty((N, n, n))
         for b in range(N):
@@ -78,12 +96,16 @@ class MetricEvaluator:
         return gamma_from_stack(g_inv, dg)
 
     def gamma_batch(self, X: np.ndarray) -> np.ndarray:
-        """Christoffel symbols at every row of X; generic fallback loops.
+        """Christoffel symbols at every row of X.
 
         A DomainFault or SingularMetric raised at a row carries that row as
         its ``point``.
         """
         X = np.asarray(X, dtype=float)
+        if len(X) >= BATCH_ROWS and self._gamma_rows is not None:
+            G = _array_form(self._gamma_rows, X)
+            if G is not None:
+                return G
         N, n = X.shape
         G = np.empty((N, n, n, n))
         for b in range(N):
@@ -100,7 +122,11 @@ class MetricEvaluator:
 
     def connection_batch(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Gamma(V[b], .) at every row X[b], shape (N, n, n)."""
-        return (V[:, None, None, :] @ self.gamma_batch(X))[:, :, 0]
+        if len(X) >= BATCH_ROWS and self._connection_rows is not None:
+            C = _array_form(self._connection_rows, X, V)
+            if C is not None:
+                return C
+        return (V[:, None, None] @ self.gamma_batch(X))[:, :, 0]
 
     def spray(self, x, v) -> list:
         """Gamma(v, v) at x, a list of n floats."""
@@ -108,8 +134,12 @@ class MetricEvaluator:
         return (self.connection(np.asarray(x, dtype=float), v) @ v).tolist()
 
     def stack_batch(self, X: np.ndarray):
-        """Vectorized stack over a batch of points; generic fallback loops."""
+        """(g, dg, d2g) at every row of X."""
         X = np.asarray(X, dtype=float)
+        if len(X) >= BATCH_ROWS and self._stack_rows is not None:
+            stack = _array_form(self._stack_rows, X)
+            if stack is not None:
+                return stack
         N, n = X.shape
         g = np.empty((N, n, n))
         dg = np.empty((N, n, n, n))
@@ -117,6 +147,36 @@ class MetricEvaluator:
         for b in range(N):
             g[b], dg[b], d2g[b] = self.stack(X[b])
         return g, dg, d2g
+
+
+# Rows from which a batch takes an array form over the per-point loop. An
+# array form has a fixed cost of tens of microseconds and is several times
+# cheaper per row than the loop, which costs a few microseconds a point; the
+# two cross between 4 and 16 rows on the torus and on the expression sphere,
+# paraboloid and H^3. The row count is tested before any call, so that a
+# batch of one ray costs what the loop costs.
+BATCH_ROWS = 16
+
+
+def _array_form(rows, X, *rest):
+    """rows(X, *rest), the array form of the batch X, or None where the
+    caller is to run the per-point loop, which then raises where a
+    per-point call does.
+
+    That is so where the array form returns None (one of its checks fails
+    at some row), raises an ArithmeticError or ValueError (from an
+    elementwise ``math`` call), or gives a value that is not finite. The
+    batches call it for ``BATCH_ROWS`` rows or more.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            out = rows(X, *rest)
+    except (ArithmeticError, ValueError):
+        return None
+    if out is None or not all(np.isfinite(a).all() for a in
+                              (out if isinstance(out, tuple) else (out,))):
+        return None
+    return out
 
 
 def _squares(X: np.ndarray) -> np.ndarray:
@@ -174,8 +234,10 @@ class EuclideanEvaluator(MetricEvaluator):
 class ConformalEvaluator(MetricEvaluator):
     """g_ij = mu(|x|^2) * delta_ij for a smooth positive profile mu.
 
-    mu and its derivatives must also act elementwise on arrays, since
-    ``stack_batch`` evaluates them on every |x|^2 of a batch at once.
+    mu and its derivatives must also act elementwise on arrays, since the
+    batches evaluate them on every |x|^2 of a batch at once; where they round
+    on arrays as on floats (products, not numpy powers), every batch is
+    bitwise its per-point function.
     Gamma(v, .) and the Jacobi operator have O(n^2) closed forms in mu
     (``connection`` and ``jacobi_batch``, after Besse, Einstein Manifolds,
     1987, Thm 1.159).
@@ -195,13 +257,8 @@ class ConformalEvaluator(MetricEvaluator):
         return self.mu(_squares(np.asarray(X, dtype=float)))[:, None, None] * self._eye
 
     def stack(self, x):
-        n = self.dim
-        q = float(x @ x)
-        m, m1, m2 = self.mu(q), self.dmu(q), self.d2mu(q)
-        eye = np.eye(n)
-        dg = (2.0 * m1) * np.einsum("k,ij->kij", x, eye)
-        d2g = np.einsum("kl,ij->klij", 4.0 * m2 * np.outer(x, x) + 2.0 * m1 * eye, eye)
-        return m * eye, dg, d2g
+        g, dg, d2g = self.stack_batch(np.asarray(x, dtype=float)[None])
+        return g[0], dg[0], d2g[0]
 
     def gamma(self, x):
         q = float(x @ x)
@@ -282,16 +339,13 @@ class ConformalEvaluator(MetricEvaluator):
 
     def stack_batch(self, X):
         X = np.asarray(X, dtype=float)
-        N, n = X.shape
-        q = np.einsum("bi,bi->b", X, X)
+        q = _squares(X)
         m, m1, m2 = self.mu(q), self.dmu(q), self.d2mu(q)
-        eye = np.eye(n)
-        g = m[:, None, None] * eye
-        dg = 2.0 * np.einsum("b,bk,ij->bkij", m1, X, eye)
-        kern = (4.0 * np.einsum("b,bk,bl->bkl", m2, X, X)
-                + 2.0 * np.einsum("b,kl->bkl", m1, eye))
-        d2g = np.einsum("bkl,ij->bklij", kern, eye)
-        return g, dg, d2g
+        eye = self._eye
+        dg = (2.0 * m1)[:, None, None, None] * (X[:, :, None, None] * eye)
+        kern = ((4.0 * m2)[:, None, None] * (X[:, :, None] * X[:, None, :])
+                + (2.0 * m1)[:, None, None] * eye)
+        return m[:, None, None] * eye, dg, kern[..., None, None] * eye
 
 
 class ExpressionEvaluator(MetricEvaluator):
@@ -300,8 +354,10 @@ class ExpressionEvaluator(MetricEvaluator):
     ``metric``, ``first_order`` and ``stack`` are straight-line functions
     compiled from the upper triangle of ``asts`` by ``expr.compile_tensor``,
     and ``gamma`` and ``spray`` are two compiled by ``expr.compile_gamma``,
-    with no matrix inverse; ``connection`` and the batches keep the default
-    contractions.
+    with no matrix inverse. Their array forms, compiled from the same
+    statements, serve ``metric_batch``, ``stack_batch`` and ``gamma_batch``
+    (see ``MetricEvaluator``); ``connection`` and ``connection_batch``
+    contract ``gamma`` and ``gamma_batch``.
     """
 
     def __init__(self, asts, n: int):
@@ -311,6 +367,15 @@ class ExpressionEvaluator(MetricEvaluator):
         self.metric, self.first_order, self.stack = (
             expr.compile_tensor(upper, n, order) for order in range(3))
         self.gamma, self.spray = expr.compile_gamma(upper, n)
+
+    def _metric_rows(self, X):
+        return self.metric.batch(X)
+
+    def _stack_rows(self, X):
+        return self.stack.batch(X)
+
+    def _gamma_rows(self, X):
+        return self.gamma.batch(X)
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +484,13 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
             raise BadParam("sphere_stereo: R must be positive")
         _reject_extra(name, params)
         R2 = R * R
-        # mu(q) = (2 R^2 / (R^2 + q))^2
+        # mu(q) = (2 R^2 / (R^2 + q))^2; powers of q are written as products,
+        # which round alike on floats and on arrays (numpy's power does not)
         ev = ConformalEvaluator(
             n,
-            mu=lambda q: (2.0 * R2 / (R2 + q)) ** 2,
-            dmu=lambda q: -2.0 * (2.0 * R2) ** 2 / (R2 + q) ** 3,
-            d2mu=lambda q: 6.0 * (2.0 * R2) ** 2 / (R2 + q) ** 4,
+            mu=lambda q: _square(2.0 * R2 / (R2 + q)),
+            dmu=lambda q: -2.0 * (2.0 * R2) ** 2 / (_square(R2 + q) * (R2 + q)),
+            d2mu=lambda q: 6.0 * (2.0 * R2) ** 2 / _square(_square(R2 + q)),
         )
         # chart covers the sphere minus one pole; cap the radius so that
         # geodesics heading to the pole image exit cleanly
@@ -440,9 +506,9 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
         _reject_extra(name, params)
         ev = ConformalEvaluator(
             n,
-            mu=lambda q: (2.0 / (1.0 - q)) ** 2,
-            dmu=lambda q: 8.0 / (1.0 - q) ** 3,
-            d2mu=lambda q: 24.0 / (1.0 - q) ** 4,
+            mu=lambda q: _square(2.0 / (1.0 - q)),
+            dmu=lambda q: 8.0 / (_square(1.0 - q) * (1.0 - q)),
+            d2mu=lambda q: 24.0 / _square(_square(1.0 - q)),
         )
         return MetricChart(
             dim=n, coords=[f"x{i+1}" for i in range(n)], evaluator=ev,
@@ -459,6 +525,10 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
         from . import surfrev
         return surfrev.torus_chart(R, r)
     raise UnknownBuiltin(f"no builtin chart named '{name}'")
+
+
+def _square(a):
+    return a * a
 
 
 def _number(name, params, key, default) -> float:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import expr
 from .errors import (BadParam, BadProfile, BarrierNotTransversal, DomainExit)
-from .manifold import MetricChart, MetricEvaluator, _bisect
+from .expr import _each
+from .manifold import MetricChart, MetricEvaluator, _array_form, _bisect
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +28,16 @@ from .manifold import MetricChart, MetricEvaluator, _bisect
 # ---------------------------------------------------------------------------
 
 class SmoothFunc:
-    """Wraps an expression AST (or raw callables) as u -> (value, d1, d2)."""
+    """Wraps an expression AST (or raw callables) as u -> (value, d1, d2).
+
+    ``batch(U)`` gives the three as arrays over an array U of parameters,
+    equal element for element to a call at each u, and raises where such a
+    call does. It runs ``array_form``: the array form of the compiled
+    expression, or a closed form set on a callable (as the torus's), which
+    returns None where one of its checks fails; without one, it loops.
+    """
+
+    array_form = None
 
     def __init__(self, source, label=""):
         self.label = label
@@ -48,13 +58,25 @@ class SmoothFunc:
             value, d1, d2 = compiled(np.array([u]))
             return value, float(d1[0]), float(d2[0, 0])
 
+        def array_form(U):
+            out = compiled.batch(U[:, None])
+            return None if out is None else (out[0], out[1][:, 0], out[2][:, 0, 0])
+
         self._call = call
+        self.array_form = array_form
 
     def __call__(self, u: float):
         return self._call(float(u))
 
     def value(self, u: float) -> float:
         return self(u)[0]
+
+    def batch(self, U):
+        U = np.asarray(U, dtype=float)
+        out = None if self.array_form is None else _array_form(self.array_form, U)
+        if out is None:
+            out = tuple(np.array([self(u) for u in U], dtype=float).reshape(-1, 3).T)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +107,22 @@ class Profile:
         return np.linspace(a + pad, b - pad, count)
 
     def validate(self, samples: int = 512, arc_tol: float = 1e-9):
-        for u in self.sample_u(samples):
-            fv, f1, f2 = self.f(u)
-            if not (fv > 0.0):
-                raise BadProfile(f"f(u) must stay positive; f({u:.6g}) = {fv:.6g}")
-            if self.arclength:
-                hv, h1, h2 = self.h(u)
-                res = abs(f1 * f1 + h1 * h1 - 1.0)
-                if res > arc_tol:
-                    raise BadProfile(
-                        f"profile not by arclength: |f'^2+h'^2-1| = {res:.3g} at u={u:.6g}")
+        """BadProfile at the first sample where f is not positive or, for an
+        arclength profile, f'^2 + h'^2 is not 1 to ``arc_tol``."""
+        us = self.sample_u(samples)
+        fv, f1, _ = self.f.batch(us)
+        bad = ~(fv > 0.0)
+        if self.arclength:
+            h1 = self.h.batch(us)[1]
+            res = np.abs(f1 * f1 + h1 * h1 - 1.0)
+            bad |= res > arc_tol
+        if bad.any():
+            k = int(np.argmax(bad))
+            u = us[k]
+            if not (fv[k] > 0.0):
+                raise BadProfile(f"f(u) must stay positive; f({u:.6g}) = {fv[k]:.6g}")
+            raise BadProfile(
+                f"profile not by arclength: |f'^2+h'^2-1| = {res[k]:.3g} at u={u:.6g}")
         return self
 
     def gauss_curvature(self, u: float) -> float:
@@ -124,7 +152,8 @@ def reparametrize_arclength(profile: Profile, grid: int = 8193) -> Profile:
     """
     a, b = profile.u_range
     us = np.linspace(a, b, grid)
-    sp = np.array([math.hypot(profile.f(u)[1], profile.h(u)[1]) for u in us])
+    sp = np.array(list(map(math.hypot, profile.f.batch(us)[1].tolist(),
+                           profile.h.batch(us)[1].tolist())))
     if np.min(sp) <= 1e-12:
         raise BadProfile("profile speed vanishes; cannot re-parametrize")
     s = np.concatenate([[0.0], np.cumsum(np.diff(us) * (sp[1:] + sp[:-1]) / 2.0)])
@@ -157,20 +186,64 @@ def reparametrize_arclength(profile: Profile, grid: int = 8193) -> Profile:
 # ---------------------------------------------------------------------------
 
 class SurfRevEvaluator(MetricEvaluator):
-    """ds^2 = du^2 + f(u)^2 dtheta^2 on the (u, theta) chart."""
+    """ds^2 = du^2 + f(u)^2 dtheta^2 on the (u, theta) chart.
+
+    The array forms of the batches are closed forms in the arrays of f, f'
+    and f'' from the profile's ``array_form``, with the per-point arithmetic
+    (see ``MetricEvaluator``); a profile without one loops.
+    """
 
     def __init__(self, ffun: SmoothFunc):
         self.dim = 2
         self.ffun = ffun
 
-    def stack(self, x):
-        fv, f1, f2 = self.ffun(x[0])
-        g = np.array([[1.0, 0.0], [0.0, fv * fv]])
-        dg = np.zeros((2, 2, 2))
-        dg[0, 1, 1] = 2.0 * fv * f1
-        d2g = np.zeros((2, 2, 2, 2))
-        d2g[0, 0, 1, 1] = 2.0 * (f1 * f1 + fv * f2)
+    def _profile_rows(self, X):
+        """(f, f', f'') at the u of every row of X, or None."""
+        return None if self.ffun.array_form is None else self.ffun.array_form(X[:, 0])
+
+    @staticmethod
+    def _stack_of(F, N):
+        """(g, dg, d2g) of N points from (f, f', f'') there, floats or arrays."""
+        fv, f1, f2 = F
+        g = np.zeros((N, 2, 2))
+        g[:, 0, 0] = 1.0
+        g[:, 1, 1] = fv * fv
+        dg = np.zeros((N, 2, 2, 2))
+        dg[:, 0, 1, 1] = 2.0 * fv * f1
+        d2g = np.zeros((N, 2, 2, 2, 2))
+        d2g[:, 0, 0, 1, 1] = 2.0 * (f1 * f1 + fv * f2)
         return g, dg, d2g
+
+    def _stack_rows(self, X):
+        F = self._profile_rows(X)
+        return None if F is None else self._stack_of(F, len(X))
+
+    def _gamma_rows(self, X):
+        F = self._profile_rows(X)
+        if F is None:
+            return None
+        fv, f1, _ = F
+        G = np.zeros((len(X), 2, 2, 2))
+        G[:, 0, 1, 1] = -fv * f1
+        G[:, 1, 0, 1] = G[:, 1, 1, 0] = f1 / fv
+        return G
+
+    def _connection_rows(self, X, V):
+        # C[i, k] = V[0] Gamma^i_0k + V[1] Gamma^i_1k summed onto 0.0, the
+        # zero terms kept, as the per-point ``v @ gamma(x)`` sums them
+        G = self._gamma_rows(X)
+        if G is None:
+            return None
+        v0, v1 = V[:, 0, None, None], V[:, 1, None, None]
+        return 0.0 + v0 * G[:, :, 0] + v1 * G[:, :, 1]
+
+    def _metric_rows(self, X):
+        stack = self._stack_rows(X)
+        return None if stack is None else stack[0]
+
+    def stack(self, x):
+        g, dg, d2g = self._stack_of(self.ffun(x[0]), 1)
+        return g[0], dg[0], d2g[0]
 
     def gamma(self, x):
         fv, f1, _ = self.ffun(x[0])
@@ -224,8 +297,21 @@ def torus_chart(R: float, r: float) -> MetricChart:
         c, s = math.cos(u / r), math.sin(u / r)
         return r * s, c, -s / r
 
+    def cos_sin(U):  # as math.cos and math.sin at each u / r
+        q = U / r
+        return _each(math.cos, q), _each(math.sin, q)
+
+    def frows(U):
+        c, s = cos_sin(U)
+        return R + r * c, -s, -c / r
+
+    def hrows(U):
+        c, s = cos_sin(U)
+        return r * s, c, -s / r
+
     ffun = SmoothFunc(fcall, "f")
     hfun = SmoothFunc(hcall, "h")
+    ffun.array_form, hfun.array_form = frows, hrows
     ffun.source = f"{R!r} + {r!r}*cos(u/{r!r})"
     hfun.source = f"{r!r}*sin(u/{r!r})"
     prof = Profile(
@@ -233,8 +319,7 @@ def torus_chart(R: float, r: float) -> MetricChart:
         u_range=(-math.pi * r, math.pi * r),
         arclength=True, label=f"torus({R},{r})",
         periodic=2.0 * math.pi * r)
-    prof.validate()
-    chart = surface_of_revolution(prof)
+    chart = surface_of_revolution(prof)  # validates the profile
     chart.label = f"torus({R},{r})"
     chart.source = {"builtin": "torus", "params": {"R": R, "r": r}}
     return chart
@@ -253,8 +338,8 @@ def _profile_of(chart: MetricChart) -> Profile:
 def clairaut_constant(chart: MetricChart, traj) -> dict:
     """Samples of c(t) = f(u)^2 theta' along a trajectory, with drift."""
     prof = _profile_of(chart)
-    c = np.array([prof.f.value(traj.x[i, 0]) ** 2 * traj.v[i, 1]
-                  for i in range(len(traj.t))])
+    fv = prof.f.batch(traj.x[:, 0])[0]
+    c = np.array([f ** 2 for f in fv.tolist()]) * traj.v[:, 1]  # float powers, as per sample
     return {"t": traj.t.copy(), "c": c, "c0": float(c[0]),
             "drift": float(np.max(np.abs(c - c[0])))}
 
@@ -271,7 +356,8 @@ def barriers(profile: Profile, c: float, grid: int = 2048,
     """All roots of f(u) = |c| in u_range, tagged by the f' dichotomy."""
     target = abs(c)
     us = profile.sample_u(grid)
-    phi = np.array([profile.f.value(u) - target for u in us])
+    fv, d1, _ = profile.f.batch(us)
+    phi = fv - target
     roots = []
     for i in range(len(us) - 1):
         if phi[i] == 0.0:
@@ -282,7 +368,6 @@ def barriers(profile: Profile, c: float, grid: int = 2048,
     if phi[-1] == 0.0:
         roots.append(us[-1])
     # tangential touches at critical parallels produce no sign change
-    d1 = np.array([profile.f(u)[1] for u in us])
     for i in range(len(us) - 1):
         if d1[i] * d1[i + 1] < 0.0:
             crit = _bisect(lambda u: profile.f(u)[1], us[i], us[i + 1], tol)
