@@ -593,7 +593,8 @@ def chart_from_definition(doc: dict) -> MetricChart:
 
         def domain(X):
             ok = np.isfinite(X).all(axis=1)
-            ok[ok] = [positive(x) > 0.0 for x in X[ok]]
+            values = _array_form(positive.batch, X[ok]) if len(X) >= BATCH_ROWS else None
+            ok[ok] = [positive(x) > 0.0 for x in X[ok]] if values is None else values > 0.0
             return ok
     chart = MetricChart(
         dim=dim, coords=coords,

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import expr
-from .errors import (BadParam, BadProfile, BarrierNotTransversal, DomainExit)
+from .errors import (BadParam, BadProfile, BarrierNotTransversal, DomainExit, DomainFault)
 from .expr import _each
 from .manifold import MetricChart, MetricEvaluator, _array_form, _bisect
 
@@ -249,13 +249,24 @@ class SurfRevEvaluator(MetricEvaluator):
         fv, f1, _ = self.ffun(x[0])
         G = np.zeros((2, 2, 2))
         G[0, 1, 1] = -fv * f1
-        G[1, 0, 1] = G[1, 1, 0] = f1 / fv
+        try:
+            G[1, 0, 1] = G[1, 1, 0] = f1 / fv
+        except ZeroDivisionError:
+            raise _axis_fault(x) from None
         return G
 
     def spray(self, x, v):
         fv, f1, _ = self.ffun(x[0])
         vu, vt = v
-        return [-fv * f1 * vt * vt, 2.0 * (f1 / fv) * vu * vt]
+        try:
+            return [-fv * f1 * vt * vt, 2.0 * (f1 / fv) * vu * vt]
+        except ZeroDivisionError:
+            raise _axis_fault(x) from None
+
+
+def _axis_fault(x) -> DomainFault:
+    """Gamma's fault at a point x where f(u) = 0, where the surface meets its axis."""
+    return DomainFault(f"f(u) = 0 at u = {x[0]:.6g}", point=np.array(x, dtype=float))
 
 
 def surface_of_revolution(profile: Profile) -> MetricChart:

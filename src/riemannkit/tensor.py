@@ -332,24 +332,21 @@ def normal_taylor_check(chart: MetricChart, p, frame=None, eps: float = 0.2,
     Compares the fitted second derivatives of g_ij against the curvature
     prediction, checks that the Christoffel symbols vanish at the origin,
     and in 2-D recovers the Gaussian curvature from the fitted E_yy.
+    g at x in normal coordinates is F(1)^T F(1): the exact d(exp_p), as Jacobi
+    fields along exp_p(tBx), in the parallel orthonormal frame (do Carmo, ch. 5).
     """
-    from . import transport
+    from . import transport, variation
 
     p = np.asarray(p, dtype=float)
     n = chart.dim
     md = metric_at(chart, p)
     B = orthonormal_frame(md.g) if frame is None else np.asarray(frame, dtype=float)
     settings = transport.OdeSettings(step=ode_step)
-    jac_h = 1e-5
-    # x, then x + h e_k and x - h e_k: one batch of 2n + 1 rays from p
-    stencil = jac_h * np.vstack([np.zeros(n), np.eye(n), -np.eye(n)])
-    starts = np.tile(p, (2 * n + 1, 1))
 
     def g_normal(x):
-        ends = transport._exp_rays(chart, starts, (x + stencil) @ B.T, settings)
-        J = (ends[1:n + 1] - ends[n + 1:]).T / (2.0 * jac_h)
-        gx = chart.evaluator.metric(ends[0])
-        return J.T @ gx @ J
+        geo = transport.integrate_geodesic(chart, p, B @ x, 1.0, settings=settings)
+        F = variation.jacobi_solve(chart, geo, np.zeros((n, n)), B).f[-1]
+        return F.T @ F
 
     def quad_coeffs(radius):
         g0 = g_normal(np.zeros(n))

@@ -6,12 +6,12 @@ an adaptive RKF45 is available through OdeSettings.method.
 A fixed-step framed geodesic runs in two passes.  The nonlinear one steps
 (x, v) alone on Python floats with the evaluator's geodesic spray
 Gamma(v, v), records every RK4 stage and checks the chart domain once per
-block of steps.  The linear one then carries the parallel frame, whose
-equation E' = -Gamma(v, .) E is linear along the known curve: one batched
+block of steps.  The linear one then carries the parallel frame.  Every
+linear equation along a known curve is solved so (the frame, a transported
+vector, a development's coframe, ``variation``'s Jacobi fields): C from one
 ``connection_batch`` at all stage points gives one RK4 transition matrix
-per step (``_transition``, which also advances the Jacobi fields of
-``variation``), and E_{i+1} = Phi_i E_i.  RKF45, whose error norm covers
-the frame, integrates the coupled state of ``_geodesic_rhs``.
+per step (``_transition``), chained by ``_advance``.  RKF45, whose error
+norm covers the frame, integrates the coupled state of ``_geodesic_rhs``.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def _rk4_step(rhs, t, y, h, k1=None):
 
 def rk4_path(rhs, y0: np.ndarray, ts: np.ndarray, substeps: int = 1,
              guard: Optional[Callable] = None):
-    """Integrate across the sample grid ``ts``; returns y at every grid time.
+    """Integrate across the sample grid ``ts``; returns y at every grid time
+    (the nonlinear equations of ``_integrate`` and ``reverse_develop``).
 
     ``guard(t, y, ys, ts)`` may raise to stop integration (domain checks).
     A ``DomainFault`` or ``SingularMetric`` from ``rhs`` is handed to it as
@@ -473,26 +474,28 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
 # Parallel transport along arbitrary sampled curves
 # ---------------------------------------------------------------------------
 
-def _transport_matrix_along(chart: MetricChart, curve, W0: np.ndarray,
-                            substeps: int = 4) -> np.ndarray:
-    """Transport the columns of W0 along a curve with position/velocity."""
-    n = chart.dim
-    connection = chart.evaluator.connection
+def _along(chart: MetricChart, curve, substeps: int, Y0: np.ndarray, system) -> np.ndarray:
+    """Y at every sample of a curve with position/velocity for Y' = A(t) Y,
+    A = system(C, c') with C = Gamma(c', .): RK4 transition matrices of
+    ``substeps`` steps per sample interval, from one dense-output batch and
+    one ``connection_batch`` per block of steps."""
+    n, t = chart.dim, curve.t
+    h = np.repeat(np.diff(t) / substeps, substeps)
+    t0 = np.repeat(t[:-1], substeps) + np.tile(np.arange(substeps), len(t) - 1) * h
 
-    def rhs(t, y):
-        C = connection(curve.position(t), curve.velocity(t))
-        return -(C @ y.reshape(n, -1)).ravel()
+    def transitions(s, e):
+        T = np.concatenate([t0[s:e], t0[s:e] + 0.5 * h[s:e], t0[s:e] + h[s:e]])
+        V = curve.velocity(T)
+        C = chart.evaluator.connection_batch(curve.position(T), V)
+        A = system(C.reshape(3, e - s, n, n), V.reshape(3, e - s, n))
+        return _transition((A[0], A[1], A[1], A[2]), h[s:e])
 
-    ts = np.asarray(curve.t, dtype=float)
-    ys = rk4_path(rhs, np.asarray(W0, dtype=float).ravel(), ts, substeps=substeps)
-    return ys.reshape(len(ts), n, -1)
+    return _advance(Y0, len(h), transitions)[::substeps]
 
 
 def parallel_transport(chart: MetricChart, traj, w0, substeps: int = 4) -> np.ndarray:
     """Components of the parallel translate of w0 at every sample of traj."""
-    w0 = np.asarray(w0, dtype=float)
-    out = _transport_matrix_along(chart, traj, w0[:, None], substeps=substeps)
-    return out[:, :, 0]
+    return _along(chart, traj, substeps, np.asarray(w0, dtype=float), lambda C, V: -C)
 
 
 # ---------------------------------------------------------------------------
@@ -636,29 +639,21 @@ def develop(chart: MetricChart, curve: SampledCurve, frame=None,
     g-orthonormal frame at the start, so its Euclidean geometry (length,
     curvature, straightness) matches the intrinsic geometry of the input;
     choosing a different frame rotates the result by a fixed isometry.
+    With the coframe Theta = E^-1, Theta' = Theta C and sigma' = Theta c' for
+    C = Gamma(c', .): Z = [Theta | sigma] solves Z' = Z [[C, c'], [0, 0]].
     """
-    curve.ensure_velocities()
     n = chart.dim
-    p0 = curve.points[0]
-    B0 = initial_frame(chart, p0) if frame is None else np.asarray(frame, dtype=float)
-    connection = chart.evaluator.connection
+    B0 = initial_frame(chart, curve.points[0]) if frame is None else np.asarray(frame, dtype=float)
 
-    def rhs(t, y):
-        E = y[:n * n].reshape(n, n)
-        v = curve.velocity(t)
-        dE = -(connection(curve.position(t), v) @ E)
-        dsig = np.linalg.solve(E, v)
-        return np.concatenate([dE.ravel(), dsig])
+    def system(C, V):  # ZT = Z^T = [Theta^T; sigma] solves ZT' = A ZT
+        A = np.zeros(C.shape[:2] + (n + 1, n + 1))
+        A[..., :n, :n] = C.swapaxes(-1, -2)
+        A[..., n, :n] = V
+        return A
 
-    y0 = np.concatenate([B0.ravel(), np.zeros(n)])
-    ys = rk4_path(rhs, y0, curve.t, substeps=substeps)
-    sigma = ys[:, n * n:]
-    # velocities of the development, for downstream interpolation
-    dsig = np.empty_like(sigma)
-    for i, t in enumerate(curve.t):
-        E = ys[i, :n * n].reshape(n, n)
-        dsig[i] = np.linalg.solve(E, curve.velocities[i])
-    return SampledCurve(curve.t.copy(), sigma, dsig)
+    ZT = _along(chart, curve, substeps, np.vstack([np.linalg.inv(B0).T, np.zeros(n)]), system)
+    dsig = np.einsum("tji,tj->ti", ZT[:, :n], curve.ensure_velocities())  # Theta c' there
+    return SampledCurve(curve.t.copy(), ZT[:, n], dsig)
 
 
 def reverse_develop(chart: MetricChart, sigma: SampledCurve, p, frame=None,
@@ -685,14 +680,9 @@ def reverse_develop(chart: MetricChart, sigma: SampledCurve, p, frame=None,
             raise DomainExit(f"reverse development left chart near t={t:.6g}",
                              t_exit=float(t), point=y[:n].copy())
 
-    y0 = np.concatenate([p, B0.ravel()])
-    ys = rk4_path(rhs, y0, sigma.t, substeps=substeps, guard=guard)
-    points = ys[:, :n]
-    vels = np.empty_like(points)
-    for i, t in enumerate(sigma.t):
-        E = ys[i, n:].reshape(n, n)
-        vels[i] = E @ sigma.velocity(t)
-    return SampledCurve(sigma.t.copy(), points, vels)
+    ys = rk4_path(rhs, np.concatenate([p, B0.ravel()]), sigma.t, substeps=substeps, guard=guard)
+    E = ys[:, n:].reshape(-1, n, n)
+    return SampledCurve(sigma.t.copy(), ys[:, :n], (E @ sigma.velocities[:, :, None])[:, :, 0])
 
 
 # ---------------------------------------------------------------------------

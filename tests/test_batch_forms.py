@@ -210,16 +210,20 @@ def test_sign_at_zero_as_the_loop():
 
 def test_a_value_that_is_not_finite_sends_the_batch_to_the_loop():
     # f = u vanishes at u = 0, outside the profile's range: there the
-    # per-point f'/f divides by zero, and the array form's inf goes back to
-    # the loop, which raises as it does
+    # per-point f'/f raises DomainFault, and the array form's inf goes back
+    # to the loop, which raises as it does and names the row
     chart = surfrev.surface_of_revolution(surfrev.Profile(f="u", h="0", u_range=(0.5, 2.0)))
     ev = chart.evaluator
     X = np.column_stack([np.linspace(0.6, 1.9, 2 * BATCH_ROWS), np.zeros(2 * BATCH_ROWS)])
     X[BATCH_ROWS + 1, 0] = 0.0
+    with pytest.raises(DomainFault) as one:
+        ev.gamma(X[BATCH_ROWS + 1])
     for name in ("gamma_batch", "connection_batch"):
         args = (X, X) if name == "connection_batch" else (X,)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(DomainFault) as info:
             getattr(ev, name)(*args)
+        assert str(info.value) == str(one.value)
+        assert np.array_equal(info.value.point, X[BATCH_ROWS + 1])
     stacks = [ev.stack(x) for x in X]
     for got, k in zip(ev.stack_batch(X), range(3)):
         assert _same(got, [s[k] for s in stacks])

@@ -59,6 +59,39 @@ def test_geodesic_csv_and_report(tmp_path, capsys):
     assert lines[0].split(",")[0] == "t"
 
 
+def test_transport_report_and_csv(tmp_path, capsys):
+    csv_path = tmp_path / "w.csv"
+    code, rep = run_json(capsys, "transport", "--builtin", "sphere_stereo",
+                         "--point", "0.3,0.1", "--velocity", "0.4,-0.1",
+                         "--tmax", "1.5", "--step", "0.005", "--w0", "0.2,0.5",
+                         "--csv", str(csv_path))
+    assert code == 0
+    assert rep["command"] == "transport"
+    assert rep["norm_drift"] <= 1e-9
+    assert rep["norm_end"] == pytest.approx(rep["norm_start"], abs=1e-9)
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0] == "t,w1,w2"
+    assert len(lines) == 302  # header + 301 samples
+    assert [float(x) for x in lines[-1].split(",")[1:]] == pytest.approx(rep["w_end"], abs=0)
+
+
+def test_develop_report_of_a_geodesic_and_csv(tmp_path, capsys):
+    csv_path = tmp_path / "dev.csv"
+    code, rep = run_json(capsys, "develop", "--builtin", "hyperbolic_ball",
+                         "--param", "n=3", "--point", "0.1,0.2,-0.1",
+                         "--velocity", "0.4,-0.3,0.2", "--tmax", "1.2", "--step", "0.004",
+                         "--csv", str(csv_path))
+    assert code == 0
+    assert rep["command"] == "develop"
+    # a geodesic develops to a straight line, as long as the geodesic
+    assert rep["straightness_residual"] <= 1e-8
+    speed = 2.0 / (1.0 - 0.06) * math.sqrt(0.29)  # conformal factor at the start
+    assert rep["length_estimate"] == pytest.approx(1.2 * speed, rel=1e-6)
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0] == "t,s1,s2,s3"
+    assert len(lines) == 302
+
+
 def test_exp_log_round_trip_via_cli(capsys):
     code, rep = run_json(capsys, "exp", "--builtin", "hyperbolic_ball",
                          "--point", "0.1,0.2", "--velocity", "0.2,-0.1")

@@ -6,6 +6,7 @@ import pytest
 
 from riemannkit import comparison, manifold, surfrev, tensor, transport
 from riemannkit.errors import DomainExit, DomainFault, SingularMetric
+from riemannkit.manifold import BATCH_ROWS
 from riemannkit.transport import OdeSettings
 
 
@@ -170,6 +171,30 @@ def test_inside_matches_pointwise_predicate(case):
     assert chart.inside(X).tolist() == want
     assert [chart.contains(x) for x in X] == want
     assert 0 < sum(want) < len(X)
+
+
+@pytest.mark.parametrize("rows", [BATCH_ROWS - 1, BATCH_ROWS, 2048])
+def test_expression_domain_mask_matches_the_loop(rows):
+    # from BATCH_ROWS rows on, the predicate's array form on the finite ones
+    chart = manifold.chart_from_definition(DISK)
+    X = np.random.default_rng(rows).uniform(-1.5, 1.5, (rows, 2))
+    X[::7, 0] = np.nan
+    X[3::11, 1] = np.inf
+    got = chart.inside(X)
+    assert got.dtype == bool
+    assert got.tolist() == [chart.contains(x) for x in X]
+    assert 0 < got.sum() < rows
+
+
+def test_expression_domain_fault_is_the_loop_fault():
+    chart = manifold.chart_from_definition(dict(DISK, domain="log(x + 2) + 1 - y"))
+    X = np.random.default_rng(5).uniform(-1.0, 1.0, (2048, 2))
+    X[1000, 0] = -2.5
+    with pytest.raises(DomainFault) as one:
+        chart.contains(X[1000])
+    with pytest.raises(DomainFault) as batch:
+        chart.inside(X)
+    assert str(batch.value) == str(one.value)
 
 
 def test_sweep_checks_every_ray():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riemannkit import surfrev, tensor
-from riemannkit.errors import BadProfile, BarrierNotTransversal
+from riemannkit.errors import BadProfile, BarrierNotTransversal, DomainFault
 from riemannkit.transport import OdeSettings, integrate_geodesic
 
 
@@ -94,6 +94,19 @@ def test_surface_of_revolution_metric():
     chart = surfrev.surface_of_revolution(prof)
     g = chart.evaluator.metric(np.array([0.2, 1.0]))
     assert np.max(np.abs(g - np.diag([1.0, 4.0]))) <= 1e-14
+
+
+def test_gamma_where_f_vanishes_is_a_located_domain_fault():
+    # f = u meets the axis at u = 0, outside the profile's range
+    chart = surfrev.surface_of_revolution(surfrev.Profile(f="u", h="0", u_range=(0.5, 2.0)))
+    ev = chart.evaluator
+    x = np.array([0.0, 0.3])
+    for call in (lambda: ev.gamma(x), lambda: ev.spray(x.tolist(), [1.0, 1.0]),
+                 lambda: ev.connection(x, np.array([1.0, 1.0]))):
+        with pytest.raises(DomainFault) as info:
+            call()
+        assert np.array_equal(info.value.point, x)
+        assert "u = 0" in str(info.value)
 
 
 # -- Clairaut ----------------------------------------------------------------

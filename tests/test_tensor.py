@@ -212,6 +212,17 @@ def test_normal_taylor_sphere():
     assert rep["K_fitted"] == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("name, params, p", [
+    ("sphere_stereo", {"n": 2}, [0.3, 0.1]),
+    ("sphere_stereo", {"n": 3, "R": 1.5}, [0.3, 0.1, -0.2]),
+    ("hyperbolic_ball", {"n": 3}, [0.1, 0.2, -0.1])])
+def test_normal_taylor_christoffel_vanish_at_origin(name, params, p):
+    # g in normal coordinates from the exact differential of exp, not from
+    # differences of nearby rays, whose rounding left Gamma(0) near 1e-9
+    rep = tensor.normal_taylor_check(manifold.builtin(name, params), p)
+    assert rep["gamma_origin_max"] <= 1e-12
+
+
 # -- Killing fields ----------------------------------------------------------
 
 def test_killing_rotation_field(eucl2, rng):
