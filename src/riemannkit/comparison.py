@@ -1,8 +1,9 @@
 """Riccati comparison, Sturm/Rauch/Myers checks, volume comparison.
 
-The scalar Riccati equation f' = -f^2 - H(t) is integrated through poles by
-switching to the reciprocal variable w = 1/f, whose equation w' = 1 + H w^2
-is smooth across a pole (w crosses zero there).
+The scalar Riccati equation f' = -f^2 - H(t) is solved as the log-derivative
+f = j'/j of the linear Jacobi equation j'' = -H(t) j, stepped by the same RK4
+transition matrices as every Jacobi field. A pole of f is a zero of j, which
+j crosses smoothly, so poles are passed with no change of variable.
 """
 
 from __future__ import annotations
@@ -108,71 +109,44 @@ class RiccatiTrace:
         _write_csv(path, ["t", "f"], zip(self.t[self.valid], self.f[self.valid]))
 
 
-_F_SWITCH = 2.0   # switch to w = 1/f when |f| exceeds this
-_W_SWITCH = 2.0   # switch back to f when |w| exceeds this (|f| < 1/2)
 _F_RECORD = 1e8   # samples with |f| above this are masked out
 
 
 def riccati_solve(H, f0: float, tmax: float, step: float = 1e-3) -> RiccatiTrace:
     """Integrate f' = -f^2 - H(t) on [0, tmax], passing through poles.
 
-    ``f0`` may be ``math.inf`` for the blowup initial condition f(0+) = +inf,
-    started on the asymptote f = 1/t - H(0) t / 3 at t = 1e-6.
+    f = j'/j for j'' = -H(t) j from (j, j') = (1, f0), chained from sample to
+    sample by RK4 transition matrices and reset to unit scale after every
+    step, which changes neither f nor the zeros of j. A pole of f is a zero
+    of j, the root of j's cubic Hermite interpolant on the step where j
+    changes sign. ``f0`` may be ``math.inf`` (or ``-math.inf``) for the
+    blowup condition f(0+) = +inf: j then starts exactly at (0, 1).
     """
     prof = _as_profile(H)
     if tmax <= 0 or step <= 0:
         raise BadParam("tmax and step must be positive")
     ts = np.arange(0.0, tmax + 0.5 * step, step)
     ts[-1] = min(ts[-1], tmax)
-    m = len(ts)
-    f_out = np.full(m, np.nan)
-    valid = np.zeros(m, dtype=bool)
-    poles = []
-
-    if math.isinf(f0):
-        t = 1e-6
-        y = 1.0 / t - prof(0.0) * t / 3.0
-        mode = "f"
-        f_out[0] = math.inf
-    else:
-        t = 0.0
-        y = float(f0)
-        mode = "f"
-        f_out[0] = y
-        valid[0] = True
-    if mode == "f" and abs(y) > _F_SWITCH:
-        y, mode = 1.0 / y, "w"
-
-    rhs = {"f": lambda t, y: -y * y - prof(t),
-           "w": lambda t, y: 1.0 + prof(t) * y * y}
-
-    for i in range(1, m):
-        target = ts[i]
-        # integrate from current (t, y) to target, possibly in sub-pieces
-        while t < target - 1e-15:
-            h = target - t
-            y_new = _rk4_step(rhs[mode], t, y, h)
-            if mode == "w" and y * y_new < 0.0:
-                # pole inside the step: locate the zero of w by bisection
-                a, b, ya = t, t + h, y
-                for _ in range(60):
-                    mid = 0.5 * (a + b)
-                    ym = _rk4_step(rhs[mode], a, ya, mid - a)
-                    if ya * ym <= 0.0:
-                        b = mid
-                    else:
-                        a, ya = mid, ym
-                poles.append(0.5 * (a + b))
-            t, y = t + h, y_new
-            if mode == "f" and abs(y) > _F_SWITCH:
-                y, mode = 1.0 / y, "w"
-            elif mode == "w" and abs(y) > _W_SWITCH:
-                y, mode = 1.0 / y, "f"
-        fval = y if mode == "f" else (1.0 / y if y != 0.0 else math.inf)
-        if abs(fval) <= _F_RECORD:
-            f_out[i] = fval
-            valid[i] = True
-    return RiccatiTrace(t=ts, f=f_out, valid=valid, poles=poles,
+    t, h = ts.tolist(), np.diff(ts)
+    H_at = np.array([prof(s) for s in t]).reshape(-1, 1, 1)
+    H_mid = np.array([prof(s) for s in (ts[:-1] + 0.5 * h).tolist()]).reshape(-1, 1, 1)
+    steps = _jacobi_transition(H_at[:-1], H_mid, H_at[1:], h).tolist()
+    j, jp = (0.0, 1.0) if math.isinf(f0) else (1.0, float(f0))
+    J, poles = [(j, jp)], []
+    for i, ((a, b), (c, d)) in enumerate(steps, 1):
+        j1, jp1 = a * j + b * jp, c * j + d * jp
+        if j * j1 < 0.0 or j1 == 0.0:
+            t0, t1 = t[i - 1], t[i]
+            poles.append(_bisect(lambda s: _hermite(t0, t1, j, j1, jp, jp1, s), t0, t1))
+        scale = abs(j1) + abs(jp1)
+        j, jp = j1 / scale, jp1 / scale
+        J.append((j, jp))
+    j, jp = np.array(J).T
+    valid = np.abs(jp) <= _F_RECORD * np.abs(j)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(valid, jp / j, np.nan)
+    f[0], valid[0] = (math.inf, False) if math.isinf(f0) else (f0, True)
+    return RiccatiTrace(t=ts, f=f, valid=valid, poles=poles,
                         f0=f0, tmax=tmax, step=step)
 
 
@@ -180,27 +154,35 @@ def riccati_solve(H, f0: float, tmax: float, step: float = 1e-3) -> RiccatiTrace
 # Scalar comparison checks
 # ---------------------------------------------------------------------------
 
-def compare_driving(H, K, f0: float, tmax: float, step: float = 1e-3,
-                    tol: float = 1e-8) -> dict:
-    """With H >= K and equal initial values, check f_H <= f_K and pole order."""
-    profH, profK = _as_profile(H), _as_profile(K)
+def _require_above(profH: CurvatureProfile, profK: CurvatureProfile, tmax: float):
+    """InputOrderViolated unless H >= K on a 257-point grid of [0, tmax]."""
     grid = np.linspace(0.0, tmax, 257)
     gap = np.array([profH(t) - profK(t) for t in grid])
     if np.min(gap) < -1e-12:
         raise InputOrderViolated(
             f"H < K at t={grid[int(np.argmin(gap))]:.6g} (gap {np.min(gap):.3g})")
+
+
+def _max_excess(lo: RiccatiTrace, hi: RiccatiTrace) -> float:
+    """Largest lo.f - hi.f (0 for none) over the samples valid in both, up to
+    one step before lo's first pole."""
+    pole = lo.first_pole()
+    stop = pole if pole is not None else lo.tmax + 1.0
+    mask = lo.valid & hi.valid & (lo.t < stop - lo.step)
+    return float(np.max(lo.f[mask] - hi.f[mask])) if mask.any() else 0.0
+
+
+def compare_driving(H, K, f0: float, tmax: float, step: float = 1e-3,
+                    tol: float = 1e-8) -> dict:
+    """With H >= K and equal initial values, check f_H <= f_K and pole order."""
+    profH, profK = _as_profile(H), _as_profile(K)
+    _require_above(profH, profK, tmax)
     trH = riccati_solve(profH, f0, tmax, step)
     trK = riccati_solve(profK, f0, tmax, step)
+    worst = _max_excess(trH, trK)
     pH, pK = trH.first_pole(), trK.first_pole()
-    stop = pH if pH is not None else tmax + 1.0
-    mask = trH.valid & trK.valid & (trH.t < stop - step)
-    diff = trH.f[mask] - trK.f[mask]
-    worst = float(np.max(diff)) if len(diff) else 0.0
-    ordered = worst <= tol
-    pole_ordered = True
-    if pH is not None and pK is not None:
-        pole_ordered = pH <= pK + tol
-    return {"ordered": ordered, "max_violation": worst,
+    pole_ordered = pH is None or pK is None or pH <= pK + tol
+    return {"ordered": worst <= tol, "max_violation": worst,
             "pole_H": pH, "pole_K": pK, "pole_ordered": pole_ordered,
             "trace_H": trH, "trace_K": trK}
 
@@ -212,51 +194,23 @@ def value_compare(H, f0: float, g0: float, tmax: float, step: float = 1e-3,
         raise InputOrderViolated("need f0 <= g0")
     trF = riccati_solve(H, f0, tmax, step)
     trG = riccati_solve(H, g0, tmax, step)
-    pF = trF.first_pole()
-    stop = pF if pF is not None else tmax + 1.0
-    mask = trF.valid & trG.valid & (trF.t < stop - step)
-    diff = trF.f[mask] - trG.f[mask]
-    worst = float(np.max(diff)) if len(diff) else 0.0
+    worst = _max_excess(trF, trG)
     return {"ordered": worst <= tol, "max_violation": worst,
             "trace_f": trF, "trace_g": trG}
 
 
 def sturm_check(H, K, tmax: float, step: float = 1e-3, tol: float = 1e-8) -> dict:
-    """First zeros of j'' = -H j and k'' = -K k with unit-slope starts.
+    """First zeros of j'' = -H j and k'' = -K k with unit-slope starts: the
+    first poles of the Riccati traces from f0 = inf.
 
     With H >= K, the H-zero must come first (vacuous when k has no zero).
     """
     profH, profK = _as_profile(H), _as_profile(K)
-    grid = np.linspace(0.0, tmax, 257)
-    gap = np.array([profH(t) - profK(t) for t in grid])
-    if np.min(gap) < -1e-12:
-        raise InputOrderViolated("H < K somewhere on the interval")
-    zH = _first_zero(profH, tmax, step)
-    zK = _first_zero(profK, tmax, step)
-    if zK is None:
-        verdict = True
-    elif zH is None:
-        verdict = False
-    else:
-        verdict = zH <= zK + tol
+    _require_above(profH, profK, tmax)
+    zH = riccati_solve(profH, math.inf, tmax, step).first_pole()
+    zK = riccati_solve(profK, math.inf, tmax, step).first_pole()
+    verdict = zK is None or (zH is not None and zH <= zK + tol)
     return {"zero_H": zH, "zero_K": zK, "ordered": verdict}
-
-
-def _first_zero(prof: CurvatureProfile, tmax: float, step: float) -> Optional[float]:
-    def rhs(t, y):
-        return np.array([y[1], -prof(t) * y[0]])
-
-    t, y = 0.0, np.array([0.0, 1.0])
-    prev_t, prev_y = t, y.copy()
-    while t < tmax - 1e-15:
-        h = min(step, tmax - t)
-        ynew = _rk4_step(rhs, t, y, h)
-        if t > 0 and y[0] * ynew[0] < 0.0:
-            # root of the cubic Hermite interpolant inside the step
-            a, b = t, t + h
-            return _bisect(lambda s: _hermite(a, b, y[0], ynew[0], y[1], ynew[1], s), a, b)
-        t, y = t + h, ynew
-    return None
 
 
 # ---------------------------------------------------------------------------

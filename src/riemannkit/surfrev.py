@@ -127,7 +127,10 @@ class Profile:
 
     def gauss_curvature(self, u: float) -> float:
         fv, _, f2 = self.f(u)
-        return -f2 / fv
+        try:
+            return -f2 / fv
+        except ZeroDivisionError:
+            raise _axis_fault([u]) from None
 
 
 def profile_from_definition(doc: dict) -> Profile:
@@ -265,7 +268,7 @@ class SurfRevEvaluator(MetricEvaluator):
 
 
 def _axis_fault(x) -> DomainFault:
-    """Gamma's fault at a point x where f(u) = 0, where the surface meets its axis."""
+    """The fault at a point x = (u, ...) where f(u) = 0, where the surface meets its axis."""
     return DomainFault(f"f(u) = 0 at u = {x[0]:.6g}", point=np.array(x, dtype=float))
 
 
@@ -401,7 +404,10 @@ def barriers(profile: Profile, c: float, grid: int = 2048,
 def initial_velocity(profile: Profile, u0: float, phi0: float) -> np.ndarray:
     """Unit-speed start; phi0 is the angle measured from the meridian."""
     fv = profile.f.value(u0)
-    return np.array([math.cos(phi0), math.sin(phi0) / fv])
+    try:
+        return np.array([math.cos(phi0), math.sin(phi0) / fv])
+    except ZeroDivisionError:
+        raise _axis_fault([u0]) from None
 
 
 def classify_geodesic(profile: Profile, init, confirm: bool = True,

@@ -250,13 +250,6 @@ class CurvatureAlgebraElement:
         return cls(n=n, components=T)
 
     @classmethod
-    def from_chart(cls, chart: MetricChart, p):
-        md = metric_at(chart, p)
-        R = curvature(chart, p)
-        B = orthonormal_frame(md.g)
-        return cls(n=chart.dim, components=frame_components(R.low, B))
-
-    @classmethod
     def constant_curvature(cls, n: int, K: float):
         eye = np.eye(n)
         T = K * (np.einsum("ac,bd->abcd", eye, eye) - np.einsum("ad,bc->abcd", eye, eye))

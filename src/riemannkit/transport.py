@@ -68,9 +68,6 @@ class Trajectory:
     def velocity(self, s: float) -> np.ndarray:
         return _dense(self.t, self.x, s, self.v, deriv=True)
 
-    def state_at(self, s: float):
-        return self.position(s), self.velocity(s)
-
     def as_curve(self) -> SampledCurve:
         return SampledCurve(self.t.copy(), self.x.copy(), self.v.copy())
 

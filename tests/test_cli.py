@@ -142,6 +142,23 @@ def test_compare_command(capsys):
     assert "zero_H" in text
 
 
+def test_compare_driving_command(capsys):
+    code, rep = run_json(capsys, "compare", "--mode", "driving", "--H", "1",
+                         "--K", "0", "--f0", "inf", "--tmax", "4")
+    assert code == 0
+    assert rep["ordered"] is True and rep["pole_ordered"] is True
+    assert rep["pole_H"] == pytest.approx(math.pi, abs=1e-4)
+    assert rep["pole_K"] is None
+    assert not any(key.startswith("trace") for key in rep)
+
+
+def test_compare_value_command(capsys):
+    code, rep = run_json(capsys, "compare", "--mode", "value", "--H", "-1",
+                         "--f0", "-0.5", "--g0", "0.5", "--tmax", "4")
+    assert code == 0
+    assert rep["ordered"] is True
+
+
 def test_surfrev_classify(capsys):
     code, rep = run_json(capsys, "surfrev", "--torus", "2,1",
                          "--classify", "0,0,0.985110783", "--no-confirm")

@@ -69,6 +69,72 @@ def test_riccati_segments_split_at_poles():
     assert len(segs) == 3  # (0, pi), (pi, 2 pi), (2 pi, 7)
 
 
+@pytest.mark.parametrize("f0", [math.inf, 0.4])
+def test_riccati_fourth_order_on_a_variable_profile(f0):
+    # the first pole and f(0.5) against a reference at step 6.25e-5:
+    # halving the step divides both errors by about 2^4
+    def H(t):
+        return 1.0 + 0.5 * math.sin(3.0 * t)
+
+    def probe(step):
+        tr = comparison.riccati_solve(H, f0, 4.0, step)
+        i = int(np.argmin(np.abs(tr.t - 0.5)))
+        assert tr.t[i] == 0.5 and tr.valid[i]
+        return tr.first_pole(), tr.f[i]
+
+    pole_ref, f_ref = probe(6.25e-5)
+    (p1, f1), (p2, f2) = probe(1e-2), probe(5e-3)
+    assert 12.0 <= abs(p1 - pole_ref) / abs(p2 - pole_ref) <= 20.0
+    assert 12.0 <= abs(f1 - f_ref) / abs(f2 - f_ref) <= 20.0
+
+
+@pytest.mark.parametrize("H, f0, tmax", [(-1e4, 0.0, 10.0), (-1e4, math.inf, 10.0),
+                                         (-100.0, 0.0, 80.0)])
+def test_riccati_strongly_negative_profile_stays_finite(H, f0, tmax):
+    # j grows like exp(sqrt(-H) t); kept at unit scale, f tends to sqrt(-H)
+    tr = comparison.riccati_solve(H, f0, tmax)
+    assert tr.poles == []
+    assert np.all(tr.valid[1:]) and np.all(np.isfinite(tr.f[1:]))
+    assert tr.f[-1] == pytest.approx(math.sqrt(-H), rel=1e-9)
+
+
+@pytest.mark.parametrize("f0, closed", [(0.0, lambda x: 100.0 * np.tanh(x)),
+                                        (math.inf, lambda x: 100.0 / np.tanh(x))])
+def test_riccati_stiff_trace_matches_closed_form(f0, closed):
+    # H = -1e4: f = 100 tanh(100 t) from f0 = 0, 100 coth(100 t) from f0 = inf
+    tr = comparison.riccati_solve(-1e4, f0, 10.0)
+    late = tr.t >= 0.05
+    assert np.max(np.abs(tr.f[late] - closed(100.0 * tr.t[late]))) <= 1e-6
+
+
+@pytest.mark.parametrize("H, K, tmax", [(1.0, 0.25, 7.0), (1.0, 0.0, 4.0),
+                                        (0.0, -1.0, 4.0),
+                                        (lambda t: 1.0 + 0.5 * math.sin(t), 0.5, 9.0)])
+def test_sturm_zeros_are_first_poles_of_riccati_traces(H, K, tmax):
+    rep = comparison.sturm_check(H, K, tmax)
+    assert rep["zero_H"] == comparison.riccati_solve(H, math.inf, tmax).first_pole()
+    assert rep["zero_K"] == comparison.riccati_solve(K, math.inf, tmax).first_pole()
+
+
+def test_sturm_zero_is_none_without_a_zero():
+    rep = comparison.sturm_check(1.0, 0.0, 3.0)
+    assert rep["zero_H"] is None and rep["zero_K"] is None and rep["ordered"]
+
+
+def test_riccati_pole_on_a_sample():
+    # H = 0 from f0 = -1: j = 1 - t vanishes exactly at the sample t = 1
+    tr = comparison.riccati_solve(0.0, -1.0, 2.0, step=0.5)
+    assert tr.poles == [1.0]
+    assert tr.valid.tolist() == [True, True, False, True, True]
+    assert tr.f[tr.valid].tolist() == [-1.0, -2.0, 2.0, 1.0]
+
+
+def test_riccati_one_sample_grid():
+    tr = comparison.riccati_solve(1.0, 1.0, 0.1, step=1.0)
+    assert tr.t.tolist() == [0.0] and tr.f.tolist() == [1.0]
+    assert tr.valid.tolist() == [True] and tr.poles == []
+
+
 # -- comparison verdicts -----------------------------------------------------
 
 def test_compare_driving_sphere_vs_euclidean():

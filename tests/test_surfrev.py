@@ -109,6 +109,22 @@ def test_gamma_where_f_vanishes_is_a_located_domain_fault():
         assert "u = 0" in str(info.value)
 
 
+def test_gauss_curvature_where_f_vanishes_is_a_domain_fault():
+    profile = surfrev.Profile(f="u", h="0", u_range=(0.5, 2.0))
+    with pytest.raises(DomainFault) as info:
+        profile.gauss_curvature(0.0)
+    assert np.array_equal(info.value.point, [0.0])
+    assert "u = 0" in str(info.value)
+
+
+def test_initial_velocity_where_f_vanishes_is_a_domain_fault():
+    profile = surfrev.Profile(f="u", h="0", u_range=(0.5, 2.0))
+    with pytest.raises(DomainFault) as info:
+        surfrev.initial_velocity(profile, 0.0, 0.7)
+    assert np.array_equal(info.value.point, [0.0])
+    assert "u = 0" in str(info.value)
+
+
 # -- Clairaut ----------------------------------------------------------------
 
 def test_clairaut_constant_conserved(torus21, torus_profile):
