@@ -190,6 +190,8 @@ def compare_driving(H, K, f0: float, tmax: float, step: float = 1e-3,
 def value_compare(H, f0: float, g0: float, tmax: float, step: float = 1e-3,
                   tol: float = 1e-8) -> dict:
     """Same driving term, ordered initial values: f stays below g."""
+    if -math.inf in (f0, g0):
+        raise BadParam("value_compare: a start of -inf has no solution on t > 0")
     if not f0 <= g0:
         raise InputOrderViolated("need f0 <= g0")
     trF = riccati_solve(H, f0, tmax, step)

@@ -687,6 +687,21 @@ def compile_tensor(nodes, n: int, order: int):
                        lambda: _compile(name, n, _Emitter(order, batch=True), blocks))
 
 
+def _compile_profile(node):
+    """Compile an expression in the one variable u to u -> (f, f', f''),
+    a function of a Python float returning three Python floats.
+
+    Its statements and checks are those of ``compile_tensor(node, 1, 2)``,
+    in the same order, so it raises where that one does and its values are
+    bitwise that one's. Its ``batch`` attribute is its array form: on a 1-D
+    array U it returns the three as (N,) arrays, or None where a check fails
+    at some element. It is compiled on its first call.
+    """
+    blocks = [((), flat) for _, flat in _derivative_blocks(_Graph(), node, 1, 2)]
+    return _with_batch(_compile("profile", None, _Emitter(2), blocks),
+                       lambda: _compile("profile", None, _Emitter(2, batch=True), blocks))
+
+
 def compile_gamma(rows, n: int):
     """Compile the Christoffel symbols and the geodesic spray of an expression
     metric to two functions.
@@ -802,11 +817,12 @@ def _derivative_blocks(graph, nodes, n: int, order: int):
     return blocks
 
 
-def _compile(name: str, n: int, emit: _Emitter, blocks):
+def _compile(name: str, n, emit: _Emitter, blocks):
     """The function ``name(x)`` of a float array x of length n returning
     every (shape, flat nodes) block, a block of shape () as a float; in
     batch mode, of an (N, n) array x returning every block with a leading
-    axis of length N."""
+    axis of length N. With n None, x is the one variable itself: a float,
+    or in batch mode a 1-D array of N of them."""
     results = []
     for b, (shape, flat) in enumerate(blocks):
         refs = [emit.ref(node) for node in flat]
@@ -817,8 +833,12 @@ def _compile(name: str, n: int, emit: _Emitter, blocks):
         else:
             text = f"_array([{', '.join(refs)}])"
             results.append(text if len(shape) == 1 else f"{text}.reshape({shape})")
-    head = f"_N = len(x); {_unpack(range(n))}= _contiguous(x.T)" if emit.batch else \
-        f"{_unpack(range(n))}= x.tolist()"
+    if n is None:
+        head = "_N = len(x); x0 = x" if emit.batch else "x0 = x"
+    elif emit.batch:
+        head = f"_N = len(x); {_unpack(range(n))}= _contiguous(x.T)"
+    else:
+        head = f"{_unpack(range(n))}= x.tolist()"
     body = [head, *emit.lines, f"return {', '.join(results)}"]
     return _define(name, "x", body)
 

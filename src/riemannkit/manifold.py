@@ -520,8 +520,6 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
         R = _number(name, params, "R", 2.0)
         r = _number(name, params, "r", 1.0)
         _reject_extra(name, params)
-        if not (R > r > 0):
-            raise BadParam("torus: need R > r > 0")
         from . import surfrev
         return surfrev.torus_chart(R, r)
     raise UnknownBuiltin(f"no builtin chart named '{name}'")
@@ -532,12 +530,15 @@ def _square(a):
 
 
 def _number(name, params, key, default) -> float:
-    """params[key], or default where it is absent, as a float; BadParam if it is no number."""
+    """params[key], or default where it is absent, as a float; BadParam if no finite number."""
     raw = params.pop(key, default)
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
-        raise BadParam(f"{name}: parameter {key} must be a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise BadParam(f"{name}: parameter {key} must be a finite number, got {raw!r}")
+    return value
 
 
 def _count(label: str, raw) -> int:
@@ -608,12 +609,16 @@ def chart_from_definition(doc: dict) -> MetricChart:
 
 
 def load_manifold(path: str) -> MetricChart:
+    return chart_from_definition(_read_definition(path, "manifold"))
+
+
+def _read_definition(path: str, kind: str):
+    """The JSON document in the file at path; BadParam where it cannot be read."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
-        raise BadParam(f"cannot read manifold definition {path}: {exc}") from None
-    return chart_from_definition(doc)
+        raise BadParam(f"cannot read {kind} definition {path}: {exc}") from None
 
 
 def _check_supplied_symmetry(chart: MetricChart, asts, seed: int = 20260823,

@@ -9,7 +9,6 @@ module needs numpy only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,8 +18,7 @@ import numpy as np
 
 from . import expr
 from .errors import (BadParam, BadProfile, BarrierNotTransversal, DomainExit, DomainFault)
-from .expr import _each
-from .manifold import MetricChart, MetricEvaluator, _array_form, _bisect
+from .manifold import MetricChart, MetricEvaluator, _array_form, _bisect, _read_definition
 
 
 # ---------------------------------------------------------------------------
@@ -28,22 +26,19 @@ from .manifold import MetricChart, MetricEvaluator, _array_form, _bisect
 # ---------------------------------------------------------------------------
 
 class SmoothFunc:
-    """Wraps an expression AST (or raw callables) as u -> (value, d1, d2).
+    """Wraps an expression AST (or a raw callable) as u -> (value, d1, d2).
 
-    ``batch(U)`` gives the three as arrays over an array U of parameters,
-    equal element for element to a call at each u, and raises where such a
-    call does. It runs ``array_form``: the array form of the compiled
-    expression, or a closed form set on a callable (as the torus's), which
-    returns None where one of its checks fails; without one, it loops.
+    An expression is compiled once to a function of a float returning three
+    floats (see ``expr._compile_profile``). ``batch(U)`` gives the three as
+    arrays over an array U of parameters, equal element for element to a
+    call at each u, and raises where such a call does. It runs the array
+    form of the compiled expression; for a callable, it loops.
     """
-
-    array_form = None
 
     def __init__(self, source, label=""):
         self.label = label
         if callable(source):
-            self.ast = None
-            self.source = None
+            self.ast = self.source = self._compiled = None
             self._call = source
             return
         if isinstance(source, str):
@@ -52,18 +47,7 @@ class SmoothFunc:
         else:  # assume a parsed AST node
             self.ast = source
             self.source = expr.to_source(source)
-        compiled = expr.compile_tensor(self.ast, 1, 2)
-
-        def call(u):
-            value, d1, d2 = compiled(np.array([u]))
-            return value, float(d1[0]), float(d2[0, 0])
-
-        def array_form(U):
-            out = compiled.batch(U[:, None])
-            return None if out is None else (out[0], out[1][:, 0], out[2][:, 0, 0])
-
-        self._call = call
-        self.array_form = array_form
+        self._call = self._compiled = expr._compile_profile(self.ast)
 
     def __call__(self, u: float):
         return self._call(float(u))
@@ -71,9 +55,14 @@ class SmoothFunc:
     def value(self, u: float) -> float:
         return self(u)[0]
 
+    def array_form(self, U):
+        """(f, f', f'') over the 1-D array U, or None where a check fails or nothing is compiled."""
+        # ``batch`` is looked up at each call: it compiles itself on the first
+        return None if self._compiled is None else self._compiled.batch(U)
+
     def batch(self, U):
         U = np.asarray(U, dtype=float)
-        out = None if self.array_form is None else _array_form(self.array_form, U)
+        out = _array_form(self.array_form, U)
         if out is None:
             out = tuple(np.array([self(u) for u in U], dtype=float).reshape(-1, 3).T)
         return out
@@ -134,15 +123,27 @@ class Profile:
 
 
 def profile_from_definition(doc: dict) -> Profile:
-    prof = Profile(f=doc["f"], h=doc["h"], u_range=tuple(doc["u_range"]),
-                   arclength=bool(doc.get("arclength", True)),
-                   label=doc.get("label", "profile"))
-    return prof.validate()
+    """A validated profile from a JSON object with the expression strings f
+    and h, u_range [a, b] and optional arclength and label; BadParam where
+    the object is malformed."""
+    if not isinstance(doc, dict):
+        raise BadParam("a profile definition must be a JSON object")
+    f, h, u_range = doc.get("f"), doc.get("h"), doc.get("u_range")
+    arclength = doc.get("arclength", True)
+    if not (isinstance(f, str) and isinstance(h, str)):
+        raise BadParam("profile f and h must be expression strings")
+    if not (isinstance(u_range, (list, tuple)) and len(u_range) == 2 and all(
+            isinstance(a, (int, float)) and not isinstance(a, bool) and math.isfinite(a)
+            for a in u_range)):
+        raise BadParam(f"profile u_range must be two finite numbers, got {u_range!r}")
+    if not isinstance(arclength, bool):
+        raise BadParam(f"profile arclength must be true or false, got {arclength!r}")
+    return Profile(f=f, h=h, u_range=tuple(u_range), arclength=arclength,
+                   label=doc.get("label", "profile")).validate()
 
 
 def load_profile(path: str) -> Profile:
-    with open(path) as fh:
-        return profile_from_definition(json.load(fh))
+    return profile_from_definition(_read_definition(path, "profile"))
 
 
 def reparametrize_arclength(profile: Profile, grid: int = 8193) -> Profile:
@@ -200,10 +201,6 @@ class SurfRevEvaluator(MetricEvaluator):
         self.dim = 2
         self.ffun = ffun
 
-    def _profile_rows(self, X):
-        """(f, f', f'') at the u of every row of X, or None."""
-        return None if self.ffun.array_form is None else self.ffun.array_form(X[:, 0])
-
     @staticmethod
     def _stack_of(F, N):
         """(g, dg, d2g) of N points from (f, f', f'') there, floats or arrays."""
@@ -218,11 +215,11 @@ class SurfRevEvaluator(MetricEvaluator):
         return g, dg, d2g
 
     def _stack_rows(self, X):
-        F = self._profile_rows(X)
+        F = self.ffun.array_form(X[:, 0])
         return None if F is None else self._stack_of(F, len(X))
 
     def _gamma_rows(self, X):
-        F = self._profile_rows(X)
+        F = self.ffun.array_form(X[:, 0])
         if F is None:
             return None
         fv, f1, _ = F
@@ -299,39 +296,14 @@ def surface_of_revolution(profile: Profile) -> MetricChart:
 
 
 def torus_chart(R: float, r: float) -> MetricChart:
-    """Donut torus: f(u) = R + r cos(u/r), h(u) = r sin(u/r), arclength in u."""
-    if not (R > r > 0):
-        raise BadParam("torus: need R > r > 0")
-
-    def fcall(u):
-        c, s = math.cos(u / r), math.sin(u / r)
-        return R + r * c, -s, -c / r
-
-    def hcall(u):
-        c, s = math.cos(u / r), math.sin(u / r)
-        return r * s, c, -s / r
-
-    def cos_sin(U):  # as math.cos and math.sin at each u / r
-        q = U / r
-        return _each(math.cos, q), _each(math.sin, q)
-
-    def frows(U):
-        c, s = cos_sin(U)
-        return R + r * c, -s, -c / r
-
-    def hrows(U):
-        c, s = cos_sin(U)
-        return r * s, c, -s / r
-
-    ffun = SmoothFunc(fcall, "f")
-    hfun = SmoothFunc(hcall, "h")
-    ffun.array_form, hfun.array_form = frows, hrows
-    ffun.source = f"{R!r} + {r!r}*cos(u/{r!r})"
-    hfun.source = f"{r!r}*sin(u/{r!r})"
+    """Donut torus: the expression profile f(u) = R + r cos(u/r),
+    h(u) = r sin(u/r), arclength in u and periodic with period 2 pi r."""
+    R, r = float(R), float(r)  # repr of a numpy float does not parse
+    if not (math.isfinite(R) and R > r > 0):
+        raise BadParam("torus: need finite R > r > 0")
     prof = Profile(
-        f=ffun, h=hfun,
-        u_range=(-math.pi * r, math.pi * r),
-        arclength=True, label=f"torus({R},{r})",
+        f=f"{R!r} + {r!r}*cos(u/{r!r})", h=f"{r!r}*sin(u/{r!r})",
+        u_range=(-math.pi * r, math.pi * r), label=f"torus({R},{r})",
         periodic=2.0 * math.pi * r)
     chart = surface_of_revolution(prof)  # validates the profile
     chart.label = f"torus({R},{r})"

@@ -348,3 +348,15 @@ def test_degenerate_endpoint_of_exp_reported(tmp_path, capsys):
     assert code == 1
     assert rep["error"]["type"] == "SingularMetric"
     assert rep["error"]["t_exit"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("surfrev", "--profile", "missing.json", "--barriers", "1"),
+    ("surfrev", "--torus", "inf,1", "--barriers", "1"),
+    ("compare", "--mode", "value", "--H", "-1", "--f0=-inf", "--g0", "0", "--tmax", "4"),
+], ids=["missing_profile", "infinite_torus", "value_minus_inf"])
+def test_bad_inputs_are_bad_param_reports(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, rep = run_json(capsys, *argv)
+    assert code == 1
+    assert rep["error"]["type"] == "BadParam"

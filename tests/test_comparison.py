@@ -357,3 +357,9 @@ def test_sphere_directions_unit_and_deterministic():
         assert D.shape == (50, n)
         assert np.max(np.abs(np.linalg.norm(D, axis=1) - 1.0)) <= 1e-12
         assert np.array_equal(D, comparison._sphere_directions(n, 50))
+
+
+@pytest.mark.parametrize("f0, g0", [(-math.inf, 0.0), (-math.inf, -math.inf)])
+def test_value_compare_rejects_a_minus_infinite_start(f0, g0):
+    with pytest.raises(BadParam, match="-inf"):
+        comparison.value_compare(-1.0, f0, g0, 4.0)

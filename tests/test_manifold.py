@@ -307,3 +307,14 @@ def test_euclidean_norm_parallelogram_property(n, seed):
     rep = manifold.parallelogram_check(manifold.FinslerNorm.euclidean(n),
                                        samples=20, seed=seed)
     assert rep.max_violation <= 1e-12
+
+
+@pytest.mark.parametrize("name, params", [
+    ("torus", {"R": math.inf, "r": 1.0}),
+    ("torus", {"R": 2.0, "r": "nan"}),
+    ("sphere_stereo", {"R": math.inf}),
+    ("sphere_stereo", {"R": "-inf"}),
+])
+def test_builtin_parameters_must_be_finite(name, params):
+    with pytest.raises(BadParam, match="finite"):
+        manifold.builtin(name, params)

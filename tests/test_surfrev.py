@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riemannkit import surfrev, tensor
-from riemannkit.errors import BadProfile, BarrierNotTransversal, DomainFault
+from riemannkit.errors import BadParam, BadProfile, BarrierNotTransversal, DomainFault
 from riemannkit.transport import OdeSettings, integrate_geodesic
 
 
@@ -240,3 +240,46 @@ def test_rationality_flag():
     assert rep["within_window"]
     rep = surfrev.rationality_flag(0.7498, tol=1e-6)
     assert not rep["within_window"]
+
+
+# -- malformed profile documents ------------------------------------------------
+
+GOOD_PROFILE = {"f": "2", "h": "u", "u_range": [-1.0, 1.0]}
+
+
+@pytest.mark.parametrize("doc", [
+    {**GOOD_PROFILE, "f": 2},
+    {**GOOD_PROFILE, "h": None},
+    {"f": "2", "h": "u"},
+    {**GOOD_PROFILE, "u_range": [0]},
+    {**GOOD_PROFILE, "u_range": "ab"},
+    {**GOOD_PROFILE, "u_range": [0.0, math.inf]},
+    {**GOOD_PROFILE, "u_range": [True, 2]},
+    {**GOOD_PROFILE, "arclength": "no"},
+    [GOOD_PROFILE],
+], ids=["f_number", "h_null", "no_u_range", "u_range_one", "u_range_string",
+        "u_range_inf", "u_range_bool", "arclength_string", "list"])
+def test_malformed_profile_documents_raise_bad_param(doc):
+    with pytest.raises(BadParam):
+        surfrev.profile_from_definition(doc)
+
+
+def test_profile_documents_keep_integral_ranges_and_arclength_false():
+    prof = surfrev.profile_from_definition(
+        {"f": "1 + u^2", "h": "u", "u_range": [-1, 1], "arclength": False})
+    assert prof.u_range == (-1, 1) and prof.arclength is False
+
+
+def test_unreadable_profile_files_raise_bad_param(tmp_path):
+    with pytest.raises(BadParam, match="cannot read profile definition"):
+        surfrev.load_profile(str(tmp_path / "missing.json"))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(BadParam, match="cannot read profile definition"):
+        surfrev.load_profile(str(bad))
+
+
+@pytest.mark.parametrize("R, r", [(math.inf, 1.0), (2.0, math.nan), (math.nan, 1.0), (1.0, 2.0)])
+def test_torus_chart_rejects_bad_radii(R, r):
+    with pytest.raises(BadParam, match="torus"):
+        surfrev.torus_chart(R, r)
