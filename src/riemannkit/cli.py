@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__, comparison, manifold, surfrev, tensor, transport, variation
-from .errors import BadDimension, RiemannKitError
+from .errors import BadDimension, BadParam, RiemannKitError
 
 SCHEMA = "riemann-kit/1"
 
@@ -310,8 +310,13 @@ def cmd_volume(args):
 
 
 def cmd_surfrev(args):
+    for option, count in (("torus", 2), ("classify", 3)):
+        if getattr(args, option) is not None and len(getattr(args, option)) != count:
+            raise BadParam(f"--{option} takes {count} comma-separated numbers")
     if args.profile:
         prof = surfrev.load_profile(args.profile)
+    elif args.torus is None:
+        raise BadParam("surfrev needs --profile or --torus")
     else:
         R, r = args.torus
         prof = surfrev.torus_chart(R, r).profile

@@ -848,6 +848,9 @@ def _gather(emit: _Emitter, out: str, shape, flat, refs) -> str:
     of shape S into one (M, N) array ``out``; the expression for it as a
     C-contiguous (N,) + S array, laid out as the per-point arrays are, so
     that a matmul over it takes their summation order."""
+    if not shape:  # one node, an array or a float: ``out`` is the (N,) result itself
+        emit.lines.append(f"{out} = _empty(_N); {out}[:] = {refs[0]}")
+        return out
     arrays = [k for k, node in enumerate(flat) if id(node) in emit.arrays]
     floats = [k for k, node in enumerate(flat) if id(node) not in emit.arrays]
     emit.lines.append(f"{out} = _empty(({len(flat)}, _N))")

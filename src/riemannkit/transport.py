@@ -1,23 +1,25 @@
 """Geodesic integration, parallel translation, exp/log, developments.
 
 Default integrator is fixed-step RK4 with cubic-Hermite dense output;
-an adaptive RKF45 is available through OdeSettings.method.
+an adaptive RKF45 is available through OdeSettings.method.  Both step an
+unframed geodesic's (x, v) on Python floats with the evaluator's geodesic
+spray Gamma(v, v) and check the chart domain once per block of steps.
 
-A fixed-step framed geodesic runs in two passes.  The nonlinear one steps
-(x, v) alone on Python floats with the evaluator's geodesic spray
-Gamma(v, v), records every RK4 stage and checks the chart domain once per
-block of steps.  The linear one then carries the parallel frame.  Every
-linear equation along a known curve is solved so (the frame, a transported
-vector, a development's coframe, ``variation``'s Jacobi fields): C from one
-``connection_batch`` at all stage points gives one RK4 transition matrix
-per step (``_transition``), chained by ``_advance``.  RKF45, whose error
-norm covers the frame, integrates the coupled state of ``_geodesic_rhs``.
+A fixed-step framed geodesic runs in two passes.  The nonlinear one is
+that float loop, which also records every RK4 stage.  The linear one then
+carries the parallel frame.  Every linear equation along a known curve is
+solved so (the frame, a transported vector, a development's coframe,
+``variation``'s Jacobi fields): C from one ``connection_batch`` at all
+stage points gives one RK4 transition matrix per step (``_transition``),
+chained by ``_advance``.  A framed RKF45 geodesic, whose error norm covers
+the frame, integrates the coupled numpy state of ``_geodesic_rhs``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,39 +142,47 @@ _RKF_B5 = np.array([16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
 _RKF_ERR = _RKF_B5 - np.array([25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0])  # minus B4
 
 
-def _rkf45(rhs, y0, t0, t1, settings: OdeSettings, guard=None):
-    t = t0
-    y = np.asarray(y0, dtype=float)
-    h = min(settings.step, t1 - t0)
-    ts = [t0]
-    ys = [y.copy()]
-    steps = 0
+def _rkf45_steps(trial, y, t1: float, settings: OdeSettings):
+    """The accepted (t, y) of RKF45 from y at t = 0 to t1.  ``trial(t, y, h)``
+    gives the fifth-order end y5 of a step and its error norm, at most 1 to
+    accept, max_j |y5_j - y4_j| / (atol + rtol max(|y_j|, |y5_j|)); the next h
+    is h 0.9 norm^(-1/5) clamped to [0.1, 4] (Hairer, Norsett and Wanner,
+    Solving ODEs I, II.4), so a NaN norm, rejected, cuts h tenfold."""
+    t, h, steps = 0.0, min(settings.step, t1), 0
+    while t < t1 - 1e-15:
+        if steps > settings.max_steps:
+            raise StepFault("rkf45: max_steps exceeded")
+        h = min(h, t1 - t)
+        if h < 1e-14 * max(1.0, abs(t1)):
+            raise StepFault("rkf45: step size underflow")
+        y5, err = trial(t, y, h)
+        if err <= 1.0:
+            t, y, steps = t + h, y5, steps + 1
+            yield t, y
+        h *= min(4.0, max(0.1, 0.9 * (max(err, 1e-16)) ** -0.2))
+
+
+def _rkf45(rhs, y0, t1: float, settings: OdeSettings, guard=None):
+    """Sample times and states of RKF45 for y' = rhs(t, y) on [0, t1]."""
+    def trial(t, y, h):
+        K = np.empty((6, len(y)))  # the stages' slopes
+        K[0] = rhs(t, y)
+        for s in range(1, 6):
+            K[s] = rhs(t + _RKF_C[s] * h, y + h * (_RKF_A[s, :s] @ K[:s]))
+        y5 = y + h * (_RKF_B5 @ K)
+        scale = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y5))
+        return y5, float(np.max(np.abs(h * (_RKF_ERR @ K)) / scale))
+
+    ts, ys = [0.0], [np.array(y0, dtype=float)]
     try:
-        while t < t1 - 1e-15:
-            if steps > settings.max_steps:
-                raise StepFault("rkf45: max_steps exceeded")
-            h = min(h, t1 - t)
-            if h < 1e-14 * max(1.0, abs(t1)):
-                raise StepFault("rkf45: step size underflow")
-            K = np.empty((6, len(y)))  # the stages' slopes
-            K[0] = rhs(t, y)
-            for s in range(1, 6):
-                K[s] = rhs(t + _RKF_C[s] * h, y + h * (_RKF_A[s, :s] @ K[:s]))
-            y5 = y + h * (_RKF_B5 @ K)
-            scale = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.max(np.abs(h * (_RKF_ERR @ K)) / scale))
-            if err <= 1.0:
-                t += h
-                y = y5
-                if guard is not None:
-                    guard(t, y, ys, ts)
-                ts.append(t)
-                ys.append(y.copy())
-                steps += 1
-            h *= min(4.0, max(0.1, 0.9 * (max(err, 1e-16)) ** -0.2))
+        for t, y in _rkf45_steps(trial, ys[0], t1, settings):
+            if guard is not None:
+                guard(t, y, ys, ts)
+            ts.append(t)
+            ys.append(y)
     except _POINT_FAULTS as exc:
         if guard is not None:
-            guard(t, y, ys, ts, fault=exc)
+            guard(ts[-1], ys[-1], ys, ts, fault=exc)
         raise
     return np.array(ts), np.array(ys)
 
@@ -192,7 +202,7 @@ def _integrate(rhs, y0, tmax: float, settings: OdeSettings, guard):
     if settings.method == "rk4_fixed":
         ts = _fixed_grid(tmax, settings)
         return ts, rk4_path(rhs, y0, ts, guard=guard)
-    return _rkf45(rhs, y0, 0.0, tmax, settings, guard=guard)
+    return _rkf45(rhs, y0, tmax, settings, guard=guard)
 
 
 def _transition(A, h) -> np.ndarray:
@@ -298,11 +308,35 @@ def _domain_guard(chart: MetricChart, n: int):
     return guard
 
 
-CHECK_EVERY = 64  # float RK4 steps between two domain checks of a geodesic
+CHECK_EVERY = 64  # float steps between two domain checks of a geodesic
 TRANSITION_BLOCK = 512  # steps per batch of transition matrices; bounds the temporaries
 # what a spray can raise, also at the points past the chart's edge that the
-# float loop reaches before its next domain check
-_STEP_FAULTS = (*_POINT_FAULTS, ArithmeticError, ValueError)
+# float loops reach before their next domain check, and RKF45's step faults
+_STEP_FAULTS = (*_POINT_FAULTS, StepFault, ArithmeticError, ValueError)
+
+
+def _end_block(chart: MetricChart, ts, rows, lo: int, hi: int, fault):
+    """Check the samples lo..hi-1 that a block of float geodesic steps added,
+    and raise what the block ended in: DomainExit at the first of them outside
+    the chart, as a per-sample guard would, else the exception it stopped on.
+    A DomainFault or SingularMetric gets the samples up to its step; ``rows(i,
+    j)`` is (x, v) at samples i..j-1, shape (j - i, 2n).
+    """
+    def samples(j):
+        Y = rows(0, j)
+        return Trajectory(chart, np.array(ts[:j], dtype=float), Y[:, :n].copy(), Y[:, n:].copy())
+
+    n = chart.dim
+    X = rows(lo, hi)[:, :n]
+    inside = chart.inside(X)
+    if not inside.all():
+        j = lo + int(np.argmin(inside))
+        raise DomainExit(f"left chart domain near t={ts[j]:.6g}", t_exit=float(ts[j]),
+                         point=X[j - lo].copy(), trajectory=samples(j)) from None
+    if fault is not None:
+        if isinstance(fault, _POINT_FAULTS):
+            fault.trajectory = samples(hi)
+        raise fault
 
 
 def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
@@ -310,13 +344,9 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
 
     Returns S of shape (m + 1, 4, 2n) for the m steps: S[i, 0] is (x, v) at
     ts[i], and S[i, 1:] (i < m) are the other three stage points of step i.
-    The domain is checked once per ``CHECK_EVERY`` steps, and the first
-    sample outside raises DomainExit as the per-sample guard of
-    ``_domain_guard`` would: at that sample's time and point, with the
-    samples before it.  An exception raised in a block whose path has
-    already left the domain becomes that DomainExit; a DomainFault or
-    SingularMetric of the spray carries the stage time and point, as from
-    ``_geodesic_rhs``, and the samples up to its step.
+    A fault of the spray is located at its stage time and point, as by
+    ``_geodesic_rhs``; ``_end_block`` checks the domain once per
+    ``CHECK_EVERY`` steps.
     """
     n = chart.dim
     spray = chart.evaluator.spray
@@ -362,30 +392,73 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
                 v = [vj - b * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
                      for vj, q1, q2, q3, q4 in zip(v, k1, k2, k3, k4)]
                 done = i + 1
+        except _POINT_FAULTS as exc:
+            t = ts[done]
+            exc.t_exit = float((t, t + 0.5 * h, t + 0.5 * h, t + h)[stage])
+            exc.point = np.array((x, x2, x3, x4)[stage])
+            fault = exc
         except _STEP_FAULTS as exc:
             fault = exc
         S[start:done].reshape(-1)[:] = rows
         S[done, 0] = x + v
-        inside = chart.inside(S[start + 1:done + 1, 0, :n])
-        if not inside.all():
-            j = start + 1 + int(np.argmin(inside))
-            raise DomainExit(f"left chart domain near t={ts[j]:.6g}", t_exit=float(ts[j]),
-                             point=S[j, 0, :n].copy(),
-                             trajectory=_samples(chart, ts, S, j)) from None
-        if fault is not None:
-            if isinstance(fault, _POINT_FAULTS):
-                t, h = ts[done], hs[done]
-                fault.t_exit = float((t, t + 0.5 * h, t + 0.5 * h, t + h)[stage])
-                fault.point = np.array((x, x2, x3, x4)[stage])
-                fault.trajectory = _samples(chart, ts, S, done + 1)
-            raise fault
+        _end_block(chart, ts, lambda i, j: S[i:j, 0], start + 1, done + 1, fault)
     return S
 
 
-def _samples(chart: MetricChart, ts: np.ndarray, S: np.ndarray, j: int) -> Trajectory:
-    """The first j samples of the stages S of ``_spray_stages``, as a trajectory."""
+def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings):
+    """Unframed RKF45 of y = (x, v), x' = v, v' = -Gamma(v, v), on [0, tmax],
+    in floats: ``_rkf45``'s trial step with its Fehlberg stages unrolled, six
+    ``spray`` calls each; faults are located and the domain checked as in
+    ``_spray_stages``.  Returns the sample times and the rows y (m + 1, 2n)."""
     n = chart.dim
-    return Trajectory(chart, ts[:j].copy(), S[:j, 0, :n].copy(), S[:j, 0, n:].copy())
+    spray = chart.evaluator.spray
+    atol, rtol = settings.atol, settings.rtol
+
+    def trial(t, y, h):
+        stage, Y = 0, y
+        try:
+            k0 = y[n:] + [-q for q in spray(y[:n], y[n:])]
+            stage, Y = 1, [yj + h * (0.25 * a) for yj, a in zip(y, k0)]
+            k1 = Y[n:] + [-q for q in spray(Y[:n], Y[n:])]
+            stage, Y = 2, [yj + h * (3 / 32 * a + 9 / 32 * b) for yj, a, b in zip(y, k0, k1)]
+            k2 = Y[n:] + [-q for q in spray(Y[:n], Y[n:])]
+            stage, Y = 3, [yj + h * (1932 / 2197 * a - 7200 / 2197 * b + 7296 / 2197 * c)
+                           for yj, a, b, c in zip(y, k0, k1, k2)]
+            k3 = Y[n:] + [-q for q in spray(Y[:n], Y[n:])]
+            stage, Y = 4, [yj + h * (439 / 216 * a - 8.0 * b + 3680 / 513 * c - 845 / 4104 * d)
+                           for yj, a, b, c, d in zip(y, k0, k1, k2, k3)]
+            k4 = Y[n:] + [-q for q in spray(Y[:n], Y[n:])]
+            stage, Y = 5, [yj + h * (-8 / 27 * a + 2.0 * b - 3544 / 2565 * c
+                                     + 1859 / 4104 * d - 11 / 40 * e)
+                           for yj, a, b, c, d, e in zip(y, k0, k1, k2, k3, k4)]
+            k5 = Y[n:] + [-q for q in spray(Y[:n], Y[n:])]
+        except _POINT_FAULTS as exc:
+            exc.t_exit, exc.point = float(t + _RKF_C[stage] * h), np.array(Y[:n])
+            raise
+        y5 = [yj + h * (16 / 135 * a + 6656 / 12825 * c + 28561 / 56430 * d - 9 / 50 * e
+                        + 2 / 55 * f) for yj, a, c, d, e, f in zip(y, k0, k2, k3, k4, k5)]
+        r = [abs(h * ((16 / 135 - 25 / 216) * a + (6656 / 12825 - 1408 / 2565) * c
+                      + (28561 / 56430 - 2197 / 4104) * d + (-9 / 50 + 1 / 5) * e + 2 / 55 * f))
+             / (atol + rtol * max(abs(yj), abs(zj)))
+             for yj, zj, a, c, d, e, f in zip(y, y5, k0, k2, k3, k4, k5)]
+        # Python's max skips a NaN that is not first; np.max would not
+        return y5, math.nan if math.isnan(sum(r)) else max(r)
+
+    y = p.tolist() + v.tolist()
+    ts, rows = [0.0], list(y)  # the samples' times and rows, flat
+    accepted = _rkf45_steps(trial, y, tmax, settings)
+    while True:
+        lo, fault = len(ts), None
+        try:
+            for t, y in islice(accepted, CHECK_EVERY):
+                ts.append(t)
+                rows += y
+        except _STEP_FAULTS as exc:
+            fault = exc
+        _end_block(chart, ts, lambda i, j: np.reshape(rows[2 * n * i:2 * n * j], (j - i, 2 * n)),
+                   lo, len(ts), fault)
+        if len(ts) < lo + CHECK_EVERY:
+            return np.array(ts), np.reshape(rows, (-1, 2 * n))
 
 
 def _advance(Y0: np.ndarray, m: int, transitions: Callable) -> np.ndarray:
@@ -444,11 +517,13 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
         S = _spray_stages(chart, p, v, ts)
         frame = _parallel_frames(chart, S, np.diff(ts), E0) if with_frame else None
         ys = S[:, 0]
+    elif not with_frame:
+        ts, ys = _rkf45_spray(chart, p, v, tmax, settings)
+        frame = None
     else:
-        y0 = np.concatenate([p, v] + ([E0.T.ravel()] if with_frame else []))
-        ts, ys = _rkf45(_geodesic_rhs(chart, n), y0, 0.0, tmax, settings,
-                        guard=_domain_guard(chart, n))
-        frame = ys[:, 2 * n:].reshape(-1, n, n).swapaxes(1, 2) if with_frame else None
+        ts, ys = _rkf45(_geodesic_rhs(chart, n), np.concatenate([p, v, E0.T.ravel()]),
+                        tmax, settings, guard=_domain_guard(chart, n))
+        frame = ys[:, 2 * n:].reshape(-1, n, n).swapaxes(1, 2)
 
     x = ys[:, :n].copy()
     vel = ys[:, n:2 * n].copy()

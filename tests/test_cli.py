@@ -360,3 +360,15 @@ def test_bad_inputs_are_bad_param_reports(tmp_path, monkeypatch, capsys, argv):
     code, rep = run_json(capsys, *argv)
     assert code == 1
     assert rep["error"]["type"] == "BadParam"
+
+
+@pytest.mark.parametrize("argv", [
+    ("surfrev", "--torus", "2", "--barriers", "1"),
+    ("surfrev", "--torus", "2,1", "--classify", "0,0"),
+    ("surfrev", "--barriers", "1"),
+], ids=["one_torus_radius", "two_classify_values", "no_profile_or_torus"])
+def test_malformed_surfrev_vectors_are_bad_param_reports(capsys, argv):
+    code, rep = run_json(capsys, *argv)
+    assert code == 1
+    assert rep["command"] == "surfrev"
+    assert rep["error"]["type"] == "BadParam"

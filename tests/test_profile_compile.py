@@ -139,3 +139,16 @@ def test_a_profile_batch_is_compiled_once(monkeypatch):
     chart.evaluator.stack_batch(X)
     chart.evaluator.stack_batch(X)
     assert count == []
+
+
+@pytest.mark.parametrize("source", ["2 + cos(u)", "u", "3", "sqrt(1 + u^2) * exp(-u)"])
+def test_a_profile_batch_is_fresh_arrays_of_its_calls(source):
+    # each of f, f', f'' is its own (N,) float array, never the input itself,
+    # with the values of the float calls
+    fun = surfrev.SmoothFunc(source)
+    us = np.linspace(-1.0, 1.0, 32)
+    rows = fun.batch(us)
+    for k, row in enumerate(rows):
+        assert row.shape == us.shape and row.dtype == float and row.flags.c_contiguous
+        assert not np.shares_memory(row, us)
+        assert _same(row, [fun(u)[k] for u in us.tolist()])
