@@ -225,17 +225,18 @@ def rauch_ratio(chart_lo: MetricChart, p_lo, v_lo,
                 direction: int = 0, tol: float = 1e-8) -> dict:
     """Ratio |J_lo|^2 / |J_hi|^2 for Jacobi fields with matched initial slope.
 
-    ``chart_lo`` must have sectional curvature <= that of ``chart_hi`` along
-    the compared geodesics (checked by sampling, else InputOrderViolated);
-    the ratio is then nondecreasing and the lo-field dominates.
+    At every sample, ``chart_lo``'s largest sectional curvature on a plane
+    through the tangent must be at most ``chart_hi``'s least (Eschenburg and
+    Heintze, Manuscripta Math. 68, 1990), else InputOrderViolated; the ratio
+    is then nondecreasing and the lo-field dominates.
     """
     geo_lo = integrate_geodesic(chart_lo, p_lo, v_lo, tmax, settings=settings)
     geo_hi = integrate_geodesic(chart_hi, p_hi, v_hi, tmax, settings=settings)
     sys_lo = jacobi_system(chart_lo, geo_lo)
     sys_hi = jacobi_system(chart_hi, geo_hi)
-    # sample the driving curvatures in the chosen direction
-    k_lo = sys_lo.M[:, direction, direction]
-    k_hi = sys_hi.M[:, direction, direction]
+    # eigenvalues of M on the frame block orthogonal to the tangent, the last vector
+    k_lo = np.linalg.eigvalsh(sys_lo.M[:, :-1, :-1])[:, -1]
+    k_hi = np.linalg.eigvalsh(sys_hi.M[:, :-1, :-1])[:, 0]
     if np.min(k_hi - k_lo) < -1e-9:
         raise InputOrderViolated("curvature order violated along the geodesics")
     F_lo, _ = orthogonal_fundamental(sys_lo)

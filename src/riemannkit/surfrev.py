@@ -200,6 +200,7 @@ class SurfRevEvaluator(MetricEvaluator):
     def __init__(self, ffun: SmoothFunc):
         self.dim = 2
         self.ffun = ffun
+        self._f = ffun._call  # u -> (f, f', f'') of a float, without SmoothFunc's call
 
     @staticmethod
     def _stack_of(F, N):
@@ -246,7 +247,7 @@ class SurfRevEvaluator(MetricEvaluator):
         return g[0], dg[0], d2g[0]
 
     def gamma(self, x):
-        fv, f1, _ = self.ffun(x[0])
+        fv, f1, _ = self._f(float(x[0]))
         G = np.zeros((2, 2, 2))
         G[0, 1, 1] = -fv * f1
         try:
@@ -256,7 +257,7 @@ class SurfRevEvaluator(MetricEvaluator):
         return G
 
     def spray(self, x, v):
-        fv, f1, _ = self.ffun(x[0])
+        fv, f1, _ = self._f(x[0])  # x holds floats
         vu, vt = v
         try:
             return [-fv * f1 * vt * vt, 2.0 * (f1 / fv) * vu * vt]

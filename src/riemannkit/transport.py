@@ -1,24 +1,26 @@
 """Geodesic integration, parallel translation, exp/log, developments.
 
 Default integrator is fixed-step RK4 with cubic-Hermite dense output;
-an adaptive RKF45 is available through OdeSettings.method.  Both step an
-unframed geodesic's (x, v) on Python floats with the evaluator's geodesic
-spray Gamma(v, v) and check the chart domain once per block of steps.
+an adaptive RKF45 is available through OdeSettings.method.  A single ray
+has one integrator per method: a loop that steps (x, v) on Python floats
+with the evaluator's geodesic spray Gamma(v, v) and checks the chart
+domain once per block of steps.  ``integrate_geodesic`` and ``exp_map``
+both run it.
 
-A fixed-step framed geodesic runs in two passes.  The nonlinear one is
-that float loop, which also records every RK4 stage.  The linear one then
-carries the parallel frame.  Every linear equation along a known curve is
-solved so (the frame, a transported vector, a development's coframe,
-``variation``'s Jacobi fields): C from one ``connection_batch`` at all
-stage points gives one RK4 transition matrix per step (``_transition``),
-chained by ``_advance``.  A framed RKF45 geodesic, whose error norm covers
-the frame, integrates the coupled numpy state of ``_geodesic_rhs``.
+A framed geodesic runs in two passes.  The nonlinear one is that float
+loop, which also records the stage points of every (accepted) step.  The
+linear one then carries the parallel frame.  Every linear equation along a
+known curve is solved so (the frame, a transported vector, a development's
+coframe, ``variation``'s Jacobi fields): C from one ``connection_batch`` at
+all stage points gives one transition matrix per step (``_transition``,
+from the method's Butcher tableau), chained by ``_advance``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Optional
 
@@ -205,21 +207,33 @@ def _integrate(rhs, y0, tmax: float, settings: OdeSettings, guard):
     return _rkf45(rhs, y0, tmax, settings, guard=guard)
 
 
-def _transition(A, h) -> np.ndarray:
-    """RK4 transition matrices (B, k, k) of the linear equation y' = A(t) y.
+# an explicit Runge-Kutta method: stage s is taken at y + h sum_j a[s][j] K_j,
+# and the step is y + (h / div) sum_s b[s] K_s
+_Tableau = namedtuple("_Tableau", "a b div")
+RK4 = _Tableau(((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0)
+FEHLBERG = _Tableau(tuple(tuple(row[:s]) for s, row in enumerate(_RKF_A.tolist())),
+                    tuple(_RKF_B5.tolist()), 1.0)  # the fifth-order row, which RKF45 accepts
 
-    A[s] (B, k, k) is A at stage s = 0..3 of step b, of width h[b] (< 0
-    steps backward): at the start of the step, twice at RK4's two middle
-    stage points, and at its end.  Row b maps y at the start of step b to
-    one RK4 step of y' = A y from there.
+
+def _transition(A, h, tableau: _Tableau = RK4) -> np.ndarray:
+    """Transition matrices (B, k, k) of one ``tableau`` step of y' = A(t) y
+    (Hairer, Norsett and Wanner, Solving ODEs I, II.1).
+
+    A[s] (B, k, k) is A at stage point s of step b, of width h[b] (< 0 steps
+    backward); row b maps y at the start of step b to its end.  Terms of
+    weight 0 are left out, so RK4 rounds as I + (h/6)(K1 + 2 K2 + 2 K3 + K4).
     """
     hb = np.reshape(h, (-1, 1, 1))
     eye = np.eye(A[0].shape[-1])
-    K1 = A[0]
-    K2 = A[1] @ (eye + (0.5 * hb) * K1)
-    K3 = A[2] @ (eye + (0.5 * hb) * K2)
-    K4 = A[3] @ (eye + hb * K3)
-    return eye + (hb / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    K = [A[0]]
+    for As, row in zip(A[1:], tableau.a[1:]):
+        Y = eye
+        for w, Kj in zip(row, K):
+            if w:
+                Y = Y + (hb if w == 1.0 else w * hb) * Kj
+        K.append(As @ Y)
+    terms = [Ks if w == 1.0 else w * Ks for w, Ks in zip(tableau.b, K) if w]
+    return eye + (hb / tableau.div) * sum(terms[1:], terms[0])
 
 
 # ---------------------------------------------------------------------------
@@ -266,48 +280,6 @@ def _adapted_frames(g: np.ndarray, B: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.concatenate([cols[:, :, 1:], cols[:, :, :1]], axis=2)
 
 
-def _geodesic_rhs(chart: MetricChart, n: int):
-    """y' = (v, -C v, -C e_1, ..., -C e_n) with C = Gamma(v, .), for the state
-    y = (x, v, e_1, ..., e_n) that holds the frame vectors one after another."""
-    connection = chart.evaluator.connection
-
-    def rhs(t, y):
-        x = y[:n]
-        try:
-            C = connection(x, y[n:2 * n])
-        except _POINT_FAULTS as exc:
-            exc.t_exit, exc.point = float(t), x.copy()
-            raise
-        out = np.empty_like(y)
-        out[:n] = y[n:2 * n]
-        out[n:] = y[n:].reshape(-1, n).dot(-C.T).ravel()  # rows v, e_a -> -C v, -C e_a
-        return out
-
-    return rhs
-
-
-def _domain_guard(chart: MetricChart, n: int):
-    # the samples so far come as arrays (RK4) or lists (RKF45); they are
-    # copied into the partial trajectory only when the guard raises, or
-    # when a fault of the right-hand side (which set its t_exit and point)
-    # is handed in
-    def guard(t, y, ys_so_far, ts_so_far, fault=None):
-        x = y[:n]
-        if fault is None and chart.contains(x):
-            return
-        ys_so_far = np.asarray(ys_so_far)
-        traj = Trajectory(chart=chart,
-                          t=np.array(ts_so_far, dtype=float),
-                          x=ys_so_far[:, :n].copy(),
-                          v=ys_so_far[:, n:2 * n].copy())
-        if fault is not None:
-            fault.trajectory = traj
-            return
-        raise DomainExit(f"left chart domain near t={t:.6g}", t_exit=float(t),
-                         trajectory=traj, point=x.copy())
-    return guard
-
-
 CHECK_EVERY = 64  # float steps between two domain checks of a geodesic
 TRANSITION_BLOCK = 512  # steps per batch of transition matrices; bounds the temporaries
 # what a spray can raise, also at the points past the chart's edge that the
@@ -343,10 +315,10 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
     """Fixed-step RK4 of x' = v, v' = -Gamma(v, v) on the grid ts, in floats.
 
     Returns S of shape (m + 1, 4, 2n) for the m steps: S[i, 0] is (x, v) at
-    ts[i], and S[i, 1:] (i < m) are the other three stage points of step i.
-    A fault of the spray is located at its stage time and point, as by
-    ``_geodesic_rhs``; ``_end_block`` checks the domain once per
-    ``CHECK_EVERY`` steps.
+    ts[i], and S[i, 1:] (i < m) are the other three stage points of step i,
+    in the order of ``RK4``'s stages.  A fault of the spray gets the time
+    and point of its stage as ``t_exit`` and ``point``; ``_end_block``
+    checks the domain once per ``CHECK_EVERY`` steps.
     """
     n = chart.dim
     spray = chart.evaluator.spray
@@ -405,36 +377,44 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
     return S
 
 
-def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings):
-    """Unframed RKF45 of y = (x, v), x' = v, v' = -Gamma(v, v), on [0, tmax],
-    in floats: ``_rkf45``'s trial step with its Fehlberg stages unrolled, six
-    ``spray`` calls each; faults are located and the domain checked as in
-    ``_spray_stages``.  Returns the sample times and the rows y (m + 1, 2n)."""
+def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
+                 record: bool = False):
+    """RKF45 of y = (x, v), x' = v, v' = -Gamma(v, v), on [0, tmax], in floats:
+    ``_rkf45``'s trial step with its Fehlberg stages unrolled, six ``spray``
+    calls each; faults are located and the domain checked as in
+    ``_spray_stages``.  Returns the sample times, the rows y (m + 1, 2n) and
+    the stage points (m, 6, 2n) of the accepted steps, or None unless ``record``."""
     n = chart.dim
     spray = chart.evaluator.spray
     atol, rtol = settings.atol, settings.rtol
+    stages = None  # the stage points of the last trial step
 
     def trial(t, y, h):
-        stage, Y = 0, y
+        nonlocal stages
+        Y1 = Y2 = Y3 = Y4 = Y5 = None  # the stage points after y
         try:
             k0 = y[n:] + [-q for q in spray(y[:n], y[n:])]
-            stage, Y = 1, [yj + h * (0.25 * a) for yj, a in zip(y, k0)]
-            k1 = Y[n:] + [-q for q in spray(Y[:n], Y[n:])]
-            stage, Y = 2, [yj + h * (3 / 32 * a + 9 / 32 * b) for yj, a, b in zip(y, k0, k1)]
-            k2 = Y[n:] + [-q for q in spray(Y[:n], Y[n:])]
-            stage, Y = 3, [yj + h * (1932 / 2197 * a - 7200 / 2197 * b + 7296 / 2197 * c)
-                           for yj, a, b, c in zip(y, k0, k1, k2)]
-            k3 = Y[n:] + [-q for q in spray(Y[:n], Y[n:])]
-            stage, Y = 4, [yj + h * (439 / 216 * a - 8.0 * b + 3680 / 513 * c - 845 / 4104 * d)
-                           for yj, a, b, c, d in zip(y, k0, k1, k2, k3)]
-            k4 = Y[n:] + [-q for q in spray(Y[:n], Y[n:])]
-            stage, Y = 5, [yj + h * (-8 / 27 * a + 2.0 * b - 3544 / 2565 * c
-                                     + 1859 / 4104 * d - 11 / 40 * e)
-                           for yj, a, b, c, d, e in zip(y, k0, k1, k2, k3, k4)]
-            k5 = Y[n:] + [-q for q in spray(Y[:n], Y[n:])]
+            Y1 = [yj + h * (0.25 * a) for yj, a in zip(y, k0)]
+            k1 = Y1[n:] + [-q for q in spray(Y1[:n], Y1[n:])]
+            Y2 = [yj + h * (3 / 32 * a + 9 / 32 * b) for yj, a, b in zip(y, k0, k1)]
+            k2 = Y2[n:] + [-q for q in spray(Y2[:n], Y2[n:])]
+            Y3 = [yj + h * (1932 / 2197 * a - 7200 / 2197 * b + 7296 / 2197 * c)
+                  for yj, a, b, c in zip(y, k0, k1, k2)]
+            k3 = Y3[n:] + [-q for q in spray(Y3[:n], Y3[n:])]
+            Y4 = [yj + h * (439 / 216 * a - 8.0 * b + 3680 / 513 * c - 845 / 4104 * d)
+                  for yj, a, b, c, d in zip(y, k0, k1, k2, k3)]
+            k4 = Y4[n:] + [-q for q in spray(Y4[:n], Y4[n:])]
+            Y5 = [yj + h * (-8 / 27 * a + 2.0 * b - 3544 / 2565 * c
+                            + 1859 / 4104 * d - 11 / 40 * e)
+                  for yj, a, b, c, d, e in zip(y, k0, k1, k2, k3, k4)]
+            k5 = Y5[n:] + [-q for q in spray(Y5[:n], Y5[n:])]
         except _POINT_FAULTS as exc:
-            exc.t_exit, exc.point = float(t + _RKF_C[stage] * h), np.array(Y[:n])
+            s = 5 - (Y1, Y2, Y3, Y4, Y5).count(None)  # the stage that faulted
+            exc.t_exit = float(t + _RKF_C[s] * h)
+            exc.point = np.array((y, Y1, Y2, Y3, Y4, Y5)[s][:n])
             raise
+        if record:
+            stages = (y, Y1, Y2, Y3, Y4, Y5)
         y5 = [yj + h * (16 / 135 * a + 6656 / 12825 * c + 28561 / 56430 * d - 9 / 50 * e
                         + 2 / 55 * f) for yj, a, c, d, e, f in zip(y, k0, k2, k3, k4, k5)]
         r = [abs(h * ((16 / 135 - 25 / 216) * a + (6656 / 12825 - 1408 / 2565) * c
@@ -446,6 +426,7 @@ def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings):
 
     y = p.tolist() + v.tolist()
     ts, rows = [0.0], list(y)  # the samples' times and rows, flat
+    points = []  # the accepted steps' stage points, flat
     accepted = _rkf45_steps(trial, y, tmax, settings)
     while True:
         lo, fault = len(ts), None
@@ -453,12 +434,16 @@ def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings):
             for t, y in islice(accepted, CHECK_EVERY):
                 ts.append(t)
                 rows += y
+                if record:
+                    for Y in stages:
+                        points += Y
         except _STEP_FAULTS as exc:
             fault = exc
         _end_block(chart, ts, lambda i, j: np.reshape(rows[2 * n * i:2 * n * j], (j - i, 2 * n)),
                    lo, len(ts), fault)
         if len(ts) < lo + CHECK_EVERY:
-            return np.array(ts), np.reshape(rows, (-1, 2 * n))
+            S = np.reshape(points, (-1, 6, 2 * n)) if record else None
+            return np.array(ts), np.reshape(rows, (-1, 2 * n)), S
 
 
 def _advance(Y0: np.ndarray, m: int, transitions: Callable) -> np.ndarray:
@@ -473,16 +458,16 @@ def _advance(Y0: np.ndarray, m: int, transitions: Callable) -> np.ndarray:
 
 
 def _parallel_frames(chart: MetricChart, S: np.ndarray, h: np.ndarray,
-                     E0: np.ndarray) -> np.ndarray:
-    """The frame E0 carried along the stage points S of ``_spray_stages``:
-    E_{i+1} = Phi_i E_i with Phi_i the RK4 transition of E' = -Gamma(v, .) E
-    over step i, of width h[i]."""
-    n = chart.dim
+                     E0: np.ndarray, tableau: _Tableau = RK4) -> np.ndarray:
+    """The frame E0 carried along the stage points S of a float loop:
+    E_{i+1} = Phi_i E_i with Phi_i the ``tableau`` transition of
+    E' = -Gamma(v, .) E over step i, of width h[i], from S[i, :stages]."""
+    n, k = chart.dim, len(tableau.a)
 
     def transitions(s, e):
-        Y = S[s:e].reshape(-1, 2 * n)  # the stage points of steps s..e-1, in order
+        Y = S[s:e, :k].reshape(-1, 2 * n)  # the stage points of steps s..e-1, in order
         C = chart.evaluator.connection_batch(Y[:, :n], Y[:, n:])
-        return _transition(-C.reshape(e - s, 4, n, n).swapaxes(0, 1), h[s:e])
+        return _transition(-C.reshape(e - s, k, n, n).swapaxes(0, 1), h[s:e], tableau)
 
     return _advance(E0, len(h), transitions)
 
@@ -498,33 +483,40 @@ def _first_indefinite(G: np.ndarray):
         return int(np.argmin(lam[:, 0] > 1e-14 * lam[:, -1]))
 
 
+def _start(chart: MetricChart, p, v):
+    """p and v as arrays, p inside the chart (or a batch of points) and v of its shape."""
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(v, dtype=float)
+    chart.require_inside(p)
+    if v.shape != p.shape:
+        raise BadDimension(f"velocity of shape {v.shape} at a point of shape {p.shape}")
+    return p, v
+
+
+def _float_geodesic(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
+                    record: bool):
+    """The float loop of ``settings.method`` from (p, v) on [0, tmax]: sample times,
+    rows (x, v), and the stage points of every step (RK4 always, RKF45 if ``record``)
+    with the method's tableau."""
+    if settings.method == "rk4_fixed":
+        ts = _fixed_grid(tmax, settings)
+        S = _spray_stages(chart, p, v, ts)
+        return ts, S[:, 0], S, RK4
+    return (*_rkf45_spray(chart, p, v, tmax, settings, record), FEHLBERG)
+
+
 def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
                        settings: OdeSettings = DEFAULT_SETTINGS,
                        with_frame: bool = True) -> Trajectory:
     """Integrate the geodesic ODE from (p, v) on [0, tmax]."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    p, v = _start(chart, p, v)
     n = chart.dim
-    chart.require_inside(p)
-    if v.shape != p.shape:
-        raise BadDimension(f"velocity of shape {v.shape} at a point of shape {p.shape}")
     if tmax < 0:
         raise BadParam("tmax must be nonnegative")
 
     E0 = initial_frame(chart, p, v if np.any(v) else None) if with_frame else None
-    if settings.method == "rk4_fixed":
-        ts = _fixed_grid(tmax, settings)
-        S = _spray_stages(chart, p, v, ts)
-        frame = _parallel_frames(chart, S, np.diff(ts), E0) if with_frame else None
-        ys = S[:, 0]
-    elif not with_frame:
-        ts, ys = _rkf45_spray(chart, p, v, tmax, settings)
-        frame = None
-    else:
-        ts, ys = _rkf45(_geodesic_rhs(chart, n), np.concatenate([p, v, E0.T.ravel()]),
-                        tmax, settings, guard=_domain_guard(chart, n))
-        frame = ys[:, 2 * n:].reshape(-1, n, n).swapaxes(1, 2)
-
+    ts, ys, S, tableau = _float_geodesic(chart, p, v, tmax, settings, with_frame)
+    frame = _parallel_frames(chart, S, np.diff(ts), E0, tableau) if with_frame else None
     x = ys[:, :n].copy()
     vel = ys[:, n:2 * n].copy()
     # g at up to 200 samples gives the speed drift; at the first of them where
@@ -575,16 +567,30 @@ def parallel_transport(chart: MetricChart, traj, w0, substeps: int = 4) -> np.nd
 # ---------------------------------------------------------------------------
 
 def exp_map(chart: MetricChart, p, v, settings: OdeSettings = DEFAULT_SETTINGS) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """exp_p(v): the end at t = 1 of the ray's float loop, the one
+    ``integrate_geodesic`` runs; SingularMetric where g is not positive
+    definite there."""
+    p, v = _start(chart, p, v)
     if not np.any(v):
-        chart.require_inside(p)
         return p.copy()
-    return _exp_rays(chart, p[None], v[None], settings)[0]
+    ys = _float_geodesic(chart, p, v, 1.0, settings, record=False)[1]
+    return _definite_ends(chart, ys[-1:, :chart.dim])[0]
+
+
+def _definite_ends(chart: MetricChart, ends: np.ndarray) -> np.ndarray:
+    """A copy of the ray ends (N, n); SingularMetric at the first indefinite g."""
+    ends = ends.copy()
+    bad = _first_indefinite(chart.evaluator.metric_batch(ends))
+    if bad is not None:
+        raise SingularMetric(f"metric not positive definite at the end of ray {bad}",
+                             t_exit=1.0, point=ends[bad].copy())
+    return ends
 
 
 def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
-    """Endpoints exp_{P[b]}(V[b]) of N geodesics integrated as one system.
+    """Endpoints exp_{P[b]}(V[b]) of N geodesics integrated as one system,
+    for the batches of ``variation.first_variation`` (one ray is ``exp_map``'s
+    float loop).
 
     The flat state holds x and v of every ray. RKF45's error norm is a max
     over the whole state, so every ray meets the tolerance; after every step
@@ -592,11 +598,7 @@ def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
     outside. Where g is not positive definite at an endpoint, SingularMetric
     names the first such ray's endpoint, at t = 1.
     """
-    P = np.asarray(P, dtype=float)
-    V = np.asarray(V, dtype=float)
-    chart.require_inside(P)
-    if V.shape != P.shape:
-        raise BadDimension(f"velocities of shape {V.shape} at points of shape {P.shape}")
+    P, V = _start(chart, P, V)
     N, n = P.shape
     connection_batch = chart.evaluator.connection_batch
 
@@ -621,12 +623,7 @@ def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
                              t_exit=float(t), point=X[np.argmax(outside)].copy())
 
     _, ys = _integrate(rhs, np.hstack([P, V]).ravel(), 1.0, settings, guard)
-    ends = ys[-1].reshape(N, 2 * n)[:, :n].copy()
-    bad = _first_indefinite(chart.evaluator.metric_batch(ends))
-    if bad is not None:
-        raise SingularMetric(f"metric not positive definite at the end of ray {bad}",
-                             t_exit=1.0, point=ends[bad].copy())
-    return ends
+    return _definite_ends(chart, ys[-1].reshape(N, 2 * n)[:, :n])
 
 
 LOG_SETTINGS = OdeSettings(step=2e-3)

@@ -234,6 +234,24 @@ def test_rauch_rejects_wrong_order():
                                settings=OdeSettings(step=5e-3))
 
 
+# S^2 of radius 1/sqrt(2) (K = 2) times a line (K = 0), against the unit S^3
+ROUND_CYLINDER = {"dim": 3, "coords": ["x", "y", "z"],
+                  "metric": [["1/(0.5+x^2+y^2)^2", "0", "0"],
+                             ["0", "1/(0.5+x^2+y^2)^2", "0"], ["0", "0", "1"]]}
+
+
+@pytest.mark.parametrize("direction", [0, 1])
+def test_rauch_checks_every_plane_through_the_tangent(direction):
+    # along e_x the planes through the tangent have K_lo = 2 and 0, against
+    # K_hi = 1: one frame direction alone may look ordered, the planes are not
+    lo = manifold.chart_from_definition(ROUND_CYLINDER)
+    hi = manifold.builtin("sphere_stereo", {"n": 3, "R": 1.0})
+    start, v = [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]
+    with pytest.raises(InputOrderViolated):
+        comparison.rauch_ratio(lo, start, v, hi, start, v, 1.0,
+                               settings=OdeSettings(step=1e-2), direction=direction)
+
+
 def _unit_sphere_vec(chart, p, v):
     g = chart.evaluator.metric(np.asarray(p, dtype=float))
     v = np.asarray(v, dtype=float)

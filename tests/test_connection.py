@@ -72,6 +72,30 @@ def _einsum_framed_rhs(chart):
     return rhs
 
 
+def _fehlberg_step(rhs, t, y, h):
+    """The fifth-order end of one step of the coupled RKF45 of y' = rhs(t, y)."""
+    K = np.empty((6, len(y)))
+    K[0] = rhs(t, y)
+    for s in range(1, 6):
+        K[s] = rhs(t + transport._RKF_C[s] * h, y + h * (transport._RKF_A[s, :s] @ K[:s]))
+    return y + h * (transport._RKF_B5 @ K)
+
+
+def _einsum_rkf45_reference(chart, p, v, E0, tmax, settings):
+    """(ts, x, frames) of RKF45 on the einsum right-hand side: the accepted
+    grid of the (x, v) part alone, then one coupled Fehlberg step of
+    (x, v, E) over each accepted step."""
+    n = chart.dim
+    rhs = _einsum_framed_rhs(chart)
+    ts, _ = transport._rkf45(lambda t, y: rhs(t, np.concatenate([y, E0.ravel()]))[:2 * n],
+                             np.concatenate([p, v]), tmax, settings)
+    ys = [np.concatenate([p, v, E0.ravel()])]
+    for t0, t1 in zip(ts[:-1], ts[1:]):
+        ys.append(_fehlberg_step(rhs, t0, ys[-1], t1 - t0))
+    ys = np.array(ys)
+    return ts, ys[:, :n], ys[:, 2 * n:].reshape(-1, n, n)
+
+
 @pytest.mark.parametrize("method", ["rk4_fixed", "rkf45_adaptive"])
 @pytest.mark.parametrize("name", ["sphere2", "sphere3", "ball3", "torus", "expr3"])
 def test_framed_geodesic_matches_einsum_reference(name, method):
@@ -83,18 +107,22 @@ def test_framed_geodesic_matches_einsum_reference(name, method):
     settings = OdeSettings(method=method, step=1e-2, rtol=1e-10, atol=1e-12)
     geo = transport.integrate_geodesic(chart, p, v, 1.5, settings=settings)
     E0 = transport.initial_frame(chart, p, v)
-    ts, ys = transport._integrate(_einsum_framed_rhs(chart),
-                                  np.concatenate([p, v, E0.ravel()]), 1.5, settings, None)
-    frames = ys[:, 2 * n:].reshape(-1, n, n)
+    if method == "rkf45_adaptive":
+        # the accepted grid follows (x, v) alone; the frame is carried over it
+        ts, x, frames = _einsum_rkf45_reference(chart, p, v, E0, 1.5, settings)
+    else:
+        ts, ys = transport._integrate(_einsum_framed_rhs(chart),
+                                      np.concatenate([p, v, E0.ravel()]), 1.5, settings, None)
+        x, frames = ys[:, :n], ys[:, 2 * n:].reshape(-1, n, n)
     assert len(geo.t) == len(ts)
     if method == "rkf45_adaptive":
         # RKF45's step sizes follow its error estimate, a small difference of
         # O(1) slopes, so rounding-level changes move the grid by ~1e-9;
         # compare where both end, at tmax
-        geo_x, geo_frame, x, frames = geo.x[-1:], geo.frame[-1:], ys[-1:, :n], frames[-1:]
+        geo_x, geo_frame, x, frames = geo.x[-1:], geo.frame[-1:], x[-1:], frames[-1:]
     else:
         np.testing.assert_array_equal(geo.t, ts)
-        geo_x, geo_frame, x = geo.x, geo.frame, ys[:, :n]
+        geo_x, geo_frame = geo.x, geo.frame
     np.testing.assert_allclose(geo_x, x, rtol=0, atol=1e-13)
     np.testing.assert_allclose(geo_frame, frames, rtol=0, atol=1e-13)
     for i in (0, len(geo.t) // 2, len(geo.t) - 1):

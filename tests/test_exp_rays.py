@@ -95,6 +95,18 @@ def test_exp_rays_match_single_geodesics_rkf45(name):
         np.testing.assert_allclose(ends[b], geo.x[-1], rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize("method", ["rk4_fixed", "rkf45_adaptive"])
+@pytest.mark.parametrize("name", ["euclidean", "sphere2", "sphere3", "hyper3", "torus", "expr"])
+def test_exp_map_is_the_end_of_the_unframed_geodesic(name, method):
+    # one ray has one integrator: exp_map ends where integrate_geodesic does
+    chart = _charts()[name]
+    P, V = _rays(chart, 3)
+    settings = OdeSettings(method=method, step=1e-2)
+    for p, v in zip(P, V):
+        geo = transport.integrate_geodesic(chart, p, v, 1.0, settings=settings, with_frame=False)
+        assert np.array_equal(transport.exp_map(chart, p, v, settings), geo.x[-1])
+
+
 def test_exp_rays_domain_exit_names_the_ray():
     disk = manifold.chart_from_definition(DISK)
     P = np.zeros((4, 2))

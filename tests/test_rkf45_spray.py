@@ -1,6 +1,7 @@
-"""The unframed RKF45 geodesic: (x, v) stepped in floats with the spray,
-checked against the coupled numpy RKF45 of ``_geodesic_rhs``, with the
-domain checked and faults located once per block of accepted steps."""
+"""The RKF45 geodesic: (x, v) stepped in floats with the spray, checked
+against the coupled numpy RKF45 of ``test_spray._geodesic_rhs``, with the
+domain checked and faults located once per block of accepted steps; the
+framed one carries its frame by Fehlberg transitions."""
 
 import math
 from dataclasses import replace
@@ -12,7 +13,7 @@ from riemannkit import manifold, transport
 from riemannkit.errors import DomainExit, DomainFault, StepFault
 from riemannkit.transport import OdeSettings
 from test_connection import EXPR3
-from test_spray import HOROSPHERICAL, PARABOLOID, SQRT
+from test_spray import HOROSPHERICAL, PARABOLOID, SQRT, _domain_guard, _geodesic_rhs
 
 RKF = OdeSettings(method="rkf45_adaptive")
 SPHERE_EXPR = {"dim": 2, "coords": ["x", "y"],
@@ -30,6 +31,12 @@ CHARTS = {
 }
 
 
+# the five charts of the framed check, with the length of the ray on each
+FRAMED = dict({name: CHARTS[name] for name in ("sphere2", "sphere3", "ball3", "torus")},
+              expr3=(lambda: manifold.chart_from_definition(EXPR3), 3.0))
+TIGHT = OdeSettings(method="rkf45_adaptive", rtol=1e-13, atol=1e-15)
+
+
 def _unit_ray(chart):
     n = chart.dim
     p = np.array([0.3, 0.2, 0.1])[:n]
@@ -40,8 +47,18 @@ def _unit_ray(chart):
 def _coupled(chart, p, v, tmax, settings=RKF):
     """(ts, ys) of the coupled numpy RKF45 of (x, v), guarded per sample."""
     n = chart.dim
-    return transport._rkf45(transport._geodesic_rhs(chart, n), np.concatenate([p, v]),
-                            tmax, settings, guard=transport._domain_guard(chart, n))
+    return transport._rkf45(_geodesic_rhs(chart, n), np.concatenate([p, v]),
+                            tmax, settings, guard=_domain_guard(chart, n))
+
+
+def _coupled_framed_end(chart, p, v, tmax, settings):
+    """(x, E) at tmax of the coupled numpy RKF45 of (x, v, frame), whose
+    error norm covers the frame too."""
+    n = chart.dim
+    E0 = transport.initial_frame(chart, p, v)
+    _, ys = transport._rkf45(_geodesic_rhs(chart, n), np.concatenate([p, v, E0.T.ravel()]),
+                             tmax, settings)
+    return ys[-1, :n], ys[-1, 2 * n:].reshape(n, n).T
 
 
 def _rel(a, b):
@@ -78,6 +95,26 @@ def test_unframed_rkf45_matches_the_coupled_reference(name):
     assert geo.t[-1] == ts[-1] == tmax
     assert _rel(geo.x[-1], ys[-1, :n]) <= 1e-12
     assert _rel(geo.v[-1], ys[-1, n:]) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(FRAMED))
+def test_framed_rkf45_is_as_accurate_as_the_coupled_reference(name):
+    # the accepted steps follow (x, v) alone and the frame follows by
+    # Fehlberg transitions; against a tight coupled run, x and E at T are
+    # within 2x of the error of the coupled RKF45 at default tolerances
+    make, tmax = FRAMED[name]
+    chart = make()
+    n = chart.dim
+    p, v = _unit_ray(chart)
+    x_ref, E_ref = _coupled_framed_end(chart, p, v, tmax, TIGHT)
+    x_old, E_old = _coupled_framed_end(chart, p, v, tmax, RKF)
+    geo = transport.integrate_geodesic(chart, p, v, tmax, settings=RKF)
+    assert geo.t[-1] == tmax
+    for got, old, ref in ((geo.x[-1], x_old, x_ref), (geo.frame[-1], E_old, E_ref)):
+        assert np.max(np.abs(got - ref)) <= 2.0 * np.max(np.abs(old - ref))
+    G = chart.evaluator.metric_batch(geo.x)
+    drift = geo.frame.swapaxes(1, 2) @ G @ geo.frame - np.eye(n)
+    assert np.max(np.abs(drift)) <= 1e-8
 
 
 def test_rkf45_meets_its_tolerance_on_a_variable_curvature_chart():

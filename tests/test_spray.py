@@ -1,14 +1,16 @@
 """The fixed-step geodesic kernel: (x, v) stepped in floats with the spray,
 then the parallel frame from batched RK4 transitions, checked against the
-coupled RK4 of (x, v, frame) that RKF45 still integrates."""
+coupled RK4 of (x, v, frame) on the reference right-hand side
+``_geodesic_rhs`` below, guarded per sample by ``_domain_guard``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riemannkit import manifold, transport
-from riemannkit.errors import BadDimension, DomainExit, DomainFault
-from riemannkit.transport import OdeSettings
+from riemannkit.errors import _POINT_FAULTS, BadDimension, DomainExit, DomainFault
+from riemannkit.manifold import MetricChart
+from riemannkit.transport import OdeSettings, Trajectory
 
 
 class StackOnly(manifold.MetricEvaluator):
@@ -48,6 +50,48 @@ CHARTS = {
 }
 
 
+def _geodesic_rhs(chart: MetricChart, n: int):
+    """y' = (v, -C v, -C e_1, ..., -C e_n) with C = Gamma(v, .), for the state
+    y = (x, v, e_1, ..., e_n) that holds the frame vectors one after another."""
+    connection = chart.evaluator.connection
+
+    def rhs(t, y):
+        x = y[:n]
+        try:
+            C = connection(x, y[n:2 * n])
+        except _POINT_FAULTS as exc:
+            exc.t_exit, exc.point = float(t), x.copy()
+            raise
+        out = np.empty_like(y)
+        out[:n] = y[n:2 * n]
+        out[n:] = y[n:].reshape(-1, n).dot(-C.T).ravel()  # rows v, e_a -> -C v, -C e_a
+        return out
+
+    return rhs
+
+
+def _domain_guard(chart: MetricChart, n: int):
+    # the samples so far come as arrays (RK4) or lists (RKF45); they are
+    # copied into the partial trajectory only when the guard raises, or
+    # when a fault of the right-hand side (which set its t_exit and point)
+    # is handed in
+    def guard(t, y, ys_so_far, ts_so_far, fault=None):
+        x = y[:n]
+        if fault is None and chart.contains(x):
+            return
+        ys_so_far = np.asarray(ys_so_far)
+        traj = Trajectory(chart=chart,
+                          t=np.array(ts_so_far, dtype=float),
+                          x=ys_so_far[:, :n].copy(),
+                          v=ys_so_far[:, n:2 * n].copy())
+        if fault is not None:
+            fault.trajectory = traj
+            return
+        raise DomainExit(f"left chart domain near t={t:.6g}", t_exit=float(t),
+                         trajectory=traj, point=x.copy())
+    return guard
+
+
 def _coupled(chart, p, v, tmax, step, with_frame=True):
     """(ts, x, v, frame) of the coupled RK4 of (x, v, frame), step by step."""
     n = chart.dim
@@ -55,8 +99,7 @@ def _coupled(chart, p, v, tmax, step, with_frame=True):
     if with_frame:
         y0 = np.concatenate([y0, transport.initial_frame(chart, p, v).T.ravel()])
     ts = transport._fixed_grid(tmax, OdeSettings(step=step))
-    ys = transport.rk4_path(transport._geodesic_rhs(chart, n), y0, ts,
-                            guard=transport._domain_guard(chart, n))
+    ys = transport.rk4_path(_geodesic_rhs(chart, n), y0, ts, guard=_domain_guard(chart, n))
     frame = ys[:, 2 * n:].reshape(-1, n, n).swapaxes(1, 2) if with_frame else None
     return ts, ys[:, :n], ys[:, n:2 * n], frame
 
@@ -101,6 +144,21 @@ def test_transition_is_one_rk4_step_for_constant_coefficients():
     for b in range(6):
         want = transport._rk4_step(lambda t, Y: A[b] @ Y, 0.0, np.eye(3), h[b])
         np.testing.assert_allclose(Phi[b], want, rtol=0, atol=1e-15)
+
+
+def test_transition_is_one_fehlberg_step_for_constant_coefficients():
+    # the fifth-order end y5 of one trial step of the coupled RKF45, whose
+    # tolerances accept it, for Y' = A Y from Y = I
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(6, 3, 3))
+    h = rng.uniform(0.01, 0.2, 6)
+    Phi = transport._transition([A] * 6, h, transport.FEHLBERG)
+    for b in range(6):
+        loose = OdeSettings(method="rkf45_adaptive", step=h[b], rtol=1e6, atol=1e6)
+        ts, ys = transport._rkf45(lambda t, y: (A[b] @ y.reshape(3, 3)).ravel(),
+                                  np.eye(3).ravel(), h[b], loose)
+        assert len(ts) == 2 and ts[-1] == h[b]
+        np.testing.assert_allclose(Phi[b], ys[-1].reshape(3, 3), rtol=0, atol=1e-15)
 
 
 # -- the sprays ----------------------------------------------------------------
