@@ -232,8 +232,8 @@ def _transition(A, h, tableau: _Tableau = RK4) -> np.ndarray:
             if w:
                 Y = Y + (hb if w == 1.0 else w * hb) * Kj
         K.append(As @ Y)
-    terms = [Ks if w == 1.0 else w * Ks for w, Ks in zip(tableau.b, K) if w]
-    return eye + (hb / tableau.div) * sum(terms[1:], terms[0])
+    terms = (Ks if w == 1.0 else w * Ks for w, Ks in zip(tableau.b, K) if w)
+    return eye + (hb / tableau.div) * sum(terms, next(terms))  # added in order, one at a time
 
 
 # ---------------------------------------------------------------------------
