@@ -464,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=float, required=True)
     sp.add_argument("--kref", type=float, required=True)
     sp.add_argument("--directions", type=int)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; has no effect")
     sp.set_defaults(func=cmd_volume)
 
     sp = sub.add_parser("surfrev", help="surface-of-revolution analysis")

@@ -9,21 +9,21 @@ j crosses smoothly, so poles are passed with no change of variable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BadParam, ConjugateNotFound, DegeneratePlane, DomainExit,
-                     InputOrderViolated, StepFault)
+from .errors import (BadParam, ConjugateNotFound, DegeneratePlane,
+                     InputOrderViolated)
 from .manifold import MetricChart, _bisect, _hermite, _write_csv, metric_at
 from .tensor import (curvature, curvature_low_batch, jacobi_driving_batch,
                      orthonormal_frame, ricci)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
-                        _adapted_frames, _rk4_step, integrate_geodesic)
-from .variation import (_driving, _jacobi_transition, _ray_slopes,
-                        conjugate_points_from, jacobi_system,
-                        orthogonal_fundamental)
+                        _adapted_frames, _rays_rhs, _step_rays, integrate_geodesic)
+from .variation import (_driving, _jacobi_transition, conjugate_points_from,
+                        jacobi_system, orthogonal_fundamental)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ class CurvatureProfile:
         # numerator low(v, y, v, y) is the driving matrix of the one-column frame y;
         # denominator and degeneracy test as in tensor.sectional
         _, M = jacobi_driving_batch(chart, geo.x, geo.v, y[:, :, None])
-        g = chart.evaluator.stack_batch(geo.x)[0]
+        g = chart.evaluator.metric_batch(geo.x)
         gxx = np.einsum("bi,bij,bj->b", geo.v, g, geo.v)
         gyy = np.einsum("bi,bij,bj->b", y, g, y)
         gxy = np.einsum("bi,bij,bj->b", geo.v, g, y)
@@ -273,7 +273,7 @@ def _ricci_floor(chart: MetricChart, X) -> float:
     if len(X) == 0:
         return math.inf
     _, low = curvature_low_batch(chart, X)
-    g = chart.evaluator.stack_batch(X)[0]
+    g = chart.evaluator.metric_batch(X)
     ric = np.einsum("bjm,bajcm->bac", np.linalg.inv(g), low)
     L_inv = np.linalg.inv(np.linalg.cholesky(g))
     return float(np.min(np.linalg.eigvalsh(L_inv @ ric @ L_inv.swapaxes(1, 2))))
@@ -340,53 +340,32 @@ def s_K(r: float, K: float) -> float:
 
 
 def _batched_sphere_sweep(chart: MetricChart, p, r: float, n_dirs: int,
-                          step: float, radii=None, jobs: int = 1):
-    """Jacobian determinants det(d exp) transversal factor at radius r.
+                          step: float, radii=None):
+    """det F at each of ``radii`` (default [r]) for the orthogonal Jacobi
+    fields F of n_dirs unit-speed rays from p, F(0) = 0 and F'(0) = I: the
+    transversal factor of det(d exp), one value per direction and radius.
 
-    Integrates geodesics plus orthogonal Jacobi matrices for all directions
-    at once; returns det values per direction at each requested radius.
-    With jobs > 1 the direction list is split into contiguous index chunks
-    processed on a thread pool; chunk results concatenate in index order, so
-    the output is independent of the job count.
+    One row per ray holds x, v and its frame E, adapted so that the ray is
+    the last column; the rows step together by ``transport._step_rays``,
+    whose k1 is the Y' from the Gamma(v, .) of the last M. (F, F') advances
+    by the RK4 transition of each step, with M at both ends and at the
+    Hermite midpoint of the step.
     """
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        bounds = np.linspace(0, n_dirs, jobs + 1).astype(int)
-        slices = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(
-                lambda ab: _batched_sphere_sweep_single(chart, p, r, n_dirs,
-                                                        step, radii, ab),
-                slices))
-        out = {}
-        for key in parts[0]:
-            out[key] = np.concatenate([part[key] for part in parts])
-        return out
-    return _batched_sphere_sweep_single(chart, p, r, n_dirs, step, radii, None)
-
-
-def _batched_sphere_sweep_single(chart, p, r, n_dirs, step, radii, dir_slice):
+    radii = sorted(radii or [r])
+    if not isinstance(n_dirs, numbers.Integral) or n_dirs < 1:
+        raise BadParam(f"directions must be a positive integer, not {n_dirs!r}")
+    if not (0.0 < step < math.inf and all(0.0 < s < math.inf for s in radii)):
+        raise BadParam("step and radii must be positive and finite")
     p = np.asarray(p, dtype=float)
     n = chart.dim
     d = n - 1
     md = metric_at(chart, p)
     B = orthonormal_frame(md.g)
-    dirs = _sphere_directions(n, n_dirs)  # (N, n) Euclidean units
-    if dir_slice is not None:
-        dirs = dirs[dir_slice[0]:dir_slice[1]]
-    N = len(dirs)
-    V0 = dirs @ B.T  # rows: coordinate components of unit-speed starts
-
-    # frames adapted per direction: columns = B rotated so last is the ray
+    V0 = _sphere_directions(n, n_dirs) @ B.T  # coordinate components of unit-speed starts
+    N = len(V0)
     E0 = _adapted_frames(md.g, B, V0)
 
-    radii = sorted(radii or [r])
-    # one row per ray: x, v and the frame E. The orthogonal Jacobi fields
-    # (F, F'), which start at (0, I), advance by the RK4 transition of each
-    # step, with M at both ends and at the Hermite midpoint of the step.
-    def rhs(t, Y):
-        return _ray_slopes(chart.evaluator.connection_batch(Y[:, :n], Y[:, n:2 * n]), Y, n)
-
+    rhs = _rays_rhs(chart)
     Y = np.hstack([np.tile(p, (N, 1)), V0, E0.reshape(N, -1)])
     M, dY = _driving(chart, Y, d)
     FF = np.tile(np.vstack([np.zeros((d, d)), np.eye(d)]), (N, 1, 1))
@@ -396,12 +375,8 @@ def _batched_sphere_sweep_single(chart, p, r, n_dirs, step, radii, dir_slice):
         n_steps = max(1, int(math.ceil((target - t) / step - 1e-12)))
         h = (target - t) / n_steps
         for _ in range(n_steps):
-            Y1 = _rk4_step(rhs, t, Y, h, dY)  # dY, from the last kernel pass, is k1
+            Y1 = _step_rays(chart, rhs, t, Y, h, t + h, dY)
             t += h
-            outside = ~chart.inside(Y1[:, :n])
-            if outside.any():
-                raise DomainExit("direction sweep left the chart", t_exit=t,
-                                 point=Y1[np.argmax(outside), :n].copy())
             M1, dY1 = _driving(chart, Y1, d)
             Mh, _ = _driving(chart, _hermite(0.0, h, Y, Y1, dY, dY1, 0.5 * h), d)
             FF = _jacobi_transition(M, Mh, M1, h) @ FF
@@ -417,14 +392,14 @@ def volume_compare(chart: MetricChart, p, r: float, Kref: float,
 
     Requires Ric >= (n-1) Kref g at seeded sample points (else
     InputOrderViolated). Reports the area ratio and a pointwise verdict on
-    the Jacobian determinants.
+    the Jacobian determinants. ``jobs`` is accepted and has no effect.
     """
     p = np.asarray(p, dtype=float)
     n = chart.dim
     if directions is None:
         directions = 512 if n == 2 else 2048
-    if r <= 0:
-        raise BadParam("radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise BadParam("radius must be positive and finite")
     # sampled Ricci hypothesis near p
     rng = np.random.default_rng(seed)
     samples = [p + rng.uniform(-r, r, n) if k else p for k in range(ric_samples)]
@@ -433,7 +408,7 @@ def volume_compare(chart: MetricChart, p, r: float, Kref: float,
         raise InputOrderViolated(
             f"Ric >= (n-1) Kref fails near p: min eigenvalue {worst:.6g}")
 
-    dets = _batched_sphere_sweep(chart, p, r, directions, step, jobs=jobs)[r]
+    dets = _batched_sphere_sweep(chart, p, r, directions, step)[r]
     if np.min(dets) <= 0.0:
         raise BadParam("radius reaches past a conjugate point (det <= 0)")
     omega = _unit_sphere_area(n)
@@ -455,15 +430,17 @@ def scalar_expansion_fit(chart: MetricChart, p, radii=(0.2, 0.1, 0.05),
 
     area(r) / (r^{n-1} Omega) = 1 - a r^2 + O(r^4) with a = S / (6 n);
     Richardson extrapolation over the two finest radius pairs removes the
-    r^2 error in the fitted coefficient.
+    r^2 error in the fitted coefficient. ``jobs`` is accepted and has no
+    effect.
     """
     p = np.asarray(p, dtype=float)
     n = chart.dim
     if directions is None:
         directions = 512 if n == 2 else 2048
     radii = sorted(radii, reverse=True)
-    dets = _batched_sphere_sweep(chart, p, radii[-1], directions, step,
-                                 radii=radii, jobs=jobs)
+    if len(radii) < 2:
+        raise BadParam("scalar_expansion_fit needs at least two radii")
+    dets = _batched_sphere_sweep(chart, p, radii[-1], directions, step, radii=radii)
     coeffs = {}
     for rr in radii:
         ratio = float(np.mean(dets[rr])) / rr ** (n - 1)

@@ -756,7 +756,7 @@ def _sq_speed(chart: MetricChart, curve: SampledCurve) -> Callable:
         X = _dense(t, x, s, v)
         chart.require_inside(X)
         V = _dense(t, x, s, v, deriv=True)
-        return np.einsum("bi,bij,bj->b", V, chart.evaluator.stack_batch(X)[0], V)
+        return np.einsum("bi,bij,bj->b", V, chart.evaluator.metric_batch(X), V)
     return sq_speed
 
 

@@ -14,6 +14,10 @@ known curve is solved so (the frame, a transported vector, a development's
 coframe, ``variation``'s Jacobi fields): C from one ``connection_batch`` at
 all stage points gives one transition matrix per step (``_transition``,
 from the method's Butcher tableau), chained by ``_advance``.
+
+A batch of rays steps by ``_step_rays``: one RK4 step of the rows (x, v[,
+frame]) on one ``connection_batch`` per stage, shared by ``_exp_rays`` and
+``comparison``'s direction sweep.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ def _rk4_step(rhs, t, y, h, k1=None):
 def rk4_path(rhs, y0: np.ndarray, ts: np.ndarray, substeps: int = 1,
              guard: Optional[Callable] = None):
     """Integrate across the sample grid ``ts``; returns y at every grid time
-    (the nonlinear equations of ``_integrate`` and ``reverse_develop``).
+    (the nonlinear equation of ``reverse_develop``).
 
     ``guard(t, y, ys, ts)`` may raise to stop integration (domain checks).
     A ``DomainFault`` or ``SingularMetric`` from ``rhs`` is handed to it as
@@ -130,6 +134,43 @@ def rk4_path(rhs, y0: np.ndarray, ts: np.ndarray, substeps: int = 1,
     return ys
 
 
+def _ray_slopes(C: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
+    """Y' = (v, -C v, -C E) for ray rows Y = (x, v, E), E's k >= 0 frame
+    columns flattened row by row, with C = Gamma(v, .) per row."""
+    N, width = Y.shape
+    V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(N, n, width // n - 2)
+    return np.hstack([V, -(C @ V[:, :, None])[:, :, 0], -(C @ E).reshape(N, width - 2 * n)])
+
+
+def _rays_rhs(chart: MetricChart) -> Callable:
+    """``_ray_slopes`` of the rays Y at t from one ``connection_batch``; a
+    DomainFault or SingularMetric there gets t as its ``t_exit``."""
+    n = chart.dim
+    connection_batch = chart.evaluator.connection_batch
+
+    def rhs(t, Y):
+        try:
+            C = connection_batch(Y[:, :n], Y[:, n:2 * n])
+        except _POINT_FAULTS as exc:
+            exc.t_exit = float(t)
+            raise
+        return _ray_slopes(C, Y, n)
+    return rhs
+
+
+def _step_rays(chart: MetricChart, rhs, t, Y: np.ndarray, h, t1, k1=None) -> np.ndarray:
+    """One RK4 step of the ray rows Y from t by h, rhs = ``_rays_rhs(chart)``
+    (``k1`` as in ``_rk4_step``); DomainExit at t1, the caller's end of the
+    step, naming the first ray that ends outside the chart."""
+    Y1 = _rk4_step(rhs, t, Y, h, k1)
+    X = Y1[:, :chart.dim]
+    outside = ~chart.inside(X)
+    if outside.any():
+        raise DomainExit(f"left chart domain near t={t1:.6g}",
+                         t_exit=float(t1), point=X[np.argmax(outside)].copy())
+    return Y1
+
+
 # Fehlberg 4(5) coefficients; row s of _RKF_A weighs the stages before s
 _RKF_A = np.array([
     [0, 0, 0, 0, 0],
@@ -141,7 +182,6 @@ _RKF_A = np.array([
 ])
 _RKF_C = (0, 1 / 4, 3 / 8, 12 / 13, 1, 1 / 2)
 _RKF_B5 = np.array([16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-_RKF_ERR = _RKF_B5 - np.array([25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0])  # minus B4
 
 
 def _rkf45_steps(trial, y, t1: float, settings: OdeSettings):
@@ -164,31 +204,6 @@ def _rkf45_steps(trial, y, t1: float, settings: OdeSettings):
         h *= min(4.0, max(0.1, 0.9 * (max(err, 1e-16)) ** -0.2))
 
 
-def _rkf45(rhs, y0, t1: float, settings: OdeSettings, guard=None):
-    """Sample times and states of RKF45 for y' = rhs(t, y) on [0, t1]."""
-    def trial(t, y, h):
-        K = np.empty((6, len(y)))  # the stages' slopes
-        K[0] = rhs(t, y)
-        for s in range(1, 6):
-            K[s] = rhs(t + _RKF_C[s] * h, y + h * (_RKF_A[s, :s] @ K[:s]))
-        y5 = y + h * (_RKF_B5 @ K)
-        scale = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y5))
-        return y5, float(np.max(np.abs(h * (_RKF_ERR @ K)) / scale))
-
-    ts, ys = [0.0], [np.array(y0, dtype=float)]
-    try:
-        for t, y in _rkf45_steps(trial, ys[0], t1, settings):
-            if guard is not None:
-                guard(t, y, ys, ts)
-            ts.append(t)
-            ys.append(y)
-    except _POINT_FAULTS as exc:
-        if guard is not None:
-            guard(ts[-1], ys[-1], ys, ts, fault=exc)
-        raise
-    return np.array(ts), np.array(ys)
-
-
 def _fixed_grid(tmax: float, settings: OdeSettings) -> np.ndarray:
     """The sample times of fixed-step RK4 on [0, tmax]."""
     if tmax == 0.0:
@@ -197,14 +212,6 @@ def _fixed_grid(tmax: float, settings: OdeSettings) -> np.ndarray:
     if n_steps > settings.max_steps:
         raise StepFault("rk4_fixed: max_steps exceeded")
     return np.linspace(0.0, tmax, n_steps + 1)
-
-
-def _integrate(rhs, y0, tmax: float, settings: OdeSettings, guard):
-    """Sample times and states of y' = rhs(t, y) on [0, tmax] under ``settings``."""
-    if settings.method == "rk4_fixed":
-        ts = _fixed_grid(tmax, settings)
-        return ts, rk4_path(rhs, y0, ts, guard=guard)
-    return _rkf45(rhs, y0, tmax, settings, guard=guard)
 
 
 # an explicit Runge-Kutta method: stage s is taken at y + h sum_j a[s][j] K_j,
@@ -380,8 +387,8 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
 def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
                  record: bool = False):
     """RKF45 of y = (x, v), x' = v, v' = -Gamma(v, v), on [0, tmax], in floats:
-    ``_rkf45``'s trial step with its Fehlberg stages unrolled, six ``spray``
-    calls each; faults are located and the domain checked as in
+    ``_rkf45_steps`` over a trial step with the Fehlberg stages unrolled, six
+    ``spray`` calls each; faults are located and the domain checked as in
     ``_spray_stages``.  Returns the sample times, the rows y (m + 1, 2n) and
     the stage points (m, 6, 2n) of the accepted steps, or None unless ``record``."""
     n = chart.dim
@@ -588,42 +595,27 @@ def _definite_ends(chart: MetricChart, ends: np.ndarray) -> np.ndarray:
 
 
 def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
-    """Endpoints exp_{P[b]}(V[b]) of N geodesics integrated as one system,
-    for the batches of ``variation.first_variation`` (one ray is ``exp_map``'s
-    float loop).
+    """Endpoints exp_{P[b]}(V[b]) of N rays, for the batches of
+    ``variation.first_variation``.
 
-    The flat state holds x and v of every ray. RKF45's error norm is a max
-    over the whole state, so every ray meets the tolerance; after every step
-    the guard checks all rays with one domain call and names the first ray
-    outside. Where g is not positive definite at an endpoint, SingularMetric
-    names the first such ray's endpoint, at t = 1.
+    Under RK4 all rays step together by ``_step_rays`` on the grid of
+    ``_fixed_grid``, which names the first ray outside the chart after every
+    step; under RKF45 each ray runs ``exp_map``'s float loop in turn, so a
+    batch raises what the first failing ray's own loop raises. Where g is
+    not positive definite at an endpoint, SingularMetric names the first
+    such ray's endpoint, at t = 1.
     """
     P, V = _start(chart, P, V)
-    N, n = P.shape
-    connection_batch = chart.evaluator.connection_batch
-
-    def rhs(t, y):
-        Y = y.reshape(N, 2 * n)
-        X, W = Y[:, :n], Y[:, n:]
-        try:
-            C = connection_batch(X, W)
-        except _POINT_FAULTS as exc:
-            exc.t_exit = float(t)
-            raise
-        out = np.empty((N, 2 * n))
-        out[:, :n] = W
-        out[:, n:] = -(C @ W[:, :, None])[:, :, 0]
-        return out.ravel()
-
-    def guard(t, y, ys_so_far, ts_so_far, fault=None):
-        X = y.reshape(N, 2 * n)[:, :n]
-        outside = ~chart.inside(X)
-        if fault is None and outside.any():
-            raise DomainExit(f"left chart domain near t={t:.6g}",
-                             t_exit=float(t), point=X[np.argmax(outside)].copy())
-
-    _, ys = _integrate(rhs, np.hstack([P, V]).ravel(), 1.0, settings, guard)
-    return _definite_ends(chart, ys[-1].reshape(N, 2 * n)[:, :n])
+    n = chart.dim
+    if settings.method == "rk4_fixed":
+        rhs, Y = _rays_rhs(chart), np.hstack([P, V])
+        ts = _fixed_grid(1.0, settings).tolist()
+        for t, t1 in zip(ts[:-1], ts[1:]):
+            Y = _step_rays(chart, rhs, t, Y, t1 - t, t1)
+        return _definite_ends(chart, Y[:, :n])
+    return _definite_ends(chart, np.array(
+        [_float_geodesic(chart, p, v, 1.0, settings, record=False)[1][-1, :n]
+         for p, v in zip(P, V)]).reshape(-1, n))
 
 
 LOG_SETTINGS = OdeSettings(step=2e-3)

@@ -21,7 +21,7 @@ from .manifold import MetricChart, SampledCurve, _bisect, _dense, _hermite
 from .manifold import energy as curve_energy
 from .tensor import curvature, jacobi_driving_batch
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _advance,
-                        _exp_rays, _transition, integrate_geodesic)
+                        _exp_rays, _ray_slopes, _transition, integrate_geodesic)
 
 
 # ---------------------------------------------------------------------------
@@ -35,12 +35,6 @@ def jacobi_matrix_at(chart: MetricChart, x, v, E) -> np.ndarray:
     # work fully in lowered components: M_ab = low[x, b, x, a] contracted
     low = R.low
     return np.einsum("ijhk,i,jb,h,ka->ab", low, v, E, v, E)
-
-
-def _ray_slopes(C: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
-    """Y' = (v, -C v, -C E) for rows Y = (x, v, E flattened), C = Gamma(v, .) per row."""
-    V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(len(Y), n, n)
-    return np.hstack([V, -(C @ V[:, :, None])[:, :, 0], -(C @ E).reshape(len(Y), n * n)])
 
 
 def _driving(chart: MetricChart, Y: np.ndarray, cols: int):
@@ -531,7 +525,7 @@ def first_variation(chart: MetricChart, rect: RectangleSpec,
     X, W = base.points, base.velocities
     dv = np.gradient(W, ts, axis=0, edge_order=2)
     accel = dv + (chart.evaluator.connection_batch(X, W) @ W[:, :, None])[:, :, 0]
-    g = chart.evaluator.stack_batch(X)[0]
+    g = chart.evaluator.metric_batch(X)
     integrand = np.einsum("bi,bij,bj->b", rect.V, g, accel)
     boundary_term = 2.0 * (float(rect.V[-1] @ g[-1] @ W[-1])
                            - float(rect.V[0] @ g[0] @ W[0]))

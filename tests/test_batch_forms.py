@@ -66,6 +66,15 @@ def test_batches_equal_the_per_point_functions_bitwise(name, size):
     assert _same(ev.connection_batch(X, V), [ev.connection(x, v) for x, v in zip(X, V)])
 
 
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_metric_batch_is_the_g_of_stack_batch_bitwise(name, size):
+    # callers that need only g read metric_batch
+    ev = _chart(name).evaluator
+    X = _chart(name).sample_points(size, 17)
+    assert _same(ev.metric_batch(X), ev.stack_batch(X)[0])
+
+
 def test_the_crossover_picks_the_loop_or_the_array_form():
     ev = manifold.ExpressionEvaluator(_chart("expr2").evaluator.asts, 2)
     inner = ev.gamma

@@ -372,3 +372,14 @@ def test_malformed_surfrev_vectors_are_bad_param_reports(capsys, argv):
     assert code == 1
     assert rep["command"] == "surfrev"
     assert rep["error"]["type"] == "BadParam"
+
+
+@pytest.mark.parametrize("option", [("--directions", "0"), ("--r", "nan"), ("--r", "inf")],
+                         ids=["no_directions", "nan_radius", "infinite_radius"])
+def test_malformed_volume_inputs_are_bad_param_reports(capsys, option):
+    code, rep = run_json(capsys, "volume", "--builtin", "sphere_stereo", "--param", "n=2",
+                         "--point", "0.3,0.1", "--r", "0.5", "--kref", "0",
+                         "--directions", "16", *option)
+    assert code == 1
+    assert rep["command"] == "volume"
+    assert rep["error"]["type"] == "BadParam"

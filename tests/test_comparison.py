@@ -369,6 +369,29 @@ def test_scalar_expansion_fit_sphere():
     assert rep["predicted"] == pytest.approx(1.0 / 6.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(directions=0), dict(directions=-5), dict(step=0.0), dict(step=-1.0),
+    dict(step=math.nan), dict(r=math.nan), dict(r=math.inf), dict(r=0.0),
+], ids=["no_directions", "negative_directions", "zero_step", "negative_step",
+        "nan_step", "nan_radius", "infinite_radius", "zero_radius"])
+def test_volume_compare_rejects_malformed_sweeps(kwargs):
+    sph = manifold.builtin("sphere_stereo", {"n": 2})
+    with pytest.raises(BadParam):
+        comparison.volume_compare(sph, [0.3, 0.1], **{"r": 0.5, "Kref": 0.0,
+                                                      "directions": 16, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(directions=0), dict(step=0.0), dict(step=-1.0), dict(radii=(0.1,)),
+    dict(radii=(0.2, 0.1, 0.0)), dict(radii=(0.2, math.inf)), dict(radii=(0.1, math.nan)),
+], ids=["no_directions", "zero_step", "negative_step", "one_radius", "zero_radius",
+        "infinite_radius", "nan_radius"])
+def test_scalar_expansion_fit_rejects_malformed_sweeps(kwargs):
+    sph = manifold.builtin("sphere_stereo", {"n": 2})
+    with pytest.raises(BadParam):
+        comparison.scalar_expansion_fit(sph, [0.3, 0.1], **{"directions": 16, **kwargs})
+
+
 def test_sphere_directions_unit_and_deterministic():
     for n in (2, 3):
         D = comparison._sphere_directions(n, 50)

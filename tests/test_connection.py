@@ -8,6 +8,7 @@ import pytest
 from riemannkit import manifold, transport
 from riemannkit.errors import DomainFault
 from riemannkit.transport import OdeSettings
+from test_spray import _rkf45
 
 
 EXPR2 = {"dim": 2, "coords": ["x", "y"],
@@ -87,8 +88,8 @@ def _einsum_rkf45_reference(chart, p, v, E0, tmax, settings):
     (x, v, E) over each accepted step."""
     n = chart.dim
     rhs = _einsum_framed_rhs(chart)
-    ts, _ = transport._rkf45(lambda t, y: rhs(t, np.concatenate([y, E0.ravel()]))[:2 * n],
-                             np.concatenate([p, v]), tmax, settings)
+    ts, _ = _rkf45(lambda t, y: rhs(t, np.concatenate([y, E0.ravel()]))[:2 * n],
+                   np.concatenate([p, v]), tmax, settings)
     ys = [np.concatenate([p, v, E0.ravel()])]
     for t0, t1 in zip(ts[:-1], ts[1:]):
         ys.append(_fehlberg_step(rhs, t0, ys[-1], t1 - t0))
@@ -111,8 +112,8 @@ def test_framed_geodesic_matches_einsum_reference(name, method):
         # the accepted grid follows (x, v) alone; the frame is carried over it
         ts, x, frames = _einsum_rkf45_reference(chart, p, v, E0, 1.5, settings)
     else:
-        ts, ys = transport._integrate(_einsum_framed_rhs(chart),
-                                      np.concatenate([p, v, E0.ravel()]), 1.5, settings, None)
+        ts = transport._fixed_grid(1.5, settings)
+        ys = transport.rk4_path(_einsum_framed_rhs(chart), np.concatenate([p, v, E0.ravel()]), ts)
         x, frames = ys[:, :n], ys[:, 2 * n:].reshape(-1, n, n)
     assert len(geo.t) == len(ts)
     if method == "rkf45_adaptive":

@@ -95,6 +95,54 @@ def test_exp_rays_match_single_geodesics_rkf45(name):
         np.testing.assert_allclose(ends[b], geo.x[-1], rtol=0, atol=1e-8)
 
 
+def _flat_rays_rhs(chart, N):
+    """y' = (v, -Gamma(v, v)) of N rays on the flat state (x_1, v_1, x_2, ...)."""
+    n = chart.dim
+
+    def rhs(t, y):
+        Y = y.reshape(N, 2 * n)
+        X, W = Y[:, :n], Y[:, n:]
+        out = np.empty((N, 2 * n))
+        out[:, :n] = W
+        out[:, n:] = -(chart.evaluator.connection_batch(X, W) @ W[:, :, None])[:, :, 0]
+        return out.ravel()
+    return rhs
+
+
+@pytest.mark.parametrize("name", ["sphere2", "hyper3", "torus", "expr"])
+def test_exp_rays_rk4_is_the_flat_state_rk4_path(name):
+    chart = _charts()[name]
+    P, V = _rays(chart, 6)
+    settings = OdeSettings(step=1e-2)
+    ys = transport.rk4_path(_flat_rays_rhs(chart, len(P)), np.hstack([P, V]).ravel(),
+                            transport._fixed_grid(1.0, settings))
+    want = ys[-1].reshape(len(P), -1)[:, :chart.dim]
+    assert np.array_equal(transport._exp_rays(chart, P, V, settings), want)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "hyper3", "torus", "expr"])
+def test_exp_rays_rkf45_is_exp_map_per_ray(name):
+    chart = _charts()[name]
+    P, V = _rays(chart, 6)
+    settings = OdeSettings(method="rkf45_adaptive", step=0.05)
+    want = [transport.exp_map(chart, p, v, settings) for p, v in zip(P, V)]
+    assert np.array_equal(transport._exp_rays(chart, P, V, settings), want)
+
+
+@pytest.mark.parametrize("frames", [0, 1, 3])
+@pytest.mark.parametrize("rows", [0, 5])
+def test_ray_slopes_take_any_number_of_frame_columns(rows, frames):
+    rng = np.random.default_rng([rows, frames])
+    n = 3
+    C = rng.normal(size=(rows, n, n))
+    X, V, E = rng.normal(size=(rows, n)), rng.normal(size=(rows, n)), rng.normal(size=(rows, n, frames))
+    dY = transport._ray_slopes(C, np.hstack([X, V, E.reshape(rows, n * frames)]), n)
+    assert dY.shape == (rows, 2 * n + n * frames)
+    assert np.array_equal(dY[:, :n], V)
+    assert np.array_equal(dY[:, n:2 * n], -(C @ V[:, :, None])[:, :, 0])
+    assert np.array_equal(dY[:, 2 * n:].reshape(rows, n, frames), -(C @ E))
+
+
 @pytest.mark.parametrize("method", ["rk4_fixed", "rkf45_adaptive"])
 @pytest.mark.parametrize("name", ["euclidean", "sphere2", "sphere3", "hyper3", "torus", "expr"])
 def test_exp_map_is_the_end_of_the_unframed_geodesic(name, method):
@@ -219,6 +267,16 @@ def test_sweep_checks_every_ray():
         comparison._batched_sphere_sweep(chart, [0.0, 0.0], 1.0, 64, 1e-2)
     angle = np.arctan2(ei.value.point[1], ei.value.point[0])
     assert 2 <= angle / (2.0 * np.pi / 64) <= 4
+
+
+def test_sweep_fault_carries_its_stage_parameter():
+    # the metric needs sqrt(x); from x = 0.0537 the ray along -e_1 reaches
+    # x < 0 at the middle stages of the step from t = 0.05
+    chart = manifold.chart_from_definition(SQRT)
+    with pytest.raises(DomainFault) as ei:
+        comparison._batched_sphere_sweep(chart, [0.0537, 0.0], 0.2, 16, 1e-2)
+    assert ei.value.t_exit == pytest.approx(0.055)
+    assert ei.value.point[0] < 0.0
 
 
 # -- start frames of the direction sweep -------------------------------------

@@ -13,7 +13,7 @@ from riemannkit import manifold, transport
 from riemannkit.errors import DomainExit, DomainFault, StepFault
 from riemannkit.transport import OdeSettings
 from test_connection import EXPR3
-from test_spray import HOROSPHERICAL, PARABOLOID, SQRT, _domain_guard, _geodesic_rhs
+from test_spray import HOROSPHERICAL, PARABOLOID, SQRT, _domain_guard, _geodesic_rhs, _rkf45
 
 RKF = OdeSettings(method="rkf45_adaptive")
 SPHERE_EXPR = {"dim": 2, "coords": ["x", "y"],
@@ -47,8 +47,8 @@ def _unit_ray(chart):
 def _coupled(chart, p, v, tmax, settings=RKF):
     """(ts, ys) of the coupled numpy RKF45 of (x, v), guarded per sample."""
     n = chart.dim
-    return transport._rkf45(_geodesic_rhs(chart, n), np.concatenate([p, v]),
-                            tmax, settings, guard=_domain_guard(chart, n))
+    return _rkf45(_geodesic_rhs(chart, n), np.concatenate([p, v]),
+                  tmax, settings, guard=_domain_guard(chart, n))
 
 
 def _coupled_framed_end(chart, p, v, tmax, settings):
@@ -56,8 +56,8 @@ def _coupled_framed_end(chart, p, v, tmax, settings):
     error norm covers the frame too."""
     n = chart.dim
     E0 = transport.initial_frame(chart, p, v)
-    _, ys = transport._rkf45(_geodesic_rhs(chart, n), np.concatenate([p, v, E0.T.ravel()]),
-                             tmax, settings)
+    _, ys = _rkf45(_geodesic_rhs(chart, n), np.concatenate([p, v, E0.T.ravel()]),
+                   tmax, settings)
     return ys[-1, :n], ys[-1, 2 * n:].reshape(n, n).T
 
 

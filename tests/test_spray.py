@@ -1,7 +1,8 @@
 """The fixed-step geodesic kernel: (x, v) stepped in floats with the spray,
 then the parallel frame from batched RK4 transitions, checked against the
 coupled RK4 of (x, v, frame) on the reference right-hand side
-``_geodesic_rhs`` below, guarded per sample by ``_domain_guard``."""
+``_geodesic_rhs`` below, guarded per sample by ``_domain_guard``.  The
+numpy RKF45 ``_rkf45`` below is the coupled reference of the RKF45 tests."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from riemannkit import manifold, transport
 from riemannkit.errors import _POINT_FAULTS, BadDimension, DomainExit, DomainFault
 from riemannkit.manifold import MetricChart
-from riemannkit.transport import OdeSettings, Trajectory
+from riemannkit.transport import (_RKF_A, _RKF_B5, _RKF_C, OdeSettings, Trajectory,
+                                  _rkf45_steps)
 
 
 class StackOnly(manifold.MetricEvaluator):
@@ -92,6 +94,34 @@ def _domain_guard(chart: MetricChart, n: int):
     return guard
 
 
+_RKF_ERR = _RKF_B5 - np.array([25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0])  # minus B4
+
+
+def _rkf45(rhs, y0, t1: float, settings: OdeSettings, guard=None):
+    """Sample times and states of RKF45 for y' = rhs(t, y) on [0, t1]."""
+    def trial(t, y, h):
+        K = np.empty((6, len(y)))  # the stages' slopes
+        K[0] = rhs(t, y)
+        for s in range(1, 6):
+            K[s] = rhs(t + _RKF_C[s] * h, y + h * (_RKF_A[s, :s] @ K[:s]))
+        y5 = y + h * (_RKF_B5 @ K)
+        scale = settings.atol + settings.rtol * np.maximum(np.abs(y), np.abs(y5))
+        return y5, float(np.max(np.abs(h * (_RKF_ERR @ K)) / scale))
+
+    ts, ys = [0.0], [np.array(y0, dtype=float)]
+    try:
+        for t, y in _rkf45_steps(trial, ys[0], t1, settings):
+            if guard is not None:
+                guard(t, y, ys, ts)
+            ts.append(t)
+            ys.append(y)
+    except _POINT_FAULTS as exc:
+        if guard is not None:
+            guard(ts[-1], ys[-1], ys, ts, fault=exc)
+        raise
+    return np.array(ts), np.array(ys)
+
+
 def _coupled(chart, p, v, tmax, step, with_frame=True):
     """(ts, x, v, frame) of the coupled RK4 of (x, v, frame), step by step."""
     n = chart.dim
@@ -155,8 +185,8 @@ def test_transition_is_one_fehlberg_step_for_constant_coefficients():
     Phi = transport._transition([A] * 6, h, transport.FEHLBERG)
     for b in range(6):
         loose = OdeSettings(method="rkf45_adaptive", step=h[b], rtol=1e6, atol=1e6)
-        ts, ys = transport._rkf45(lambda t, y: (A[b] @ y.reshape(3, 3)).ravel(),
-                                  np.eye(3).ravel(), h[b], loose)
+        ts, ys = _rkf45(lambda t, y: (A[b] @ y.reshape(3, 3)).ravel(),
+                        np.eye(3).ravel(), h[b], loose)
         assert len(ts) == 2 and ts[-1] == h[b]
         np.testing.assert_allclose(Phi[b], ys[-1].reshape(3, 3), rtol=0, atol=1e-15)
 
