@@ -120,16 +120,25 @@ def riccati_solve(H, f0: float, tmax: float, step: float = 1e-3) -> RiccatiTrace
     step, which changes neither f nor the zeros of j. A pole of f is a zero
     of j, the root of j's cubic Hermite interpolant on the step where j
     changes sign. ``f0`` may be ``math.inf`` (or ``-math.inf``) for the
-    blowup condition f(0+) = +inf: j then starts exactly at (0, 1).
+    blowup condition f(0+) = +inf: j then starts exactly at (0, 1). BadParam
+    unless tmax and step are positive and finite, f0 is not NaN and H is
+    finite at every sample.
     """
     prof = _as_profile(H)
-    if tmax <= 0 or step <= 0:
-        raise BadParam("tmax and step must be positive")
+    if not (0.0 < tmax < math.inf and 0.0 < step < math.inf):
+        raise BadParam(f"tmax and step must be positive and finite, not {tmax!r} and {step!r}")
+    if math.isnan(f0):
+        raise BadParam("f0 must be a number or an infinity, not nan")
     ts = np.arange(0.0, tmax + 0.5 * step, step)
     ts[-1] = min(ts[-1], tmax)
     t, h = ts.tolist(), np.diff(ts)
+    mid = ts[:-1] + 0.5 * h
     H_at = np.array([prof(s) for s in t]).reshape(-1, 1, 1)
-    H_mid = np.array([prof(s) for s in (ts[:-1] + 0.5 * h).tolist()]).reshape(-1, 1, 1)
+    H_mid = np.array([prof(s) for s in mid.tolist()]).reshape(-1, 1, 1)
+    for times, values in ((ts, H_at), (mid, H_mid)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise BadParam(f"H is not finite at t={times[bad[0]]:.6g}")
     steps = _jacobi_transition(H_at[:-1], H_mid, H_at[1:], h).tolist()
     j, jp = (0.0, 1.0) if math.isinf(f0) else (1.0, float(f0))
     J, poles = [(j, jp)], []

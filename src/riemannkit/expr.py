@@ -1,12 +1,19 @@
 """Closed-form expression language for metric coefficients.
 
 Infix grammar with the usual precedence (``^`` > unary ``-`` > ``*`` ``/`` >
-``+`` ``-``), ``^`` right-associative.  ``evaluate`` interprets a tree on
-plain floats; ``compile_tensor`` differentiates trees symbolically and compiles
-the value and its first and second partials to straight-line Python, and
-``compile_gamma`` compiles the Christoffel symbols of a metric the same way.
-Each compiled function also has an array form over a batch of points, written
-from the same statements, whose rows are bitwise the per-point values.
+``+`` ``-``), ``^`` right-associative.  ``compile_tensor`` differentiates
+trees symbolically and compiles the value and its first and second partials
+to straight-line Python, and ``compile_gamma`` compiles the Christoffel
+symbols of a metric the same way; ``evaluate`` and ``eval2`` run these
+compiled functions at one point.  Each compiled function also has an array
+form over a batch of points, written from the same statements, whose rows
+are bitwise the per-point values.
+
+Evaluation raises DomainFault for ``log`` of an argument <= 0, ``sqrt`` of an
+argument < 0 (or = 0 where derivatives are taken), division by 0, and
+``a ^ b`` with a <= 0 where b is not an integer literal.  ``a ^ -k``, for an
+integer literal k, is ``1 / a ^ k`` and so a division.  An overflowing ``^``
+or function raises OverflowError; ``+ - * /`` overflow to inf as floats do.
 """
 
 from __future__ import annotations
@@ -245,13 +252,6 @@ def to_source(node: Node) -> str:
     return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
 
 
-_FN_FLOAT = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "exp": math.exp, "abs": abs,
-}
-
-
 def _integer_exponent(node: Node):
     """Exponent value when the exponent subtree is an integer literal."""
     if isinstance(node, Num) and float(node.value).is_integer():
@@ -261,54 +261,6 @@ def _integer_exponent(node: Node):
         if inner is not None:
             return -inner
     return None
-
-
-def evaluate(node: Node, point) -> float:
-    """Plain float evaluation by walking the tree."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Var):
-        return float(point[node.index])
-    if isinstance(node, Neg):
-        return -evaluate(node.child, point)
-    if isinstance(node, Call):
-        x = evaluate(node.arg, point)
-        fn = _FN_FLOAT.get(node.fn)
-        if fn is not None:
-            return fn(x)
-        if node.fn == "log":
-            if x <= 0.0:
-                raise DomainFault(f"log of nonpositive argument {x}")
-            return math.log(x)
-        if node.fn == "sqrt":
-            if x < 0.0:
-                raise DomainFault(f"sqrt of negative argument {x}")
-            return math.sqrt(x)
-        raise DomainFault(f"unknown function {node.fn}")
-    # binary
-    a = evaluate(node.left, point)
-    if node.op == "^":
-        k = _integer_exponent(node.right)
-        if k is not None:
-            if k < 0 and a == 0.0:
-                raise DomainFault("division by zero")
-            return a**k
-        b = evaluate(node.right, point)
-        if a <= 0.0:
-            raise DomainFault(f"nonpositive base {a} for non-integer exponent")
-        return math.exp(b * math.log(a))
-    b = evaluate(node.right, point)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if b == 0.0:
-        raise DomainFault("division by zero")
-    return a / b
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +622,10 @@ def compile_tensor(nodes, n: int, order: int):
     (T, dT, d2T) (order 2), where dT[k, ...] = d_k T and d2T[k, l, ...] =
     d_k d_l T, exactly symmetric in (k, l).  T is a Python float when S is (),
     and the derivatives are arrays of shape (n,) * order + S.  Evaluation
-    raises DomainFault where the interpreter ``evaluate`` does, and also for
-    sqrt at 0 when order >= 1.
+    raises DomainFault for log of x <= 0, sqrt of x < 0 (and of x = 0 when
+    order >= 1), a zero denominator, ``a ^ -k`` at a = 0 and ``a ^ b`` at
+    a <= 0 for b not an integer literal; OverflowError where ``^`` or a
+    function overflows.
 
     The function's ``batch`` attribute is its array form: on an (N, n) array
     X it returns the same outputs with a leading batch axis, each row bitwise
@@ -889,45 +843,19 @@ class DualValue2:
     grad: np.ndarray
     hess: np.ndarray
 
-    def __post_init__(self):
-        # keep the Hessian exactly symmetric regardless of rounding order
-        h = np.asarray(self.hess, dtype=float)
-        object.__setattr__(self, "hess", 0.5 * (h + h.T))
-        object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))
-
 
 @functools.lru_cache(maxsize=256)
-def _second_order(node: Node, n: int):
-    return compile_tensor(node, n, 2)
+def _compiled(node: Node, n: int, order: int):
+    return compile_tensor(node, n, order)
+
+
+def evaluate(node: Node, point) -> float:
+    """The value at ``point``, from ``compile_tensor(node, len(point), 0)``."""
+    point = np.asarray(point, dtype=float)
+    return _compiled(node, len(point), 0)(point)
 
 
 def eval2(node: Node, point) -> DualValue2:
     """Value, gradient and Hessian at ``point`` from compiled symbolic derivatives."""
     point = np.asarray(point, dtype=float)
-    value, grad, hess = _second_order(node, len(point))(point)
-    return DualValue2(value, grad, hess)
-
-def eval_third_fd(node: Node, point, direction: int) -> np.ndarray:
-    """Central FD of the compiled Hessian along coordinate ``direction``.
-
-    Returns the symmetric matrix of third partials d3/dx_dir dx_i dx_j.
-    """
-    point = np.asarray(point, dtype=float)
-    h = np.cbrt(np.finfo(float).eps) * max(1.0, abs(point[direction]))
-    plus = point.copy()
-    plus[direction] += h
-    minus = point.copy()
-    minus[direction] -= h
-    return (eval2(node, plus).hess - eval2(node, minus).hess) / (2.0 * h)
-
-
-def free_variables(node: Node) -> set[int]:
-    if isinstance(node, Var):
-        return {node.index}
-    if isinstance(node, Neg):
-        return free_variables(node.child)
-    if isinstance(node, Call):
-        return free_variables(node.arg)
-    if isinstance(node, Bin):
-        return free_variables(node.left) | free_variables(node.right)
-    return set()
+    return DualValue2(*_compiled(node, len(point), 2)(point))

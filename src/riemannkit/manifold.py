@@ -417,6 +417,8 @@ class MetricChart:
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         """Seeded random interior points, reproducible across runs."""
+        if count < 0:
+            raise BadParam(f"sample count must be nonnegative, not {count}")
         rng = np.random.default_rng(seed)
         low, high = self.sample_box if self.sample_box is not None else (
             -np.ones(self.dim), np.ones(self.dim))
@@ -623,20 +625,24 @@ def _read_definition(path: str, kind: str):
 
 def _check_supplied_symmetry(chart: MetricChart, asts, seed: int = 20260823,
                              samples: int = 100, tol: float = 1e-12):
+    """BadParam where g[i][j] and g[j][i] differ at a seeded sample point. Only
+    the differing off-diagonal ASTs are compiled: a diagonal one may fault there."""
     n = chart.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if asts[i][j] != asts[j][i]]
+    if not pairs:
+        return
     try:
         pts = chart.sample_points(samples, seed)
     except BadParam:
         return
+    upper = expr.compile_tensor([asts[i][j] for i, j in pairs], n, 0)
+    lower = expr.compile_tensor([asts[j][i] for i, j in pairs], n, 0)
     for p in pts:
-        for i in range(n):
-            for j in range(i + 1, n):
-                a = expr.evaluate(asts[i][j], p)
-                b = expr.evaluate(asts[j][i], p)
-                scale = max(1.0, abs(a), abs(b))
-                if abs(a - b) > tol * scale:
-                    raise BadParam(
-                        f"metric not symmetric: g[{i}][{j}] != g[{j}][{i}] at {p}")
+        for (i, j), a, b in zip(pairs, upper(p), lower(p)):
+            scale = max(1.0, abs(a), abs(b))
+            if abs(a - b) > tol * scale:
+                raise BadParam(
+                    f"metric not symmetric: g[{i}][{j}] != g[{j}][{i}] at {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +665,7 @@ class SampledCurve:
 
     def ensure_velocities(self) -> np.ndarray:
         if self.velocities is None:
+            _require_three_samples(self.t)
             self.velocities = np.gradient(self.points, self.t, axis=0, edge_order=2)
         return self.velocities
 
@@ -667,6 +674,12 @@ class SampledCurve:
 
     def velocity(self, s: float) -> np.ndarray:
         return _dense(self.t, self.points, s, self.ensure_velocities(), deriv=True)
+
+
+def _require_three_samples(t) -> None:
+    """BadParam for fewer samples than a second-order ``np.gradient`` needs."""
+    if len(t) < 3:
+        raise BadParam(f"a sampled curve needs at least 3 samples, not {len(t)}")
 
 
 def _dense(t, y, s, dy, deriv: bool = False):

@@ -23,6 +23,7 @@ frame]) on one ``connection_batch`` per stage, shared by ``_exp_rays`` and
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
@@ -45,8 +46,10 @@ class OdeSettings:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if self.step <= 0 or self.rtol <= 0 or self.atol <= 0:
-            raise BadParam("step and tolerances must be positive")
+        if not all(0.0 < x < math.inf for x in (self.step, self.rtol, self.atol)):
+            raise BadParam("step and tolerances must be positive and finite")
+        if self.max_steps < 1:
+            raise BadParam("max_steps must be at least 1")
         if self.method not in ("rk4_fixed", "rkf45_adaptive"):
             raise BadParam(f"unknown method {self.method!r}")
 
@@ -114,6 +117,7 @@ def rk4_path(rhs, y0: np.ndarray, ts: np.ndarray, substeps: int = 1,
     ``fault=`` with the samples before the failing step, for context, and
     then raised again.
     """
+    _require_substeps(substeps)
     ys = np.empty((len(ts), len(y0)))
     ys[0] = y0
     y = np.asarray(y0, dtype=float)
@@ -202,6 +206,11 @@ def _rkf45_steps(trial, y, t1: float, settings: OdeSettings):
             t, y, steps = t + h, y5, steps + 1
             yield t, y
         h *= min(4.0, max(0.1, 0.9 * (max(err, 1e-16)) ** -0.2))
+
+
+def _require_substeps(substeps) -> None:
+    if not isinstance(substeps, numbers.Integral) or substeps < 1:
+        raise BadParam(f"substeps must be a positive integer, not {substeps!r}")
 
 
 def _fixed_grid(tmax: float, settings: OdeSettings) -> np.ndarray:
@@ -518,8 +527,8 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
     """Integrate the geodesic ODE from (p, v) on [0, tmax]."""
     p, v = _start(chart, p, v)
     n = chart.dim
-    if tmax < 0:
-        raise BadParam("tmax must be nonnegative")
+    if not 0.0 <= tmax < math.inf:
+        raise BadParam(f"tmax must be finite and nonnegative, not {tmax!r}")
 
     E0 = initial_frame(chart, p, v if np.any(v) else None) if with_frame else None
     ts, ys, S, tableau = _float_geodesic(chart, p, v, tmax, settings, with_frame)
@@ -550,6 +559,7 @@ def _along(chart: MetricChart, curve, substeps: int, Y0: np.ndarray, system) -> 
     A = system(C, c') with C = Gamma(c', .): RK4 transition matrices of
     ``substeps`` steps per sample interval, from one dense-output batch and
     one ``connection_batch`` per block of steps."""
+    _require_substeps(substeps)
     n, t = chart.dim, curve.t
     h = np.repeat(np.diff(t) / substeps, substeps)
     t0 = np.repeat(t[:-1], substeps) + np.tile(np.arange(substeps), len(t) - 1) * h

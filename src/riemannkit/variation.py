@@ -17,7 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParam, ConjugateNotFound, ConjugatePresent
-from .manifold import MetricChart, SampledCurve, _bisect, _dense, _hermite
+from .manifold import (MetricChart, SampledCurve, _bisect, _dense, _hermite,
+                       _require_three_samples)
 from .manifold import energy as curve_energy
 from .tensor import curvature, jacobi_driving_batch
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _advance,
@@ -516,6 +517,7 @@ def first_variation(chart: MetricChart, rect: RectangleSpec,
     Analytic value: 2 [g(V, c')]_a^b - 2 int g(V, D_{c'} c') ds.
     """
     base = rect.base
+    _require_three_samples(base.t)
     base.ensure_velocities()
     ts = base.t
     if exp_settings is None:

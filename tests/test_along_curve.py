@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from riemannkit import manifold, transport
+from riemannkit.errors import BadParam
 from riemannkit.manifold import SampledCurve
 from riemannkit.transport import OdeSettings
 from test_connection import EXPR2
@@ -108,3 +109,19 @@ def test_develop_is_fourth_order_in_the_substeps(torus21):
     e1, e2 = (np.max(np.abs(transport.develop(torus21, curve, substeps=k).points - ref.points))
               for k in (1, 2))
     assert 12.0 <= e1 / e2 <= 20.0
+
+
+@pytest.mark.parametrize("substeps", [0, -1])
+@pytest.mark.parametrize("fn", ["parallel_transport", "develop", "reverse_develop"])
+def test_substeps_below_one_rejected(sphere2, fn, substeps):
+    geo = transport.integrate_geodesic(sphere2, [0.3, 0.1], [0.5, -0.2], 1.0,
+                                       settings=OdeSettings(step=0.05))
+    calls = {
+        "parallel_transport": lambda: transport.parallel_transport(
+            sphere2, geo, [1.0, 0.0], substeps=substeps),
+        "develop": lambda: transport.develop(sphere2, geo.as_curve(), substeps=substeps),
+        "reverse_develop": lambda: transport.reverse_develop(
+            sphere2, transport.develop(sphere2, geo.as_curve()), [0.3, 0.1], substeps=substeps),
+    }
+    with pytest.raises(BadParam, match="substeps"):
+        calls[fn]()

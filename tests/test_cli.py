@@ -374,6 +374,31 @@ def test_malformed_surfrev_vectors_are_bad_param_reports(capsys, argv):
     assert rep["error"]["type"] == "BadParam"
 
 
+S2 = ("--builtin", "sphere_stereo", "--param", "n=2")
+RAY = ("--point", "0.3,0.1", "--velocity", "0.5,-0.2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("geodesic", *S2, *RAY, "--tmax", "1", "--step", "nan"),
+    ("geodesic", *S2, *RAY, "--tmax", "nan"),
+    ("geodesic", *S2, *RAY, "--tmax", "inf"),
+    ("exp", *S2, *RAY, "--step", "inf"),
+    ("riccati", "--H", "1", "--f0", "0", "--tmax", "nan"),
+    ("riccati", "--H", "1", "--f0", "0", "--tmax", "inf"),
+    ("riccati", "--H", "nan", "--f0", "0", "--tmax", "1"),
+    ("riccati", "--H", "1", "--f0", "nan", "--tmax", "4"),
+    ("variation", *S2, *RAY, "--tmax", "0"),
+    ("check", *S2, "--samples", "-1"),
+], ids=["geodesic_nan_step", "geodesic_nan_tmax", "geodesic_infinite_tmax",
+        "exp_infinite_step", "riccati_nan_tmax", "riccati_infinite_tmax", "riccati_nan_H",
+        "riccati_nan_f0", "variation_zero_tmax", "check_negative_samples"])
+def test_non_finite_and_negative_inputs_are_bad_param_reports(capsys, argv):
+    code, rep = run_json(capsys, *argv)
+    assert code == 1
+    assert rep["command"] == argv[0]
+    assert rep["error"]["type"] == "BadParam"
+
+
 @pytest.mark.parametrize("option", [("--directions", "0"), ("--r", "nan"), ("--r", "inf")],
                          ids=["no_directions", "nan_radius", "infinite_radius"])
 def test_malformed_volume_inputs_are_bad_param_reports(capsys, option):

@@ -400,6 +400,17 @@ def test_sphere_directions_unit_and_deterministic():
         assert np.array_equal(D, comparison._sphere_directions(n, 50))
 
 
+@pytest.mark.parametrize("args", [
+    (1.0, 0.0, math.nan), (1.0, 0.0, math.inf), (1.0, 0.0, 1.0, math.nan),
+    (1.0, 0.0, 1.0, math.inf), (math.nan, 0.0, 1.0),
+    (lambda t: math.inf if t > 0.5 else 1.0, 0.0, 1.0), (1.0, math.nan, 4.0),
+], ids=["nan_tmax", "infinite_tmax", "nan_step", "infinite_step", "nan_H",
+        "H_infinite_after_a_half", "nan_f0"])
+def test_riccati_solve_rejects_malformed_inputs(args):
+    with pytest.raises(BadParam):
+        comparison.riccati_solve(*args)
+
+
 @pytest.mark.parametrize("f0, g0", [(-math.inf, 0.0), (-math.inf, -math.inf)])
 def test_value_compare_rejects_a_minus_infinite_start(f0, g0):
     with pytest.raises(BadParam, match="-inf"):

@@ -67,17 +67,6 @@ def test_evaluate_matches_eval2_value(source, rng):
                                                        rel=1e-14, abs=1e-14)
 
 
-def test_third_derivative_fd_vs_sympy(rng):
-    source = "sin(x) * exp(y) + x^4"
-    node = expr.parse(source, COORDS)
-    f, (x, y) = _sympy_of(source)
-    p = np.array([0.4, 0.3])
-    got = expr.eval_third_fd(node, p, 0)  # d/dx of the Hessian
-    want = np.array([[float(sp.diff(f, x, a, b).subs({x: p[0], y: p[1]}))
-                      for b in (x, y)] for a in (x, y)])
-    assert np.max(np.abs(got - want)) <= 1e-6
-
-
 def test_hessian_symmetric(rng):
     node = expr.parse("exp(x*y) + sin(x - y^2)", COORDS)
     for _ in range(10):
@@ -151,12 +140,6 @@ def test_integer_power_of_negative_base():
     d = expr.eval2(node, [-2.0, 0.0])
     assert d.grad[0] == pytest.approx(12.0)
     assert d.hess[0, 0] == pytest.approx(-12.0)
-
-
-def test_free_variables():
-    assert expr.free_variables(expr.parse("sin(x) + 2", COORDS)) == {0}
-    assert expr.free_variables(expr.parse("x*y - y", COORDS)) == {0, 1}
-    assert expr.free_variables(expr.parse("pi + 1", COORDS)) == set()
 
 
 # -- errors ------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riemannkit import manifold
+from riemannkit import manifold, transport
 from riemannkit.errors import BadParam, SingularMetric, UnknownBuiltin
 
 
@@ -162,6 +162,22 @@ MALFORMED = {
 def test_malformed_definitions_are_bad_params(doc):
     with pytest.raises(BadParam):
         manifold.chart_from_definition(doc)
+
+
+def test_sample_points_rejects_a_negative_count(sphere2):
+    with pytest.raises(BadParam):
+        sphere2.sample_points(-1, 0)
+    assert sphere2.sample_points(0, 0).shape == (0, 2)
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("fn", [manifold.curve_length, manifold.energy, transport.develop],
+                         ids=["curve_length", "energy", "develop"])
+def test_curves_of_fewer_than_three_samples_rejected(sphere2, fn, samples):
+    # their velocities come from a second-order np.gradient
+    t = np.linspace(0.0, 1.0, samples)
+    with pytest.raises(BadParam, match="3 samples"):
+        fn(sphere2, manifold.SampledCurve(t, np.column_stack([0.1 + 0.2 * t, 0.1 * t])))
 
 
 def test_definition_accepts_integral_numbers():

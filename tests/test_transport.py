@@ -52,6 +52,27 @@ def test_bad_settings_rejected():
         OdeSettings(method="euler_backward")
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(step=math.nan), dict(step=math.inf), dict(rtol=math.nan), dict(rtol=math.inf),
+    dict(atol=math.nan), dict(atol=math.inf), dict(max_steps=0),
+    dict(method="rkf45_adaptive", step=math.nan),
+], ids=["nan_step", "infinite_step", "nan_rtol", "infinite_rtol", "nan_atol",
+        "infinite_atol", "no_steps", "rkf45_nan_step"])
+def test_settings_that_are_not_finite_rejected(kwargs):
+    # rejected before any integration: RKF45 from a NaN step rejects every
+    # trial step and never returns
+    with pytest.raises(BadParam):
+        OdeSettings(**kwargs)
+
+
+@pytest.mark.parametrize("method", ["rk4_fixed", "rkf45_adaptive"])
+@pytest.mark.parametrize("tmax", [math.nan, math.inf], ids=["nan", "inf"])
+def test_geodesic_horizon_must_be_finite(sphere2, method, tmax):
+    settings = OdeSettings(method=method, max_steps=1000)
+    with pytest.raises(BadParam, match="tmax"):
+        transport.integrate_geodesic(sphere2, [0.3, 0.1], [0.5, -0.2], tmax, settings=settings)
+
+
 # -- geodesics ---------------------------------------------------------------
 
 def test_euclidean_geodesic_is_straight(eucl2):

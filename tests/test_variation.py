@@ -361,6 +361,23 @@ def test_first_variation_free_ends_boundary_term(eucl2):
     assert rep.mismatch <= 1e-5
 
 
+@pytest.mark.parametrize("samples", [1, 2])
+def test_first_variation_needs_three_samples(eucl2, samples):
+    # with velocities given, the acceleration's np.gradient still needs 3
+    t = np.linspace(0.0, 1.0, samples)
+    base = SampledCurve(t, np.column_stack([t, np.zeros_like(t)]),
+                        np.tile([1.0, 0.0], (samples, 1)))
+    rect = variation.RectangleSpec(base, np.zeros((samples, 2)))
+    with pytest.raises(BadParam, match="3 samples"):
+        variation.first_variation(eucl2, rect)
+
+
+@pytest.mark.parametrize("tmax", [math.nan, math.inf], ids=["nan", "inf"])
+def test_conjugate_points_horizon_must_be_finite(sphere2, tmax):
+    with pytest.raises(BadParam, match="tmax"):
+        variation.conjugate_points(sphere2, [0.3, 0.1], [0.5, -0.2], tmax)
+
+
 def test_rectangle_spec_validation(eucl2):
     t = np.linspace(0.0, 1.0, 11)
     pts = np.column_stack([t, np.zeros_like(t)])
