@@ -251,6 +251,7 @@ def cmd_variation(args):
     chart = _resolve_chart(args)
     geo = transport.integrate_geodesic(chart, args.point, args.velocity,
                                        args.tmax, settings=_settings(args))
+    manifold._require_three_samples(geo.t)  # first_variation's check, before f divides by L
     sys_ = variation.jacobi_system(chart, geo)
     L = geo.tmax
     amp = args.amplitude

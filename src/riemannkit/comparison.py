@@ -121,12 +121,14 @@ def riccati_solve(H, f0: float, tmax: float, step: float = 1e-3) -> RiccatiTrace
     of j, the root of j's cubic Hermite interpolant on the step where j
     changes sign. ``f0`` may be ``math.inf`` (or ``-math.inf``) for the
     blowup condition f(0+) = +inf: j then starts exactly at (0, 1). BadParam
-    unless tmax and step are positive and finite, f0 is not NaN and H is
-    finite at every sample.
+    unless tmax and step are positive and finite, tmax / step is at most the
+    default ``max_steps``, f0 is not NaN and H is finite at every sample.
     """
     prof = _as_profile(H)
     if not (0.0 < tmax < math.inf and 0.0 < step < math.inf):
         raise BadParam(f"tmax and step must be positive and finite, not {tmax!r} and {step!r}")
+    if tmax / step > DEFAULT_SETTINGS.max_steps:
+        raise BadParam(f"tmax / step = {tmax / step:.6g} exceeds {DEFAULT_SETTINGS.max_steps} steps")
     if math.isnan(f0):
         raise BadParam("f0 must be a number or an infinity, not nan")
     ts = np.arange(0.0, tmax + 0.5 * step, step)

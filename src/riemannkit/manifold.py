@@ -201,36 +201,6 @@ def gamma_from_stack(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * (g_inv @ K).reshape(dg.shape)
 
 
-class EuclideanEvaluator(MetricEvaluator):
-    def __init__(self, n: int):
-        self.dim = n
-        self._eye = np.eye(n)
-        self._dg = np.zeros((n, n, n))
-        self._d2g = np.zeros((n, n, n, n))
-
-    def stack(self, x):
-        return self._eye, self._dg, self._d2g
-
-    def first_order(self, x):
-        return self._eye, self._dg
-
-    def gamma(self, x):
-        n = self.dim
-        return np.zeros((n, n, n))
-
-    def gamma_batch(self, X):
-        N, n = np.asarray(X).shape
-        return np.zeros((N, n, n, n))
-
-    def spray(self, x, v):
-        return [0.0] * self.dim
-
-    def stack_batch(self, X):
-        N, n = np.asarray(X).shape
-        return (np.broadcast_to(self._eye, (N, n, n)).copy(),
-                np.zeros((N, n, n, n)), np.zeros((N, n, n, n, n)))
-
-
 class ConformalEvaluator(MetricEvaluator):
     """g_ij = mu(|x|^2) * delta_ij for a smooth positive profile mu.
 
@@ -474,9 +444,10 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
     if name == "euclidean":
         n = _count(f"{name}: n", params.pop("n", 2))
         _reject_extra(name, params)
+        delta = [[expr.Num(float(i == j)) for j in range(n)] for i in range(n)]
         return MetricChart(
             dim=n, coords=[f"x{i+1}" for i in range(n)],
-            evaluator=EuclideanEvaluator(n), label=f"euclidean({n})",
+            evaluator=ExpressionEvaluator(delta, n), label=f"euclidean({n})",
             sample_box=(-2.0 * np.ones(n), 2.0 * np.ones(n)),
             source={"builtin": "euclidean", "params": {"n": n}})
     if name == "sphere_stereo":
@@ -785,19 +756,6 @@ def energy(chart: MetricChart, curve: SampledCurve, rel_tol: float = 1e-8) -> fl
     """Integral of g(velocity, velocity) over the parameter interval."""
     return refine_simpson(_sq_speed(chart, curve), curve.t[0], curve.t[-1],
                           rel_tol, start_segments=max(8, len(curve.t) - 1))
-
-
-def rectifiable_length(distance: Callable, curve: SampledCurve, depth: int) -> list:
-    """Inscribed-polygon length sums under dyadic partition refinement.
-
-    Returns one sum per depth 0..depth; the sequence is nondecreasing for any
-    distance obeying the triangle inequality.
-    """
-    sums = []
-    for k in range(depth + 1):
-        pts = curve.position(np.linspace(curve.t[0], curve.t[-1], 2**k + 1))
-        sums.append(sum(float(distance(a, b)) for a, b in zip(pts[:-1], pts[1:])))
-    return sums
 
 
 # ---------------------------------------------------------------------------

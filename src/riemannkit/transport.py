@@ -1,11 +1,12 @@
 """Geodesic integration, parallel translation, exp/log, developments.
 
 Default integrator is fixed-step RK4 with cubic-Hermite dense output;
-an adaptive RKF45 is available through OdeSettings.method.  A single ray
-has one integrator per method: a loop that steps (x, v) on Python floats
-with the evaluator's geodesic spray Gamma(v, v) and checks the chart
-domain once per block of steps.  ``integrate_geodesic`` and ``exp_map``
-both run it.
+an adaptive RKF45 is available through OdeSettings.method.  A method is its
+``_Tableau``, which emits its float step and its transition matrices.  A
+single ray has one integrator per method: a loop that steps (x, v) on
+Python floats by that step, with the evaluator's geodesic spray Gamma(v, v),
+and checks the chart domain once per block of steps.  ``integrate_geodesic``
+and ``exp_map`` both run it.
 
 A framed geodesic runs in two passes.  The nonlinear one is that float
 loop, which also records the stage points of every (accepted) step.  The
@@ -22,6 +23,7 @@ frame]) on one ``connection_batch`` per stage, shared by ``_exp_rays`` and
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections import namedtuple
@@ -33,6 +35,7 @@ import numpy as np
 
 from .errors import (_POINT_FAULTS, BadDimension, BadParam, DomainExit,
                      NoConvergence, SingularMetric, StepFault)
+from .expr import _define
 from .manifold import MetricChart, SampledCurve, _dense, _write_csv, metric_at
 from .tensor import orthonormal_frame
 
@@ -223,33 +226,77 @@ def _fixed_grid(tmax: float, settings: OdeSettings) -> np.ndarray:
     return np.linspace(0.0, tmax, n_steps + 1)
 
 
-# an explicit Runge-Kutta method: stage s is taken at y + h sum_j a[s][j] K_j,
-# and the step is y + (h / div) sum_s b[s] K_s
-_Tableau = namedtuple("_Tableau", "a b div")
-RK4 = _Tableau(((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0)
-FEHLBERG = _Tableau(tuple(tuple(row[:s]) for s, row in enumerate(_RKF_A.tolist())),
-                    tuple(_RKF_B5.tolist()), 1.0)  # the fifth-order row, which RKF45 accepts
+def _weighted(w: float, term: str) -> str:
+    return term if w == 1.0 else f"{w!r} * {term}"
+
+
+def _combination(form: str, weights, lists: str, first: str = "") -> str:
+    """Source of [form(sum_j w_j a_j) for y, a_j in zip(first, lists.format(j))]
+    over the j with w_j != 0, in order; without ``first``, there is no y."""
+    used = [j for j, w in enumerate(weights) if w]
+    total = " + ".join(_weighted(weights[j], f"a{j}") for j in used)
+    heads = ["y"] * bool(first) + [f"a{j}" for j in used]
+    names = [first] * bool(first) + [lists.format(j) for j in used]
+    return f"[{form.format(total)} for {', '.join(heads)} in zip({', '.join(names)})]"
+
+
+class _Tableau(namedtuple("_Tableau", "a b c div e", defaults=(None,))):
+    """An explicit Runge-Kutta method (Hairer, Norsett and Wanner, Solving
+    ODEs I, II.1): stage s is taken at t + c[s] h and y + h sum_j a[s][j] K_j,
+    the step is y + (h / div) sum_s b[s] K_s, and h sum_s e[s] K_s, where the
+    error row e is given, estimates the error of its y.  Its float ``step``
+    and its ``transition`` are straight-line code emitted from it on first use.
+    """
+
+    @functools.cached_property
+    def step(self):
+        """``step(spray, x0, v0, h, rows)``: one step of x' = v, v' = -spray(x, v)
+        on lists of floats, rounded as x + h sum_j w_j V_j and v - h sum_j w_j
+        Q_j for the velocity V_j and spray Q_j of stage j.  It appends each stage
+        point (x, v) to ``rows`` before that stage's spray call, so a fault's
+        stage is the last point recorded, and returns the new x and v, and
+        |h sum_s e[s] K_s| (x then v) where the error row is given."""
+        lines = []
+        for s, row in enumerate(self.a):
+            if s:
+                lines += [f"x{s} = {_combination('y + h * ({})', row, 'v{}', 'x0')}",
+                          f"v{s} = {_combination('y - h * ({})', row, 'q{}', 'v0')}"]
+            lines += [f"rows += x{s}", f"rows += v{s}", f"q{s} = spray(x{s}, v{s})"]
+        ends = [_combination("y + hd * ({})", self.b, "v{}", "x0"),
+                _combination("y - hd * ({})", self.b, "q{}", "v0")]
+        if self.e is not None:
+            ends.append(_combination("abs(h * ({}))", self.e, "v{0} + q{0}"))
+        lines += [f"hd = h / {self.div!r}", f"return {', '.join(ends)}"]
+        return _define("step", "spray, x0, v0, h, rows", lines)
+
+    @functools.cached_property
+    def transition(self):
+        """``transition(A, hb, eye)``, the matrices of ``_transition`` for the
+        step widths hb (B, 1, 1) and the identity eye."""
+        lines = ["K0 = A[0]"]
+        for s, row in enumerate(self.a[1:], 1):
+            terms = "".join(f" + ({_weighted(w, 'hb')}) * K{j}" for j, w in enumerate(row) if w)
+            lines.append(f"K{s} = A[{s}] @ (eye{terms})")
+        total = " + ".join(_weighted(w, f"K{s}") for s, w in enumerate(self.b) if w)
+        lines.append(f"return eye + (hb / {self.div!r}) * ({total})")
+        return _define("transition", "A, hb, eye", lines)
+
+
+RK4 = _Tableau(((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0),
+               (0.0, 0.5, 0.5, 1.0), 6.0)
+FEHLBERG = _Tableau(  # the fifth-order row, which RKF45 accepts, less the fourth-order one
+    tuple(tuple(row[:s]) for s, row in enumerate(_RKF_A.tolist())), tuple(_RKF_B5.tolist()),
+    _RKF_C, 1.0, tuple((_RKF_B5 - [25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0]).tolist()))
 
 
 def _transition(A, h, tableau: _Tableau = RK4) -> np.ndarray:
-    """Transition matrices (B, k, k) of one ``tableau`` step of y' = A(t) y
-    (Hairer, Norsett and Wanner, Solving ODEs I, II.1).
+    """Transition matrices (B, k, k) of one ``tableau`` step of y' = A(t) y.
 
     A[s] (B, k, k) is A at stage point s of step b, of width h[b] (< 0 steps
     backward); row b maps y at the start of step b to its end.  Terms of
     weight 0 are left out, so RK4 rounds as I + (h/6)(K1 + 2 K2 + 2 K3 + K4).
     """
-    hb = np.reshape(h, (-1, 1, 1))
-    eye = np.eye(A[0].shape[-1])
-    K = [A[0]]
-    for As, row in zip(A[1:], tableau.a[1:]):
-        Y = eye
-        for w, Kj in zip(row, K):
-            if w:
-                Y = Y + (hb if w == 1.0 else w * hb) * Kj
-        K.append(As @ Y)
-    terms = (Ks if w == 1.0 else w * Ks for w, Ks in zip(tableau.b, K) if w)
-    return eye + (hb / tableau.div) * sum(terms, next(terms))  # added in order, one at a time
+    return tableau.transition(A, np.reshape(h, (-1, 1, 1)), np.eye(A[0].shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +374,13 @@ def _end_block(chart: MetricChart, ts, rows, lo: int, hi: int, fault):
         raise fault
 
 
+def _locate(fault, tableau: _Tableau, t, h, stages: list, n: int):
+    """Give the point fault of a ``tableau`` step from t by h the time and x of
+    its stage, the last of the flat (x, v) ``stages`` the step recorded."""
+    fault.t_exit = float(t + tableau.c[len(stages) // (2 * n) - 1] * h)
+    fault.point = np.array(stages[-2 * n:-n])
+
+
 def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
     """Fixed-step RK4 of x' = v, v' = -Gamma(v, v) on the grid ts, in floats.
 
@@ -338,56 +392,26 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
     """
     n = chart.dim
     spray = chart.evaluator.spray
+    step = RK4.step
     hs = np.diff(ts).tolist()
     m = len(hs)
     S = np.empty((m + 1, 4, 2 * n))
     x, v = p.tolist(), v.tolist()
     S[0, 0] = x + v
-    x2 = x3 = x4 = None  # the stage points of the current step
     for start in range(0, m, CHECK_EVERY):
-        rows = []  # S[start:done], flat
-        done = stage = start
+        rows = []  # S[start:done], flat, then the stage points of a step that failed
+        done = start
         fault = None
         try:
             for i in range(start, min(start + CHECK_EVERY, m)):
-                h = hs[i]
-                a = 0.5 * h
-                stage = 0
-                k1 = spray(x, v)
-                x2 = [xj + a * vj for xj, vj in zip(x, v)]
-                v2 = [vj - a * kj for vj, kj in zip(v, k1)]
-                stage = 1
-                k2 = spray(x2, v2)
-                x3 = [xj + a * vj for xj, vj in zip(x, v2)]
-                v3 = [vj - a * kj for vj, kj in zip(v, k2)]
-                stage = 2
-                k3 = spray(x3, v3)
-                x4 = [xj + h * vj for xj, vj in zip(x, v3)]
-                v4 = [vj - h * kj for vj, kj in zip(v, k3)]
-                stage = 3
-                k4 = spray(x4, v4)
-                rows += x
-                rows += v
-                rows += x2
-                rows += v2
-                rows += x3
-                rows += v3
-                rows += x4
-                rows += v4
-                b = h / 6.0
-                x = [xj + b * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-                     for xj, p1, p2, p3, p4 in zip(x, v, v2, v3, v4)]
-                v = [vj - b * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-                     for vj, q1, q2, q3, q4 in zip(v, k1, k2, k3, k4)]
+                x, v = step(spray, x, v, hs[i], rows)
                 done = i + 1
         except _POINT_FAULTS as exc:
-            t = ts[done]
-            exc.t_exit = float((t, t + 0.5 * h, t + 0.5 * h, t + h)[stage])
-            exc.point = np.array((x, x2, x3, x4)[stage])
+            _locate(exc, RK4, ts[done], hs[done], rows[8 * n * (done - start):], n)
             fault = exc
         except _STEP_FAULTS as exc:
             fault = exc
-        S[start:done].reshape(-1)[:] = rows
+        S[start:done].reshape(-1)[:] = rows[:8 * n * (done - start)]
         S[done, 0] = x + v
         _end_block(chart, ts, lambda i, j: S[i:j, 0], start + 1, done + 1, fault)
     return S
@@ -396,63 +420,39 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
 def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
                  record: bool = False):
     """RKF45 of y = (x, v), x' = v, v' = -Gamma(v, v), on [0, tmax], in floats:
-    ``_rkf45_steps`` over a trial step with the Fehlberg stages unrolled, six
-    ``spray`` calls each; faults are located and the domain checked as in
-    ``_spray_stages``.  Returns the sample times, the rows y (m + 1, 2n) and
-    the stage points (m, 6, 2n) of the accepted steps, or None unless ``record``."""
+    ``_rkf45_steps`` over the ``FEHLBERG`` step, six ``spray`` calls each;
+    faults are located and the domain checked as in ``_spray_stages``.
+    Returns the sample times, the rows y (m + 1, 2n) and the stage points
+    (m, 6, 2n) of the accepted steps, or None unless ``record``."""
     n = chart.dim
     spray = chart.evaluator.spray
     atol, rtol = settings.atol, settings.rtol
-    stages = None  # the stage points of the last trial step
+    stages = []  # the stage points of the last trial step, flat
 
-    def trial(t, y, h):
-        nonlocal stages
-        Y1 = Y2 = Y3 = Y4 = Y5 = None  # the stage points after y
+    def trial(t, y, h, step=FEHLBERG.step):
+        stages.clear()
         try:
-            k0 = y[n:] + [-q for q in spray(y[:n], y[n:])]
-            Y1 = [yj + h * (0.25 * a) for yj, a in zip(y, k0)]
-            k1 = Y1[n:] + [-q for q in spray(Y1[:n], Y1[n:])]
-            Y2 = [yj + h * (3 / 32 * a + 9 / 32 * b) for yj, a, b in zip(y, k0, k1)]
-            k2 = Y2[n:] + [-q for q in spray(Y2[:n], Y2[n:])]
-            Y3 = [yj + h * (1932 / 2197 * a - 7200 / 2197 * b + 7296 / 2197 * c)
-                  for yj, a, b, c in zip(y, k0, k1, k2)]
-            k3 = Y3[n:] + [-q for q in spray(Y3[:n], Y3[n:])]
-            Y4 = [yj + h * (439 / 216 * a - 8.0 * b + 3680 / 513 * c - 845 / 4104 * d)
-                  for yj, a, b, c, d in zip(y, k0, k1, k2, k3)]
-            k4 = Y4[n:] + [-q for q in spray(Y4[:n], Y4[n:])]
-            Y5 = [yj + h * (-8 / 27 * a + 2.0 * b - 3544 / 2565 * c
-                            + 1859 / 4104 * d - 11 / 40 * e)
-                  for yj, a, b, c, d, e in zip(y, k0, k1, k2, k3, k4)]
-            k5 = Y5[n:] + [-q for q in spray(Y5[:n], Y5[n:])]
+            x5, v5, err = step(spray, y[0], y[1], h, stages)
         except _POINT_FAULTS as exc:
-            s = 5 - (Y1, Y2, Y3, Y4, Y5).count(None)  # the stage that faulted
-            exc.t_exit = float(t + _RKF_C[s] * h)
-            exc.point = np.array((y, Y1, Y2, Y3, Y4, Y5)[s][:n])
+            _locate(exc, FEHLBERG, t, h, stages, n)
             raise
-        if record:
-            stages = (y, Y1, Y2, Y3, Y4, Y5)
-        y5 = [yj + h * (16 / 135 * a + 6656 / 12825 * c + 28561 / 56430 * d - 9 / 50 * e
-                        + 2 / 55 * f) for yj, a, c, d, e, f in zip(y, k0, k2, k3, k4, k5)]
-        r = [abs(h * ((16 / 135 - 25 / 216) * a + (6656 / 12825 - 1408 / 2565) * c
-                      + (28561 / 56430 - 2197 / 4104) * d + (-9 / 50 + 1 / 5) * e + 2 / 55 * f))
-             / (atol + rtol * max(abs(yj), abs(zj)))
-             for yj, zj, a, c, d, e, f in zip(y, y5, k0, k2, k3, k4, k5)]
+        r = [ej / (atol + rtol * max(abs(yj), abs(zj)))
+             for yj, zj, ej in zip(y[0] + y[1], x5 + v5, err)]
         # Python's max skips a NaN that is not first; np.max would not
-        return y5, math.nan if math.isnan(sum(r)) else max(r)
+        return (x5, v5), math.nan if math.isnan(sum(r)) else max(r)
 
-    y = p.tolist() + v.tolist()
-    ts, rows = [0.0], list(y)  # the samples' times and rows, flat
+    ts, rows = [0.0], p.tolist() + v.tolist()  # the samples' times and rows, flat
     points = []  # the accepted steps' stage points, flat
-    accepted = _rkf45_steps(trial, y, tmax, settings)
+    accepted = _rkf45_steps(trial, (p.tolist(), v.tolist()), tmax, settings)
     while True:
         lo, fault = len(ts), None
         try:
             for t, y in islice(accepted, CHECK_EVERY):
                 ts.append(t)
-                rows += y
+                rows += y[0]
+                rows += y[1]
                 if record:
-                    for Y in stages:
-                        points += Y
+                    points += stages
         except _STEP_FAULTS as exc:
             fault = exc
         _end_block(chart, ts, lambda i, j: np.reshape(rows[2 * n * i:2 * n * j], (j - i, 2 * n)),
@@ -687,15 +687,6 @@ def _shoot(chart: MetricChart, p, q, v, settings: OdeSettings,
         v = v - step_scale * delta
     raise NoConvergence(f"log_map: no convergence in {max_iter} iterations",
                         best_residual=best_res, best_value=best_v)
-
-
-def normal_coordinates(chart: MetricChart, p, q, frame=None,
-                       settings: OdeSettings = LOG_SETTINGS) -> np.ndarray:
-    """Components of log_p(q) in a g-orthonormal frame at p."""
-    p = np.asarray(p, dtype=float)
-    B = initial_frame(chart, p) if frame is None else np.asarray(frame, dtype=float)
-    v = log_map(chart, p, q, settings=settings)
-    return np.linalg.solve(B, v)
 
 
 # ---------------------------------------------------------------------------

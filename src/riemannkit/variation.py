@@ -258,14 +258,6 @@ def _golden_min(f, a, b, iters: int = 60):
     return 0.5 * (a + b)
 
 
-def first_conjugate(chart: MetricChart, p, v, tmax: float,
-                    settings: OdeSettings = DEFAULT_SETTINGS) -> ConjugatePoint:
-    rep = conjugate_points(chart, p, v, tmax, settings=settings)
-    if not rep.points:
-        raise ConjugateNotFound(f"no conjugate point on (0, {tmax}]")
-    return rep.points[0]
-
-
 # ---------------------------------------------------------------------------
 # Fields along geodesics and the index form
 # ---------------------------------------------------------------------------

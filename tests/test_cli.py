@@ -392,6 +392,7 @@ RAY = ("--point", "0.3,0.1", "--velocity", "0.5,-0.2")
 ], ids=["geodesic_nan_step", "geodesic_nan_tmax", "geodesic_infinite_tmax",
         "exp_infinite_step", "riccati_nan_tmax", "riccati_infinite_tmax", "riccati_nan_H",
         "riccati_nan_f0", "variation_zero_tmax", "check_negative_samples"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_and_negative_inputs_are_bad_param_reports(capsys, argv):
     code, rep = run_json(capsys, *argv)
     assert code == 1

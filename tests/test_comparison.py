@@ -404,8 +404,9 @@ def test_sphere_directions_unit_and_deterministic():
     (1.0, 0.0, math.nan), (1.0, 0.0, math.inf), (1.0, 0.0, 1.0, math.nan),
     (1.0, 0.0, 1.0, math.inf), (math.nan, 0.0, 1.0),
     (lambda t: math.inf if t > 0.5 else 1.0, 0.0, 1.0), (1.0, math.nan, 4.0),
+    (1.0, 0.0, 1e300), (1.0, 0.0, 1e12),
 ], ids=["nan_tmax", "infinite_tmax", "nan_step", "infinite_step", "nan_H",
-        "H_infinite_after_a_half", "nan_f0"])
+        "H_infinite_after_a_half", "nan_f0", "huge_tmax", "tmax_past_max_steps"])
 def test_riccati_solve_rejects_malformed_inputs(args):
     with pytest.raises(BadParam):
         comparison.riccati_solve(*args)

@@ -259,14 +259,6 @@ def test_energy_and_length_match_pointwise_integrand(sphere2):
     assert manifold.curve_length(sphere2, c) == pytest.approx(want_L, rel=1e-13)
 
 
-def test_rectifiable_length_monotone(eucl2):
-    c = _circle_curve(64)
-    dist = lambda a, b: float(np.linalg.norm(a - b))
-    sums = manifold.rectifiable_length(dist, c, depth=8)
-    assert all(s2 >= s1 - 1e-12 for s1, s2 in zip(sums, sums[1:]))
-    assert sums[-1] == pytest.approx(np.pi, rel=1e-4)
-
-
 def test_refine_simpson_exact_on_polynomial():
     got = manifold.refine_simpson(lambda s: s**3 - s, 0.0, 2.0)
     assert got == pytest.approx(2.0, abs=1e-12)

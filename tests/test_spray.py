@@ -191,6 +191,53 @@ def test_transition_is_one_fehlberg_step_for_constant_coefficients():
         np.testing.assert_allclose(Phi[b], ys[-1].reshape(3, 3), rtol=0, atol=1e-15)
 
 
+def _loop_transition(A, h, tableau):
+    """``_transition`` as a loop over the rows of the tableau: the reference
+    for the straight-line code that the tableau emits."""
+    hb = np.reshape(h, (-1, 1, 1))
+    eye = np.eye(A[0].shape[-1])
+    K = [A[0]]
+    for As, row in zip(A[1:], tableau.a[1:]):
+        Y = eye
+        for w, Kj in zip(row, K):
+            if w:
+                Y = Y + (hb if w == 1.0 else w * hb) * Kj
+        K.append(As @ Y)
+    terms = (Ks if w == 1.0 else w * Ks for w, Ks in zip(tableau.b, K) if w)
+    return eye + (hb / tableau.div) * sum(terms, next(terms))  # added in order, one at a time
+
+
+@pytest.mark.parametrize("name", ["RK4", "FEHLBERG"])
+def test_tableau_rows_are_consistent(name):
+    tableau = getattr(transport, name)
+    assert len(tableau.a) == len(tableau.b) == len(tableau.c)
+    for s, row in enumerate(tableau.a):
+        assert len(row) == s
+        assert abs(sum(row) - tableau.c[s]) <= 1e-15
+    assert abs(sum(tableau.b) - tableau.div) <= 1e-15
+    if tableau.e is not None:
+        assert abs(sum(tableau.e)) <= 1e-15
+
+
+def test_fehlberg_error_row_is_the_fifth_less_the_fourth_order_weights():
+    assert transport.FEHLBERG.e == tuple(_RKF_ERR.tolist())
+    assert transport.RK4.e is None
+
+
+@pytest.mark.parametrize("name", ["RK4", "FEHLBERG"])
+@pytest.mark.parametrize("steps, k", [(1, 2), (1024, 4)])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "backward"])
+def test_emitted_transition_is_bitwise_the_tableau_loop(name, steps, k, sign):
+    tableau = getattr(transport, name)
+    rng = np.random.default_rng(steps + k)
+    A = rng.normal(size=(len(tableau.a), steps, k, k))
+    h = sign * rng.uniform(1e-3, 0.3, steps)
+    got = transport._transition(A, h, tableau)
+    want = _loop_transition(A, h, tableau)
+    assert got.shape == (steps, k, k)
+    assert got.tobytes() == want.tobytes()
+
+
 # -- the sprays ----------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(CHARTS))
@@ -296,6 +343,57 @@ def test_point_fault_is_located_as_by_the_coupled_rk4(with_frame):
     assert len(got.trajectory.t) == len(want.trajectory.t)
     np.testing.assert_array_equal(got.trajectory.t, want.trajectory.t)
     np.testing.assert_allclose(got.trajectory.x, want.trajectory.x, rtol=1e-12, atol=1e-15)
+
+
+class FaultOnCall:
+    """``evaluator`` with a spray that records the x of every call and raises
+    DomainFault on call k (counted from 0)."""
+
+    def __init__(self, evaluator, k: int):
+        self.evaluator, self.k, self.xs = evaluator, k, []
+
+    def __getattr__(self, name):
+        return getattr(self.evaluator, name)
+
+    def spray(self, x, v):
+        self.xs.append(list(x))
+        if len(self.xs) > self.k:
+            raise DomainFault(f"spray call {self.k}")
+        return self.evaluator.spray(x, v)
+
+
+@pytest.mark.parametrize("method, stage", [("rk4_fixed", s) for s in range(4)]
+                         + [("rkf45_adaptive", s) for s in range(6)])
+def test_spray_fault_is_located_at_its_stage(monkeypatch, method, stage):
+    # the spray faults at one stage of the fourth step (RK4) or trial step
+    # (RKF45): t_exit is t + c h of that stage and point is its x, exactly
+    trials = []  # (t, h) of every RKF45 trial step
+    steps = transport._rkf45_steps
+
+    def logged(trial, y, t1, settings):
+        def logged_trial(t, y, h):
+            trials.append((t, h))
+            return trial(t, y, h)
+        return steps(logged_trial, y, t1, settings)
+
+    monkeypatch.setattr(transport, "_rkf45_steps", logged)
+    chart = CHARTS["sphere2"]()
+    k = 3 * (4 if method == "rk4_fixed" else 6) + stage
+    chart.evaluator = FaultOnCall(chart.evaluator, k)
+    settings = OdeSettings(method=method, step=0.05)
+    with pytest.raises(DomainFault, match=f"spray call {k}") as got:
+        transport.integrate_geodesic(chart, [0.3, 0.1], [1.0, 0.4], 1.0, settings=settings,
+                                     with_frame=False)
+    if method == "rk4_fixed":
+        ts = transport._fixed_grid(1.0, settings)
+        t, h = ts[3], np.diff(ts).tolist()[3]
+        want = (t, t + 0.5 * h, t + 0.5 * h, t + h)[stage]
+    else:
+        t, h = trials[3]
+        want = t + _RKF_C[stage] * h
+    assert got.value.t_exit == float(want)
+    np.testing.assert_array_equal(got.value.point, chart.evaluator.xs[k])
+    assert got.value.trajectory.t[-1] == t
 
 
 def test_fault_after_the_exit_is_the_domain_exit():

@@ -366,17 +366,6 @@ def test_exp_map_stops_at_a_degenerate_endpoint():
     np.testing.assert_allclose(ei.value.point, [-0.4, 0.0], rtol=0, atol=1e-12)
 
 
-def test_normal_coordinates(sphere2):
-    p = np.array([0.3, 0.1])
-    q = transport.exp_map(sphere2, p, np.array([0.2, 0.3]))
-    x = transport.normal_coordinates(sphere2, p, q)
-    g = sphere2.evaluator.metric(p)
-    B = np.linalg.inv(np.linalg.cholesky(g)).T
-    v = transport.log_map(sphere2, p, q)
-    # normal coordinates are the frame components of the log
-    assert np.linalg.norm(B @ x - v) <= 1e-8
-
-
 # -- development -------------------------------------------------------------
 
 def test_develop_geodesic_is_straight(sphere2):

@@ -156,12 +156,6 @@ def test_one_sample_geodesic(sphere2):
     assert np.array_equal(variation.jacobi_solve(sphere2, geo, [0.0, 0.0], [0.0, 1.0]).f, [[0.0, 0.0]])
 
 
-def test_first_conjugate_raises_when_absent(eucl2):
-    with pytest.raises(ConjugateNotFound):
-        variation.first_conjugate(eucl2, [0.0, 0.0], [1.0, 0.0], 5.0,
-                                  settings=FAST)
-
-
 def test_second_conjugate_point_found(sphere2):
     p = np.array([0.3, 0.1])
     v = _unit(sphere2, p, np.array([1.0, 0.4]))
