@@ -196,15 +196,24 @@ def cmd_log(args):
     return 0
 
 
-def _load_curve_csv(path: str) -> manifold.SampledCurve:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return manifold.SampledCurve(data[:, 0], data[:, 1:])
+def _load_curve_csv(path: str, n: int) -> manifold.SampledCurve:
+    """The curve of the columns t, x1..xn of a CSV file with a header line;
+    later columns, such as the velocities and frame of ``geodesic --csv``,
+    are ignored."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise BadParam(f"cannot read curve CSV {path}: {exc}") from None
+    if data.shape[1] < n + 1:
+        raise BadDimension(f"curve CSV {path} has {data.shape[1] - 1} coordinate "
+                           f"columns but the chart has dimension {n}")
+    return manifold.SampledCurve(data[:, 0], data[:, 1:n + 1])
 
 
 def cmd_develop(args):
     chart = _resolve_chart(args)
     if args.curve_csv:
-        curve = _load_curve_csv(args.curve_csv)
+        curve = _load_curve_csv(args.curve_csv, chart.dim)
     else:
         traj = transport.integrate_geodesic(chart, args.point, args.velocity,
                                             args.tmax, settings=_settings(args))

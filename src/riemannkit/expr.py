@@ -12,8 +12,9 @@ are bitwise the per-point values.
 Evaluation raises DomainFault for ``log`` of an argument <= 0, ``sqrt`` of an
 argument < 0 (or = 0 where derivatives are taken), division by 0, and
 ``a ^ b`` with a <= 0 where b is not an integer literal.  ``a ^ -k``, for an
-integer literal k, is ``1 / a ^ k`` and so a division.  An overflowing ``^``
-or function raises OverflowError; ``+ - * /`` overflow to inf as floats do.
+integer literal k, is ``1 / a ^ k``: a division, so a DomainFault at a = 0.
+An overflowing ``^`` (``a ^ -k`` too) or function raises OverflowError; a
+written ``+ - * /`` overflows to inf as floats do.
 """
 
 from __future__ import annotations
@@ -277,6 +278,12 @@ def _integer_exponent(node: Node):
 # emitter in batch mode writes each function's array form (see ``_Emitter``).
 
 
+@dataclass(frozen=True)
+class _Reciprocal(Bin):
+    """``1 / a ^ k``, the lowered ``a ^ -k``; a division whose overflow to
+    inf raises OverflowError, as an overflowing ``**`` does."""
+
+
 def _is_num(node, value) -> bool:
     return isinstance(node, Num) and node.value == value
 
@@ -300,7 +307,7 @@ class _Graph:
         elif isinstance(node, Call):
             key = (Call, node.fn, id(node.arg))
         else:
-            key = (Bin, node.op, id(node.left), id(node.right))
+            key = (type(node), node.op, id(node.left), id(node.right))
         return self._nodes.setdefault(key, node)
 
     # -- the parsed tree, as written ------------------------------------------
@@ -309,7 +316,8 @@ class _Graph:
         """Intern a parsed tree without folding, so that every domain check stays.
 
         Constants become numbers, and a literal negative integer power becomes
-        a division, whose zero-denominator check is the one of ``/``.
+        a division, whose zero-denominator check is the one of ``/`` and whose
+        overflow raises (``_Reciprocal``).
         """
         if isinstance(node, Num):
             return self.num(node.value)
@@ -326,7 +334,7 @@ class _Graph:
             k = _integer_exponent(node.right)
             if k is not None:
                 power = self._intern(Bin("^", left, self.num(abs(k))))
-                return self._intern(Bin("/", self.one, power)) if k < 0 else power
+                return self._intern(_Reciprocal("/", self.one, power)) if k < 0 else power
         return self._intern(Bin(node.op, left, self.lower(node.right)))
 
     # -- folding constructors -------------------------------------------------
@@ -507,6 +515,9 @@ class _Emitter:
                 rhs = self._expression(node)
                 name = f"t{len(self.names)}"
                 self.lines.append(f"{name} = {rhs}")
+                if isinstance(node, _Reciprocal):
+                    self._check(node, f"abs({name}) == _inf",
+                                "negative power overflows at {x}", "OverflowError")
             self.names[id(node)] = name
         return name
 
@@ -599,7 +610,7 @@ def _each_power(a: np.ndarray, k: int) -> np.ndarray:
 
 _COMPILED_GLOBALS = {
     "_array": np.array, "_empty": np.empty, "_where": np.where, "_each": _each,
-    "_each_power": _each_power, "_contiguous": np.ascontiguousarray,
+    "_each_power": _each_power, "_contiguous": np.ascontiguousarray, "_inf": math.inf,
     "DomainFault": DomainFault, "SingularMetric": SingularMetric,
     **{f"_{fn}": getattr(math, fn) for fn in
        ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")},

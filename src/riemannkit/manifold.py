@@ -46,14 +46,15 @@ class MetricEvaluator:
     The batches ``metric_batch``, ``stack_batch``, ``gamma_batch`` and
     ``connection_batch`` take an (N, n) array of points and return the
     per-point values with a leading batch axis. The builtin evaluators
-    override them with closed forms on arrays. The defaults take an
-    evaluator's array forms ``_metric_rows``, ``_stack_rows``,
-    ``_gamma_rows`` and ``_connection_rows`` (expression charts and surfaces
-    of revolution have them), whose rows equal the per-point values bitwise,
-    for a batch of ``BATCH_ROWS`` rows or more (see ``_array_form``).
-    Otherwise, and where a check of the array form fails at some row or a
-    value is not finite, they loop the per-point functions, so a fault has
-    the loop's class, message and ``point``.
+    override them with closed forms on arrays. The defaults follow one rule,
+    ``_batch``: from ``BATCH_ROWS`` rows on they take an evaluator's array
+    form ``_metric_rows``, ``_stack_rows``, ``_gamma_rows`` or
+    ``_connection_rows`` (expression charts and surfaces of revolution have
+    them), whose rows equal the per-point values bitwise. Below it, without
+    an array form, or where a check of the array form fails at some row or a
+    value is not finite, they loop the per-point function, so a fault has
+    the loop's class and message, and a DomainFault or SingularMetric names
+    the failing row as its ``point``.
     """
 
     dim: int
@@ -70,16 +71,7 @@ class MetricEvaluator:
 
     def metric_batch(self, X: np.ndarray) -> np.ndarray:
         """g at every row of X, shape (N, n, n)."""
-        X = np.asarray(X, dtype=float)
-        if len(X) >= BATCH_ROWS and self._metric_rows is not None:
-            G = _array_form(self._metric_rows, X)
-            if G is not None:
-                return G
-        N, n = X.shape
-        G = np.empty((N, n, n))
-        for b in range(N):
-            G[b] = self.metric(X[b])
-        return G
+        return _batch(self._metric_rows, self.metric, [(self.dim,) * 2], X)
 
     def first_order(self, x: np.ndarray):
         """(g, dg) only; override where a cheaper path exists."""
@@ -96,25 +88,8 @@ class MetricEvaluator:
         return gamma_from_stack(g_inv, dg)
 
     def gamma_batch(self, X: np.ndarray) -> np.ndarray:
-        """Christoffel symbols at every row of X.
-
-        A DomainFault or SingularMetric raised at a row carries that row as
-        its ``point``.
-        """
-        X = np.asarray(X, dtype=float)
-        if len(X) >= BATCH_ROWS and self._gamma_rows is not None:
-            G = _array_form(self._gamma_rows, X)
-            if G is not None:
-                return G
-        N, n = X.shape
-        G = np.empty((N, n, n, n))
-        for b in range(N):
-            try:
-                G[b] = self.gamma(X[b])
-            except _POINT_FAULTS as exc:
-                exc.point = X[b].copy()
-                raise
-        return G
+        """Christoffel symbols at every row of X, shape (N, n, n, n)."""
+        return _batch(self._gamma_rows, self.gamma, [(self.dim,) * 3], X)
 
     def connection(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """C = Gamma(v, .) at x, an (n, n) matrix with C @ w = Gamma(v, w)."""
@@ -122,11 +97,7 @@ class MetricEvaluator:
 
     def connection_batch(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Gamma(V[b], .) at every row X[b], shape (N, n, n)."""
-        if len(X) >= BATCH_ROWS and self._connection_rows is not None:
-            C = _array_form(self._connection_rows, X, V)
-            if C is not None:
-                return C
-        return (V[:, None, None] @ self.gamma_batch(X))[:, :, 0]
+        return _batch(self._connection_rows, self.connection, [(self.dim,) * 2], X, V)
 
     def spray(self, x, v) -> list:
         """Gamma(v, v) at x, a list of n floats."""
@@ -135,18 +106,7 @@ class MetricEvaluator:
 
     def stack_batch(self, X: np.ndarray):
         """(g, dg, d2g) at every row of X."""
-        X = np.asarray(X, dtype=float)
-        if len(X) >= BATCH_ROWS and self._stack_rows is not None:
-            stack = _array_form(self._stack_rows, X)
-            if stack is not None:
-                return stack
-        N, n = X.shape
-        g = np.empty((N, n, n))
-        dg = np.empty((N, n, n, n))
-        d2g = np.empty((N, n, n, n, n))
-        for b in range(N):
-            g[b], dg[b], d2g[b] = self.stack(X[b])
-        return g, dg, d2g
+        return _batch(self._stack_rows, self.stack, [(self.dim,) * k for k in (2, 3, 4)], X)
 
 
 # Rows from which a batch takes an array form over the per-point loop. An
@@ -158,25 +118,36 @@ class MetricEvaluator:
 BATCH_ROWS = 16
 
 
-def _array_form(rows, X, *rest):
-    """rows(X, *rest), the array form of the batch X, or None where the
-    caller is to run the per-point loop, which then raises where a
-    per-point call does.
-
-    That is so where the array form returns None (one of its checks fails
-    at some row), raises an ArithmeticError or ValueError (from an
-    elementwise ``math`` call), or gives a value that is not finite. The
-    batches call it for ``BATCH_ROWS`` rows or more.
+def _batch(rows, each, shapes, X, *rest):
+    """The batch of the per-point function ``each`` over the rows of X, and
+    row for row of the arrays ``rest``, by the rule of ``MetricEvaluator``:
+    ``rows(X, *rest)``, the array form (None where there is none), or the
+    loop of ``each(x, *r)``. Arrays of the per-row ``shapes`` with a leading
+    batch axis, a tuple of them where there are several; an array form
+    returns None where one of its checks fails at some row, and an
+    ArithmeticError or ValueError from it (an elementwise ``math`` call)
+    sends the batch to the loop too.
     """
-    try:
-        with np.errstate(all="ignore"):
-            out = rows(X, *rest)
-    except (ArithmeticError, ValueError):
-        return None
-    if out is None or not all(np.isfinite(a).all() for a in
-                              (out if isinstance(out, tuple) else (out,))):
-        return None
-    return out
+    X = np.asarray(X, dtype=float)
+    if rows is not None and len(X) >= BATCH_ROWS:
+        try:
+            with np.errstate(all="ignore"):
+                out = rows(X, *rest)
+        except (ArithmeticError, ValueError):
+            out = None
+        if out is not None and all(np.isfinite(a).all() for a in
+                                   (out if len(shapes) > 1 else (out,))):
+            return out
+    outs = [np.empty((len(X),) + shape) for shape in shapes]
+    for b, args in enumerate(zip(X, *rest)):
+        try:
+            values = each(*args)
+        except _POINT_FAULTS as exc:
+            exc.point = np.array(args[0])
+            raise
+        for out, value in zip(outs, values if len(outs) > 1 else (values,)):
+            out[b] = value
+    return tuple(outs) if len(outs) > 1 else outs[0]
 
 
 def _squares(X: np.ndarray) -> np.ndarray:
@@ -233,11 +204,6 @@ class ConformalEvaluator(MetricEvaluator):
     def gamma(self, x):
         q = float(x @ x)
         return self._gamma(self.dmu(q) / self.mu(q) * np.asarray(x, dtype=float))
-
-    def gamma_batch(self, X):
-        X = np.asarray(X, dtype=float)
-        q = _squares(X)
-        return self._gamma((self.dmu(q) / self.mu(q))[:, None] * X)
 
     # Gamma(v, .)^i_k = v^i d_k phi - d_i phi v^k + (d phi . v) delta_ik with
     # d phi = (mu' / mu) x: O(n^2), where contracting gamma is O(n^3)
@@ -326,8 +292,8 @@ class ExpressionEvaluator(MetricEvaluator):
     and ``gamma`` and ``spray`` are two compiled by ``expr.compile_gamma``,
     with no matrix inverse. Their array forms, compiled from the same
     statements, serve ``metric_batch``, ``stack_batch`` and ``gamma_batch``
-    (see ``MetricEvaluator``); ``connection`` and ``connection_batch``
-    contract ``gamma`` and ``gamma_batch``.
+    (see ``MetricEvaluator``); ``connection`` contracts ``gamma``, and the
+    array form of ``connection_batch`` contracts that of ``gamma``.
     """
 
     def __init__(self, asts, n: int):
@@ -346,6 +312,10 @@ class ExpressionEvaluator(MetricEvaluator):
 
     def _gamma_rows(self, X):
         return self.gamma.batch(X)
+
+    def _connection_rows(self, X, V):
+        G = self.gamma.batch(X)
+        return None if G is None else (V[:, None, None] @ G)[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +537,7 @@ def chart_from_definition(doc: dict) -> MetricChart:
 
         def domain(X):
             ok = np.isfinite(X).all(axis=1)
-            values = _array_form(positive.batch, X[ok]) if len(X) >= BATCH_ROWS else None
-            ok[ok] = [positive(x) > 0.0 for x in X[ok]] if values is None else values > 0.0
+            ok[ok] = _batch(positive.batch, positive, [()], X[ok]) > 0.0
             return ok
     chart = MetricChart(
         dim=dim, coords=coords,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr
 from .errors import (BadParam, BadProfile, BarrierNotTransversal, DomainExit, DomainFault)
-from .manifold import MetricChart, MetricEvaluator, _array_form, _bisect, _read_definition
+from .manifold import MetricChart, MetricEvaluator, _batch, _bisect, _read_definition
 
 
 # ---------------------------------------------------------------------------
@@ -30,9 +30,11 @@ class SmoothFunc:
 
     An expression is compiled once to a function of a float returning three
     floats (see ``expr._compile_profile``). ``batch(U)`` gives the three as
-    arrays over an array U of parameters, equal element for element to a
-    call at each u, and raises where such a call does. It runs the array
-    form of the compiled expression; for a callable, it loops.
+    arrays over a 1-D array U of parameters, equal element for element to a
+    call at each u, by the batch rule of ``manifold.MetricEvaluator``: the
+    array form of the compiled expression from ``BATCH_ROWS`` elements on,
+    and otherwise (or for a callable) a loop of the calls, whose fault names
+    the failing element as its ``point``.
     """
 
     def __init__(self, source, label=""):
@@ -61,11 +63,7 @@ class SmoothFunc:
         return None if self._compiled is None else self._compiled.batch(U)
 
     def batch(self, U):
-        U = np.asarray(U, dtype=float)
-        out = _array_form(self.array_form, U)
-        if out is None:
-            out = tuple(np.array([self(u) for u in U], dtype=float).reshape(-1, 3).T)
-        return out
+        return _batch(self.array_form, self, [(), (), ()], U)
 
 
 # ---------------------------------------------------------------------------

@@ -141,13 +141,6 @@ def check_symmetries(R: CurvatureTensor | np.ndarray, g=None) -> dict:
             {"r1": r1, "r2": r2, "r3": r3, "r4": r4}.items()}
 
 
-def pair_symmetrize(T: np.ndarray) -> np.ndarray:
-    """Project onto the subspace obeying symmetries (1), (2) and (4)."""
-    A = 0.5 * (T - T.transpose(1, 0, 2, 3))
-    A = 0.5 * (A - A.transpose(0, 1, 3, 2))
-    return 0.5 * (A + A.transpose(2, 3, 0, 1))
-
-
 def bianchi_residual(chart: MetricChart, p) -> float:
     """Max cyclic covariant-derivative residual, FD for the partials of R."""
     p = np.asarray(p, dtype=float)

@@ -20,7 +20,7 @@ from .errors import BadParam, ConjugateNotFound, ConjugatePresent
 from .manifold import (MetricChart, SampledCurve, _bisect, _dense, _hermite,
                        _require_three_samples)
 from .manifold import energy as curve_energy
-from .tensor import curvature, jacobi_driving_batch
+from .tensor import jacobi_driving_batch
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _advance,
                         _exp_rays, _ray_slopes, _transition, integrate_geodesic)
 
@@ -28,15 +28,6 @@ from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _advance,
 # ---------------------------------------------------------------------------
 # The curvature driving matrix along a geodesic
 # ---------------------------------------------------------------------------
-
-def jacobi_matrix_at(chart: MetricChart, x, v, E) -> np.ndarray:
-    """M[a,b] = g(R_{gamma' E_b} gamma', E_a) in the frame columns of E."""
-    R = curvature(chart, x)
-    # R_{X Z} X with X = gamma', Z = E_b: components sum_i up[i,h,x,z] ...
-    # work fully in lowered components: M_ab = low[x, b, x, a] contracted
-    low = R.low
-    return np.einsum("ijhk,i,jb,h,ka->ab", low, v, E, v, E)
-
 
 def _driving(chart: MetricChart, Y: np.ndarray, cols: int):
     """M in the first cols frame columns of the rays Y, and Y' from the same Gamma(v, .)."""

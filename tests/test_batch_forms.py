@@ -169,6 +169,37 @@ def test_overflow_in_a_batch_raises_the_loops_error():
     _assert_batches_fault_as_the_loop(ev, X)
 
 
+def test_a_negative_power_overflow_in_a_batch_raises_the_loops_error():
+    # x^-2 = 1 / x^2 overflows at 1e-157; under exp its inf would turn into
+    # a finite value, so the array form's own check sends the batch to the loop
+    X = _rows(2 * BATCH_ROWS)
+    X[BATCH_ROWS + 3] = [1e-157, 0.2]
+    for g00 in ("1 + x^-2", "2 + exp(-x^-2)"):
+        ev = _evaluator(["x", "y"], [[g00, "0"], ["0", "1"]])
+        for name in LOOPS:
+            args = (X, X) if name == "connection_batch" else (X,)
+            with pytest.raises(OverflowError):
+                getattr(ev, name)(*args)
+        _assert_batches_fault_as_the_loop(ev, X)
+
+
+@pytest.mark.parametrize("size", [BATCH_ROWS - 1, 2 * BATCH_ROWS])
+@pytest.mark.parametrize("name", ["metric_batch", "stack_batch"])
+def test_a_fault_in_the_loop_names_its_row(name, size):
+    # below BATCH_ROWS the loop runs at once; from it on, the array form's
+    # failing log check sends the batch to the loop
+    ev = _evaluator(["x", "y"], [["2 + log(x)", "0"], ["0", "1"]])
+    X = _rows(size)
+    row = size - 4
+    X[row, 0] = -1.0
+    with pytest.raises(DomainFault) as one:
+        ev.metric(X[row])
+    with pytest.raises(DomainFault) as info:
+        getattr(ev, name)(X)
+    assert str(info.value) == str(one.value)
+    assert _same(info.value.point, X[row])
+
+
 @pytest.mark.parametrize("row", [0, 1, 1000, 2047])
 def test_a_zero_pivot_at_a_row_of_a_large_batch(row):
     ev = _evaluator(["x", "y"], [["1", "0"], ["0", "x"]])
@@ -291,6 +322,36 @@ def test_profile_batch_faults_as_the_call():
     with pytest.raises(DomainFault) as got:
         fun.batch(us)
     assert str(got.value) == str(want.value)
+
+
+def test_the_profile_crossover_picks_the_loop_or_the_array_form():
+    fun = surfrev.SmoothFunc("2 + cos(u)")
+    inner = fun._call
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return inner(u)
+
+    fun._call = counted
+    us = np.linspace(-1.0, 1.0, BATCH_ROWS)
+    fun.batch(us[:-1])
+    assert len(calls) == BATCH_ROWS - 1
+    fun.batch(us)
+    assert len(calls) == BATCH_ROWS - 1  # the array form, no per-point call
+
+
+@pytest.mark.parametrize("size", [BATCH_ROWS - 1, 2 * BATCH_ROWS])
+def test_a_profile_batch_fault_names_its_element(size):
+    fun = surfrev.SmoothFunc("log(u)")
+    us = np.linspace(0.5, 2.0, size)
+    us[size - 4] = -1.0
+    with pytest.raises(DomainFault) as want:
+        fun(us[size - 4])
+    with pytest.raises(DomainFault) as got:
+        fun.batch(us)
+    assert str(got.value) == str(want.value)
+    assert _same(got.value.point, us[size - 4])
 
 
 def test_profile_scans_keep_their_values():

@@ -409,3 +409,121 @@ def test_malformed_volume_inputs_are_bad_param_reports(capsys, option):
     assert code == 1
     assert rep["command"] == "volume"
     assert rep["error"]["type"] == "BadParam"
+
+
+# ---------------------------------------------------------------------------
+# Success paths, each against a closed form
+# ---------------------------------------------------------------------------
+
+HEADER = {"schema", "version", "command", "seed", "settings", "timestamp"}
+# the unit S^2 from its stereographic origin, where g = 4 delta: a unit-speed ray
+ORIGIN_RAY = ("--point", "0,0", "--velocity", "0.5,0")
+
+
+def _report(rep, command, keys):
+    assert rep["schema"] == "riemann-kit/1" and rep["command"] == command
+    assert set(rep) == HEADER | set(keys)
+    return rep
+
+
+def test_jacobi_end_norm_on_the_sphere(capsys):
+    # J(0) = 0, |J'(0)| = 1 normal to the unit-speed ray: |J(t)| = |sin t|
+    code, rep = run_json(capsys, "jacobi", *S2, *ORIGIN_RAY, "--tmax", "2",
+                         "--j0", "0,0", "--j0p", "0,0.5")
+    assert code == 0
+    _report(rep, "jacobi", {"end_components", "end_norm", "max_norm", "csv"})
+    assert rep["end_norm"] == pytest.approx(abs(math.sin(2.0)), abs=1e-6)
+
+
+def test_variation_index_form_on_the_sphere(capsys):
+    # V = a sin(pi t) e_2 on [0, 1] with K = 1: I(V, V) = a^2 (pi^2 - 1) / 2
+    code, rep = run_json(capsys, "variation", *S2, *ORIGIN_RAY, "--tmax", "1")
+    assert code == 0
+    _report(rep, "variation", {"index_form", "first_variation"})
+    assert rep["index_form"] == pytest.approx(0.25 * (math.pi ** 2 - 1.0) / 2.0, rel=1e-4)
+    assert set(rep["first_variation"]) == {"analytic", "finite_difference", "mismatch"}
+
+
+def test_volume_of_a_geodesic_circle_on_the_sphere(capsys):
+    code, rep = run_json(capsys, "volume", *S2, "--point", "0,0", "--r", "0.5", "--kref", "1")
+    assert code == 0
+    _report(rep, "volume", {"area", "reference", "ratio", "ratio_at_most_one", "pointwise",
+                            "ric_min_eigenvalue", "directions", "dets_summary"})
+    assert rep["area"] == pytest.approx(2.0 * math.pi * math.sin(0.5), rel=1e-8)
+    assert abs(rep["ratio"] - 1.0) <= 1e-9
+
+
+def test_surfrev_barriers_of_the_torus(capsys):
+    # f(u) = 2 + cos u = 2.5 at u = +-pi/3, where f' != 0
+    code, rep = run_json(capsys, "surfrev", "--torus", "2,1", "--barriers", "2.5")
+    assert code == 0
+    _report(rep, "surfrev", {"c", "barriers"})
+    assert [b["tag"] for b in rep["barriers"]] == ["transversal", "transversal"]
+    assert [b["u"] for b in rep["barriers"]] == pytest.approx([-math.pi / 3, math.pi / 3],
+                                                              abs=1e-9)
+
+
+def test_surfrev_delta_theta_of_the_torus(capsys):
+    code, rep = run_json(capsys, "surfrev", "--torus", "2,1", "--delta-theta", "2.5")
+    assert code == 0
+    _report(rep, "surfrev", {"c", "delta_theta"})
+    want = riemannkit.surfrev.delta_theta(riemannkit.torus_chart(2.0, 1.0).profile, 2.5)
+    assert rep["delta_theta"] == want
+
+
+def test_surfrev_gauss_curvature_of_the_torus(capsys):
+    # K = cos u / (2 + cos u), 1/3 on the outer equator u = 0
+    code, rep = run_json(capsys, "surfrev", "--torus", "2,1")
+    assert code == 0
+    _report(rep, "surfrev", {"u_range", "gauss_curvature_at_midrange"})
+    assert rep["u_range"] == pytest.approx([-math.pi, math.pi])
+    assert rep["gauss_curvature_at_midrange"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+def test_develop_a_geodesic_read_from_its_csv(tmp_path, capsys):
+    csv_path = tmp_path / "geo.csv"
+    code, _ = run_json(capsys, "geodesic", *S2, "--point", "0.3,0.1", "--velocity", "0.4,-0.1",
+                       "--tmax", "1.5", "--step", "0.005", "--csv", str(csv_path))
+    assert code == 0
+    code, rep = run_json(capsys, "develop", *S2, "--curve-csv", str(csv_path))
+    assert code == 0
+    _report(rep, "develop", {"end", "length_estimate", "straightness_residual", "csv"})
+    assert rep["straightness_residual"] <= 1e-8
+
+
+def test_riccati_csv_has_one_pole_at_pi(tmp_path, capsys):
+    # f' = -H - f^2 from f(0) = inf: f = cot t, with its pole at pi
+    csv_path = tmp_path / "riccati.csv"
+    code, rep = run_json(capsys, "riccati", "--H", "1", "--f0", "inf", "--tmax", "4",
+                         "--csv", str(csv_path))
+    assert code == 0
+    _report(rep, "riccati", {"poles", "samples", "csv"})
+    assert rep["poles"] == pytest.approx([math.pi], abs=1e-4)
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0] == "t,f"
+    t, f = (float(x) for x in lines[1].split(","))
+    assert f == pytest.approx(1.0 / math.tan(t), rel=1e-6)
+
+
+def test_print_manifold_echoes_the_chart_source(tmp_path, capsys):
+    doc = {"dim": 2, "coords": ["x", "y"], "label": "paraboloid",
+           "metric": [["1+4*x^2", "4*x*y"], ["4*x*y", "1+4*y^2"]]}
+    path = tmp_path / "paraboloid.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "geodesic", "--manifold", str(path), "--print-manifold",
+                         *RAY, "--tmax", "0.5", "--step", "0.01")
+    assert code == 0
+    _report(rep, "geodesic", {"endpoint", "end_velocity", "speed_drift", "samples", "csv",
+                              "manifold"})
+    assert rep["manifold"] == doc == riemannkit.load_manifold(str(path)).source
+
+
+def test_error_report_written_to_output(tmp_path, capsys):
+    out = tmp_path / "error.json"
+    code, text = run(capsys, "geodesic", *S2, *RAY, "--tmax", "-1", "--output", str(out))
+    assert code == 1
+    assert text == ""
+    rep = json.loads(out.read_text())
+    assert set(rep) == {"schema", "version", "command", "error"}
+    assert rep["command"] == "geodesic"
+    assert rep["error"]["type"] == "BadParam"

@@ -1,6 +1,8 @@
 """Compiled expression charts: the three derivative orders and the
 Christoffel symbols against sympy and the inverse-metric formula."""
 
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -115,6 +117,22 @@ def test_overflow_near_the_pole_raises():
     for fn in (ev.metric, ev.first_order, ev.stack):
         with pytest.raises(OverflowError):
             fn(p)
+
+
+def test_a_negative_power_that_overflows_raises():
+    # x^-2 is 1 / x^2: it overflows at x = 1e-157 and raises, as an
+    # overflowing ^ does, where the written division 1/x^2 is inf as a float
+    with pytest.raises(OverflowError):
+        expr.evaluate(expr.parse("x^-2", ["x"]), [1e-157])
+    assert expr.evaluate(expr.parse("1/x^2", ["x"]), [1e-157]) == math.inf
+    assert expr.evaluate(expr.parse("x^-2", ["x"]), [1e-100]) == 1.0 / 1e-100 ** 2
+    ev = _evaluator(["x", "y"], [["1 + x^-2", "0"], ["0", "1"]])
+    p = np.array([1e-157, 0.5])
+    for fn in (ev.metric, ev.first_order, ev.stack, ev.gamma):
+        with pytest.raises(OverflowError):
+            fn(p)
+    with pytest.raises(OverflowError):
+        ev.spray(p.tolist(), [1.0, 1.0])
 
 
 

@@ -14,6 +14,20 @@ def _rand_point(chart, rng):
     return rng.uniform(lo, hi)
 
 
+def pair_symmetrize(T: np.ndarray) -> np.ndarray:
+    """Project onto the subspace obeying symmetries (1), (2) and (4)."""
+    A = 0.5 * (T - T.transpose(1, 0, 2, 3))
+    A = 0.5 * (A - A.transpose(0, 1, 3, 2))
+    return 0.5 * (A + A.transpose(2, 3, 0, 1))
+
+
+def jacobi_matrix_at(chart, x, v, E) -> np.ndarray:
+    """M[a,b] = g(R_{gamma' E_b} gamma', E_a) in the frame columns of E, from
+    the lowered components of the full tensor: M_ab = low[v, E_b, v, E_a]."""
+    low = tensor.curvature(chart, x).low
+    return np.einsum("ijhk,i,jb,h,ka->ab", low, v, E, v, E)
+
+
 # -- Christoffel symbols -----------------------------------------------------
 
 def test_christoffel_torus_closed_form(torus21, rng):
@@ -100,12 +114,12 @@ def test_bianchi_residual_small(sphere3, torus21, rng):
 def test_pair_symmetrize_projects():
     rng = np.random.default_rng(5)
     T = rng.standard_normal((3, 3, 3, 3))
-    S = tensor.pair_symmetrize(T)
+    S = pair_symmetrize(T)
     assert np.max(np.abs(S + S.transpose(1, 0, 2, 3))) <= 1e-13
     assert np.max(np.abs(S + S.transpose(0, 1, 3, 2))) <= 1e-13
     assert np.max(np.abs(S - S.transpose(2, 3, 0, 1))) <= 1e-13
     # projection is idempotent
-    assert np.max(np.abs(tensor.pair_symmetrize(S) - S)) <= 1e-13
+    assert np.max(np.abs(pair_symmetrize(S) - S)) <= 1e-13
 
 
 # -- Ricci / scalar ----------------------------------------------------------
@@ -195,7 +209,7 @@ def test_weyl_vanishes_in_three_dimensions(rng):
 
 def test_weyl_orthogonal_parts(rng):
     n = 4
-    T = tensor.pair_symmetrize(rng.standard_normal((n, n, n, n)))
+    T = pair_symmetrize(rng.standard_normal((n, n, n, n)))
     el = tensor.CurvatureAlgebraElement.from_array(T, require_cyclic=False)
     # use the cyclic projection implied by the decomposition input contract
     parts = tensor.weyl_decompose(el.components)
@@ -270,7 +284,6 @@ def test_curvature_low_batch_matches_scalar(torus21, rng):
 
 def test_jacobi_driving_batch_matches_pointwise(torus21, sphere3, rng):
     from riemannkit.tensor import jacobi_driving_batch
-    from riemannkit.variation import jacobi_matrix_at
     for chart in (torus21, sphere3):
         n = chart.dim
         X = rng.uniform(-0.8, 0.8, (5, n))
@@ -299,7 +312,6 @@ def test_closed_form_driving_on_a_variable_profile(n, rng):
     # (beta is 0 on the sphere and the ball); jacobi_matrix_at goes through
     # tensor.curvature and the expression chart of the same metric through
     # the kernel path of jacobi_driving_batch
-    from riemannkit.variation import jacobi_matrix_at
     chart = _conformal(n, np.exp, np.exp, np.exp)
     coords = [f"x{i+1}" for i in range(n)]
     mu = "exp(" + "+".join(f"{c}^2" for c in coords) + ")"
