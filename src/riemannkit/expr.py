@@ -20,7 +20,9 @@ written ``+ - * /`` overflows to inf as floats do.
 from __future__ import annotations
 
 import functools
+import linecache
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,8 +282,9 @@ def _integer_exponent(node: Node):
 
 @dataclass(frozen=True)
 class _Reciprocal(Bin):
-    """``1 / a ^ k``, the lowered ``a ^ -k``; a division whose overflow to
-    inf raises OverflowError, as an overflowing ``**`` does."""
+    """``1 / a ^ k``, the lowered ``a ^ -k``, and each division by ``a ^ k``
+    in its partials: a division whose overflow to inf raises OverflowError,
+    as an overflowing ``**`` does."""
 
 
 def _is_num(node, value) -> bool:
@@ -378,7 +381,7 @@ class _Graph:
             return self.num(a.value * b.value)
         return self._intern(Bin("*", a, b))
 
-    def div(self, a, b):
+    def div(self, a, b, kind=Bin):
         # a zero numerator drops the division: every denominator built here
         # is a node of the parsed tree whose check already ran, or a pivot of
         # g, which is checked on its own
@@ -386,7 +389,7 @@ class _Graph:
             return self.zero
         if _is_num(b, 1.0):
             return a
-        return self._intern(Bin("/", a, b))
+        return self._intern(kind("/", a, b))
 
     def ipow(self, a, k: int):
         if k == 0:
@@ -435,8 +438,9 @@ class _Graph:
         if node.op == "*":
             return self.add(self.mul(da, b), self.mul(a, db))
         if node.op == "/":
-            # (a/b)' = (a' - (a/b) b') / b keeps b as the only denominator
-            return self.div(self.sub(da, self.mul(node, db)), b)
+            # (a/b)' = (a' - (a/b) b') / b keeps b as the only denominator;
+            # that of a negative power overflows where 1 / a ^ k does, or sooner
+            return self.div(self.sub(da, self.mul(node, db)), b, type(node))
         k = _lowered_integer_exponent(node)
         if k is not None:
             return self.mul(self.mul(self.num(k), self.ipow(a, k - 1)), da)
@@ -682,7 +686,9 @@ def compile_gamma(rows, n: int):
     share one graph and one emitted preamble: every check of
     ``compile_tensor(rows, n, 1)`` runs first and in its order, so they raise
     DomainFault and OverflowError where that one does; after them a zero
-    pivot of g raises SingularMetric.
+    pivot of g raises SingularMetric.  The spray carries its statements as
+    its ``fragment`` (see ``manifold.MetricEvaluator``), which a float step
+    of ``transport`` writes out once per stage.
     """
     graph = _Graph()
     blocks = _derivative_blocks(graph, rows, n, 1)
@@ -761,9 +767,21 @@ def compile_gamma(rows, n: int):
     body = [f"{_unpack(range(n))}= x", f"{_unpack(range(n, 2 * n))}= v",
             *spray.lines, f"return [{', '.join(refs)}]"]
     gamma = [((n, n, n), flat)]
+    spray_fn = _define("spray", "x, v", body)
+    spray_fn.fragment = functools.partial(_spray_fragment, spray.lines, refs)
     return (_with_batch(_compile("gamma", n, emit, gamma),
                         lambda: _compile("gamma", n, preamble(_Emitter(1, batch=True)), gamma)),
-            _define("spray", "x, v", body))
+            spray_fn)
+
+
+def _spray_fragment(lines, refs, owner, x, v, q):
+    """The ``fragment`` of a spray from ``compile_gamma`` (see
+    ``manifold.MetricEvaluator``): the point held in the names x and v bound
+    to the spray's inputs x0..x{2n-1}, and to the list x that its fault
+    messages quote, then the spray's statements ``lines``, then the names q
+    set to its results ``refs``."""
+    head = [f"x{i} = {name}" for i, name in enumerate(x + v)] + [f"x = [{', '.join(x)}]"]
+    return head + lines + [f"{name} = {ref}" for name, ref in zip(q, refs)], {}
 
 
 def _derivative_blocks(graph, nodes, n: int, order: int):
@@ -840,12 +858,19 @@ def _unpack(indices) -> str:
     return "".join(f"x{i}, " for i in indices)
 
 
-def _define(name: str, params: str, body) -> object:
-    """The function ``name(params)`` whose statements are the lines of ``body``."""
+def _define(name: str, params: str, body, env=(), filename: str = "") -> object:
+    """The function ``name(params)`` whose statements are the lines of ``body``,
+    with the globals ``env`` beside the compiled ones. Under a ``filename``,
+    its source stays in ``linecache`` while the function lives, so that a
+    traceback through it shows each statement."""
     source = f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body)
-    namespace = dict(_COMPILED_GLOBALS)
-    exec(compile(source, "<riemannkit.expr compiled>", "exec"), namespace)
-    return namespace[name]
+    namespace = {**_COMPILED_GLOBALS, **dict(env)}
+    exec(compile(source, filename or "<riemannkit.expr compiled>", "exec"), namespace)
+    fn = namespace[name]
+    if filename:
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        weakref.finalize(fn, linecache.cache.pop, filename, None)
+    return fn
 
 
 @dataclass(frozen=True)

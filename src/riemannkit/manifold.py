@@ -34,10 +34,19 @@ class MetricEvaluator:
     one with a cheaper Gamma (as ``ExpressionEvaluator``) overrides it.
 
     ``spray(x, v)`` is the geodesic spray Gamma(v, v) on sequences of Python
-    floats, returned as a list of n floats; the fixed-step geodesic
-    integrator steps (x, v) with it alone. The default takes it from
-    ``connection``; the builtin evaluators and ``ExpressionEvaluator`` have
-    float closed forms, with no array in them.
+    floats, returned as a list of n floats; the float geodesic integrators
+    step (x, v) with it alone. The default takes it from ``connection``; the
+    builtin evaluators and ``ExpressionEvaluator`` have float closed forms,
+    with no array in them, and each carries its source fragment as
+    ``spray.fragment(owner, x, v, q)``: owner is the evaluator the spray is
+    a method of (None for a plain function), x, v and q are lists of n
+    variable names, and it returns the statements that set the names q to
+    Gamma(v, v) at the point held in the names x and v, with the spray's
+    arithmetic and faults, and a dict of the globals they use. Their local
+    names begin with a lower-case letter and their globals with ``_``.
+    ``transport`` writes them into one float step per method, emitted on
+    first use; for a spray without a fragment, as a wrapper's that overrides
+    ``spray``, that step calls the spray once per stage instead.
 
     ``jacobi_batch(X, V)``, where an evaluator has one, returns the closed-form
     Jacobi operator of the rays (X, V) (see ``ConformalEvaluator``);
@@ -229,6 +238,17 @@ class ConformalEvaluator(MetricEvaluator):
         xv *= 2.0 * s
         vv *= s
         return [xv * b - vv * a for a, b in zip(x, v)]
+
+    def _spray_fragment(self, x, v, q):
+        """``spray``'s statements on the names x and v, setting the names q."""
+        def dot(a, b):
+            return "0.0" + "".join(f" + {i} * {j}" for i, j in zip(a, b))
+        lines = [f"sq = {dot(x, x)}", f"xv = {dot(x, v)}", f"vv = {dot(v, v)}",
+                 "s = _dmu(sq) / _mu(sq)", "xv *= 2.0 * s", "vv *= s",
+                 *(f"{qi} = xv * {b} - vv * {a}" for qi, a, b in zip(q, x, v))]
+        return lines, {"_mu": self.mu, "_dmu": self.dmu}
+
+    spray.fragment = _spray_fragment
 
     def _connection_batch(self, V, dphi):
         o = V[:, :, None] * dphi[:, None, :]

@@ -262,6 +262,17 @@ class SurfRevEvaluator(MetricEvaluator):
         except ZeroDivisionError:
             raise _axis_fault(x) from None
 
+    def _spray_fragment(self, x, v, q):
+        """``spray``'s statements on the names x and v, setting the names q."""
+        lines = [f"fv, f1, _ = _f({x[0]})", "try:",
+                 f"    {q[0]} = -fv * f1 * {v[1]} * {v[1]}",
+                 f"    {q[1]} = 2.0 * (f1 / fv) * {v[0]} * {v[1]}",
+                 "except ZeroDivisionError:",
+                 f"    raise _axis_fault([{', '.join(x)}]) from None"]
+        return lines, {"_f": self._f, "_axis_fault": _axis_fault}
+
+    spray.fragment = _spray_fragment
+
 
 def _axis_fault(x) -> DomainFault:
     """The fault at a point x = (u, ...) where f(u) = 0, where the surface meets its axis."""

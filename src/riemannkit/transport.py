@@ -4,9 +4,15 @@ Default integrator is fixed-step RK4 with cubic-Hermite dense output;
 an adaptive RKF45 is available through OdeSettings.method.  A method is its
 ``_Tableau``, which emits its float step and its transition matrices.  A
 single ray has one integrator per method: a loop that steps (x, v) on
-Python floats by that step, with the evaluator's geodesic spray Gamma(v, v),
-and checks the chart domain once per block of steps.  ``integrate_geodesic``
-and ``exp_map`` both run it.
+Python floats by that step, and checks the chart domain once per block of
+steps.  ``integrate_geodesic`` and ``exp_map`` both run it.
+
+The float step is emitted once per (evaluator, method), on the first
+integration, and cached on the evaluator (``_chart_step``).  It has the
+evaluator's geodesic spray Gamma(v, v) inlined into every stage: the spray's
+source fragment (``spray.fragment``, see ``manifold.MetricEvaluator``) as
+the conformal, surface-of-revolution and expression evaluators supply it,
+or, for a spray without one, one call of that spray per stage.
 
 A framed geodesic runs in two passes.  The nonlinear one is that float
 loop, which also records the stage points of every (accepted) step.  The
@@ -24,6 +30,7 @@ frame]) on one ``connection_batch`` per stage, shared by ``_exp_rays`` and
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from collections import namedtuple
@@ -230,44 +237,74 @@ def _weighted(w: float, term: str) -> str:
     return term if w == 1.0 else f"{w!r} * {term}"
 
 
-def _combination(form: str, weights, lists: str, first: str = "") -> str:
-    """Source of [form(sum_j w_j a_j) for y, a_j in zip(first, lists.format(j))]
-    over the j with w_j != 0, in order; without ``first``, there is no y."""
-    used = [j for j, w in enumerate(weights) if w]
-    total = " + ".join(_weighted(weights[j], f"a{j}") for j in used)
-    heads = ["y"] * bool(first) + [f"a{j}" for j in used]
-    names = [first] * bool(first) + [lists.format(j) for j in used]
-    return f"[{form.format(total)} for {', '.join(heads)} in zip({', '.join(names)})]"
+def _combination(weights, terms) -> str:
+    """Source of sum_j w_j terms[j] over the j with w_j != 0, in order."""
+    return " + ".join(_weighted(w, term) for w, term in zip(weights, terms) if w)
 
 
-class _Tableau(namedtuple("_Tableau", "a b c div e", defaults=(None,))):
+class _Tableau(namedtuple("_Tableau", "name a b c div e", defaults=(None,))):
     """An explicit Runge-Kutta method (Hairer, Norsett and Wanner, Solving
     ODEs I, II.1): stage s is taken at t + c[s] h and y + h sum_j a[s][j] K_j,
     the step is y + (h / div) sum_s b[s] K_s, and h sum_s e[s] K_s, where the
-    error row e is given, estimates the error of its y.  Its float ``step``
-    and its ``transition`` are straight-line code emitted from it on first use.
+    error row e is given, estimates the error of its y.  Its ``transition``
+    and its float step on a chart are straight-line code emitted from it on
+    first use.
+
+    The float step has the chart's spray inlined: ``float_step`` writes out
+    the statements of the spray's source fragment (see
+    ``manifold.MetricEvaluator``) once per stage, after that stage's point,
+    and a spray without a fragment is called once per stage instead.
     """
 
-    @functools.cached_property
-    def step(self):
-        """``step(spray, x0, v0, h, rows)``: one step of x' = v, v' = -spray(x, v)
-        on lists of floats, rounded as x + h sum_j w_j V_j and v - h sum_j w_j
-        Q_j for the velocity V_j and spray Q_j of stage j.  It appends each stage
-        point (x, v) to ``rows`` before that stage's spray call, so a fault's
-        stage is the last point recorded, and returns the new x and v, and
-        |h sum_s e[s] K_s| (x then v) where the error row is given."""
-        lines = []
+    def float_step(self, fragment, n: int, filename: str):
+        """``step(X, V, H, Rows)``: one step of x' = v, v' = -Gamma(v, v) from
+        the lists X and V of n floats by H, every stage and component written
+        out, rounded as x + H sum_j w_j V_j and v - H sum_j w_j Q_j for the
+        velocity V_j and spray Q_j of stage j.  ``fragment(x, v, q)`` gives the
+        statements, and their globals, that set the names q to the spray at
+        the point held in the names x and v.  The step appends each stage
+        point (x, v) to ``Rows`` before that stage's statements, so a fault's
+        stage is the last point recorded, and returns the new x and v as
+        lists.  Where the error row is given, it takes the tolerances ``Atol,
+        Rtol`` too and also returns the error norm of ``_rkf45_steps``: NaN
+        where a component is, else the largest |H sum_s e[s] K_s|_j /
+        (Atol + Rtol max(|y_j|, |y5_j|)).  The step's own names begin with a
+        capital letter, so they cannot meet a fragment's.
+        """
+        X, V, Q = ([[f"{c}{s}_{i}" for i in range(n)] for s in range(len(self.a))]
+                   for c in "XVQ")
+        ends = [f"X_{i}" for i in range(n)], [f"V_{i}" for i in range(n)]
+        lines = [f"{', '.join(X[0])}, = X", f"{', '.join(V[0])}, = V", "Rows += X", "Rows += V"]
+        env = {"_nan": math.nan}
+
+        def combine(names, starts, op, width, weights, slopes):  # y0 op width sum_j w_j K_j
+            return [f"{y} = {y0} {op} {width} * ({_combination(weights, terms)})"
+                    for y, y0, terms in zip(names, starts, zip(*slopes))]
+
         for s, row in enumerate(self.a):
             if s:
-                lines += [f"x{s} = {_combination('y + h * ({})', row, 'v{}', 'x0')}",
-                          f"v{s} = {_combination('y - h * ({})', row, 'q{}', 'v0')}"]
-            lines += [f"rows += x{s}", f"rows += v{s}", f"q{s} = spray(x{s}, v{s})"]
-        ends = [_combination("y + hd * ({})", self.b, "v{}", "x0"),
-                _combination("y - hd * ({})", self.b, "q{}", "v0")]
+                lines += combine(X[s], X[0], "+", "H", row, V) + combine(V[s], V[0], "-", "H", row, Q)
+                lines.append(f"Rows += ({', '.join(X[s] + V[s])},)")
+            body, names = fragment(X[s], V[s], Q[s])
+            lines += body
+            env.update(names)
+        lines.append(f"Hd = H / {self.div!r}")
+        lines += (combine(ends[0], X[0], "+", "Hd", self.b, V)
+                  + combine(ends[1], V[0], "-", "Hd", self.b, Q))
+        result = f"[{', '.join(ends[0])}], [{', '.join(ends[1])}]"
+        params = "X, V, H, Rows"
         if self.e is not None:
-            ends.append(_combination("abs(h * ({}))", self.e, "v{0} + q{0}"))
-        lines += [f"hd = h / {self.div!r}", f"return {', '.join(ends)}"]
-        return _define("step", "spray, x0, v0, h, rows", lines)
+            errors = [f"abs(H * ({_combination(self.e, terms)}))" for terms in [*zip(*V), *zip(*Q)]]
+            norms = [f"R{j}" for j in range(2 * n)]
+            lines += [f"{r} = {err} / (Atol + Rtol * max(abs({y}), abs({z})))"
+                      for r, err, y, z in zip(norms, errors, X[0] + V[0], ends[0] + ends[1])]
+            # R is NaN where a term is, none being negative; Python's max
+            # skips a NaN that is not first
+            lines.append(f"R = {' + '.join(norms)}")
+            result += f", _nan if R != R else max({', '.join(norms)})"
+            params += ", Atol, Rtol"
+        lines.append(f"return {result}")
+        return _define("step", params, lines, env, filename)
 
     @functools.cached_property
     def transition(self):
@@ -282,11 +319,39 @@ class _Tableau(namedtuple("_Tableau", "a b c div e", defaults=(None,))):
         return _define("transition", "A, hb, eye", lines)
 
 
-RK4 = _Tableau(((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0),
+RK4 = _Tableau("RK4", ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0),
                (0.0, 0.5, 0.5, 1.0), 6.0)
 FEHLBERG = _Tableau(  # the fifth-order row, which RKF45 accepts, less the fourth-order one
-    tuple(tuple(row[:s]) for s, row in enumerate(_RKF_A.tolist())), tuple(_RKF_B5.tolist()),
-    _RKF_C, 1.0, tuple((_RKF_B5 - [25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0]).tolist()))
+    "FEHLBERG", tuple(tuple(row[:s]) for s, row in enumerate(_RKF_A.tolist())),
+    tuple(_RKF_B5.tolist()), _RKF_C, 1.0,
+    tuple((_RKF_B5 - [25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0]).tolist()))
+_EMITTED = itertools.count()  # numbers the emitted float steps, whose linecache names differ
+
+
+def _chart_step(chart: MetricChart, tableau: _Tableau):
+    """``tableau``'s float step on the chart, from its evaluator's spray: emitted
+    on the first call and cached in the evaluator's own ``__dict__``, so that a
+    wrapper that hands other attributes on to an evaluator keeps its own.  The
+    spray and the callables its fragment names are read then, once."""
+    steps = vars(chart.evaluator).setdefault("_float_steps", {})
+    step = steps.get(tableau.name)
+    if step is None:
+        step = steps[tableau.name] = tableau.float_step(
+            _fragment(chart.evaluator.spray), chart.dim,
+            f"<riemannkit {tableau.name} step on {chart.label or 'a chart'} #{next(_EMITTED)}>")
+    return step
+
+
+def _fragment(spray):
+    """The source fragment of a ``spray``: its own ``fragment``, given the
+    evaluator the spray is a method of, or else one call of the spray."""
+    fragment = getattr(spray, "fragment", None)
+    if fragment is not None:
+        return functools.partial(fragment, getattr(spray, "__self__", None))
+
+    def call(x, v, q):
+        return [f"{', '.join(q)}, = _spray([{', '.join(x)}], [{', '.join(v)}])"], {"_spray": spray}
+    return call
 
 
 def _transition(A, h, tableau: _Tableau = RK4) -> np.ndarray:
@@ -391,8 +456,7 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
     checks the domain once per ``CHECK_EVERY`` steps.
     """
     n = chart.dim
-    spray = chart.evaluator.spray
-    step = RK4.step
+    step = _chart_step(chart, RK4)
     hs = np.diff(ts).tolist()
     m = len(hs)
     S = np.empty((m + 1, 4, 2 * n))
@@ -404,7 +468,7 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
         fault = None
         try:
             for i in range(start, min(start + CHECK_EVERY, m)):
-                x, v = step(spray, x, v, hs[i], rows)
+                x, v = step(x, v, hs[i], rows)
                 done = i + 1
         except _POINT_FAULTS as exc:
             _locate(exc, RK4, ts[done], hs[done], rows[8 * n * (done - start):], n)
@@ -420,26 +484,23 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
 def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
                  record: bool = False):
     """RKF45 of y = (x, v), x' = v, v' = -Gamma(v, v), on [0, tmax], in floats:
-    ``_rkf45_steps`` over the ``FEHLBERG`` step, six ``spray`` calls each;
+    ``_rkf45_steps`` over the chart's ``FEHLBERG`` step, with its error norm;
     faults are located and the domain checked as in ``_spray_stages``.
     Returns the sample times, the rows y (m + 1, 2n) and the stage points
     (m, 6, 2n) of the accepted steps, or None unless ``record``."""
     n = chart.dim
-    spray = chart.evaluator.spray
+    step = _chart_step(chart, FEHLBERG)
     atol, rtol = settings.atol, settings.rtol
     stages = []  # the stage points of the last trial step, flat
 
-    def trial(t, y, h, step=FEHLBERG.step):
+    def trial(t, y, h):
         stages.clear()
         try:
-            x5, v5, err = step(spray, y[0], y[1], h, stages)
+            x5, v5, err = step(y[0], y[1], h, stages, atol, rtol)
         except _POINT_FAULTS as exc:
             _locate(exc, FEHLBERG, t, h, stages, n)
             raise
-        r = [ej / (atol + rtol * max(abs(yj), abs(zj)))
-             for yj, zj, ej in zip(y[0] + y[1], x5 + v5, err)]
-        # Python's max skips a NaN that is not first; np.max would not
-        return (x5, v5), math.nan if math.isnan(sum(r)) else max(r)
+        return (x5, v5), err
 
     ts, rows = [0.0], p.tolist() + v.tolist()  # the samples' times and rows, flat
     points = []  # the accepted steps' stage points, flat

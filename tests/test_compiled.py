@@ -135,6 +135,28 @@ def test_a_negative_power_that_overflows_raises():
         ev.spray(p.tolist(), [1.0, 1.0])
 
 
+def test_a_negative_power_whose_derivative_overflows_raises():
+    # at x = 1e-103, x^-2 = 1e206 is finite, but d_x x^-2 = -2 x^-3 is not:
+    # every order from the first raises, per point and in the batches
+    ev = _evaluator(["x", "y"], [["1 + x^-2", "0"], ["0", "1"]])
+    p = np.array([1e-103, 0.5])
+    assert ev.metric(p)[0, 0] == 1.0 + 1.0 / 1e-103 ** 2
+    for fn in (ev.first_order, ev.stack, ev.gamma):
+        with pytest.raises(OverflowError, match="negative power overflows"):
+            fn(p)
+    with pytest.raises(OverflowError, match="negative power overflows"):
+        ev.spray(p.tolist(), [1.0, 1.0])
+    X = np.tile(p, (manifold.BATCH_ROWS, 1))
+    for fn in (ev.stack_batch, ev.gamma_batch):
+        with pytest.raises(OverflowError, match="negative power overflows"):
+            fn(X)
+    with pytest.raises(OverflowError, match="negative power overflows"):
+        expr.eval2(expr.parse("x^-2", ["x"]), [1e-103])
+    # where it is finite, the derivative is the division it was: -((1/x^2)(2x)) / x^2
+    x = 1e-60
+    assert ev.first_order(np.array([x, 0.5]))[1][0, 0, 0] == -(1.0 / x ** 2 * (2.0 * x)) / x ** 2
+
+
 
 # ---------------------------------------------------------------------------
 # The compiled Christoffel symbols

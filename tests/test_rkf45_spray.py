@@ -13,7 +13,8 @@ from riemannkit import manifold, transport
 from riemannkit.errors import DomainExit, DomainFault, StepFault
 from riemannkit.transport import OdeSettings
 from test_connection import EXPR3
-from test_spray import HOROSPHERICAL, PARABOLOID, SQRT, _domain_guard, _geodesic_rhs, _rkf45
+from test_spray import (HOROSPHERICAL, PARABOLOID, SQRT, _domain_guard, _geodesic_rhs, _rkf45,
+                        check_chart_step_is_bitwise_the_generic_step)
 
 RKF = OdeSettings(method="rkf45_adaptive")
 SPHERE_EXPR = {"dim": 2, "coords": ["x", "y"],
@@ -132,6 +133,17 @@ def test_rkf45_meets_its_tolerance_on_a_variable_curvature_chart():
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse >= 5.0 * fine
     assert errors[-1] <= 1e-9
+
+
+# -- the emitted Fehlberg step --------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(CHARTS) + ["cliff"])
+def test_fehlberg_chart_step_and_error_norm_are_bitwise_the_generic_ones(name):
+    # on the cliff, past u = 0.6, the error of the second component is NaN
+    # and that of the first is not, so the norm must be NaN there
+    chart = (manifold.MetricChart(dim=2, coords=["u", "w"], evaluator=Cliff(), label="cliff")
+             if name == "cliff" else CHARTS[name][0]())
+    check_chart_step_is_bitwise_the_generic_step(chart, transport.FEHLBERG)
 
 
 # -- the step controller -------------------------------------------------------

@@ -4,12 +4,19 @@ coupled RK4 of (x, v, frame) on the reference right-hand side
 ``_geodesic_rhs`` below, guarded per sample by ``_domain_guard``.  The
 numpy RKF45 ``_rkf45`` below is the coupled reference of the RKF45 tests."""
 
+import functools
+import gc
+import linecache
+import math
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riemannkit import manifold, transport
-from riemannkit.errors import _POINT_FAULTS, BadDimension, DomainExit, DomainFault
+from riemannkit import expr, manifold, surfrev, transport
+from riemannkit.errors import (_POINT_FAULTS, BadDimension, DomainExit, DomainFault,
+                               SingularMetric)
 from riemannkit.manifold import MetricChart
 from riemannkit.transport import (_RKF_A, _RKF_B5, _RKF_C, OdeSettings, Trajectory,
                                   _rkf45_steps)
@@ -236,6 +243,189 @@ def test_emitted_transition_is_bitwise_the_tableau_loop(name, steps, k, sign):
     want = _loop_transition(A, h, tableau)
     assert got.shape == (steps, k, k)
     assert got.tobytes() == want.tobytes()
+
+
+# -- the emitted float step of a chart ----------------------------------------
+
+def _combination(form: str, weights, lists: str, first: str = "") -> str:
+    """Source of [form(sum_j w_j a_j) for y, a_j in zip(first, lists.format(j))]
+    over the j with w_j != 0, in order; without ``first``, there is no y."""
+    used = [j for j, w in enumerate(weights) if w]
+    total = " + ".join(transport._weighted(weights[j], f"a{j}") for j in used)
+    heads = ["y"] * bool(first) + [f"a{j}" for j in used]
+    names = [first] * bool(first) + [lists.format(j) for j in used]
+    return f"[{form.format(total)} for {', '.join(heads)} in zip({', '.join(names)})]"
+
+
+@functools.cache
+def _generic_step(tableau):
+    """``step(spray, x0, v0, h, rows)``, the step of a tableau over any spray
+    callable, one list comprehension and one ``spray`` call per stage: the
+    reference for the chart steps that the tableau emits.  Rounded as they
+    are, it records each stage point in ``rows`` before its spray call and
+    returns x, v and, where the error row is given, |h sum_s e[s] K_s|."""
+    lines = []
+    for s, row in enumerate(tableau.a):
+        if s:
+            lines += [f"x{s} = {_combination('y + h * ({})', row, 'v{}', 'x0')}",
+                      f"v{s} = {_combination('y - h * ({})', row, 'q{}', 'v0')}"]
+        lines += [f"rows += x{s}", f"rows += v{s}", f"q{s} = spray(x{s}, v{s})"]
+    ends = [_combination("y + hd * ({})", tableau.b, "v{}", "x0"),
+            _combination("y - hd * ({})", tableau.b, "q{}", "v0")]
+    if tableau.e is not None:
+        ends.append(_combination("abs(h * ({}))", tableau.e, "v{0} + q{0}"))
+    lines += [f"hd = h / {tableau.div!r}", f"return {', '.join(ends)}"]
+    return expr._define("step", "spray, x0, v0, h, rows", lines)
+
+
+def _reference_step(chart, tableau, x, v, h, rows, atol=1e-11, rtol=1e-9):
+    """The generic step of ``tableau`` with the chart's spray and, for an
+    error row, the RKF45 error norm of its errors in a list (NaN where one is)."""
+    out = _generic_step(tableau)(chart.evaluator.spray, x, v, h, rows)
+    if tableau.e is None:
+        return out
+    x5, v5, err = out
+    r = [ej / (atol + rtol * max(abs(yj), abs(zj))) for yj, zj, ej in zip(x + v, x5 + v5, err)]
+    # Python's max skips a NaN that is not first; np.max would not
+    return x5, v5, math.nan if math.isnan(sum(r)) else max(r)
+
+
+def _both_steps(chart, tableau, x, v, h):
+    """(result or exception, rows) of the chart step and of the reference step."""
+    runs = []
+    for step in (transport._chart_step(chart, tableau), functools.partial(_reference_step, chart, tableau)):
+        rows = []
+        args = (x, v, h, rows) + ((1e-11, 1e-9) if tableau.e is not None else ())
+        try:
+            runs.append((step(*args), rows))
+        except Exception as exc:  # compared below: type, message and the rows so far
+            runs.append((exc, rows))
+    return runs
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _signed_zeros(rng, a):
+    """a with about a quarter of its entries replaced by 0.0 or -0.0."""
+    a = np.array(a, dtype=float)
+    hit = rng.random(a.shape) < 0.25
+    a[hit] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[hit]
+    return a
+
+
+@pytest.mark.parametrize("tableau", ["RK4", "FEHLBERG"])
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_chart_step_is_bitwise_the_generic_step(name, tableau):
+    check_chart_step_is_bitwise_the_generic_step(CHARTS[name](), getattr(transport, tableau))
+
+
+def check_chart_step_is_bitwise_the_generic_step(chart, tableau, cases=150):
+    n = chart.dim
+    rng = np.random.default_rng(len(chart.label) + 7 * n)
+    low, high = chart.sample_box if chart.sample_box is not None else (-np.ones(n), np.ones(n))
+    inside = 0
+    for _ in range(cases):
+        x = _signed_zeros(rng, rng.uniform(low, high))
+        if not chart.contains(x):
+            continue
+        inside += 1
+        v = _signed_zeros(rng, rng.normal(0.0, 2.0, n))
+        h = float(_signed_zeros(rng, rng.uniform(-0.3, 0.3)))
+        (got, got_rows), (want, want_rows) = _both_steps(chart, tableau, x.tolist(), v.tolist(), h)
+        assert _bits(got_rows) == _bits(want_rows)
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            continue
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert _bits(a) == _bits(b)
+    assert inside >= cases // 2
+
+
+def _hyperbolic_edge(a):  # the stage-1 point (1, 0), where mu(|x|^2) divides by 0
+    return manifold.builtin("hyperbolic_ball", {"n": 2}), [1.0 - a, 0.0], [1.0, 0.0]
+
+
+def _axis(a):  # the stage-1 point u = 0, where the profile f(u) = u meets the axis
+    chart = manifold.MetricChart(dim=2, coords=["u", "theta"], label="cone",
+                                 evaluator=surfrev.SurfRevEvaluator(surfrev.SmoothFunc("u")))
+    return chart, [a, 0.5], [-1.0, 2.0]
+
+
+def _negative_sqrt(a):  # the stage-1 point x = 0.1 - a < 0
+    return manifold.chart_from_definition(SQRT), [0.1, 0.2], [-1.0, 0.5]
+
+
+def _zero_pivot(a):  # the stage-1 point x = 0, where g_00 = x is a zero pivot
+    doc = {"dim": 2, "coords": ["x", "y"], "metric": [["x", "0"], ["0", "1"]]}
+    return manifold.chart_from_definition(doc), [a, 0.3], [-1.0, 0.5]
+
+
+def _overflowing_power(a):  # the stage-1 point x = 1e-103, where d_x x^-2 overflows
+    doc = {"dim": 2, "coords": ["x", "y"], "metric": [["1 + x^-2", "0"], ["0", "1"]]}
+    return manifold.chart_from_definition(doc), [1e-100, 0.5], [-(1e-100 - 1e-103) / a, 0.0]
+
+
+@pytest.mark.parametrize("tableau", ["RK4", "FEHLBERG"])
+@pytest.mark.parametrize("case, fault, message", [
+    (_hyperbolic_edge, ZeroDivisionError, "float division by zero"),
+    (_axis, DomainFault, "f(u) = 0 at u = 0"),
+    (_negative_sqrt, DomainFault, "sqrt of negative argument"),
+    (_zero_pivot, SingularMetric, "metric singular at [0.0, 0."),
+    (_overflowing_power, OverflowError, "negative power overflows at [1.0"),
+])
+def test_each_fragment_kind_faults_at_its_stage_as_its_spray(case, fault, message, tableau):
+    # conformal, surface of revolution and expression fragments: the step
+    # from x0 by h = 1 reaches its fault at stage 1, whose point it has
+    # recorded, and raises what the spray raises there
+    tableau = getattr(transport, tableau)
+    chart, x, v = case(tableau.a[1][0])
+    n = chart.dim
+    (got, rows), (want, want_rows) = _both_steps(chart, tableau, x, v, 1.0)
+    assert type(got) is type(want) is fault
+    assert str(got) == str(want) and str(got).startswith(message)
+    assert _bits(rows) == _bits(want_rows) and len(rows) == 2 * 2 * n
+    with pytest.raises(fault) as per_point:
+        chart.evaluator.spray(rows[-2 * n:-n], rows[-n:])
+    assert str(per_point.value) == str(got)
+
+
+def _listed_steps() -> set:
+    return {name for name in linecache.cache if name.startswith("<riemannkit ")}
+
+
+def test_a_chart_step_is_emitted_once_on_first_use(monkeypatch):
+    # and only a chart step's source is kept in linecache, while it lives
+    emitted = []
+    define = transport._define
+    monkeypatch.setattr(transport, "_define",
+                        lambda name, *args: emitted.append(name) or define(name, *args))
+    before = _listed_steps()
+    charts = [CHARTS[name]() for name in ("sphere2", "torus", "paraboloid", "stack_only")]
+    assert emitted == [] and _listed_steps() == before
+    for chart in charts:
+        assert "_float_steps" not in vars(chart.evaluator)
+        p, v = np.full(2, 0.3), np.array([0.5, -0.2])
+        for method in ("rk4_fixed", "rkf45_adaptive", "rk4_fixed", "rkf45_adaptive"):
+            transport.integrate_geodesic(chart, p, v, 0.2, settings=OdeSettings(method=method, step=0.05),
+                                         with_frame=False)
+        assert sorted(vars(chart.evaluator)["_float_steps"]) == ["FEHLBERG", "RK4"]
+    assert emitted == ["step"] * 2 * len(charts)
+    assert len(_listed_steps() - before) == 2 * len(charts)
+    del chart, charts
+    gc.collect()
+    assert _listed_steps() <= before
+
+
+def test_a_fault_in_an_inlined_spray_shows_its_statement():
+    chart = manifold.chart_from_definition(dict(SQRT, label="sqrt_chart"))
+    with pytest.raises(DomainFault) as got:
+        transport.integrate_geodesic(chart, [0.3, 0.0], [-1.0, 0.2], 1.0, with_frame=False)
+    text = "".join(traceback.format_exception(got.value))
+    assert '"<riemannkit RK4 step on sqrt_chart #' in text
+    assert "raise DomainFault(f'sqrt of negative argument {" in text
 
 
 # -- the sprays ----------------------------------------------------------------
