@@ -402,6 +402,7 @@ def test_a_chart_step_is_emitted_once_on_first_use(monkeypatch):
     define = transport._define
     monkeypatch.setattr(transport, "_define",
                         lambda name, *args: emitted.append(name) or define(name, *args))
+    gc.collect()  # steps of charts earlier tests dropped would otherwise leave the listing mid-test
     before = _listed_steps()
     charts = [CHARTS[name]() for name in ("sphere2", "torus", "paraboloid", "stack_only")]
     assert emitted == [] and _listed_steps() == before
