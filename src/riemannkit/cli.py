@@ -100,7 +100,12 @@ def _emit(args, payload: dict, command: str) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     doc.update(_jsonable(payload))
-    text = json.dumps(doc, indent=2, sort_keys=False)
+    _write(args, doc)
+
+
+def _write(args, report: dict) -> None:
+    """Write a report as indented JSON to ``--output``, or else to stdout."""
+    text = json.dumps(report, indent=2)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -527,12 +532,7 @@ def main(argv=None) -> int:
                  if k in ("line", "column", "t_exit") and v is not None}
         if extra:
             report["error"].update(extra)
-        text = json.dumps(report, indent=2)
-        if getattr(args, "output", None):
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(args, report)
         return 1
 
 

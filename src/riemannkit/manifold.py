@@ -195,16 +195,19 @@ class ConformalEvaluator(MetricEvaluator):
 
     def __init__(self, n: int, mu: Callable, dmu: Callable, d2mu: Callable):
         self.dim = n
-        self.mu = mu
-        self.dmu = dmu
-        self.d2mu = d2mu
+        self._mu, self._dmu, self._d2mu = mu, dmu, d2mu
         self._eye = np.eye(n)
 
+    # read-only: a chart's float step has mu and dmu inlined once, when emitted
+    mu = property(lambda self: self._mu)
+    dmu = property(lambda self: self._dmu)
+    d2mu = property(lambda self: self._d2mu)
+
     def metric(self, x):
-        return self.mu(float(x @ x)) * self._eye
+        return self._mu(float(x @ x)) * self._eye
 
     def metric_batch(self, X):
-        return self.mu(_squares(np.asarray(X, dtype=float)))[:, None, None] * self._eye
+        return self._mu(_squares(np.asarray(X, dtype=float)))[:, None, None] * self._eye
 
     def stack(self, x):
         g, dg, d2g = self.stack_batch(np.asarray(x, dtype=float)[None])
@@ -212,20 +215,20 @@ class ConformalEvaluator(MetricEvaluator):
 
     def gamma(self, x):
         q = float(x @ x)
-        return self._gamma(self.dmu(q) / self.mu(q) * np.asarray(x, dtype=float))
+        return self._gamma(self._dmu(q) / self._mu(q) * np.asarray(x, dtype=float))
 
     # Gamma(v, .)^i_k = v^i d_k phi - d_i phi v^k + (d phi . v) delta_ik with
     # d phi = (mu' / mu) x: O(n^2), where contracting gamma is O(n^3)
     def connection(self, x, v):
         q = float(x.dot(x))  # at n <= 3, ndarray.dot costs about half of what @ does
-        dphi = (self.dmu(q) / self.mu(q)) * x
+        dphi = (self._dmu(q) / self._mu(q)) * x
         o = v[:, None] * dphi
         return o - o.T + float(v.dot(dphi)) * self._eye
 
     def connection_batch(self, X, V):
         X = np.asarray(X, dtype=float)
         q = _squares(X)
-        return self._connection_batch(V, (self.dmu(q) / self.mu(q))[:, None] * X)
+        return self._connection_batch(V, (self._dmu(q) / self._mu(q))[:, None] * X)
 
     # Gamma(v, v) = 2 (d phi . v) v - |v|^2 d phi, in floats
     def spray(self, x, v):
@@ -234,7 +237,7 @@ class ConformalEvaluator(MetricEvaluator):
             q += a * a
             xv += a * b
             vv += b * b
-        s = self.dmu(q) / self.mu(q)  # d phi = s x
+        s = self._dmu(q) / self._mu(q)  # d phi = s x
         xv *= 2.0 * s
         vv *= s
         return [xv * b - vv * a for a, b in zip(x, v)]
@@ -246,7 +249,7 @@ class ConformalEvaluator(MetricEvaluator):
         lines = [f"sq = {dot(x, x)}", f"xv = {dot(x, v)}", f"vv = {dot(v, v)}",
                  "s = _dmu(sq) / _mu(sq)", "xv *= 2.0 * s", "vv *= s",
                  *(f"{qi} = xv * {b} - vv * {a}" for qi, a, b in zip(q, x, v))]
-        return lines, {"_mu": self.mu, "_dmu": self.dmu}
+        return lines, {"_mu": self._mu, "_dmu": self._dmu}
 
     spray.fragment = _spray_fragment
 
@@ -269,7 +272,7 @@ class ConformalEvaluator(MetricEvaluator):
         """
         X = np.asarray(X, dtype=float)
         q = _squares(X)
-        m, m1, m2 = self.mu(q), self.dmu(q), self.d2mu(q)
+        m, m1, m2 = self._mu(q), self._dmu(q), self._d2mu(q)
         bad = ~(np.isfinite(m) & (m > 0.0))
         if bad.any():
             point = X[np.argmax(bad)]
@@ -296,7 +299,7 @@ class ConformalEvaluator(MetricEvaluator):
     def stack_batch(self, X):
         X = np.asarray(X, dtype=float)
         q = _squares(X)
-        m, m1, m2 = self.mu(q), self.dmu(q), self.d2mu(q)
+        m, m1, m2 = self._mu(q), self._dmu(q), self._d2mu(q)
         eye = self._eye
         dg = (2.0 * m1)[:, None, None, None] * (X[:, :, None, None] * eye)
         kern = ((4.0 * m2)[:, None, None] * (X[:, :, None] * X[:, None, :])

@@ -2,7 +2,7 @@
 
 Default integrator is fixed-step RK4 with cubic-Hermite dense output;
 an adaptive RKF45 is available through OdeSettings.method.  A method is its
-``_Tableau``, which emits its float step and its transition matrices.  A
+``_Tableau``, which emits a float step per chart and one array step.  A
 single ray has one integrator per method: a loop that steps (x, v) on
 Python floats by that step, and checks the chart domain once per block of
 steps.  ``integrate_geodesic`` and ``exp_map`` both run it.
@@ -20,11 +20,11 @@ linear one then carries the parallel frame.  Every linear equation along a
 known curve is solved so (the frame, a transported vector, a development's
 coframe, ``variation``'s Jacobi fields): C from one ``connection_batch`` at
 all stage points gives one transition matrix per step (``_transition``,
-from the method's Butcher tableau), chained by ``_advance``.
+the method's array step of Y' = A Y from I), chained by ``_advance``.
 
-A batch of rays steps by ``_step_rays``: one RK4 step of the rows (x, v[,
-frame]) on one ``connection_batch`` per stage, shared by ``_exp_rays`` and
-``comparison``'s direction sweep.
+RK4's array step also steps a batch of rays (``_step_rays``, the rows (x,
+v[, frame]) on one ``connection_batch`` per stage, for ``_exp_rays`` and
+``comparison``'s direction sweep) and ``reverse_develop``'s ``rk4_path``.
 """
 
 from __future__ import annotations
@@ -107,16 +107,6 @@ class Trajectory:
 # Core steppers
 # ---------------------------------------------------------------------------
 
-def _rk4_step(rhs, t, y, h, k1=None):
-    """One RK4 step; ``k1``, when given, is rhs(t, y) already evaluated."""
-    if k1 is None:
-        k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def rk4_path(rhs, y0: np.ndarray, ts: np.ndarray, substeps: int = 1,
              guard: Optional[Callable] = None):
     """Integrate across the sample grid ``ts``; returns y at every grid time
@@ -136,7 +126,7 @@ def rk4_path(rhs, y0: np.ndarray, ts: np.ndarray, substeps: int = 1,
             h = (ts[i + 1] - ts[i]) / substeps
             t = ts[i]
             for _ in range(substeps):
-                y = _rk4_step(rhs, t, y, h)
+                y = RK4.step(lambda s, Y: rhs(t + RK4.c[s] * h, Y), y, h)
                 t += h
             if guard is not None:
                 guard(ts[i + 1], y, ys[: i + 1], ts[: i + 1])
@@ -173,29 +163,16 @@ def _rays_rhs(chart: MetricChart) -> Callable:
 
 
 def _step_rays(chart: MetricChart, rhs, t, Y: np.ndarray, h, t1, k1=None) -> np.ndarray:
-    """One RK4 step of the ray rows Y from t by h, rhs = ``_rays_rhs(chart)``
-    (``k1`` as in ``_rk4_step``); DomainExit at t1, the caller's end of the
-    step, naming the first ray that ends outside the chart."""
-    Y1 = _rk4_step(rhs, t, Y, h, k1)
+    """``RK4.step`` of the ray rows Y from t by h on rhs = ``_rays_rhs(chart)``
+    (``k1``, if given, is rhs(t, Y)); DomainExit at t1, the caller's end of
+    the step, naming the first ray that ends outside the chart."""
+    Y1 = RK4.step(lambda s, Z: rhs(t + RK4.c[s] * h, Z), Y, h, k1)
     X = Y1[:, :chart.dim]
     outside = ~chart.inside(X)
     if outside.any():
         raise DomainExit(f"left chart domain near t={t1:.6g}",
                          t_exit=float(t1), point=X[np.argmax(outside)].copy())
     return Y1
-
-
-# Fehlberg 4(5) coefficients; row s of _RKF_A weighs the stages before s
-_RKF_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1 / 4, 0, 0, 0, 0],
-    [3 / 32, 9 / 32, 0, 0, 0],
-    [1932 / 2197, -7200 / 2197, 7296 / 2197, 0, 0],
-    [439 / 216, -8, 3680 / 513, -845 / 4104, 0],
-    [-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40],
-])
-_RKF_C = (0, 1 / 4, 3 / 8, 12 / 13, 1, 1 / 2)
-_RKF_B5 = np.array([16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
 
 
 def _rkf45_steps(trial, y, t1: float, settings: OdeSettings):
@@ -206,7 +183,7 @@ def _rkf45_steps(trial, y, t1: float, settings: OdeSettings):
     Solving ODEs I, II.4), so a NaN norm, rejected, cuts h tenfold."""
     t, h, steps = 0.0, min(settings.step, t1), 0
     while t < t1 - 1e-15:
-        if steps > settings.max_steps:
+        if steps >= settings.max_steps:
             raise StepFault("rkf45: max_steps exceeded")
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t1)):
@@ -246,9 +223,9 @@ class _Tableau(namedtuple("_Tableau", "name a b c div e", defaults=(None,))):
     """An explicit Runge-Kutta method (Hairer, Norsett and Wanner, Solving
     ODEs I, II.1): stage s is taken at t + c[s] h and y + h sum_j a[s][j] K_j,
     the step is y + (h / div) sum_s b[s] K_s, and h sum_s e[s] K_s, where the
-    error row e is given, estimates the error of its y.  Its ``transition``
-    and its float step on a chart are straight-line code emitted from it on
-    first use.
+    error row e is given, estimates the error of its y.  Its array ``step``
+    (transition matrices, ray batches, ``rk4_path``) and its float step on a
+    chart are straight-line code emitted from it on first use.
 
     The float step has the chart's spray inlined: ``float_step`` writes out
     the statements of the spray's source fragment (see
@@ -307,24 +284,33 @@ class _Tableau(namedtuple("_Tableau", "name a b c div e", defaults=(None,))):
         return _define("step", params, lines, env, filename)
 
     @functools.cached_property
-    def transition(self):
-        """``transition(A, hb, eye)``, the matrices of ``_transition`` for the
-        step widths hb (B, 1, 1) and the identity eye."""
-        lines = ["K0 = A[0]"]
+    def step(self):
+        """``step(f, y, h, k1=None)``: one step from the array y by h, where
+        ``f(s, Y)`` is the slope at stage s, which the caller takes at t +
+        c[s] h, and ``k1``, if given, is f(0, y).  Rounded as y + (a[s][j] h) K_j
+        and y + (h / div) sum_s b[s] K_s, weight-0 terms left out and weight-1
+        factors not written, so RK4's is the textbook step.  Emitted once per
+        tableau; its source stays in ``linecache``."""
+        lines = ["K0 = f(0, y) if k1 is None else k1"]
         for s, row in enumerate(self.a[1:], 1):
-            terms = "".join(f" + ({_weighted(w, 'hb')}) * K{j}" for j, w in enumerate(row) if w)
-            lines.append(f"K{s} = A[{s}] @ (eye{terms})")
-        total = " + ".join(_weighted(w, f"K{s}") for s, w in enumerate(self.b) if w)
-        lines.append(f"return eye + (hb / {self.div!r}) * ({total})")
-        return _define("transition", "A, hb, eye", lines)
+            terms = "".join(f" + ({_weighted(w, 'h')}) * K{j}" for j, w in enumerate(row) if w)
+            lines.append(f"K{s} = f({s}, y{terms})")
+        total = _combination(self.b, [f"K{s}" for s in range(len(self.b))])
+        lines.append(f"return y + (h / {self.div!r}) * ({total})")
+        return _define("step", "f, y, h, k1=None", lines, (),
+                       f"<riemannkit {self.name} array step>")
 
 
 RK4 = _Tableau("RK4", ((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0),
                (0.0, 0.5, 0.5, 1.0), 6.0)
-FEHLBERG = _Tableau(  # the fifth-order row, which RKF45 accepts, less the fourth-order one
-    "FEHLBERG", tuple(tuple(row[:s]) for s, row in enumerate(_RKF_A.tolist())),
-    tuple(_RKF_B5.tolist()), _RKF_C, 1.0,
-    tuple((_RKF_B5 - [25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0]).tolist()))
+FEHLBERG = _Tableau(  # Fehlberg 4(5): the fifth-order row, which RKF45 accepts
+    "FEHLBERG", ((), (1 / 4,), (3 / 32, 9 / 32), (1932 / 2197, -7200 / 2197, 7296 / 2197),
+                 (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+                 (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40)),
+    (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
+    (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2), 1.0)
+FEHLBERG = FEHLBERG._replace(e=tuple(  # the fifth-order row less the fourth-order one
+    b5 - b4 for b5, b4 in zip(FEHLBERG.b, (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0))))
 _EMITTED = itertools.count()  # numbers the emitted float steps, whose linecache names differ
 
 
@@ -355,13 +341,15 @@ def _fragment(spray):
 
 
 def _transition(A, h, tableau: _Tableau = RK4) -> np.ndarray:
-    """Transition matrices (B, k, k) of one ``tableau`` step of y' = A(t) y.
+    """Transition matrices (B, k, k) of one ``tableau`` step of y' = A(t) y:
+    its ``step`` of Y' = A[s] Y from Y = I, whose first slope is A[0].
 
     A[s] (B, k, k) is A at stage point s of step b, of width h[b] (< 0 steps
-    backward); row b maps y at the start of step b to its end.  Terms of
-    weight 0 are left out, so RK4 rounds as I + (h/6)(K1 + 2 K2 + 2 K3 + K4).
+    backward); row b maps y at the start of step b to its end.  RK4 rounds as
+    I + (h/6)(K1 + 2 K2 + 2 K3 + K4).
     """
-    return tableau.transition(A, np.reshape(h, (-1, 1, 1)), np.eye(A[0].shape[-1]))
+    return tableau.step(lambda s, Y: A[s] @ Y, np.eye(A[0].shape[-1]),
+                        np.reshape(h, (-1, 1, 1)), A[0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from riemannkit import manifold, transport
 from riemannkit.errors import DomainFault
 from riemannkit.transport import OdeSettings
-from test_spray import _rkf45
+from test_spray import _RKF_A, _RKF_B5, _RKF_C, _rkf45
 
 
 EXPR2 = {"dim": 2, "coords": ["x", "y"],
@@ -78,8 +78,8 @@ def _fehlberg_step(rhs, t, y, h):
     K = np.empty((6, len(y)))
     K[0] = rhs(t, y)
     for s in range(1, 6):
-        K[s] = rhs(t + transport._RKF_C[s] * h, y + h * (transport._RKF_A[s, :s] @ K[:s]))
-    return y + h * (transport._RKF_B5 @ K)
+        K[s] = rhs(t + _RKF_C[s] * h, y + h * (_RKF_A[s, :s] @ K[:s]))
+    return y + h * (_RKF_B5 @ K)
 
 
 def _einsum_rkf45_reference(chart, p, v, E0, tmax, settings):

@@ -267,3 +267,16 @@ def test_max_steps_fault_inside_the_chart_is_raised():
         _coupled(chart, p, v, 50.0, settings)
     with pytest.raises(StepFault, match="max_steps"):
         transport.integrate_geodesic(chart, p, v, 50.0, settings=settings, with_frame=False)
+
+
+@pytest.mark.parametrize("method", ["rk4_fixed", "rkf45_adaptive"])
+def test_max_steps_bounds_the_steps_of_both_methods(method):
+    # two steps of 0.3, both accepted at these tolerances, reach t = 0.6
+    chart = manifold.builtin("sphere_stereo", {"n": 2, "R": 1.0})
+    loose = dict(method=method, step=0.3, rtol=1e-2, atol=1e-2)
+    with pytest.raises(StepFault, match="max_steps"):
+        transport.integrate_geodesic(chart, [0.3, 0.1], [1.0, 0.4], 0.6,
+                                     settings=OdeSettings(max_steps=1, **loose), with_frame=False)
+    geo = transport.integrate_geodesic(chart, [0.3, 0.1], [1.0, 0.4], 0.6,
+                                       settings=OdeSettings(max_steps=2, **loose), with_frame=False)
+    np.testing.assert_array_equal(geo.t, [0.0, 0.3, 0.6])

@@ -18,8 +18,7 @@ from riemannkit import expr, manifold, surfrev, transport
 from riemannkit.errors import (_POINT_FAULTS, BadDimension, DomainExit, DomainFault,
                                SingularMetric)
 from riemannkit.manifold import MetricChart
-from riemannkit.transport import (_RKF_A, _RKF_B5, _RKF_C, OdeSettings, Trajectory,
-                                  _rkf45_steps)
+from riemannkit.transport import OdeSettings, Trajectory, _rkf45_steps
 
 
 class StackOnly(manifold.MetricEvaluator):
@@ -101,6 +100,27 @@ def _domain_guard(chart: MetricChart, n: int):
     return guard
 
 
+def _rk4_step(rhs, t, y, h, k1=None):
+    """One textbook RK4 step; ``k1``, when given, is rhs(t, y) already evaluated."""
+    if k1 is None:
+        k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# Fehlberg 4(5) coefficients as published; row s of _RKF_A weighs the stages before s
+_RKF_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 4, 0, 0, 0, 0],
+    [3 / 32, 9 / 32, 0, 0, 0],
+    [1932 / 2197, -7200 / 2197, 7296 / 2197, 0, 0],
+    [439 / 216, -8, 3680 / 513, -845 / 4104, 0],
+    [-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40],
+])
+_RKF_C = (0, 1 / 4, 3 / 8, 12 / 13, 1, 1 / 2)
+_RKF_B5 = np.array([16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
 _RKF_ERR = _RKF_B5 - np.array([25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0])  # minus B4
 
 
@@ -179,7 +199,7 @@ def test_transition_is_one_rk4_step_for_constant_coefficients():
     h = rng.uniform(-0.2, 0.2, 6)
     Phi = transport._transition([A] * 4, h)
     for b in range(6):
-        want = transport._rk4_step(lambda t, Y: A[b] @ Y, 0.0, np.eye(3), h[b])
+        want = _rk4_step(lambda t, Y: A[b] @ Y, 0.0, np.eye(3), h[b])
         np.testing.assert_allclose(Phi[b], want, rtol=0, atol=1e-15)
 
 
@@ -243,6 +263,50 @@ def test_emitted_transition_is_bitwise_the_tableau_loop(name, steps, k, sign):
     want = _loop_transition(A, h, tableau)
     assert got.shape == (steps, k, k)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5,), (7, 10)], ids=["state", "ray_rows"])
+@pytest.mark.parametrize("h", [0.173, -0.173, 0.0, -0.0])
+@pytest.mark.parametrize("given_k1", [False, True], ids=["k1_evaluated", "k1_given"])
+def test_rk4_array_step_is_bitwise_the_textbook_step(shape, h, given_k1):
+    rng = np.random.default_rng(len(shape))
+    W = rng.normal(size=(shape[-1], shape[-1]))
+    t, y = 0.3, _signed_zeros(rng, rng.normal(size=shape))
+
+    def rhs(t, Y):  # keeps signed zeros of Y where Y @ W is zero
+        return np.tanh(Y @ W) * (1.0 + t) - Y * math.cos(t)
+
+    k1 = _signed_zeros(rng, rhs(t, y)) if given_k1 else None
+    got = transport.RK4.step(lambda s, Y: rhs(t + transport.RK4.c[s] * h, Y), y, h, k1)
+    want = _rk4_step(rhs, t, y, h, k1)
+    assert got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["RK4", "FEHLBERG"])
+def test_a_fault_in_an_array_step_shows_its_stage_statement(name):
+    def f(s, Y):
+        if s == 2:
+            raise DomainFault("stage 2")
+        return -Y
+
+    with pytest.raises(DomainFault, match="stage 2") as got:
+        getattr(transport, name).step(f, np.ones(3), 0.1)
+    frames = [frame for frame in traceback.extract_tb(got.value.__traceback__)
+              if frame.filename == f"<riemannkit {name} array step>"]
+    assert len(frames) == 1
+    assert linecache.getline(frames[0].filename, frames[0].lineno).strip().startswith("K2 = f(2, ")
+
+
+def test_a_fault_in_a_ray_batch_passes_through_the_array_step():
+    # the metric needs sqrt(x); the ray crosses x = 0 near t = 0.3
+    chart = manifold.chart_from_definition(SQRT)
+    with pytest.raises(DomainFault, match="sqrt of negative argument") as got:
+        transport._exp_rays(chart, [[0.3, 0.0]], [[-1.0, 0.2]], OdeSettings(step=1e-3))
+    assert 0.29 < got.value.t_exit < 0.32
+    text = "".join(traceback.format_exception(got.value))
+    assert '"<riemannkit RK4 array step>"' in text
+    assert "= f(" in text
 
 
 # -- the emitted float step of a chart ----------------------------------------
@@ -418,6 +482,19 @@ def test_a_chart_step_is_emitted_once_on_first_use(monkeypatch):
     del chart, charts
     gc.collect()
     assert _listed_steps() <= before
+
+
+def test_a_conformal_profile_cannot_be_replaced_under_its_chart_step():
+    # the chart's float step has mu and dmu inlined: a flat profile assigned
+    # afterwards would reach connection but not exp_map
+    chart = CHARTS["sphere2"]()
+    p, v = [0.3, 0.1], [1.0, 0.4]
+    end = transport.exp_map(chart, p, v)
+    for name in ("mu", "dmu", "d2mu"):
+        with pytest.raises(AttributeError):
+            setattr(chart.evaluator, name, lambda q: 1.0 + 0.0 * q)
+    np.testing.assert_array_equal(transport.exp_map(chart, p, v), end)
+    np.testing.assert_allclose(end, [3.0991, 1.3925], atol=1e-4)
 
 
 def test_a_fault_in_an_inlined_spray_shows_its_statement():
