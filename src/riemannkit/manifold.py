@@ -49,8 +49,9 @@ class MetricEvaluator:
     ``spray``, that step calls the spray once per stage instead.
 
     ``jacobi_batch(X, V)``, where an evaluator has one, returns the closed-form
-    Jacobi operator of the rays (X, V) (see ``ConformalEvaluator``);
-    ``tensor.jacobi_driving_batch`` uses it in place of the curvature kernel.
+    Jacobi operator of the rays (X, V), as the constant-curvature models of
+    ``ConformalEvaluator`` have it; ``tensor.jacobi_driving_batch`` uses it in
+    place of the curvature kernel.
 
     The batches ``metric_batch``, ``stack_batch``, ``gamma_batch`` and
     ``connection_batch`` take an (N, n) array of points and return the
@@ -161,8 +162,10 @@ def _batch(rows, each, shapes, X, *rest):
 
 def _squares(X: np.ndarray) -> np.ndarray:
     """x @ x for every row x of X, rounded as the 1-D product; inf or nan
-    where x is not finite, so ``_squares(X) < c`` is a whole domain mask."""
-    return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+    where x is not finite or the square overflows, without a warning, so
+    ``_squares(X) < c`` is a whole domain mask."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
 
 
 def koszul(dg: np.ndarray) -> np.ndarray:
@@ -182,53 +185,52 @@ def gamma_from_stack(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 class ConformalEvaluator(MetricEvaluator):
-    """g_ij = mu(|x|^2) * delta_ij for a smooth positive profile mu.
+    """The stereographic model of curvature K = sign / c: g = mu(|x|^2) delta
+    with mu = (2c / a)^2 and a = c + sign |x|^2, for c > 0 and sign = +-1
+    (Lee, Introduction to Riemannian Manifolds, 2018, ch. 3).
 
-    mu and its derivatives must also act elementwise on arrays, since the
-    batches evaluate them on every |x|^2 of a batch at once; where they round
-    on arrays as on floats (products, not numpy powers), every batch is
-    bitwise its per-point function.
-    Gamma(v, .) and the Jacobi operator have O(n^2) closed forms in mu
-    (``connection`` and ``jacobi_batch``, after Besse, Einstein Manifolds,
-    1987, Thm 1.159).
+    Every closed form is a function of a: s = mu'/mu = -2 sign / a, mu' = s mu
+    and mu'' = 6 mu / a^2. Gamma(v, .) and the Jacobi operator are O(n^2)
+    (``connection`` and ``jacobi_batch``). c, sign and K are read-only, since
+    a chart's float step inlines them when it is emitted.
     """
 
-    def __init__(self, n: int, mu: Callable, dmu: Callable, d2mu: Callable):
+    def __init__(self, n: int, c: float, sign: float):
         self.dim = n
-        self._mu, self._dmu, self._d2mu = mu, dmu, d2mu
+        self._c, self._sign = float(c), float(sign)
         self._eye = np.eye(n)
 
-    # read-only: a chart's float step has mu and dmu inlined once, when emitted
-    mu = property(lambda self: self._mu)
-    dmu = property(lambda self: self._dmu)
-    d2mu = property(lambda self: self._d2mu)
+    c = property(lambda self: self._c)
+    sign = property(lambda self: self._sign)
+    K = property(lambda self: self._sign / self._c)
+
+    def _profile(self, q):
+        """(a, mu, s) at |x|^2 = q, on floats or elementwise on arrays."""
+        a = self._c + self._sign * q
+        m = 2.0 * self._c / a
+        return a, m * m, -2.0 * self._sign / a
 
     def metric(self, x):
-        return self._mu(float(x @ x)) * self._eye
+        return self._profile(float(x @ x))[1] * self._eye
 
     def metric_batch(self, X):
-        return self._mu(_squares(np.asarray(X, dtype=float)))[:, None, None] * self._eye
+        return self._profile(_squares(np.asarray(X, dtype=float)))[1][:, None, None] * self._eye
 
     def stack(self, x):
         g, dg, d2g = self.stack_batch(np.asarray(x, dtype=float)[None])
         return g[0], dg[0], d2g[0]
 
-    def gamma(self, x):
-        q = float(x @ x)
-        return self._gamma(self._dmu(q) / self._mu(q) * np.asarray(x, dtype=float))
-
     # Gamma(v, .)^i_k = v^i d_k phi - d_i phi v^k + (d phi . v) delta_ik with
-    # d phi = (mu' / mu) x: O(n^2), where contracting gamma is O(n^3)
+    # phi = (1/2) log mu and d phi = s x: O(n^2), where contracting gamma is O(n^3)
     def connection(self, x, v):
         q = float(x.dot(x))  # at n <= 3, ndarray.dot costs about half of what @ does
-        dphi = (self._dmu(q) / self._mu(q)) * x
+        dphi = self._profile(q)[2] * x
         o = v[:, None] * dphi
         return o - o.T + float(v.dot(dphi)) * self._eye
 
     def connection_batch(self, X, V):
         X = np.asarray(X, dtype=float)
-        q = _squares(X)
-        return self._connection_batch(V, (self._dmu(q) / self._mu(q))[:, None] * X)
+        return self._connection_batch(V, self._profile(_squares(X))[2][:, None] * X)
 
     # Gamma(v, v) = 2 (d phi . v) v - |v|^2 d phi, in floats
     def spray(self, x, v):
@@ -237,7 +239,7 @@ class ConformalEvaluator(MetricEvaluator):
             q += a * a
             xv += a * b
             vv += b * b
-        s = self._dmu(q) / self._mu(q)  # d phi = s x
+        s = self._profile(q)[2]  # d phi = s x
         xv *= 2.0 * s
         vv *= s
         return [xv * b - vv * a for a, b in zip(x, v)]
@@ -247,9 +249,10 @@ class ConformalEvaluator(MetricEvaluator):
         def dot(a, b):
             return "0.0" + "".join(f" + {i} * {j}" for i, j in zip(a, b))
         lines = [f"sq = {dot(x, x)}", f"xv = {dot(x, v)}", f"vv = {dot(v, v)}",
-                 "s = _dmu(sq) / _mu(sq)", "xv *= 2.0 * s", "vv *= s",
+                 f"s = {-2.0 * self._sign!r} / ({self._c!r} + {self._sign!r} * sq)",
+                 "xv *= 2.0 * s", "vv *= s",
                  *(f"{qi} = xv * {b} - vv * {a}" for qi, a, b in zip(q, x, v))]
-        return lines, {"_mu": self._mu, "_dmu": self._dmu}
+        return lines, {}
 
     spray.fragment = _spray_fragment
 
@@ -260,46 +263,25 @@ class ConformalEvaluator(MetricEvaluator):
     def jacobi_batch(self, X, V):
         """(C, B) for the rays (X[b], V[b]): C = Gamma(v, .), as from
         ``connection_batch``, and the symmetric (N, n, n) B with
-        B(w, u) = low(v, w, v, u), in O(n^2) per ray.
-
-        With phi = (1/2) log mu, q = |x|^2, s = mu'/mu and s' = ds/dq,
-        g = e^(2 phi) delta has low = -mu (T owedge delta), the Kulkarni-Nomizu
-        product of delta with T = Hess phi - dphi dphi^T + (1/2)|dphi|^2 I
-        = alpha I + beta x x^T, alpha = s + s^2 q / 2, beta = 2 s' - s^2
-        (Besse, Einstein Manifolds, 1987, Thm 1.159). In Euclidean dot products,
-        B = -mu [(v.Tv) I + |v|^2 T - (Tv) v^T - v (Tv)^T].
+        B(w, u) = low(v, w, v, u) = K (g(v, v) g(w, u) - g(v, w) g(v, u)),
+        so B = K mu^2 (|v|^2 I - v v^T) in Euclidean dot products.
         SingularMetric names the first point where mu is not positive and finite.
         """
         X = np.asarray(X, dtype=float)
-        q = _squares(X)
-        m, m1, m2 = self._mu(q), self._dmu(q), self._d2mu(q)
+        with np.errstate(all="ignore"):  # where a = 0 or x is not finite, mu fails the check
+            _, m, s = self._profile(_squares(X))
         bad = ~(np.isfinite(m) & (m > 0.0))
         if bad.any():
             point = X[np.argmax(bad)]
             raise SingularMetric(f"metric not positive definite at {point}", point=point)
-        s = m1 / m
-        alpha = (s + 0.5 * s * s * q)[:, None, None]
-        beta = (2.0 * (m2 / m - s * s) - s * s)[:, None, None]
-        x, v = X[:, :, None], V[:, :, None]  # columns
-        vT = v.swapaxes(1, 2)
-        T = alpha * self._eye + beta * x * x.swapaxes(1, 2)
-        Tv = T @ v
-        o = Tv * vT
-        B = (vT @ Tv) * self._eye + (vT @ v) * T - (o + o.swapaxes(1, 2))
-        return self._connection_batch(V, s[:, None] * X), -m[:, None, None] * B
-
-    def _gamma(self, dphi):
-        # Gamma^i_jk = d_k phi delta_ij + d_j phi delta_ik - d_i phi delta_jk
-        # with phi = (1/2) log mu; dphi may carry leading batch axes
-        eye = self._eye
-        return (dphi[..., None, None, :] * eye[:, :, None]
-                + dphi[..., None, :, None] * eye[:, None, :]
-                - dphi[..., :, None, None] * eye)
+        v = V[:, :, None]
+        B = (v.swapaxes(1, 2) @ v) * self._eye - v * v.swapaxes(1, 2)
+        return self._connection_batch(V, s[:, None] * X), (self.K * m * m)[:, None, None] * B
 
     def stack_batch(self, X):
         X = np.asarray(X, dtype=float)
-        q = _squares(X)
-        m, m1, m2 = self._mu(q), self._dmu(q), self._d2mu(q)
+        a, m, s = self._profile(_squares(X))
+        m1, m2 = s * m, 6.0 * m / (a * a)
         eye = self._eye
         dg = (2.0 * m1)[:, None, None, None] * (X[:, :, None, None] * eye)
         kern = ((4.0 * m2)[:, None, None] * (X[:, :, None] * X[:, None, :])
@@ -443,45 +425,28 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
             evaluator=ExpressionEvaluator(delta, n), label=f"euclidean({n})",
             sample_box=(-2.0 * np.ones(n), 2.0 * np.ones(n)),
             source={"builtin": "euclidean", "params": {"n": n}})
-    if name == "sphere_stereo":
+    if name in ("sphere_stereo", "hyperbolic_ball"):
         n = _count(f"{name}: n", params.pop("n", 2))
-        R = _number(name, params, "R", 1.0)
-        if not R > 0:
-            raise BadParam("sphere_stereo: R must be positive")
+        if name == "sphere_stereo":
+            # the chart covers the sphere minus one pole; the radius is capped
+            # so that geodesics heading to the pole's image exit cleanly
+            R = _number(name, params, "R", 1.0)
+            c, cap = R * R, 1e6 * R
+            if not (R > 0 and c >= np.finfo(float).tiny and math.isfinite(cap * cap)):
+                raise BadParam(f"sphere_stereo: R must be positive, with R*R a normal "
+                               f"float and (1e6 R)^2 finite, got R={R!r}")
+            sign, cap2, half, label = 1.0, cap * cap, 2.0 * R, f"sphere_stereo({n},R={R})"
+            source = {"n": n, "R": R}
+        else:
+            c, sign, cap2, half, label = 1.0, -1.0, 1.0, 0.65, f"hyperbolic_ball({n})"
+            source = {"n": n}
         _reject_extra(name, params)
-        R2 = R * R
-        # mu(q) = (2 R^2 / (R^2 + q))^2; powers of q are written as products,
-        # which round alike on floats and on arrays (numpy's power does not)
-        ev = ConformalEvaluator(
-            n,
-            mu=lambda q: _square(2.0 * R2 / (R2 + q)),
-            dmu=lambda q: -2.0 * (2.0 * R2) ** 2 / (_square(R2 + q) * (R2 + q)),
-            d2mu=lambda q: 6.0 * (2.0 * R2) ** 2 / _square(_square(R2 + q)),
-        )
-        # chart covers the sphere minus one pole; cap the radius so that
-        # geodesics heading to the pole image exit cleanly
-        cap2 = (1e6 * R) ** 2
         return MetricChart(
-            dim=n, coords=[f"x{i+1}" for i in range(n)], evaluator=ev,
-            label=f"sphere_stereo({n},R={R})",
+            dim=n, coords=[f"x{i+1}" for i in range(n)],
+            evaluator=ConformalEvaluator(n, c, sign), label=label,
             domain=lambda X: _squares(X) < cap2,
-            sample_box=(-2.0 * R * np.ones(n), 2.0 * R * np.ones(n)),
-            source={"builtin": "sphere_stereo", "params": {"n": n, "R": R}})
-    if name == "hyperbolic_ball":
-        n = _count(f"{name}: n", params.pop("n", 2))
-        _reject_extra(name, params)
-        ev = ConformalEvaluator(
-            n,
-            mu=lambda q: _square(2.0 / (1.0 - q)),
-            dmu=lambda q: 8.0 / (_square(1.0 - q) * (1.0 - q)),
-            d2mu=lambda q: 24.0 / _square(_square(1.0 - q)),
-        )
-        return MetricChart(
-            dim=n, coords=[f"x{i+1}" for i in range(n)], evaluator=ev,
-            label=f"hyperbolic_ball({n})",
-            domain=lambda X: _squares(X) < 1.0,
-            sample_box=(-0.65 * np.ones(n), 0.65 * np.ones(n)),
-            source={"builtin": "hyperbolic_ball", "params": {"n": n}})
+            sample_box=(-half * np.ones(n), half * np.ones(n)),
+            source={"builtin": name, "params": source})
     if name == "torus":
         R = _number(name, params, "R", 2.0)
         r = _number(name, params, "r", 1.0)
@@ -489,10 +454,6 @@ def builtin(name: str, params: Optional[dict] = None) -> MetricChart:
         from . import surfrev
         return surfrev.torus_chart(R, r)
     raise UnknownBuiltin(f"no builtin chart named '{name}'")
-
-
-def _square(a):
-    return a * a
 
 
 def _number(name, params, key, default) -> float:

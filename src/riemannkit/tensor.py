@@ -86,11 +86,11 @@ def jacobi_driving_batch(chart: MetricChart, X: np.ndarray, V: np.ndarray,
     """(C, M) for a batch of rays: C = Gamma(v, .), so C @ w = Gamma(v, w), and
     M[p,q] = low(v, E_q, v, E_p), symmetrised.
 
-    On an evaluator with a closed-form ``jacobi_batch`` (the conformal charts,
-    g = mu(|x|^2) delta: low = -mu (T owedge delta) with T = alpha I + beta x x^T,
-    after Besse, Einstein Manifolds, 1987, Thm 1.159) M = E^T B E from its
-    B(w, u) = low(v, w, v, u), in O(n^2) per ray. Every other evaluator
-    contracts the rank-4 R of ``curvature_kernel``, which stays the reference.
+    On an evaluator with a closed-form ``jacobi_batch`` (the stereographic
+    models of constant curvature K, where B = K mu^2 (|v|^2 I - v v^T)),
+    M = E^T B E from its B(w, u) = low(v, w, v, u), in O(n^2) per ray. Every
+    other evaluator contracts the rank-4 R of ``curvature_kernel``, which
+    stays the reference.
     """
     closed = chart.evaluator.jacobi_batch
     if closed is not None:

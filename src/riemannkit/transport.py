@@ -779,12 +779,16 @@ def reverse_develop(chart: MetricChart, sigma: SampledCurve, p, frame=None,
     B0 = initial_frame(chart, p) if frame is None else np.asarray(frame, dtype=float)
     connection = chart.evaluator.connection
 
-    def rhs(t, y):
+    def rhs(t, y):  # a point fault gets the time and x of its stage
         x = y[:n]
         E = y[n:].reshape(n, n)
         v = E @ sigma.velocity(t)
-        dE = -(connection(x, v) @ E)
-        return np.concatenate([v, dE.ravel()])
+        try:
+            C = connection(x, v)
+        except _POINT_FAULTS as exc:
+            exc.t_exit, exc.point = float(t), x.copy()
+            raise
+        return np.concatenate([v, (-(C @ E)).ravel()])
 
     def guard(t, y, ys_so_far, ts_so_far, fault=None):
         if fault is None and not chart.contains(y[:n]):

@@ -199,6 +199,15 @@ def test_error_exit_code_and_report(capsys):
     assert rep["error"]["type"] == "UnknownBuiltin"
 
 
+@pytest.mark.parametrize("R", ["1e-200", "1e160"])
+def test_a_radius_the_chart_cannot_represent_is_a_json_error(capsys, R):
+    code, rep = run_json(capsys, "curvature", "--builtin", "sphere_stereo",
+                         "--param", f"n=2,R={R}", "--point", "0,0")
+    assert code == 1
+    assert rep["error"]["type"] == "BadParam"
+    assert "R must be positive" in rep["error"]["message"]
+
+
 def test_parse_error_carries_location(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -2,13 +2,14 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riemannkit import manifold, transport
-from riemannkit.errors import BadParam, SingularMetric, UnknownBuiltin
+from riemannkit import manifold, transport, variation
+from riemannkit.errors import BadParam, DomainExit, SingularMetric, UnknownBuiltin
 
 
 # -- builtin charts ----------------------------------------------------------
@@ -81,6 +82,43 @@ def test_domain_membership(hyper2, sphere2):
     assert sphere2.contains([100.0, 0.0])
     with pytest.raises(Exception):
         hyper2.require_inside([2.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ["sphere_stereo", "hyperbolic_ball"])
+def test_huge_coordinates_are_outside_without_a_warning(name):
+    chart = manifold.builtin(name, {"n": 2})
+    assert not chart.contains([1e200, 0.0])
+    X = np.array([[1e200, 0.0], [0.1, 0.0], [np.inf, 0.0], [np.nan, 0.0]])
+    np.testing.assert_array_equal(chart.inside(X), [False, True, False, False])
+
+
+@pytest.mark.parametrize("name", ["sphere_stereo", "hyperbolic_ball"])
+def test_a_huge_velocity_leaves_the_chart(name):
+    chart = manifold.builtin(name, {"n": 2})
+    with pytest.raises(DomainExit):
+        transport.exp_map(chart, [0.1, 0.0], [1e200, 0.0])
+
+
+@pytest.mark.parametrize("R", [1e-150, 1e-60, 1e-20, 1e20, 1e60, 1e140])
+def test_the_sphere_chart_scales_with_its_radius(R):
+    # x = R y carries the unit sphere's chart onto that of radius R: its
+    # geodesics scale with R and its conjugate parameters do not
+    p, v = np.array([0.3, 0.1]), np.array([1.0, 0.4])
+    unit, sphere = (manifold.builtin("sphere_stereo", {"R": r}) for r in (1.0, R))
+    want = transport.exp_map(unit, p, v)
+    got = transport.exp_map(sphere, R * p, R * v) / R
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    want = variation.conjugate_points(unit, p, v, 4.0).points
+    got = variation.conjugate_points(sphere, R * p, R * v, 4.0).points
+    assert [c.multiplicity for c in got] == [c.multiplicity for c in want] == [1, 1]
+    np.testing.assert_allclose([c.t for c in got], [c.t for c in want], rtol=1e-12)
+
+
+@pytest.mark.parametrize("R", [1e-200, 1e160])
+def test_a_radius_the_chart_cannot_represent_is_rejected(R):
+    # R * R underflows to 0, or the cap (1e6 R)^2 overflows
+    with pytest.raises(BadParam, match=f"R must be positive.*got R={re.escape(repr(R))}"):
+        manifold.builtin("sphere_stereo", {"R": R})
 
 
 # -- metric_at / inner / norm ------------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from riemannkit import expr, manifold, surfrev, transport
 from riemannkit.errors import (_POINT_FAULTS, BadDimension, DomainExit, DomainFault,
                                SingularMetric)
-from riemannkit.manifold import MetricChart
+from riemannkit.manifold import MetricChart, SampledCurve
 from riemannkit.transport import OdeSettings, Trajectory, _rkf45_steps
 
 
@@ -485,14 +485,14 @@ def test_a_chart_step_is_emitted_once_on_first_use(monkeypatch):
 
 
 def test_a_conformal_profile_cannot_be_replaced_under_its_chart_step():
-    # the chart's float step has mu and dmu inlined: a flat profile assigned
+    # the chart's float step has c and sign inlined: a flat model assigned
     # afterwards would reach connection but not exp_map
     chart = CHARTS["sphere2"]()
     p, v = [0.3, 0.1], [1.0, 0.4]
     end = transport.exp_map(chart, p, v)
-    for name in ("mu", "dmu", "d2mu"):
+    for name in ("c", "sign", "K"):
         with pytest.raises(AttributeError):
-            setattr(chart.evaluator, name, lambda q: 1.0 + 0.0 * q)
+            setattr(chart.evaluator, name, 0.0)
     np.testing.assert_array_equal(transport.exp_map(chart, p, v), end)
     np.testing.assert_allclose(end, [3.0991, 1.3925], atol=1e-4)
 
@@ -611,6 +611,23 @@ def test_point_fault_is_located_as_by_the_coupled_rk4(with_frame):
     assert len(got.trajectory.t) == len(want.trajectory.t)
     np.testing.assert_array_equal(got.trajectory.t, want.trajectory.t)
     np.testing.assert_allclose(got.trajectory.x, want.trajectory.x, rtol=1e-12, atol=1e-15)
+
+
+def test_a_point_fault_in_reverse_develop_is_located_at_its_stage():
+    # the line (-t, 0.2 t) from (0.1, 0) reverse-develops into x < 0, where
+    # the metric needs sqrt(x), at the midpoint stage of the step from t = 0.1
+    chart = manifold.chart_from_definition(SQRT)
+    t = np.linspace(0.0, 0.5, 51)
+    sigma = SampledCurve(t, np.column_stack([-t, 0.2 * t]), np.tile([-1.0, 0.2], (51, 1)))
+    with pytest.raises(DomainFault, match="sqrt of negative argument") as got:
+        transport.reverse_develop(chart, sigma, [0.1, 0.0], substeps=4)
+    h = (t[11] - t[10]) / 4
+    assert got.value.t_exit == t[10] + 0.5 * h
+    before = transport.reverse_develop(
+        chart, SampledCurve(t[:11], sigma.points[:11], sigma.velocities[:11]), [0.1, 0.0], substeps=4)
+    assert before.points[-1][0] > 0.0 > got.value.point[0]
+    np.testing.assert_allclose(got.value.point, before.points[-1] + (0.5 * h) * before.velocities[-1],
+                               rtol=1e-12)
 
 
 class FaultOnCall:

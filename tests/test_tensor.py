@@ -301,46 +301,86 @@ def test_jacobi_driving_batch_matches_pointwise(torus21, sphere3, rng):
 
 # -- the closed-form driving matrix of conformal charts ----------------------
 
-def _conformal(n, mu, dmu, d2mu):
-    return manifold.MetricChart(dim=n, coords=[f"x{i+1}" for i in range(n)],
-                                evaluator=manifold.ConformalEvaluator(n, mu, dmu, d2mu))
+def _besse_driving(mu, dmu, d2mu, X, V, E):
+    """(C, M) of g = mu(|x|^2) delta at the rays (X, V) in the frames E, from
+    any profile: with phi = (1/2) log mu, q = |x|^2, s = mu'/mu and s' = ds/dq,
+    low = -mu (T owedge delta), the Kulkarni-Nomizu product of delta with
+    T = Hess phi - dphi dphi^T + (1/2)|dphi|^2 I = alpha I + beta x x^T,
+    alpha = s + s^2 q / 2, beta = 2 s' - s^2 (Besse, Einstein Manifolds, 1987,
+    Thm 1.159); C = Gamma(v, .) from dphi = s x."""
+    C, M = [], []
+    for x, v, e in zip(X, V, E):
+        q = float(x @ x)
+        m = mu(q)
+        s = dmu(q) / m
+        alpha, beta = s + 0.5 * s * s * q, 2.0 * (d2mu(q) / m - s * s) - s * s
+        T = alpha * np.eye(len(x)) + beta * np.outer(x, x)
+        Tv = T @ v
+        B = -m * ((v @ Tv) * np.eye(len(x)) + (v @ v) * T - np.outer(Tv, v) - np.outer(v, Tv))
+        o = np.outer(v, s * x)
+        C.append(o - o.T + (v @ (s * x)) * np.eye(len(x)))
+        M.append(e.T @ B @ e)
+    return np.array(C), np.array(M)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_closed_form_driving_on_a_variable_profile(n, rng):
     # mu = e^q has beta = 2 s' - s^2 = -1, so the x x^T term of T is exercised
     # (beta is 0 on the sphere and the ball); jacobi_matrix_at goes through
-    # tensor.curvature and the expression chart of the same metric through
-    # the kernel path of jacobi_driving_batch
-    chart = _conformal(n, np.exp, np.exp, np.exp)
+    # tensor.curvature and jacobi_driving_batch through the kernel's batch
     coords = [f"x{i+1}" for i in range(n)]
     mu = "exp(" + "+".join(f"{c}^2" for c in coords) + ")"
     expression = manifold.chart_from_definition(
         {"dim": n, "coords": coords,
          "metric": [[mu if i == j else "0" for j in range(n)] for i in range(n)]})
-    assert chart.evaluator.jacobi_batch is not None
     assert expression.evaluator.jacobi_batch is None
     X = rng.uniform(-0.7, 0.7, (6, n))
     V = rng.standard_normal((6, n))
-    E = np.stack([tensor.orthonormal_frame(chart.evaluator.metric(x)) for x in X])
-    C, M = tensor.jacobi_driving_batch(chart, X, V, E)
+    E = np.stack([tensor.orthonormal_frame(expression.evaluator.metric(x)) for x in X])
+    C, M = _besse_driving(math.exp, math.exp, math.exp, X, V, E)
     C_expr, M_expr = tensor.jacobi_driving_batch(expression, X, V, E)
-    assert np.array_equal(C, chart.evaluator.connection_batch(X, V))
     assert np.max(np.abs(C_expr - C)) <= 1e-13 * np.max(np.abs(C))
-    assert np.array_equal(M, M.swapaxes(1, 2))
+    assert np.array_equal(M_expr, M_expr.swapaxes(1, 2))
     for i in range(len(X)):
-        want = jacobi_matrix_at(chart, X[i], V[i], E[i])
+        want = jacobi_matrix_at(expression, X[i], V[i], E[i])
         want = 0.5 * (want + want.T)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(M[i] - want)) <= 1e-13 * scale
         assert np.max(np.abs(M_expr[i] - want)) <= 1e-13 * scale
 
 
+MODELS = {f"S{n}-R{R}": ("sphere_stereo", {"n": n, "R": R}) for n in (2, 3, 4) for R in (0.6, 1.5)}
+MODELS.update({f"H{n}": ("hyperbolic_ball", {"n": n}) for n in (2, 3)})
+
+
+@pytest.mark.parametrize("name, params", MODELS.values(), ids=MODELS.keys())
+def test_closed_form_driving_is_the_kernels_on_the_models(name, params, rng):
+    # K = sign / c is every sectional curvature of the kernel's R, and the
+    # closed form B = K mu^2 (|v|^2 I - v v^T) gives the kernel's M
+    chart = manifold.builtin(name, params)
+    ev, n = chart.evaluator, chart.dim
+    assert ev.K == (1.0 / (params["R"] * params["R"]) if name == "sphere_stereo" else -1.0)
+    X = chart.sample_points(6, 7)
+    V = rng.standard_normal((6, n))
+    E = np.stack([tensor.orthonormal_frame(ev.metric(x)) for x in X])
+    C, M = tensor.jacobi_driving_batch(chart, X, V, E)
+    assert np.array_equal(C, ev.connection_batch(X, V))
+    assert np.array_equal(M, M.swapaxes(1, 2))
+    for i in range(len(X)):
+        R = tensor.curvature(chart, X[i])
+        g = ev.metric(X[i])
+        for a, b in [(0, 1), (0, n - 1), (1, n - 1)] if n > 2 else [(0, 1)]:
+            assert tensor.sectional(R, g, E[i][:, a], E[i][:, b]) == pytest.approx(ev.K, rel=1e-13)
+        assert tensor.sectional(R, g, V[i], X[i] + V[i][::-1]) == pytest.approx(ev.K, rel=1e-13)
+        want = jacobi_matrix_at(chart, X[i], V[i], E[i])
+        want = 0.5 * (want + want.T)
+        assert np.max(np.abs(M[i] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_closed_form_driving_rejects_a_nonpositive_profile():
-    # mu = 1 - q vanishes on the unit circle and is negative outside it
-    chart = _conformal(2, lambda q: 1.0 - q, lambda q: -np.ones_like(q),
-                       lambda q: np.zeros_like(q))
-    X = np.array([[0.1, 0.2], [1.5, 0.0], [np.nan, 0.0]])
+    # the ball's mu = (2 / (1 - |x|^2))^2 is infinite on the unit circle
+    chart = manifold.builtin("hyperbolic_ball", {"n": 2})
+    X = np.array([[0.1, 0.2], [1.0, 0.0], [np.nan, 0.0]])
     V, E = np.ones((3, 2)), np.tile(np.eye(2), (3, 1, 1))
     with pytest.raises(SingularMetric, match="metric not positive definite at") as ei:
         tensor.jacobi_driving_batch(chart, X, V, E)
