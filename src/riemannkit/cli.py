@@ -56,8 +56,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    if isinstance(obj, np.ndarray):  # entry by entry where one is not finite
+        return obj.tolist() if obj.dtype.kind != "f" or np.isfinite(obj).all() else _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
@@ -528,8 +528,8 @@ def main(argv=None) -> int:
             "command": getattr(args, "command", None),
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        extra = {k: _jsonable(v) for k, v in vars(exc).items()
-                 if k in ("line", "column", "t_exit") and v is not None}
+        extra = {k: _jsonable(v) for k, v in vars(exc).items() if v is not None and k in
+                 ("line", "column", "t_exit", "point", "best_residual", "best_value")}
         if extra:
             report["error"].update(extra)
         _write(args, report)

@@ -356,11 +356,11 @@ def _batched_sphere_sweep(chart: MetricChart, p, r: float, n_dirs: int,
     fields F of n_dirs unit-speed rays from p, F(0) = 0 and F'(0) = I: the
     transversal factor of det(d exp), one value per direction and radius.
 
-    One row per ray holds x, v and its frame E, adapted so that the ray is
-    the last column; the rows step together by ``transport._step_rays``,
-    whose k1 is the Y' from the Gamma(v, .) of the last M. (F, F') advances
-    by the RK4 transition of each step, with M at both ends and at the
-    Hermite midpoint of the step.
+    One row per ray holds x, v and the first n - 1 columns of its frame,
+    adapted so that the ray is the left-out last column; the rows step
+    together by ``transport._step_rays``, whose k1 is the Y' from the
+    Gamma(v, .) of the last M. (F, F') advances by the RK4 transition of each
+    step, with M at both ends and at the Hermite midpoint of the step.
     """
     radii = sorted(radii or [r])
     if not isinstance(n_dirs, numbers.Integral) or n_dirs < 1:
@@ -377,7 +377,7 @@ def _batched_sphere_sweep(chart: MetricChart, p, r: float, n_dirs: int,
     E0 = _adapted_frames(md.g, B, V0)
 
     rhs = _rays_rhs(chart)
-    Y = np.hstack([np.tile(p, (N, 1)), V0, E0.reshape(N, -1)])
+    Y = np.hstack([np.tile(p, (N, 1)), V0, E0[:, :, :d].reshape(N, -1)])
     M, dY = _driving(chart, Y, d)
     FF = np.tile(np.vstack([np.zeros((d, d)), np.eye(d)]), (N, 1, 1))
     t = 0.0

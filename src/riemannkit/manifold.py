@@ -22,55 +22,120 @@ from .errors import (_POINT_FAULTS, BadDimension, BadParam, DomainExit,
 # Metric evaluators
 # ---------------------------------------------------------------------------
 
+class _emitted:
+    """An evaluator's form of Gamma(v, w) (see ``MetricEvaluator``): emitted from
+    its ``connection_fragment`` on first use and kept in its ``__dict__``, or,
+    without a fragment, the ``default`` method (or None)."""
+
+    def __init__(self, default=None):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ev, owner=None):
+        if ev is None:  # on the class, the default function
+            return self.default
+        if ev.connection_fragment is None:
+            return self.default and self.default.__get__(ev)
+        form = vars(ev)[self.name] = _emit(ev, self.name)
+        return form
+
+
+def _emit(ev, name: str):
+    """The form ``name`` from ev's ``connection_fragment``: ``spray`` is the term
+    (v, v), ``connection`` the terms (v, e_k) and ``gamma`` the terms (e_j, e_k),
+    whose Gamma^i fill the output in C order over (i, term). ``_spray_rows``,
+    ``_connection_rows`` and ``_gamma_rows`` run the same statements on the
+    columns of their (N, n) arrays and gather one (N,) + shape array."""
+    n, rows, kind = ev.dim, name.startswith("_"), name.strip("_").removesuffix("_rows")
+    x, v = ([f"{c}{i}" for i in range(n)] for c in "xv")
+    unit = [[repr(float(i == k)) for i in range(n)] for k in range(n)]
+    pairs = {"spray": [(v, v)], "connection": [(v, e) for e in unit],  # only the spray's w is its v
+             "gamma": [(e, list(f)) for e in unit for f in unit]}[kind]
+    terms = [(a, b, [f"q{t}_{i}" for i in range(n)]) for t, (a, b) in enumerate(pairs)]
+    body, env = ev.connection_fragment(x, terms, rows)
+    flat = [q[i] for i in range(n) for _, _, q in terms]
+    shape = (n,) * {"spray": 1, "connection": 2, "gamma": 3}[kind]
+    inputs = {"x": x, "v": v} if kind != "gamma" else {"x": x}
+    if rows:
+        head = [f"{', '.join(names)}, = {p}.T" for p, names in inputs.items()]
+        body += [f"r = _empty((len(x), {len(flat)}))", *(f"r[:, {k}] = {q}" for k, q in enumerate(flat))]
+        result = f"r.reshape((len(x),) + {shape})"
+    else:  # the spray takes sequences of floats, the others arrays
+        tolist = ".tolist()" * (kind != "spray")
+        head = [f"{', '.join(names)}, = {p}{tolist}" for p, names in inputs.items()]
+        result = (f"[{', '.join(flat)}]" if kind == "spray" else
+                  f"_array([{', '.join(flat)}]).reshape({shape})")
+    form = expr._define(kind, ", ".join(inputs), [*head, *body, f"return {result}"], env)
+    if kind == "spray" and not rows:
+        form.fragment = lambda x, v, q: ev.connection_fragment(x, [(v, v, q)])
+    return form
+
+
+def _sum(*products) -> str:
+    """Source of a sum of products, each a tuple of factors, subtracted where
+    the first is "-": literal 1.0 factors and products with a literal 0.0 are
+    left out; "0.0" where nothing is left, in parentheses where it is more
+    than one name."""
+    text = ""
+    for factors in products:
+        kept = [f for f in factors if f not in ("-", "1.0")]
+        if "0.0" not in kept:
+            text += f" {'-' if factors[0] == '-' else '+'} {' * '.join(kept) or '1.0'}"
+    text = (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0.0"
+    return f"({text})" if " " in text else text
+
+
 class MetricEvaluator:
     """Supplies g, its coordinate derivatives, and Christoffel symbols.
 
-    ``connection(x, v)`` is the matrix C = Gamma(v, .), C[i, k] = Gamma^i_jk v^j,
-    so C @ w = Gamma(v, w); every geodesic, frame and transport right-hand side
-    uses it. The defaults contract ``gamma``; an evaluator with a cheaper
-    closed form for C (as ``ConformalEvaluator``) overrides ``connection``
-    and ``connection_batch``. The default ``gamma`` inverts g from
-    ``first_order``, so an evaluator that supplies only ``stack`` is complete;
-    one with a cheaper Gamma (as ``ExpressionEvaluator``) overrides it.
+    The connection is one bilinear map, Gamma(v, w)^i = Gamma^i_jk v^j w^k:
+    ``spray(x, v)`` = Gamma(v, v), a list of n floats from sequences of floats;
+    ``connection(x, v)`` = C = Gamma(v, .), C[i, k] = Gamma^i_jk v^j, so C @ w
+    = Gamma(v, w); ``gamma(x)``[i, j, k] = Gamma^i_jk = Gamma(e_j, e_k). A
+    closed-form evaluator writes it once, as ``connection_fragment(x, terms,
+    rows)``: for the variable names x of a point and terms (v, w, q), with v
+    and w lists of names or the literals "0.0" and "1.0", the statements that
+    set the names q to Gamma(v, w) at x, on + - * / and calls of their globals
+    alone, and a dict of those globals (their array forms where ``rows``); a
+    term whose w is its v is the spray, as the float geodesic step has it.
+    Local names begin with a lower-case letter, globals with ``_``. The three
+    forms and their array forms ``_spray_rows``, ``_connection_rows`` and
+    ``_gamma_rows``, the same statements on (N,) columns, are emitted from it
+    on first use. Without a fragment, ``gamma`` inverts g from
+    ``first_order`` (an evaluator that supplies only ``stack`` is complete),
+    ``connection`` contracts it and ``spray`` applies ``connection`` to v.
+    ``ExpressionEvaluator``'s fragment writes the spray term alone, beside
+    its own ``gamma`` and ``connection``.
 
-    ``spray(x, v)`` is the geodesic spray Gamma(v, v) on sequences of Python
-    floats, returned as a list of n floats; the float geodesic integrators
-    step (x, v) with it alone. The default takes it from ``connection``; the
-    builtin evaluators and ``ExpressionEvaluator`` have float closed forms,
-    with no array in them, and each carries its source fragment as
-    ``spray.fragment(owner, x, v, q)``: owner is the evaluator the spray is
-    a method of (None for a plain function), x, v and q are lists of n
-    variable names, and it returns the statements that set the names q to
-    Gamma(v, v) at the point held in the names x and v, with the spray's
-    arithmetic and faults, and a dict of the globals they use. Their local
-    names begin with a lower-case letter and their globals with ``_``.
-    ``transport`` writes them into one float step per method, emitted on
-    first use; for a spray without a fragment, as a wrapper's that overrides
-    ``spray``, that step calls the spray once per stage instead.
+    ``transport`` writes ``spray.fragment(x, v, q)``, the statements that set
+    the names q to Gamma(v, v) at the point held in the names x and v, into
+    one float step per method; a spray without one, as a wrapper's that
+    overrides ``spray``, is called once per stage instead.
 
     ``jacobi_batch(X, V)``, where an evaluator has one, returns the closed-form
     Jacobi operator of the rays (X, V), as the constant-curvature models of
     ``ConformalEvaluator`` have it; ``tensor.jacobi_driving_batch`` uses it in
     place of the curvature kernel.
 
-    The batches ``metric_batch``, ``stack_batch``, ``gamma_batch`` and
-    ``connection_batch`` take an (N, n) array of points and return the
-    per-point values with a leading batch axis. The builtin evaluators
-    override them with closed forms on arrays. The defaults follow one rule,
-    ``_batch``: from ``BATCH_ROWS`` rows on they take an evaluator's array
-    form ``_metric_rows``, ``_stack_rows``, ``_gamma_rows`` or
-    ``_connection_rows`` (expression charts and surfaces of revolution have
-    them), whose rows equal the per-point values bitwise. Below it, without
-    an array form, or where a check of the array form fails at some row or a
-    value is not finite, they loop the per-point function, so a fault has
-    the loop's class and message, and a DomainFault or SingularMetric names
-    the failing row as its ``point``.
+    The batches ``metric_batch``, ``stack_batch``, ``gamma_batch``,
+    ``connection_batch`` and ``spray_batch`` take (N, n) arrays of points (and
+    vectors) and return the per-point values with a leading batch axis, by
+    one rule, ``_batch``: from ``BATCH_ROWS`` rows on they take the array form
+    ``_metric_rows``, ``_stack_rows``, ``_gamma_rows``, ``_connection_rows`` or
+    ``_spray_rows``, whose rows equal the per-point values bitwise. Below it,
+    without an array form, or where a check of the array form fails at some
+    row or a value is not finite, they loop the per-point function, so a
+    fault has the loop's class and message, and a DomainFault or
+    SingularMetric names the failing row as its ``point``.
     """
 
     dim: int
     jacobi_batch: Optional[Callable] = None
+    connection_fragment: Optional[Callable] = None
     # array forms X -> batch, or None where a check fails at some row
-    _metric_rows = _stack_rows = _gamma_rows = _connection_rows = None
+    _metric_rows = _stack_rows = None
 
     def stack(self, x: np.ndarray):
         """Return (g, dg, d2g); dg[k,i,j] = d_k g_ij, d2g[k,l,i,j] = d_k d_l g_ij."""
@@ -88,6 +153,7 @@ class MetricEvaluator:
         g, dg, _ = self.stack(x)
         return g, dg
 
+    @_emitted
     def gamma(self, x: np.ndarray) -> np.ndarray:
         """Levi-Civita Christoffel symbols Gamma[i,j,k] = Gamma^i_jk."""
         g, dg = self.first_order(x)
@@ -101,6 +167,7 @@ class MetricEvaluator:
         """Christoffel symbols at every row of X, shape (N, n, n, n)."""
         return _batch(self._gamma_rows, self.gamma, [(self.dim,) * 3], X)
 
+    @_emitted
     def connection(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """C = Gamma(v, .) at x, an (n, n) matrix with C @ w = Gamma(v, w)."""
         return v @ self.gamma(x)
@@ -109,10 +176,18 @@ class MetricEvaluator:
         """Gamma(V[b], .) at every row X[b], shape (N, n, n)."""
         return _batch(self._connection_rows, self.connection, [(self.dim,) * 2], X, V)
 
+    @_emitted
     def spray(self, x, v) -> list:
         """Gamma(v, v) at x, a list of n floats."""
         v = np.asarray(v, dtype=float)
         return (self.connection(np.asarray(x, dtype=float), v) @ v).tolist()
+
+    def spray_batch(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Gamma(V[b], V[b]) at every row X[b], shape (N, n)."""
+        return _batch(self._spray_rows, lambda x, v: self.spray(x.tolist(), v.tolist()),
+                      [(self.dim,)], X, V)
+
+    _gamma_rows, _connection_rows, _spray_rows = _emitted(), _emitted(), _emitted()
 
     def stack_batch(self, X: np.ndarray):
         """(g, dg, d2g) at every row of X."""
@@ -190,9 +265,11 @@ class ConformalEvaluator(MetricEvaluator):
     (Lee, Introduction to Riemannian Manifolds, 2018, ch. 3).
 
     Every closed form is a function of a: s = mu'/mu = -2 sign / a, mu' = s mu
-    and mu'' = 6 mu / a^2. Gamma(v, .) and the Jacobi operator are O(n^2)
-    (``connection`` and ``jacobi_batch``). c, sign and K are read-only, since
-    a chart's float step inlines them when it is emitted.
+    and mu'' = 6 mu / a^2. Gamma(v, w) is O(n), written once as
+    ``connection_fragment``, from which every form of the connection is
+    emitted, so Gamma(v, .) is O(n^2), and so is the Jacobi operator
+    (``jacobi_batch``). c, sign and K are read-only, since the emitted forms
+    and a chart's float step inline them.
     """
 
     def __init__(self, n: int, c: float, sign: float):
@@ -220,45 +297,31 @@ class ConformalEvaluator(MetricEvaluator):
         g, dg, d2g = self.stack_batch(np.asarray(x, dtype=float)[None])
         return g[0], dg[0], d2g[0]
 
-    # Gamma(v, .)^i_k = v^i d_k phi - d_i phi v^k + (d phi . v) delta_ik with
-    # phi = (1/2) log mu and d phi = s x: O(n^2), where contracting gamma is O(n^3)
-    def connection(self, x, v):
-        q = float(x.dot(x))  # at n <= 3, ndarray.dot costs about half of what @ does
-        dphi = self._profile(q)[2] * x
-        o = v[:, None] * dphi
-        return o - o.T + float(v.dot(dphi)) * self._eye
-
-    def connection_batch(self, X, V):
-        X = np.asarray(X, dtype=float)
-        return self._connection_batch(V, self._profile(_squares(X))[2][:, None] * X)
-
-    # Gamma(v, v) = 2 (d phi . v) v - |v|^2 d phi, in floats
-    def spray(self, x, v):
-        q = xv = vv = 0.0
-        for a, b in zip(x, v):
-            q += a * a
-            xv += a * b
-            vv += b * b
-        s = self._profile(q)[2]  # d phi = s x
-        xv *= 2.0 * s
-        vv *= s
-        return [xv * b - vv * a for a, b in zip(x, v)]
-
-    def _spray_fragment(self, x, v, q):
-        """``spray``'s statements on the names x and v, setting the names q."""
-        def dot(a, b):
+    def connection_fragment(self, x, terms, rows=False):
+        """Gamma(v, w) = (d phi . w) v - (v . w) d phi + (d phi . v) w with
+        phi = (1/2) log mu and d phi = s x: O(n) a term (see ``MetricEvaluator``),
+        and for w = v the spray 2 s (x . v) v - s |v|^2 x."""
+        def dot(a, b):  # the spray's sums, from 0.0
             return "0.0" + "".join(f" + {i} * {j}" for i, j in zip(a, b))
-        lines = [f"sq = {dot(x, x)}", f"xv = {dot(x, v)}", f"vv = {dot(v, v)}",
-                 f"s = {-2.0 * self._sign!r} / ({self._c!r} + {self._sign!r} * sq)",
-                 "xv *= 2.0 * s", "vv *= s",
-                 *(f"{qi} = xv * {b} - vv * {a}" for qi, a, b in zip(q, x, v))]
+        lines = [f"sq = {dot(x, x)}",
+                 f"s = {-2.0 * self._sign!r} / ({self._c!r} + {self._sign!r} * sq)"]
+        d = [f"d{i}" for i in range(len(x))]  # d phi, where a term is not the spray
+        if any(w is not v for v, w, _ in terms):
+            lines += [f"{di} = s * {a}" for di, a in zip(d, x)]
+        dv = {}  # the name of d phi . v for each v written so far
+        for t, (v, w, q) in enumerate(terms):
+            if w is v:
+                lines += [f"xv{t} = {dot(x, v)}", f"vv{t} = {dot(v, v)}",
+                          f"xv{t} *= 2.0 * s", f"vv{t} *= s",
+                          *(f"{qi} = xv{t} * {b} - vv{t} * {a}" for qi, a, b in zip(q, x, v))]
+                continue
+            if tuple(v) not in dv:
+                dv[tuple(v)] = f"dv{t}"
+                lines.append(f"dv{t} = {_sum(*zip(d, v))}")
+            lines.append(f"dw{t}, vw{t} = {_sum(*zip(d, w))}, {_sum(*zip(v, w))}")
+            lines += [f"{qi} = {_sum((f'dw{t}', b), ('-', di, f'vw{t}'), (dv[tuple(v)], c))}"
+                      for qi, di, b, c in zip(q, d, v, w)]
         return lines, {}
-
-    spray.fragment = _spray_fragment
-
-    def _connection_batch(self, V, dphi):
-        o = V[:, :, None] * dphi[:, None, :]
-        return o - o.swapaxes(1, 2) + (V[:, None, :] @ dphi[:, :, None]) * self._eye
 
     def jacobi_batch(self, X, V):
         """(C, B) for the rays (X[b], V[b]): C = Gamma(v, .), as from
@@ -269,14 +332,14 @@ class ConformalEvaluator(MetricEvaluator):
         """
         X = np.asarray(X, dtype=float)
         with np.errstate(all="ignore"):  # where a = 0 or x is not finite, mu fails the check
-            _, m, s = self._profile(_squares(X))
+            m = self._profile(_squares(X))[1]
         bad = ~(np.isfinite(m) & (m > 0.0))
         if bad.any():
             point = X[np.argmax(bad)]
             raise SingularMetric(f"metric not positive definite at {point}", point=point)
         v = V[:, :, None]
         B = (v.swapaxes(1, 2) @ v) * self._eye - v * v.swapaxes(1, 2)
-        return self._connection_batch(V, s[:, None] * X), (self.K * m * m)[:, None, None] * B
+        return self.connection_batch(X, V), (self.K * m * m)[:, None, None] * B
 
     def stack_batch(self, X):
         X = np.asarray(X, dtype=float)
@@ -294,11 +357,13 @@ class ExpressionEvaluator(MetricEvaluator):
 
     ``metric``, ``first_order`` and ``stack`` are straight-line functions
     compiled from the upper triangle of ``asts`` by ``expr.compile_tensor``,
-    and ``gamma`` and ``spray`` are two compiled by ``expr.compile_gamma``,
-    with no matrix inverse. Their array forms, compiled from the same
-    statements, serve ``metric_batch``, ``stack_batch`` and ``gamma_batch``
-    (see ``MetricEvaluator``); ``connection`` contracts ``gamma``, and the
-    array form of ``connection_batch`` contracts that of ``gamma``.
+    and ``gamma`` and the spray's fragment are compiled by
+    ``expr.compile_gamma``, with no matrix inverse. Their array forms,
+    compiled from the same statements, serve ``metric_batch``,
+    ``stack_batch`` and ``gamma_batch``; ``spray`` and ``_spray_rows`` are
+    emitted from the fragment, which writes the spray term alone (see
+    ``MetricEvaluator``). ``connection`` contracts ``gamma``, and the array
+    form of ``connection_batch`` contracts that of ``gamma``.
     """
 
     def __init__(self, asts, n: int):
@@ -307,7 +372,14 @@ class ExpressionEvaluator(MetricEvaluator):
         upper = [[asts[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         self.metric, self.first_order, self.stack = (
             expr.compile_tensor(upper, n, order) for order in range(3))
-        self.gamma, self.spray = expr.compile_gamma(upper, n)
+        self.gamma, self._spray_fragment = expr.compile_gamma(upper, n)
+
+    connection = MetricEvaluator.connection  # the default: a contraction of ``gamma``
+
+    def connection_fragment(self, x, terms, rows=False):
+        """The compiled spray's statements, for its one term (w is v)."""
+        (v, _, q), = terms
+        return self._spray_fragment(x, v, q, rows)
 
     def _metric_rows(self, X):
         return self.metric.batch(X)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr
 from .errors import (BadParam, BadProfile, BarrierNotTransversal, DomainExit, DomainFault)
-from .manifold import MetricChart, MetricEvaluator, _batch, _bisect, _read_definition
+from .manifold import MetricChart, MetricEvaluator, _batch, _bisect, _read_definition, _sum
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +190,11 @@ def reparametrize_arclength(profile: Profile, grid: int = 8193) -> Profile:
 class SurfRevEvaluator(MetricEvaluator):
     """ds^2 = du^2 + f(u)^2 dtheta^2 on the (u, theta) chart.
 
-    The array forms of the batches are closed forms in the arrays of f, f'
-    and f'' from the profile's ``array_form``, with the per-point arithmetic
-    (see ``MetricEvaluator``); a profile without one loops.
+    Gamma(v, w) = (-f f' v_1 w_1, (f'/f)(v_0 w_1 + v_1 w_0)) is written once,
+    as ``connection_fragment``, from which every form of the connection is
+    emitted (see ``MetricEvaluator``). The array forms call the profile's
+    ``array_form`` where the per-point ones call f, so their rows are the
+    per-point values bitwise; a profile without an array form loops.
     """
 
     def __init__(self, ffun: SmoothFunc):
@@ -214,64 +216,38 @@ class SurfRevEvaluator(MetricEvaluator):
         return g, dg, d2g
 
     def _stack_rows(self, X):
-        F = self.ffun.array_form(X[:, 0])
-        return None if F is None else self._stack_of(F, len(X))
-
-    def _gamma_rows(self, X):
-        F = self.ffun.array_form(X[:, 0])
-        if F is None:
-            return None
-        fv, f1, _ = F
-        G = np.zeros((len(X), 2, 2, 2))
-        G[:, 0, 1, 1] = -fv * f1
-        G[:, 1, 0, 1] = G[:, 1, 1, 0] = f1 / fv
-        return G
-
-    def _connection_rows(self, X, V):
-        # C[i, k] = V[0] Gamma^i_0k + V[1] Gamma^i_1k summed onto 0.0, the
-        # zero terms kept, as the per-point ``v @ gamma(x)`` sums them
-        G = self._gamma_rows(X)
-        if G is None:
-            return None
-        v0, v1 = V[:, 0, None, None], V[:, 1, None, None]
-        return 0.0 + v0 * G[:, :, 0] + v1 * G[:, :, 1]
+        return self._stack_of(self._profile_rows(X[:, 0]), len(X))
 
     def _metric_rows(self, X):
-        stack = self._stack_rows(X)
-        return None if stack is None else stack[0]
+        return self._stack_rows(X)[0]
 
     def stack(self, x):
         g, dg, d2g = self._stack_of(self.ffun(x[0]), 1)
         return g[0], dg[0], d2g[0]
 
-    def gamma(self, x):
-        fv, f1, _ = self._f(float(x[0]))
-        G = np.zeros((2, 2, 2))
-        G[0, 1, 1] = -fv * f1
-        try:
-            G[1, 0, 1] = G[1, 1, 0] = f1 / fv
-        except ZeroDivisionError:
-            raise _axis_fault(x) from None
-        return G
+    def connection_fragment(self, x, terms, rows=False):
+        """Gamma(v, w) for each term (see ``MetricEvaluator``) after one call of
+        f, and for w = v the spray (-f f' v_1^2, 2 (f'/f) v_0 v_1); where f = 0,
+        the axis fault at x."""
+        lines = [f"fv, f1, _ = _f({x[0]})", "try:"]
+        for v, w, q in terms:
+            if w is v:
+                lines += [f"    {q[0]} = -fv * f1 * {v[1]} * {v[1]}",
+                          f"    {q[1]} = 2.0 * (f1 / fv) * {v[0]} * {v[1]}"]
+            else:
+                vw = _sum((v[0], w[1]), (v[1], w[0]))
+                lines += [f"    {q[0]} = {_sum(('-fv', 'f1', v[1], w[1]))}",
+                          f"    {q[1]} = {_sum(('(f1 / fv)', vw))}"]
+        lines += ["except ZeroDivisionError:", f"    raise _axis_fault([{', '.join(x)}]) from None"]
+        return lines, {"_f": self._profile_rows if rows else self._f, "_axis_fault": _axis_fault}
 
-    def spray(self, x, v):
-        fv, f1, _ = self._f(x[0])  # x holds floats
-        vu, vt = v
-        try:
-            return [-fv * f1 * vt * vt, 2.0 * (f1 / fv) * vu * vt]
-        except ZeroDivisionError:
-            raise _axis_fault(x) from None
-
-    def _spray_fragment(self, x, v, q):
-        """``spray``'s statements on the names x and v, setting the names q."""
-        lines = [f"fv, f1, _ = _f({x[0]})", "try:",
-                 f"    {q[0]} = -fv * f1 * {v[1]} * {v[1]}",
-                 f"    {q[1]} = 2.0 * (f1 / fv) * {v[0]} * {v[1]}",
-                 "except ZeroDivisionError:",
-                 f"    raise _axis_fault([{', '.join(x)}]) from None"]
-        return lines, {"_f": self._f, "_axis_fault": _axis_fault}
-
-    spray.fragment = _spray_fragment
+    def _profile_rows(self, U):
+        """(f, f', f'') over the array U; ValueError, which sends a batch to
+        its loop, where the profile has no array form there."""
+        F = self.ffun.array_form(U)
+        if F is None:
+            raise ValueError("no array form of the profile")
+        return F
 
 
 def _axis_fault(x) -> DomainFault:

@@ -22,9 +22,13 @@ coframe, ``variation``'s Jacobi fields): C from one ``connection_batch`` at
 all stage points gives one transition matrix per step (``_transition``,
 the method's array step of Y' = A Y from I), chained by ``_advance``.
 
-RK4's array step also steps a batch of rays (``_step_rays``, the rows (x,
-v[, frame]) on one ``connection_batch`` per stage, for ``_exp_rays`` and
-``comparison``'s direction sweep) and ``reverse_develop``'s ``rk4_path``.
+RK4's array step also steps a batch of rays (``_step_rays``, for
+``_exp_rays`` and ``comparison``'s direction sweep) and ``reverse_develop``'s
+``rk4_path``.  A ray row (x, v[, frame]) takes one ``spray_batch`` per stage,
+whose rows run the float step's spray statements on columns, so that under
+RK4 each row is bitwise its own float loop, and one ``connection_batch``
+where it carries a frame.  A division by zero at a stage point outside the
+chart, in a float step or a ray step, is DomainExit there.
 """
 
 from __future__ import annotations
@@ -147,18 +151,29 @@ def _ray_slopes(C: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
 
 
 def _rays_rhs(chart: MetricChart) -> Callable:
-    """``_ray_slopes`` of the rays Y at t from one ``connection_batch``; a
-    DomainFault or SingularMetric there gets t as its ``t_exit``."""
-    n = chart.dim
-    connection_batch = chart.evaluator.connection_batch
+    """Y' = (v, -Gamma(v, v), -C E) of ray rows Y = (x, v, E) at t, E as in
+    ``_ray_slopes``: (x, v) by the spray, so each row steps as its float loop
+    does, and C from ``connection_batch`` where there are frame columns.  A
+    point fault gets t as its ``t_exit``; an arithmetic fault is DomainExit
+    there where a ray is outside the chart, as in the float loops."""
+    n, evaluator = chart.dim, chart.evaluator
 
     def rhs(t, Y):
+        (N, width), X, V = Y.shape, Y[:, :n], Y[:, n:2 * n]
         try:
-            C = connection_batch(Y[:, :n], Y[:, n:2 * n])
+            slopes = [V, -evaluator.spray_batch(X, V)]
+            if width > 2 * n:
+                E = Y[:, 2 * n:].reshape(N, n, width // n - 2)
+                slopes.append(-(evaluator.connection_batch(X, V) @ E).reshape(N, -1))
         except _POINT_FAULTS as exc:
             exc.t_exit = float(t)
             raise
-        return _ray_slopes(C, Y, n)
+        except ArithmeticError as exc:
+            outside = ~chart.inside(X)
+            if outside.any():
+                raise _domain_exit(float(t), X[np.argmax(outside)].copy(), exc)
+            raise
+        return np.hstack(slopes)
     return rhs
 
 
@@ -329,11 +344,11 @@ def _chart_step(chart: MetricChart, tableau: _Tableau):
 
 
 def _fragment(spray):
-    """The source fragment of a ``spray``: its own ``fragment``, given the
-    evaluator the spray is a method of, or else one call of the spray."""
+    """The source fragment of a ``spray``: its own ``fragment``, or else one
+    call of the spray."""
     fragment = getattr(spray, "fragment", None)
     if fragment is not None:
-        return functools.partial(fragment, getattr(spray, "__self__", None))
+        return fragment
 
     def call(x, v, q):
         return [f"{', '.join(q)}, = _spray([{', '.join(x)}], [{', '.join(v)}])"], {"_spray": spray}
@@ -399,8 +414,9 @@ def _adapted_frames(g: np.ndarray, B: np.ndarray, V: np.ndarray) -> np.ndarray:
 CHECK_EVERY = 64  # float steps between two domain checks of a geodesic
 TRANSITION_BLOCK = 512  # steps per batch of transition matrices; bounds the temporaries
 # what a spray can raise, also at the points past the chart's edge that the
-# float loops reach before their next domain check, and RKF45's step faults
-_STEP_FAULTS = (*_POINT_FAULTS, StepFault, ArithmeticError, ValueError)
+# float loops reach before their next domain check (DomainExit, where an
+# arithmetic fault is located there), and RKF45's step faults
+_STEP_FAULTS = (*_POINT_FAULTS, DomainExit, StepFault, ArithmeticError, ValueError)
 
 
 def _end_block(chart: MetricChart, ts, rows, lo: int, hi: int, fault):
@@ -422,16 +438,30 @@ def _end_block(chart: MetricChart, ts, rows, lo: int, hi: int, fault):
         raise DomainExit(f"left chart domain near t={ts[j]:.6g}", t_exit=float(ts[j]),
                          point=X[j - lo].copy(), trajectory=samples(j)) from None
     if fault is not None:
-        if isinstance(fault, _POINT_FAULTS):
+        if isinstance(fault, (*_POINT_FAULTS, DomainExit)):
             fault.trajectory = samples(hi)
         raise fault
 
 
-def _locate(fault, tableau: _Tableau, t, h, stages: list, n: int):
-    """Give the point fault of a ``tableau`` step from t by h the time and x of
-    its stage, the last of the flat (x, v) ``stages`` the step recorded."""
-    fault.t_exit = float(t + tableau.c[len(stages) // (2 * n) - 1] * h)
-    fault.point = np.array(stages[-2 * n:-n])
+def _domain_exit(t: float, x: np.ndarray, cause=None) -> DomainExit:
+    exit = DomainExit(f"left chart domain near t={t:.6g}", t_exit=t, point=x)
+    exit.__cause__ = cause
+    return exit
+
+
+def _locate(chart: MetricChart, fault, tableau: _Tableau, t, h, stages: list):
+    """The fault of a ``tableau`` step from t by h at its stage, the last of the
+    flat (x, v) ``stages`` the step recorded: a point fault gets the stage's t
+    and x, and an arithmetic fault at an x outside the chart (a division by a
+    factor of g that is 0 on its edge) is DomainExit there."""
+    n = chart.dim
+    if isinstance(fault, (*_POINT_FAULTS, ArithmeticError)):
+        t, x = float(t + tableau.c[len(stages) // (2 * n) - 1] * h), np.array(stages[-2 * n:-n])
+        if isinstance(fault, _POINT_FAULTS):
+            fault.t_exit, fault.point = t, x
+        elif not chart.contains(x):
+            fault = _domain_exit(t, x, cause=fault)
+    return fault
 
 
 def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
@@ -458,11 +488,8 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
             for i in range(start, min(start + CHECK_EVERY, m)):
                 x, v = step(x, v, hs[i], rows)
                 done = i + 1
-        except _POINT_FAULTS as exc:
-            _locate(exc, RK4, ts[done], hs[done], rows[8 * n * (done - start):], n)
-            fault = exc
         except _STEP_FAULTS as exc:
-            fault = exc
+            fault = _locate(chart, exc, RK4, ts[done], hs[done], rows[8 * n * (done - start):])
         S[start:done].reshape(-1)[:] = rows[:8 * n * (done - start)]
         S[done, 0] = x + v
         _end_block(chart, ts, lambda i, j: S[i:j, 0], start + 1, done + 1, fault)
@@ -485,9 +512,8 @@ def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
         stages.clear()
         try:
             x5, v5, err = step(y[0], y[1], h, stages, atol, rtol)
-        except _POINT_FAULTS as exc:
-            _locate(exc, FEHLBERG, t, h, stages, n)
-            raise
+        except (*_POINT_FAULTS, ArithmeticError) as exc:
+            raise _locate(chart, exc, FEHLBERG, t, h, stages)
         return (x5, v5), err
 
     ts, rows = [0.0], p.tolist() + v.tolist()  # the samples' times and rows, flat

@@ -32,7 +32,7 @@ from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _advance,
 def _driving(chart: MetricChart, Y: np.ndarray, cols: int):
     """M in the first cols frame columns of the rays Y, and Y' from the same Gamma(v, .)."""
     n = chart.dim
-    V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(len(Y), n, n)[:, :, :cols]
+    V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(len(Y), n, Y.shape[1] // n - 2)[:, :, :cols]
     C, M = jacobi_driving_batch(chart, Y[:, :n], V, E)
     return M, _ray_slopes(C, Y, n)
 
@@ -509,7 +509,7 @@ def first_variation(chart: MetricChart, rect: RectangleSpec,
     # analytic side
     X, W = base.points, base.velocities
     dv = np.gradient(W, ts, axis=0, edge_order=2)
-    accel = dv + (chart.evaluator.connection_batch(X, W) @ W[:, :, None])[:, :, 0]
+    accel = dv + chart.evaluator.spray_batch(X, W)
     g = chart.evaluator.metric_batch(X)
     integrand = np.einsum("bi,bij,bj->b", rect.V, g, accel)
     boundary_term = 2.0 * (float(rect.V[-1] @ g[-1] @ W[-1])

@@ -64,6 +64,7 @@ def test_batches_equal_the_per_point_functions_bitwise(name, size):
         assert _same(got, [s[k] for s in stacks])
     assert _same(ev.gamma_batch(X), [ev.gamma(x) for x in X])
     assert _same(ev.connection_batch(X, V), [ev.connection(x, v) for x, v in zip(X, V)])
+    assert _same(ev.spray_batch(X, V), [ev.spray(x.tolist(), v.tolist()) for x, v in zip(X, V)])
 
 
 @pytest.mark.parametrize("size", SIZES)

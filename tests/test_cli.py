@@ -292,6 +292,51 @@ def test_log_of_a_nearby_target(capsys):
     assert rep["residual"] <= 1e-10
 
 
+def test_a_geodesic_into_the_ball_boundary_is_a_located_domain_exit(capsys):
+    # a stage point rounds onto |x| = 1, where the conformal factor divides by 0
+    code, rep = run_json(capsys, "geodesic", "--builtin", "hyperbolic_ball", "--param", "n=2",
+                         "--point", "0.3,0.1", "--velocity", "3,1", "--tmax", "10",
+                         "--step", "0.1")
+    assert code == 1
+    err = rep["error"]
+    assert err["type"] == "DomainExit"
+    assert 0.0 < err["t_exit"] < 10.0
+    assert len(err["point"]) == 2 and math.hypot(*err["point"]) >= 1.0
+
+
+def test_exp_domain_exit_reports_where_it_stopped(capsys):
+    code, rep = run_json(capsys, "exp", "--builtin", "sphere_stereo", "--param", "n=2,R=1",
+                         "--point", "0,0", "--velocity", "0,3.2", "--step", "0.01")
+    assert code == 1
+    err = rep["error"]
+    assert err["type"] == "DomainExit"
+    assert 0.0 < err["t_exit"] <= 1.0
+    assert err["point"][0] == 0.0 and abs(err["point"][1]) >= 1e6
+
+
+def test_log_without_convergence_reports_its_best_value(capsys):
+    # S^2 from (0.3, 0.1) along (1, 0.4) at distance pi/2
+    from riemannkit import manifold, transport
+    chart = manifold.builtin("sphere_stereo", {"n": 2})
+    p, u = np.array([0.3, 0.1]), np.array([1.0, 0.4])
+    q = transport.exp_map(chart, p, 0.5 * math.pi * u / manifold.norm(chart, p, u))
+    code, rep = run_json(capsys, "log", "--builtin", "sphere_stereo", "--param", "n=2,R=1",
+                         "--point", "0.3,0.1", "--target", ",".join(map(repr, q.tolist())))
+    assert code == 1
+    err = rep["error"]
+    assert err["type"] == "NoConvergence"
+    assert err["best_residual"] > 1e-10
+    assert len(err["best_value"]) == 2 and all(math.isfinite(c) for c in err["best_value"])
+
+
+def test_non_finite_array_entries_stay_strict_json():
+    from riemannkit.cli import _jsonable
+    doc = _jsonable({"point": np.array([1.0, math.inf, -math.inf, math.nan]),
+                     "rows": np.array([[0.5], [math.nan]]), "count": np.arange(2)})
+    assert doc == {"point": [1.0, "inf", "-inf", "nan"], "rows": [[0.5], ["nan"]], "count": [0, 1]}
+    json.dumps(doc, allow_nan=False)
+
+
 def test_log_target_outside_the_chart_reported(capsys):
     code, rep = run_json(capsys, "log", "--builtin", "hyperbolic_ball", "--param", "n=2",
                          "--point", "0.3,0.1", "--target", "1.2,0")

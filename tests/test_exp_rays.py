@@ -8,6 +8,7 @@ from riemannkit import comparison, manifold, surfrev, tensor, transport
 from riemannkit.errors import DomainExit, DomainFault, SingularMetric
 from riemannkit.manifold import BATCH_ROWS
 from riemannkit.transport import OdeSettings
+from test_connection import EXPR3
 
 
 EXPR = {"dim": 2, "coords": ["x", "y"],
@@ -96,7 +97,8 @@ def test_exp_rays_match_single_geodesics_rkf45(name):
 
 
 def _flat_rays_rhs(chart, N):
-    """y' = (v, -Gamma(v, v)) of N rays on the flat state (x_1, v_1, x_2, ...)."""
+    """y' = (v, -Gamma(v, v)) of N rays on the flat state (x_1, v_1, x_2, ...),
+    from the spray batch."""
     n = chart.dim
 
     def rhs(t, y):
@@ -104,13 +106,13 @@ def _flat_rays_rhs(chart, N):
         X, W = Y[:, :n], Y[:, n:]
         out = np.empty((N, 2 * n))
         out[:, :n] = W
-        out[:, n:] = -(chart.evaluator.connection_batch(X, W) @ W[:, :, None])[:, :, 0]
+        out[:, n:] = -chart.evaluator.spray_batch(X, W)
         return out.ravel()
     return rhs
 
 
 @pytest.mark.parametrize("name", ["sphere2", "hyper3", "torus", "expr"])
-def test_exp_rays_rk4_is_the_flat_state_rk4_path(name):
+def test_exp_rays_rk4_is_the_flat_state_rk4_path_of_the_spray(name):
     chart = _charts()[name]
     P, V = _rays(chart, 6)
     settings = OdeSettings(step=1e-2)
@@ -153,6 +155,88 @@ def test_exp_map_is_the_end_of_the_unframed_geodesic(name, method):
     for p, v in zip(P, V):
         geo = transport.integrate_geodesic(chart, p, v, 1.0, settings=settings, with_frame=False)
         assert np.array_equal(transport.exp_map(chart, p, v, settings), geo.x[-1])
+
+
+# -- a batch is its rays ---------------------------------------------------------
+
+BATCH_CHARTS = {
+    "sphere2": lambda: manifold.builtin("sphere_stereo", {"n": 2}),
+    "sphere3": lambda: manifold.builtin("sphere_stereo", {"n": 3, "R": 1.5}),
+    "hyper3": lambda: manifold.builtin("hyperbolic_ball", {"n": 3}),
+    "torus": lambda: manifold.builtin("torus", {"R": 2.0, "r": 1.0}),
+    "expr3": lambda: manifold.chart_from_definition(EXPR3),
+}
+
+
+@pytest.mark.parametrize("count", [8, 64])  # below and above BATCH_ROWS
+@pytest.mark.parametrize("name", sorted(BATCH_CHARTS))
+def test_exp_rays_rk4_is_exp_map_per_row(name, count):
+    # the rows take the float spray's arithmetic, so each is its own ray bitwise
+    chart = BATCH_CHARTS[name]()
+    P = chart.sample_points(count, 21)
+    V = np.random.default_rng([count, 21]).uniform(-0.3, 0.3, P.shape)
+    settings = OdeSettings(step=0.02)
+    ends = transport._exp_rays(chart, P, V, settings)
+    for end, p, v in zip(ends, P, V):
+        assert end.tobytes() == transport.exp_map(chart, p, v, settings).tobytes()
+
+
+def _cone():
+    # f(u) = u meets its axis at u = 0, which the chart, with no domain, reaches
+    return manifold.MetricChart(dim=2, coords=["u", "theta"], label="cone",
+                                evaluator=surfrev.SurfRevEvaluator(surfrev.SmoothFunc("u")))
+
+
+# chart, step, the failing ray (p, v), the box of the other rays' points, and
+# the fault: f = 0 at the stage-1 point u = 0; sqrt(x) past x = 0 near t = 0.3;
+# a division by a = 1 - |x|^2 = 0 at a stage point that rounds onto the sphere
+FAILING_RAYS = {
+    "cone": (_cone, 1.0, ([0.5, 0.5], [-1.0, 2.0]), ([1.0, -1.0], [2.0, 1.0]), DomainFault),
+    "sqrt": (lambda: manifold.chart_from_definition(SQRT), 0.01, ([0.3, 0.0], [-1.0, 0.2]),
+             ([0.5, -1.0], [0.9, 1.0]), DomainFault),
+    "ball": (lambda: manifold.builtin("hyperbolic_ball", {"n": 3}), 0.02,
+             ([0.2, -0.19, 0.08], [3.3, 11.0, -15.7]), ([-0.3] * 3, [0.3] * 3), DomainExit),
+}
+
+
+@pytest.mark.parametrize("count", [8, 64])
+@pytest.mark.parametrize("case", sorted(FAILING_RAYS))
+def test_a_batch_with_one_failing_ray_raises_that_rays_fault(case, count):
+    make, step, (p, v), (low, high), fault = FAILING_RAYS[case]
+    chart = make()
+    settings = OdeSettings(step=step)
+    rng = np.random.default_rng([count, 4])
+    P = rng.uniform(low, high, (count, chart.dim))
+    V = rng.uniform(-0.05, 0.05, (count, chart.dim))
+    P[count // 2 + 1], V[count // 2 + 1] = p, v
+    with pytest.raises(fault) as single:
+        transport.exp_map(chart, p, v, settings)
+    with pytest.raises(fault) as batch:
+        transport._exp_rays(chart, P, V, settings)
+    got, want = batch.value, single.value
+    assert str(got) == str(want)
+    assert got.t_exit == want.t_exit
+    assert got.point.tobytes() == want.point.tobytes()
+
+
+@pytest.mark.parametrize("p, v, method, step, tmax", [
+    ([0.3, 0.1], [3.0, 1.0], "rk4_fixed", 0.1, 10.0),
+    ([0.3, 0.1, 0.2], [3.0, 1.0, 2.0], "rk4_fixed", 0.1, 10.0),
+    ([-0.16, -0.19, -0.23], [-0.6, -0.6, -1.9], "rkf45_adaptive", 0.5, 20.0),
+])
+def test_a_division_by_zero_past_the_ball_boundary_is_a_domain_exit(p, v, method, step, tmax):
+    # the geodesic nears the boundary until a stage point's |x|^2 rounds to 1,
+    # where a = 1 - |x|^2 = 0 divides: that stage is where the ray left
+    chart = manifold.builtin("hyperbolic_ball", {"n": len(p)})
+    with pytest.raises(DomainExit) as ei:
+        transport.integrate_geodesic(chart, p, v, tmax,
+                                     settings=OdeSettings(method=method, step=step))
+    exc = ei.value
+    assert isinstance(exc.__cause__, ZeroDivisionError)
+    assert not chart.contains(exc.point)
+    traj = exc.trajectory
+    assert traj.t[-1] < exc.t_exit <= tmax
+    assert chart.inside(traj.x).all()
 
 
 def test_exp_rays_domain_exit_names_the_ray():

@@ -41,3 +41,20 @@ def test_torus_portrait():
     assert report["torus"] == {"R": 2.0, "r": 1.0}
     assert len(report["geodesics"]) == 3
     assert all({"phi0", "c", "class"} <= set(g) for g in report["geodesics"])
+
+
+def test_parity_record_is_bitwise_itself_and_a_changed_bit_is_flagged(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _run("parity.py", "record", str(a), "--charts", "sphere2")
+    assert "0 over, 0 faults differ, 0 missing" in _run("parity.py", "compare", str(a), str(a))
+    doc = json.loads(a.read_text())
+    spray = doc["outputs"]["sphere2/spray"]["parts"][0]["hex"]
+    spray[0] = float.hex(float.fromhex(spray[0]) * (1.0 + 2.0 ** -52))  # one bit more
+    b.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "parity.py"), "compare",
+                           str(a), str(b)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "DIFFERS: sphere2/spray" in done.stdout
+    # within a tolerance above the change, it passes
+    assert "1 within 1e-15" in _run("parity.py", "compare", str(a), str(b), "--tol", "1e-15")
