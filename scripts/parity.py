@@ -2,7 +2,7 @@
 """Record the library's outputs on fixed inputs, or compare two records.
 
     python scripts/parity.py record OUT [--charts sphere2,torus]
-    python scripts/parity.py compare A B [--tol 1e-13] [--expect NAME ...]
+    python scripts/parity.py compare A B [--tol 1e-13]
 
 ``record`` runs every layer on the charts below (all of them by default)
 with fixed seeds and writes one JSON object of named outputs. A float is
@@ -13,9 +13,9 @@ PYTHONPATH, to see whether a change keeps its results.
 
 ``compare`` prints, for every output, whether the two records agree bitwise
 and otherwise its largest difference relative to the output's largest
-entry, then a summary. It exits 1 where an output is missing on one side,
-a fault differs or a difference exceeds ``--tol``, unless the output is
-named by ``--expect``.
+entry, then a summary and a DIFFERS line for each output that is missing
+on one side, whose fault differs or whose difference exceeds ``--tol``; it
+exits 1 where there is one.
 """
 
 import argparse
@@ -224,9 +224,9 @@ def _difference(a, b):
     return False, float(np.max(diff, initial=0.0)) / scale
 
 
-def compare(a, b, tol, expect):
+def compare(a, b, tol):
     bad, counts, worst = [], {"bitwise": 0, "within": 0, "over": 0, "fault": 0,
-                              "missing": 0, "expected": 0}, 0.0
+                              "missing": 0}, 0.0
     for name in sorted(set(a) | set(b)):
         x, y = a.get(name), b.get(name)
         if x is None or y is None:
@@ -244,14 +244,12 @@ def compare(a, b, tol, expect):
             if not bitwise:
                 worst = max(worst, rel)
                 print(f"{name}: largest relative difference {rel:.3g}")
-        if status in ("missing", "fault", "over") and name in expect:
-            status = "expected"
         counts[status] += 1
         if status in ("missing", "fault", "over"):
             bad.append(name)
     print(f"{len(set(a) | set(b))} outputs: {counts['bitwise']} bitwise, {counts['within']} "
           f"within {tol:g} (largest {worst:.3g}), {counts['over']} over, {counts['fault']} "
-          f"faults differ, {counts['missing']} missing, {counts['expected']} expected to differ")
+          f"faults differ, {counts['missing']} missing")
     for name in bad:
         print(f"DIFFERS: {name}")
     return 1 if bad else 0
@@ -269,8 +267,6 @@ def main(argv=None):
     cp.add_argument("b")
     cp.add_argument("--tol", type=float, default=0.0,
                     help="largest relative difference allowed (default bitwise)")
-    cp.add_argument("--expect", action="append", default=[],
-                    help="an output that is expected to differ (repeatable)")
     args = ap.parse_args(argv)
     if args.command == "record":
         names = args.charts.split(",")
@@ -287,7 +283,7 @@ def main(argv=None):
         if doc.get("schema") != SCHEMA:
             ap.error(f"{path} is not a {SCHEMA} record")
         docs.append(doc["outputs"])
-    return compare(*docs, args.tol, set(args.expect))
+    return compare(*docs, args.tol)
 
 
 if __name__ == "__main__":

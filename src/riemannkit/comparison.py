@@ -358,9 +358,8 @@ def _batched_sphere_sweep(chart: MetricChart, p, r: float, n_dirs: int,
 
     One row per ray holds x, v and the first n - 1 columns of its frame,
     adapted so that the ray is the left-out last column; the rows step
-    together by ``transport._step_rays``, whose k1 is the Y' from the
-    Gamma(v, .) of the last M. (F, F') advances by the RK4 transition of each
-    step, with M at both ends and at the Hermite midpoint of the step.
+    together by ``transport._step_rays``. (F, F') advances by the RK4
+    transition of each step, with M at both ends and at the Hermite midpoint.
     """
     radii = sorted(radii or [r])
     if not isinstance(n_dirs, numbers.Integral) or n_dirs < 1:
@@ -378,7 +377,7 @@ def _batched_sphere_sweep(chart: MetricChart, p, r: float, n_dirs: int,
 
     rhs = _rays_rhs(chart)
     Y = np.hstack([np.tile(p, (N, 1)), V0, E0[:, :, :d].reshape(N, -1)])
-    M, dY = _driving(chart, Y, d)
+    (_, M), dY = _driving(chart, Y, d), rhs(0.0, Y)
     FF = np.tile(np.vstack([np.zeros((d, d)), np.eye(d)]), (N, 1, 1))
     t = 0.0
     out = {}
@@ -388,8 +387,8 @@ def _batched_sphere_sweep(chart: MetricChart, p, r: float, n_dirs: int,
         for _ in range(n_steps):
             Y1 = _step_rays(chart, rhs, t, Y, h, t + h, dY)
             t += h
-            M1, dY1 = _driving(chart, Y1, d)
-            Mh, _ = _driving(chart, _hermite(0.0, h, Y, Y1, dY, dY1, 0.5 * h), d)
+            (_, M1), dY1 = _driving(chart, Y1, d), rhs(t, Y1)
+            _, Mh = _driving(chart, _hermite(0.0, h, Y, Y1, dY, dY1, 0.5 * h), d)
             FF = _jacobi_transition(M, Mh, M1, h) @ FF
             Y, M, dY = Y1, M1, dY1
         out[target] = np.linalg.det(FF[:, :d])

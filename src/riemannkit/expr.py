@@ -673,23 +673,22 @@ def _compile_profile(node):
 
 def compile_gamma(rows, n: int):
     """Compile the Christoffel symbols and the geodesic spray of an expression
-    metric: a function and a source fragment.
+    metric to two functions.
 
     ``rows`` is the n x n nested list of coefficient ASTs, with rows[i][j] and
-    rows[j][i] equal.  The function maps a float array x of length n to
+    rows[j][i] equal.  The first function maps a float array x of length n to
     the array Gamma[i, j, k] = Gamma^i_jk = (1/2) g^im K_mjk, with
     K_mjk = d_j g_mk - d_m g_jk + d_k g_mj, by an unrolled LDL^T solve of
     g Gamma = K / 2 on the graph of the partials, so that literal zeros of g
-    fold away; its ``batch`` is its array form, as ``compile_tensor``'s is.
-    LDL^T takes no square root, so an indefinite g is solved as by an
-    inverse.  The fragment ``(x, v, q, rows)`` gives the statements that set
-    the names q to Gamma(v, v) at the point held in the names x and v, from
-    one solve of g z = (1/2) K_m(v, v), for ``manifold`` to emit the spray
-    and its array form from, and ``transport`` its float steps.  Both share
-    one graph and one emitted preamble: every check of
+    fold away.  LDL^T takes no square root, so an indefinite g is solved as
+    by an inverse.  The second maps sequences x and v of n Python floats to
+    the list Gamma(v, v), from one solve of g z = (1/2) K_m(v, v).  Both
+    share one graph and one emitted preamble: every check of
     ``compile_tensor(rows, n, 1)`` runs first and in its order, so they raise
     DomainFault and OverflowError where that one does; after them a zero
-    pivot of g raises SingularMetric.
+    pivot of g raises SingularMetric.  Each has a ``batch`` array form, the
+    spray's on the (N, 2n) rows (x, v), and the spray its statements as its
+    ``fragment`` (see ``manifold.MetricEvaluator``).
     """
     graph = _Graph()
     blocks = _derivative_blocks(graph, rows, n, 1)
@@ -766,25 +765,19 @@ def compile_gamma(rows, n: int):
     emit = preamble(_Emitter(1))
     spray = emit.fork()
     refs = [spray.ref(node) for node in z]
+    body = [f"{_unpack(range(n))}= x", f"{_unpack(range(n, 2 * n))}= v",
+            *spray.lines, f"return [{', '.join(refs)}]"]
+    gamma, sprays = [((n, n, n), flat)], [((n,), z)]
+    spray_fn = _with_batch(_define("spray", "x, v", body), lambda: _compile(
+        "spray", 2 * n, preamble(_Emitter(1, batch=True)), sprays))
 
-    def spray_fragment(x, v, q, rows=False):
-        """The point held in the names x and v bound to the spray's inputs
-        x0..x{2n-1}, and on floats to the list x that its fault messages
-        quote, then its statements (on columns where ``rows``, a failing
-        check returning None), then the names q set to its results."""
-        lines, outs = spray.lines, refs
-        if rows:
-            batch = preamble(_Emitter(1, batch=True))
-            outs = [batch.ref(node) for node in z]
-            lines = batch.lines
-        head = [f"x{i} = {name}" for i, name in enumerate(x + v)]
-        head += [f"x = [{', '.join(x)}]"] * (not rows)
-        return [*head, *lines, *(f"{name} = {ref}" for name, ref in zip(q, outs))], {}
-
-    gamma = [((n, n, n), flat)]
+    def fragment(x, v, q):  # x and v bound to the inputs, and x to the list faults quote
+        head = [f"x{i} = {name}" for i, name in enumerate(x + v)] + [f"x = [{', '.join(x)}]"]
+        return head + spray.lines + [f"{name} = {ref}" for name, ref in zip(q, refs)], {}
+    spray_fn.fragment = fragment
     return (_with_batch(_compile("gamma", n, emit, gamma),
                         lambda: _compile("gamma", n, preamble(_Emitter(1, batch=True)), gamma)),
-            spray_fragment)
+            spray_fn)
 
 
 def _derivative_blocks(graph, nodes, n: int, order: int):
@@ -850,9 +843,9 @@ def _gather(emit: _Emitter, out: str, shape, flat, refs) -> str:
 def _with_batch(fn, compile_batch):
     """fn, whose ``batch`` attribute calls ``compile_batch()`` on its first
     call and is then the function that returned."""
-    def first(*args):
+    def first(x):
         fn.batch = compile_batch()
-        return fn.batch(*args)
+        return fn.batch(x)
     fn.batch = first
     return fn
 

@@ -6,6 +6,7 @@ constant-curvature model spaces and the torus used for validation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,62 +23,37 @@ from .errors import (_POINT_FAULTS, BadDimension, BadParam, DomainExit,
 # Metric evaluators
 # ---------------------------------------------------------------------------
 
-class _emitted:
-    """An evaluator's form of Gamma(v, w) (see ``MetricEvaluator``): emitted from
-    its ``connection_fragment`` on first use and kept in its ``__dict__``, or,
-    without a fragment, the ``default`` method (or None)."""
-
-    def __init__(self, default=None):
-        self.default = default
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, ev, owner=None):
-        if ev is None:  # on the class, the default function
-            return self.default
-        if ev.connection_fragment is None:
-            return self.default and self.default.__get__(ev)
-        form = vars(ev)[self.name] = _emit(ev, self.name)
+def _emitted(kind: str, rows: bool = False):
+    """An evaluator's ``kind`` of connection, emitted from the terms (v, v),
+    (v, e_k) or (e_j, e_k) of its ``connection_fragment`` on first use and
+    then kept on it; where ``rows``, on the columns of (N, n) arrays."""
+    def emit(ev):
+        n = ev.dim
+        x, v = ([f"{c}{i}" for i in range(n)] for c in "xv")
+        unit = [[repr(float(i == k)) for i in range(n)] for k in range(n)]
+        pairs = {"spray": [(v, v)], "connection": [(v, e) for e in unit],  # only the spray's w is its v
+                 "gamma": [(e, list(f)) for e in unit for f in unit]}[kind]
+        terms = [(a, b, [f"q{t}_{i}" for i in range(n)]) for t, (a, b) in enumerate(pairs)]
+        body, env = ev.connection_fragment(x, terms, rows)
+        flat = [q[i] for i in range(n) for *_, q in terms]
+        shape = (n,) * {"spray": 1, "connection": 2, "gamma": 3}[kind]
+        inputs = {"x": x, "v": v} if kind != "gamma" else {"x": x}  # the spray's are sequences
+        head = [f"{', '.join(names)}, = {p}{'.T' if rows else '.tolist()' * (kind != 'spray')}"
+                for p, names in inputs.items()]
+        if rows:
+            body += [f"r = _empty((len(x), {len(flat)}))", *(f"r[:, {k}] = {q}" for k, q in enumerate(flat))]
+        result = (f"r.reshape((len(x),) + {shape})" if rows else f"[{', '.join(flat)}]" if kind == "spray"
+                  else f"_array([{', '.join(flat)}]).reshape({shape})")
+        form = expr._define(kind, ", ".join(inputs), [*head, *body, f"return {result}"], env)
+        if kind == "spray" and not rows:
+            form.fragment = lambda x, v, q: ev.connection_fragment(x, [(v, v, q)])
         return form
-
-
-def _emit(ev, name: str):
-    """The form ``name`` from ev's ``connection_fragment``: ``spray`` is the term
-    (v, v), ``connection`` the terms (v, e_k) and ``gamma`` the terms (e_j, e_k),
-    whose Gamma^i fill the output in C order over (i, term). ``_spray_rows``,
-    ``_connection_rows`` and ``_gamma_rows`` run the same statements on the
-    columns of their (N, n) arrays and gather one (N,) + shape array."""
-    n, rows, kind = ev.dim, name.startswith("_"), name.strip("_").removesuffix("_rows")
-    x, v = ([f"{c}{i}" for i in range(n)] for c in "xv")
-    unit = [[repr(float(i == k)) for i in range(n)] for k in range(n)]
-    pairs = {"spray": [(v, v)], "connection": [(v, e) for e in unit],  # only the spray's w is its v
-             "gamma": [(e, list(f)) for e in unit for f in unit]}[kind]
-    terms = [(a, b, [f"q{t}_{i}" for i in range(n)]) for t, (a, b) in enumerate(pairs)]
-    body, env = ev.connection_fragment(x, terms, rows)
-    flat = [q[i] for i in range(n) for _, _, q in terms]
-    shape = (n,) * {"spray": 1, "connection": 2, "gamma": 3}[kind]
-    inputs = {"x": x, "v": v} if kind != "gamma" else {"x": x}
-    if rows:
-        head = [f"{', '.join(names)}, = {p}.T" for p, names in inputs.items()]
-        body += [f"r = _empty((len(x), {len(flat)}))", *(f"r[:, {k}] = {q}" for k, q in enumerate(flat))]
-        result = f"r.reshape((len(x),) + {shape})"
-    else:  # the spray takes sequences of floats, the others arrays
-        tolist = ".tolist()" * (kind != "spray")
-        head = [f"{', '.join(names)}, = {p}{tolist}" for p, names in inputs.items()]
-        result = (f"[{', '.join(flat)}]" if kind == "spray" else
-                  f"_array([{', '.join(flat)}]).reshape({shape})")
-    form = expr._define(kind, ", ".join(inputs), [*head, *body, f"return {result}"], env)
-    if kind == "spray" and not rows:
-        form.fragment = lambda x, v, q: ev.connection_fragment(x, [(v, v, q)])
-    return form
+    return functools.cached_property(emit)
 
 
 def _sum(*products) -> str:
-    """Source of a sum of products, each a tuple of factors, subtracted where
-    the first is "-": literal 1.0 factors and products with a literal 0.0 are
-    left out; "0.0" where nothing is left, in parentheses where it is more
-    than one name."""
+    """Source of a sum of products of factors, less where the first is "-",
+    without 1.0 factors and 0.0 products; "0.0" if empty, "(...)" if a sum."""
     text = ""
     for factors in products:
         kept = [f for f in factors if f not in ("-", "1.0")]
@@ -90,52 +66,40 @@ def _sum(*products) -> str:
 class MetricEvaluator:
     """Supplies g, its coordinate derivatives, and Christoffel symbols.
 
-    The connection is one bilinear map, Gamma(v, w)^i = Gamma^i_jk v^j w^k:
-    ``spray(x, v)`` = Gamma(v, v), a list of n floats from sequences of floats;
-    ``connection(x, v)`` = C = Gamma(v, .), C[i, k] = Gamma^i_jk v^j, so C @ w
-    = Gamma(v, w); ``gamma(x)``[i, j, k] = Gamma^i_jk = Gamma(e_j, e_k). A
-    closed-form evaluator writes it once, as ``connection_fragment(x, terms,
-    rows)``: for the variable names x of a point and terms (v, w, q), with v
-    and w lists of names or the literals "0.0" and "1.0", the statements that
-    set the names q to Gamma(v, w) at x, on + - * / and calls of their globals
-    alone, and a dict of those globals (their array forms where ``rows``); a
-    term whose w is its v is the spray, as the float geodesic step has it.
-    Local names begin with a lower-case letter, globals with ``_``. The three
-    forms and their array forms ``_spray_rows``, ``_connection_rows`` and
-    ``_gamma_rows``, the same statements on (N,) columns, are emitted from it
-    on first use. Without a fragment, ``gamma`` inverts g from
-    ``first_order`` (an evaluator that supplies only ``stack`` is complete),
-    ``connection`` contracts it and ``spray`` applies ``connection`` to v.
-    ``ExpressionEvaluator``'s fragment writes the spray term alone, beside
-    its own ``gamma`` and ``connection``.
+    The connection Gamma(v, w)^i = Gamma^i_jk v^j w^k has three forms:
+    ``spray(x, v)`` = Gamma(v, v), a list of n floats from sequences of
+    floats; ``connection(x, v)`` = C = Gamma(v, .), with C @ w = Gamma(v, w);
+    and ``gamma(x)``[i, j, k] = Gamma^i_jk. The defaults invert g from
+    ``first_order``, so an evaluator that supplies only ``stack`` is complete.
+    A closed-form evaluator writes Gamma once instead, as
+    ``connection_fragment(x, terms, rows)``: for the names x of a point and
+    terms (v, w, q), v and w lists of names or of the literals "0.0" and
+    "1.0", the statements that set the names q to Gamma(v, w), on + - * /
+    and calls of their globals alone (array forms where ``rows``), and a
+    dict of those globals; local names begin with a lower-case letter,
+    globals with ``_``. A term whose w is its v is the spray, written as the
+    float step has it. Every form and array form is ``_emitted`` from it.
+    ``transport`` inlines ``spray.fragment(x, v, q)`` into its float steps,
+    and calls a spray without one once per stage.
 
-    ``transport`` writes ``spray.fragment(x, v, q)``, the statements that set
-    the names q to Gamma(v, v) at the point held in the names x and v, into
-    one float step per method; a spray without one, as a wrapper's that
-    overrides ``spray``, is called once per stage instead.
-
-    ``jacobi_batch(X, V)``, where an evaluator has one, returns the closed-form
-    Jacobi operator of the rays (X, V), as the constant-curvature models of
-    ``ConformalEvaluator`` have it; ``tensor.jacobi_driving_batch`` uses it in
-    place of the curvature kernel.
+    ``jacobi_batch(X, V)``, where an evaluator has one (the constant-curvature
+    models), returns the closed-form Jacobi operator of the rays (X, V), which
+    ``tensor.jacobi_driving_batch`` uses in place of the curvature kernel.
 
     The batches ``metric_batch``, ``stack_batch``, ``gamma_batch``,
     ``connection_batch`` and ``spray_batch`` take (N, n) arrays of points (and
-    vectors) and return the per-point values with a leading batch axis, by
-    one rule, ``_batch``: from ``BATCH_ROWS`` rows on they take the array form
-    ``_metric_rows``, ``_stack_rows``, ``_gamma_rows``, ``_connection_rows`` or
-    ``_spray_rows``, whose rows equal the per-point values bitwise. Below it,
-    without an array form, or where a check of the array form fails at some
-    row or a value is not finite, they loop the per-point function, so a
-    fault has the loop's class and message, and a DomainFault or
-    SingularMetric names the failing row as its ``point``.
+    vectors) by one rule, ``_batch``: from ``BATCH_ROWS`` rows on they take the
+    array form (``_metric_rows``, ``_stack_rows`` and so on), whose rows equal
+    the per-point values bitwise. Below it, without an array form, or where a
+    check of the array form fails at some row or a value is not finite, they
+    loop the per-point function, so a fault has the loop's class and message,
+    and a DomainFault or SingularMetric names the failing row as its ``point``.
     """
 
     dim: int
     jacobi_batch: Optional[Callable] = None
-    connection_fragment: Optional[Callable] = None
     # array forms X -> batch, or None where a check fails at some row
-    _metric_rows = _stack_rows = None
+    _metric_rows = _stack_rows = _gamma_rows = _connection_rows = _spray_rows = None
 
     def stack(self, x: np.ndarray):
         """Return (g, dg, d2g); dg[k,i,j] = d_k g_ij, d2g[k,l,i,j] = d_k d_l g_ij."""
@@ -153,7 +117,6 @@ class MetricEvaluator:
         g, dg, _ = self.stack(x)
         return g, dg
 
-    @_emitted
     def gamma(self, x: np.ndarray) -> np.ndarray:
         """Levi-Civita Christoffel symbols Gamma[i,j,k] = Gamma^i_jk."""
         g, dg = self.first_order(x)
@@ -167,7 +130,6 @@ class MetricEvaluator:
         """Christoffel symbols at every row of X, shape (N, n, n, n)."""
         return _batch(self._gamma_rows, self.gamma, [(self.dim,) * 3], X)
 
-    @_emitted
     def connection(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """C = Gamma(v, .) at x, an (n, n) matrix with C @ w = Gamma(v, w)."""
         return v @ self.gamma(x)
@@ -176,7 +138,6 @@ class MetricEvaluator:
         """Gamma(V[b], .) at every row X[b], shape (N, n, n)."""
         return _batch(self._connection_rows, self.connection, [(self.dim,) * 2], X, V)
 
-    @_emitted
     def spray(self, x, v) -> list:
         """Gamma(v, v) at x, a list of n floats."""
         v = np.asarray(v, dtype=float)
@@ -184,10 +145,7 @@ class MetricEvaluator:
 
     def spray_batch(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Gamma(V[b], V[b]) at every row X[b], shape (N, n)."""
-        return _batch(self._spray_rows, lambda x, v: self.spray(x.tolist(), v.tolist()),
-                      [(self.dim,)], X, V)
-
-    _gamma_rows, _connection_rows, _spray_rows = _emitted(), _emitted(), _emitted()
+        return _batch(self._spray_rows, lambda x, v: self.spray(x.tolist(), v.tolist()), [(self.dim,)], X, V)
 
     def stack_batch(self, X: np.ndarray):
         """(g, dg, d2g) at every row of X."""
@@ -265,12 +223,14 @@ class ConformalEvaluator(MetricEvaluator):
     (Lee, Introduction to Riemannian Manifolds, 2018, ch. 3).
 
     Every closed form is a function of a: s = mu'/mu = -2 sign / a, mu' = s mu
-    and mu'' = 6 mu / a^2. Gamma(v, w) is O(n), written once as
-    ``connection_fragment``, from which every form of the connection is
-    emitted, so Gamma(v, .) is O(n^2), and so is the Jacobi operator
-    (``jacobi_batch``). c, sign and K are read-only, since the emitted forms
-    and a chart's float step inline them.
+    and mu'' = 6 mu / a^2. Gamma(v, .) is O(n^2), and so is the Jacobi
+    operator (``jacobi_batch``). c, sign and K are read-only, since the forms
+    emitted from ``connection_fragment`` inline them.
     """
+
+    spray, _spray_rows = _emitted("spray"), _emitted("spray", rows=True)
+    connection, _connection_rows = _emitted("connection"), _emitted("connection", rows=True)
+    gamma, _gamma_rows = _emitted("gamma"), _emitted("gamma", rows=True)
 
     def __init__(self, n: int, c: float, sign: float):
         self.dim = n
@@ -298,38 +258,35 @@ class ConformalEvaluator(MetricEvaluator):
         return g[0], dg[0], d2g[0]
 
     def connection_fragment(self, x, terms, rows=False):
-        """Gamma(v, w) = (d phi . w) v - (v . w) d phi + (d phi . v) w with
-        phi = (1/2) log mu and d phi = s x: O(n) a term (see ``MetricEvaluator``),
-        and for w = v the spray 2 s (x . v) v - s |v|^2 x."""
+        """Gamma(v, w) = A w + (d phi . v) w, A = v d phi^T - d phi v^T written once
+        per v, phi = (1/2) log mu, d phi = s x; for w = v, 2 s (x . v) v - s |v|^2 x."""
         def dot(a, b):  # the spray's sums, from 0.0
             return "0.0" + "".join(f" + {i} * {j}" for i, j in zip(a, b))
+        n, d = len(x), [f"d{i}" for i in range(len(x))]  # d phi, where a term is not the spray
         lines = [f"sq = {dot(x, x)}",
-                 f"s = {-2.0 * self._sign!r} / ({self._c!r} + {self._sign!r} * sq)"]
-        d = [f"d{i}" for i in range(len(x))]  # d phi, where a term is not the spray
-        if any(w is not v for v, w, _ in terms):
-            lines += [f"{di} = s * {a}" for di, a in zip(d, x)]
-        dv = {}  # the name of d phi . v for each v written so far
+                 f"s = {-2.0 * self._sign!r} / ({self._c!r} + {self._sign!r} * sq)",
+                 *[f"{di} = s * {a}" for di, a in zip(d, x)] * any(w is not v for v, w, _ in terms)]
+        written = {}  # the prefix of the names of A and d phi . v, for each v
         for t, (v, w, q) in enumerate(terms):
             if w is v:
                 lines += [f"xv{t} = {dot(x, v)}", f"vv{t} = {dot(v, v)}",
                           f"xv{t} *= 2.0 * s", f"vv{t} *= s",
                           *(f"{qi} = xv{t} * {b} - vv{t} * {a}" for qi, a, b in zip(q, x, v))]
                 continue
-            if tuple(v) not in dv:
-                dv[tuple(v)] = f"dv{t}"
-                lines.append(f"dv{t} = {_sum(*zip(d, v))}")
-            lines.append(f"dw{t}, vw{t} = {_sum(*zip(d, w))}, {_sum(*zip(v, w))}")
-            lines += [f"{qi} = {_sum((f'dw{t}', b), ('-', di, f'vw{t}'), (dv[tuple(v)], c))}"
-                      for qi, di, b, c in zip(q, d, v, w)]
+            a = written.setdefault(tuple(v), f"a{t}_")
+            if a == f"a{t}_":
+                lines += [f"{a}dv = {_sum(*zip(d, v))}",
+                          *(f"{a}{i}_{j} = {_sum((v[i], d[j]), ('-', v[j], d[i]))}"
+                            for i in range(n) for j in range(i + 1, n))]
+            lines += [f"{qi} = " + _sum(*[(f"{a}{i}_{j}", w[j]) if i < j else ("-", f"{a}{j}_{i}", w[j])
+                                          for j in range(n) if j != i], (f"{a}dv", w[i]))
+                      for i, qi in enumerate(q)]
         return lines, {}
 
     def jacobi_batch(self, X, V):
-        """(C, B) for the rays (X[b], V[b]): C = Gamma(v, .), as from
-        ``connection_batch``, and the symmetric (N, n, n) B with
-        B(w, u) = low(v, w, v, u) = K (g(v, v) g(w, u) - g(v, w) g(v, u)),
-        so B = K mu^2 (|v|^2 I - v v^T) in Euclidean dot products.
-        SingularMetric names the first point where mu is not positive and finite.
-        """
+        """(C, B) for the rays (X[b], V[b]): C from ``connection_batch``, B(w, u) =
+        low(v, w, v, u) = K mu^2 (|v|^2 w.u - (v.w)(v.u)); SingularMetric names
+        the first point where mu is not positive and finite."""
         X = np.asarray(X, dtype=float)
         with np.errstate(all="ignore"):  # where a = 0 or x is not finite, mu fails the check
             m = self._profile(_squares(X))[1]
@@ -357,13 +314,9 @@ class ExpressionEvaluator(MetricEvaluator):
 
     ``metric``, ``first_order`` and ``stack`` are straight-line functions
     compiled from the upper triangle of ``asts`` by ``expr.compile_tensor``,
-    and ``gamma`` and the spray's fragment are compiled by
-    ``expr.compile_gamma``, with no matrix inverse. Their array forms,
-    compiled from the same statements, serve ``metric_batch``,
-    ``stack_batch`` and ``gamma_batch``; ``spray`` and ``_spray_rows`` are
-    emitted from the fragment, which writes the spray term alone (see
-    ``MetricEvaluator``). ``connection`` contracts ``gamma``, and the array
-    form of ``connection_batch`` contracts that of ``gamma``.
+    and ``gamma`` and ``spray`` are two compiled by ``expr.compile_gamma``,
+    with no matrix inverse; ``connection`` contracts ``gamma``. Their array
+    forms, compiled from the same statements, serve the batches.
     """
 
     def __init__(self, asts, n: int):
@@ -372,14 +325,10 @@ class ExpressionEvaluator(MetricEvaluator):
         upper = [[asts[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         self.metric, self.first_order, self.stack = (
             expr.compile_tensor(upper, n, order) for order in range(3))
-        self.gamma, self._spray_fragment = expr.compile_gamma(upper, n)
+        self.gamma, self.spray = expr.compile_gamma(upper, n)
 
-    connection = MetricEvaluator.connection  # the default: a contraction of ``gamma``
-
-    def connection_fragment(self, x, terms, rows=False):
-        """The compiled spray's statements, for its one term (w is v)."""
-        (v, _, q), = terms
-        return self._spray_fragment(x, v, q, rows)
+    def _spray_rows(self, X, V):
+        return self.spray.batch(np.hstack([X, V]))
 
     def _metric_rows(self, X):
         return self.metric.batch(X)

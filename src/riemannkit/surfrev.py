@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr
 from .errors import (BadParam, BadProfile, BarrierNotTransversal, DomainExit, DomainFault)
-from .manifold import MetricChart, MetricEvaluator, _batch, _bisect, _read_definition, _sum
+from .manifold import MetricChart, MetricEvaluator, _batch, _bisect, _emitted, _read_definition, _sum
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +190,14 @@ def reparametrize_arclength(profile: Profile, grid: int = 8193) -> Profile:
 class SurfRevEvaluator(MetricEvaluator):
     """ds^2 = du^2 + f(u)^2 dtheta^2 on the (u, theta) chart.
 
-    Gamma(v, w) = (-f f' v_1 w_1, (f'/f)(v_0 w_1 + v_1 w_0)) is written once,
-    as ``connection_fragment``, from which every form of the connection is
-    emitted (see ``MetricEvaluator``). The array forms call the profile's
-    ``array_form`` where the per-point ones call f, so their rows are the
-    per-point values bitwise; a profile without an array form loops.
+    Every form of the connection is emitted from ``connection_fragment``; the
+    array forms call the profile's ``array_form`` where the per-point ones
+    call f, and a profile without one loops (see ``MetricEvaluator``).
     """
+
+    spray, _spray_rows = _emitted("spray"), _emitted("spray", rows=True)
+    connection, _connection_rows = _emitted("connection"), _emitted("connection", rows=True)
+    gamma, _gamma_rows = _emitted("gamma"), _emitted("gamma", rows=True)
 
     def __init__(self, ffun: SmoothFunc):
         self.dim = 2
@@ -216,20 +218,23 @@ class SurfRevEvaluator(MetricEvaluator):
         return g, dg, d2g
 
     def _stack_rows(self, X):
-        return self._stack_of(self._profile_rows(X[:, 0]), len(X))
+        F = self.ffun.array_form(X[:, 0])
+        return None if F is None else self._stack_of(F, len(X))
 
     def _metric_rows(self, X):
-        return self._stack_rows(X)[0]
+        stack = self._stack_rows(X)
+        return None if stack is None else stack[0]
 
     def stack(self, x):
         g, dg, d2g = self._stack_of(self.ffun(x[0]), 1)
         return g[0], dg[0], d2g[0]
 
     def connection_fragment(self, x, terms, rows=False):
-        """Gamma(v, w) for each term (see ``MetricEvaluator``) after one call of
-        f, and for w = v the spray (-f f' v_1^2, 2 (f'/f) v_0 v_1); where f = 0,
+        """Gamma(v, w) = (-f f' v_1 w_1, (f'/f)(v_0 w_1 + v_1 w_0)) after one
+        call of f (None where ``rows`` and it has no array form); where f = 0,
         the axis fault at x."""
-        lines = [f"fv, f1, _ = _f({x[0]})", "try:"]
+        lines = ([f"f = _f({x[0]})", "if f is None: return None", "fv, f1, _ = f"] if rows
+                 else [f"fv, f1, _ = _f({x[0]})"]) + ["try:"]
         for v, w, q in terms:
             if w is v:
                 lines += [f"    {q[0]} = -fv * f1 * {v[1]} * {v[1]}",
@@ -239,15 +244,7 @@ class SurfRevEvaluator(MetricEvaluator):
                 lines += [f"    {q[0]} = {_sum(('-fv', 'f1', v[1], w[1]))}",
                           f"    {q[1]} = {_sum(('(f1 / fv)', vw))}"]
         lines += ["except ZeroDivisionError:", f"    raise _axis_fault([{', '.join(x)}]) from None"]
-        return lines, {"_f": self._profile_rows if rows else self._f, "_axis_fault": _axis_fault}
-
-    def _profile_rows(self, U):
-        """(f, f', f'') over the array U; ValueError, which sends a batch to
-        its loop, where the profile has no array form there."""
-        F = self.ffun.array_form(U)
-        if F is None:
-            raise ValueError("no array form of the profile")
-        return F
+        return lines, {"_f": self.ffun.array_form if rows else self._f, "_axis_fault": _axis_fault}
 
 
 def _axis_fault(x) -> DomainFault:

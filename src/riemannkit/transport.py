@@ -5,14 +5,11 @@ an adaptive RKF45 is available through OdeSettings.method.  A method is its
 ``_Tableau``, which emits a float step per chart and one array step.  A
 single ray has one integrator per method: a loop that steps (x, v) on
 Python floats by that step, and checks the chart domain once per block of
-steps.  ``integrate_geodesic`` and ``exp_map`` both run it.
-
-The float step is emitted once per (evaluator, method), on the first
-integration, and cached on the evaluator (``_chart_step``).  It has the
-evaluator's geodesic spray Gamma(v, v) inlined into every stage: the spray's
-source fragment (``spray.fragment``, see ``manifold.MetricEvaluator``) as
-the conformal, surface-of-revolution and expression evaluators supply it,
-or, for a spray without one, one call of that spray per stage.
+steps.  ``integrate_geodesic`` and ``exp_map`` both run it.  The float step
+is emitted on the first integration and cached on the evaluator
+(``_chart_step``), with the spray's source fragment (``spray.fragment``, see
+``manifold.MetricEvaluator``) inlined into every stage, or one call per
+stage of a spray without one.
 
 A framed geodesic runs in two passes.  The nonlinear one is that float
 loop, which also records the stage points of every (accepted) step.  The
@@ -22,13 +19,12 @@ coframe, ``variation``'s Jacobi fields): C from one ``connection_batch`` at
 all stage points gives one transition matrix per step (``_transition``,
 the method's array step of Y' = A Y from I), chained by ``_advance``.
 
-RK4's array step also steps a batch of rays (``_step_rays``, for
-``_exp_rays`` and ``comparison``'s direction sweep) and ``reverse_develop``'s
-``rk4_path``.  A ray row (x, v[, frame]) takes one ``spray_batch`` per stage,
-whose rows run the float step's spray statements on columns, so that under
-RK4 each row is bitwise its own float loop, and one ``connection_batch``
-where it carries a frame.  A division by zero at a stage point outside the
-chart, in a float step or a ray step, is DomainExit there.
+RK4's array step also steps ``reverse_develop``'s ``rk4_path`` and batches
+of ray rows (x, v[, frame]) (``_step_rays``, for ``_exp_rays`` and
+``comparison``'s direction sweep): one ``spray_batch`` per stage, so that
+each row is bitwise its own float loop, and one ``connection_batch`` where
+rows carry a frame.  An arithmetic fault at a stage point outside the chart
+is DomainExit there.
 """
 
 from __future__ import annotations
@@ -152,10 +148,8 @@ def _ray_slopes(C: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
 
 def _rays_rhs(chart: MetricChart) -> Callable:
     """Y' = (v, -Gamma(v, v), -C E) of ray rows Y = (x, v, E) at t, E as in
-    ``_ray_slopes``: (x, v) by the spray, so each row steps as its float loop
-    does, and C from ``connection_batch`` where there are frame columns.  A
-    point fault gets t as its ``t_exit``; an arithmetic fault is DomainExit
-    there where a ray is outside the chart, as in the float loops."""
+    ``_ray_slopes``; a point fault gets t as its ``t_exit``, and an arithmetic
+    fault is DomainExit where a ray is outside the chart, as in the float loops."""
     n, evaluator = chart.dim, chart.evaluator
 
     def rhs(t, Y):
@@ -169,10 +163,7 @@ def _rays_rhs(chart: MetricChart) -> Callable:
             exc.t_exit = float(t)
             raise
         except ArithmeticError as exc:
-            outside = ~chart.inside(X)
-            if outside.any():
-                raise _domain_exit(float(t), X[np.argmax(outside)].copy(), exc)
-            raise
+            raise _outside(chart, t, X, exc) or exc
         return np.hstack(slopes)
     return rhs
 
@@ -182,12 +173,20 @@ def _step_rays(chart: MetricChart, rhs, t, Y: np.ndarray, h, t1, k1=None) -> np.
     (``k1``, if given, is rhs(t, Y)); DomainExit at t1, the caller's end of
     the step, naming the first ray that ends outside the chart."""
     Y1 = RK4.step(lambda s, Z: rhs(t + RK4.c[s] * h, Z), Y, h, k1)
-    X = Y1[:, :chart.dim]
+    exit = _outside(chart, t1, Y1[:, :chart.dim])
+    if exit is not None:
+        raise exit
+    return Y1
+
+
+def _outside(chart: MetricChart, t, X: np.ndarray, cause=None) -> Optional[DomainExit]:
+    """DomainExit at t, from ``cause``, naming the first row of X outside the chart, or None."""
     outside = ~chart.inside(X)
     if outside.any():
-        raise DomainExit(f"left chart domain near t={t1:.6g}",
-                         t_exit=float(t1), point=X[np.argmax(outside)].copy())
-    return Y1
+        exit = DomainExit(f"left chart domain near t={t:.6g}", t_exit=float(t),
+                          point=X[np.argmax(outside)].copy())
+        exit.__cause__ = cause
+        return exit
 
 
 def _rkf45_steps(trial, y, t1: float, settings: OdeSettings):
@@ -240,12 +239,8 @@ class _Tableau(namedtuple("_Tableau", "name a b c div e", defaults=(None,))):
     the step is y + (h / div) sum_s b[s] K_s, and h sum_s e[s] K_s, where the
     error row e is given, estimates the error of its y.  Its array ``step``
     (transition matrices, ray batches, ``rk4_path``) and its float step on a
-    chart are straight-line code emitted from it on first use.
-
-    The float step has the chart's spray inlined: ``float_step`` writes out
-    the statements of the spray's source fragment (see
-    ``manifold.MetricEvaluator``) once per stage, after that stage's point,
-    and a spray without a fragment is called once per stage instead.
+    chart, with the chart's spray inlined, are straight-line code emitted
+    from it on first use.
     """
 
     def float_step(self, fragment, n: int, filename: str):
@@ -346,13 +341,8 @@ def _chart_step(chart: MetricChart, tableau: _Tableau):
 def _fragment(spray):
     """The source fragment of a ``spray``: its own ``fragment``, or else one
     call of the spray."""
-    fragment = getattr(spray, "fragment", None)
-    if fragment is not None:
-        return fragment
-
-    def call(x, v, q):
-        return [f"{', '.join(q)}, = _spray([{', '.join(x)}], [{', '.join(v)}])"], {"_spray": spray}
-    return call
+    return getattr(spray, "fragment", None) or (lambda x, v, q: (
+        [f"{', '.join(q)}, = _spray([{', '.join(x)}], [{', '.join(v)}])"], {"_spray": spray}))
 
 
 def _transition(A, h, tableau: _Tableau = RK4) -> np.ndarray:
@@ -443,24 +433,17 @@ def _end_block(chart: MetricChart, ts, rows, lo: int, hi: int, fault):
         raise fault
 
 
-def _domain_exit(t: float, x: np.ndarray, cause=None) -> DomainExit:
-    exit = DomainExit(f"left chart domain near t={t:.6g}", t_exit=t, point=x)
-    exit.__cause__ = cause
-    return exit
-
-
 def _locate(chart: MetricChart, fault, tableau: _Tableau, t, h, stages: list):
     """The fault of a ``tableau`` step from t by h at its stage, the last of the
     flat (x, v) ``stages`` the step recorded: a point fault gets the stage's t
-    and x, and an arithmetic fault at an x outside the chart (a division by a
-    factor of g that is 0 on its edge) is DomainExit there."""
+    and x, and an arithmetic fault at an x outside the chart is DomainExit."""
     n = chart.dim
     if isinstance(fault, (*_POINT_FAULTS, ArithmeticError)):
         t, x = float(t + tableau.c[len(stages) // (2 * n) - 1] * h), np.array(stages[-2 * n:-n])
         if isinstance(fault, _POINT_FAULTS):
             fault.t_exit, fault.point = t, x
-        elif not chart.contains(x):
-            fault = _domain_exit(t, x, cause=fault)
+        else:
+            fault = _outside(chart, t, x[None], fault) or fault
     return fault
 
 

@@ -30,11 +30,10 @@ from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _advance,
 # ---------------------------------------------------------------------------
 
 def _driving(chart: MetricChart, Y: np.ndarray, cols: int):
-    """M in the first cols frame columns of the rays Y, and Y' from the same Gamma(v, .)."""
+    """(C, M) of ``jacobi_driving_batch`` for the rays Y, M in their first cols frame columns."""
     n = chart.dim
     V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(len(Y), n, Y.shape[1] // n - 2)[:, :, :cols]
-    C, M = jacobi_driving_batch(chart, Y[:, :n], V, E)
-    return M, _ray_slopes(C, Y, n)
+    return jacobi_driving_batch(chart, Y[:, :n], V, E)
 
 
 @dataclass
@@ -67,10 +66,11 @@ def jacobi_system(chart: MetricChart, geo: Trajectory) -> JacobiSystem:
     chart.require_inside(geo.x)
     n, t = chart.dim, geo.t
     Y = np.hstack([geo.x, geo.v, geo.frame.reshape(len(t), -1)])
-    M, dY = _driving(chart, Y, n)
+    C, M = _driving(chart, Y, n)
+    dY = _ray_slopes(C, Y, n)
     t0, t1 = t[:-1, None], t[1:, None]
     Y_mid = _hermite(t0, t1, Y[:-1], Y[1:], dY[:-1], dY[1:], 0.5 * (t0 + t1))
-    M_mid, _ = _driving(chart, Y_mid, n)
+    _, M_mid = _driving(chart, Y_mid, n)
     return JacobiSystem(chart=chart, t=t.copy(), x=geo.x, v=geo.v,
                         frame=geo.frame, M=M, M_mid=M_mid)
 
