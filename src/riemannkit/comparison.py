@@ -52,7 +52,7 @@ class CurvatureProfile:
         y = geo.frame[:, :, direction]
         # numerator low(v, y, v, y) is the driving matrix of the one-column frame y;
         # denominator and degeneracy test as in tensor.sectional
-        _, M = jacobi_driving_batch(chart, geo.x, geo.v, y[:, :, None])
+        M = jacobi_driving_batch(chart, geo.x, geo.v, y[:, :, None])
         g = chart.evaluator.metric_batch(geo.x)
         gxx = np.einsum("bi,bij,bj->b", geo.v, g, geo.v)
         gyy = np.einsum("bi,bij,bj->b", y, g, y)
@@ -377,7 +377,7 @@ def _batched_sphere_sweep(chart: MetricChart, p, r: float, n_dirs: int,
 
     rhs = _rays_rhs(chart)
     Y = np.hstack([np.tile(p, (N, 1)), V0, E0[:, :, :d].reshape(N, -1)])
-    (_, M), dY = _driving(chart, Y, d), rhs(0.0, Y)
+    M, dY = _driving(chart, Y, d), rhs(0.0, Y)
     FF = np.tile(np.vstack([np.zeros((d, d)), np.eye(d)]), (N, 1, 1))
     t = 0.0
     out = {}
@@ -387,8 +387,8 @@ def _batched_sphere_sweep(chart: MetricChart, p, r: float, n_dirs: int,
         for _ in range(n_steps):
             Y1 = _step_rays(chart, rhs, t, Y, h, t + h, dY)
             t += h
-            (_, M1), dY1 = _driving(chart, Y1, d), rhs(t, Y1)
-            _, Mh = _driving(chart, _hermite(0.0, h, Y, Y1, dY, dY1, 0.5 * h), d)
+            M1, dY1 = _driving(chart, Y1, d), rhs(t, Y1)
+            Mh = _driving(chart, _hermite(0.0, h, Y, Y1, dY, dY1, 0.5 * h), d)
             FF = _jacobi_transition(M, Mh, M1, h) @ FF
             Y, M, dY = Y1, M1, dY1
         out[target] = np.linalg.det(FF[:, :d])

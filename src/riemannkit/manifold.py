@@ -83,8 +83,9 @@ class MetricEvaluator:
     and calls a spray without one once per stage.
 
     ``jacobi_batch(X, V)``, where an evaluator has one (the constant-curvature
-    models), returns the closed-form Jacobi operator of the rays (X, V), which
-    ``tensor.jacobi_driving_batch`` uses in place of the curvature kernel.
+    models), returns B(w, u) = low(v, w, v, u), (N, n, n), of the rays (X, V)
+    in closed form, which ``tensor.jacobi_driving_batch`` uses in place of the
+    curvature kernel; C = Gamma(v, .) is the connection's alone.
 
     The batches ``metric_batch``, ``stack_batch``, ``gamma_batch``,
     ``connection_batch`` and ``spray_batch`` take (N, n) arrays of points (and
@@ -284,9 +285,9 @@ class ConformalEvaluator(MetricEvaluator):
         return lines, {}
 
     def jacobi_batch(self, X, V):
-        """(C, B) for the rays (X[b], V[b]): C from ``connection_batch``, B(w, u) =
-        low(v, w, v, u) = K mu^2 (|v|^2 w.u - (v.w)(v.u)); SingularMetric names
-        the first point where mu is not positive and finite."""
+        """B(w, u) = low(v, w, v, u) = K mu^2 (|v|^2 w.u - (v.w)(v.u)) for the rays
+        (X[b], V[b]), (N, n, n); SingularMetric names the first point where mu
+        is not positive and finite."""
         X = np.asarray(X, dtype=float)
         with np.errstate(all="ignore"):  # where a = 0 or x is not finite, mu fails the check
             m = self._profile(_squares(X))[1]
@@ -296,7 +297,7 @@ class ConformalEvaluator(MetricEvaluator):
             raise SingularMetric(f"metric not positive definite at {point}", point=point)
         v = V[:, :, None]
         B = (v.swapaxes(1, 2) @ v) * self._eye - v * v.swapaxes(1, 2)
-        return self.connection_batch(X, V), (self.K * m * m)[:, None, None] * B
+        return (self.K * m * m)[:, None, None] * B
 
     def stack_batch(self, X):
         X = np.asarray(X, dtype=float)

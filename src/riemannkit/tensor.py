@@ -82,31 +82,30 @@ def curvature_low_batch(chart: MetricChart, X: np.ndarray):
 
 
 def jacobi_driving_batch(chart: MetricChart, X: np.ndarray, V: np.ndarray,
-                         Eo: np.ndarray):
-    """(C, M) for a batch of rays: C = Gamma(v, .), so C @ w = Gamma(v, w), and
-    M[p,q] = low(v, E_q, v, E_p), symmetrised.
+                         Eo: np.ndarray) -> np.ndarray:
+    """The Jacobi operator M of a batch of rays in their frames Eo, (N, k, k):
+    M = E^T B E, symmetrised, with B(w, u) = low(v, w, v, u).
 
     On an evaluator with a closed-form ``jacobi_batch`` (the stereographic
-    models of constant curvature K, where B = K mu^2 (|v|^2 I - v v^T)),
-    M = E^T B E from its B(w, u) = low(v, w, v, u), in O(n^2) per ray. Every
-    other evaluator contracts the rank-4 R of ``curvature_kernel``, which
-    stays the reference.
+    models of constant curvature K, where B = K mu^2 (|v|^2 I - v v^T)), B is
+    that one, in O(n^2) per ray. Every other evaluator contracts the rank-4 R
+    of ``curvature_kernel``, which stays the reference.
     """
     closed = chart.evaluator.jacobi_batch
     if closed is not None:
-        C, B = closed(X, V)
-        M = Eo.swapaxes(1, 2) @ B @ Eo
+        B = closed(X, V)
     else:
         n = np.shape(X)[1]
 
         def drive(sl, G, up, low):
-            v, E = V[sl], Eo[sl]
+            v = V[sl]
             T = (v[:, None, :] @ low.reshape(-1, n, n ** 3)).reshape(-1, n, n, n)
             T = (v[:, None, None, :] @ T).reshape(-1, n, n)  # T[b,d] = low(v, e_b, v, e_d)
-            return (v[:, None, None, :] @ G)[:, :, 0], E.swapaxes(1, 2) @ T.swapaxes(1, 2) @ E
+            return (T.swapaxes(1, 2),)
 
-        C, M = _over_blocks(chart, X, drive)
-    return C, 0.5 * (M + M.swapaxes(1, 2))
+        B, = _over_blocks(chart, X, drive)
+    M = Eo.swapaxes(1, 2) @ B @ Eo
+    return 0.5 * (M + M.swapaxes(1, 2))
 
 
 @dataclass(frozen=True)

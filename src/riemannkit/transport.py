@@ -21,10 +21,11 @@ the method's array step of Y' = A Y from I), chained by ``_advance``.
 
 RK4's array step also steps ``reverse_develop``'s ``rk4_path`` and batches
 of ray rows (x, v[, frame]) (``_step_rays``, for ``_exp_rays`` and
-``comparison``'s direction sweep): one ``spray_batch`` per stage, so that
-each row is bitwise its own float loop, and one ``connection_batch`` where
-rows carry a frame.  An arithmetic fault at a stage point outside the chart
-is DomainExit there.
+``comparison``'s direction sweep).  One function, ``_ray_slopes``, writes a
+ray row's slope for the ray step, the sweep and ``variation.jacobi_system``:
+one ``spray_batch``, so that each row is bitwise its own float loop, and one
+``connection_batch`` where rows carry a frame.  An arithmetic fault at a
+stage point outside the chart is DomainExit there.
 """
 
 from __future__ import annotations
@@ -138,33 +139,31 @@ def rk4_path(rhs, y0: np.ndarray, ts: np.ndarray, substeps: int = 1,
     return ys
 
 
-def _ray_slopes(C: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
-    """Y' = (v, -C v, -C E) for ray rows Y = (x, v, E), E's k >= 0 frame
-    columns flattened row by row, with C = Gamma(v, .) per row."""
-    N, width = Y.shape
-    V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(N, n, width // n - 2)
-    return np.hstack([V, -(C @ V[:, :, None])[:, :, 0], -(C @ E).reshape(N, width - 2 * n)])
+def _ray_slopes(chart: MetricChart, Y: np.ndarray) -> np.ndarray:
+    """Y' = (v, -Gamma(v, v), -C E) of ray rows Y = (x, v, E), E's k >= 0 frame
+    columns flattened row by row, with C = Gamma(v, .) per row: the one slope
+    of a ray row, from ``spray_batch`` and ``connection_batch``."""
+    n, evaluator = chart.dim, chart.evaluator
+    (N, width), X, V = Y.shape, Y[:, :n], Y[:, n:2 * n]
+    slopes = [V, -evaluator.spray_batch(X, V)]
+    if width > 2 * n:
+        E = Y[:, 2 * n:].reshape(N, n, width // n - 2)
+        slopes.append(-(evaluator.connection_batch(X, V) @ E).reshape(N, width - 2 * n))
+    return np.hstack(slopes)
 
 
 def _rays_rhs(chart: MetricChart) -> Callable:
-    """Y' = (v, -Gamma(v, v), -C E) of ray rows Y = (x, v, E) at t, E as in
-    ``_ray_slopes``; a point fault gets t as its ``t_exit``, and an arithmetic
-    fault is DomainExit where a ray is outside the chart, as in the float loops."""
-    n, evaluator = chart.dim, chart.evaluator
-
+    """``_ray_slopes`` of the ray rows Y at t, its faults located: a point
+    fault gets t as its ``t_exit``, and an arithmetic fault is DomainExit
+    where a ray is outside the chart, as in the float loops."""
     def rhs(t, Y):
-        (N, width), X, V = Y.shape, Y[:, :n], Y[:, n:2 * n]
         try:
-            slopes = [V, -evaluator.spray_batch(X, V)]
-            if width > 2 * n:
-                E = Y[:, 2 * n:].reshape(N, n, width // n - 2)
-                slopes.append(-(evaluator.connection_batch(X, V) @ E).reshape(N, -1))
+            return _ray_slopes(chart, Y)
         except _POINT_FAULTS as exc:
             exc.t_exit = float(t)
             raise
         except ArithmeticError as exc:
-            raise _outside(chart, t, X, exc) or exc
-        return np.hstack(slopes)
+            raise _outside(chart, t, Y[:, :chart.dim], exc) or exc
     return rhs
 
 

@@ -29,8 +29,8 @@ from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _advance,
 # The curvature driving matrix along a geodesic
 # ---------------------------------------------------------------------------
 
-def _driving(chart: MetricChart, Y: np.ndarray, cols: int):
-    """(C, M) of ``jacobi_driving_batch`` for the rays Y, M in their first cols frame columns."""
+def _driving(chart: MetricChart, Y: np.ndarray, cols: int) -> np.ndarray:
+    """``jacobi_driving_batch``'s M of the ray rows Y in their first cols frame columns."""
     n = chart.dim
     V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(len(Y), n, Y.shape[1] // n - 2)[:, :, :cols]
     return jacobi_driving_batch(chart, Y[:, :n], V, E)
@@ -60,17 +60,16 @@ class JacobiSystem:
 
 def jacobi_system(chart: MetricChart, geo: Trajectory) -> JacobiSystem:
     """M at every sample of a framed geodesic and at the cubic Hermite midpoint
-    of (x, v, E) in every step, with slopes from the Gamma of the samples."""
+    of (x, v, E) in every step, the slopes from ``transport._ray_slopes``."""
     if geo.frame is None:
         raise BadParam("geodesic must carry a parallel frame")
     chart.require_inside(geo.x)
     n, t = chart.dim, geo.t
     Y = np.hstack([geo.x, geo.v, geo.frame.reshape(len(t), -1)])
-    C, M = _driving(chart, Y, n)
-    dY = _ray_slopes(C, Y, n)
+    M, dY = _driving(chart, Y, n), _ray_slopes(chart, Y)
     t0, t1 = t[:-1, None], t[1:, None]
     Y_mid = _hermite(t0, t1, Y[:-1], Y[1:], dY[:-1], dY[1:], 0.5 * (t0 + t1))
-    _, M_mid = _driving(chart, Y_mid, n)
+    M_mid = _driving(chart, Y_mid, n)
     return JacobiSystem(chart=chart, t=t.copy(), x=geo.x, v=geo.v,
                         frame=geo.frame, M=M, M_mid=M_mid)
 

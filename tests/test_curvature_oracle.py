@@ -74,7 +74,7 @@ def test_batched_curvature_and_driving(chart, oracle, rng):
     V = rng.standard_normal((7, 3))
     E = rng.standard_normal((7, 3, 2))
     G_b, low_b = tensor.curvature_low_batch(chart, X)
-    _, M_b = tensor.jacobi_driving_batch(chart, X, V, E)
+    M_b = tensor.jacobi_driving_batch(chart, X, V, E)
     for i, x in enumerate(X):
         G, _, low = oracle(x)
         assert np.max(np.abs(G_b[i] - G)) <= TOL

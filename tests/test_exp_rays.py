@@ -134,15 +134,16 @@ def test_exp_rays_rkf45_is_exp_map_per_ray(name):
 @pytest.mark.parametrize("frames", [0, 1, 3])
 @pytest.mark.parametrize("rows", [0, 5])
 def test_ray_slopes_take_any_number_of_frame_columns(rows, frames):
+    chart = _charts()["sphere3"]
+    ev, n = chart.evaluator, chart.dim
     rng = np.random.default_rng([rows, frames])
-    n = 3
-    C = rng.normal(size=(rows, n, n))
-    X, V, E = rng.normal(size=(rows, n)), rng.normal(size=(rows, n)), rng.normal(size=(rows, n, frames))
-    dY = transport._ray_slopes(C, np.hstack([X, V, E.reshape(rows, n * frames)]), n)
+    X = _points(chart, 8)[:rows]
+    V, E = rng.normal(size=(rows, n)), rng.normal(size=(rows, n, frames))
+    dY = transport._ray_slopes(chart, np.hstack([X, V, E.reshape(rows, n * frames)]))
     assert dY.shape == (rows, 2 * n + n * frames)
     assert np.array_equal(dY[:, :n], V)
-    assert np.array_equal(dY[:, n:2 * n], -(C @ V[:, :, None])[:, :, 0])
-    assert np.array_equal(dY[:, 2 * n:].reshape(rows, n, frames), -(C @ E))
+    assert np.array_equal(dY[:, n:2 * n], -ev.spray_batch(X, V))
+    assert np.array_equal(dY[:, 2 * n:].reshape(rows, n, frames), -(ev.connection_batch(X, V) @ E))
 
 
 @pytest.mark.parametrize("method", ["rk4_fixed", "rkf45_adaptive"])
