@@ -140,6 +140,9 @@ def _outputs(chart, box, ray, kref):
         chart, transport.integrate_geodesic(chart, p, v, 1.0, settings=rk4, with_frame=False), V[0])
     yield "develop", lambda: transport.develop(chart, transport.integrate_geodesic(
         chart, p, v, 1.0, settings=rk4, with_frame=False).as_curve()).points
+    yield "log_map", lambda: transport.log_map(chart, p, transport.exp_map(chart, p, 0.4 * v))
+    yield "reverse_develop", lambda: reverse_develop(chart, p, v, rk4)
+    yield "sectional_profile", lambda: sectional_profile(chart, p, v, rk4)
     yield "conjugate_t", lambda: [c.t for c in variation.conjugate_points(
         chart, p, v, 4.0, settings=OdeSettings(step=0.005)).points]
     yield "sweep_det", lambda: list(comparison._batched_sphere_sweep(
@@ -162,6 +165,19 @@ def jacobi(chart, p, v, settings):
     n = chart.dim
     sol = variation.jacobi_solve(chart, geo, np.zeros(n), geo.frame[0][:, 0])
     return [sol.f, sol.fp, sol.system.M, sol.system.M_mid]
+
+
+def reverse_develop(chart, p, v, settings):
+    # the curve in the chart whose development is that of the ray to exp(0.4 v)
+    geo = transport.integrate_geodesic(chart, p, 0.4 * v, 1.0, settings=settings, with_frame=False)
+    back = transport.reverse_develop(chart, transport.develop(chart, geo.as_curve()), p)
+    return [back.points, back.velocities]
+
+
+def sectional_profile(chart, p, v, settings):
+    geo = transport.integrate_geodesic(chart, p, v, 1.5, settings=settings)
+    profile = comparison.CurvatureProfile.from_sectional(chart, geo)
+    return [profile(t) for t in geo.t]
 
 
 def first_variation(chart, p, v):
