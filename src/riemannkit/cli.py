@@ -521,7 +521,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except RiemannKitError as exc:
+    except (RiemannKitError, OverflowError) as exc:  # an expression's documented overflow
         report = {
             "schema": SCHEMA,
             "version": __version__,

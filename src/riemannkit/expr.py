@@ -14,7 +14,9 @@ argument < 0 (or = 0 where derivatives are taken), division by 0, and
 ``a ^ b`` with a <= 0 where b is not an integer literal.  ``a ^ -k``, for an
 integer literal k, is ``1 / a ^ k``: a division, so a DomainFault at a = 0.
 An overflowing ``^`` (``a ^ -k`` too) or function raises OverflowError; a
-written ``+ - * /`` overflows to inf as floats do.
+written ``+ - * /`` overflows to inf as floats do.  A literal that is not
+finite is a ParseError at its column; an expression nested too deeply to
+parse is a ParseError, and one too deeply nested to compile a BadParam.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainFault, ParseError, SingularMetric, UnknownIdentifier
+from .errors import BadParam, DomainFault, ParseError, SingularMetric, UnknownIdentifier
 
 FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -120,9 +122,11 @@ def _tokenize(source: str) -> list[_Token]:
                 j += 1
             text = source[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ParseError(f"bad number literal '{text}'", line, start_col)
+            if not math.isfinite(value):
+                raise ParseError(f"number literal '{text}' is not finite", line, start_col)
             tokens.append(_Token("num", text, line, start_col))
             col += j - i
             i = j
@@ -237,7 +241,12 @@ def parse(source: str, coords: list[str]) -> Node:
     """Parse ``source`` into an AST over the named coordinates."""
     if not source or not source.strip():
         raise ParseError("empty expression", 1, 1, {"expression"})
-    return _Parser(_tokenize(source), coords).parse()
+    parser = _Parser(_tokenize(source), coords)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("expression too deeply nested", tok.line, tok.column) from None
 
 
 def to_source(node: Node) -> str:
@@ -629,6 +638,19 @@ def _shape_and_leaves(nodes):
     return (), [nodes]
 
 
+def _shallow(build):
+    """``build``, raising BadParam where an expression is too deeply nested
+    for its recursion over the tree."""
+    @functools.wraps(build)
+    def run(*args):
+        try:
+            return build(*args)
+        except RecursionError:
+            raise BadParam("expression too deeply nested to compile") from None
+    return run
+
+
+@_shallow
 def compile_tensor(nodes, n: int, order: int):
     """Compile expressions in ``n`` coordinates to one straight-line function.
 
@@ -656,6 +678,7 @@ def compile_tensor(nodes, n: int, order: int):
                        lambda: _compile(name, n, _Emitter(order, batch=True), blocks))
 
 
+@_shallow
 def _compile_profile(node):
     """Compile an expression in the one variable u to u -> (f, f', f''),
     a function of a Python float returning three Python floats.
@@ -671,6 +694,7 @@ def _compile_profile(node):
                        lambda: _compile("profile", None, _Emitter(2, batch=True), blocks))
 
 
+@_shallow
 def compile_gamma(rows, n: int):
     """Compile the Christoffel symbols and the geodesic spray of an expression
     metric to two functions.
@@ -844,7 +868,7 @@ def _with_batch(fn, compile_batch):
     """fn, whose ``batch`` attribute calls ``compile_batch()`` on its first
     call and is then the function that returned."""
     def first(x):
-        fn.batch = compile_batch()
+        fn.batch = _shallow(compile_batch)()
         return fn.batch(x)
     fn.batch = first
     return fn

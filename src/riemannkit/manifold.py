@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr
 from .errors import (_POINT_FAULTS, BadDimension, BadParam, DomainExit,
-                     SingularMetric, UnknownBuiltin)
+                     DomainFault, SingularMetric, UnknownBuiltin)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +411,22 @@ class MetricData:
     chol: np.ndarray
 
 
+def _require_finite(X: np.ndarray, stack) -> None:
+    """DomainFault naming the first row of X where g, dg or d2g of the metric
+    stack (each with a leading batch axis) is not finite."""
+    finite = [np.isfinite(a).reshape(len(X), -1).all(axis=1) for a in stack]
+    bad = ~(finite[0] & finite[1] & finite[2])
+    if bad.any():
+        b = int(np.argmax(bad))
+        which = ", ".join(name for name, ok in zip(("g", "dg", "d2g"), finite) if not ok[b])
+        raise DomainFault(f"metric {which} not finite at {X[b]}", point=X[b].copy())
+
+
 def metric_at(chart: MetricChart, p) -> MetricData:
     p = np.asarray(p, dtype=float)
     chart.require_inside(p)
     g, dg, d2g = chart.evaluator.stack(p)
+    _require_finite(p[None], (g[None], dg[None], d2g[None]))
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:

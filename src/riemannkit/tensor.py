@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, BadParam, DegeneratePlane, SingularMetric
-from .manifold import MetricChart, gamma_from_stack, koszul, metric_at
+from .manifold import MetricChart, _require_finite, gamma_from_stack, koszul, metric_at
 from . import expr as _expr
 
 
@@ -56,8 +56,10 @@ def curvature_kernel(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
 
 
 def _positive_stack(chart: MetricChart, X: np.ndarray):
-    """stack_batch at X; SingularMetric where g is not positive definite."""
+    """stack_batch at X; DomainFault where it is not finite, SingularMetric
+    where g is not positive definite."""
     stack = chart.evaluator.stack_batch(X)
+    _require_finite(X, stack)
     try:
         np.linalg.cholesky(stack[0])
     except np.linalg.LinAlgError:
@@ -198,6 +200,8 @@ def ricci(R: CurvatureTensor, g: np.ndarray) -> RicciData:
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     """Columns form a g-orthonormal basis: B^T g B = I."""
+    if not np.isfinite(g).all():
+        raise SingularMetric(f"metric not finite: {np.asarray(g).tolist()}")
     try:
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
