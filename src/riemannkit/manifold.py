@@ -414,8 +414,8 @@ class MetricData:
 def _require_finite(X: np.ndarray, stack) -> None:
     """DomainFault naming the first row of X where g, dg or d2g of the metric
     stack (each with a leading batch axis) is not finite."""
-    finite = [np.isfinite(a).reshape(len(X), -1).all(axis=1) for a in stack]
-    bad = ~(finite[0] & finite[1] & finite[2])
+    finite = [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in stack]
+    bad = ~np.logical_and.reduce(finite)
     if bad.any():
         b = int(np.argmax(bad))
         which = ", ".join(name for name, ok in zip(("g", "dg", "d2g"), finite) if not ok[b])

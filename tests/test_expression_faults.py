@@ -62,6 +62,11 @@ def test_a_metric_derivative_that_is_not_finite_is_a_located_fault(call):
     assert np.array_equal(ei.value.point, P)
 
 
+def test_the_finiteness_check_passes_an_empty_batch():
+    chart = manifold.chart_from_definition(OVERFLOWING)
+    assert tensor.curvature_low_batch(chart, np.empty((0, 2)))[1].shape == (0, 2, 2, 2, 2)
+
+
 def test_a_metric_derivative_that_is_not_finite_is_an_error_report(tmp_path, capsys):
     code, rep = _curvature_report(tmp_path, capsys, OVERFLOWING)
     assert code == 1
