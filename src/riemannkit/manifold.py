@@ -414,12 +414,13 @@ class MetricData:
 def _require_finite(X: np.ndarray, stack) -> None:
     """DomainFault naming the first row of X where g, dg or d2g of the metric
     stack (each with a leading batch axis) is not finite."""
-    finite = [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in stack]
-    bad = ~np.logical_and.reduce(finite)
-    if bad.any():
-        b = int(np.argmax(bad))
-        which = ", ".join(name for name, ok in zip(("g", "dg", "d2g"), finite) if not ok[b])
-        raise DomainFault(f"metric {which} not finite at {X[b]}", point=X[b].copy())
+    g, dg, d2g = stack
+    if np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(d2g).all():
+        return
+    rows = [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in stack]
+    b = int(np.argmin(np.logical_and.reduce(rows)))
+    which = ", ".join(name for name, ok in zip(("g", "dg", "d2g"), rows) if not ok[b])
+    raise DomainFault(f"metric {which} not finite at {X[b]}", point=X[b].copy())
 
 
 def metric_at(chart: MetricChart, p) -> MetricData:
