@@ -3,11 +3,13 @@
 Infix grammar with the usual precedence (``^`` > unary ``-`` > ``*`` ``/`` >
 ``+`` ``-``), ``^`` right-associative.  ``compile_tensor`` differentiates
 trees symbolically and compiles the value and its first and second partials
-to straight-line Python, and ``compile_gamma`` compiles the Christoffel
-symbols of a metric the same way; ``evaluate`` and ``eval2`` run these
-compiled functions at one point.  Each compiled function also has an array
-form over a batch of points, written from the same statements, whose rows
-are bitwise the per-point values.
+to straight-line Python; ``evaluate`` and ``eval2`` run these compiled
+functions at one point.  Each compiled function also has an array form over
+a batch of points, written from the same statements, whose rows are bitwise
+the per-point values.  ``compile_gamma`` writes the connection of a metric
+on the same graph as statements (a connection fragment, see
+``manifold.MetricEvaluator``), from which the chart emits its forms on first
+use.
 
 Evaluation raises DomainFault for ``log`` of an argument <= 0, ``sqrt`` of an
 argument < 0 (or = 0 where derivatives are taken), division by 0, and
@@ -21,6 +23,7 @@ parse is a ParseError, and one too deeply nested to compile a BadParam.
 
 from __future__ import annotations
 
+import copy
 import functools
 import linecache
 import math
@@ -282,7 +285,7 @@ def _integer_exponent(node: Node):
 # A parsed tree is first interned into a hash-consed graph: structurally equal
 # subtrees become one node object, so a node's id keys every memo below.  The
 # graph is differentiated symbolically with constant folding and emitted once
-# per derivative order (or once for the Christoffel symbols) as a Python
+# per derivative order (or, for the connection, as statements) as a Python
 # function in which every shared subexpression is one local variable.  The
 # generated code runs on Python floats, so an overflowing ``**`` or ``exp``
 # raises OverflowError instead of carrying inf/NaN into the caller.  The same
@@ -504,12 +507,9 @@ class _Emitter:
 
     def fork(self) -> "_Emitter":
         """An emitter that continues from the statements written so far."""
-        other = _Emitter(1 if self.strict else 0, self.batch)
-        other.lines = list(self.lines)
-        other.names = dict(self.names)
-        other.positive = set(self.positive)
-        other.nonzero = set(self.nonzero)
-        other.arrays = set(self.arrays)
+        other = copy.copy(self)
+        other.lines, other.names = list(self.lines), dict(self.names)
+        other.positive, other.nonzero, other.arrays = set(self.positive), set(self.nonzero), set(self.arrays)
         return other
 
     def ref(self, node) -> str:
@@ -694,114 +694,133 @@ def _compile_profile(node):
                        lambda: _compile("profile", None, _Emitter(2, batch=True), blocks))
 
 
-@_shallow
 def compile_gamma(rows, n: int):
-    """Compile the Christoffel symbols and the geodesic spray of an expression
-    metric to two functions.
+    """The connection fragment of an expression metric: the function
+    ``connection_fragment(x, terms, rows=False)`` of
+    ``manifold.MetricEvaluator``, whose statements set the names q to
+    Gamma(v, w)^i = (1/2) g^im K_m(v, w), K_mjk = d_j g_mk - d_m g_jk +
+    d_k g_mj, for each term (v, w, q), with no globals beyond the compiled
+    ones; a name of v or w is any identifier, anything else a literal.
 
     ``rows`` is the n x n nested list of coefficient ASTs, with rows[i][j] and
-    rows[j][i] equal.  The first function maps a float array x of length n to
-    the array Gamma[i, j, k] = Gamma^i_jk = (1/2) g^im K_mjk, with
-    K_mjk = d_j g_mk - d_m g_jk + d_k g_mj, by an unrolled LDL^T solve of
-    g Gamma = K / 2 on the graph of the partials, so that literal zeros of g
-    fold away.  LDL^T takes no square root, so an indefinite g is solved as
-    by an inverse.  The second maps sequences x and v of n Python floats to
-    the list Gamma(v, v), from one solve of g z = (1/2) K_m(v, v).  Both
-    share one graph and one emitted preamble: every check of
-    ``compile_tensor(rows, n, 1)`` runs first and in its order, so they raise
-    DomainFault and OverflowError where that one does; after them a zero
-    pivot of g raises SingularMetric.  Each has a ``batch`` array form, the
-    spray's on the (N, 2n) rows (x, v), and the spray its statements as its
-    ``fragment`` (see ``manifold.MetricEvaluator``).
+    rows[j][i] equal. On the first call the partials of g go on one graph,
+    on which g z = y is an unrolled LDL^T solve, so that literal zeros of g
+    fold away; LDL^T takes no square root, so an indefinite g is solved as
+    by an inverse. The statements open with one preamble, emitted once per
+    mode: every check of ``compile_tensor(rows, n, 1)`` in its order, so they
+    raise DomainFault and OverflowError where that one does, and then every
+    pivot of g, a zero one raising SingularMetric; a fault quotes x as a
+    list, and where ``rows`` a failing check returns None. A term whose w is
+    its v is the spray, one solve of g z = (1/2) K_m(v, v); any other is
+    (1/2) z for g z = K_m(v, w), products with a literal zero left out, so
+    that the term (e_j, e_k) of unit literals is column (j, k) of Gamma and
+    shares its solve with (e_k, e_j). Terms alike in their names and
+    literals share one emitted body, as the stages of a float step do.
     """
-    graph = _Graph()
-    blocks = _derivative_blocks(graph, rows, n, 1)
-    (_, g_flat), (_, dg_flat) = blocks
-    g = [g_flat[i * n:(i + 1) * n] for i in range(n)]
-    dg = [[dg_flat[(k * n + i) * n:(k * n + i + 1) * n] for i in range(n)]
-          for k in range(n)]
+    @functools.cache
+    def ldl():
+        graph = _Graph()
+        blocks = _derivative_blocks(graph, rows, n, 1)
+        (_, g_flat), (_, dg_flat) = blocks
+        g = [g_flat[i * n:(i + 1) * n] for i in range(n)]
+        dg = [[dg_flat[(k * n + i) * n:(k * n + i + 1) * n] for i in range(n)]
+              for k in range(n)]
 
-    # g = L D L^T with L unit lower triangular: A[i][j] = L_ij D_j for i >= j
-    # and D_j = A[j][j]; L[i][j] = A[i][j] / D_j
-    A = [[None] * n for _ in range(n)]
-    L = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(j, n):
-            a = g[i][j]
-            for k in range(j):
-                a = graph.sub(a, graph.mul(L[i][k], A[j][k]))
-            A[i][j] = a
-        for i in range(j + 1, n):
-            L[i][j] = graph.div(A[i][j], A[j][j])
-
-    def solve(y):
-        """z with g z = y, by the forward and back substitutions of L D L^T."""
-        y = list(y)
-        for i in range(n):
-            for l in range(i):
-                y[i] = graph.sub(y[i], graph.mul(L[i][l], y[l]))
-        z = [None] * n
-        for i in reversed(range(n)):
-            zi = graph.div(y[i], A[i][i])
-            for l in range(i + 1, n):
-                zi = graph.sub(zi, graph.mul(L[l][i], z[l]))
-            z[i] = zi
-        return z
-
-    def koszul(m, j, k):
-        # d_m g_mk - d_m g_mk cancels exactly where m = j, and likewise m = k
-        if m == j:
-            return dg[k][m][m]
-        if m == k:
-            return dg[j][m][m]
-        return graph.add(graph.sub(dg[j][m][k], dg[m][j][k]), dg[k][m][j])
-
-    half = graph.num(0.5)
-    columns = {}
-    for j in range(n):
-        for k in range(j, n):
-            z = solve(koszul(i, j, k) for i in range(n))
-            columns[j, k] = columns[k, j] = [graph.mul(half, zi) for zi in z]
-    flat = [columns[j, k][i] for i in range(n) for j in range(n) for k in range(n)]
-
-    # (1/2) K_m(v, v) = sum_{j<k} K_mjk v_j v_k + (1/2) sum_j K_mjj v_j^2, with
-    # v_j the variables x{n + j} of the spray function
-    v = [graph.lower(Var(n + j, f"v{j}")) for j in range(n)]
-    y = []
-    for m in range(n):
-        ym = graph.zero
+        # g = L D L^T with L unit lower triangular: A[i][j] = L_ij D_j for i >= j
+        # and D_j = A[j][j]; L[i][j] = A[i][j] / D_j
+        A = [[None] * n for _ in range(n)]
+        L = [[None] * n for _ in range(n)]
         for j in range(n):
-            ym = graph.add(ym, graph.mul(graph.mul(half, koszul(m, j, j)),
-                                         graph.mul(v[j], v[j])))
-            for k in range(j + 1, n):
-                ym = graph.add(ym, graph.mul(koszul(m, j, k), graph.mul(v[j], v[k])))
-        y.append(ym)
+            for i in range(j, n):
+                a = g[i][j]
+                for k in range(j):
+                    a = graph.sub(a, graph.mul(L[i][k], A[j][k]))
+                A[i][j] = a
+            for i in range(j + 1, n):
+                L[i][j] = graph.div(A[i][j], A[j][j])
 
-    def preamble(emit):
-        for _, block in blocks:  # every check of g and dg, before any pivot
-            for node in block:
-                emit.ref(node)
-        for j in range(n):
-            emit.pivot(A[j][j])
-        return emit
+        def solve(y):
+            """z with g z = y, by the forward and back substitutions of L D L^T."""
+            for i in range(n):
+                for l in range(i):
+                    y[i] = graph.sub(y[i], graph.mul(L[i][l], y[l]))
+            z = [None] * n
+            for i in reversed(range(n)):
+                zi = graph.div(y[i], A[i][i])
+                for l in range(i + 1, n):
+                    zi = graph.sub(zi, graph.mul(L[l][i], z[l]))
+                z[i] = zi
+            return z
 
-    z = solve(y)
-    emit = preamble(_Emitter(1))
-    spray = emit.fork()
-    refs = [spray.ref(node) for node in z]
-    body = [f"{_unpack(range(n))}= x", f"{_unpack(range(n, 2 * n))}= v",
-            *spray.lines, f"return [{', '.join(refs)}]"]
-    gamma, sprays = [((n, n, n), flat)], [((n,), z)]
-    spray_fn = _with_batch(_define("spray", "x, v", body), lambda: _compile(
-        "spray", 2 * n, preamble(_Emitter(1, batch=True)), sprays))
+        def koszul(m, j, k):  # K_mjk for j <= k
+            # d_m g_mk - d_m g_mk cancels exactly where m = j, and likewise m = k
+            if m == j:
+                return dg[k][m][m]
+            if m == k:
+                return dg[j][m][m]
+            return graph.add(graph.sub(dg[j][m][k], dg[m][j][k]), dg[k][m][j])
 
-    def fragment(x, v, q):  # x and v bound to the inputs, and x to the list faults quote
-        head = [f"x{i} = {name}" for i, name in enumerate(x + v)] + [f"x = [{', '.join(x)}]"]
-        return head + spray.lines + [f"{name} = {ref}" for name, ref in zip(q, refs)], {}
-    spray_fn.fragment = fragment
-    return (_with_batch(_compile("gamma", n, emit, gamma),
-                        lambda: _compile("gamma", n, preamble(_Emitter(1, batch=True)), gamma)),
-            spray_fn)
+        half = graph.num(0.5)
+
+        def term(v, w):
+            """The nodes of Gamma(v, w) for lists v and w of nodes."""
+            js, ks = ([j for j in range(n) if not _is_num(u[j], 0.0)] for u in (v, w))
+            y = []
+            for m in range(n):
+                ym = graph.zero
+                for j in js:
+                    if w is v:  # (1/2) K_m(v, v) = sum_{j<k} K_mjk v_j v_k + (1/2) sum_j K_mjj v_j^2
+                        ym = graph.add(ym, graph.mul(graph.mul(half, koszul(m, j, j)),
+                                                     graph.mul(v[j], v[j])))
+                    for k in ks:
+                        if w is not v or k > j:
+                            ym = graph.add(ym, graph.mul(koszul(m, min(j, k), max(j, k)),
+                                                         graph.mul(v[j], w[k])))
+                y.append(ym)
+            z = solve(y)
+            return z if w is v else [graph.mul(half, zi) for zi in z]
+
+        @functools.cache
+        def preamble(batch):
+            emit = _Emitter(1, batch)
+            if not batch:
+                emit.lines.append(f"x = [{_unpack(range(n))}]")
+            for _, block in blocks:  # every check of g and dg, before any pivot
+                for node in block:
+                    emit.ref(node)
+            for j in range(n):
+                emit.pivot(A[j][j])
+            return emit
+
+        return graph, term, preamble
+
+    @_shallow
+    @functools.cache
+    def body(batch, pattern):
+        """The statements and the refs of every term's q for the terms of a
+        pattern, their names the variables x{n + slot}."""
+        graph, term, preamble = ldl()
+        emit = preamble(batch).fork()
+
+        def nodes(vector):
+            return [graph.lower(Var(n + f, "")) if isinstance(f, int) else graph.num(float(f))
+                    for f in vector]
+        refs = []
+        for v, w, same in pattern:
+            v = nodes(v)
+            refs.append([emit.ref(node) for node in term(v, v if same else nodes(w))])
+        return emit.lines, refs
+
+    def fragment(x, terms, rows=False):
+        slots = {}  # each name of a v or w, and its slot
+
+        def code(vector):
+            return tuple(slots.setdefault(f, len(slots)) if f.isidentifier() else f for f in vector)
+        lines, refs = body(rows, tuple((code(v), code(w), w is v) for v, w, _ in terms))
+        head = f"{_unpack(range(n + len(slots)))}= {''.join(f'{f}, ' for f in [*x, *slots])}"
+        return [head, *lines, *(f"{name} = {ref}" for (*_, q), term_refs in zip(terms, refs)
+                                for name, ref in zip(q, term_refs))], {}
+    return fragment
 
 
 def _derivative_blocks(graph, nodes, n: int, order: int):

@@ -69,9 +69,8 @@ class MetricEvaluator:
     The connection Gamma(v, w)^i = Gamma^i_jk v^j w^k has three forms:
     ``spray(x, v)`` = Gamma(v, v), a list of n floats from sequences of
     floats; ``connection(x, v)`` = C = Gamma(v, .), with C @ w = Gamma(v, w);
-    and ``gamma(x)``[i, j, k] = Gamma^i_jk. The defaults invert g from
-    ``first_order``, so an evaluator that supplies only ``stack`` is complete.
-    A closed-form evaluator writes Gamma once instead, as
+    and ``gamma(x)``[i, j, k] = Gamma^i_jk. Every evaluator of the library
+    is a ``FragmentEvaluator``, which writes Gamma once, as
     ``connection_fragment(x, terms, rows)``: for the names x of a point and
     terms (v, w, q), v and w lists of names or of the literals "0.0" and
     "1.0", the statements that set the names q to Gamma(v, w), on + - * /
@@ -80,7 +79,9 @@ class MetricEvaluator:
     globals with ``_``. A term whose w is its v is the spray, written as the
     float step has it. Every form and array form is ``_emitted`` from it.
     ``transport`` inlines ``spray.fragment(x, v, q)`` into its float steps,
-    and calls a spray without one once per stage.
+    and calls a spray without one once per stage. The defaults here, for an
+    evaluator without a fragment, invert g from ``first_order`` and contract
+    ``gamma``, so that one which supplies only ``stack`` is complete.
 
     ``jacobi_batch(X, V)``, where an evaluator has one (the constant-curvature
     models), returns B(w, u) = low(v, w, v, u), (N, n, n), of the rays (X, V)
@@ -153,6 +154,16 @@ class MetricEvaluator:
         return _batch(self._stack_rows, self.stack, [(self.dim,) * k for k in (2, 3, 4)], X)
 
 
+class FragmentEvaluator(MetricEvaluator):
+    """An evaluator that writes Gamma(v, w) once, as ``connection_fragment``:
+    its ``spray``, ``connection`` and ``gamma`` and their array forms are
+    ``_emitted`` from it."""
+
+    spray, _spray_rows = _emitted("spray"), _emitted("spray", rows=True)
+    connection, _connection_rows = _emitted("connection"), _emitted("connection", rows=True)
+    gamma, _gamma_rows = _emitted("gamma"), _emitted("gamma", rows=True)
+
+
 # Rows from which a batch takes an array form over the per-point loop. An
 # array form has a fixed cost of tens of microseconds and is several times
 # cheaper per row than the loop, which costs a few microseconds a point; the
@@ -218,7 +229,7 @@ def gamma_from_stack(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * (g_inv @ K).reshape(dg.shape)
 
 
-class ConformalEvaluator(MetricEvaluator):
+class ConformalEvaluator(FragmentEvaluator):
     """The stereographic model of curvature K = sign / c: g = mu(|x|^2) delta
     with mu = (2c / a)^2 and a = c + sign |x|^2, for c > 0 and sign = +-1
     (Lee, Introduction to Riemannian Manifolds, 2018, ch. 3).
@@ -228,10 +239,6 @@ class ConformalEvaluator(MetricEvaluator):
     operator (``jacobi_batch``). c, sign and K are read-only, since the forms
     emitted from ``connection_fragment`` inline them.
     """
-
-    spray, _spray_rows = _emitted("spray"), _emitted("spray", rows=True)
-    connection, _connection_rows = _emitted("connection"), _emitted("connection", rows=True)
-    gamma, _gamma_rows = _emitted("gamma"), _emitted("gamma", rows=True)
 
     def __init__(self, n: int, c: float, sign: float):
         self.dim = n
@@ -310,14 +317,14 @@ class ConformalEvaluator(MetricEvaluator):
         return m[:, None, None] * eye, dg, kern[..., None, None] * eye
 
 
-class ExpressionEvaluator(MetricEvaluator):
+class ExpressionEvaluator(FragmentEvaluator):
     """Free-form metric whose coefficients are expression ASTs.
 
     ``metric``, ``first_order`` and ``stack`` are straight-line functions
     compiled from the upper triangle of ``asts`` by ``expr.compile_tensor``,
-    and ``gamma`` and ``spray`` are two compiled by ``expr.compile_gamma``,
-    with no matrix inverse; ``connection`` contracts ``gamma``. Their array
-    forms, compiled from the same statements, serve the batches.
+    with array forms from the same statements; every form of the connection
+    is emitted on first use from ``connection_fragment``, which
+    ``expr.compile_gamma`` writes by an LDL^T solve with no matrix inverse.
     """
 
     def __init__(self, asts, n: int):
@@ -326,23 +333,13 @@ class ExpressionEvaluator(MetricEvaluator):
         upper = [[asts[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         self.metric, self.first_order, self.stack = (
             expr.compile_tensor(upper, n, order) for order in range(3))
-        self.gamma, self.spray = expr.compile_gamma(upper, n)
-
-    def _spray_rows(self, X, V):
-        return self.spray.batch(np.hstack([X, V]))
+        self.connection_fragment = expr.compile_gamma(upper, n)
 
     def _metric_rows(self, X):
         return self.metric.batch(X)
 
     def _stack_rows(self, X):
         return self.stack.batch(X)
-
-    def _gamma_rows(self, X):
-        return self.gamma.batch(X)
-
-    def _connection_rows(self, X, V):
-        G = self.gamma.batch(X)
-        return None if G is None else (V[:, None, None] @ G)[:, :, 0]
 
 
 # ---------------------------------------------------------------------------

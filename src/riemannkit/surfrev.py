@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr
 from .errors import (BadParam, BadProfile, BarrierNotTransversal, DomainExit, DomainFault)
-from .manifold import MetricChart, MetricEvaluator, _batch, _bisect, _emitted, _read_definition, _sum
+from .manifold import FragmentEvaluator, MetricChart, _batch, _bisect, _read_definition, _sum
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +187,13 @@ def reparametrize_arclength(profile: Profile, grid: int = 8193) -> Profile:
 # Chart construction
 # ---------------------------------------------------------------------------
 
-class SurfRevEvaluator(MetricEvaluator):
+class SurfRevEvaluator(FragmentEvaluator):
     """ds^2 = du^2 + f(u)^2 dtheta^2 on the (u, theta) chart.
 
     Every form of the connection is emitted from ``connection_fragment``; the
     array forms call the profile's ``array_form`` where the per-point ones
     call f, and a profile without one loops (see ``MetricEvaluator``).
     """
-
-    spray, _spray_rows = _emitted("spray"), _emitted("spray", rows=True)
-    connection, _connection_rows = _emitted("connection"), _emitted("connection", rows=True)
-    gamma, _gamma_rows = _emitted("gamma"), _emitted("gamma", rows=True)
 
     def __init__(self, ffun: SmoothFunc):
         self.dim = 2

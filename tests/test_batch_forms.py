@@ -85,7 +85,6 @@ def test_the_crossover_picks_the_loop_or_the_array_form():
         calls.append(1)
         return inner(x)
 
-    counted.batch = inner.batch
     ev.gamma = counted
     X = _chart("expr2").sample_points(BATCH_ROWS, 3)
     ev.gamma_batch(X[:-1])
@@ -117,14 +116,13 @@ def _assert_same_outcome(got, want):
         assert _same(got, want)
 
 
-# each batch and the per-point loop it must match; a connection batch
-# contracts the Christoffel batch, so it faults as that loop does
+# each batch and the per-point loop it must match
 LOOPS = {
     "metric_batch": lambda ev, X, V: MetricEvaluator.metric_batch(ev, X),
     "stack_batch": lambda ev, X, V: MetricEvaluator.stack_batch(ev, X),
     "gamma_batch": lambda ev, X, V: MetricEvaluator.gamma_batch(ev, X),
-    "connection_batch": lambda ev, X, V: (
-        V[:, None, None, :] @ MetricEvaluator.gamma_batch(ev, X))[:, :, 0],
+    "connection_batch": lambda ev, X, V: manifold._batch(
+        None, ev.connection, [(ev.dim, ev.dim)], X, V),
 }
 
 

@@ -5,8 +5,8 @@ full Christoffel symbols."""
 import numpy as np
 import pytest
 
-from riemannkit import manifold, transport
-from riemannkit.errors import DomainFault
+from riemannkit import expr, manifold, transport
+from riemannkit.errors import DomainFault, SingularMetric
 from riemannkit.transport import OdeSettings
 from test_spray import _RKF_A, _RKF_B5, _RKF_C, _rkf45
 
@@ -45,8 +45,8 @@ def test_connection_matches_gamma_contraction(name):
     one = np.array([ev.connection(x, v) for x, v in zip(X, V)])
     batch = ev.connection_batch(X, V)
     assert one.shape == batch.shape == (48, chart.dim, chart.dim)
-    if isinstance(ev, manifold.ConformalEvaluator):
-        # the O(n^2) closed form, not a contraction of gamma
+    if isinstance(ev, (manifold.ConformalEvaluator, manifold.ExpressionEvaluator)):
+        # solved or written for Gamma(v, .) itself, not a contraction of gamma
         for got in (one, batch):
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
         return
@@ -58,6 +58,67 @@ def test_connection_matches_gamma_contraction(name):
         # einsum and matmul may add the three products in another order
         scale = np.abs(want).max(axis=(1, 2), keepdims=True)
         assert np.all(np.abs(one - want) <= 2 * np.finfo(float).eps * scale)
+
+
+def test_a_fragment_call_of_four_terms_is_the_contraction_of_gamma():
+    # the spray, two named vectors, a unit literal against a name, and a
+    # name against a unit literal, in one call on one graph
+    ev = CHARTS["expr3"]().evaluator
+    x, v, w = (["a0", "a1", "a2"], ["b0", "b1", "b2"], ["c0", "c1", "c2"])
+    e0, e1 = ["1.0", "0.0", "0.0"], ["0.0", "1.0", "0.0"]
+    terms = [(v, v, ["q0", "q1", "q2"]), (v, w, ["r0", "r1", "r2"]),
+             (e0, w, ["s0", "s1", "s2"]), (v, e1, ["u0", "u1", "u2"])]
+    lines, env = ev.connection_fragment(x, terms)
+    q = ", ".join(name for *_, names in terms for name in names)
+    four = expr._define("four", ", ".join(x + v + w), [*lines, f"return [{q}]"], env)
+    X, V = _rays(CHARTS["expr3"](), 16)
+    W = np.random.default_rng(3).uniform(-1.5, 1.5, V.shape)
+    for p, a, b in zip(X, V, W):
+        G = ev.gamma(p)
+        want = [np.einsum("ijk,j,k->i", G, s, t) for s, t in
+                [(a, a), (a, b), (np.eye(3)[0], b), (a, np.eye(3)[1])]]
+        got = np.reshape(four(*p, *a, *b), (4, 3))
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+
+def test_a_zero_pivot_faults_alike_in_every_connection_form():
+    # g = diag(1, x) is singular at x = 0; every form, per point, in the
+    # loop and past the array form's failing check, quotes the point as a list
+    ev = manifold.chart_from_definition(
+        {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "x"]]}).evaluator
+    x, v = np.array([0.0, 0.3]), np.array([1.0, -0.5])
+    calls = [lambda: ev.gamma(x), lambda: ev.connection(x, v),
+             lambda: ev.spray(x.tolist(), v.tolist())]
+    for rows in (1, manifold.BATCH_ROWS + 3):
+        X = np.tile([0.5, 0.3], (rows, 1))
+        X[-1] = x
+        V = np.tile(v, (rows, 1))
+        calls += [lambda X=X: ev.gamma_batch(X), lambda X=X, V=V: ev.connection_batch(X, V),
+                  lambda X=X, V=V: ev.spray_batch(X, V)]
+    for call in calls:
+        with pytest.raises(SingularMetric) as info:
+            call()
+        assert str(info.value) == "metric singular at [0.0, 0.3]"
+
+
+def test_an_expression_chart_compiles_no_connection_form_until_first_use(monkeypatch):
+    built = []
+
+    def compile_gamma(rows, n):
+        fragment = compile_gamma.inner(rows, n)
+
+        def counted(*args):
+            built.append(args)
+            return fragment(*args)
+        return counted
+    compile_gamma.inner = expr.compile_gamma
+    monkeypatch.setattr(expr, "compile_gamma", compile_gamma)
+    chart = manifold.chart_from_definition(EXPR3)
+    ev = chart.evaluator
+    forms = ("spray", "connection", "gamma", "_spray_rows", "_connection_rows", "_gamma_rows")
+    assert not built and not set(forms) & set(vars(ev))
+    transport.integrate_geodesic(chart, [0.3, 0.2, 0.1], [0.5, 1.0, -0.4], 0.1)
+    assert built and "spray" in vars(ev) and "gamma" not in vars(ev)
 
 
 def _einsum_framed_rhs(chart):
