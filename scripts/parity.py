@@ -90,6 +90,16 @@ FAULTS = {
 }
 
 
+# g = diag(1, x), whose second pivot is 0 at x = 0
+PIVOT = {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "x"]]}
+FAULTS.update({f"expr_zero_pivot_{form}": ("sqrt", lambda: manifold.chart_from_definition(PIVOT), call)
+               for form, call in (
+                   ("gamma", lambda c: c.evaluator.gamma(np.array([0.0, 0.3]))),
+                   ("connection", lambda c: c.evaluator.connection(np.array([0.0, 0.3]),
+                                                                   np.array([1.0, -0.5]))),
+                   ("spray", lambda c: c.evaluator.spray([0.0, 0.3], [1.0, -0.5])))})
+
+
 def _unit(chart, p, v):
     v = np.asarray(v, dtype=float)
     return v / manifold.norm(chart, np.asarray(p, dtype=float), v)
@@ -125,6 +135,11 @@ def _outputs(chart, box, ray, kref):
     yield "connection", lambda: [ev.connection(x, w) for x, w in zip(X[:8], V)]
     yield "connection_batch_8", lambda: ev.connection_batch(X[:8], V[:8])
     yield "connection_batch", lambda: ev.connection_batch(X, V)
+    # below and past BATCH_ROWS: the loop and the array form
+    for rows in (8, 64):
+        yield f"gamma_batch_{rows}", lambda r=rows: ev.gamma_batch(np.resize(X, (r, n)))
+        yield f"spray_batch_{rows}", lambda r=rows: ev.spray_batch(np.resize(X, (r, n)),
+                                                                  np.resize(V, (r, n)))
     for name, settings in (("rk4", rk4), ("rkf45", rkf)):
         geodesic = functools.partial(transport.integrate_geodesic, chart, p, v, 1.5,
                                      settings=settings)

@@ -172,10 +172,7 @@ def cmd_transport(args):
     traj = transport.integrate_geodesic(chart, args.point, args.velocity,
                                         args.tmax, settings=_settings(args))
     w = transport.parallel_transport(chart, traj, args.w0)
-    g0 = chart.evaluator.metric(traj.x[0])
-    gT = chart.evaluator.metric(traj.x[-1])
-    n0 = math.sqrt(max(float(args.w0 @ g0 @ args.w0), 0.0))
-    nT = math.sqrt(max(float(w[-1] @ gT @ w[-1]), 0.0))
+    n0, nT = manifold.norm(chart, traj.x[0], args.w0), manifold.norm(chart, traj.x[-1], w[-1])
     if args.csv:
         manifold._write_csv(args.csv, ["t"] + [f"w{i+1}" for i in range(chart.dim)],
                             np.column_stack([traj.t, w]))
@@ -242,7 +239,7 @@ def cmd_jacobi(args):
     geo = transport.integrate_geodesic(chart, args.point, args.velocity,
                                        args.tmax, settings=_settings(args))
     sol = variation.jacobi_solve(chart, geo, args.j0, args.j0p)
-    norms = np.linalg.norm(sol.f, axis=1)
+    norms = np.hypot.reduce(sol.f, axis=1, initial=0.0)  # without overflow where the norm is finite
     if args.csv:
         manifold._write_csv(args.csv, ["t"] + [f"f{i+1}" for i in range(chart.dim)] + ["norm"],
                             np.column_stack([sol.t, sol.f, norms]))
@@ -503,10 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_negative_values(argv) -> list:
-    """Attach a value such as -1,0 to its option, which argparse reads as a flag."""
+    """Attach a value such as -1,0 or -inf to its option, which argparse reads as a flag."""
     out = []
     for tok in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", tok):
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-(\.?\d|inf|nan)", tok, re.IGNORECASE)):
             out[-1] += "=" + tok
         else:
             out.append(tok)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (BadParam, ConjugateNotFound, DegeneratePlane,
                      InputOrderViolated)
-from .manifold import MetricChart, _bisect, _hermite, _write_csv, metric_at
+from .manifold import MetricChart, _bisect, _finite, _hermite, _positive, _write_csv, metric_at
 from .tensor import (curvature, curvature_low_batch, jacobi_driving_batch,
                      orthonormal_frame, ricci)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
@@ -49,7 +49,7 @@ class CurvatureProfile:
             raise BadParam("geodesic must carry a parallel frame")
         chart.require_inside(geo.x)
         ts = geo.t
-        y = geo.frame[:, :, direction]
+        y = geo.frame[:, :, _index("direction", direction, chart.dim)]
         # numerator low(v, y, v, y) is the driving matrix of the one-column frame y;
         # denominator and degeneracy test as in tensor.sectional
         M = jacobi_driving_batch(chart, geo.x, geo.v, y[:, :, None])
@@ -68,6 +68,13 @@ class CurvatureProfile:
 
     def __call__(self, t: float) -> float:
         return float(self.H(t))
+
+
+def _index(name: str, value, count: int) -> int:
+    """value as an index into ``count`` items; BadParam otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < count:
+        raise BadParam(f"{name} must be an integer in [0, {count}), got {value!r}")
+    return int(value)
 
 
 def _as_profile(H) -> CurvatureProfile:
@@ -241,6 +248,7 @@ def rauch_ratio(chart_lo: MetricChart, p_lo, v_lo,
     Heintze, Manuscripta Math. 68, 1990), else InputOrderViolated; the ratio
     is then nondecreasing and the lo-field dominates.
     """
+    direction = _index("direction", direction, chart_lo.dim - 1)
     geo_lo = integrate_geodesic(chart_lo, p_lo, v_lo, tmax, settings=settings)
     geo_hi = integrate_geodesic(chart_hi, p_hi, v_hi, tmax, settings=settings)
     sys_lo = jacobi_system(chart_lo, geo_lo)
@@ -366,6 +374,9 @@ def _batched_sphere_sweep(chart: MetricChart, p, r: float, n_dirs: int,
         raise BadParam(f"directions must be a positive integer, not {n_dirs!r}")
     if not (0.0 < step < math.inf and all(0.0 < s < math.inf for s in radii)):
         raise BadParam("step and radii must be positive and finite")
+    if radii[-1] / step > DEFAULT_SETTINGS.max_steps:
+        raise BadParam(f"radius / step = {radii[-1] / step:.6g} exceeds "
+                       f"{DEFAULT_SETTINGS.max_steps} steps")
     p = np.asarray(p, dtype=float)
     n = chart.dim
     d = n - 1
@@ -410,6 +421,7 @@ def volume_compare(chart: MetricChart, p, r: float, Kref: float,
         directions = 512 if n == 2 else 2048
     if not 0.0 < r < math.inf:
         raise BadParam("radius must be positive and finite")
+    Kref = float(_finite("Kref", Kref))
     # sampled Ricci hypothesis near p
     rng = np.random.default_rng(seed)
     samples = [p + rng.uniform(-r, r, n) if k else p for k in range(ric_samples)]
@@ -425,6 +437,8 @@ def volume_compare(chart: MetricChart, p, r: float, Kref: float,
     area = float(np.mean(dets)) * omega
     ref_det = s_K(r, Kref) ** (n - 1)
     reference = ref_det * omega
+    if reference == 0.0:
+        raise BadParam(f"the reference area at radius {r!r} underflows to 0")
     ratio = area / reference
     pointwise = bool(np.all(dets <= ref_det + 1e-8 * max(1.0, ref_det)))
     return {"area": area, "reference": reference, "ratio": ratio,
@@ -447,9 +461,9 @@ def scalar_expansion_fit(chart: MetricChart, p, radii=(0.2, 0.1, 0.05),
     n = chart.dim
     if directions is None:
         directions = 512 if n == 2 else 2048
-    radii = sorted(radii, reverse=True)
+    radii = sorted({_positive("radius", r) for r in radii}, reverse=True)
     if len(radii) < 2:
-        raise BadParam("scalar_expansion_fit needs at least two radii")
+        raise BadParam("scalar_expansion_fit needs at least two distinct radii")
     dets = _batched_sphere_sweep(chart, p, radii[-1], directions, step, radii=radii)
     coeffs = {}
     for rr in radii:

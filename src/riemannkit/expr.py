@@ -16,7 +16,8 @@ argument < 0 (or = 0 where derivatives are taken), division by 0, and
 ``a ^ b`` with a <= 0 where b is not an integer literal.  ``a ^ -k``, for an
 integer literal k, is ``1 / a ^ k``: a division, so a DomainFault at a = 0.
 An overflowing ``^`` (``a ^ -k`` too) or function raises OverflowError; a
-written ``+ - * /`` overflows to inf as floats do.  A literal that is not
+written ``+ - * /`` overflows to inf as floats do, and ``sin``, ``cos`` or
+``tan`` of an infinite argument raises DomainFault.  A literal that is not
 finite is a ParseError at its column; an expression nested too deeply to
 parse is a ParseError, and one too deeply nested to compile a BadParam.
 """
@@ -700,7 +701,8 @@ def compile_gamma(rows, n: int):
     ``manifold.MetricEvaluator``, whose statements set the names q to
     Gamma(v, w)^i = (1/2) g^im K_m(v, w), K_mjk = d_j g_mk - d_m g_jk +
     d_k g_mj, for each term (v, w, q), with no globals beyond the compiled
-    ones; a name of v or w is any identifier, anything else a literal.
+    ones. A name of x, v or w is any identifier but the fragment's own x0,
+    x1, ... (the name x{i} at x[i] aside), and anything else is a literal.
 
     ``rows`` is the n x n nested list of coefficient ASTs, with rows[i][j] and
     rows[j][i] equal. On the first call the partials of g go on one graph,
@@ -809,7 +811,7 @@ def compile_gamma(rows, n: int):
         for v, w, same in pattern:
             v = nodes(v)
             refs.append([emit.ref(node) for node in term(v, v if same else nodes(w))])
-        return emit.lines, refs
+        return (emit.lines if batch else _guarded(emit.lines)), refs
 
     def fragment(x, terms, rows=False):
         slots = {}  # each name of a v or w, and its slot
@@ -817,9 +819,10 @@ def compile_gamma(rows, n: int):
         def code(vector):
             return tuple(slots.setdefault(f, len(slots)) if f.isidentifier() else f for f in vector)
         lines, refs = body(rows, tuple((code(v), code(w), w is v) for v, w, _ in terms))
-        head = f"{_unpack(range(n + len(slots)))}= {''.join(f'{f}, ' for f in [*x, *slots])}"
-        return [head, *lines, *(f"{name} = {ref}" for (*_, q), term_refs in zip(terms, refs)
-                                for name, ref in zip(q, term_refs))], {}
+        head = [f"x{i} = {f}" for i, f in enumerate([*x, *slots]) if f != f"x{i}"]
+        tail = [f"{name} = {ref}" for (*_, q), term_refs in zip(terms, refs)
+                for name, ref in zip(q, term_refs)]
+        return [*head, *lines, *tail], {}
     return fragment
 
 
@@ -861,8 +864,18 @@ def _compile(name: str, n, emit: _Emitter, blocks):
         head = f"_N = len(x); {_unpack(range(n))}= _contiguous(x.T)"
     else:
         head = f"{_unpack(range(n))}= x.tolist()"
-    body = [head, *emit.lines, f"return {', '.join(results)}"]
+    body = [head, *(emit.lines if emit.batch else _guarded(emit.lines)), f"return {', '.join(results)}"]
     return _define(name, "x", body)
+
+
+def _guarded(lines) -> list:
+    """The statements ``lines`` of a per-point function, in a try where they
+    call sin, cos or tan, whose ValueError at an infinite argument is then a
+    DomainFault at the point x; a try costs nothing until it catches."""
+    if not any(f"_{fn}(" in line for line in lines for fn in ("sin", "cos", "tan")):
+        return lines
+    return ["try:", *(f"    {line}" for line in lines), "except ValueError:",
+            "    raise DomainFault(f'sin, cos or tan of an infinite argument at {x}') from None"]
 
 
 def _gather(emit: _Emitter, out: str, shape, flat, refs) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,7 +94,8 @@ class MetricEvaluator:
     array form (``_metric_rows``, ``_stack_rows`` and so on), whose rows equal
     the per-point values bitwise. Below it, without an array form, or where a
     check of the array form fails at some row or a value is not finite, they
-    loop the per-point function, so a fault has the loop's class and message,
+    loop the per-point function (read only then, so that an emitted one is
+    not emitted for nothing), so a fault has the loop's class and message,
     and a DomainFault or SingularMetric names the failing row as its ``point``.
     """
 
@@ -130,7 +131,7 @@ class MetricEvaluator:
 
     def gamma_batch(self, X: np.ndarray) -> np.ndarray:
         """Christoffel symbols at every row of X, shape (N, n, n, n)."""
-        return _batch(self._gamma_rows, self.gamma, [(self.dim,) * 3], X)
+        return _batch(self._gamma_rows, lambda x: self.gamma(x), [(self.dim,) * 3], X)
 
     def connection(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """C = Gamma(v, .) at x, an (n, n) matrix with C @ w = Gamma(v, w)."""
@@ -138,7 +139,7 @@ class MetricEvaluator:
 
     def connection_batch(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Gamma(V[b], .) at every row X[b], shape (N, n, n)."""
-        return _batch(self._connection_rows, self.connection, [(self.dim,) * 2], X, V)
+        return _batch(self._connection_rows, lambda x, v: self.connection(x, v), [(self.dim,) * 2], X, V)
 
     def spray(self, x, v) -> list:
         """Gamma(v, v) at x, a list of n floats."""
@@ -381,9 +382,8 @@ class MetricChart:
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         """Seeded random interior points, reproducible across runs."""
-        if count < 0:
-            raise BadParam(f"sample count must be nonnegative, not {count}")
-        rng = np.random.default_rng(seed)
+        count = _count("sample count", count, 0)
+        rng = np.random.default_rng(_count("seed", seed, 0))
         low, high = self.sample_box if self.sample_box is not None else (
             -np.ones(self.dim), np.ones(self.dim))
         low = np.asarray(low, dtype=float)
@@ -420,6 +420,28 @@ def _require_finite(X: np.ndarray, stack) -> None:
     raise DomainFault(f"metric {which} not finite at {X[b]}", point=X[b].copy())
 
 
+def _finite(name: str, value, shape=()) -> np.ndarray:
+    """value as a float array of the given shape; BadDimension for another
+    shape, BadParam where it holds anything but finite numbers."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise BadParam(f"{name} must hold numbers, got {value!r}") from None
+    if a.shape != tuple(shape):
+        raise BadDimension(f"{name} has shape {a.shape}, not {tuple(shape)}")
+    if not np.isfinite(a).all():
+        raise BadParam(f"{name} must be finite, got {a.tolist()}")
+    return a
+
+
+def _positive(name: str, value) -> float:
+    """value as a float; BadParam unless it is a finite number > 0."""
+    x = float(_finite(name, value))
+    if not x > 0.0:
+        raise BadParam(f"{name} must be positive, got {value!r}")
+    return x
+
+
 def metric_at(chart: MetricChart, p) -> MetricData:
     p = np.asarray(p, dtype=float)
     chart.require_inside(p)
@@ -439,7 +461,12 @@ def inner(chart: MetricChart, p, v, w) -> float:
 
 
 def norm(chart: MetricChart, p, v) -> float:
-    return math.sqrt(max(inner(chart, p, v, v), 0.0))
+    """|v|_g at p, from v scaled by a power of two, which rounds nothing, so
+    that g(v, v) overflows or underflows only where |v|_g does."""
+    v = np.asarray(v, dtype=float)
+    e = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+    u = np.ldexp(v, -e)
+    return math.ldexp(math.sqrt(max(inner(chart, p, u, u), 0.0)), e)
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +527,14 @@ def _number(name, params, key, default) -> float:
     return value
 
 
-def _count(label: str, raw) -> int:
-    """raw as an integer >= 1 (2, 2.0 or "2"); BadParam naming label otherwise."""
+def _count(label: str, raw, least: int = 1) -> int:
+    """raw as an integer >= least (2, 2.0 or "2"); BadParam naming label otherwise."""
     try:
         n = float(raw)
     except (TypeError, ValueError):
         n = math.nan
-    if isinstance(raw, bool) or not (n >= 1 and n.is_integer()):
-        raise BadParam(f"{label} must be an integer >= 1, got {raw!r}")
+    if isinstance(raw, bool) or not (n >= least and n.is_integer()):
+        raise BadParam(f"{label} must be an integer >= {least}, got {raw!r}")
     return int(n)
 
 
@@ -614,8 +641,8 @@ class SampledCurve:
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
-        if np.any(np.diff(self.t) <= 0):
-            raise BadParam("curve parameter grid must be strictly increasing")
+        if not (np.isfinite(self.t).all() and np.all(np.diff(self.t) > 0)):
+            raise BadParam("curve parameter grid must be finite and strictly increasing")
         if self.velocities is not None:
             self.velocities = np.asarray(self.velocities, dtype=float)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr
 from .errors import (BadParam, BadProfile, BarrierNotTransversal, DomainExit, DomainFault)
-from .manifold import FragmentEvaluator, MetricChart, _batch, _bisect, _read_definition, _sum
+from .manifold import FragmentEvaluator, MetricChart, _batch, _bisect, _finite, _read_definition, _sum
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +319,23 @@ CRITICAL_TOL = 1e-8
 def barriers(profile: Profile, c: float, grid: int = 2048,
              tol: float = 1e-10) -> list:
     """All roots of f(u) = |c| in u_range, tagged by the f' dichotomy."""
-    target = abs(c)
+    target = abs(float(_finite("c", c)))
     us = profile.sample_u(grid)
     fv, d1, _ = profile.f.batch(us)
     phi = fv - target
+    sign, sign1 = np.sign(phi), np.sign(d1)  # whose products do not overflow
     roots = []
     for i in range(len(us) - 1):
         if phi[i] == 0.0:
             roots.append(us[i])
-        elif phi[i] * phi[i + 1] < 0.0:
+        elif sign[i] * sign[i + 1] < 0.0:
             roots.append(_bisect(lambda u: profile.f.value(u) - target,
                                  us[i], us[i + 1], tol))
     if phi[-1] == 0.0:
         roots.append(us[-1])
     # tangential touches at critical parallels produce no sign change
     for i in range(len(us) - 1):
-        if d1[i] * d1[i + 1] < 0.0:
+        if sign1[i] * sign1[i + 1] < 0.0:
             crit = _bisect(lambda u: profile.f(u)[1], us[i], us[i + 1], tol)
             if abs(profile.f.value(crit) - target) < 1e-9:
                 roots.append(crit)
@@ -368,7 +369,7 @@ def classify_geodesic(profile: Profile, init, confirm: bool = True,
     phi0 = 0 points along the meridian; phi0 = pi/2 is tangent to the
     parallel through u0. Tags follow the turning behavior of u.
     """
-    u0, theta0, phi0 = (float(init[0]), float(init[1]), float(init[2]))
+    u0, theta0, phi0 = _finite("init", init, (3,)).tolist()
     fv, f1, _ = profile.f(u0)
     c = fv * math.sin(phi0)
     report = {"c": float(c), "u0": u0, "phi0": phi0}

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, BadParam, DegeneratePlane, SingularMetric
-from .manifold import MetricChart, _require_finite, gamma_from_stack, koszul, metric_at
+from .manifold import (MetricChart, _finite, _positive, _require_finite, gamma_from_stack,
+                       koszul, metric_at)
 from . import expr as _expr
 
 
@@ -171,8 +172,7 @@ def bianchi_residual(chart: MetricChart, p) -> float:
 # ---------------------------------------------------------------------------
 
 def sectional(R: CurvatureTensor, g: np.ndarray, x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = (_finite(name, u, (len(g),)) for name, u in (("x", x), ("y", y)))
     gxx = float(x @ g @ x)
     gyy = float(y @ g @ y)
     gxy = float(x @ g @ y)
@@ -326,6 +326,7 @@ def normal_taylor_check(chart: MetricChart, p, frame=None, eps: float = 0.2,
     """
     from . import transport, variation
 
+    eps, ode_step = _positive("eps", eps), _positive("ode_step", ode_step)
     p = np.asarray(p, dtype=float)
     n = chart.dim
     md = metric_at(chart, p)
@@ -419,8 +420,7 @@ def berger_curvatures(a: float, b: float, c: float) -> dict:
     Evaluates both closed forms (the connection-coefficient route and the
     squared-parameter route) and reports their maximum discrepancy.
     """
-    if a <= 0 or b <= 0 or c <= 0:
-        raise BadParam("axis lengths must be positive")
+    a, b, c = (_positive(f"axis length {name}", x) for name, x in zip("abc", (a, b, c)))
     A = (b * b + c * c - a * a) / (2 * a * b * c)
     Bc = (c * c + a * a - b * b) / (2 * a * b * c)
     Cc = (a * a + b * b - c * c) / (2 * a * b * c)

@@ -41,10 +41,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (_POINT_FAULTS, BadDimension, BadParam, DomainExit,
+from .errors import (_POINT_FAULTS, BadParam, DomainExit,
                      NoConvergence, SingularMetric, StepFault)
 from .expr import _define
-from .manifold import MetricChart, SampledCurve, _dense, _write_csv, metric_at
+from .manifold import MetricChart, SampledCurve, _dense, _finite, _write_csv, metric_at
 from .tensor import orthonormal_frame
 
 
@@ -217,9 +217,9 @@ def _fixed_grid(tmax: float, settings: OdeSettings) -> np.ndarray:
     """The sample times of fixed-step RK4 on [0, tmax]."""
     if tmax == 0.0:
         return np.array([0.0])
-    n_steps = max(1, int(math.ceil(tmax / settings.step - 1e-12)))
-    if n_steps > settings.max_steps:
+    if tmax / settings.step - 1e-12 > settings.max_steps:  # before ceil, which fails at inf
         raise StepFault("rk4_fixed: max_steps exceeded")
+    n_steps = max(1, int(math.ceil(tmax / settings.step - 1e-12)))
     return np.linspace(0.0, tmax, n_steps + 1)
 
 
@@ -557,13 +557,11 @@ def _first_indefinite(G: np.ndarray):
 
 
 def _start(chart: MetricChart, p, v):
-    """p and v as arrays, p inside the chart (or a batch of points) and v of its shape."""
+    """p and v as arrays, p inside the chart (or a batch of points) and v of
+    its shape and finite."""
     p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
     chart.require_inside(p)
-    if v.shape != p.shape:
-        raise BadDimension(f"velocity of shape {v.shape} at a point of shape {p.shape}")
-    return p, v
+    return p, _finite("velocity", v, p.shape)
 
 
 def _float_geodesic(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
@@ -586,6 +584,9 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
     n = chart.dim
     if not 0.0 <= tmax < math.inf:
         raise BadParam(f"tmax must be finite and nonnegative, not {tmax!r}")
+    g, w = chart.evaluator.metric(p).tolist(), v.tolist()  # floats, which overflow quietly
+    if not math.isfinite(sum(a * b * gab for a, row in zip(w, g) for b, gab in zip(w, row))):
+        raise BadParam(f"g(v, v) of the velocity {v.tolist()} overflows at {p.tolist()}")
 
     E0 = initial_frame(chart, p, v if np.any(v) else None) if with_frame else None
     ts, ys, S, tableau = _float_geodesic(chart, p, v, tmax, settings, with_frame)
@@ -615,7 +616,8 @@ def _along(chart: MetricChart, curve, substeps: int, Y0: np.ndarray, system) -> 
     """Y at every sample of a curve with position/velocity for Y' = A(t) Y,
     A = system(C, c') with C = Gamma(c', .): RK4 transition matrices of
     ``substeps`` steps per sample interval, from one dense-output batch and
-    one ``connection_batch`` per block of steps."""
+    one ``connection_batch`` per block of steps; BadParam where the dense
+    velocity overflows, at samples too close for the size of their points."""
     _require_substeps(substeps)
     n, t = chart.dim, curve.t
     h = np.repeat(np.diff(t) / substeps, substeps)
@@ -623,7 +625,11 @@ def _along(chart: MetricChart, curve, substeps: int, Y0: np.ndarray, system) -> 
 
     def transitions(s, e):
         T = np.concatenate([t0[s:e], t0[s:e] + 0.5 * h[s:e], t0[s:e] + h[s:e]])
-        V = curve.velocity(T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = curve.velocity(T)
+        if not np.isfinite(V).all():
+            bad = T[np.argmin(np.isfinite(V).all(axis=1))]
+            raise BadParam(f"the curve's velocity is not finite near t={bad:.6g}")
         C = chart.evaluator.connection_batch(curve.position(T), V)
         A = system(C.reshape(3, e - s, n, n), V.reshape(3, e - s, n))
         return _transition((A[0], A[1], A[1], A[2]), h[s:e])
@@ -633,7 +639,7 @@ def _along(chart: MetricChart, curve, substeps: int, Y0: np.ndarray, system) -> 
 
 def parallel_transport(chart: MetricChart, traj, w0, substeps: int = 4) -> np.ndarray:
     """Components of the parallel translate of w0 at every sample of traj."""
-    return _along(chart, traj, substeps, np.asarray(w0, dtype=float), lambda C, V: -C)
+    return _along(chart, traj, substeps, _finite("w0", w0, (chart.dim,)), lambda C, V: -C)
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +756,18 @@ def _shoot(chart: MetricChart, p, q, v, settings: OdeSettings,
 # Development and reverse development
 # ---------------------------------------------------------------------------
 
+def _frame(chart: MetricChart, p, frame) -> np.ndarray:
+    """The g-orthonormal frame at p, or else ``frame``, an n x n array of
+    finite numbers; BadParam where its columns are no basis to working
+    precision."""
+    if frame is None:
+        return initial_frame(chart, p)
+    B = _finite("frame", frame, (chart.dim, chart.dim))
+    if np.linalg.matrix_rank(B) < chart.dim:
+        raise BadParam(f"frame columns are not a basis: {B.tolist()}")
+    return B
+
+
 def develop(chart: MetricChart, curve: SampledCurve, frame=None,
             substeps: int = 4) -> SampledCurve:
     """Development of a curve into Euclidean space.
@@ -762,7 +780,7 @@ def develop(chart: MetricChart, curve: SampledCurve, frame=None,
     C = Gamma(c', .): Z = [Theta | sigma] solves Z' = Z [[C, c'], [0, 0]].
     """
     n = chart.dim
-    B0 = initial_frame(chart, curve.points[0]) if frame is None else np.asarray(frame, dtype=float)
+    B0 = _frame(chart, curve.points[0], frame)
 
     def system(C, V):  # ZT = Z^T = [Theta^T; sigma] solves ZT' = A ZT
         A = np.zeros(C.shape[:2] + (n + 1, n + 1))
@@ -784,7 +802,7 @@ def reverse_develop(chart: MetricChart, sigma: SampledCurve, p, frame=None,
     p = np.asarray(p, dtype=float)
     n = chart.dim
     chart.require_inside(p)
-    B0 = initial_frame(chart, p) if frame is None else np.asarray(frame, dtype=float)
+    B0 = _frame(chart, p, frame)
     connection = chart.evaluator.connection
 
     def rhs(t, y):  # a point fault gets the time and x of its stage

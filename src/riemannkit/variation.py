@@ -17,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParam, ConjugateNotFound, ConjugatePresent
-from .manifold import (MetricChart, SampledCurve, _bisect, _dense, _hermite,
-                       _require_three_samples)
+from .manifold import (MetricChart, SampledCurve, _bisect, _dense, _finite, _hermite,
+                       _positive, _require_three_samples)
 from .manifold import energy as curve_energy
 from .tensor import jacobi_driving_batch
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _advance,
@@ -123,11 +123,13 @@ class JacobiSolution:
 
 def jacobi_solve(chart: MetricChart, geo: Trajectory, J0, J0p) -> JacobiSolution:
     """Solve J'' = -M J along geo from coordinate initial data (J0, D_t J at 0)."""
+    J0 = _finite("J0", J0, (chart.dim,) + np.shape(J0)[1:2])  # a vector, or columns of them
+    J0p = _finite("J0p", J0p, J0.shape)
     sys = jacobi_system(chart, geo)
     g0 = chart.evaluator.metric(geo.x[0])
     E0 = geo.frame[0]
-    f0 = E0.T @ g0 @ np.asarray(J0, dtype=float)
-    fp0 = E0.T @ g0 @ np.asarray(J0p, dtype=float)
+    f0 = E0.T @ g0 @ J0
+    fp0 = E0.T @ g0 @ J0p
     f, fp = _fields(sys, f0, fp0)
     return JacobiSolution(t=sys.t, f=f, fp=fp, system=sys)
 
@@ -293,14 +295,22 @@ def index_form(sys: JacobiSystem, V: FieldAlongGeodesic,
     """
     if Z is None:
         Z = V
-    if len(V.t) != len(sys.t) or not np.allclose(V.t, sys.t):
-        raise BadParam("field grid must match the geodesic sample grid")
+    _require_on_grid(sys, V)
+    _require_on_grid(sys, Z)
     Vp = V.derivative()
     Zp = Z.derivative()
     MV = np.einsum("tab,tb->ta", sys.M, V.comps)
     integrand = np.einsum("ta,ta->t", Vp, Zp) - np.einsum("ta,ta->t", MV, Z.comps)
     return _piecewise_simpson(sys.t, integrand,
                               sorted(set(V.breakpoints) | set(Z.breakpoints)))
+
+
+def _require_on_grid(sys: JacobiSystem, V: FieldAlongGeodesic) -> None:
+    """BadParam unless V is sampled on the geodesic's grid with finite
+    components; BadDimension unless it has one per frame vector."""
+    if len(V.t) != len(sys.t) or not np.allclose(V.t, sys.t):
+        raise BadParam("field grid must match the geodesic sample grid")
+    _finite("field components", V.comps, (len(sys.t), sys.dim))
 
 
 def _piecewise_simpson(t, y, breakpoints):
@@ -356,6 +366,7 @@ def basic_inequality_check(chart: MetricChart, geo: Trajectory,
     ConjugatePresent when a conjugate parameter lies inside the interval.
     """
     sys = jacobi_system(chart, geo)
+    _require_on_grid(sys, V)
     n = sys.dim
     d = n - 1
     if float(np.linalg.norm(V.comps[0])) > 1e-10:
@@ -410,6 +421,7 @@ def nonminimality_witness(chart: MetricChart, geo: Trajectory,
     The returned field is Y + W-correction as frame components with
     breakpoints at s1 and s2; its index form should be negative.
     """
+    margin_factor = _positive("margin_factor", margin_factor)
     sys = jacobi_system(chart, geo)
     n = sys.dim
     d = n - 1
@@ -474,6 +486,7 @@ class RectangleSpec:
         self.V = np.asarray(self.V, dtype=float)
         if self.V.shape != self.base.points.shape:
             raise BadParam("V must be sampled on the base grid")
+        _finite("V", self.V, self.V.shape)
         if self.end_condition not in ("fixed_ends", "free_ends"):
             raise BadParam(f"unknown end condition {self.end_condition!r}")
         if self.end_condition == "fixed_ends":
@@ -498,6 +511,7 @@ def first_variation(chart: MetricChart, rect: RectangleSpec,
 
     Analytic value: 2 [g(V, c')]_a^b - 2 int g(V, D_{c'} c') ds.
     """
+    t_step = _positive("t_step", t_step)
     base = rect.base
     _require_three_samples(base.t)
     base.ensure_velocities()
