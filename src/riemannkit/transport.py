@@ -584,9 +584,8 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
     n = chart.dim
     if not 0.0 <= tmax < math.inf:
         raise BadParam(f"tmax must be finite and nonnegative, not {tmax!r}")
-    g, w = chart.evaluator.metric(p).tolist(), v.tolist()  # floats, which overflow quietly
-    if not math.isfinite(sum(a * b * gab for a, row in zip(w, g) for b, gab in zip(w, row))):
-        raise BadParam(f"g(v, v) of the velocity {v.tolist()} overflows at {p.tolist()}")
+    if with_frame:  # the frame squares v, as the speeds below do
+        _require_energy(chart.evaluator.metric(p), p, v)
 
     E0 = initial_frame(chart, p, v if np.any(v) else None) if with_frame else None
     ts, ys, S, tableau = _float_geodesic(chart, p, v, tmax, settings, with_frame)
@@ -603,9 +602,20 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
         raise SingularMetric(f"metric not positive definite near t={ts[i]:.6g}",
                              t_exit=float(ts[i]), point=x[i].copy(),
                              trajectory=Trajectory(chart, ts[:i], x[:i], vel[:i]))
+    if not with_frame:
+        _require_energy(G[0], p, v)
     speeds = np.sqrt(np.maximum(np.einsum("bi,bij,bj->b", vel[idx], G, vel[idx]), 0.0))
     return Trajectory(chart=chart, t=ts, x=x, v=vel, frame=frame, settings=settings,
                       speed_drift=float(np.max(np.abs(speeds - speeds[0]))))
+
+
+def _require_energy(g: np.ndarray, p: np.ndarray, v: np.ndarray) -> None:
+    """BadParam where g(v, v), g the metric at p, overflows; summed in
+    floats, which overflow quietly."""
+    w = v.tolist()
+    energy = sum(a * b * gab for a, row in zip(w, g.tolist()) for b, gab in zip(w, row))
+    if not math.isfinite(energy):
+        raise BadParam(f"g(v, v) of the velocity {w} overflows at {p.tolist()}")
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,11 @@ def test_sectional_checks_its_vectors(sphere2, x, error):
         tensor.sectional(R, g, x, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("with_frame", [True, False])
 @pytest.mark.parametrize("velocity", [[math.inf, 0.0], [1e300, 0.0]])
-def test_a_velocity_that_is_not_finite_or_overflows_is_bad_param(torus21, velocity):
+def test_a_velocity_that_is_not_finite_or_overflows_is_bad_param(torus21, velocity, with_frame):
     with pytest.raises(BadParam, match="velocity"):
-        transport.integrate_geodesic(torus21, [0.5, 0.0], velocity, 1.0)
+        transport.integrate_geodesic(torus21, [0.5, 0.0], velocity, 1.0, with_frame=with_frame)
 
 
 @pytest.mark.parametrize("argv", [
