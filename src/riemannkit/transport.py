@@ -361,13 +361,15 @@ def _transition(A, h, tableau: _Tableau = RK4) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def initial_frame(chart: MetricChart, p, v=None) -> np.ndarray:
-    """g-orthonormal frame; when v is nonzero the last column points along v."""
-    g = chart.evaluator.metric(np.asarray(p, dtype=float))
+    """g-orthonormal frame; when v is nonzero the last column points along v.
+    BadParam where g(v, v) overflows."""
+    p = np.asarray(p, dtype=float)
+    g = chart.evaluator.metric(p)
     B = orthonormal_frame(g)
     if v is None:
         return B
     v = np.asarray(v, dtype=float)
-    if float(v @ g @ v) <= 0.0:
+    if _energy(g, p, v) <= 0.0:
         return B
     return _adapted_frames(g, B, v[None])[0]
 
@@ -584,8 +586,6 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
     n = chart.dim
     if not 0.0 <= tmax < math.inf:
         raise BadParam(f"tmax must be finite and nonnegative, not {tmax!r}")
-    if with_frame:  # the frame squares v, as the speeds below do
-        _require_energy(chart.evaluator.metric(p), p, v)
 
     E0 = initial_frame(chart, p, v if np.any(v) else None) if with_frame else None
     ts, ys, S, tableau = _float_geodesic(chart, p, v, tmax, settings, with_frame)
@@ -602,20 +602,21 @@ def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
         raise SingularMetric(f"metric not positive definite near t={ts[i]:.6g}",
                              t_exit=float(ts[i]), point=x[i].copy(),
                              trajectory=Trajectory(chart, ts[:i], x[:i], vel[:i]))
-    if not with_frame:
-        _require_energy(G[0], p, v)
+    if not with_frame:  # a framed run's initial_frame checked g(v, v)
+        _energy(G[0], p, v)
     speeds = np.sqrt(np.maximum(np.einsum("bi,bij,bj->b", vel[idx], G, vel[idx]), 0.0))
     return Trajectory(chart=chart, t=ts, x=x, v=vel, frame=frame, settings=settings,
                       speed_drift=float(np.max(np.abs(speeds - speeds[0]))))
 
 
-def _require_energy(g: np.ndarray, p: np.ndarray, v: np.ndarray) -> None:
-    """BadParam where g(v, v), g the metric at p, overflows; summed in
-    floats, which overflow quietly."""
+def _energy(g: np.ndarray, p: np.ndarray, v: np.ndarray) -> float:
+    """g(v, v), g the metric at p, summed in floats, which overflow quietly
+    before the speeds square v; BadParam where it is not finite."""
     w = v.tolist()
     energy = sum(a * b * gab for a, row in zip(w, g.tolist()) for b, gab in zip(w, row))
     if not math.isfinite(energy):
         raise BadParam(f"g(v, v) of the velocity {w} overflows at {p.tolist()}")
+    return energy
 
 
 # ---------------------------------------------------------------------------
