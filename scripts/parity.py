@@ -153,6 +153,14 @@ def _outputs(chart, box, ray, kref):
     yield "jacobi", lambda: jacobi(chart, p, v, rk4)
     yield "parallel_transport", lambda: transport.parallel_transport(
         chart, transport.integrate_geodesic(chart, p, v, 1.0, settings=rk4, with_frame=False), V[0])
+    # past a block of TRANSITION_BLOCK transitions: 750 steps, 3,000 substeps
+    long_ray = functools.partial(transport.integrate_geodesic, chart, p, v, 1.5,
+                                 settings=OdeSettings(step=2e-3))
+    yield "geodesic_rk4_frame_long", lambda: long_ray().frame
+    yield "jacobi_long", lambda: list(variation.orthogonal_fundamental(
+        variation.jacobi_system(chart, long_ray())))
+    yield "parallel_transport_long", lambda: transport.parallel_transport(
+        chart, long_ray(with_frame=False), V[0], substeps=4)
     yield "develop", lambda: transport.develop(chart, transport.integrate_geodesic(
         chart, p, v, 1.0, settings=rk4, with_frame=False).as_curve()).points
     yield "log_map", lambda: transport.log_map(chart, p, transport.exp_map(chart, p, 0.4 * v))

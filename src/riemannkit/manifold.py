@@ -44,10 +44,7 @@ def _emitted(kind: str, rows: bool = False):
             body += [f"r = _empty((len(x), {len(flat)}))", *(f"r[:, {k}] = {q}" for k, q in enumerate(flat))]
         result = (f"r.reshape((len(x),) + {shape})" if rows else f"[{', '.join(flat)}]" if kind == "spray"
                   else f"_array([{', '.join(flat)}]).reshape({shape})")
-        form = expr._define(kind, ", ".join(inputs), [*head, *body, f"return {result}"], env)
-        if kind == "spray" and not rows:
-            form.fragment = lambda x, v, q: ev.connection_fragment(x, [(v, v, q)])
-        return form
+        return expr._define(kind, ", ".join(inputs), [*head, *body, f"return {result}"], env)
     return functools.cached_property(emit)
 
 
@@ -78,8 +75,9 @@ class MetricEvaluator:
     dict of those globals; local names begin with a lower-case letter,
     globals with ``_``. A term whose w is its v is the spray, written as the
     float step has it. Every form and array form is ``_emitted`` from it.
-    ``transport`` inlines ``spray.fragment(x, v, q)`` into its float steps,
-    and calls a spray without one once per stage. The defaults here, for an
+    ``transport`` inlines the spray's term ``connection_fragment(x, [(v, v,
+    q)])`` into its float steps, so that they compile no per-point spray, and
+    calls a spray without one once per stage. The defaults here, for an
     evaluator without a fragment, invert g from ``first_order`` and contract
     ``gamma``, so that one which supplies only ``stack`` is complete.
 
@@ -443,14 +441,21 @@ def _positive(name: str, value) -> float:
 
 
 def metric_at(chart: MetricChart, p) -> MetricData:
+    """g, its inverse, its derivatives and its Cholesky factor at p; a
+    DomainFault or SingularMetric there names p as its ``point``."""
     p = np.asarray(p, dtype=float)
     chart.require_inside(p)
-    g, dg, d2g = chart.evaluator.stack(p)
+    try:
+        g, dg, d2g = chart.evaluator.stack(p)
+    except _POINT_FAULTS as exc:
+        if exc.point is None:
+            exc.point = p.copy()
+        raise
     _require_finite(p[None], (g[None], dg[None], d2g[None]))
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise SingularMetric(f"metric not positive definite at {p}")
+        raise SingularMetric(f"metric not positive definite at {p}", point=p.copy())
     g_inv = np.linalg.inv(g)
     return MetricData(g=g, g_inv=g_inv, dg=dg, d2g=d2g, chol=chol)
 

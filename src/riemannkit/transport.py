@@ -7,9 +7,9 @@ single ray has one integrator per method: a loop that steps (x, v) on
 Python floats by that step, and checks the chart domain once per block of
 steps.  ``integrate_geodesic`` and ``exp_map`` both run it.  The float step
 is emitted on the first integration and cached on the evaluator
-(``_chart_step``), with the spray's source fragment (``spray.fragment``, see
-``manifold.MetricEvaluator``) inlined into every stage, or one call per
-stage of a spray without one.
+(``_chart_step``), with the spray's statements, the term (v, v) of the
+evaluator's ``connection_fragment`` (see ``manifold.MetricEvaluator``),
+inlined into every stage, or one call per stage of a spray without one.
 
 A framed geodesic runs in two passes.  The nonlinear one is that float
 loop, which also records the stage points of every (accepted) step.  The
@@ -17,7 +17,11 @@ linear one then carries the parallel frame.  Every linear equation along a
 known curve is solved so (the frame, a transported vector, a development's
 coframe, ``variation``'s Jacobi fields): C from one ``connection_batch`` at
 all stage points gives one transition matrix per step (``_transition``,
-the method's array step of Y' = A Y from I), chained by ``_advance``.
+the method's array step of Y' = A Y from I), chained by ``_advance``, a
+prefix scan of products over each block of transitions in log2 of its
+length of batched matmuls.  Its products associate otherwise than a chain
+of one matmul per step, which moves frames, transports and Jacobi fields
+at rounding level, but never a geodesic's (x, v).
 
 RK4's array step also steps ``reverse_develop``'s ``rk4_path`` and batches
 of ray rows (x, v[, frame]) (``_step_rays``, for ``_exp_rays`` and
@@ -44,7 +48,8 @@ import numpy as np
 from .errors import (_POINT_FAULTS, BadParam, DomainExit,
                      NoConvergence, SingularMetric, StepFault)
 from .expr import _define
-from .manifold import MetricChart, SampledCurve, _dense, _finite, _write_csv, metric_at
+from .manifold import (FragmentEvaluator, MetricChart, SampledCurve, _dense, _finite, _write_csv,
+                       metric_at)
 from .tensor import orthonormal_frame
 
 
@@ -327,21 +332,28 @@ def _chart_step(chart: MetricChart, tableau: _Tableau):
     """``tableau``'s float step on the chart, from its evaluator's spray: emitted
     on the first call and cached in the evaluator's own ``__dict__``, so that a
     wrapper that hands other attributes on to an evaluator keeps its own.  The
-    spray and the callables its fragment names are read then, once."""
+    fragment, or the spray, and the callables it names are read then, once."""
     steps = vars(chart.evaluator).setdefault("_float_steps", {})
     step = steps.get(tableau.name)
     if step is None:
         step = steps[tableau.name] = tableau.float_step(
-            _fragment(chart.evaluator.spray), chart.dim,
+            _fragment(chart.evaluator), chart.dim,
             f"<riemannkit {tableau.name} step on {chart.label or 'a chart'} #{next(_EMITTED)}>")
     return step
 
 
-def _fragment(spray):
-    """The source fragment of a ``spray``: its own ``fragment``, or else one
-    call of the spray."""
-    return getattr(spray, "fragment", None) or (lambda x, v, q: (
-        [f"{', '.join(q)}, = _spray([{', '.join(x)}], [{', '.join(v)}])"], {"_spray": spray}))
+def _fragment(evaluator):
+    """The source fragment of an evaluator's spray: the term (v, v) of its
+    ``connection_fragment`` where its class leaves the spray emitted from it
+    (a wrapper without a spray of its own hands both on), so that no per-point
+    spray is compiled; else one call of its spray."""
+    fragment = getattr(evaluator, "connection_fragment", None)
+    if fragment is not None and getattr(type(evaluator), "spray", FragmentEvaluator.spray) \
+            is FragmentEvaluator.spray:
+        return lambda x, v, q: fragment(x, [(v, v, q)])
+    spray = evaluator.spray
+    return lambda x, v, q: ([f"{', '.join(q)}, = _spray([{', '.join(x)}], [{', '.join(v)}])"],
+                            {"_spray": spray})
 
 
 def _transition(A, h, tableau: _Tableau = RK4) -> np.ndarray:
@@ -523,12 +535,28 @@ def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
 
 def _advance(Y0: np.ndarray, m: int, transitions: Callable) -> np.ndarray:
     """Y[0] = Y0 and Y[i + 1] = Phi_i Y[i] over m steps, where
-    ``transitions(s, e)`` builds Phi_s..Phi_{e-1}, ``TRANSITION_BLOCK`` at a time."""
+    ``transitions(s, e)`` builds Phi_s..Phi_{e-1}, ``TRANSITION_BLOCK`` at a
+    time, as a fresh (e - s, k, k) array, which is overwritten here.
+
+    Each block is an inclusive prefix product (Hillis and Steele, Data
+    parallel algorithms, CACM 29(12), 1986): in round d = 1, 2, 4, ... every
+    product takes the one d places before it on its right, so the block holds
+    Phi_i ... Phi_s after log2(e - s) batched matmuls, and one more gives
+    Y[s+1..e] from Y[s].  The products associate otherwise than the chain
+    Phi_i (... (Phi_s Y[s])), so Y differs from it at rounding level; each
+    block starts again from Y[s], and a NaN in Phi_j reaches the samples
+    after j only.
+    """
     Y = np.empty((m + 1,) + np.shape(Y0))
     Y[0] = Y0
     for s in range(0, m, TRANSITION_BLOCK):
-        for i, P in enumerate(transitions(s, min(s + TRANSITION_BLOCK, m)), s):
-            Y[i + 1] = P @ Y[i]
+        e = min(s + TRANSITION_BLOCK, m)
+        P = transitions(s, e)
+        d = 1
+        while d < e - s:
+            P[d:] = P[d:] @ P[:-d]
+            d *= 2
+        Y[s + 1:e + 1] = P @ Y[s]
     return Y
 
 

@@ -74,6 +74,26 @@ def test_a_metric_derivative_that_is_not_finite_is_an_error_report(tmp_path, cap
     assert rep["error"]["point"] == P
 
 
+SQRT = {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "1 + sqrt(x)"]]}
+
+
+@pytest.mark.parametrize("doc, fault", [(SQRT, DomainFault), (_doc("x"), SingularMetric)],
+                         ids=["stack", "not_positive_definite"])
+def test_metric_at_names_the_point_it_fails_at(doc, fault):
+    # the evaluator's own fault, and metric_at's Cholesky check
+    with pytest.raises(fault) as ei:
+        manifold.metric_at(manifold.chart_from_definition(doc), [-1.0, 0.0])
+    assert np.array_equal(ei.value.point, [-1.0, 0.0])
+
+
+def test_a_fault_of_metric_at_is_an_error_report_with_its_point(tmp_path, capsys):
+    code, rep = _curvature_report(tmp_path, capsys, SQRT, point="-1,0")
+    assert code == 1
+    assert rep["error"]["type"] == "DomainFault"
+    assert rep["error"]["message"] == "sqrt of negative argument -1.0"
+    assert rep["error"]["point"] == [-1.0, 0.0]
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_orthonormal_frame_of_a_metric_that_is_not_finite_is_singular(bad):
     with pytest.raises(SingularMetric, match="not finite"):

@@ -484,6 +484,36 @@ def test_a_chart_step_is_emitted_once_on_first_use(monkeypatch):
     assert _listed_steps() <= before
 
 
+@pytest.mark.parametrize("method", ["rk4_fixed", "rkf45_adaptive"])
+def test_the_first_float_step_compiles_no_per_point_spray(method):
+    # the step inlines the evaluator's connection fragment, not the spray's form
+    chart = manifold.chart_from_definition(PARABOLOID)
+    transport.integrate_geodesic(chart, [0.3, 0.1], [1.0, 0.4], 0.2, with_frame=False,
+                                 settings=OdeSettings(method=method, step=0.05))
+    assert "spray" not in vars(chart.evaluator)
+
+
+class Forwarding:
+    """An evaluator that hands every attribute on to another one."""
+
+    def __init__(self, evaluator):
+        self.inner = evaluator
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.mark.parametrize("name", ["sphere2", "torus", "paraboloid", "stack_only"])
+def test_a_forwarding_wrapper_gets_the_same_chart_step(name):
+    # its step inlines the evaluator's fragment (or calls a spray without
+    # one), line for line as the evaluator's own step does
+    def source(evaluator):
+        chart = MetricChart(dim=2, coords=["u", "w"], evaluator=evaluator)
+        code = transport._chart_step(chart, transport.RK4).__code__
+        return linecache.getlines(code.co_filename)
+    assert source(Forwarding(CHARTS[name]().evaluator)) == source(CHARTS[name]().evaluator)
+
+
 def test_a_conformal_profile_cannot_be_replaced_under_its_chart_step():
     # the chart's float step has c and sign inlined: a flat model assigned
     # afterwards would reach connection but not exp_map
