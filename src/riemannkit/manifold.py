@@ -76,8 +76,9 @@ class MetricEvaluator:
     globals with ``_``. A term whose w is its v is the spray, written as the
     float step has it. Every form and array form is ``_emitted`` from it.
     ``transport`` inlines the spray's term ``connection_fragment(x, [(v, v,
-    q)])`` into its float steps, so that they compile no per-point spray, and
-    calls a spray without one once per stage. The defaults here, for an
+    q)])`` into its float steps where the spray is the one emitted from it
+    (``_spray_fragment``), so that they compile no per-point spray, and calls
+    any other spray once per stage. The defaults here, for an
     evaluator without a fragment, invert g from ``first_order`` and contract
     ``gamma``, so that one which supplies only ``stack`` is complete.
 
@@ -161,6 +162,18 @@ class FragmentEvaluator(MetricEvaluator):
     spray, _spray_rows = _emitted("spray"), _emitted("spray", rows=True)
     connection, _connection_rows = _emitted("connection"), _emitted("connection", rows=True)
     gamma, _gamma_rows = _emitted("gamma"), _emitted("gamma", rows=True)
+
+
+def _spray_fragment(ev):
+    """The term (v, v) of ``ev``'s ``connection_fragment``, a function of the
+    names (x, v, q), where ``ev.spray`` is the spray emitted from it: ``ev``
+    is a FragmentEvaluator, or a wrapper that hands both on and has no spray
+    of its own, neither in its class nor bound on it (a FragmentEvaluator
+    keeps its emitted spray there). Else None."""
+    fragment = getattr(ev, "connection_fragment", None)
+    own = getattr(type(ev), "spray", FragmentEvaluator.spray) is not FragmentEvaluator.spray \
+        or "spray" in vars(ev) and not isinstance(ev, FragmentEvaluator)
+    return None if fragment is None or own else lambda x, v, q: fragment(x, [(v, v, q)])
 
 
 # Rows from which a batch takes an array form over the per-point loop. An

@@ -19,9 +19,10 @@ coframe, ``variation``'s Jacobi fields): C from one ``connection_batch`` at
 all stage points gives one transition matrix per step (``_transition``,
 the method's array step of Y' = A Y from I), chained by ``_advance``, a
 prefix scan of products over each block of transitions in log2 of its
-length of batched matmuls.  Its products associate otherwise than a chain
-of one matmul per step, which moves frames, transports and Jacobi fields
-at rounding level, but never a geodesic's (x, v).
+length of batched matmuls, for k x k transitions up to ``SCAN_WIDTH``, and
+one matmul a step above it.  The scan's products associate otherwise than
+that chain, which moves frames, transports and Jacobi fields at rounding
+level, but never a geodesic's (x, v).
 
 RK4's array step also steps ``reverse_develop``'s ``rk4_path`` and batches
 of ray rows (x, v[, frame]) (``_step_rays``, for ``_exp_rays`` and
@@ -48,7 +49,7 @@ import numpy as np
 from .errors import (_POINT_FAULTS, BadParam, DomainExit,
                      NoConvergence, SingularMetric, StepFault)
 from .expr import _define
-from .manifold import (FragmentEvaluator, MetricChart, SampledCurve, _dense, _finite, _write_csv,
+from .manifold import (MetricChart, SampledCurve, _dense, _finite, _spray_fragment, _write_csv,
                        metric_at)
 from .tensor import orthonormal_frame
 
@@ -343,14 +344,12 @@ def _chart_step(chart: MetricChart, tableau: _Tableau):
 
 
 def _fragment(evaluator):
-    """The source fragment of an evaluator's spray: the term (v, v) of its
-    ``connection_fragment`` where its class leaves the spray emitted from it
-    (a wrapper without a spray of its own hands both on), so that no per-point
-    spray is compiled; else one call of its spray."""
-    fragment = getattr(evaluator, "connection_fragment", None)
-    if fragment is not None and getattr(type(evaluator), "spray", FragmentEvaluator.spray) \
-            is FragmentEvaluator.spray:
-        return lambda x, v, q: fragment(x, [(v, v, q)])
+    """The source fragment of an evaluator's spray: ``manifold._spray_fragment``
+    where it has one, so that no per-point spray is compiled; else one call of
+    its spray."""
+    fragment = _spray_fragment(evaluator)
+    if fragment is not None:
+        return fragment
     spray = evaluator.spray
     return lambda x, v, q: ([f"{', '.join(q)}, = _spray([{', '.join(x)}], [{', '.join(v)}])"],
                             {"_spray": spray})
@@ -416,6 +415,13 @@ def _adapted_frames(g: np.ndarray, B: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 CHECK_EVERY = 64  # float steps between two domain checks of a geodesic
 TRANSITION_BLOCK = 512  # steps per batch of transition matrices; bounds the temporaries
+# the widest k x k transitions that _advance chains by a prefix scan, whose
+# log2(block) batched products a step grow as k^3; one matmul a step costs
+# 1.3-2.5 us up to k = 24. Per step in the library's own chains, on an Intel
+# Xeon: the scan 0.3-0.5 us to k = 6 and 1.0-1.1 us at k = 10; at k = 12 the
+# two tie, and from k = 14 the loop wins (1.5-1.9 against 1.8-2.5 us; at
+# k = 20, 1.4-2.5 against 4.7-7.2 us)
+SCAN_WIDTH = 10
 # what a spray can raise, also at the points past the chart's edge that the
 # float loops reach before their next domain check (DomainExit, where an
 # arithmetic fault is located there), and RKF45's step faults
@@ -538,20 +544,27 @@ def _advance(Y0: np.ndarray, m: int, transitions: Callable) -> np.ndarray:
     ``transitions(s, e)`` builds Phi_s..Phi_{e-1}, ``TRANSITION_BLOCK`` at a
     time, as a fresh (e - s, k, k) array, which is overwritten here.
 
-    Each block is an inclusive prefix product (Hillis and Steele, Data
-    parallel algorithms, CACM 29(12), 1986): in round d = 1, 2, 4, ... every
-    product takes the one d places before it on its right, so the block holds
-    Phi_i ... Phi_s after log2(e - s) batched matmuls, and one more gives
-    Y[s+1..e] from Y[s].  The products associate otherwise than the chain
-    Phi_i (... (Phi_s Y[s])), so Y differs from it at rounding level; each
-    block starts again from Y[s], and a NaN in Phi_j reaches the samples
-    after j only.
+    Up to k = ``SCAN_WIDTH`` each block is an inclusive prefix product
+    (Hillis and Steele, Data parallel algorithms, CACM 29(12), 1986): in
+    round d = 1, 2, 4, ... every product takes the one d places before it on
+    its right, so the block holds Phi_i ... Phi_s after log2(e - s) batched
+    matmuls, and one more gives Y[s+1..e] from Y[s].  The products associate
+    otherwise than the chain Phi_i (... (Phi_s Y[s])), so Y differs from it
+    at rounding level; each block starts again from Y[s], and a NaN in Phi_j
+    reaches the samples after j only.  Wider transitions are chained one
+    matmul a step, since the scan's log2(e - s) products of k x k matrices a
+    step then cost more than the loop's one.
     """
     Y = np.empty((m + 1,) + np.shape(Y0))
     Y[0] = Y0
+    scan = len(Y0) <= SCAN_WIDTH
     for s in range(0, m, TRANSITION_BLOCK):
         e = min(s + TRANSITION_BLOCK, m)
         P = transitions(s, e)
+        if not scan:
+            for i in range(s, e):
+                Y[i + 1] = P[i - s] @ Y[i]
+            continue
         d = 1
         while d < e - s:
             P[d:] = P[d:] @ P[:-d]

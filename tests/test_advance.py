@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riemannkit import manifold, transport, variation
-from riemannkit.transport import TRANSITION_BLOCK, OdeSettings
+from riemannkit.transport import SCAN_WIDTH, TRANSITION_BLOCK, OdeSettings
 
 EXPR3 = {"dim": 3, "coords": ["x", "y", "z"],
          "metric": [["exp(2*z) + x*y/4", "x/10", "0"],
@@ -73,6 +73,21 @@ def test_the_scan_is_the_chain_at_rounding_level(m, shape, h):
     assert np.array_equal(got[0], Y0)
     assert _rel(got, want) <= 1e-13
     assert got_calls == want_calls  # the same blocks, each asked for once
+
+
+@pytest.mark.parametrize("h", [2e-3, -2e-3], ids=["forward", "backward"])
+@pytest.mark.parametrize("cols", [None, 5], ids=["vector", "matrix"])
+@pytest.mark.parametrize("k", [SCAN_WIDTH, SCAN_WIDTH + 1, 24])
+def test_transitions_wider_than_the_scan_are_chained_by_the_loop(k, cols, h):
+    # past SCAN_WIDTH the scan's log2(block) products a step cost more than
+    # the loop's one, so the chain is the loop's, bitwise
+    m = TRANSITION_BLOCK + 1
+    Y0 = np.random.default_rng(4).normal(size=(k,) if cols is None else (k, cols))
+    _, transitions, _ = _transitions(m, k, h)
+    want = _advance_loop(Y0, m, transitions)
+    got = transport._advance(Y0, m, transitions)
+    assert _rel(got, want) <= 1e-13
+    assert np.array_equal(got, want) == (k > SCAN_WIDTH)
 
 
 def test_one_step_is_the_chains_matmul_bitwise():

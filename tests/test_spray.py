@@ -514,6 +514,35 @@ def test_a_forwarding_wrapper_gets_the_same_chart_step(name):
     assert source(Forwarding(CHARTS[name]().evaluator)) == source(CHARTS[name]().evaluator)
 
 
+class BoundSpray(Forwarding):
+    """A forwarding wrapper with a spray of its own bound on the instance, as
+    a tracing proxy binds its methods; it counts the spray's calls."""
+
+    def __init__(self, evaluator):
+        super().__init__(evaluator)
+        self.calls = 0
+
+        def spray(x, v):
+            self.calls += 1
+            return evaluator.spray(x, v)
+        self.spray = spray
+
+
+@pytest.mark.parametrize("method, stages", [("rk4_fixed", 4), ("rkf45_adaptive", 6)])
+@pytest.mark.parametrize("name", ["sphere2", "paraboloid"])
+def test_a_spray_bound_on_a_wrapper_is_called_once_per_stage(name, method, stages):
+    settings = OdeSettings(method=method, step=0.05)
+    ev = BoundSpray(CHARTS[name]().evaluator)
+    geo = transport.integrate_geodesic(MetricChart(dim=2, coords=["u", "w"], evaluator=ev),
+                                       [0.3, 0.1], [1.0, 0.4], 0.2, with_frame=False, settings=settings)
+    assert ev.calls >= stages * (len(geo.t) - 1) > 0
+    if method == "rk4_fixed":
+        assert ev.calls == stages * (len(geo.t) - 1)
+    want = transport.integrate_geodesic(CHARTS[name](), [0.3, 0.1], [1.0, 0.4], 0.2,
+                                        with_frame=False, settings=settings)
+    np.testing.assert_array_equal(geo.x, want.x)  # the spray's statements are the fragment's
+
+
 def test_a_conformal_profile_cannot_be_replaced_under_its_chart_step():
     # the chart's float step has c and sign inlined: a flat model assigned
     # afterwards would reach connection but not exp_map
