@@ -59,10 +59,16 @@ def _transitions(m, k, h, seed=7):
     return Phi, transitions, calls
 
 
+# Y0 shapes (k, ...): the widest transitions the scan takes, and wider ones
+SHAPES = {"vector": (3,), "matrix": (6, 3), "at_scan_width": (SCAN_WIDTH, 4),
+          "wide_vector": (SCAN_WIDTH + 1,), "wide_matrix": (24, 5)}
+
+
 @pytest.mark.parametrize("h", [2e-3, -2e-3], ids=["forward", "backward"])
-@pytest.mark.parametrize("shape", [(3,), (6, 3)], ids=["vector", "matrix"])
+@pytest.mark.parametrize("name", list(SHAPES))
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 511, 512, 513, 1500])
-def test_the_scan_is_the_chain_at_rounding_level(m, shape, h):
+def test_the_scan_is_the_chain_at_rounding_level(m, name, h):
+    shape = SHAPES[name]
     k = shape[0]
     Y0 = np.random.default_rng(3).normal(size=shape)
     _, want_transitions, want_calls = _transitions(m, k, h)
@@ -73,21 +79,8 @@ def test_the_scan_is_the_chain_at_rounding_level(m, shape, h):
     assert np.array_equal(got[0], Y0)
     assert _rel(got, want) <= 1e-13
     assert got_calls == want_calls  # the same blocks, each asked for once
-
-
-@pytest.mark.parametrize("h", [2e-3, -2e-3], ids=["forward", "backward"])
-@pytest.mark.parametrize("cols", [None, 5], ids=["vector", "matrix"])
-@pytest.mark.parametrize("k", [SCAN_WIDTH, SCAN_WIDTH + 1, 24])
-def test_transitions_wider_than_the_scan_are_chained_by_the_loop(k, cols, h):
-    # past SCAN_WIDTH the scan's log2(block) products a step cost more than
-    # the loop's one, so the chain is the loop's, bitwise
-    m = TRANSITION_BLOCK + 1
-    Y0 = np.random.default_rng(4).normal(size=(k,) if cols is None else (k, cols))
-    _, transitions, _ = _transitions(m, k, h)
-    want = _advance_loop(Y0, m, transitions)
-    got = transport._advance(Y0, m, transitions)
-    assert _rel(got, want) <= 1e-13
-    assert np.array_equal(got, want) == (k > SCAN_WIDTH)
+    if name.startswith("wide"):  # the scan's log2(block) products a step cost more than one matmul
+        assert np.array_equal(got, want)
 
 
 def test_one_step_is_the_chains_matmul_bitwise():
