@@ -417,7 +417,7 @@ CHECK_EVERY = 64  # float steps between two domain checks of a geodesic
 TRANSITION_BLOCK = 512  # steps per batch of transition matrices; bounds the temporaries
 # the widest k x k transitions that _advance chains by a prefix scan, whose
 # log2(block) batched products a step grow as k^3; one matmul a step costs
-# 1.3-2.5 us up to k = 24. Per step in the library's own chains, on an Intel
+# 1.2-2.8 us up to k = 24. Per step in the library's own chains, on an Intel
 # Xeon: the scan 0.3-0.5 us to k = 6 and 1.0-1.1 us at k = 10; at k = 12 the
 # two tie, and from k = 14 the loop wins (1.5-1.9 against 1.8-2.5 us; at
 # k = 20, 1.4-2.5 against 4.7-7.2 us)
