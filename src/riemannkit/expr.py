@@ -414,6 +414,24 @@ class _Graph:
     def call(self, fn, a):
         return self._intern(Call(fn, a))
 
+    def dot(self, pairs):
+        """The sum of c * u over the pairs of nodes (c, u), each c once: the u
+        of one c are added first (``total``), and a literal zero drops out."""
+        groups = {}
+        for c, u in pairs:
+            if not (_is_num(c, 0.0) or _is_num(u, 0.0)):
+                groups.setdefault(id(c), (c, []))[1].append(u)
+        return self.total(self.mul(c, self.total(us)) for c, us in groups.values())
+
+    def total(self, terms):
+        """The sum of the nodes ``terms``, added pairwise, so that its depth
+        grows as the log of their count."""
+        terms = list(terms) or [self.zero]
+        while len(terms) > 1:
+            terms = [self.add(*terms[k:k + 2]) if k + 1 < len(terms) else terms[k]
+                     for k in range(0, len(terms), 2)]
+        return terms[0]
+
     # -- differentiation ------------------------------------------------------
 
     def partial(self, node, i: int):
@@ -485,6 +503,11 @@ def _lowered_integer_exponent(node):
     return None
 
 
+def _is_square(node) -> bool:
+    """Whether ``node`` is an interned ``a ^ 2``."""
+    return type(node) is Bin and node.op == "^" and _lowered_integer_exponent(node) == 2
+
+
 class _Emitter:
     """Writes the statements of one compiled function, one per graph node.
 
@@ -497,9 +520,10 @@ class _Emitter:
     so that the caller can run the per-point function, which raises.
     """
 
-    def __init__(self, order: int, batch: bool = False):
+    def __init__(self, order: int, batch: bool = False, point: str | None = "x"):
         self.strict = order >= 1  # sqrt at 0 faults only when differentiating
         self.batch = batch
+        self.point = point  # the source of the point a fault names, or None
         self.lines = []
         self.names = {}
         self.positive = set()  # ids of nodes a log, sqrt or power check proved > 0
@@ -532,13 +556,20 @@ class _Emitter:
                 if isinstance(node, _Reciprocal):
                     self._check(node, f"abs({name}) == _inf",
                                 "negative power overflows at {x}", "OverflowError")
+                elif _is_square(node):
+                    # a * a is inf where u ** 2 raised, and where u is; u ** 2
+                    # itself then raises as it did, or is that inf
+                    if id(node) in self.arrays:
+                        self.lines.append(f"if ({name} == _inf).any(): return None")
+                    else:
+                        self.lines.append(f"if {name} == _inf: {name} = {self.names[id(node.left)]} ** 2")
             self.names[id(node)] = name
         return name
 
     def _check(self, node, condition: str, message: str, error: str = "DomainFault"):
         """Fail where ``condition`` on the emitted ``node`` holds."""
         if not self.batch:
-            self.lines.append(f"if {condition}: raise {error}(f{message!r})")
+            self.lines.append(f"if {condition}: raise {_fault(error, message, self.point)}")
         elif id(node) in self.arrays:
             self.lines.append(f"if ({condition}).any(): return None")
         else:
@@ -553,10 +584,16 @@ class _Emitter:
         self._check(node, f"{name} == 0.0", message, error)
         self.nonzero.add(key)
 
-    def pivot(self, node):
-        """Emit a pivot of g, which raises SingularMetric where it is 0; later
-        divisions by it need no check."""
-        self._nonzero(node, self.ref(node), "metric singular at {x}", "SingularMetric")
+    def pivot(self, node, positive: bool = False):
+        """Emit a pivot of g, which raises SingularMetric where it is 0, or
+        where ``positive`` where it is not > 0; later divisions by it need no
+        check."""
+        name = self.ref(node)
+        if not positive:
+            self._nonzero(node, name, "metric singular at {x}", "SingularMetric")
+        elif not (id(node) in self.positive or isinstance(node, Num) and node.value > 0.0):
+            self._check(node, f"{name} <= 0.0", "metric not positive definite at {x}", "SingularMetric")
+            self.positive.add(id(node))
 
     def _call(self, fn: str, arg: str, each: bool) -> str:
         return f"_each({fn}, {arg})" if each else f"{fn}({arg})"
@@ -600,6 +637,8 @@ class _Emitter:
             self._nonzero(node.right, b, "division by zero")
         elif node.op == "^":
             k = _lowered_integer_exponent(node)
+            if k == 2:
+                return f"{a} * {a}"
             if k is not None:
                 return f"_each_power({a}, {k})" if each else f"{a} ** {k}"
             key = id(node.left)
@@ -610,6 +649,17 @@ class _Emitter:
             log_a = self._call("_log", a, id(node.left) in self.arrays)
             return self._call("_exp", f"{b} * {log_a}", each)
         return f"{a} {node.op} {b}"
+
+
+def _fault(error: str, message: str, point) -> str:
+    """The source of the exception ``error`` whose message is the f-string
+    ``message``, in which ``{x}`` is the point; a DomainFault or
+    SingularMetric carries the point, built where it is raised, as its
+    ``point``."""
+    if point is None:
+        return f"{error}(f{message!r})"
+    located = "" if error == "OverflowError" else f", point=_point({point})"
+    return f"{error}(f{message.replace('{x}', '{' + point + '}')!r}{located})"
 
 
 def _each(fn, a: np.ndarray) -> np.ndarray:
@@ -625,6 +675,7 @@ def _each_power(a: np.ndarray, k: int) -> np.ndarray:
 _COMPILED_GLOBALS = {
     "_array": np.array, "_empty": np.empty, "_where": np.where, "_each": _each,
     "_each_power": _each_power, "_contiguous": np.ascontiguousarray, "_inf": math.inf,
+    "_point": functools.partial(np.array, dtype=float),
     "DomainFault": DomainFault, "SingularMetric": SingularMetric,
     **{f"_{fn}": getattr(math, fn) for fn in
        ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt")},
@@ -691,7 +742,7 @@ def _compile_profile(node):
     at some element. It is compiled on its first call.
     """
     blocks = [((), flat) for _, flat in _derivative_blocks(_Graph(), node, 1, 2)]
-    return _with_batch(_compile("profile", None, _Emitter(2), blocks),
+    return _with_batch(_compile("profile", None, _Emitter(2, point=None), blocks),
                        lambda: _compile("profile", None, _Emitter(2, batch=True), blocks))
 
 
@@ -764,8 +815,9 @@ def compile_gamma(rows, n: int):
 
         half = graph.num(0.5)
 
-        def term(v, w):
-            """The nodes of Gamma(v, w) for lists v and w of nodes."""
+        def lowered(v, w):
+            """The nodes of K_m(v, w), or of (1/2) K_m(v, v) where w is v: g Gamma(v, w)
+            twice, or the spray's g Gamma(v, v)."""
             js, ks = ([j for j in range(n) if not _is_num(u[j], 0.0)] for u in (v, w))
             y = []
             for m in range(n):
@@ -779,14 +831,50 @@ def compile_gamma(rows, n: int):
                             ym = graph.add(ym, graph.mul(koszul(m, min(j, k), max(j, k)),
                                                          graph.mul(v[j], w[k])))
                 y.append(ym)
-            z = solve(y)
+            return y
+
+        def term(v, w):
+            """The nodes of Gamma(v, w) for lists v and w of nodes."""
+            z = solve(lowered(v, w))
             return z if w is v else [graph.mul(half, zi) for zi in z]
+
+        unit = [[graph.one if i == j else graph.zero for i in range(n)] for j in range(n)]
+
+        def jacobi(v):
+            """The nodes of B(v)_jl = low(v, e_j, v, e_l), row by row, from
+            R_lvjv = (1/2)(d_v d_j g_lv + d_l d_v g_vj - d_v d_v g_lj - d_l d_j g_vv)
+            + g(Gamma(v, e_j), Gamma(v, e_l)) - g(Gamma(v, v), Gamma(e_l, e_j)),
+            d_v = v^a d_a (do Carmo, ch. 4). With D_a,ij = d_a d_v g_ij, the first
+            part is (1/2)(v^b (D_j,lb + D_l,jb) - v^a D_a,jl - d_j d_l g_vv); and
+            g Gamma(v, e_l) = (1/2) K(v, e_l), g Gamma(e_l, e_j) = (1/2) K_.lj, so
+            that the columns Gamma(v, e_j) are the only solves, and Gamma(v, v)
+            is their sum over v^j. B is symmetric: its (l, j) is its (j, l)."""
+            d2 = _derivative_blocks(graph, rows, n, 2)[2][1]
+
+            def dd(a, b, i, j):  # d_a d_b g_ij
+                return d2[((a * n + b) * n + i) * n + j]
+            D = [[[graph.dot((dd(a, b, i, j), v[b]) for b in range(n)) for j in range(n)]
+                  for i in range(n)] for a in range(n)]
+            vv = {(a, b): graph.mul(v[a], v[b]) for a in range(n) for b in range(a, n)}
+            vv = {(a, b): p if a == b else graph.add(p, p) for (a, b), p in vv.items()}
+            cols, kv = [term(v, e) for e in unit], [lowered(v, e) for e in unit]
+            spray = [graph.dot((v[b], cols[b][m]) for b in range(n)) for m in range(n)]
+            B = [[None] * n for _ in range(n)]
+            for j in range(n):
+                for l in range(j, n):
+                    second = graph.sub(
+                        graph.sub(graph.dot([(v[b], D[j][l][b]) for b in range(n)]
+                                            + [(v[b], D[l][j][b]) for b in range(n)]),
+                                  graph.dot((v[a], D[a][j][l]) for a in range(n))),
+                        graph.dot((dd(j, l, a, b), p) for (a, b), p in vv.items()))
+                    products = graph.dot((cols[j][m], kv[l][m]) for m in range(n))
+                    curved = graph.dot((koszul(m, j, l), spray[m]) for m in range(n))
+                    B[j][l] = B[l][j] = graph.mul(half, graph.sub(graph.add(second, products), curved))
+            return [b for row in B for b in row]
 
         @functools.cache
         def preamble(batch):
-            emit = _Emitter(1, batch)
-            if not batch:
-                emit.lines.append(f"x = [{_unpack(range(n))}]")
+            emit = _Emitter(1, batch, point=f"[{', '.join(f'x{i}' for i in range(n))}]")
             for _, block in blocks:  # every check of g and dg, before any pivot
                 for node in block:
                     emit.ref(node)
@@ -794,14 +882,14 @@ def compile_gamma(rows, n: int):
                 emit.pivot(A[j][j])
             return emit
 
-        return graph, term, preamble
+        return graph, term, jacobi, preamble, [A[j][j] for j in range(n)]
 
     @_shallow
     @functools.cache
     def body(batch, pattern):
         """The statements and the refs of every term's q for the terms of a
         pattern, their names the variables x{n + slot}."""
-        graph, term, preamble = ldl()
+        graph, term, jacobi, preamble, pivots = ldl()
         emit = preamble(batch).fork()
 
         def nodes(vector):
@@ -810,14 +898,20 @@ def compile_gamma(rows, n: int):
         refs = []
         for v, w, same in pattern:
             v = nodes(v)
-            refs.append([emit.ref(node) for node in term(v, v if same else nodes(w))])
-        return (emit.lines if batch else _guarded(emit.lines)), refs
+            if w is None:
+                for pivot in pivots:
+                    emit.pivot(pivot, positive=True)
+                refs.append([emit.ref(node) for node in jacobi(v)])
+            else:
+                refs.append([emit.ref(node) for node in term(v, v if same else nodes(w))])
+        return (emit.lines if batch else _guarded(emit.lines, emit.point)), refs
 
     def fragment(x, terms, rows=False):
         slots = {}  # each name of a v or w, and its slot
 
         def code(vector):
-            return tuple(slots.setdefault(f, len(slots)) if f.isidentifier() else f for f in vector)
+            return None if vector is None else tuple(
+                slots.setdefault(f, len(slots)) if f.isidentifier() else f for f in vector)
         lines, refs = body(rows, tuple((code(v), code(w), w is v) for v, w, _ in terms))
         head = [f"x{i} = {f}" for i, f in enumerate([*x, *slots]) if f != f"x{i}"]
         tail = [f"{name} = {ref}" for (*_, q), term_refs in zip(terms, refs)
@@ -864,18 +958,21 @@ def _compile(name: str, n, emit: _Emitter, blocks):
         head = f"_N = len(x); {_unpack(range(n))}= _contiguous(x.T)"
     else:
         head = f"{_unpack(range(n))}= x.tolist()"
-    body = [head, *(emit.lines if emit.batch else _guarded(emit.lines)), f"return {', '.join(results)}"]
+    body = [head, *(emit.lines if emit.batch else _guarded(emit.lines, emit.point)),
+            f"return {', '.join(results)}"]
     return _define(name, "x", body)
 
 
-def _guarded(lines) -> list:
+def _guarded(lines, point) -> list:
     """The statements ``lines`` of a per-point function, in a try where they
     call sin, cos or tan, whose ValueError at an infinite argument is then a
-    DomainFault at the point x; a try costs nothing until it catches."""
+    DomainFault at the point (see ``_fault``); a try costs nothing until it
+    catches."""
     if not any(f"_{fn}(" in line for line in lines for fn in ("sin", "cos", "tan")):
         return lines
+    fault = _fault("DomainFault", "sin, cos or tan of an infinite argument at {x}", point)
     return ["try:", *(f"    {line}" for line in lines), "except ValueError:",
-            "    raise DomainFault(f'sin, cos or tan of an infinite argument at {x}') from None"]
+            f"    raise {fault} from None"]
 
 
 def _gather(emit: _Emitter, out: str, shape, flat, refs) -> str:

@@ -25,18 +25,20 @@ from .errors import (_POINT_FAULTS, BadDimension, BadParam, DomainExit,
 
 def _emitted(kind: str, rows: bool = False):
     """An evaluator's ``kind`` of connection, emitted from the terms (v, v),
-    (v, e_k) or (e_j, e_k) of its ``connection_fragment`` on first use and
-    then kept on it; where ``rows``, on the columns of (N, n) arrays."""
+    (v, e_k) or (e_j, e_k) of its ``connection_fragment``, or its Jacobi
+    operator from the term (v, None), on first use and then kept on it; where
+    ``rows``, on the columns of (N, n) arrays."""
     def emit(ev):
         n = ev.dim
         x, v = ([f"{c}{i}" for i in range(n)] for c in "xv")
         unit = [[repr(float(i == k)) for i in range(n)] for k in range(n)]
         pairs = {"spray": [(v, v)], "connection": [(v, e) for e in unit],  # only the spray's w is its v
-                 "gamma": [(e, list(f)) for e in unit for f in unit]}[kind]
-        terms = [(a, b, [f"q{t}_{i}" for i in range(n)]) for t, (a, b) in enumerate(pairs)]
+                 "gamma": [(e, list(f)) for e in unit for f in unit], "jacobi": [(v, None)]}[kind]
+        terms = [(a, b, [f"q{t}_{i}" for i in range(n * n if b is None else n)])
+                 for t, (a, b) in enumerate(pairs)]
         body, env = ev.connection_fragment(x, terms, rows)
-        flat = [q[i] for i in range(n) for *_, q in terms]
-        shape = (n,) * {"spray": 1, "connection": 2, "gamma": 3}[kind]
+        flat = terms[0][2] if kind == "jacobi" else [q[i] for i in range(n) for *_, q in terms]
+        shape = (n,) * {"spray": 1, "connection": 2, "gamma": 3, "jacobi": 2}[kind]
         inputs = {"x": x, "v": v} if kind != "gamma" else {"x": x}  # the spray's are sequences
         head = [f"{', '.join(names)}, = {p}{'.T' if rows else '.tolist()' * (kind != 'spray')}"
                 for p, names in inputs.items()]
@@ -74,7 +76,9 @@ class MetricEvaluator:
     and calls of their globals alone (array forms where ``rows``), and a
     dict of those globals; local names begin with a lower-case letter,
     globals with ``_``. A term whose w is its v is the spray, written as the
-    float step has it. Every form and array form is ``_emitted`` from it.
+    float step has it. Every form and array form is ``_emitted`` from it. An
+    expression fragment has one more term kind, (v, None, q) with n * n
+    names q: the Jacobi operator B (below), row by row.
     ``transport`` inlines the spray's term ``connection_fragment(x, [(v, v,
     q)])`` into its float steps where the spray is the one emitted from it
     (``_spray_fragment``), so that they compile no per-point spray, and calls
@@ -82,10 +86,12 @@ class MetricEvaluator:
     evaluator without a fragment, invert g from ``first_order`` and contract
     ``gamma``, so that one which supplies only ``stack`` is complete.
 
-    ``jacobi_batch(X, V)``, where an evaluator has one (the constant-curvature
-    models), returns B(w, u) = low(v, w, v, u), (N, n, n), of the rays (X, V)
-    in closed form, which ``tensor.jacobi_driving_batch`` uses in place of the
-    curvature kernel; C = Gamma(v, .) is the connection's alone.
+    ``jacobi_batch(X, V)``, where an evaluator has one, returns B(w, u) =
+    low(v, w, v, u), (N, n, n), of the rays (X, V), which
+    ``tensor.jacobi_driving_batch`` uses in place of the curvature kernel:
+    in closed form on the constant-curvature models, compiled from the
+    fragment on an expression chart (None there where it faults, so that the
+    kernel says where and why); C = Gamma(v, .) is the connection's alone.
 
     The batches ``metric_batch``, ``stack_batch``, ``gamma_batch``,
     ``connection_batch`` and ``spray_batch`` take (N, n) arrays of points (and
@@ -337,7 +343,14 @@ class ExpressionEvaluator(FragmentEvaluator):
     with array forms from the same statements; every form of the connection
     is emitted on first use from ``connection_fragment``, which
     ``expr.compile_gamma`` writes by an LDL^T solve with no matrix inverse.
+    So is the compiled Jacobi operator: ``jacobi(x, v)``, B = low(v, ., v, .)
+    as an (n, n) array, built from d^2 g contracted with v and the solved
+    Gamma(v, e_j) and Gamma(v, v), and its array form, which
+    ``jacobi_batch`` takes by the batch rule. Squares in every form are
+    products (see ``expr._Emitter``).
     """
+
+    jacobi, _jacobi_rows = _emitted("jacobi"), _emitted("jacobi", rows=True)
 
     def __init__(self, asts, n: int):
         self.dim = n
@@ -352,6 +365,16 @@ class ExpressionEvaluator(FragmentEvaluator):
 
     def _stack_rows(self, X):
         return self.stack.batch(X)
+
+    def jacobi_batch(self, X, V):
+        """B of the rays (X[b], V[b]), (N, n, n), each row bitwise ``jacobi``
+        there; None where some row has a zero or negative pivot of g, another
+        fault or a value that is not finite."""
+        try:
+            B = _batch(self._jacobi_rows, self.jacobi, [(self.dim,) * 2], X, V)
+        except (*_POINT_FAULTS, ArithmeticError):
+            return None
+        return B if np.isfinite(B).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +607,9 @@ def chart_from_definition(doc: dict) -> MetricChart:
     coords = list(coords)
     if len(coords) != dim:
         raise BadParam("coords length must equal dim")
+    twice = next((c for k, c in enumerate(coords) if c in coords[:k]), None)
+    if twice is not None:
+        raise BadParam(f"coords name {twice!r} more than once")
     if (not isinstance(rows, (list, tuple)) or len(rows) != dim
             or any(not isinstance(r, (list, tuple)) or len(r) != dim for r in rows)):
         raise BadParam("metric must be a dim x dim array of expressions")
@@ -605,10 +631,30 @@ def chart_from_definition(doc: dict) -> MetricChart:
         evaluator=ExpressionEvaluator(asts, dim),
         label=doc.get("label", "custom"),
         domain=domain,
-        sample_box=(-np.ones(dim), np.ones(dim)),
+        sample_box=_sample_box(doc["sample_box"], dim) if "sample_box" in doc
+        else (-np.ones(dim), np.ones(dim)),
         source=dict(doc))
     _check_supplied_symmetry(chart, asts)
     return chart
+
+
+def _sample_box(box, dim: int) -> tuple:
+    """A document's sample_box, two lists of dim finite numbers [low, high]
+    with low < high and high - low finite, which ``sample_points`` draws
+    from, as (low, high) arrays; BadParam for anything else."""
+    def finite(a):
+        try:
+            return isinstance(a, (int, float)) and not isinstance(a, bool) and math.isfinite(a)
+        except OverflowError:  # an integer beyond any float
+            return False
+
+    def numbers(side):
+        return isinstance(side, list) and len(side) == dim and all(map(finite, side))
+    if not (isinstance(box, list) and len(box) == 2 and all(map(numbers, box))
+            and all(a < b and math.isfinite(float(b) - float(a)) for a, b in zip(*box))):
+        raise BadParam(f"sample_box must be [low, high], two lists of {dim} finite "
+                       f"numbers with low < high and a finite width, got {box!r}")
+    return np.array(box[0], dtype=float), np.array(box[1], dtype=float)
 
 
 def load_manifold(path: str) -> MetricChart:

@@ -89,15 +89,18 @@ def jacobi_driving_batch(chart: MetricChart, X: np.ndarray, V: np.ndarray,
     """The Jacobi operator M of a batch of rays in their frames Eo, (N, k, k):
     M = E^T B E, symmetrised, with B(w, u) = low(v, w, v, u).
 
-    On an evaluator with a closed-form ``jacobi_batch`` (the stereographic
-    models of constant curvature K, where B = K mu^2 (|v|^2 I - v v^T)), B is
-    that one, in O(n^2) per ray. Every other evaluator contracts the rank-4 R
-    of ``curvature_kernel``, which stays the reference.
+    On an evaluator with a ``jacobi_batch``, B is that one: the closed form
+    of the stereographic models of constant curvature K, B = K mu^2 (|v|^2 I
+    - v v^T), in O(n^2) per ray, or an expression chart's compiled operator
+    (``manifold.ExpressionEvaluator``, whose squares are products). Every
+    other evaluator, and an expression chart where its operator returns None
+    (a fault or a value that is not finite at some ray), contracts the
+    rank-4 R of ``curvature_kernel``, which stays the reference and raises
+    where the stack faults or g is not positive definite.
     """
     closed = chart.evaluator.jacobi_batch
-    if closed is not None:
-        B = closed(X, V)
-    else:
+    B = None if closed is None else closed(X, V)
+    if B is None:
         n = np.shape(X)[1]
 
         def drive(sl, G, up, low):

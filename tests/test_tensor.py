@@ -327,17 +327,22 @@ def _besse_driving(mu, dmu, d2mu, X, V, E):
 def test_closed_form_driving_on_a_variable_profile(n, rng):
     # mu = e^q has beta = 2 s' - s^2 = -1, so the x x^T term of T is exercised
     # (beta is 0 on the sphere and the ball); jacobi_matrix_at goes through
-    # tensor.curvature and jacobi_driving_batch through the kernel's batch
+    # tensor.curvature and jacobi_driving_batch through the compiled B
     coords = [f"x{i+1}" for i in range(n)]
     mu = "exp(" + "+".join(f"{c}^2" for c in coords) + ")"
     expression = manifold.chart_from_definition(
         {"dim": n, "coords": coords,
          "metric": [[mu if i == j else "0" for j in range(n)] for i in range(n)]})
-    assert expression.evaluator.jacobi_batch is None
     X = rng.uniform(-0.7, 0.7, (6, n))
     V = rng.standard_normal((6, n))
     E = np.stack([tensor.orthonormal_frame(expression.evaluator.metric(x)) for x in X])
     C, M = _besse_driving(math.exp, math.exp, math.exp, X, V, E)
+    # the compiled B and the kernel's, each called directly, against Besse's
+    _, _, low = tensor.curvature_kernel(*expression.evaluator.stack_batch(X))
+    kernel = np.einsum("bijhk,bi,bh->bjk", low, V, V)  # low(v, e_j, v, e_k)
+    scale = np.max(np.abs(M), axis=(1, 2))
+    for B in (expression.evaluator.jacobi_batch(X, V), kernel):
+        assert np.all(np.max(np.abs(E.swapaxes(1, 2) @ B @ E - M), axis=(1, 2)) <= 1e-13 * scale)
     M_expr = tensor.jacobi_driving_batch(expression, X, V, E)
     C_expr = expression.evaluator.connection_batch(X, V)
     assert np.max(np.abs(C_expr - C)) <= 1e-13 * np.max(np.abs(C))
