@@ -2,6 +2,8 @@
 frame and transport right-hand side, checked against contractions of the
 full Christoffel symbols."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,24 @@ def test_a_zero_pivot_faults_alike_in_every_connection_form():
         with pytest.raises(SingularMetric) as info:
             call()
         assert str(info.value) == "metric singular at [0.0, 0.3]"
+
+
+@pytest.mark.parametrize("rows, x, fault", [
+    ([["x", "0"], ["0", "1"]], [0.0, 0.5], SingularMetric),
+    ([["1", "0"], ["0", "1 + sqrt(x)"]], [-0.25, 0.5], DomainFault),
+    ([["1", "0"], ["0", "2 + sin(x)"]], [math.inf, 0.5], DomainFault),
+])
+def test_every_per_point_expression_fault_names_its_point(rows, x, fault):
+    # the fragment builds the point inside its raise, as compile_tensor's
+    # functions do with theirs (g = diag(1, x) has a stack at x = 0)
+    ev = manifold.chart_from_definition({"dim": 2, "coords": ["x", "y"], "metric": rows}).evaluator
+    v = [1.0, -0.5]
+    calls = [lambda: ev.gamma(np.array(x)), lambda: ev.connection(np.array(x), np.array(v)),
+             lambda: ev.spray(x, v), lambda: ev.jacobi(np.array(x), np.array(v))]
+    for call in calls + [lambda: ev.stack(np.array(x))] * (fault is DomainFault):
+        with pytest.raises(fault) as info:
+            call()
+        assert np.array_equal(info.value.point, x) and info.value.point.dtype == float
 
 
 def test_an_expression_chart_compiles_no_connection_form_until_first_use(monkeypatch):

@@ -83,6 +83,21 @@ def test_batched_curvature_and_driving(chart, oracle, rng):
         assert np.max(np.abs(M_b[i] - 0.5 * (want + want.T))) <= 10 * TOL
 
 
+def test_compiled_jacobi_operator_matches_kernel_and_oracle(chart, oracle, rng):
+    # B = low(v, ., v, .) from the compiled operator, as jacobi_driving_batch
+    # takes it, and from the kernel's R, both against sympy's
+    X = P + rng.uniform(-0.2, 0.2, (40, 3))
+    V = rng.standard_normal((40, 3))
+    B = chart.evaluator.jacobi_batch(X, V)
+    _, _, low = tensor.curvature_kernel(*chart.evaluator.stack_batch(X))
+    kernel = np.einsum("bijhk,bi,bh->bjk", low, V, V)
+    for i, x in enumerate(X):
+        want = np.einsum("ijhk,i,h->jk", oracle(x)[2], V[i], V[i])
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(B[i] - want)) <= TOL * scale
+        assert np.max(np.abs(B[i] - kernel[i])) <= TOL * scale
+
+
 def test_jacobi_system_matches_oracle(chart, oracle):
     v = np.array([0.4, 0.3, -0.5])
     geo = transport.integrate_geodesic(chart, P, v, 0.5,

@@ -180,6 +180,48 @@ def test_chart_definition_shape_checks():
             {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"]]})
 
 
+def test_a_coordinate_named_twice_is_a_bad_param():
+    # with both names x, g = diag(1, x^2) read the second coordinate as the
+    # first, and g at (1, 2) was the identity
+    doc = {"dim": 2, "coords": ["x", "x"], "metric": [["1", "0"], ["0", "x^2"]]}
+    with pytest.raises(BadParam, match="coords name 'x' more than once"):
+        manifold.chart_from_definition(doc)
+
+
+@pytest.mark.parametrize("box", [[[-0.5, 0.0], [0.5, 2.0]], [[-3, -2], [1, 5e-3]]])
+def test_a_documents_sample_box_is_the_charts(box):
+    doc = {"dim": 2, "coords": ["x", "y"], "metric": PLANE, "sample_box": box}
+    chart = manifold.chart_from_definition(doc)
+    low, high = chart.sample_box
+    assert low.tolist() == box[0] and high.tolist() == box[1]
+    P = chart.sample_points(200, 3)
+    assert np.all((P >= low) & (P <= high))
+
+
+BAD_BOXES = {
+    "a string": "a",
+    "null": None,
+    "one side": [[-1.0, -1.0]],
+    "three sides": [[-1.0, -1.0], [1.0, 1.0], [2.0, 2.0]],
+    "short side": [[-1.0], [1.0, 1.0]],
+    "a string number": [[-1.0, "-1"], [1.0, 1.0]],
+    "a bool": [[-1.0, False], [1.0, True]],
+    "an infinity": [[-1.0, -math.inf], [1.0, 1.0]],
+    "a nan": [[-1.0, math.nan], [1.0, 1.0]],
+    "low = high": [[-1.0, 1.0], [1.0, 1.0]],
+    "low > high": [[1.0, -1.0], [-1.0, 1.0]],
+    "an infinite width": [[-1e308, -1.0], [1e308, 1.0]],
+    "an integer past floats": [[-1, -1], [1, 10 ** 400]],
+}
+
+
+@pytest.mark.parametrize("box", BAD_BOXES.values(), ids=BAD_BOXES.keys())
+def test_a_malformed_sample_box_is_a_bad_param(box):
+    doc = {"dim": 2, "coords": ["x", "y"], "metric": PLANE, "sample_box": box}
+    with pytest.raises(BadParam, match="sample_box"):
+        manifold.chart_from_definition(doc)
+
+
 PLANE = [["1", "0"], ["0", "1"]]
 MALFORMED = {
     "missing metric": {"dim": 2, "coords": ["x", "y"]},
