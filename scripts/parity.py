@@ -36,6 +36,11 @@ EXPR3 = {"dim": 3, "coords": ["x", "y", "z"],
                     ["x/10", "exp(2*z)", "y/5"],
                     ["0", "y/5", "1 + x^2"]]}
 SQRT = {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "1 + sqrt(x)"]]}
+# the benchmark's expression sphere, 4 R^4 / (R^2 + x^2 + y^2)^2 at R = 1.2: a
+# square in a denominator, and a compiled Jacobi operator
+SPHERE_EXPR = {"dim": 2, "coords": ["x", "y"],
+               "metric": [["8.2944/(1.44+x^2+y^2)^2", "0"],
+                          ["0", "8.2944/(1.44+x^2+y^2)^2"]]}
 
 # name: (chart, box of the sampled points, a unit-speed ray's point and
 # direction, Kref for volume_compare or None)
@@ -56,6 +61,8 @@ CHARTS = {
               ([0.3, 0.2, 0.1], [0.5, 1.0, -0.4]), None),
     "sqrt": (lambda: manifold.chart_from_definition(SQRT), 0.4,
              ([0.5, 0.1], [0.3, 1.0]), None),
+    "sphere_expr": (lambda: manifold.chart_from_definition(SPHERE_EXPR), 0.8,
+                    ([0.3, 0.1], [1.0, 0.4]), 0.5),
 }
 
 

@@ -76,7 +76,7 @@ def _outcome(fn, *args):
         return exc
 
 
-@pytest.mark.parametrize("rows", [1, manifold.BATCH_ROWS + 3])
+@pytest.mark.parametrize("rows", [1, manifold.BATCH_ROWS + 3, manifold.JACOBI_ROWS + manifold.BATCH_ROWS + 3])
 @pytest.mark.parametrize("metric, point, fault", FAULTS)
 def test_where_the_operator_faults_the_kernel_raises(metric, point, fault, rows):
     # jacobi_batch returns None, and jacobi_driving_batch raises what the
