@@ -7,7 +7,7 @@ import pytest
 
 from riemannkit import manifold, tensor
 from riemannkit.errors import DomainFault, SingularMetric
-from test_batch_forms import CHARTS, SIZES, _chart, _same
+from test_batch_forms import CHARTS, SIZES, _chart, _outcome, _same
 
 EXPRESSION = sorted(name for name in CHARTS
                     if isinstance(_chart(name).evaluator, manifold.ExpressionEvaluator))
@@ -69,14 +69,8 @@ FAULTS = [
 ]
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (DomainFault, SingularMetric, OverflowError) as exc:
-        return exc
-
-
-@pytest.mark.parametrize("rows", [1, manifold.BATCH_ROWS + 3, manifold.JACOBI_ROWS + manifold.BATCH_ROWS + 3])
+@pytest.mark.parametrize("rows", [1, manifold.BATCH_ROWS + 3,
+                                  manifold.JACOBI_ROWS + manifold.BATCH_ROWS + 3])
 @pytest.mark.parametrize("metric, point, fault", FAULTS)
 def test_where_the_operator_faults_the_kernel_raises(metric, point, fault, rows):
     # jacobi_batch returns None, and jacobi_driving_batch raises what the
