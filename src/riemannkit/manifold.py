@@ -368,25 +368,13 @@ class ExpressionEvaluator(FragmentEvaluator):
 
     def jacobi_batch(self, X, V):
         """B of the rays (X[b], V[b]), (N, n, n), each row bitwise ``jacobi``
-        there, by the batch rule in blocks of ``JACOBI_ROWS`` rays; None where
-        some row has a zero or negative pivot of g, another fault or a value
-        that is not finite."""
-        X, V = np.asarray(X, dtype=float), np.asarray(V, dtype=float)
+        there, by the batch rule; None where some row has a zero or negative
+        pivot of g, another fault or a value that is not finite."""
         try:
-            B = np.concatenate([_batch(self._jacobi_rows, self.jacobi, [(self.dim,) * 2],
-                                       X[s:s + JACOBI_ROWS], V[s:s + JACOBI_ROWS])
-                                for s in range(0, max(len(X), 1), JACOBI_ROWS)])
+            B = _batch(self._jacobi_rows, lambda x, v: self.jacobi(x, v), [(self.dim,) * 2], X, V)
         except (*_POINT_FAULTS, ArithmeticError):
             return None
         return B if np.isfinite(B).all() else None
-
-
-# Rays per call of an expression chart's compiled Jacobi operator. Its array
-# form keeps every statement's (N,) array until it returns, some 270 of them
-# on the expression S^3, so that a call's memory grows with N. On 8,192 rays
-# of the expression S^2 and S^3, blocks of 512 took 1.8 and 3.7 ms, blocks of
-# 8,192 3.1 and 7.0 ms.
-JACOBI_ROWS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +649,8 @@ def _sample_box(box, dim: int) -> tuple:
             return False
 
     def numbers(side):
-        return isinstance(side, list) and len(side) == dim and all(map(finite, side))
-    if not (isinstance(box, list) and len(box) == 2 and all(map(numbers, box))
+        return isinstance(side, (list, tuple)) and len(side) == dim and all(map(finite, side))
+    if not (isinstance(box, (list, tuple)) and len(box) == 2 and all(map(numbers, box))
             and all(a < b and math.isfinite(float(b) - float(a)) for a, b in zip(*box))):
         raise BadParam(f"sample_box must be [low, high], two lists of {dim} finite "
                        f"numbers with low < high and a finite width, got {box!r}")

@@ -69,19 +69,13 @@ def _positive_stack(chart: MetricChart, X: np.ndarray):
     return stack
 
 
-def _over_blocks(chart: MetricChart, X, reduce):
-    """reduce(slice, Gamma, up, low) over X, _BLOCK points at a time, concatenated."""
-    X = np.asarray(X, dtype=float)
-    parts = []
-    for s in range(0, max(len(X), 1), _BLOCK):  # an empty X makes one empty pass
-        sl = slice(s, s + _BLOCK)
-        parts.append(reduce(sl, *curvature_kernel(*_positive_stack(chart, X[sl]))))
-    return tuple(np.concatenate(a) for a in zip(*parts))
-
-
 def curvature_low_batch(chart: MetricChart, X: np.ndarray):
-    """(gamma, low) at a batch of points; low has shape (N, n, n, n, n)."""
-    return _over_blocks(chart, X, lambda sl, G, up, low: (G, low))
+    """(gamma, low) at a batch of points, _BLOCK points a kernel pass; low has
+    shape (N, n, n, n, n)."""
+    X = np.asarray(X, dtype=float)
+    parts = [curvature_kernel(*_positive_stack(chart, X[s:s + _BLOCK]))[::2]
+             for s in range(0, max(len(X), 1), _BLOCK)]  # an empty X makes one empty pass
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def jacobi_driving_batch(chart: MetricChart, X: np.ndarray, V: np.ndarray,
@@ -96,20 +90,23 @@ def jacobi_driving_batch(chart: MetricChart, X: np.ndarray, V: np.ndarray,
     other evaluator, and an expression chart where its operator returns None
     (a fault or a value that is not finite at some ray), contracts the
     rank-4 R of ``curvature_kernel``, which stays the reference and raises
-    where the stack faults or g is not positive definite.
+    where the stack faults or g is not positive definite. Either runs
+    ``_BLOCK`` rays at a time, which bounds the kernel's rank-5 temporaries
+    and the compiled operator's one array per statement, and the kernel
+    stands in only for a block where the operator returns None.
     """
-    closed = chart.evaluator.jacobi_batch
-    B = None if closed is None else closed(X, V)
-    if B is None:
-        n = np.shape(X)[1]
-
-        def drive(sl, G, up, low):
-            v = V[sl]
+    X, V = np.asarray(X, dtype=float), np.asarray(V, dtype=float)
+    closed, n = chart.evaluator.jacobi_batch, X.shape[1]
+    parts = []
+    for s in range(0, max(len(X), 1), _BLOCK):  # an empty X makes one empty pass
+        x, v = X[s:s + _BLOCK], V[s:s + _BLOCK]
+        B = None if closed is None else closed(x, v)
+        if B is None:  # B[b, d] = low(v, e_d, v, e_b) of the kernel
+            low = curvature_kernel(*_positive_stack(chart, x))[2]
             T = (v[:, None, :] @ low.reshape(-1, n, n ** 3)).reshape(-1, n, n, n)
-            T = (v[:, None, None, :] @ T).reshape(-1, n, n)  # T[b,d] = low(v, e_b, v, e_d)
-            return (T.swapaxes(1, 2),)
-
-        B, = _over_blocks(chart, X, drive)
+            B = (v[:, None, None, :] @ T).reshape(-1, n, n).swapaxes(1, 2)
+        parts.append(B)
+    B = np.concatenate(parts)
     M = Eo.swapaxes(1, 2) @ B @ Eo
     return 0.5 * (M + M.swapaxes(1, 2))
 

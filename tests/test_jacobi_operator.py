@@ -59,6 +59,16 @@ def test_jacobi_driving_batch_takes_the_compiled_operator(monkeypatch):
     assert _same(tensor.jacobi_driving_batch(chart, X, V, E), 0.5 * (B + B.swapaxes(1, 2)))
 
 
+@pytest.mark.parametrize("rows", [manifold.BATCH_ROWS, tensor._BLOCK])
+def test_the_array_form_emits_no_per_point_operator(rows):
+    # the batch rule reads the per-point form only where it loops
+    ev = _sphere(3, 1.5).evaluator
+    X = np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, 3))
+    V = np.random.default_rng(rows + 1).standard_normal((rows, 3))
+    assert ev.jacobi_batch(X, V) is not None
+    assert "jacobi" not in vars(ev)
+
+
 # a metric and a point where its operator faults: a zero pivot, a negative
 # one, a sqrt of a negative number, and a derivative of x^-2 that overflows
 FAULTS = [
@@ -70,7 +80,7 @@ FAULTS = [
 
 
 @pytest.mark.parametrize("rows", [1, manifold.BATCH_ROWS + 3,
-                                  manifold.JACOBI_ROWS + manifold.BATCH_ROWS + 3])
+                                  tensor._BLOCK + manifold.BATCH_ROWS + 3])
 @pytest.mark.parametrize("metric, point, fault", FAULTS)
 def test_where_the_operator_faults_the_kernel_raises(metric, point, fault, rows):
     # jacobi_batch returns None, and jacobi_driving_batch raises what the

@@ -188,12 +188,13 @@ def test_a_coordinate_named_twice_is_a_bad_param():
         manifold.chart_from_definition(doc)
 
 
-@pytest.mark.parametrize("box", [[[-0.5, 0.0], [0.5, 2.0]], [[-3, -2], [1, 5e-3]]])
+@pytest.mark.parametrize("box", [[[-0.5, 0.0], [0.5, 2.0]], [[-3, -2], [1, 5e-3]],
+                                 ((-1, -0.5), (1, 0.5)), ([-1, 0], (1, 2))])
 def test_a_documents_sample_box_is_the_charts(box):
     doc = {"dim": 2, "coords": ["x", "y"], "metric": PLANE, "sample_box": box}
     chart = manifold.chart_from_definition(doc)
     low, high = chart.sample_box
-    assert low.tolist() == box[0] and high.tolist() == box[1]
+    assert low.tolist() == list(box[0]) and high.tolist() == list(box[1])
     P = chart.sample_points(200, 3)
     assert np.all((P >= low) & (P <= high))
 
