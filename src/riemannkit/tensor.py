@@ -36,7 +36,7 @@ def christoffel(chart: MetricChart, p) -> ChristoffelField:
     return ChristoffelField(point=p, gamma=gamma_from_stack(md.g_inv, md.dg))
 
 
-_BLOCK = 512  # points per kernel pass; bounds the rank-5 temporaries
+_BLOCK = 512  # points per pass of the kernel or of a jacobi_batch; bounds their temporaries
 
 
 def curvature_kernel(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
