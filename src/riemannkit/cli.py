@@ -519,7 +519,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (RiemannKitError, OverflowError) as exc:  # an expression's documented overflow
+    except (RiemannKitError, OverflowError, MemoryError) as exc:  # an expression's overflow; a huge n
         report = {
             "schema": SCHEMA,
             "version": __version__,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (BadParam, ConjugateNotFound, DegeneratePlane,
                      InputOrderViolated)
-from .manifold import MetricChart, _bisect, _finite, _hermite, _positive, _write_csv, metric_at
+from .manifold import MetricChart, _bisect, _count, _finite, _hermite, _positive, _write_csv, metric_at
 from .tensor import (curvature, curvature_low_batch, jacobi_driving_batch,
                      orthonormal_frame, ricci)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
@@ -423,8 +423,8 @@ def volume_compare(chart: MetricChart, p, r: float, Kref: float,
         raise BadParam("radius must be positive and finite")
     Kref = float(_finite("Kref", Kref))
     # sampled Ricci hypothesis near p
-    rng = np.random.default_rng(seed)
-    samples = [p + rng.uniform(-r, r, n) if k else p for k in range(ric_samples)]
+    rng = np.random.default_rng(_count("seed", seed, 0))
+    samples = [p + rng.uniform(-r, r, n) if k else p for k in range(_count("ric_samples", ric_samples))]
     worst = _ricci_floor(chart, [q for q in samples if chart.contains(q)])
     if worst < (n - 1) * Kref - 1e-9:
         raise InputOrderViolated(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -68,23 +69,21 @@ class MetricEvaluator:
     The connection Gamma(v, w)^i = Gamma^i_jk v^j w^k has three forms:
     ``spray(x, v)`` = Gamma(v, v), a list of n floats from sequences of
     floats; ``connection(x, v)`` = C = Gamma(v, .), with C @ w = Gamma(v, w);
-    and ``gamma(x)``[i, j, k] = Gamma^i_jk. Every evaluator of the library
-    is a ``FragmentEvaluator``, which writes Gamma once, as
-    ``connection_fragment(x, terms, rows)``: for the names x of a point and
-    terms (v, w, q), v and w lists of names or of the literals "0.0" and
-    "1.0", the statements that set the names q to Gamma(v, w), on + - * /
-    and calls of their globals alone (array forms where ``rows``), and a
-    dict of those globals; local names begin with a lower-case letter,
-    globals with ``_``. A term whose w is its v is the spray, written as the
-    float step has it. Every form and array form is ``_emitted`` from it. An
-    expression fragment has one more term kind, (v, None, q) with n * n
-    names q: the Jacobi operator B (below), row by row.
-    ``transport`` inlines the spray's term ``connection_fragment(x, [(v, v,
-    q)])`` into its float steps where the spray is the one emitted from it
-    (``_spray_fragment``), so that they compile no per-point spray, and calls
-    any other spray once per stage. The defaults here, for an
-    evaluator without a fragment, invert g from ``first_order`` and contract
-    ``gamma``, so that one which supplies only ``stack`` is complete.
+    and ``gamma(x)``[i, j, k] = Gamma^i_jk. An evaluator supplies ``stack``,
+    and optionally writes Gamma once, as ``connection_fragment(x, terms,
+    rows)``: for the names x of a point and terms (v, w, q), v and w lists of
+    names or of the literals "0.0" and "1.0", the statements that set the
+    names q to Gamma(v, w), on + - * / and calls of their globals alone
+    (array forms where ``rows``), and a dict of those globals; local names
+    begin with a lower-case letter, globals with ``_``. A term whose w is its
+    v is the spray, written as the float step has it. Every form and array
+    form is ``_emitted`` from the fragment, and ``transport`` inlines the
+    spray's term into its float steps, so that they compile no per-point
+    spray. The default fragment, for an evaluator that supplies only
+    ``stack``, contracts Gamma = ``gamma_from_stack`` of g^-1 and dg, from
+    one call per point (per batch where ``rows``). An expression fragment
+    has one more term kind, (v, None, q) with n * n names q: the Jacobi
+    operator B (below), row by row.
 
     ``jacobi_batch(X, V)``, where an evaluator has one, returns B(w, u) =
     low(v, w, v, u), (N, n, n), of the rays (X, V), which
@@ -107,7 +106,10 @@ class MetricEvaluator:
     dim: int
     jacobi_batch: Optional[Callable] = None
     # array forms X -> batch, or None where a check fails at some row
-    _metric_rows = _stack_rows = _gamma_rows = _connection_rows = _spray_rows = None
+    _metric_rows = _stack_rows = None
+    spray, _spray_rows = _emitted("spray"), _emitted("spray", rows=True)
+    connection, _connection_rows = _emitted("connection"), _emitted("connection", rows=True)
+    gamma, _gamma_rows = _emitted("gamma"), _emitted("gamma", rows=True)
 
     def stack(self, x: np.ndarray):
         """Return (g, dg, d2g); dg[k,i,j] = d_k g_ij, d2g[k,l,i,j] = d_k d_l g_ij."""
@@ -125,31 +127,35 @@ class MetricEvaluator:
         g, dg, _ = self.stack(x)
         return g, dg
 
-    def gamma(self, x: np.ndarray) -> np.ndarray:
-        """Levi-Civita Christoffel symbols Gamma[i,j,k] = Gamma^i_jk."""
-        g, dg = self.first_order(x)
+    def connection_fragment(self, x, terms, rows=False):
+        """Gamma(v, w)^i = Gamma^i_jk v^j w^k, after one call of ``_symbols``
+        at the point (on its columns where ``rows``)."""
+        n = len(x)
+        c = [[[f"c{i}_{j}_{k}" for k in range(n)] for j in range(n)] for i in range(n)]
+        return [f"{', '.join(np.ravel(c))}, = _symbols({rows}, {', '.join(x)})",
+                *(f"{qi} = {_sum(*[(ci[j][k], v[j], w[k]) for j in range(n) for k in range(n)])}"
+                  for v, w, q in terms for qi, ci in zip(q, c))], {"_symbols": self._symbols}
+
+    def _symbols(self, rows, *x):
+        """Gamma^i_jk from ``first_order`` at the point x, a flat list, or
+        from ``stack_batch`` at the rows of the columns x, n^3 columns;
+        SingularMetric where g is singular (on rows, it sends a batch to the
+        loop, which names the row)."""
+        p = np.array(x)
+        g, dg = self.stack_batch(p.T)[:2] if rows else self.first_order(p)
         try:
-            g_inv = np.linalg.inv(g)
+            G = gamma_from_stack(np.linalg.inv(g), dg)
         except np.linalg.LinAlgError:
-            raise SingularMetric(f"metric singular at {x}")
-        return gamma_from_stack(g_inv, dg)
+            raise SingularMetric(f"metric singular at {p}", point=p) from None
+        return G.reshape(len(g), -1).T if rows else G.ravel().tolist()
 
     def gamma_batch(self, X: np.ndarray) -> np.ndarray:
         """Christoffel symbols at every row of X, shape (N, n, n, n)."""
         return _batch(self._gamma_rows, lambda x: self.gamma(x), [(self.dim,) * 3], X)
 
-    def connection(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """C = Gamma(v, .) at x, an (n, n) matrix with C @ w = Gamma(v, w)."""
-        return v @ self.gamma(x)
-
     def connection_batch(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Gamma(V[b], .) at every row X[b], shape (N, n, n)."""
         return _batch(self._connection_rows, lambda x, v: self.connection(x, v), [(self.dim,) * 2], X, V)
-
-    def spray(self, x, v) -> list:
-        """Gamma(v, v) at x, a list of n floats."""
-        v = np.asarray(v, dtype=float)
-        return (self.connection(np.asarray(x, dtype=float), v) @ v).tolist()
 
     def spray_batch(self, X: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Gamma(V[b], V[b]) at every row X[b], shape (N, n)."""
@@ -158,28 +164,6 @@ class MetricEvaluator:
     def stack_batch(self, X: np.ndarray):
         """(g, dg, d2g) at every row of X."""
         return _batch(self._stack_rows, self.stack, [(self.dim,) * k for k in (2, 3, 4)], X)
-
-
-class FragmentEvaluator(MetricEvaluator):
-    """An evaluator that writes Gamma(v, w) once, as ``connection_fragment``:
-    its ``spray``, ``connection`` and ``gamma`` and their array forms are
-    ``_emitted`` from it."""
-
-    spray, _spray_rows = _emitted("spray"), _emitted("spray", rows=True)
-    connection, _connection_rows = _emitted("connection"), _emitted("connection", rows=True)
-    gamma, _gamma_rows = _emitted("gamma"), _emitted("gamma", rows=True)
-
-
-def _spray_fragment(ev):
-    """The term (v, v) of ``ev``'s ``connection_fragment``, a function of the
-    names (x, v, q), where ``ev.spray`` is the spray emitted from it: ``ev``
-    is a FragmentEvaluator, or a wrapper that hands both on and has no spray
-    of its own, neither in its class nor bound on it (a FragmentEvaluator
-    keeps its emitted spray there). Else None."""
-    fragment = getattr(ev, "connection_fragment", None)
-    own = getattr(type(ev), "spray", FragmentEvaluator.spray) is not FragmentEvaluator.spray \
-        or "spray" in vars(ev) and not isinstance(ev, FragmentEvaluator)
-    return None if fragment is None or own else lambda x, v, q: fragment(x, [(v, v, q)])
 
 
 # Rows from which a batch takes an array form over the per-point loop. An
@@ -198,15 +182,16 @@ def _batch(rows, each, shapes, X, *rest):
     loop of ``each(x, *r)``. Arrays of the per-row ``shapes`` with a leading
     batch axis, a tuple of them where there are several; an array form
     returns None where one of its checks fails at some row, and an
-    ArithmeticError or ValueError from it (an elementwise ``math`` call)
-    sends the batch to the loop too.
+    ArithmeticError or ValueError from it (an elementwise ``math`` call), or
+    a DomainFault or SingularMetric, whose point is not its row, sends the
+    batch to the loop too.
     """
     X = np.asarray(X, dtype=float)
     if rows is not None and len(X) >= BATCH_ROWS:
         try:
             with np.errstate(all="ignore"):
                 out = rows(X, *rest)
-        except (ArithmeticError, ValueError):
+        except (ArithmeticError, ValueError, *_POINT_FAULTS):
             out = None
         if out is not None and all(np.isfinite(a).all() for a in
                                    (out if len(shapes) > 1 else (out,))):
@@ -247,7 +232,7 @@ def gamma_from_stack(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * (g_inv @ K).reshape(dg.shape)
 
 
-class ConformalEvaluator(FragmentEvaluator):
+class ConformalEvaluator(MetricEvaluator):
     """The stereographic model of curvature K = sign / c: g = mu(|x|^2) delta
     with mu = (2c / a)^2 and a = c + sign |x|^2, for c > 0 and sign = +-1
     (Lee, Introduction to Riemannian Manifolds, 2018, ch. 3).
@@ -335,7 +320,7 @@ class ConformalEvaluator(FragmentEvaluator):
         return m[:, None, None] * eye, dg, kern[..., None, None] * eye
 
 
-class ExpressionEvaluator(FragmentEvaluator):
+class ExpressionEvaluator(MetricEvaluator):
     """Free-form metric whose coefficients are expression ASTs.
 
     ``metric``, ``first_order`` and ``stack`` are straight-line functions
@@ -569,12 +554,13 @@ def _number(name, params, key, default) -> float:
 
 
 def _count(label: str, raw, least: int = 1) -> int:
-    """raw as an integer >= least (2, 2.0 or "2"); BadParam naming label otherwise."""
+    """raw as an integer >= least (2, 2.0 or "2"; an integer exactly, however
+    large); BadParam naming label otherwise."""
     try:
-        n = float(raw)
+        n = raw if isinstance(raw, numbers.Integral) else float(raw)
     except (TypeError, ValueError):
         n = math.nan
-    if isinstance(raw, bool) or not (n >= least and n.is_integer()):
+    if isinstance(raw, bool) or not (n >= least and n % 1 == 0):
         raise BadParam(f"{label} must be an integer >= {least}, got {raw!r}")
     return int(n)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr
 from .errors import (BadParam, BadProfile, BarrierNotTransversal, DomainExit, DomainFault)
-from .manifold import FragmentEvaluator, MetricChart, _batch, _bisect, _finite, _read_definition, _sum
+from .manifold import MetricChart, MetricEvaluator, _batch, _bisect, _finite, _read_definition, _sum
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def reparametrize_arclength(profile: Profile, grid: int = 8193) -> Profile:
 # Chart construction
 # ---------------------------------------------------------------------------
 
-class SurfRevEvaluator(FragmentEvaluator):
+class SurfRevEvaluator(MetricEvaluator):
     """ds^2 = du^2 + f(u)^2 dtheta^2 on the (u, theta) chart.
 
     Every form of the connection is emitted from ``connection_fragment``; the

@@ -9,7 +9,7 @@ steps.  ``integrate_geodesic`` and ``exp_map`` both run it.  The float step
 is emitted on the first integration and cached on the evaluator
 (``_chart_step``), with the spray's statements, the term (v, v) of the
 evaluator's ``connection_fragment`` (see ``manifold.MetricEvaluator``),
-inlined into every stage, or one call per stage of a spray without one.
+inlined into every stage: no stage calls a spray.
 
 A framed geodesic runs in two passes.  The nonlinear one is that float
 loop, which also records the stage points of every (accepted) step.  The
@@ -49,7 +49,7 @@ import numpy as np
 from .errors import (_POINT_FAULTS, BadParam, DomainExit,
                      NoConvergence, SingularMetric, StepFault)
 from .expr import _define
-from .manifold import (MetricChart, SampledCurve, _dense, _finite, _spray_fragment, _write_csv,
+from .manifold import (MetricChart, SampledCurve, _count, _dense, _finite, _write_csv,
                        metric_at)
 from .tensor import orthonormal_frame
 
@@ -252,7 +252,8 @@ class _Tableau(namedtuple("_Tableau", "name a b c div e", defaults=(None,))):
         """``step(X, V, H, Rows)``: one step of x' = v, v' = -Gamma(v, v) from
         the lists X and V of n floats by H, every stage and component written
         out, rounded as x + H sum_j w_j V_j and v - H sum_j w_j Q_j for the
-        velocity V_j and spray Q_j of stage j.  ``fragment(x, v, q)`` gives the
+        velocity V_j and spray Q_j of stage j.  ``fragment``, an evaluator's
+        ``connection_fragment``, gives from the term (v, v, q) the
         statements, and their globals, that set the names q to the spray at
         the point held in the names x and v.  The step appends each stage
         point (x, v) to ``Rows`` before that stage's statements, so a fault's
@@ -277,7 +278,7 @@ class _Tableau(namedtuple("_Tableau", "name a b c div e", defaults=(None,))):
             if s:
                 lines += combine(X[s], X[0], "+", "H", row, V) + combine(V[s], V[0], "-", "H", row, Q)
                 lines.append(f"Rows += ({', '.join(X[s] + V[s])},)")
-            body, names = fragment(X[s], V[s], Q[s])
+            body, names = fragment(X[s], [(V[s], V[s], Q[s])])
             lines += body
             env.update(names)
         lines.append(f"Hd = H / {self.div!r}")
@@ -330,29 +331,17 @@ _EMITTED = itertools.count()  # numbers the emitted float steps, whose linecache
 
 
 def _chart_step(chart: MetricChart, tableau: _Tableau):
-    """``tableau``'s float step on the chart, from its evaluator's spray: emitted
-    on the first call and cached in the evaluator's own ``__dict__``, so that a
-    wrapper that hands other attributes on to an evaluator keeps its own.  The
-    fragment, or the spray, and the callables it names are read then, once."""
+    """``tableau``'s float step on the chart, from its evaluator's fragment:
+    emitted on the first call and cached in the evaluator's own ``__dict__``,
+    so that a wrapper that hands other attributes on to an evaluator keeps its
+    own.  The fragment and the callables it names are read then, once."""
     steps = vars(chart.evaluator).setdefault("_float_steps", {})
     step = steps.get(tableau.name)
     if step is None:
         step = steps[tableau.name] = tableau.float_step(
-            _fragment(chart.evaluator), chart.dim,
+            chart.evaluator.connection_fragment, chart.dim,
             f"<riemannkit {tableau.name} step on {chart.label or 'a chart'} #{next(_EMITTED)}>")
     return step
-
-
-def _fragment(evaluator):
-    """The source fragment of an evaluator's spray: ``manifold._spray_fragment``
-    where it has one, so that no per-point spray is compiled; else one call of
-    its spray."""
-    fragment = _spray_fragment(evaluator)
-    if fragment is not None:
-        return fragment
-    spray = evaluator.spray
-    return lambda x, v, q: ([f"{', '.join(q)}, = _spray([{', '.join(x)}], [{', '.join(v)}])"],
-                            {"_spray": spray})
 
 
 def _transition(A, h, tableau: _Tableau = RK4) -> np.ndarray:
@@ -889,11 +878,11 @@ def shortest_geodesic(chart: MetricChart, p, q, tries: int = 8, seed: int = 0,
     The result is a candidate minimizer only; no global claim is made.
     """
     p, q = _endpoints(chart, p, q)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     if np.array_equal(p, q):
         traj = integrate_geodesic(chart, p, np.zeros(chart.dim), 0.0,
                                   settings=settings)
         return traj, 0.0
-    rng = np.random.default_rng(seed)
     md = metric_at(chart, p)
     best = None
     base = q - p

@@ -170,6 +170,30 @@ def test_sample_points_needs_integer_counts_and_seeds(sphere2, count, seed):
         sphere2.sample_points(count, seed)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_volume_compare_and_shortest_geodesic_need_integer_seeds(sphere2, seed):
+    with pytest.raises(BadParam, match="seed"):
+        comparison.volume_compare(sphere2, [0.0, 0.0], 0.1, 1.0, directions=4, seed=seed)
+    with pytest.raises(BadParam, match="seed"):
+        transport.shortest_geodesic(sphere2, [0.0, 0.0], [0.2, 0.1], seed=seed)
+
+
+@pytest.mark.parametrize("ric_samples", [0, -3, 2.5])
+def test_volume_compare_needs_a_ricci_sample(sphere2, ric_samples):
+    with pytest.raises(BadParam, match="ric_samples"):
+        comparison.volume_compare(sphere2, [0.0, 0.0], 0.1, 1.0, directions=4,
+                                  ric_samples=ric_samples)
+
+
+def test_an_integer_count_is_kept_exactly():
+    # a seed beyond 2^53 is not rounded to a float; one beyond any float is
+    # still an integer, and a string of an infinite number is not
+    assert manifold._count("seed", 2**64 + 1, 0) == 2**64 + 1
+    assert manifold._count("seed", 10**400, 0) == 10**400
+    with pytest.raises(BadParam):
+        manifold._count("seed", "1e400", 0)
+
+
 @pytest.mark.parametrize("radii", [(0.1, 0.1), (0.2, math.nan), (0.2, -0.1)])
 def test_scalar_expansion_fit_needs_two_distinct_positive_radii(sphere2, radii):
     with pytest.raises(BadParam, match="radi"):
@@ -254,6 +278,8 @@ def _not_finite(doc, path=""):
 @example(argv=["transport", *S2[:6], "--tmax", "0", "--step", "0.01", "--w0", "-1e300,0"])
 @example(argv=["volume", "--builtin", "torus", "--point", "0,0", "--r", "1e300", "--kref", "0",
                "--directions", "4"])
+@example(argv=["volume", "--builtin", "sphere_stereo", "--point", "0,0", "--r", "0.1", "--kref", "1",
+               "--directions", "4", "--seed", "-5"])
 def test_every_cli_run_ends_in_one_json_document(argv):
     code, text = _run(*argv)
     assert code in (0, 1, 2)
@@ -264,6 +290,17 @@ def test_every_cli_run_ends_in_one_json_document(argv):
     assert ("error" in doc) == (code == 1)
     if code == 0:
         assert _not_finite({key: value for key, value in doc.items() if key != "settings"}) == []
+
+
+def test_a_memory_error_is_a_json_error_report(monkeypatch):
+    # as where a huge dimension exhausts memory; the library call raises it
+    # here, and nothing is allocated to provoke it
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(tensor, "curvature", exhausted)
+    code, text = _run("curvature", "--builtin", "euclidean", "--param", "n=2", "--point", "0,0")
+    assert code == 1
+    assert json.loads(text)["error"] == {"type": "MemoryError", "message": ""}
 
 
 def test_sin_of_an_argument_that_overflows_is_a_domain_fault():

@@ -15,6 +15,7 @@ from riemannkit.manifold import BATCH_ROWS, MetricEvaluator
 from riemannkit.transport import OdeSettings, integrate_geodesic
 from test_compiled import _COORD, FAULTS, METRICS, _evaluator, _sphere
 from test_connection import EXPR2, EXPR3
+from test_spray import StackOnly
 
 
 def _expr_chart(coords, rows):
@@ -36,6 +37,9 @@ CHARTS = {
     "expr3": lambda: manifold.chart_from_definition(EXPR3),
     **{f"expr_{name}": functools.partial(_expr_chart, *METRICS[name])
        for name in ("sphere", "paraboloid", "horospherical")},
+    # the default fragment of an evaluator that supplies only stack
+    "stack_only": lambda: manifold.MetricChart(dim=2, coords=["u", "w"], evaluator=StackOnly(),
+                                               label="stack_only"),
 }
 SIZES = (1, BATCH_ROWS - 1, BATCH_ROWS, 2048)
 
@@ -208,6 +212,40 @@ def test_a_zero_pivot_at_a_row_of_a_large_batch(row):
         ev.gamma_batch(X)
     assert _same(info.value.point, X[row])
     _assert_batches_fault_as_the_loop(ev, X)
+
+
+class SingularAtOrigin(MetricEvaluator):
+    """g = diag(1, u^2 + w^2), singular at the origin alone, supplied
+    through ``stack``."""
+
+    dim = 2
+
+    def stack(self, x):
+        u, w = float(x[0]), float(x[1])
+        dg = np.zeros((2, 2, 2))
+        dg[0, 1, 1], dg[1, 1, 1] = 2.0 * u, 2.0 * w
+        d2g = np.zeros((2, 2, 2, 2))
+        d2g[0, 0, 1, 1] = d2g[1, 1, 1, 1] = 2.0
+        return np.diag([1.0, u * u + w * w]), dg, d2g
+
+
+@pytest.mark.parametrize("size", [BATCH_ROWS - 1, 2 * BATCH_ROWS])
+def test_a_singular_g_of_the_default_fragment_names_its_point(size):
+    # per point, and in a batch below BATCH_ROWS or from it on, where the
+    # array form's inverse fails and sends the batch to the loop
+    ev = SingularAtOrigin()
+    X = _rows(size)
+    X[size - 4] = 0.0
+    V = np.ones_like(X)
+    origin = np.zeros(2)
+    forms = [lambda: ev.gamma(origin), lambda: ev.connection(origin, V[0]),
+             lambda: ev.spray([0.0, 0.0], [1.0, 1.0]), lambda: ev.gamma_batch(X),
+             lambda: ev.connection_batch(X, V), lambda: ev.spray_batch(X, V)]
+    for form in forms:
+        with pytest.raises(SingularMetric) as info:
+            form()
+        assert str(info.value) == f"metric singular at {origin}"
+        assert _same(info.value.point, origin)
 
 
 def test_the_first_failing_row_wins_over_the_first_failing_check():

@@ -74,11 +74,13 @@ class Cliff(manifold.MetricEvaluator):
     def stack(self, x):
         return np.eye(2), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))
 
-    def connection(self, x, v):
-        C = np.zeros((2, 2))
-        if x[0] > 0.6:
-            C[1] = math.nan
-        return C
+    def connection_fragment(self, x, terms, rows=False):
+        """Gamma^1(v, w) = 0, and Gamma^2(v, w) = NaN past u = 0.6, else 0."""
+        cliff = f"_where({x[0]} > 0.6, _nan, 0.0)" if rows else f"_nan if {x[0]} > 0.6 else 0.0"
+        lines = [f"cliff = {cliff}"]
+        for _, _, q in terms:
+            lines += [f"{q[0]} = 0.0", f"{q[1]} = cliff"]
+        return lines, {"_nan": math.nan, "_where": np.where}
 
 
 # -- agreement with the coupled RKF45 ---------------------------------------

@@ -58,3 +58,23 @@ def test_parity_record_is_bitwise_itself_and_a_changed_bit_is_flagged(tmp_path):
     assert "DIFFERS: sphere2/spray" in done.stdout
     # within a tolerance above the change, it passes
     assert "1 within 1e-15" in _run("parity.py", "compare", str(a), str(b), "--tol", "1e-15")
+
+
+def test_code_lines_counts_no_blank_comment_or_docstring(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""A module docstring\n'
+        'over two lines."""\n'
+        '\n'
+        '# a comment\n'
+        'import math  # a trailing comment\n'
+        '\n'
+        '\n'
+        'def f(x):\n'
+        '    """A docstring."""\n'
+        '    s = """a string\n'
+        'that is code"""\n'
+        '    return (x +\n'
+        '            math.pi)\n')
+    (tmp_path / "empty.py").write_text('"""Only a docstring."""\n')
+    lines = _run("code_lines.py", str(tmp_path)).splitlines()
+    assert [line.split() for line in lines] == [["6", "mod.py"], ["0", "empty.py"], ["6", "total"]]

@@ -505,42 +505,13 @@ class Forwarding:
 
 @pytest.mark.parametrize("name", ["sphere2", "torus", "paraboloid", "stack_only"])
 def test_a_forwarding_wrapper_gets_the_same_chart_step(name):
-    # its step inlines the evaluator's fragment (or calls a spray without
-    # one), line for line as the evaluator's own step does
+    # its step inlines the evaluator's fragment, line for line as the
+    # evaluator's own step does
     def source(evaluator):
         chart = MetricChart(dim=2, coords=["u", "w"], evaluator=evaluator)
         code = transport._chart_step(chart, transport.RK4).__code__
         return linecache.getlines(code.co_filename)
     assert source(Forwarding(CHARTS[name]().evaluator)) == source(CHARTS[name]().evaluator)
-
-
-class BoundSpray(Forwarding):
-    """A forwarding wrapper with a spray of its own bound on the instance, as
-    a tracing proxy binds its methods; it counts the spray's calls."""
-
-    def __init__(self, evaluator):
-        super().__init__(evaluator)
-        self.calls = 0
-
-        def spray(x, v):
-            self.calls += 1
-            return evaluator.spray(x, v)
-        self.spray = spray
-
-
-@pytest.mark.parametrize("method, stages", [("rk4_fixed", 4), ("rkf45_adaptive", 6)])
-@pytest.mark.parametrize("name", ["sphere2", "paraboloid"])
-def test_a_spray_bound_on_a_wrapper_is_called_once_per_stage(name, method, stages):
-    settings = OdeSettings(method=method, step=0.05)
-    ev = BoundSpray(CHARTS[name]().evaluator)
-    geo = transport.integrate_geodesic(MetricChart(dim=2, coords=["u", "w"], evaluator=ev),
-                                       [0.3, 0.1], [1.0, 0.4], 0.2, with_frame=False, settings=settings)
-    assert ev.calls >= stages * (len(geo.t) - 1) > 0
-    if method == "rk4_fixed":
-        assert ev.calls == stages * (len(geo.t) - 1)
-    want = transport.integrate_geodesic(CHARTS[name](), [0.3, 0.1], [1.0, 0.4], 0.2,
-                                        with_frame=False, settings=settings)
-    np.testing.assert_array_equal(geo.x, want.x)  # the spray's statements are the fragment's
 
 
 def test_a_conformal_profile_cannot_be_replaced_under_its_chart_step():
@@ -690,8 +661,9 @@ def test_a_point_fault_in_reverse_develop_is_located_at_its_stage():
 
 
 class FaultOnCall:
-    """``evaluator`` with a spray that records the x of every call and raises
-    DomainFault on call k (counted from 0)."""
+    """``evaluator`` with a fragment that first calls a counting global, which
+    records the x of every call and raises DomainFault on call k (counted
+    from 0)."""
 
     def __init__(self, evaluator, k: int):
         self.evaluator, self.k, self.xs = evaluator, k, []
@@ -699,11 +671,14 @@ class FaultOnCall:
     def __getattr__(self, name):
         return getattr(self.evaluator, name)
 
-    def spray(self, x, v):
+    def count(self, *x):
         self.xs.append(list(x))
         if len(self.xs) > self.k:
             raise DomainFault(f"spray call {self.k}")
-        return self.evaluator.spray(x, v)
+
+    def connection_fragment(self, x, terms, rows=False):
+        lines, env = self.evaluator.connection_fragment(x, terms, rows)
+        return [f"_count({', '.join(x)})", *lines], dict(env, _count=self.count)
 
 
 @pytest.mark.parametrize("method, stage", [("rk4_fixed", s) for s in range(4)]
