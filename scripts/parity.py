@@ -173,8 +173,11 @@ def _outputs(chart, box, ray, kref):
     yield "log_map", lambda: transport.log_map(chart, p, transport.exp_map(chart, p, 0.4 * v))
     yield "reverse_develop", lambda: reverse_develop(chart, p, v, rk4)
     yield "sectional_profile", lambda: sectional_profile(chart, p, v, rk4)
-    yield "conjugate_t", lambda: [c.t for c in variation.conjugate_points(
-        chart, p, v, 4.0, settings=OdeSettings(step=0.005)).points]
+    conjugate = functools.cache(lambda: variation.conjugate_points(
+        chart, p, v, 4.0, settings=OdeSettings(step=0.005)).points)
+    yield "conjugate_t", lambda: [c.t for c in conjugate()]
+    yield "conjugate_multiplicity", lambda: [c.multiplicity for c in conjugate()]
+    yield "conjugate_sigma_min", lambda: [c.sigma_min for c in conjugate()]
     yield "sweep_det", lambda: list(comparison._batched_sphere_sweep(
         chart, p, 0.4, 64, 0.02, radii=[0.2, 0.4]).values())
     if kref is not None:

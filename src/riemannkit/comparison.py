@@ -21,7 +21,8 @@ from .manifold import MetricChart, _bisect, _count, _finite, _hermite, _positive
 from .tensor import (curvature, curvature_low_batch, jacobi_driving_batch,
                      orthonormal_frame, ricci)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
-                        _adapted_frames, _rays_rhs, _step_rays, integrate_geodesic)
+                        _adapted_frames, _fixed_grid, _rays_rhs, _step_rays,
+                        integrate_geodesic)
 from .variation import (_driving, _jacobi_transition, conjugate_points_from,
                         jacobi_system, orthogonal_fundamental)
 
@@ -124,10 +125,12 @@ def riccati_solve(H, f0: float, tmax: float, step: float = 1e-3) -> RiccatiTrace
 
     f = j'/j for j'' = -H(t) j from (j, j') = (1, f0), chained from sample to
     sample by RK4 transition matrices and reset to unit scale after every
-    step, which changes neither f nor the zeros of j. A pole of f is a zero
-    of j, the root of j's cubic Hermite interpolant on the step where j
-    changes sign. ``f0`` may be ``math.inf`` (or ``-math.inf``) for the
-    blowup condition f(0+) = +inf: j then starts exactly at (0, 1). BadParam
+    step, which changes neither f nor the zeros of j. The samples are those
+    of fixed-step RK4 (``transport._fixed_grid``): equal steps of at most
+    ``step`` from 0 to tmax. A pole of f is a zero of j, the root of j's
+    cubic Hermite interpolant on the step where j changes sign. ``f0`` may
+    be ``math.inf`` (or ``-math.inf``) for the blowup condition f(0+) = +inf:
+    j then starts exactly at (0, 1). BadParam
     unless tmax and step are positive and finite, tmax / step is at most the
     default ``max_steps``, f0 is not NaN and H is finite at every sample.
     """
@@ -138,8 +141,7 @@ def riccati_solve(H, f0: float, tmax: float, step: float = 1e-3) -> RiccatiTrace
         raise BadParam(f"tmax / step = {tmax / step:.6g} exceeds {DEFAULT_SETTINGS.max_steps} steps")
     if math.isnan(f0):
         raise BadParam("f0 must be a number or an infinity, not nan")
-    ts = np.arange(0.0, tmax + 0.5 * step, step)
-    ts[-1] = min(ts[-1], tmax)
+    ts = _fixed_grid(tmax, OdeSettings(step=step))
     t, h = ts.tolist(), np.diff(ts)
     mid = ts[:-1] + 0.5 * h
     H_at = np.array([prof(s) for s in t]).reshape(-1, 1, 1)

@@ -878,6 +878,7 @@ def shortest_geodesic(chart: MetricChart, p, q, tries: int = 8, seed: int = 0,
     The result is a candidate minimizer only; no global claim is made.
     """
     p, q = _endpoints(chart, p, q)
+    tries = _count("tries", tries)
     rng = np.random.default_rng(_count("seed", seed, 0))
     if np.array_equal(p, q):
         traj = integrate_geodesic(chart, p, np.zeros(chart.dim), 0.0,
@@ -886,7 +887,7 @@ def shortest_geodesic(chart: MetricChart, p, q, tries: int = 8, seed: int = 0,
     md = metric_at(chart, p)
     best = None
     base = q - p
-    for k in range(max(1, tries)):
+    for k in range(tries):
         if k == 0:
             guess = base
         else:

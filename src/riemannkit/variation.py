@@ -6,6 +6,14 @@ Jacobi equation reads f'' = -M(t) f with M symmetric. Every Jacobi field
 advances by one RK4 transition matrix per geodesic step, built from M at
 the step's ends and at its cubic Hermite midpoint, so it keeps RK4's order;
 the builder, ``transport._transition``, also carries the parallel frame.
+
+Conjugate points are counted from those transitions: the orthogonal fields
+F (F(0) = 0, F'(0) = I) are a conjoined basis of the discrete symplectic
+system they define, and the number of conjugate points in a step, with
+multiplicity, is its number of focal points (Kratz 2003), as in the Morse
+index theorem. A step with a count holds one point, refined on the dense F:
+by bisection of det F for an odd count, by minimising the least singular
+value for an even one.
 """
 
 from __future__ import annotations
@@ -173,64 +181,97 @@ class ConjugateReport:
 def conjugate_points(chart: MetricChart, p, v, tmax: float,
                      settings: OdeSettings = DEFAULT_SETTINGS,
                      mult_tol: float = 1e-7) -> ConjugateReport:
-    """Conjugate parameters of gamma(0)=p along exp(t v), with multiplicities."""
+    """Conjugate parameters of gamma(0)=p along exp(t v), with multiplicities.
+
+    The multiplicities come from the focal-point count of ``_conjugate_search``;
+    ``mult_tol`` stays accepted for API stability and has no effect.
+    """
     geo = integrate_geodesic(chart, p, v, tmax, settings=settings)
-    return conjugate_points_from(chart, geo, mult_tol=mult_tol)
+    return conjugate_points_from(chart, geo)
 
 
 def conjugate_points_from(chart: MetricChart, geo: Trajectory,
                           mult_tol: float = 1e-7) -> ConjugateReport:
+    """``conjugate_points`` along a framed geodesic; ``mult_tol`` has no effect."""
     sys = jacobi_system(chart, geo)
-    return _conjugate_search(sys, *orthogonal_fundamental(sys), mult_tol)
+    return _conjugate_search(sys, *orthogonal_fundamental(sys))
 
 
-def _conjugate_search(sys: JacobiSystem, F: np.ndarray, Fp: np.ndarray,
-                      mult_tol: float = 1e-7) -> ConjugateReport:
-    """Zeros of det F and dips of its least singular value, refined on the dense F."""
-    m = len(sys.t)
+def _conjugate_search(sys: JacobiSystem, F: np.ndarray, Fp: np.ndarray) -> ConjugateReport:
+    """The conjugate points of the fields F (F(0) = 0, F'(0) = I) with Fp = F'.
+
+    Step k holds as many as ``_focal_counts`` gives it, with B_k = h I - (h^3/6) M_mid,
+    the upper-right block of its RK4 transition. Each step with a count is one
+    point of that multiplicity, located on the dense F: by bisection of det F
+    where the count is odd, at the least singular value's minimum where it is even.
+    """
+    d = F.shape[1]
     det = np.linalg.det(F)
-    svals = np.linalg.svd(F, compute_uv=False)
-    sig = svals[:, -1]
-    sigma_scale = float(np.max(svals[:, 0])) or 1.0
-
-    def F_at(s):
-        return _dense(sys.t, F, s, Fp)
+    sig = np.min(np.linalg.svd(F, compute_uv=False), axis=1, initial=np.inf)  # inf at d = 0
+    h = np.diff(sys.t)[:, None, None]
+    counts = _focal_counts(F, h * np.eye(d) - h ** 3 / 6.0 * sys.M_mid[:, :d, :d])
 
     found = []
-    # skip the trivial zero at t = 0: start past the first few samples
-    start = 1
-    while start < m and sys.t[start] < 1e-6 * sys.t[-1]:
-        start += 1
-    i = start
-    dip_thr = 1e-3 * sigma_scale
-    while i < m - 1:
-        crossing = det[i] * det[i + 1] < 0.0
-        local_min = (sig[i] < dip_thr and sig[i] <= sig[i - 1]
-                     and sig[i] <= sig[i + 1])
-        if crossing:
-            t_star = _bisect(lambda s: np.linalg.det(F_at(s)), sys.t[i], sys.t[i + 1])
-            _record(found, F_at, t_star, sigma_scale, mult_tol)
-            i += 2
-            continue
-        if local_min:
-            a, b = sys.t[max(i - 1, 0)], sys.t[min(i + 1, m - 1)]
-            t_star = _golden_min(lambda s: float(np.linalg.svd(F_at(s), compute_uv=False)[-1]),
-                                 a, b)
-            smin = float(np.linalg.svd(F_at(t_star), compute_uv=False)[-1])
-            if smin <= 1e-6 * sigma_scale:
-                _record(found, F_at, t_star, sigma_scale, mult_tol)
-            i += 2
-            continue
-        i += 1
+    for k in np.flatnonzero(counts):
+        a, b = sys.t[k], sys.t[k + 1]
+
+        def F_at(s):  # the dense F on step k
+            return _hermite(a, b, F[k], F[k + 1], Fp[k], Fp[k + 1], s)
+
+        if counts[k] % 2:
+            t_star = _bisect(lambda s: np.linalg.det(F_at(s)), a, b)
+        else:
+            t_star = _golden_min(lambda s: _least_singular(F_at(s)), a, b)
+        found.append(ConjugatePoint(t=float(t_star), multiplicity=int(counts[k]),
+                                    sigma_min=_least_singular(F_at(t_star))))
     return ConjugateReport(points=found, t=sys.t, det=det, sigma_min=sig)
 
 
-def _record(found, F_at, t_star, sigma_scale, mult_tol):
-    svals = np.linalg.svd(F_at(t_star), compute_uv=False)
-    mult = int(np.sum(svals < mult_tol * max(svals[0], sigma_scale)))
-    mult = max(mult, 1)
-    found.append(ConjugatePoint(t=float(t_star), multiplicity=mult,
-                                sigma_min=float(svals[-1])))
+def _first_interior(sys: JacobiSystem, F: np.ndarray, Fp: np.ndarray):
+    """The first conjugate point of F short of the geodesic's end, or None."""
+    return next((c for c in _conjugate_search(sys, F, Fp).points
+                 if c.t < sys.t[-1] * (1.0 - 1e-9)), None)
+
+
+def _least_singular(A: np.ndarray) -> float:
+    return float(np.linalg.svd(A, compute_uv=False)[-1])
+
+
+def _focal_counts(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The focal points in each step (k, k+1] of the conjoined basis X of a discrete
+    symplectic system whose transitions have upper-right blocks B (Kratz 2003).
+
+    Where X_{k+1} is invertible the count is ind P_k, the number of negative
+    eigenvalues of P_k = X_k X_{k+1}^-1 B_k, symmetrised; ``eigvalsh`` runs only
+    on the P_k that Gershgorin's discs leave unsure. Where it is singular the
+    count is ``_kratz_count``'s.
+    """
+    X0, X1 = X[:-1], X[1:]
+    try:
+        P, singular = X0 @ np.linalg.solve(X1, B), np.zeros(len(B), dtype=bool)
+    except np.linalg.LinAlgError:  # a zero pivot, which det reads as det X_{k+1} = 0
+        singular = np.linalg.det(X1) == 0.0
+        P = X0 @ np.linalg.solve(np.where(singular[:, None, None], np.eye(X.shape[1]), X1), B)
+    P = 0.5 * (P + np.swapaxes(P, 1, 2))
+    diag = np.diagonal(P, axis1=1, axis2=2)
+    unsure = np.flatnonzero(np.any(2.0 * diag < np.sum(np.abs(P), axis=2), axis=1) & ~singular)
+    counts = np.zeros(len(B), dtype=int)
+    counts[unsure] = np.sum(np.linalg.eigvalsh(P[unsure]) < 0.0, axis=1)
+    for k in np.flatnonzero(singular):
+        counts[k] = _kratz_count(X0[k], X1[k], B[k])
+    return counts
+
+
+def _kratz_count(X0: np.ndarray, X1: np.ndarray, B: np.ndarray) -> int:
+    """rank M + ind(T P T) for one step with X1 singular, where M = (I - X1 X1^+) B,
+    T projects onto ker M and P = X0 X1^+ B; M is taken as U'^T B, of the same rank
+    and kernel, with U' the left singular vectors that X1^+ drops."""
+    U, s, _ = np.linalg.svd(X1)
+    M = U[:, np.sum(s > 1e-15 * s[0]):].T @ B  # pinv's cutoff
+    rank = np.linalg.matrix_rank(M)
+    N = np.linalg.svd(M)[2][rank:].T
+    Q = N.T @ X0 @ np.linalg.pinv(X1) @ B @ N
+    return int(rank + np.sum(np.linalg.eigvalsh(0.5 * (Q + Q.T)) < 0.0))
 
 
 def _golden_min(f, a, b, iters: int = 60):
@@ -269,12 +310,7 @@ class FieldAlongGeodesic:
     def derivative(self) -> np.ndarray:
         """Componentwise derivative, piecewise between breakpoints."""
         d = np.empty_like(self.comps)
-        edges = [self.t[0]] + sorted(self.breakpoints) + [self.t[-1]]
-        for a, b in zip(edges[:-1], edges[1:]):
-            mask = (self.t >= a - 1e-12) & (self.t <= b + 1e-12)
-            idx = np.where(mask)[0]
-            if len(idx) < 2:
-                continue
+        for idx in _pieces(self.t, self.breakpoints):
             d[idx] = np.gradient(self.comps[idx], self.t[idx], axis=0, edge_order=2)
         return d
 
@@ -301,8 +337,7 @@ def index_form(sys: JacobiSystem, V: FieldAlongGeodesic,
     Zp = Z.derivative()
     MV = np.einsum("tab,tb->ta", sys.M, V.comps)
     integrand = np.einsum("ta,ta->t", Vp, Zp) - np.einsum("ta,ta->t", MV, Z.comps)
-    return _piecewise_simpson(sys.t, integrand,
-                              sorted(set(V.breakpoints) | set(Z.breakpoints)))
+    return _piecewise_simpson(sys.t, integrand, [*V.breakpoints, *Z.breakpoints])
 
 
 def _require_on_grid(sys: JacobiSystem, V: FieldAlongGeodesic) -> None:
@@ -313,16 +348,24 @@ def _require_on_grid(sys: JacobiSystem, V: FieldAlongGeodesic) -> None:
     _finite("field components", V.comps, (len(sys.t), sys.dim))
 
 
-def _piecewise_simpson(t, y, breakpoints):
-    total = 0.0
-    edges = [t[0]] + [b for b in breakpoints if t[0] < b < t[-1]] + [t[-1]]
+def _pieces(t: np.ndarray, breakpoints) -> list:
+    """The sample indices of each piece of t between the breakpoints inside it,
+    a sample within 1e-12 of a breakpoint in both pieces; a piece with no sample
+    is left out, and one with a single sample is a BadParam."""
+    edges = [t[0]] + sorted({b for b in breakpoints if t[0] < b < t[-1]}) + [t[-1]]
+    pieces = []
     for a, b in zip(edges[:-1], edges[1:]):
-        mask = (t >= a - 1e-12) & (t <= b + 1e-12)
-        idx = np.where(mask)[0]
-        if len(idx) < 2:
-            continue
-        total += _simpson_nonuniform(t[idx], y[idx])
-    return float(total)
+        idx = np.flatnonzero((t >= a - 1e-12) & (t <= b + 1e-12))
+        if len(idx) == 1:
+            raise BadParam(f"the piece [{a:.6g}, {b:.6g}] between breakpoints holds one sample")
+        if len(idx):
+            pieces.append(idx)
+    return pieces
+
+
+def _piecewise_simpson(t, y, breakpoints):
+    pieces = _pieces(t, breakpoints)
+    return float(sum((_simpson_nonuniform(t[idx], y[idx]) for idx in pieces), 0.0))
 
 
 def _simpson_nonuniform(x, y):
@@ -374,12 +417,9 @@ def basic_inequality_check(chart: MetricChart, geo: Trajectory,
     tangential_max = float(np.max(np.abs(V.comps[:, d])))
 
     F, Fp = orthogonal_fundamental(sys)
-    if conjugate_guard:
-        rep = _conjugate_search(sys, F, Fp)
-        interior = [c for c in rep.points if c.t < sys.t[-1] * (1.0 - 1e-9)]
-        if interior:
-            raise ConjugatePresent(
-                f"conjugate parameter at t={interior[0].t:.6g} inside the interval")
+    first = _first_interior(sys, F, Fp) if conjugate_guard else None
+    if first is not None:
+        raise ConjugatePresent(f"conjugate parameter at t={first.t:.6g} inside the interval")
 
     end_val = V.comps[-1, :d]
     alpha = np.linalg.solve(F[-1], end_val)
@@ -427,11 +467,10 @@ def nonminimality_witness(chart: MetricChart, geo: Trajectory,
     d = n - 1
     L = float(sys.t[-1])
     F, Fp = orthogonal_fundamental(sys)
-    rep = _conjugate_search(sys, F, Fp)
-    interior = [c for c in rep.points if c.t < L * (1.0 - 1e-9)]
-    if not interior:
+    first = _first_interior(sys, F, Fp)
+    if first is None:
         raise ConjugateNotFound("no conjugate parameter inside (0, L)")
-    s2 = interior[0].t
+    s2 = first.t
     eps = (L - s2) * margin_factor
     s1 = s2 - eps
     if s1 <= 0.0:

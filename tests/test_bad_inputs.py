@@ -178,6 +178,12 @@ def test_volume_compare_and_shortest_geodesic_need_integer_seeds(sphere2, seed):
         transport.shortest_geodesic(sphere2, [0.0, 0.0], [0.2, 0.1], seed=seed)
 
 
+@pytest.mark.parametrize("tries", [1.5, 0, -3])
+def test_shortest_geodesic_needs_a_positive_integer_of_tries(sphere2, tries):
+    with pytest.raises(BadParam, match="tries"):
+        transport.shortest_geodesic(sphere2, [0.0, 0.0], [0.2, 0.1], tries=tries)
+
+
 @pytest.mark.parametrize("ric_samples", [0, -3, 2.5])
 def test_volume_compare_needs_a_ricci_sample(sphere2, ric_samples):
     with pytest.raises(BadParam, match="ric_samples"):

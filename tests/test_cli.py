@@ -176,6 +176,18 @@ def test_conjugate_command(capsys):
     assert "points" in text or "conjugate" in text
 
 
+@pytest.mark.parametrize("step", ["2e-3", "1e-2"])
+def test_conjugate_points_of_even_multiplicity(capsys, step):
+    # speed 2 / 1.06 on the unit S^3: pi and 2 pi over it, each of multiplicity 2
+    code, rep = run_json(capsys, "conjugate", "--builtin", "sphere_stereo", "--param", "n=3",
+                         "--point", "0.2,0.1,-0.1", "--velocity", "1,0,0", "--tmax", "4",
+                         "--step", step)
+    assert code == 0
+    points = rep["conjugate_points"]
+    assert [c["multiplicity"] for c in points] == [2, 2]
+    assert [c["t"] for c in points] == pytest.approx([0.53 * math.pi, 1.06 * math.pi], abs=1e-6)
+
+
 def test_check_command(capsys):
     code, rep = run_json(capsys, "check", "--builtin", "hyperbolic_ball",
                          "--samples", "5")

@@ -130,9 +130,18 @@ def test_riccati_pole_on_a_sample():
 
 
 def test_riccati_one_sample_grid():
+    # a horizon shorter than the step is one step to tmax: f = tan(pi/4 - t)
     tr = comparison.riccati_solve(1.0, 1.0, 0.1, step=1.0)
-    assert tr.t.tolist() == [0.0] and tr.f.tolist() == [1.0]
-    assert tr.valid.tolist() == [True] and tr.poles == []
+    assert tr.t.tolist() == [0.0, 0.1] and tr.f[0] == 1.0
+    assert tr.f[1] == pytest.approx(math.tan(math.pi / 4 - 0.1), abs=1e-6)
+    assert tr.valid.tolist() == [True, True] and tr.poles == []
+
+
+def test_riccati_samples_reach_tmax():
+    # steps of at most 0.5 that end at 1.6 catch the pole of f = -tan t at pi/2
+    tr = comparison.riccati_solve(1.0, 0.0, 1.6, step=0.5)
+    assert tr.t[-1] == 1.6 and np.all(np.diff(tr.t) <= 0.5)
+    assert tr.poles == pytest.approx([math.pi / 2], abs=1e-2)
 
 
 # -- comparison verdicts -----------------------------------------------------

@@ -164,6 +164,89 @@ def test_second_conjugate_point_found(sphere2):
     assert rep.points[1].t == pytest.approx(2 * math.pi, abs=1e-3)
 
 
+S3_START = (np.array([0.2, 0.1, -0.1]), np.array([1.0, 0.3, 0.2]))
+
+
+@pytest.mark.parametrize("tmax", [3.5, 5.0])
+@pytest.mark.parametrize("step", [5e-3, 1e-2, 2e-2])
+def test_even_multiplicity_found_between_samples(sphere3, step, tmax):
+    # det F keeps its sign through a double zero; the count still sees it
+    p, v = S3_START
+    rep = variation.conjugate_points(sphere3, p, _unit(sphere3, p, v), tmax,
+                                     settings=OdeSettings(step=step))
+    assert [c.multiplicity for c in rep.points] == [2]
+    assert rep.points[0].t == pytest.approx(math.pi, abs=1e-6)
+
+
+@pytest.mark.parametrize("end, count", [
+    (np.zeros((1, 1)), 1), (np.zeros((2, 2)), 2), (np.zeros((3, 3)), 3),
+    (np.diag([0.0, 2.0]), 1), (np.diag([0.0, -1.0]), 2),
+], ids=["zero1", "zero2", "zero3", "one_zero", "one_zero_one_crossing"])
+def test_focal_count_through_a_singular_end(end, count):
+    # F_{k+1} = end has no inverse: Kratz's rank M_k counts each direction in
+    # which F ends at 0, and from F_k = I a negative entry crosses 0 inside the step
+    h, I = 0.1, np.eye(len(end))
+    X, B = np.array([I, I, end]), np.array([h * I, h * I])
+    assert variation._focal_counts(X, B).tolist() == [0, count]
+
+
+def test_one_dimensional_chart_has_no_conjugate_points():
+    line = manifold.builtin("euclidean", {"n": 1})
+    rep = variation.conjugate_points(line, [0.0], [1.0], 1.0, settings=FAST)
+    assert rep.points == []
+    assert np.all(rep.det == 1.0) and np.all(rep.sigma_min == math.inf)
+
+
+def _index_form_negatives(sys, nodes=60):
+    """Negative eigenvalues of the index form on the hat functions of nodes
+    equally spaced interior nodes (Sylvester's law of inertia)."""
+    d, t = sys.dim - 1, sys.t
+    H = t[-1] / (nodes + 1)
+    centers = H * np.arange(1, nodes + 1)
+    phi = np.maximum(0.0, 1.0 - np.abs(t[:, None] - centers) / H)
+    w = np.zeros_like(t)
+    w[:-1] += 0.5 * np.diff(t)
+    w[1:] += 0.5 * np.diff(t)
+    stiff = (2.0 * np.eye(nodes) - np.eye(nodes, k=1) - np.eye(nodes, k=-1)) / H
+    mass = np.einsum("t,ti,tj,tab->iajb", w, phi, phi, sys.M[:, :d, :d])
+    form = np.kron(stiff, np.eye(d)) - mass.reshape(nodes * d, nodes * d)
+    return int(np.sum(np.linalg.eigvalsh(form) < 0.0))
+
+
+# the expression chart of scripts/parity.py, which has no conjugate point to t = 1.5
+EXPR3 = {"dim": 3, "coords": ["x", "y", "z"],
+         "metric": [["exp(2*z) + x*y/4", "x/10", "0"],
+                    ["x/10", "exp(2*z)", "y/5"],
+                    ["0", "y/5", "1 + x^2"]]}
+
+
+PI, ROOT3 = math.pi, math.sqrt(3.0)
+
+
+@pytest.mark.parametrize("chart, p, v, tmax, points", [
+    (("sphere_stereo", {"n": 2}), [0.3, 0.1], [1.0, 0.4], 6.5, [(PI, 1), (2 * PI, 1)]),
+    (("sphere_stereo", {"n": 3}), [0.2, 0.1, -0.1], [1.0, 0.3, 0.2], 3.5, [(PI, 2)]),
+    (("sphere_stereo", {"n": 3}), [0.2, 0.1, -0.1], [1.0, 0.3, 0.2], 7.0,
+     [(PI, 2), (2 * PI, 2)]),
+    (("hyperbolic_ball", {"n": 3}), [0.1, 0.0, 0.05], [0.8, 0.1, 0.3], 3.0, []),
+    # the outer equator, where K = 1/3
+    (("torus", {"R": 2.0, "r": 1.0}), [0.0, 0.0], [0.0, 1.0], 12.0,
+     [(PI * ROOT3, 1), (2 * PI * ROOT3, 1)]),
+    (EXPR3, [0.3, 0.2, 0.1], [0.5, 1.0, -0.4], 1.5, []),
+], ids=["S2", "S3", "S3_twice", "H3", "torus_outer_equator", "expr3"])
+def test_multiplicities_sum_to_the_index_form_inertia(chart, p, v, tmax, points):
+    chart = (manifold.chart_from_definition(chart) if isinstance(chart, dict)
+             else manifold.builtin(*chart))
+    p = np.array(p)
+    geo = integrate_geodesic(chart, p, _unit(chart, p, np.array(v)), tmax,
+                             settings=OdeSettings(step=1e-2))
+    rep = variation.conjugate_points_from(chart, geo)
+    assert [c.multiplicity for c in rep.points] == [m for _, m in points]
+    assert [c.t for c in rep.points] == pytest.approx([t for t, _ in points], abs=1e-4)
+    index = _index_form_negatives(variation.jacobi_system(chart, geo))
+    assert index == sum(m for _, m in points)
+
+
 # -- index form --------------------------------------------------------------
 
 def test_index_form_closed_form_euclidean(eucl2):
@@ -262,6 +345,19 @@ def test_basic_inequality_guards(sphere2):
     W = variation.field_from_function(sys2, lambda t: np.array([1.0, 0.0]))
     with pytest.raises(BadParam):
         variation.basic_inequality_check(sphere2, short, W)
+
+
+def test_a_piece_with_one_sample_is_refused():
+    # the sample at 0.5 lies alone between the breakpoints 0.49 and 0.51
+    t = np.linspace(0.0, 1.0, 11)
+    V = variation.FieldAlongGeodesic(t, np.column_stack([t, t ** 2]), [0.49, 0.51])
+    with pytest.raises(BadParam, match="one sample"):
+        V.derivative()
+    with pytest.raises(BadParam, match="one sample"):
+        variation._piecewise_simpson(t, t, [0.49, 0.51])
+    # two samples per piece are enough, and a breakpoint off the grid's range is dropped
+    V.breakpoints = [0.4, 0.6, 2.0]
+    assert np.allclose(V.derivative(), np.column_stack([np.ones(11), 2 * t]))
 
 
 # -- nonminimality witness ---------------------------------------------------
