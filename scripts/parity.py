@@ -174,12 +174,17 @@ def _outputs(chart, box, ray, kref):
     yield "reverse_develop", lambda: reverse_develop(chart, p, v, rk4)
     yield "sectional_profile", lambda: sectional_profile(chart, p, v, rk4)
     conjugate = functools.cache(lambda: variation.conjugate_points(
-        chart, p, v, 4.0, settings=OdeSettings(step=0.005)).points)
-    yield "conjugate_t", lambda: [c.t for c in conjugate()]
-    yield "conjugate_multiplicity", lambda: [c.multiplicity for c in conjugate()]
-    yield "conjugate_sigma_min", lambda: [c.sigma_min for c in conjugate()]
+        chart, p, v, 4.0, settings=OdeSettings(step=0.005)))
+    yield "conjugate_t", lambda: [c.t for c in conjugate().points]
+    yield "conjugate_multiplicity", lambda: [c.multiplicity for c in conjugate().points]
+    yield "conjugate_sigma_min", lambda: [c.sigma_min for c in conjugate().points]
+    # det F and its least singular value at every sample of the report
+    yield "conjugate_report_det", lambda: conjugate().det
+    yield "conjugate_report_sigma_min", lambda: conjugate().sigma_min
     yield "sweep_det", lambda: list(comparison._batched_sphere_sweep(
         chart, p, 0.4, 64, 0.02, radii=[0.2, 0.4]).values())
+    # 200 steps of 256 rays: 100 blocks of transitions
+    yield "sweep_det_long", lambda: comparison._batched_sphere_sweep(chart, p, 0.4, 256, 2e-3)[0.4]
     if kref is not None:
         yield "volume_compare", lambda: [comparison.volume_compare(
             chart, p, 0.3, kref, directions=64, step=0.02, ric_samples=4)[k]

@@ -21,9 +21,9 @@ from .manifold import MetricChart, _bisect, _count, _finite, _hermite, _positive
 from .tensor import (curvature, curvature_low_batch, jacobi_driving_batch,
                      orthonormal_frame, ricci)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
-                        _adapted_frames, _fixed_grid, _rays_rhs, _step_rays,
+                        _adapted_frames, _advance, _fixed_grid, _rays_rhs, _step_rays,
                         integrate_geodesic)
-from .variation import (_driving, _jacobi_transition, conjugate_points_from,
+from .variation import (_driving_along, _jacobi_transition, conjugate_points_from,
                         jacobi_system, orthogonal_fundamental)
 
 
@@ -150,7 +150,7 @@ def riccati_solve(H, f0: float, tmax: float, step: float = 1e-3) -> RiccatiTrace
         bad = np.flatnonzero(~np.isfinite(values))
         if len(bad):
             raise BadParam(f"H is not finite at t={times[bad[0]]:.6g}")
-    steps = _jacobi_transition(H_at[:-1], H_mid, H_at[1:], h).tolist()
+    steps = _jacobi_transition(H_at, H_mid, h).tolist()
     j, jp = (0.0, 1.0) if math.isinf(f0) else (1.0, float(f0))
     J, poles = [(j, jp)], []
     for i, ((a, b), (c, d)) in enumerate(steps, 1):
@@ -365,11 +365,17 @@ def _batched_sphere_sweep(chart: MetricChart, p, r: float, n_dirs: int,
     """det F at each of ``radii`` (default [r]) for the orthogonal Jacobi
     fields F of n_dirs unit-speed rays from p, F(0) = 0 and F'(0) = I: the
     transversal factor of det(d exp), one value per direction and radius.
+    Each radius is reached in equal steps of at most ``step`` from the one
+    before.
 
     One row per ray holds x, v and the first n - 1 columns of its frame,
-    adapted so that the ray is the left-out last column; the rows step
-    together by ``transport._step_rays``. (F, F') advances by the RK4
-    transition of each step, with M at both ends and at the Hermite midpoint.
+    adapted so that the ray is the left-out last column. ``transport._advance``
+    chains (F, F') of all rays together, as ``variation._fields`` does along
+    one ray: for each block of its transitions the rows step together by
+    ``transport._step_rays``, M at the block's samples and Hermite midpoints
+    comes from ``variation._driving_along`` (M at the block's first sample
+    carried over from the block before), and the RK4 Jacobi transitions from
+    ``variation._jacobi_transition``.
     """
     radii = sorted(radii or [r])
     if not isinstance(n_dirs, numbers.Integral) or n_dirs < 1:
@@ -380,32 +386,34 @@ def _batched_sphere_sweep(chart: MetricChart, p, r: float, n_dirs: int,
         raise BadParam(f"radius / step = {radii[-1] / step:.6g} exceeds "
                        f"{DEFAULT_SETTINGS.max_steps} steps")
     p = np.asarray(p, dtype=float)
-    n = chart.dim
-    d = n - 1
+    n, d = chart.dim, chart.dim - 1
     md = metric_at(chart, p)
     B = orthonormal_frame(md.g)
     V0 = _sphere_directions(n, n_dirs) @ B.T  # coordinate components of unit-speed starts
-    N = len(V0)
     E0 = _adapted_frames(md.g, B, V0)
 
-    rhs = _rays_rhs(chart)
-    Y = np.hstack([np.tile(p, (N, 1)), V0, E0[:, :, :d].reshape(N, -1)])
-    M, dY = _driving(chart, Y, d), rhs(0.0, Y)
-    FF = np.tile(np.vstack([np.zeros((d, d)), np.eye(d)]), (N, 1, 1))
-    t = 0.0
-    out = {}
+    ts, ends = np.zeros(1), []  # the sample times, and the sample of each radius
     for target in radii:
-        n_steps = max(1, int(math.ceil((target - t) / step - 1e-12)))
-        h = (target - t) / n_steps
-        for _ in range(n_steps):
-            Y1 = _step_rays(chart, rhs, t, Y, h, t + h, dY)
-            t += h
-            M1, dY1 = _driving(chart, Y1, d), rhs(t, Y1)
-            Mh = _driving(chart, _hermite(0.0, h, Y, Y1, dY, dY1, 0.5 * h), d)
-            FF = _jacobi_transition(M, Mh, M1, h) @ FF
-            Y, M, dY = Y1, M1, dY1
-        out[target] = np.linalg.det(FF[:, :d])
-    return out
+        ts = np.concatenate([ts, ts[-1] + _fixed_grid(target - ts[-1], OdeSettings(step=step))[1:]])
+        ends.append(len(ts) - 1)
+
+    rhs = _rays_rhs(chart)
+    Y = np.hstack([np.tile(p, (n_dirs, 1)), V0, E0[:, :, :d].reshape(n_dirs, -1)])
+    dY, M = rhs(0.0, Y), None  # the rows, their slopes and M at the last sample stepped to
+
+    def transitions(s, e):
+        nonlocal Y, dY, M
+        rows, slopes = [Y], [dY]
+        for i in range(s, e):
+            rows.append(_step_rays(chart, rhs, ts[i], rows[-1], ts[i + 1] - ts[i], ts[i + 1], slopes[-1]))
+            slopes.append(rhs(ts[i + 1], rows[-1]))
+        Ms, M_mid = _driving_along(chart, ts[s:e + 1], np.array(rows), np.array(slopes), d, M)
+        Y, dY, M = rows[-1], slopes[-1], Ms[-1]
+        return _jacobi_transition(Ms, M_mid, np.diff(ts[s:e + 1]))
+
+    FF0 = np.tile(np.vstack([np.zeros((d, d)), np.eye(d)]), (n_dirs, 1, 1))
+    F = _advance(FF0, len(ts) - 1, transitions)[:, :, :d]
+    return {target: np.linalg.det(F[i]) for target, i in zip(radii, ends)}
 
 
 def volume_compare(chart: MetricChart, p, r: float, Kref: float,

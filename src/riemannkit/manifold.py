@@ -739,11 +739,10 @@ def _hermite(t0, t1, p0, p1, v0, v1, s):
 def _hermite_deriv(t0, t1, p0, p1, v0, v1, s):
     h = t1 - t0
     u = (s - t0) / h
-    d00 = 6 * u * (u - 1) / h
+    d01 = -6 * u * (u - 1) / h  # the weight of p1, and minus that of p0: one product of p1 - p0
     d10 = (1 - u) * (1 - 3 * u)
-    d01 = -6 * u * (u - 1) / h
     d11 = u * (3 * u - 2)
-    return d00 * p0 + d10 * v0 + d01 * p1 + d11 * v1
+    return d01 * (p1 - p0) + d10 * v0 + d11 * v1
 
 
 def _write_csv(path: str, cols, rows):

@@ -15,14 +15,16 @@ A framed geodesic runs in two passes.  The nonlinear one is that float
 loop, which also records the stage points of every (accepted) step.  The
 linear one then carries the parallel frame.  Every linear equation along a
 known curve is solved so (the frame, a transported vector, a development's
-coframe, ``variation``'s Jacobi fields): C from one ``connection_batch`` at
-all stage points gives one transition matrix per step (``_transition``,
+coframe, ``variation``'s Jacobi fields, for one ray or for the rays of
+``comparison``'s direction sweep together): C from one ``connection_batch``
+at all stage points gives one transition matrix per step (``_transition``,
 the method's array step of Y' = A Y from I), chained by ``_advance``, a
 prefix scan of products over each block of transitions in log2 of its
 length of batched matmuls, for k x k transitions up to ``SCAN_WIDTH``, and
-one matmul a step above it.  The scan's products associate otherwise than
-that chain, which moves frames, transports and Jacobi fields at rounding
-level, but never a geodesic's (x, v).
+one matmul a step above it.  A block holds ``TRANSITION_BLOCK`` transitions,
+so fewer steps the more rays it carries.  The scan's products associate
+otherwise than that chain, which moves frames, transports and Jacobi fields
+at rounding level, but never a geodesic's (x, v).
 
 RK4's array step also steps ``reverse_develop``'s ``rk4_path`` and batches
 of ray rows (x, v[, frame]) (``_step_rays``, for ``_exp_rays`` and
@@ -345,15 +347,15 @@ def _chart_step(chart: MetricChart, tableau: _Tableau):
 
 
 def _transition(A, h, tableau: _Tableau = RK4) -> np.ndarray:
-    """Transition matrices (B, k, k) of one ``tableau`` step of y' = A(t) y:
+    """Transition matrices (B, [N,] k, k) of one ``tableau`` step of y' = A(t) y:
     its ``step`` of Y' = A[s] Y from Y = I, whose first slope is A[0].
 
-    A[s] (B, k, k) is A at stage point s of step b, of width h[b] (< 0 steps
-    backward); row b maps y at the start of step b to its end.  RK4 rounds as
-    I + (h/6)(K1 + 2 K2 + 2 K3 + K4).
+    A[s] (B, [N,] k, k) is A at stage point s of step b, of width h[b] (< 0
+    steps backward), for each of N rays; row b maps y at the start of step b
+    to its end.  RK4 rounds as I + (h/6)(K1 + 2 K2 + 2 K3 + K4).
     """
     return tableau.step(lambda s, Y: A[s] @ Y, np.eye(A[0].shape[-1]),
-                        np.reshape(h, (-1, 1, 1)), A[0])
+                        np.reshape(h, (-1,) + (1,) * (np.ndim(A[0]) - 1)), A[0])
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +405,7 @@ def _adapted_frames(g: np.ndarray, B: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 CHECK_EVERY = 64  # float steps between two domain checks of a geodesic
-TRANSITION_BLOCK = 512  # steps per batch of transition matrices; bounds the temporaries
+TRANSITION_BLOCK = 512  # transition rows (rays x steps) per batch; bounds the temporaries
 # the widest k x k transitions that _advance chains by a prefix scan, whose
 # log2(block) batched products a step grow as k^3; one matmul a step costs
 # 1.2-2.8 us up to k = 24. Per step in the library's own chains, on an Intel
@@ -530,8 +532,10 @@ def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
 
 def _advance(Y0: np.ndarray, m: int, transitions: Callable) -> np.ndarray:
     """Y[0] = Y0 and Y[i + 1] = Phi_i Y[i] over m steps, where
-    ``transitions(s, e)`` builds Phi_s..Phi_{e-1}, ``TRANSITION_BLOCK`` at a
-    time, as a fresh (e - s, k, k) array, which is overwritten here.
+    ``transitions(s, e)`` builds Phi_s..Phi_{e-1} as a fresh (e - s, [N,] k, k)
+    array, which is overwritten here.  Y0 is (k[, c]) along one curve, or
+    (N, k, c) for N rays chained together; a block holds ``TRANSITION_BLOCK``
+    transitions (rays x steps), so max(1, TRANSITION_BLOCK // N) steps.
 
     Up to k = ``SCAN_WIDTH`` each block is an inclusive prefix product
     (Hillis and Steele, Data parallel algorithms, CACM 29(12), 1986): in
@@ -546,11 +550,11 @@ def _advance(Y0: np.ndarray, m: int, transitions: Callable) -> np.ndarray:
     """
     Y = np.empty((m + 1,) + np.shape(Y0))
     Y[0] = Y0
-    scan = len(Y0) <= SCAN_WIDTH
-    for s in range(0, m, TRANSITION_BLOCK):
-        e = min(s + TRANSITION_BLOCK, m)
+    block = max(1, TRANSITION_BLOCK // len(Y0)) if np.ndim(Y0) == 3 else TRANSITION_BLOCK
+    for s in range(0, m, block):
+        e = min(s + block, m)
         P = transitions(s, e)
-        if not scan:
+        if P.shape[-1] > SCAN_WIDTH:
             for i in range(s, e):
                 Y[i + 1] = P[i - s] @ Y[i]
             continue

@@ -4,8 +4,11 @@ All second-order machinery works in a parallel g-orthonormal frame along a
 geodesic, with the (normalized) tangent as the last frame vector, so the
 Jacobi equation reads f'' = -M(t) f with M symmetric. Every Jacobi field
 advances by one RK4 transition matrix per geodesic step, built from M at
-the step's ends and at its cubic Hermite midpoint, so it keeps RK4's order;
-the builder, ``transport._transition``, also carries the parallel frame.
+the step's ends and at its cubic Hermite midpoint (``_driving_along``), so
+it keeps RK4's order; the builder, ``transport._transition``, also carries
+the parallel frame, and ``transport._advance`` chains the transitions,
+along one geodesic or along the rays of ``comparison``'s direction sweep
+together.
 
 Conjugate points are counted from those transitions: the orthogonal fields
 F (F(0) = 0, F'(0) = I) are a conjoined basis of the discrete symplectic
@@ -13,11 +16,13 @@ system they define, and the number of conjugate points in a step, with
 multiplicity, is its number of focal points (Kratz 2003), as in the Morse
 index theorem. A step with a count holds one point, refined on the dense F:
 by bisection of det F for an odd count, by minimising the least singular
-value for an even one.
+value for an even one. The report keeps F; its det and least singular value
+at every sample are taken only if read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -38,10 +43,22 @@ from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory, _advance,
 # ---------------------------------------------------------------------------
 
 def _driving(chart: MetricChart, Y: np.ndarray, cols: int) -> np.ndarray:
-    """``jacobi_driving_batch``'s M of the ray rows Y in their first cols frame columns."""
-    n = chart.dim
-    V, E = Y[:, n:2 * n], Y[:, 2 * n:].reshape(len(Y), n, Y.shape[1] // n - 2)[:, :, :cols]
-    return jacobi_driving_batch(chart, Y[:, :n], V, E)
+    """``jacobi_driving_batch``'s M (..., cols, cols) of the ray rows Y (..., width)
+    in their first cols frame columns."""
+    n, R = chart.dim, Y.reshape(-1, Y.shape[-1])
+    E = R[:, 2 * n:].reshape(len(R), n, R.shape[1] // n - 2)[:, :, :cols]
+    return jacobi_driving_batch(chart, R[:, :n], R[:, n:2 * n], E).reshape(Y.shape[:-1] + (cols, cols))
+
+
+def _driving_along(chart: MetricChart, t, Y: np.ndarray, dY: np.ndarray, cols: int, M0=None):
+    """M of the ray rows Y, with slopes dY, at the samples t (their leading
+    axis) and at the cubic Hermite midpoint of (x, v, E) in every step; M0,
+    if given, is M at the first sample, which is then not evaluated again."""
+    T = np.reshape(t, (-1,) + (1,) * (Y.ndim - 1))
+    Y_mid = _hermite(T[:-1], T[1:], Y[:-1], Y[1:], dY[:-1], dY[1:], 0.5 * (T[:-1] + T[1:]))
+    M = _driving(chart, Y, cols) if M0 is None else np.concatenate(
+        [M0[None], _driving(chart, Y[1:], cols)])
+    return M, _driving(chart, Y_mid, cols)
 
 
 @dataclass
@@ -74,28 +91,25 @@ def jacobi_system(chart: MetricChart, geo: Trajectory) -> JacobiSystem:
     chart.require_inside(geo.x)
     n, t = chart.dim, geo.t
     Y = np.hstack([geo.x, geo.v, geo.frame.reshape(len(t), -1)])
-    M, dY = _driving(chart, Y, n), _ray_slopes(chart, Y)
-    t0, t1 = t[:-1, None], t[1:, None]
-    Y_mid = _hermite(t0, t1, Y[:-1], Y[1:], dY[:-1], dY[1:], 0.5 * (t0 + t1))
-    M_mid = _driving(chart, Y_mid, n)
-    return JacobiSystem(chart=chart, t=t.copy(), x=geo.x, v=geo.v,
-                        frame=geo.frame, M=M, M_mid=M_mid)
+    M, M_mid = _driving_along(chart, t, Y, _ray_slopes(chart, Y), n)
+    return JacobiSystem(chart=chart, t=t.copy(), x=geo.x, v=geo.v, frame=geo.frame, M=M, M_mid=M_mid)
 
 
 # ---------------------------------------------------------------------------
 # Jacobi field integration
 # ---------------------------------------------------------------------------
 
-def _jacobi_transition(M0: np.ndarray, Mh: np.ndarray, M1: np.ndarray, h) -> np.ndarray:
-    """RK4 transition matrices (B, 2k, 2k) of y' = [[0, I], [-M(t), 0]] y.
+def _jacobi_transition(M: np.ndarray, Mh: np.ndarray, h) -> np.ndarray:
+    """RK4 transition matrices (B, [N,] 2k, 2k) of y' = [[0, I], [-M(t), 0]] y.
 
-    Row b of M0, Mh and M1 (B, k, k) is M at the start, middle and end of step
-    b, of width h[b] (< 0 steps backward); both middle stages take Mh.
+    M (B + 1, [N,] k, k) is M at the B + 1 samples, of each of N rays, and
+    Mh[b] at the middle of step b, of width h[b] (< 0 steps backward), whose
+    two middle stages both take it.
     """
-    B, k, _ = M0.shape
-    A = np.zeros((3, B, 2 * k, 2 * k))
-    A[:, :, :k, k:] = np.eye(k)
-    A[:, :, k:, :k] = -np.stack([M0, Mh, M1])
+    k = M.shape[-1]
+    A = np.zeros((3,) + Mh.shape[:-2] + (2 * k, 2 * k))
+    A[..., :k, k:] = np.eye(k)
+    A[..., k:, :k] = -np.stack([M[:-1], Mh, M[1:]])
     return _transition((A[0], A[1], A[1], A[2]), h)
 
 
@@ -107,12 +121,11 @@ def _fields(sys: JacobiSystem, F0: np.ndarray, Fp0: np.ndarray, backward: bool =
     orthogonal fields (n-1 rows) leave out the tangent direction.
     """
     k = len(F0)
-    M0, Mh, M1 = sys.M[:-1, :k, :k], sys.M_mid[:, :k, :k], sys.M[1:, :k, :k]
-    h = np.diff(sys.t)
+    M, Mh, h = sys.M[:, :k, :k], sys.M_mid[:, :k, :k], np.diff(sys.t)
     if backward:
-        M0, Mh, M1, h = M1[::-1], Mh[::-1], M0[::-1], -h[::-1]
+        M, Mh, h = M[::-1], Mh[::-1], -h[::-1]
     Y = _advance(np.concatenate([F0, Fp0]), len(h), lambda s, e: _jacobi_transition(
-        M0[s:e], Mh[s:e], M1[s:e], h[s:e]))
+        M[s:e + 1], Mh[s:e], h[s:e]))
     Y = Y[::-1] if backward else Y
     return Y[:, :k], Y[:, k:]
 
@@ -172,10 +185,15 @@ class ConjugatePoint:
 
 @dataclass
 class ConjugateReport:
+    """The conjugate points along a geodesic, and the orthogonal fields F at
+    its samples t, whose det and least singular value are taken on first read."""
+
     points: list
     t: np.ndarray
-    det: np.ndarray
-    sigma_min: np.ndarray
+    F: np.ndarray
+    det = functools.cached_property(lambda self: np.linalg.det(self.F))
+    sigma_min = functools.cached_property(  # inf at d = 0
+        lambda self: np.min(np.linalg.svd(self.F, compute_uv=False), axis=1, initial=np.inf))
 
 
 def conjugate_points(chart: MetricChart, p, v, tmax: float,
@@ -206,8 +224,6 @@ def _conjugate_search(sys: JacobiSystem, F: np.ndarray, Fp: np.ndarray) -> Conju
     where the count is odd, at the least singular value's minimum where it is even.
     """
     d = F.shape[1]
-    det = np.linalg.det(F)
-    sig = np.min(np.linalg.svd(F, compute_uv=False), axis=1, initial=np.inf)  # inf at d = 0
     h = np.diff(sys.t)[:, None, None]
     counts = _focal_counts(F, h * np.eye(d) - h ** 3 / 6.0 * sys.M_mid[:, :d, :d])
 
@@ -224,7 +240,7 @@ def _conjugate_search(sys: JacobiSystem, F: np.ndarray, Fp: np.ndarray) -> Conju
             t_star = _golden_min(lambda s: _least_singular(F_at(s)), a, b)
         found.append(ConjugatePoint(t=float(t_star), multiplicity=int(counts[k]),
                                     sigma_min=_least_singular(F_at(t_star))))
-    return ConjugateReport(points=found, t=sys.t, det=det, sigma_min=sig)
+    return ConjugateReport(points=found, t=sys.t, F=F)
 
 
 def _first_interior(sys: JacobiSystem, F: np.ndarray, Fp: np.ndarray):

@@ -107,6 +107,33 @@ def test_a_nan_in_one_transition_reaches_the_loops_samples_after_it(j, shape):
     assert _rel(got[:j + 1], want[:j + 1]) <= 1e-13
 
 
+@pytest.mark.parametrize("k, c", [(4, 2), (SCAN_WIDTH + 2, 3)], ids=["scan", "loop"])
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 300])
+def test_a_ray_batch_is_each_ray_chained_alone(m, k, c):
+    # N rays share a block of TRANSITION_BLOCK transition rows, so a block is
+    # TRANSITION_BLOCK // N of their steps; where the blocks of the batch and
+    # of a ray alone coincide, or where each step is one matmul, each ray is
+    # bitwise its own chain
+    N = 8
+    steps = TRANSITION_BLOCK // N
+    Phis = [_transitions(m, k, 2e-3, seed=ray)[0] for ray in range(N)]
+    Phi = np.stack(Phis, axis=1)
+    Y0 = np.random.default_rng(11).normal(size=(N, k, c))
+    calls = []
+
+    def transitions(lo, hi):
+        calls.append((lo, hi))
+        return Phi[lo:hi].copy()
+    got = transport._advance(Y0, m, transitions)
+    assert got.shape == (m + 1, N, k, c)
+    assert calls == [(s, min(s + steps, m)) for s in range(0, m, steps)]
+    for ray in range(N):
+        want = transport._advance(Y0[ray], m, lambda lo, hi: Phis[ray][lo:hi].copy())
+        if m <= steps or k > SCAN_WIDTH:
+            assert np.array_equal(got[:, ray], want)
+        assert _rel(got[:, ray], want) <= 1e-13
+
+
 def _reference(monkeypatch):
     """Run the library's chains on ``_advance_loop`` from here on."""
     monkeypatch.setattr(transport, "_advance", _advance_loop)

@@ -350,18 +350,37 @@ def test_volume_compare_closed_form_matches_kernel(name, mu, Kref):
     assert a["ratio"] == pytest.approx(b["ratio"], abs=1e-12)
 
 
-def test_sweep_matches_single_ray_jacobi_on_torus(torus21):
-    # the sweep and a single framed geodesic advance the orthogonal Jacobi
-    # fields by the same RK4 transition on the same step grid
+EXPR3 = {"dim": 3, "coords": ["x", "y", "z"],
+         "metric": [["exp(2*z) + x*y/4", "x/10", "0"],
+                    ["x/10", "exp(2*z)", "y/5"],
+                    ["0", "y/5", "1 + x^2"]]}
+SWEEP_CHARTS = {
+    "torus": (lambda: manifold.builtin("torus", {"R": 2.0, "r": 1.0}), [0.3, 0.2]),
+    "sphere3": (lambda: manifold.builtin("sphere_stereo", {"n": 3, "R": 1.5}), [0.3, 0.2, 0.1]),
+    "hyper3": (lambda: manifold.builtin("hyperbolic_ball", {"n": 3}), [0.1, -0.05, 0.15]),
+    "expr3": (lambda: manifold.chart_from_definition(EXPR3), [0.3, 0.2, 0.1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CHARTS))
+def test_sweep_matches_single_ray_jacobi(name):
+    # the sweep chains the orthogonal Jacobi fields of all its rays together
+    # by the RK4 transitions that a single framed geodesic takes on the same
+    # grid; 50 steps of 32 rays span four blocks of transitions
     from riemannkit import tensor, variation
     from riemannkit.transport import integrate_geodesic
-    p, r, step, count = np.array([0.3, 0.2]), 0.5, 1e-2, 8
-    dets = comparison._batched_sphere_sweep(torus21, p, r, count, step)[r]
-    B = tensor.orthonormal_frame(manifold.metric_at(torus21, p).g)
-    for k, v in enumerate(comparison._sphere_directions(2, count) @ B.T):
-        geo = integrate_geodesic(torus21, p, v, r, settings=OdeSettings(step=step))
-        F, _ = variation.orthogonal_fundamental(variation.jacobi_system(torus21, geo))
-        assert dets[k] == pytest.approx(np.linalg.det(F[-1]), abs=1e-10)
+    make, p = SWEEP_CHARTS[name]
+    chart, p = make(), np.array(p)
+    radii, step, count = (0.2, 0.35, 0.5), 1e-2, 32
+    dets = comparison._batched_sphere_sweep(chart, p, radii[-1], count, step, radii=radii)
+    B = tensor.orthonormal_frame(manifold.metric_at(chart, p).g)
+    for k, v in enumerate(comparison._sphere_directions(chart.dim, count) @ B.T):
+        geo = integrate_geodesic(chart, p, v, radii[-1], settings=OdeSettings(step=step))
+        F, _ = variation.orthogonal_fundamental(variation.jacobi_system(chart, geo))
+        for r in radii:
+            i = int(np.argmin(np.abs(geo.t - r)))
+            assert geo.t[i] == pytest.approx(r, abs=1e-12)
+            assert dets[r][k] == pytest.approx(np.linalg.det(F[i]), abs=1e-10)
 
 
 def test_scalar_expansion_fit_flat():

@@ -311,6 +311,15 @@ def test_hermite_interpolation_accuracy():
                               - 0.5 * np.array([-np.sin(s), np.cos(s)])) <= 1e-5
 
 
+def test_dense_velocity_of_a_line_far_from_the_origin_has_no_cancellation():
+    # x(t) = 2^26 + t sampled exactly on a grid of step 2^-20: the position
+    # part of the velocity is one product of p1 - p0, not two that cancel
+    h = 2.0 ** -20
+    t = h * np.arange(5)
+    x = (2.0 ** 26 + t)[:, None]
+    assert manifold._dense(t, x, t[1] + 0.37 * h, np.ones_like(x), deriv=True)[0] == 1.0
+
+
 def test_curve_length_euclidean_circle(eucl2):
     c = _circle_curve(200)
     assert manifold.curve_length(eucl2, c) == pytest.approx(np.pi, rel=1e-7)
