@@ -8,25 +8,30 @@
 with fixed seeds and writes one JSON object of named outputs. A float is
 written as ``float.hex``, so the sign of a zero and the last bit survive; an
 output that raises is written as its fault: type, message, ``t_exit`` and
-``point``. Run it once per checkout, with that checkout's ``src`` on
-PYTHONPATH, to see whether a change keeps its results.
+``point``. With ``sphere2`` it also records the JSON report of every
+``riemannkit`` command on a chart, less its ``timestamp``, as its float
+leaves and its layout: the path of every leaf, and the other leaves' values.
+Run it once per checkout, with that checkout's ``src`` on PYTHONPATH, to see
+whether a change keeps its results.
 
 ``compare`` prints, for every output, whether the two records agree bitwise
 and otherwise its largest difference relative to the output's largest
 entry, then a summary and a DIFFERS line for each output that is missing
-on one side, whose fault differs or whose difference exceeds ``--tol``; it
-exits 1 where there is one.
+on one side, whose fault or report layout differs or whose difference
+exceeds ``--tol``; it exits 1 where there is one.
 """
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import sys
 
 import numpy as np
 
-from riemannkit import comparison, manifold, surfrev, transport, variation
+from riemannkit import cli, comparison, manifold, surfrev, tensor, transport, variation
 from riemannkit.errors import RiemannKitError
 from riemannkit.transport import OdeSettings
 
@@ -105,6 +110,31 @@ FAULTS.update({f"expr_zero_pivot_{form}": ("sqrt", lambda: manifold.chart_from_d
                    ("connection", lambda c: c.evaluator.connection(np.array([0.0, 0.3]),
                                                                    np.array([1.0, -0.5]))),
                    ("spray", lambda c: c.evaluator.spray([0.0, 0.3], [1.0, -0.5])))})
+# g = diag(1, x) is indefinite at x < 0: a ray from there, and a batch with two such points
+FAULTS.update({f"indefinite_{name}": ("sqrt", lambda: manifold.chart_from_definition(PIVOT), call)
+               for name, call in (
+                   ("exp_map", lambda c: transport.exp_map(c, [-0.5, 0.1], [1.0, 0.0])),
+                   ("geodesic_framed", lambda c: transport.integrate_geodesic(
+                       c, [-0.5, 0.1], [1.0, 0.0], 1.0)),
+                   ("curvature_low_batch", lambda c: tensor.curvature_low_batch(
+                       c, [[0.5, 0.0], [-0.1, 0.2], [-0.9, 0.0]])))})
+
+# the arguments of every command on a chart, run on the unit S^2
+_RAY = ("--point", "0.3,0.1", "--velocity", "0.5,-0.2")
+_SHORT_RAY = (*_RAY, "--tmax", "0.5", "--step", "0.05")
+COMMANDS = {
+    "curvature": ("--point", "0.3,0.1"),
+    "geodesic": _SHORT_RAY,
+    "transport": (*_SHORT_RAY, "--w0", "1,0"),
+    "exp": (*_RAY, "--step", "0.05"),
+    "log": ("--point", "0.3,0.1", "--target", "0.35,0.05"),
+    "develop": _SHORT_RAY,
+    "jacobi": (*_SHORT_RAY, "--j0", "0,0", "--j0p", "0,1"),
+    "conjugate": (*_SHORT_RAY[:-2], "--tmax", "3.5"),
+    "variation": _SHORT_RAY,
+    "volume": ("--point", "0,0", "--r", "0.2", "--kref", "1", "--directions", "16"),
+    "check": ("--samples", "2"),
+}
 
 
 def _unit(chart, p, v):
@@ -173,6 +203,8 @@ def _outputs(chart, box, ray, kref):
     yield "log_map", lambda: transport.log_map(chart, p, transport.exp_map(chart, p, 0.4 * v))
     yield "reverse_develop", lambda: reverse_develop(chart, p, v, rk4)
     yield "sectional_profile", lambda: sectional_profile(chart, p, v, rk4)
+    yield "sectional", lambda: [tensor.sectional(tensor.curvature(chart, x), manifold.metric_at(chart, x).g,
+                                                 w, u) for x, w, u in zip(X[:4], V, V[4:])]
     conjugate = functools.cache(lambda: variation.conjugate_points(
         chart, p, v, 4.0, settings=OdeSettings(step=0.005)))
     yield "conjugate_t", lambda: [c.t for c in conjugate().points]
@@ -227,6 +259,29 @@ def first_variation(chart, p, v):
     return [rep.analytic, rep.finite_difference]
 
 
+def _report(command, args):
+    """The recorded report of a ``riemannkit`` command on the unit S^2, its
+    exit code under "/exit" and its ``timestamp`` dropped: the float leaves as
+    one value, the layout as the path of every leaf and the other leaves."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = cli.main([command, "--builtin", "sphere_stereo", "--param", "n=2", *args])
+    doc = json.loads(text.getvalue())
+    doc.pop("timestamp", None)
+    leaves = list(_leaves({"exit": code, **doc}))
+    return {"layout": [[path, "float" if isinstance(leaf, float) else leaf] for path, leaf in leaves],
+            "parts": [_value([leaf for _, leaf in leaves if isinstance(leaf, float)])]}
+
+
+def _leaves(doc, path=""):
+    """(path, value) of every leaf of a JSON document, in order."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else None
+    if items is None:
+        yield path, doc
+    for key, value in items or ():
+        yield from _leaves(value, f"{path}/{key}")
+
+
 def record(names):
     out = {}
     for name in names:
@@ -234,6 +289,9 @@ def record(names):
         chart = make()
         for key, thunk in _outputs(chart, box, ray, kref):
             out[f"{name}/{key}"] = _run(thunk)
+    if "sphere2" in names:
+        for command, args in COMMANDS.items():
+            out[f"cli/{command}"] = _report(command, args)
     for key, (owner, make, call) in FAULTS.items():
         if owner in names:
             out[f"fault/{key}"] = _run(lambda: call(make()))
@@ -292,6 +350,12 @@ def compare(a, b, tol):
                     " (t_exit or point differs)"
                 print(f"{name}: fault {x.get('fault', 'value')} {x.get('message', '')!r} "
                       f"-> {y.get('fault', 'value')} {y.get('message', '')!r}{moved}")
+        elif x.get("layout") != y.get("layout"):
+            status = "fault"
+            la, lb = x.get("layout", []), y.get("layout", [])
+            at = next((i for i, pair in enumerate(zip(la, lb)) if pair[0] != pair[1]), min(len(la), len(lb)))
+            print(f"{name}: report layout differs at leaf {at}: "
+                  f"{la[at] if at < len(la) else None} -> {lb[at] if at < len(lb) else None}")
         else:
             bitwise, rel = _difference(x, y)
             status = "bitwise" if bitwise else ("within" if rel <= tol else "over")

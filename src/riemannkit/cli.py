@@ -2,7 +2,9 @@
 
 Reports are JSON documents under schema "riemann-kit/1"; trajectory-like
 outputs go to CSV at 17 significant digits. Exit codes: 0 success, 1 engine
-error (report carries an error object), 2 usage error.
+error (report carries an error object), 2 usage error. Every command on a
+chart takes --print-manifold, which ``_emit`` answers for all of them, and
+those that follow one geodesic integrate it by ``_geodesic``.
 """
 
 from __future__ import annotations
@@ -87,11 +89,19 @@ def _settings(args) -> transport.OdeSettings:
     return transport.OdeSettings(step=getattr(args, "step", 1e-3))
 
 
-def _emit(args, payload: dict, command: str) -> None:
+def _geodesic(args, chart) -> transport.Trajectory:
+    """The framed geodesic of the options --point, --velocity, --tmax and --step."""
+    return transport.integrate_geodesic(chart, args.point, args.velocity, args.tmax,
+                                        settings=_settings(args))
+
+
+def _emit(args, payload: dict, chart=None) -> None:
+    """Write the report of the command; with --print-manifold, it ends with
+    the definition of the resolved chart."""
     doc = {
         "schema": SCHEMA,
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "seed": int(getattr(args, "seed", 0)),
         "settings": _jsonable({
             k: v for k, v in sorted(vars(args).items())
@@ -100,6 +110,8 @@ def _emit(args, payload: dict, command: str) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     doc.update(_jsonable(payload))
+    if getattr(args, "print_manifold", False):
+        doc["manifold"] = _jsonable(chart.source or {"label": chart.label})
     _write(args, doc)
 
 
@@ -111,13 +123,6 @@ def _write(args, report: dict) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _maybe_print_manifold(args, chart) -> dict:
-    extra = {}
-    if getattr(args, "print_manifold", False):
-        extra["manifold"] = chart.source or {"label": chart.label}
-    return extra
 
 
 # ---------------------------------------------------------------------------
@@ -146,38 +151,31 @@ def cmd_curvature(args):
         "symmetry_residuals": tensor.check_symmetries(R),
         "bianchi_residual": tensor.bianchi_residual(chart, p),
     }
-    payload.update(_maybe_print_manifold(args, chart))
-    _emit(args, payload, "curvature")
+    _emit(args, payload, chart)
     return 0
 
 
 def cmd_geodesic(args):
     chart = _resolve_chart(args)
-    traj = transport.integrate_geodesic(chart, args.point, args.velocity,
-                                        args.tmax, settings=_settings(args))
+    traj = _geodesic(args, chart)
     if args.csv:
         traj.to_csv(args.csv)
-    payload = {
-        "endpoint": traj.x[-1], "end_velocity": traj.v[-1],
-        "speed_drift": traj.speed_drift, "samples": len(traj.t),
-        "csv": args.csv,
-    }
-    payload.update(_maybe_print_manifold(args, chart))
-    _emit(args, payload, "geodesic")
+    _emit(args, {"endpoint": traj.x[-1], "end_velocity": traj.v[-1],
+                 "speed_drift": traj.speed_drift, "samples": len(traj.t),
+                 "csv": args.csv}, chart)
     return 0
 
 
 def cmd_transport(args):
     chart = _resolve_chart(args)
-    traj = transport.integrate_geodesic(chart, args.point, args.velocity,
-                                        args.tmax, settings=_settings(args))
+    traj = _geodesic(args, chart)
     w = transport.parallel_transport(chart, traj, args.w0)
     n0, nT = manifold.norm(chart, traj.x[0], args.w0), manifold.norm(chart, traj.x[-1], w[-1])
     if args.csv:
         manifold._write_csv(args.csv, ["t"] + [f"w{i+1}" for i in range(chart.dim)],
                             np.column_stack([traj.t, w]))
     _emit(args, {"w_end": w[-1], "norm_start": n0, "norm_end": nT,
-                 "norm_drift": abs(nT - n0), "csv": args.csv}, "transport")
+                 "norm_drift": abs(nT - n0), "csv": args.csv}, chart)
     return 0
 
 
@@ -185,7 +183,7 @@ def cmd_exp(args):
     chart = _resolve_chart(args)
     q = transport.exp_map(chart, args.point, args.velocity,
                           settings=_settings(args))
-    _emit(args, {"endpoint": q}, "exp")
+    _emit(args, {"endpoint": q}, chart)
     return 0
 
 
@@ -194,7 +192,7 @@ def cmd_log(args):
     v = transport.log_map(chart, args.point, args.target)
     q = transport.exp_map(chart, args.point, v)
     _emit(args, {"velocity": v,
-                 "residual": float(np.linalg.norm(q - args.target))}, "log")
+                 "residual": float(np.linalg.norm(q - args.target))}, chart)
     return 0
 
 
@@ -217,9 +215,7 @@ def cmd_develop(args):
     if args.curve_csv:
         curve = _load_curve_csv(args.curve_csv, chart.dim)
     else:
-        traj = transport.integrate_geodesic(chart, args.point, args.velocity,
-                                            args.tmax, settings=_settings(args))
-        curve = traj.as_curve()
+        curve = _geodesic(args, chart).as_curve()
     dev = transport.develop(chart, curve)
     P = dev.points
     if args.csv:
@@ -230,21 +226,20 @@ def cmd_develop(args):
     straight = float(np.max(np.abs(P - np.outer(P @ d, d)))) if np.linalg.norm(end) > 0 else 0.0
     _emit(args, {"end": end, "length_estimate": float(np.sum(
         np.linalg.norm(np.diff(P, axis=0), axis=1))),
-        "straightness_residual": straight, "csv": args.csv}, "develop")
+        "straightness_residual": straight, "csv": args.csv}, chart)
     return 0
 
 
 def cmd_jacobi(args):
     chart = _resolve_chart(args)
-    geo = transport.integrate_geodesic(chart, args.point, args.velocity,
-                                       args.tmax, settings=_settings(args))
+    geo = _geodesic(args, chart)
     sol = variation.jacobi_solve(chart, geo, args.j0, args.j0p)
     norms = np.hypot.reduce(sol.f, axis=1, initial=0.0)  # without overflow where the norm is finite
     if args.csv:
         manifold._write_csv(args.csv, ["t"] + [f"f{i+1}" for i in range(chart.dim)] + ["norm"],
                             np.column_stack([sol.t, sol.f, norms]))
     _emit(args, {"end_components": sol.f[-1], "end_norm": float(norms[-1]),
-                 "max_norm": float(np.max(norms)), "csv": args.csv}, "jacobi")
+                 "max_norm": float(np.max(norms)), "csv": args.csv}, chart)
     return 0
 
 
@@ -254,14 +249,13 @@ def cmd_conjugate(args):
                                      args.tmax, settings=_settings(args))
     _emit(args, {"conjugate_points": [
         {"t": c.t, "multiplicity": c.multiplicity, "sigma_min": c.sigma_min}
-        for c in rep.points]}, "conjugate")
+        for c in rep.points]}, chart)
     return 0
 
 
 def cmd_variation(args):
     chart = _resolve_chart(args)
-    geo = transport.integrate_geodesic(chart, args.point, args.velocity,
-                                       args.tmax, settings=_settings(args))
+    geo = _geodesic(args, chart)
     manifold._require_three_samples(geo.t)  # first_variation's check, before f divides by L
     sys_ = variation.jacobi_system(chart, geo)
     L = geo.tmax
@@ -281,7 +275,7 @@ def cmd_variation(args):
     _emit(args, {"index_form": I_VV,
                  "first_variation": {"analytic": fv.analytic,
                                      "finite_difference": fv.finite_difference,
-                                     "mismatch": fv.mismatch}}, "variation")
+                                     "mismatch": fv.mismatch}}, chart)
     return 0
 
 
@@ -290,22 +284,18 @@ def cmd_riccati(args):
     if args.csv:
         tr.to_csv(args.csv)
     _emit(args, {"poles": tr.poles, "samples": int(np.sum(tr.valid)),
-                 "csv": args.csv}, "riccati")
+                 "csv": args.csv})
     return 0
 
 
 def cmd_compare(args):
     if args.mode == "driving":
-        out = comparison.compare_driving(args.H, args.K, args.f0, args.tmax,
-                                         args.step)
-        payload = {k: v for k, v in out.items() if not k.startswith("trace")}
+        out = comparison.compare_driving(args.H, args.K, args.f0, args.tmax, args.step)
     elif args.mode == "value":
-        out = comparison.value_compare(args.H, args.f0, args.g0, args.tmax,
-                                       args.step)
-        payload = {k: v for k, v in out.items() if not k.startswith("trace")}
+        out = comparison.value_compare(args.H, args.f0, args.g0, args.tmax, args.step)
     else:
-        payload = comparison.sturm_check(args.H, args.K, args.tmax, args.step)
-    _emit(args, payload, "compare")
+        out = comparison.sturm_check(args.H, args.K, args.tmax, args.step)
+    _emit(args, {k: v for k, v in out.items() if not k.startswith("trace")})
     return 0
 
 
@@ -317,7 +307,7 @@ def cmd_volume(args):
     out["dets_summary"] = {"min": float(np.min(out["dets"])),
                            "max": float(np.max(out["dets"]))}
     del out["dets"]
-    _emit(args, out, "volume")
+    _emit(args, out, chart)
     return 0
 
 
@@ -346,7 +336,7 @@ def cmd_surfrev(args):
         payload = {"u_range": list(prof.u_range),
                    "gauss_curvature_at_midrange": prof.gauss_curvature(
                        0.5 * (prof.u_range[0] + prof.u_range[1]))}
-    _emit(args, payload, "surfrev")
+    _emit(args, payload)
     return 0
 
 
@@ -363,10 +353,8 @@ def cmd_check(args):
         ric = tensor.ricci(R, md.g).ric
         worst["ricci_symmetry"] = max(worst["ricci_symmetry"],
                                       float(np.max(np.abs(ric - ric.T))))
-    payload = {"points_checked": len(pts), "max_residuals": worst,
-               "positive_definite": True}
-    payload.update(_maybe_print_manifold(args, chart))
-    _emit(args, payload, "check")
+    _emit(args, {"points_checked": len(pts), "max_residuals": worst,
+                 "positive_definite": True}, chart)
     return 0
 
 

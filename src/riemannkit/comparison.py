@@ -15,10 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BadParam, ConjugateNotFound, DegeneratePlane,
-                     InputOrderViolated)
+from .errors import BadParam, ConjugateNotFound, InputOrderViolated
 from .manifold import MetricChart, _bisect, _count, _finite, _hermite, _positive, _write_csv, metric_at
-from .tensor import (curvature, curvature_low_batch, jacobi_driving_batch,
+from .tensor import (_plane_area, curvature, curvature_low_batch, jacobi_driving_batch,
                      orthonormal_frame, ricci)
 from .transport import (DEFAULT_SETTINGS, OdeSettings, Trajectory,
                         _adapted_frames, _advance, _fixed_grid, _rays_rhs, _step_rays,
@@ -51,17 +50,9 @@ class CurvatureProfile:
         chart.require_inside(geo.x)
         ts = geo.t
         y = geo.frame[:, :, _index("direction", direction, chart.dim)]
-        # numerator low(v, y, v, y) is the driving matrix of the one-column frame y;
-        # denominator and degeneracy test as in tensor.sectional
+        # numerator low(v, y, v, y) is the driving matrix of the one-column frame y
         M = jacobi_driving_batch(chart, geo.x, geo.v, y[:, :, None])
-        g = chart.evaluator.metric_batch(geo.x)
-        gxx = np.einsum("bi,bij,bj->b", geo.v, g, geo.v)
-        gyy = np.einsum("bi,bij,bj->b", y, g, y)
-        gxy = np.einsum("bi,bij,bj->b", geo.v, g, y)
-        den = gxx * gyy - gxy * gxy
-        if np.any(den <= 1e-12 * np.maximum(gxx * gyy, 1e-300)):
-            raise DegeneratePlane("plane spanned by x, y is (nearly) degenerate")
-        vals = M[:, 0, 0] / den
+        vals = M[:, 0, 0] / _plane_area(chart.evaluator.metric_batch(geo.x), geo.v, y)
 
         def H(t):
             return float(np.interp(t, ts, vals))

@@ -2,6 +2,8 @@
 
 A chart is a single coordinate system; the builtin catalog provides the
 constant-curvature model spaces and the torus used for validation.
+``_first_indefinite`` is the one scan of a stack of g for the first matrix
+that is not positive definite, for the curvature kernel and the ray checks.
 """
 
 from __future__ import annotations
@@ -439,6 +441,18 @@ def _require_finite(X: np.ndarray, stack) -> None:
     raise DomainFault(f"metric {which} not finite at {X[b]}", point=X[b].copy())
 
 
+def _first_indefinite(G: np.ndarray):
+    """Index of the first matrix of the stack G that is not positive definite
+    (to working precision), or None when one Cholesky of the stack passes:
+    the one scan of a stack of g for definiteness."""
+    try:
+        np.linalg.cholesky(G)
+        return None
+    except np.linalg.LinAlgError:
+        lam = np.linalg.eigvalsh(G)
+        return int(np.argmin(lam[:, 0] > 1e-14 * lam[:, -1]))
+
+
 def _finite(name: str, value, shape=()) -> np.ndarray:
     """value as a float array of the given shape; BadDimension for another
     shape, BadParam where it holds anything but finite numbers."""
@@ -656,16 +670,16 @@ def _read_definition(path: str, kind: str):
         raise BadParam(f"cannot read {kind} definition {path}: {exc}") from None
 
 
-def _check_supplied_symmetry(chart: MetricChart, asts, seed: int = 20260823,
-                             samples: int = 100, tol: float = 1e-12):
-    """BadParam where g[i][j] and g[j][i] differ at a seeded sample point. Only
-    the differing off-diagonal ASTs are compiled: a diagonal one may fault there."""
+def _check_supplied_symmetry(chart: MetricChart, asts):
+    """BadParam where g[i][j] and g[j][i] differ, relative to 1e-12, at one of
+    100 seeded sample points. Only the differing off-diagonal ASTs are
+    compiled: a diagonal one may fault there."""
     n = chart.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if asts[i][j] != asts[j][i]]
     if not pairs:
         return
     try:
-        pts = chart.sample_points(samples, seed)
+        pts = chart.sample_points(100, 20260823)
     except BadParam:
         return
     upper = expr.compile_tensor([asts[i][j] for i, j in pairs], n, 0)
@@ -673,7 +687,7 @@ def _check_supplied_symmetry(chart: MetricChart, asts, seed: int = 20260823,
     for p in pts:
         for (i, j), a, b in zip(pairs, upper(p), lower(p)):
             scale = max(1.0, abs(a), abs(b))
-            if abs(a - b) > tol * scale:
+            if abs(a - b) > 1e-12 * scale:
                 raise BadParam(
                     f"metric not symmetric: g[{i}][{j}] != g[{j}][{i}] at {p}")
 
@@ -773,20 +787,20 @@ def _bisect(fn: Callable, lo: float, hi: float, tol: float = 0.0) -> float:
 
 
 def refine_simpson(f: Callable, a: float, b: float, rel_tol: float = 1e-8,
-                   abs_floor: float = 1e-14, max_level: int = 16,
                    start_segments: int = 8) -> float:
-    """Composite Simpson with dyadic refinement to a relative tolerance.
+    """Composite Simpson with dyadic refinement to a relative tolerance, with
+    an absolute floor of 1e-14, over at most 16 levels.
 
     f takes the whole grid of a level, an array of parameters, at once.
     """
     prev = None
     segments = start_segments
-    for _ in range(max_level):
+    for _ in range(16):
         ys = f(np.linspace(a, b, 2 * segments + 1))
         h = (b - a) / (2 * segments)
         val = h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
         if prev is not None:
-            if abs(val - prev) <= max(rel_tol * abs(val), abs_floor):
+            if abs(val - prev) <= max(rel_tol * abs(val), 1e-14):
                 return val
         prev = val
         segments *= 2

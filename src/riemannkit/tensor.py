@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, BadParam, DegeneratePlane, SingularMetric
-from .manifold import (MetricChart, _finite, _positive, _require_finite, gamma_from_stack,
-                       koszul, metric_at)
+from .manifold import (MetricChart, _finite, _first_indefinite, _positive, _require_finite,
+                       gamma_from_stack, koszul, metric_at)
 from . import expr as _expr
 
 
@@ -58,14 +58,12 @@ def curvature_kernel(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray):
 
 def _positive_stack(chart: MetricChart, X: np.ndarray):
     """stack_batch at X; DomainFault where it is not finite, SingularMetric
-    where g is not positive definite."""
+    naming the first row where g is not positive definite."""
     stack = chart.evaluator.stack_batch(X)
     _require_finite(X, stack)
-    try:
-        np.linalg.cholesky(stack[0])
-    except np.linalg.LinAlgError:
-        bad = X[np.argmin(np.linalg.eigvalsh(stack[0])[:, 0])]
-        raise SingularMetric(f"metric not positive definite at {bad}")
+    bad = _first_indefinite(stack[0])
+    if bad is not None:
+        raise SingularMetric(f"metric not positive definite at {X[bad]}", point=X[bad].copy())
     return stack
 
 
@@ -171,16 +169,21 @@ def bianchi_residual(chart: MetricChart, p) -> float:
 # Sectional, Ricci, scalar
 # ---------------------------------------------------------------------------
 
+def _plane_area(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """g(x, x) g(y, y) - g(x, y)^2 of the planes of x and y, over any leading
+    axes of g (..., n, n), x and y (..., n); DegeneratePlane where some plane
+    is (nearly) degenerate."""
+    gxx, gyy, gxy = ((a[..., None, :] @ g @ b[..., :, None])[..., 0, 0] for a, b in ((x, x), (y, y), (x, y)))
+    den = gxx * gyy - gxy * gxy
+    if np.any(den <= 1e-12 * np.maximum(gxx * gyy, 1e-300)):
+        raise DegeneratePlane("plane spanned by x, y is (nearly) degenerate")
+    return den
+
+
 def sectional(R: CurvatureTensor, g: np.ndarray, x, y) -> float:
     x, y = (_finite(name, u, (len(g),)) for name, u in (("x", x), ("y", y)))
-    gxx = float(x @ g @ x)
-    gyy = float(y @ g @ y)
-    gxy = float(x @ g @ y)
-    den = gxx * gyy - gxy * gxy
-    if den <= 1e-12 * max(gxx * gyy, 1e-300):
-        raise DegeneratePlane("plane spanned by x, y is (nearly) degenerate")
     num = float(np.einsum("abcd,a,b,c,d->", R.low, x, y, x, y))
-    return num / den
+    return num / float(_plane_area(g, x, y))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,12 @@ ray row's slope for the ray step, the sweep and ``variation.jacobi_system``:
 one ``spray_batch``, so that each row is bitwise its own float loop, and one
 ``connection_batch`` where rows carry a frame.  An arithmetic fault at a
 stage point outside the chart is DomainExit there.
+
+g must be positive definite where a ray starts: a framed geodesic's
+``initial_frame``, and ``exp_map`` and ``_exp_rays`` by ``_definite``, raise
+SingularMetric at t = 0 naming the start.  ``_definite`` checks their ends
+(t = 1), and up to 200 samples of a geodesic go through the same scan,
+``manifold._first_indefinite``.
 """
 
 from __future__ import annotations
@@ -51,8 +57,8 @@ import numpy as np
 from .errors import (_POINT_FAULTS, BadParam, DomainExit,
                      NoConvergence, SingularMetric, StepFault)
 from .expr import _define
-from .manifold import (MetricChart, SampledCurve, _count, _dense, _finite, _write_csv,
-                       metric_at)
+from .manifold import (MetricChart, SampledCurve, _count, _dense, _finite, _first_indefinite,
+                       _write_csv, metric_at)
 from .tensor import orthonormal_frame
 
 
@@ -364,10 +370,15 @@ def _transition(A, h, tableau: _Tableau = RK4) -> np.ndarray:
 
 def initial_frame(chart: MetricChart, p, v=None) -> np.ndarray:
     """g-orthonormal frame; when v is nonzero the last column points along v.
-    BadParam where g(v, v) overflows."""
+    SingularMetric naming p where g is not positive definite there; BadParam
+    where g(v, v) overflows."""
     p = np.asarray(p, dtype=float)
     g = chart.evaluator.metric(p)
-    B = orthonormal_frame(g)
+    try:
+        B = orthonormal_frame(g)
+    except SingularMetric as exc:
+        exc.point = p.copy()
+        raise
     if v is None:
         return B
     v = np.asarray(v, dtype=float)
@@ -489,28 +500,27 @@ def _spray_stages(chart: MetricChart, p, v, ts: np.ndarray) -> np.ndarray:
     return S
 
 
-def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
-                 record: bool = False):
+def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings):
     """RKF45 of y = (x, v), x' = v, v' = -Gamma(v, v), on [0, tmax], in floats:
     ``_rkf45_steps`` over the chart's ``FEHLBERG`` step, with its error norm;
     faults are located and the domain checked as in ``_spray_stages``.
     Returns the sample times, the rows y (m + 1, 2n) and the stage points
-    (m, 6, 2n) of the accepted steps, or None unless ``record``."""
+    of the accepted steps, a flat list of m * 6 * 2n floats, which only a
+    framed geodesic reads."""
     n = chart.dim
     step = _chart_step(chart, FEHLBERG)
     atol, rtol = settings.atol, settings.rtol
-    stages = []  # the stage points of the last trial step, flat
+    points, kept = [], 0  # the accepted steps' stage points, flat, and then the trial step's
 
     def trial(t, y, h):
-        stages.clear()
+        del points[kept:]
         try:
-            x5, v5, err = step(y[0], y[1], h, stages, atol, rtol)
+            x5, v5, err = step(y[0], y[1], h, points, atol, rtol)
         except (*_POINT_FAULTS, ArithmeticError) as exc:
-            raise _locate(chart, exc, FEHLBERG, t, h, stages)
+            raise _locate(chart, exc, FEHLBERG, t, h, points[kept:])
         return (x5, v5), err
 
     ts, rows = [0.0], p.tolist() + v.tolist()  # the samples' times and rows, flat
-    points = []  # the accepted steps' stage points, flat
     accepted = _rkf45_steps(trial, (p.tolist(), v.tolist()), tmax, settings)
     while True:
         lo, fault = len(ts), None
@@ -519,15 +529,13 @@ def _rkf45_spray(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
                 ts.append(t)
                 rows += y[0]
                 rows += y[1]
-                if record:
-                    points += stages
+                kept = len(points)
         except _STEP_FAULTS as exc:
             fault = exc
         _end_block(chart, ts, lambda i, j: np.reshape(rows[2 * n * i:2 * n * j], (j - i, 2 * n)),
                    lo, len(ts), fault)
         if len(ts) < lo + CHECK_EVERY:
-            S = np.reshape(points, (-1, 6, 2 * n)) if record else None
-            return np.array(ts), np.reshape(rows, (-1, 2 * n)), S
+            return np.array(ts), np.reshape(rows, (-1, 2 * n)), points
 
 
 def _advance(Y0: np.ndarray, m: int, transitions: Callable) -> np.ndarray:
@@ -568,10 +576,12 @@ def _advance(Y0: np.ndarray, m: int, transitions: Callable) -> np.ndarray:
 
 def _parallel_frames(chart: MetricChart, S: np.ndarray, h: np.ndarray,
                      E0: np.ndarray, tableau: _Tableau = RK4) -> np.ndarray:
-    """The frame E0 carried along the stage points S of a float loop:
-    E_{i+1} = Phi_i E_i with Phi_i the ``tableau`` transition of
-    E' = -Gamma(v, .) E over step i, of width h[i], from S[i, :stages]."""
+    """The frame E0 carried along the stage points S of a float loop, an
+    (m[+1], stages, 2n) array or flat: E_{i+1} = Phi_i E_i with Phi_i the
+    ``tableau`` transition of E' = -Gamma(v, .) E over step i, of width h[i],
+    from S[i, :stages]."""
     n, k = chart.dim, len(tableau.a)
+    S = np.reshape(S, (-1, k, 2 * n))
 
     def transitions(s, e):
         Y = S[s:e, :k].reshape(-1, 2 * n)  # the stage points of steps s..e-1, in order
@@ -579,17 +589,6 @@ def _parallel_frames(chart: MetricChart, S: np.ndarray, h: np.ndarray,
         return _transition(-C.reshape(e - s, k, n, n).swapaxes(0, 1), h[s:e], tableau)
 
     return _advance(E0, len(h), transitions)
-
-
-def _first_indefinite(G: np.ndarray):
-    """Index of the first matrix of the stack G that is not positive definite
-    (to working precision), or None when one Cholesky of the stack passes."""
-    try:
-        np.linalg.cholesky(G)
-        return None
-    except np.linalg.LinAlgError:
-        lam = np.linalg.eigvalsh(G)
-        return int(np.argmin(lam[:, 0] > 1e-14 * lam[:, -1]))
 
 
 def _start(chart: MetricChart, p, v):
@@ -600,29 +599,33 @@ def _start(chart: MetricChart, p, v):
     return p, _finite("velocity", v, p.shape)
 
 
-def _float_geodesic(chart: MetricChart, p, v, tmax: float, settings: OdeSettings,
-                    record: bool):
+def _float_geodesic(chart: MetricChart, p, v, tmax: float, settings: OdeSettings):
     """The float loop of ``settings.method`` from (p, v) on [0, tmax]: sample times,
-    rows (x, v), and the stage points of every step (RK4 always, RKF45 if ``record``)
-    with the method's tableau."""
+    rows (x, v), and the stage points of every step (flat under RKF45) with the
+    method's tableau."""
     if settings.method == "rk4_fixed":
         ts = _fixed_grid(tmax, settings)
         S = _spray_stages(chart, p, v, ts)
         return ts, S[:, 0], S, RK4
-    return (*_rkf45_spray(chart, p, v, tmax, settings, record), FEHLBERG)
+    return (*_rkf45_spray(chart, p, v, tmax, settings), FEHLBERG)
 
 
 def integrate_geodesic(chart: MetricChart, p, v, tmax: float,
                        settings: OdeSettings = DEFAULT_SETTINGS,
                        with_frame: bool = True) -> Trajectory:
-    """Integrate the geodesic ODE from (p, v) on [0, tmax]."""
+    """Integrate the geodesic ODE from (p, v) on [0, tmax]; SingularMetric at
+    t = 0 or at the first of up to 200 samples where g is not positive definite."""
     p, v = _start(chart, p, v)
     n = chart.dim
     if not 0.0 <= tmax < math.inf:
         raise BadParam(f"tmax must be finite and nonnegative, not {tmax!r}")
 
-    E0 = initial_frame(chart, p, v if np.any(v) else None) if with_frame else None
-    ts, ys, S, tableau = _float_geodesic(chart, p, v, tmax, settings, with_frame)
+    try:
+        E0 = initial_frame(chart, p, v if np.any(v) else None) if with_frame else None
+    except SingularMetric as exc:
+        exc.t_exit = 0.0
+        raise
+    ts, ys, S, tableau = _float_geodesic(chart, p, v, tmax, settings)
     frame = _parallel_frames(chart, S, np.diff(ts), E0, tableau) if with_frame else None
     x = ys[:, :n].copy()
     vel = ys[:, n:2 * n].copy()
@@ -694,22 +697,24 @@ def parallel_transport(chart: MetricChart, traj, w0, substeps: int = 4) -> np.nd
 def exp_map(chart: MetricChart, p, v, settings: OdeSettings = DEFAULT_SETTINGS) -> np.ndarray:
     """exp_p(v): the end at t = 1 of the ray's float loop, the one
     ``integrate_geodesic`` runs; SingularMetric where g is not positive
-    definite there."""
+    definite at p (t = 0) or at the end (t = 1)."""
     p, v = _start(chart, p, v)
+    _definite(chart, p[None], 0.0, "start")
     if not np.any(v):
         return p.copy()
-    ys = _float_geodesic(chart, p, v, 1.0, settings, record=False)[1]
-    return _definite_ends(chart, ys[-1:, :chart.dim])[0]
+    ys = _float_geodesic(chart, p, v, 1.0, settings)[1]
+    return _definite(chart, ys[-1:, :chart.dim], 1.0, "end")[0]
 
 
-def _definite_ends(chart: MetricChart, ends: np.ndarray) -> np.ndarray:
-    """A copy of the ray ends (N, n); SingularMetric at the first indefinite g."""
-    ends = ends.copy()
-    bad = _first_indefinite(chart.evaluator.metric_batch(ends))
+def _definite(chart: MetricChart, X: np.ndarray, t: float, where: str) -> np.ndarray:
+    """A copy of the points X (N, n) of N rays at t, their ``where``;
+    SingularMetric at the first of them where g is not positive definite."""
+    X = X.copy()
+    bad = _first_indefinite(chart.evaluator.metric_batch(X))
     if bad is not None:
-        raise SingularMetric(f"metric not positive definite at the end of ray {bad}",
-                             t_exit=1.0, point=ends[bad].copy())
-    return ends
+        raise SingularMetric(f"metric not positive definite at the {where} of ray {bad}",
+                             t_exit=t, point=X[bad].copy())
+    return X
 
 
 def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
@@ -720,20 +725,20 @@ def _exp_rays(chart: MetricChart, P, V, settings: OdeSettings) -> np.ndarray:
     ``_fixed_grid``, which names the first ray outside the chart after every
     step; under RKF45 each ray runs ``exp_map``'s float loop in turn, so a
     batch raises what the first failing ray's own loop raises. Where g is
-    not positive definite at an endpoint, SingularMetric names the first
-    such ray's endpoint, at t = 1.
+    not positive definite at a start or an endpoint, SingularMetric names
+    the first such ray's start, at t = 0, or its endpoint, at t = 1.
     """
     P, V = _start(chart, P, V)
+    _definite(chart, P, 0.0, "start")
     n = chart.dim
     if settings.method == "rk4_fixed":
         rhs, Y = _rays_rhs(chart), np.hstack([P, V])
         ts = _fixed_grid(1.0, settings).tolist()
         for t, t1 in zip(ts[:-1], ts[1:]):
             Y = _step_rays(chart, rhs, t, Y, t1 - t, t1)
-        return _definite_ends(chart, Y[:, :n])
-    return _definite_ends(chart, np.array(
-        [_float_geodesic(chart, p, v, 1.0, settings, record=False)[1][-1, :n]
-         for p, v in zip(P, V)]).reshape(-1, n))
+        return _definite(chart, Y[:, :n], 1.0, "end")
+    return _definite(chart, np.array([_float_geodesic(chart, p, v, 1.0, settings)[1][-1, :n]
+                                      for p, v in zip(P, V)]).reshape(-1, n), 1.0, "end")
 
 
 LOG_SETTINGS = OdeSettings(step=2e-3)

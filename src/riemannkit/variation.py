@@ -290,12 +290,13 @@ def _kratz_count(X0: np.ndarray, X1: np.ndarray, B: np.ndarray) -> int:
     return int(rank + np.sum(np.linalg.eigvalsh(0.5 * (Q + Q.T)) < 0.0))
 
 
-def _golden_min(f, a, b, iters: int = 60):
+def _golden_min(f, a, b):
+    """A minimum of f on [a, b] by 60 golden-section steps."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(60):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)

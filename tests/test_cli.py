@@ -593,3 +593,68 @@ def test_error_report_written_to_output(tmp_path, capsys):
     assert set(rep) == {"schema", "version", "command", "error"}
     assert rep["command"] == "geodesic"
     assert rep["error"]["type"] == "BadParam"
+
+
+# every command on a chart, with cheap arguments on the unit S^2
+SHORT_RAY = (*RAY, "--tmax", "0.5", "--step", "0.05")
+CHART_COMMANDS = {
+    "curvature": ("--point", "0.3,0.1"),
+    "geodesic": SHORT_RAY,
+    "transport": (*SHORT_RAY, "--w0", "1,0"),
+    "exp": (*RAY, "--step", "0.05"),
+    "log": ("--point", "0.3,0.1", "--target", "0.35,0.05"),
+    "develop": SHORT_RAY,
+    "jacobi": (*SHORT_RAY, "--j0", "0,0", "--j0p", "0,1"),
+    "conjugate": SHORT_RAY,
+    "variation": SHORT_RAY,
+    "volume": ("--point", "0,0", "--r", "0.2", "--kref", "1", "--directions", "16"),
+    "check": ("--samples", "2"),
+}
+
+
+def test_every_command_on_a_chart_is_in_the_echo_table():
+    sub = next(a for a in riemannkit.cli.build_parser()._actions if a.dest == "command")
+    takes_chart = {name for name, sp in sub.choices.items()
+                   if any(a.dest == "print_manifold" for a in sp._actions)}
+    assert takes_chart == set(CHART_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(CHART_COMMANDS))
+def test_print_manifold_echoes_the_chart_of_every_command(capsys, command):
+    argv = (command, *S2, *CHART_COMMANDS[command])
+    code, plain = run_json(capsys, *argv)
+    assert code == 0 and "manifold" not in plain
+    code, echoed = run_json(capsys, *argv, "--print-manifold")
+    assert code == 0
+    # the echo is the last key; the report is otherwise the same, and so are the
+    # settings but for the flag, which hold no chart
+    assert list(echoed)[-1] == "manifold"
+    assert echoed.pop("manifold") == {"builtin": "sphere_stereo", "params": {"n": 2, "R": 1.0}}
+    assert echoed["settings"].pop("print_manifold") is True
+    assert plain["settings"].pop("print_manifold") is False
+    for rep in (plain, echoed):
+        del rep["timestamp"]
+    assert echoed == plain
+
+
+PIVOT = {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "x"]]}
+FROM_INDEFINITE = ("--point=-0.5,0.1", "--velocity", "1,0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("geodesic", *FROM_INDEFINITE, "--tmax", "1"),
+    ("transport", *FROM_INDEFINITE, "--tmax", "1", "--w0", "1,0"),
+    ("conjugate", *FROM_INDEFINITE, "--tmax", "1"),
+    ("exp", *FROM_INDEFINITE),
+    ("volume", "--point=-0.5,0.1", "--r", "0.1", "--kref", "0"),
+], ids=["geodesic", "transport", "conjugate", "exp", "volume"])
+def test_an_indefinite_start_is_named_in_the_error_report(tmp_path, capsys, argv):
+    # g = diag(1, x) is indefinite at x = -0.5
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(PIVOT))
+    code, rep = run_json(capsys, *argv, "--manifold", str(path))
+    assert code == 1
+    assert rep["error"]["type"] == "SingularMetric"
+    assert rep["error"]["point"] == [-0.5, 0.1]
+    if argv[0] != "volume":  # the volume's Ricci sample names a point, not a time
+        assert rep["error"]["t_exit"] == 0.0

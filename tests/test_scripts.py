@@ -1,6 +1,7 @@
 """The scripts under scripts/, each run as a subprocess with small arguments."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -78,3 +79,26 @@ def test_code_lines_counts_no_blank_comment_or_docstring(tmp_path):
     (tmp_path / "empty.py").write_text('"""Only a docstring."""\n')
     lines = _run("code_lines.py", str(tmp_path)).splitlines()
     assert [line.split() for line in lines] == [["6", "mod.py"], ["0", "empty.py"], ["6", "total"]]
+
+
+
+def test_parity_compares_a_report_by_its_layout_and_its_float_leaves(capsys):
+    spec = importlib.util.spec_from_file_location("parity", os.path.join(ROOT, "scripts", "parity.py"))
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+
+    def compare(exit_code, value, tol=0.0):
+        a, b = ({"cli/exp": {"layout": [["/exit", code], ["/endpoint/0", "float"]],
+                             "parts": [{"shape": [1], "hex": [float.hex(x)]}]}}
+                for code, x in ((0, 1.0), (exit_code, value)))
+        return parity.compare(a, b, tol), capsys.readouterr().out
+
+    assert compare(0, 1.0) == (0, "1 outputs: 1 bitwise, 0 within 0 (largest 0), 0 over, "
+                                  "0 faults differ, 0 missing\n")
+    # a float leaf one bit away is a value difference, within a tolerance above it
+    code, out = compare(0, 1.0 + 2.0 ** -52, 1e-15)
+    assert code == 0 and "1 within 1e-15" in out
+    # another exit code is another layout
+    code, out = compare(1, 1.0)
+    assert code == 1
+    assert "cli/exp: report layout differs at leaf 0: ['/exit', 0] -> ['/exit', 1]" in out

@@ -393,3 +393,27 @@ def test_closed_form_driving_rejects_a_nonpositive_profile():
     with pytest.raises(SingularMetric) as ei:
         tensor.jacobi_driving_batch(chart, X[[0, 2]], V[:2], E[:2])
     assert np.isnan(ei.value.point[0])
+
+
+def test_the_kernel_names_the_first_indefinite_point_of_a_batch():
+    # g = diag(1, x) is indefinite at x = -0.1 and x = -0.9; the least eigenvalue
+    # is at the later point, but the first one is named
+    chart = manifold.chart_from_definition(
+        {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "x"]]})
+    X = np.array([[0.5, 0.0], [-0.1, 0.2], [-0.9, 0.0]])
+    with pytest.raises(SingularMetric, match="metric not positive definite at") as ei:
+        tensor.curvature_low_batch(chart, X)
+    assert np.array_equal(ei.value.point, X[1])
+    with pytest.raises(SingularMetric) as ei:
+        tensor.jacobi_driving_batch(chart, X, np.ones((3, 2)), np.tile(np.eye(2), (3, 1, 1)))
+    assert np.array_equal(ei.value.point, X[1])
+
+
+def test_sectional_refuses_a_nearly_degenerate_plane(sphere2):
+    # g(x, x) g(y, y) - g(x, y)^2 is about 1e-18 of g(x, x) g(y, y) at y = v + 1e-9 w,
+    # past the plane test's 1e-12, and 1e-10 of it at y = v + 1e-5 w
+    p, v, w = np.array([0.3, 0.1]), np.array([0.5, 0.2]), np.array([0.2, -0.5])
+    R, g = tensor.curvature(sphere2, p), manifold.metric_at(sphere2, p).g
+    with pytest.raises(DegeneratePlane):
+        tensor.sectional(R, g, v, v + 1e-9 * w)
+    assert tensor.sectional(R, g, v, v + 1e-5 * w) == pytest.approx(1.0, rel=1e-6)

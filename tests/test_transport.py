@@ -366,6 +366,38 @@ def test_exp_map_stops_at_a_degenerate_endpoint():
     np.testing.assert_allclose(ei.value.point, [-0.4, 0.0], rtol=0, atol=1e-12)
 
 
+# g = diag(1, x): indefinite where x < 0
+PIVOT = {"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "x"]]}
+
+
+@pytest.mark.parametrize("method", ["rk4_fixed", "rkf45_adaptive"])
+def test_exp_map_refuses_an_indefinite_start(method):
+    # from x = -0.5 along (1, 0) the ray ends at x = 0.5, where g is definite;
+    # the start is named at t = 0 instead of the end being returned
+    chart = manifold.chart_from_definition(PIVOT)
+    settings = OdeSettings(method=method)
+    for v in ([1.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(SingularMetric, match="at the start of ray 0") as ei:
+            transport.exp_map(chart, [-0.5, 0.1], v, settings)
+        assert ei.value.t_exit == 0.0
+        assert np.array_equal(ei.value.point, [-0.5, 0.1])
+    # a batch names its first indefinite start, though every ray ends where g is definite
+    P = np.array([[0.5, 0.0], [-0.5, 0.1], [-0.2, 0.0]])
+    with pytest.raises(SingularMetric, match="at the start of ray 1") as ei:
+        transport._exp_rays(chart, P, np.array([[0.1, 0.0], [1.0, 0.0], [1.0, 0.0]]), settings)
+    assert ei.value.t_exit == 0.0
+    assert np.array_equal(ei.value.point, P[1])
+
+
+@pytest.mark.parametrize("with_frame", [True, False])
+def test_a_geodesic_from_an_indefinite_start_names_it(with_frame):
+    chart = manifold.chart_from_definition(PIVOT)
+    with pytest.raises(SingularMetric) as ei:
+        transport.integrate_geodesic(chart, [-0.5, 0.1], [1.0, 0.0], 1.0, with_frame=with_frame)
+    assert ei.value.t_exit == 0.0
+    assert np.array_equal(ei.value.point, [-0.5, 0.1])
+
+
 # -- development -------------------------------------------------------------
 
 def test_develop_geodesic_is_straight(sphere2):
